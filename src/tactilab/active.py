@@ -71,7 +71,6 @@ class ExplorationState:
     seed_root: int = 0
     eps_explore: float = 0.3
     explore_rng: np.random.Generator = None
-    accuracy_history: list[float] = field(default_factory=list)
 
     def check_groups(self) -> None:
         for action_id in self.action_ids:
@@ -269,7 +268,6 @@ def run_loop(
             rng=opt_rng,
         )
         accuracy = float(evaluate(state.models))
-        state.accuracy_history.append(accuracy)
         result.curve.append(accuracy)
         result.records.append(
             LoopRecord(

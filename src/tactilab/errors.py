@@ -43,7 +43,8 @@ class ParameterError(TactilabError):
 
 
 class NumericalError(TactilabError):
-    """A matrix factorization failed even after jitter escalation."""
+    """A matrix factorization failed even after jitter escalation, or a
+    numeric routine met a singular or non-finite input during a trial."""
 
 
 class ConvergenceError(TactilabError):

@@ -20,6 +20,7 @@ from .errors import ConvergenceError, NumericalError, OptimizationError, Paramet
 from .kernels import (
     CombinedKernel,
     DependentKernel,
+    ObservationBlock,
     RbfKernel,
     prediction_cross,
     prediction_diag,
@@ -61,7 +62,7 @@ def _chol_with_jitter(a: np.ndarray, base_jitter: float = 0.0):
 @dataclass
 class GprModel:
     kernel: object
-    X_train: Sequence
+    X_train: ObservationBlock
     y: np.ndarray
     noise_variance: float
     chol: np.ndarray = field(repr=False, default=None)
@@ -75,6 +76,7 @@ def gpr_fit(kernel, X_train, y, noise_variance: float = 0.0) -> GprModel:
     if noise_variance < 0:
         raise ParameterError("noise variance must be >= 0")
     y = np.asarray(y, dtype=float).ravel()
+    X_train = ObservationBlock.of(X_train)
     k = training_gram(kernel, X_train)
     a = k + noise_variance * np.eye(k.shape[0])
     chol, _ = _chol_with_jitter(a)
@@ -85,7 +87,7 @@ def gpr_fit(kernel, X_train, y, noise_variance: float = 0.0) -> GprModel:
         - float(np.sum(np.log(np.diag(chol))))
         - 0.5 * n * math.log(2.0 * math.pi)
     )
-    return GprModel(kernel, list(X_train), y, noise_variance, chol, alpha, lml)
+    return GprModel(kernel, X_train, y, noise_variance, chol, alpha, lml)
 
 
 def gpr_predict(model: GprModel, x_star) -> tuple[float, float]:
@@ -106,9 +108,9 @@ def gpr_predict(model: GprModel, x_star) -> tuple[float, float]:
 @dataclass
 class BinaryGpcModel:
     kernel: object
-    X_train: Sequence
+    X_train: ObservationBlock
     y: np.ndarray  # labels in {-1, +1}
-    n_old: int = 0  # leading entries of X_train forming the transferred block
+    n_old: int = 0  # leading rows of X_train forming the transferred block
     f_hat: np.ndarray = field(repr=False, default=None)
     grad_hat: np.ndarray = field(repr=False, default=None)  # t - sigmoid(f_hat)
     w_sqrt: np.ndarray = field(repr=False, default=None)
@@ -120,10 +122,11 @@ class BinaryGpcModel:
 
 def gpc_fit(kernel, X_train, labels, n_old: int = 0) -> BinaryGpcModel:
     """Newton iteration to the Laplace mode of the latent posterior."""
+    X_train = ObservationBlock.of(X_train)
     y = np.asarray(labels, dtype=float).ravel()
     if y.size != len(X_train):
         raise ParameterError("labels must match training inputs")
-    if not np.all(np.isin(y, (-1.0, 1.0))):
+    if not np.all((y == 1.0) | (y == -1.0)):
         raise ParameterError("binary labels must be -1 or +1")
     t = 0.5 * (y + 1.0)
     k = training_gram(kernel, X_train, n_old) + GRAM_JITTER * np.eye(len(X_train))
@@ -164,7 +167,7 @@ def gpc_fit(kernel, X_train, labels, n_old: int = 0) -> BinaryGpcModel:
     )
     return BinaryGpcModel(
         kernel,
-        list(X_train),
+        X_train,
         y,
         n_old,
         f_hat=f,
@@ -179,6 +182,7 @@ def gpc_fit(kernel, X_train, labels, n_old: int = 0) -> BinaryGpcModel:
 
 def gpc_predict_batch(model: BinaryGpcModel, X_star) -> np.ndarray:
     """Posterior probability of the +1 label for each query point."""
+    X_star = ObservationBlock.of(X_star)
     k_star = prediction_cross(model.kernel, model.X_train, X_star, model.n_old)
     k_ss = prediction_diag(model.kernel, X_star)
     mu = k_star.T @ model.grad_hat
@@ -211,7 +215,8 @@ class OvaGpcModel:
 
 
 def ova_fit(kernel, X, labels) -> OvaGpcModel:
-    """One binary model per class, each trained on the full observation list."""
+    """One binary model per class, each trained on the same observation block."""
+    X = ObservationBlock.of(X)
     labels = [int(lb) for lb in labels]
     classes = sorted(set(labels))
     if len(classes) < 2:
@@ -230,6 +235,7 @@ def ova_fit(kernel, X, labels) -> OvaGpcModel:
 
 def ova_predict_proba(model: OvaGpcModel, X_star) -> np.ndarray:
     """Raw per-class binary posteriors, one column per class (not renormalized)."""
+    X_star = ObservationBlock.of(X_star)
     return np.column_stack(
         [gpc_predict_batch(model.models[cls], X_star) for cls in model.classes]
     )
@@ -408,12 +414,24 @@ def _coordinate_ascent(objective, x0, layout, bounds_of, max_sweeps):
 @dataclass(frozen=True)
 class PooledSet:
     """One binary training problem sharing the kernel under search: the first
-    ``n_old`` entries are transfer-block observations coupled at ``rho``."""
+    ``n_old`` rows are transfer-block observations coupled at ``rho``. ``X``
+    is held as one observation block, so every fit of the set during a search
+    reuses its squared distances."""
 
-    X: tuple
+    X: ObservationBlock
     y: tuple
     n_old: int = 0
     rho: float = 0.0
+
+    def __post_init__(self):
+        object.__setattr__(self, "X", ObservationBlock.of(self.X))
+
+    def fit(self, kernel) -> BinaryGpcModel:
+        """Binary Laplace fit of this set under ``kernel`` (wrapped in the
+        rho-scaled block kernel when the set carries a transfer block)."""
+        if self.n_old > 0:
+            kernel = DependentKernel(kernel, self.rho)
+        return gpc_fit(kernel, self.X, self.y, n_old=self.n_old)
 
 
 def optimize_kernel_for_sets(
@@ -443,11 +461,7 @@ def optimize_kernel_for_sets(
 
     def objective(kernel, _rho):
         try:
-            total = 0.0
-            for s in sets:
-                k = DependentKernel(kernel, s.rho) if s.n_old > 0 else kernel
-                total += gpc_fit(k, list(s.X), np.array(s.y), n_old=s.n_old).lml
-            return total
+            return sum(s.fit(kernel).lml for s in sets)
         except (NumericalError, ConvergenceError, np.linalg.LinAlgError):
             return -np.inf
 
@@ -518,6 +532,7 @@ def optimize_hyperparams(
     The returned model's LML is never below that of any start point. Raises
     OptimizationError when every restart fails to produce a finite objective.
     """
+    X = ObservationBlock.of(X)
 
     def objective(kernel, rho):
         try:

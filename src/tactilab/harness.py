@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -15,10 +16,16 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from .active import STOP_WINDOW, initialize_state, run_loop
-from .errors import ConfigError, InsufficientDataError, TactilabError
+from .errors import (
+    ConfigError,
+    InsufficientDataError,
+    NumericalError,
+    SchemaError,
+    TactilabError,
+)
 from .features import ThermalProjector, build_observation, fit_thermal_projector
 from .gp import ModelSpec, OvaGpcModel, argmax_label, optimize_hyperparams, ova_predict_proba
-from .kernels import median_heuristic
+from .kernels import ObservationBlock, median_heuristic
 from .seeding import (
     ABLATION_NS,
     CALIB_NS,
@@ -141,6 +148,32 @@ def config_hash(config: ExperimentConfig) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
 
+def _int_field(name: str, value) -> int:
+    """An integer config value; booleans and non-integral numbers are
+    rejected rather than truncated."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or (isinstance(value, float) and not value.is_integer())
+    ):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _int_list(name: str, values) -> tuple[int, ...]:
+    if not isinstance(values, (list, tuple)):
+        raise ConfigError(f"{name} must be a list of integers, got {values!r}")
+    return tuple(_int_field(f"{name}[{i}]", v) for i, v in enumerate(values))
+
+
+def _float_field(name: str, value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ConfigError(f"{name} must be finite, got {value!r}")
+    return float(value)
+
+
 def parse_config(raw: dict, base_dir: Optional[str] = None) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a mapping")
@@ -156,8 +189,8 @@ def parse_config(raw: dict, base_dir: Optional[str] = None) -> ExperimentConfig:
         if name not in raw:
             raise ConfigError(f"missing config field {name!r}")
 
-    prior = tuple(int(i) for i in raw.get("prior_objects", []))
-    new = tuple(int(i) for i in raw["new_objects"])
+    prior = _int_list("prior_objects", raw.get("prior_objects", []))
+    new = _int_list("new_objects", raw["new_objects"])
     if not new:
         raise ConfigError("new_objects must be nonempty")
     if set(prior) & set(new):
@@ -167,22 +200,24 @@ def parse_config(raw: dict, base_dir: Optional[str] = None) -> ExperimentConfig:
     if bad or not actions:
         raise ConfigError(f"actions must be a nonempty subset of "
                           f"{sorted(STANDARD_ACTIONS)}, got {list(actions)}")
-    seeds = tuple(int(s) for s in raw["seeds"])
+    seeds = _int_list("seeds", raw["seeds"])
     if not seeds:
         raise ConfigError("seeds must be nonempty")
-    if "trials" in raw and int(raw["trials"]) != len(seeds):
+    if "trials" in raw and _int_field("trials", raw["trials"]) != len(seeds):
         raise ConfigError("trials must equal the number of seeds")
-    budget = int(raw["budget"])
+    budget = _int_field("budget", raw["budget"])
     if budget < 0:
         raise ConfigError("budget must be >= 0")
 
-    eps_explore = float(raw.get("epsilon_explore", 0.3))
+    eps_explore = _float_field("epsilon_explore", raw.get("epsilon_explore", 0.3))
     if not (0.0 <= eps_explore <= 1.0):
         raise ConfigError("epsilon_explore must lie in [0, 1]")
-    eps1 = float(raw.get("epsilon_neg1", 0.6))
+    eps1 = _float_field("epsilon_neg1", raw.get("epsilon_neg1", 0.6))
     if eps1 < 0.5:
         raise ConfigError("epsilon_neg1 must be >= 0.5")
-    eps2 = float(raw.get("epsilon_neg2", 0.6))
+    eps2 = _float_field("epsilon_neg2", raw.get("epsilon_neg2", 0.6))
+    if not (0.0 <= eps2 <= 1.0):  # compared against a relatedness rho in [0, 1]
+        raise ConfigError("epsilon_neg2 must lie in [0, 1]")
     try:
         method = SelectionMethod(raw.get("selection_method", "model_prediction"))
     except ValueError as exc:
@@ -191,15 +226,20 @@ def parse_config(raw: dict, base_dir: Optional[str] = None) -> ExperimentConfig:
         mode = Mode(raw.get("mode", "transfer"))
     except ValueError as exc:
         raise ConfigError(f"mode: {exc}") from exc
-    tps = int(raw.get("test_samples_press_slide", 20))
-    tst = int(raw.get("test_samples_static", 10))
+    tps = _int_field("test_samples_press_slide", raw.get("test_samples_press_slide", 20))
+    tst = _int_field("test_samples_static", raw.get("test_samples_static", 10))
     if tps <= 0 or tst <= 0:
         raise ConfigError("test-set sizes must be > 0")
-    prior_samples = int(raw.get("prior_samples_per_object", 15))
+    prior_samples = _int_field(
+        "prior_samples_per_object", raw.get("prior_samples_per_object", 15)
+    )
     if prior and prior_samples < 1:
         raise ConfigError("prior_samples_per_object must be >= 1")
-    sizes = tuple(int(s) for s in raw.get("ablation_sizes", (5, 10, 20, 40)))
-    if any(s < len(new) for s in sizes):
+    early_stop = raw.get("early_stop", False)
+    if not isinstance(early_stop, bool):
+        raise ConfigError(f"early_stop must be true or false, got {early_stop!r}")
+    sizes = _int_list("ablation_sizes", raw.get("ablation_sizes", [5, 10, 20, 40]))
+    if mode is Mode.MULTI_KERNEL_ABLATION and any(s < len(new) for s in sizes):
         raise ConfigError("ablation_sizes entries must cover one sample per class")
     return ExperimentConfig(
         catalog=str(raw["catalog"]),
@@ -216,7 +256,7 @@ def parse_config(raw: dict, base_dir: Optional[str] = None) -> ExperimentConfig:
         test_samples_press_slide=tps,
         test_samples_static=tst,
         prior_samples_per_object=prior_samples,
-        early_stop=bool(raw.get("early_stop", False)),
+        early_stop=early_stop,
         ablation_sizes=sizes,
         base_dir=base_dir,
     )
@@ -376,7 +416,7 @@ def make_evaluator(config: ExperimentConfig, test: TestSet):
     for action_id in config.actions:
         mask = np.isin(test.labels[action_id], list(new_ids))
         obs = [o for o, m in zip(test.observations[action_id], mask) if m]
-        slices[action_id] = (obs, test.labels[action_id][mask])
+        slices[action_id] = (ObservationBlock.of(obs), test.labels[action_id][mask])
 
     def evaluate(models: Mapping[str, OvaGpcModel]) -> float:
         accs = []
@@ -562,11 +602,23 @@ def _modes_for(config: ExperimentConfig) -> list[str]:
     return []
 
 
-_ASSET_CACHE: dict[str, tuple] = {}
+# Shared assets per (config hash, resolved catalog path, catalog sha256): the
+# same config text next to another catalog, or over edited catalog bytes, gets
+# its own entry.
+_ASSET_CACHE: dict[tuple[str, str, str], tuple] = {}
+
+
+def _asset_key(config: ExperimentConfig) -> tuple[str, str, str]:
+    path = config.catalog_path().resolve()
+    try:
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    except OSError as exc:
+        raise SchemaError(f"cannot parse catalog {path}: {exc}") from exc
+    return config_hash(config), str(path), digest
 
 
 def _assets(config: ExperimentConfig):
-    key = config_hash(config)
+    key = _asset_key(config)
     if key not in _ASSET_CACHE:
         catalog = load_catalog(config.catalog_path())
         missing = [
@@ -584,13 +636,19 @@ def _assets(config: ExperimentConfig):
 
 
 def _run_seed(config: ExperimentConfig, seed: int) -> dict[str, TrialResult]:
+    """Both modes of one seed. A numpy/scipy failure (LinAlgError, the
+    ValueError of a non-finite feature or matrix) is raised as a
+    NumericalError, so it counts as this seed's failure like any other."""
     catalog, prior, projectors, _, evaluate = _assets(config)
     out = {}
     for mode_name in _modes_for(config):
         use_prior = mode_name == Mode.TRANSFER.value and prior is not None
-        out[mode_name] = run_trial(
-            config, catalog, prior, projectors, evaluate, seed, use_prior
-        )
+        try:
+            out[mode_name] = run_trial(
+                config, catalog, prior, projectors, evaluate, seed, use_prior
+            )
+        except (ValueError, ArithmeticError) as exc:  # LinAlgError is a ValueError
+            raise NumericalError(f"{mode_name}: {type(exc).__name__}: {exc}") from exc
     return out
 
 
@@ -666,10 +724,10 @@ def _run_ablation(config: ExperimentConfig, start: float) -> RunResult:
     test_obs = test.observations[action_id]
     test_labels = test.labels[action_id]
     mask = np.isin(test_labels, new_ids)
-    test_obs = [o for o, m in zip(test_obs, mask) if m]
+    test_obs = ObservationBlock.of([o for o, m in zip(test_obs, mask) if m])
     test_labels = test_labels[mask]
 
-    sample_modalities = test_obs[0].modalities
+    sample_modalities = test_obs.modalities
     variants: dict[str, Optional[np.ndarray]] = {"combined": None}
     for idx, mod in enumerate(sample_modalities):
         one_hot = np.zeros(len(sample_modalities))
@@ -711,7 +769,8 @@ def _run_ablation(config: ExperimentConfig, start: float) -> RunResult:
                         train.append(pools[obj][k])
                         labels.append(obj)
                 k += 1
-            start_kernel = median_heuristic(train, train[0].modalities)
+            train = ObservationBlock.of(train)
+            start_kernel = median_heuristic(train, train.modalities)
             for variant, one_hot in variants.items():
                 if one_hot is None:
                     spec = ModelSpec(kind="ova", kernel=start_kernel)

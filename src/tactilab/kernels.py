@@ -37,13 +37,112 @@ def rbf_eval(kernel: RbfKernel, x: Sequence[float], y: Sequence[float]) -> float
     return kernel.signal_variance * np.exp(-sq / (2.0 * kernel.length_scale**2))
 
 
-def _rbf_matrix(kernel: RbfKernel, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    # Squared distances via the expansion |x-y|^2 = |x|^2 + |y|^2 - 2 x.y,
-    # clipped at zero against rounding.
+def _sqdist(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Squared distances via the expansion |x-y|^2 = |x|^2 + |y|^2 - 2 x.y,
+    clipped at zero against rounding."""
     xn = np.sum(xs**2, axis=1)[:, None]
     yn = np.sum(ys**2, axis=1)[None, :]
-    sq = np.maximum(xn + yn - 2.0 * xs @ ys.T, 0.0)
+    return np.maximum(xn + yn - 2.0 * xs @ ys.T, 0.0)
+
+
+def _rbf_from_sq(kernel: RbfKernel, sq: np.ndarray) -> np.ndarray:
     return kernel.signal_variance * np.exp(-sq / (2.0 * kernel.length_scale**2))
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+class ObservationBlock:
+    """An immutable stack of observations sharing one modality layout: one
+    C-contiguous float matrix per modality, one row per observation.
+
+    Raw points (for a bare ``RbfKernel``) form a block whose only modality is
+    ``None``. The layout is checked once, when the block is built. Each block
+    memoises its squared-distance matrices, for the whole block and for the
+    old/new parts of a dependent split, so refitting one training set under
+    many kernels computes them once. Slicing rows gives a new block (views of
+    the same matrices, with an empty memo)."""
+
+    __slots__ = ("modalities", "_matrices", "_n", "_memo")
+
+    def __init__(self, modalities: tuple, matrices: tuple[np.ndarray, ...], n: int):
+        self.modalities = modalities
+        self._matrices = tuple(_frozen(m) for m in matrices)
+        self._n = n
+        self._memo: dict = {}
+
+    @classmethod
+    def of(cls, X) -> "ObservationBlock":
+        """``X`` itself when it is a block, else a block built from a list of
+        FeatureObservations or from raw points (scalars, vectors, a matrix)."""
+        if isinstance(X, ObservationBlock):
+            return X
+        if not isinstance(X, np.ndarray):
+            X = list(X)
+            if not X:
+                return cls((), (), 0)
+            if isinstance(X[0], FeatureObservation):
+                return cls._of_observations(X)
+        points = np.array(X, dtype=float, order="C")  # a copy: the block freezes it
+        if points.ndim == 1:  # a flat list of scalars is n one-dimensional points
+            points = points[:, None]
+        return cls((None,), (points,), points.shape[0])
+
+    @classmethod
+    def _of_observations(cls, observations: list) -> "ObservationBlock":
+        modalities = observations[0].modalities
+        for obs in observations:
+            if obs.modalities != modalities:
+                raise SegmentationError(
+                    f"observation modalities {obs.modalities} differ from "
+                    f"{modalities} within one block"
+                )
+        matrices = []
+        for i, mod in enumerate(modalities):
+            try:
+                matrices.append(np.stack([obs.segments[i][1] for obs in observations]))
+            except ValueError as exc:
+                raise SegmentationError(f"{mod.value} segments differ in size: {exc}") from exc
+        return cls(modalities, tuple(matrices), len(observations))
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __getitem__(self, rows: slice) -> "ObservationBlock":
+        if not isinstance(rows, slice):
+            raise TypeError("an observation block is indexed by row slices only")
+        n = len(range(self._n)[rows])
+        return ObservationBlock(self.modalities, tuple(m[rows] for m in self._matrices), n)
+
+    def matrix(self, modality) -> np.ndarray:
+        if modality not in self.modalities:
+            raise KeyError(f"no {modality} rows in an observation block of {self.modalities}")
+        return self._matrices[self.modalities.index(modality)]
+
+    def sqdist(self, modality) -> np.ndarray:
+        """Squared distances between all rows (memoised)."""
+        d = self._memo.get(modality)
+        if d is None:
+            xs = self.matrix(modality)
+            d = self._memo[modality] = _frozen(_sqdist(xs, xs))
+        return d
+
+    def split_sqdist(self, modality, n_old: int) -> tuple[np.ndarray, ...]:
+        """Squared distances (old-old, new-new, old-new) of the split after
+        the first ``n_old`` rows (memoised per split point). Each part is
+        multiplied out from its own rows, not cut from ``sqdist``: a matrix
+        product's last bits depend on the shape it is computed in."""
+        key = (modality, n_old)
+        d = self._memo.get(key)
+        if d is None:
+            xs = self.matrix(modality)
+            old, new = xs[:n_old], xs[n_old:]
+            d = self._memo[key] = tuple(
+                _frozen(m) for m in (_sqdist(old, old), _sqdist(new, new), _sqdist(old, new))
+            )
+        return d
 
 
 def project_simplex(weights: Sequence[float]) -> np.ndarray:
@@ -108,45 +207,59 @@ def combined_eval(
     return float(total)
 
 
-def _stack(observations: Sequence[FeatureObservation], modality: Modality) -> np.ndarray:
-    return np.stack([obs.segment(modality) for obs in observations])
-
-
-def _as_points(X) -> np.ndarray:
-    xs = np.asarray(X, dtype=float)
-    if xs.ndim == 1:  # a flat list of scalars is n one-dimensional points
-        xs = xs[:, None]
-    return xs
-
-
-def cross_gram(kernel, X, Y) -> np.ndarray:
-    """Kernel matrix between two observation lists (rows: X, cols: Y)."""
+def _block(kernel, X) -> ObservationBlock:
+    """``X`` as a block whose layout matches the kernel's parts."""
+    block = ObservationBlock.of(X)
     if isinstance(kernel, RbfKernel):
-        return _rbf_matrix(kernel, _as_points(X), _as_points(Y))
-    if not isinstance(kernel, CombinedKernel):
+        expected = (None,)
+    elif isinstance(kernel, CombinedKernel):
+        expected = kernel.modalities
+    else:
         raise TypeError(f"unsupported kernel type {type(kernel).__name__}")
-    for obs in list(X) + list(Y):
-        _check_segmentation(kernel, obs)
-    out = np.zeros((len(X), len(Y)))
+    if len(block) and block.modalities != expected:
+        raise SegmentationError(
+            f"observation modalities {block.modalities} do not match kernel parts "
+            f"{expected}"
+        )
+    return block
+
+
+def _kernel_matrix(kernel, shape: tuple[int, int], sq_of) -> np.ndarray:
+    """The kernel on squared distances ``sq_of(modality)``: one RBF, or the
+    gamma-weighted sum of the parts (parts with gamma 0 skipped)."""
+    if isinstance(kernel, RbfKernel):
+        return _rbf_from_sq(kernel, sq_of(None))
+    out = np.zeros(shape)
     for gamma, (mod, part) in zip(kernel.weights, kernel.parts):
         if gamma == 0.0:
             continue
-        out += gamma * _rbf_matrix(part, _stack(X, mod), _stack(Y, mod))
+        out += gamma * _rbf_from_sq(part, sq_of(mod))
     return out
 
 
+def cross_gram(kernel, X, Y) -> np.ndarray:
+    """Kernel matrix between two observation blocks or lists (rows: X, cols: Y)."""
+    X, Y = _block(kernel, X), _block(kernel, Y)
+    if not (len(X) and len(Y)):
+        return np.zeros((len(X), len(Y)))
+    return _kernel_matrix(
+        kernel, (len(X), len(Y)), lambda mod: _sqdist(X.matrix(mod), Y.matrix(mod))
+    )
+
+
 def gram(kernel, X) -> np.ndarray:
-    """Symmetric kernel matrix over one observation list."""
+    """Symmetric kernel matrix over one observation block or list."""
     if len(X) == 0:
         raise ParameterError("gram of an empty observation list")
-    k = cross_gram(kernel, X, X)
+    X = _block(kernel, X)
+    k = _kernel_matrix(kernel, (len(X), len(X)), X.sqdist)
     return 0.5 * (k + k.T)
 
 
 def kernel_diag(kernel, X) -> np.ndarray:
     """Diagonal of gram(kernel, X) without building the full matrix."""
     if isinstance(kernel, RbfKernel):
-        return np.full(_as_points(X).shape[0], kernel.signal_variance)
+        return np.full(len(X), kernel.signal_variance)
     value = float(
         sum(g * p.signal_variance for g, (_, p) in zip(kernel.weights, kernel.parts))
     )
@@ -166,35 +279,68 @@ class DependentKernel:
             raise ParameterError(f"rho must lie in [0, 1], got {self.rho}")
 
 
-def dependent_gram(kernel: DependentKernel, X_old, X_new) -> np.ndarray:
-    """[[K_oo, rho K_on], [rho K_no, K_nn]] over the pooled observations."""
-    if not (0.0 <= kernel.rho <= 1.0):
-        raise ParameterError(f"rho must lie in [0, 1], got {kernel.rho}")
-    n_old, n_new = len(X_old), len(X_new)
-    if n_old == 0:
-        return gram(kernel.base, X_new)
-    if n_new == 0:
-        return gram(kernel.base, X_old)
+def _dependent_from(
+    kernel: DependentKernel, n_old: int, n_new: int, oo_of, nn_of, on_of
+) -> np.ndarray:
+    """[[K_oo, rho K_on], [rho K_no, K_nn]] from the old-old, new-new and
+    old-new squared distances per modality."""
+    base = kernel.base
+    k_oo = _kernel_matrix(base, (n_old, n_old), oo_of)
+    k_nn = _kernel_matrix(base, (n_new, n_new), nn_of)
+    k_on = _kernel_matrix(base, (n_old, n_new), on_of)
     out = np.empty((n_old + n_new, n_old + n_new))
-    out[:n_old, :n_old] = gram(kernel.base, X_old)
-    out[n_old:, n_old:] = gram(kernel.base, X_new)
-    cross = kernel.rho * cross_gram(kernel.base, X_old, X_new)
+    out[:n_old, :n_old] = 0.5 * (k_oo + k_oo.T)
+    out[n_old:, n_old:] = 0.5 * (k_nn + k_nn.T)
+    cross = kernel.rho * k_on
     out[:n_old, n_old:] = cross
     out[n_old:, :n_old] = cross.T
     return 0.5 * (out + out.T)
 
 
+def dependent_gram(kernel: DependentKernel, X_old, X_new) -> np.ndarray:
+    """[[K_oo, rho K_on], [rho K_no, K_nn]] over the pooled observations."""
+    if not (0.0 <= kernel.rho <= 1.0):
+        raise ParameterError(f"rho must lie in [0, 1], got {kernel.rho}")
+    X_old, X_new = _block(kernel.base, X_old), _block(kernel.base, X_new)
+    if len(X_old) == 0:
+        return gram(kernel.base, X_new)
+    if len(X_new) == 0:
+        return gram(kernel.base, X_old)
+    return _dependent_from(
+        kernel,
+        len(X_old),
+        len(X_new),
+        X_old.sqdist,
+        X_new.sqdist,
+        lambda mod: _sqdist(X_old.matrix(mod), X_new.matrix(mod)),
+    )
+
+
 def training_gram(kernel, X, n_old: int = 0) -> np.ndarray:
-    """Gram over a training list whose first ``n_old`` entries are the
-    transferred block (scaled cross-covariance for dependent kernels)."""
-    if isinstance(kernel, DependentKernel):
-        return dependent_gram(kernel, X[:n_old], X[n_old:])
-    return gram(kernel, X)
+    """Gram over a training block whose first ``n_old`` rows are the
+    transferred block (scaled cross-covariance for dependent kernels). The
+    distances come from the block's memo."""
+    if not isinstance(kernel, DependentKernel):
+        return gram(kernel, X)
+    if not (0.0 <= kernel.rho <= 1.0):
+        raise ParameterError(f"rho must lie in [0, 1], got {kernel.rho}")
+    X = _block(kernel.base, X)
+    if not 0 < n_old < len(X):  # one side empty: a plain gram
+        return gram(kernel.base, X)
+    return _dependent_from(
+        kernel,
+        n_old,
+        len(X) - n_old,
+        lambda mod: X.split_sqdist(mod, n_old)[0],
+        lambda mod: X.split_sqdist(mod, n_old)[1],
+        lambda mod: X.split_sqdist(mod, n_old)[2],
+    )
 
 
 def prediction_cross(kernel, X_train, X_star, n_old: int = 0) -> np.ndarray:
     """Covariance between training points and query points (queries live on
     the new-object side of a dependent kernel)."""
+    X_train, X_star = ObservationBlock.of(X_train), ObservationBlock.of(X_star)
     if isinstance(kernel, DependentKernel):
         top = kernel.rho * cross_gram(kernel.base, X_train[:n_old], X_star)
         bottom = cross_gram(kernel.base, X_train[n_old:], X_star)
@@ -217,9 +363,10 @@ def median_heuristic(
     """Uniform-weight combined kernel with per-modality length scales set to
     ``scale`` times the median nonzero pairwise distance (1.0 when
     degenerate). The default half-median keeps sparse classes separated."""
+    block = ObservationBlock.of(observations)
     parts = []
     for mod in modalities:
-        xs = _stack(observations, mod)
+        xs = block.matrix(mod)
         if xs.shape[0] > 1:
             sq = (
                 np.sum(xs**2, axis=1)[:, None]

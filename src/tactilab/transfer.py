@@ -17,12 +17,11 @@ from .gp import (
     ModelSpec,
     OvaGpcModel,
     PooledSet,
-    gpc_fit,
     optimize_hyperparams,
     optimize_kernel_for_sets,
     ova_predict_proba,
 )
-from .kernels import CombinedKernel, DependentKernel, median_heuristic
+from .kernels import CombinedKernel, ObservationBlock, median_heuristic
 
 ObservationGroups = Mapping[int, Sequence[FeatureObservation]]
 
@@ -95,17 +94,16 @@ def fit_prior_knowledge(
             obj: tuple(obs_list) for obj, obs_list in sorted(groups.items())
         }
         flat, labels = _flatten(frozen[action_id])
-        start = median_heuristic(flat, flat[0].modalities)
+        flat = ObservationBlock.of(flat)
+        start = median_heuristic(flat, flat.modalities)
         if len(frozen[action_id]) == 1:
             # Single old object: degenerate one-class model, kernel tuned on
             # the all-positive problem.
             cls = next(iter(frozen[action_id]))
-            sets = [PooledSet(X=tuple(flat), y=(1.0,) * len(flat))]
-            kernel, _ = optimize_kernel_for_sets(sets, start, restarts=restarts, rng=rng)
+            only = PooledSet(X=flat, y=(1.0,) * len(flat))
+            kernel, _ = optimize_kernel_for_sets([only], start, restarts=restarts, rng=rng)
             kernels[action_id] = kernel
-            models[action_id] = OvaGpcModel(
-                (cls,), {cls: gpc_fit(kernel, flat, np.ones(len(flat)))}
-            )
+            models[action_id] = OvaGpcModel((cls,), {cls: only.fit(kernel)})
             continue
         opt = optimize_hyperparams(
             ModelSpec(kind="ova", kernel=start), flat, labels, restarts=restarts, rng=rng
@@ -184,7 +182,7 @@ def select_prior_by_optimization(
     best_old, best_rho = None, -1.0
     for old_id in prior.old_object_ids(action_id):
         X_old = list(prior.instances[action_id][old_id])
-        pooled = X_old + list(X_new_j)
+        pooled = ObservationBlock.of(X_old + list(X_new_j))
         labels = np.ones(len(pooled))
         spec = ModelSpec(
             kind="gpc",
@@ -226,17 +224,18 @@ def fit_dependent_gpc(
     """Binary classifier of the new object where the old object's
     observations join the positive side through the relatedness-scaled
     block kernel."""
-    X_old_i = list(X_old_i)
-    pooled = X_old_i + list(X_new_j) + list(X_new_rest)
-    y = np.concatenate(
-        [
-            np.ones(len(X_old_i) + len(X_new_j)),
-            -np.ones(len(X_new_rest)),
-        ]
+    return _pooled_set(X_old_i, X_new_j, X_new_rest, rho).fit(kernel)
+
+
+def _pooled_set(X_old, X_j, X_rest, rho: float) -> PooledSet:
+    """Old and target observations labelled +1, the other new objects -1."""
+    X_old, X_j, X_rest = list(X_old), list(X_j), list(X_rest)
+    return PooledSet(
+        X=X_old + X_j + X_rest,
+        y=(1.0,) * (len(X_old) + len(X_j)) + (-1.0,) * len(X_rest),
+        n_old=len(X_old),
+        rho=rho,
     )
-    if X_old_i:
-        return gpc_fit(DependentKernel(kernel, rho), pooled, y, n_old=len(X_old_i))
-    return gpc_fit(kernel, pooled, y)
 
 
 def build_action_models(
@@ -264,7 +263,7 @@ def build_action_models(
 
     has_prior = prior is not None and action_id in prior.models
     decisions: list[TransferDecision] = []
-    plan: dict[int, tuple[list, list, list, float]] = {}
+    sets: dict[int, PooledSet] = {}
     for obj in object_ids:
         X_j = list(groups[obj])
         X_rest = [o for other in object_ids if other != obj for o in groups[other]]
@@ -283,26 +282,17 @@ def build_action_models(
             if decision.selected_old_id is not None:
                 X_old = list(prior.instances[action_id][decision.selected_old_id])
                 rho = decision.rho
-        plan[obj] = (X_old, X_j, X_rest, rho)
+        # One block per class: the rows of each set are ordered differently,
+        # so no two classes can share distance matrices bit for bit.
+        sets[obj] = _pooled_set(X_old, X_j, X_rest, rho)
 
-    sets = [
-        PooledSet(
-            X=tuple(X_old + X_j + X_rest),
-            y=tuple([1.0] * (len(X_old) + len(X_j)) + [-1.0] * len(X_rest)),
-            n_old=len(X_old),
-            rho=rho,
-        )
-        for X_old, X_j, X_rest, rho in plan.values()
-    ]
     flat, _ = _flatten(groups)
     start = kernel_start or median_heuristic(flat, flat[0].modalities)
     kernel, _ = optimize_kernel_for_sets(
-        sets, start, restarts=restarts, rng=rng, max_sweeps=sweeps
+        list(sets.values()), start, restarts=restarts, rng=rng, max_sweeps=sweeps
     )
 
-    models: dict[int, BinaryGpcModel] = {}
-    for obj, (X_old, X_j, X_rest, rho) in plan.items():
-        models[obj] = fit_dependent_gpc(X_old, X_j, X_rest, kernel, rho)
+    models = {obj: s.fit(kernel) for obj, s in sets.items()}
     return OvaGpcModel(tuple(object_ids), models), kernel, decisions
 
 

@@ -7,6 +7,7 @@ import pytest
 import tactilab
 from tactilab.cli import main as cli_main
 from tactilab.errors import ConfigError
+from tactilab.features import Modality
 from tactilab.harness import (
     ExperimentConfig,
     Mode,
@@ -87,6 +88,105 @@ class TestConfigParsing:
         h1 = config_hash(parse_config(config_dict()))
         h2 = config_hash(parse_config(config_dict(budget=4)))
         assert h1 != h2
+
+    @pytest.mark.parametrize("value", [-0.1, 1.5, float("nan"), True, "0.6"])
+    def test_epsilon_neg2_checked_by_name(self, value):
+        with pytest.raises(ConfigError, match="epsilon_neg2"):
+            parse_config(config_dict(epsilon_neg2=value))
+
+    @pytest.mark.parametrize("value", [0.0, 1.0])
+    def test_epsilon_neg2_range_is_closed(self, value):
+        assert parse_config(config_dict(epsilon_neg2=value)).epsilon_neg2 == value
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("budget", 2.7),
+            ("budget", True),
+            ("budget", "3"),
+            ("trials", 2.5),
+            ("test_samples_press_slide", 20.5),
+            ("test_samples_static", False),
+            ("prior_samples_per_object", 15.2),
+            ("seeds", [1, 2.5]),
+            ("seeds", [True, 2]),
+            ("new_objects", [11, 12.5]),
+            ("prior_objects", [1, False]),
+            ("ablation_sizes", [5, 10.5]),
+        ],
+    )
+    def test_integer_fields_reject_bools_and_fractions_by_name(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            parse_config(config_dict(**{field: value}))
+
+    def test_integral_floats_accepted(self):
+        config = parse_config(config_dict(budget=3.0, seeds=[1.0, 2]))
+        assert config.budget == 3 and isinstance(config.budget, int)
+        assert config.seeds == (1, 2)
+
+    def test_early_stop_must_be_boolean(self):
+        with pytest.raises(ConfigError, match="early_stop"):
+            parse_config(config_dict(early_stop="false"))
+
+    def test_six_new_objects_parse_outside_the_ablation(self):
+        for mode in ("transfer", "no_transfer", "negative_transfer"):
+            config = parse_config(
+                config_dict(new_objects=[10, 11, 12, 13, 14, 15], mode=mode)
+            )
+            assert len(config.new_objects) == 6
+
+    def test_ablation_sizes_still_checked_in_the_ablation(self):
+        with pytest.raises(ConfigError, match="ablation_sizes"):
+            parse_config(
+                config_dict(new_objects=[10, 11, 12, 13, 14, 15], mode="multi_kernel_ablation")
+            )
+
+
+def _tiny_config(catalog, **overrides):
+    """A cheap run: one prior object (11 traces feed the projector), two
+    new objects, one action and one test sample each."""
+    raw = config_dict(
+        catalog=catalog,
+        prior_objects=[1],
+        prior_samples_per_object=11,
+        new_objects=[11, 12],
+        actions=["P2"],
+        test_samples_press_slide=1,
+        seeds=[1],
+        budget=1,
+    )
+    raw.update(overrides)
+    return raw
+
+
+class TestAssetCache:
+    def test_same_config_text_over_other_catalog_bytes_gets_its_own_assets(self, tmp_path):
+        from tactilab import harness
+
+        raw = json.loads(Path(tactilab.data_path("catalogs", "sample_catalog.json")).read_text())
+        stiff = json.loads(json.dumps(raw))
+        for obj in stiff["objects"]:
+            obj["stiffness_coeff"] *= 3.0
+        paths = {}
+        for name, catalog in (("a", raw), ("b", stiff)):
+            (tmp_path / name).mkdir()
+            (tmp_path / name / "cat.json").write_text(json.dumps(catalog))
+            paths[name] = tmp_path / name / "run.json"
+            paths[name].write_text(json.dumps(_tiny_config("cat.json")))
+        config_a, config_b = load_config(paths["a"]), load_config(paths["b"])
+        assert config_hash(config_a) == config_hash(config_b)
+
+        cat_a, prior_a, *_ = harness._assets(config_a)
+        cat_b, prior_b, *_ = harness._assets(config_b)
+        assert cat_b.by_id(11).stiffness_coeff == pytest.approx(3.0 * cat_a.by_id(11).stiffness_coeff)
+        obs_a = prior_a.instances["P2"][1][0].segment(Modality.FORCE)
+        obs_b = prior_b.instances["P2"][1][0].segment(Modality.FORCE)
+        assert not np.array_equal(obs_a, obs_b)
+
+        # Editing b's catalog in place is seen as well.
+        paths["b"].with_name("cat.json").write_text(json.dumps(raw))
+        cat_b2, *_ = harness._assets(config_b)
+        assert cat_b2.by_id(11).stiffness_coeff == cat_a.by_id(11).stiffness_coeff
 
 
 class TestTestSet:
@@ -170,6 +270,35 @@ class TestRunExperiment:
         result = run_experiment(config)
         assert len(result.failures) == 1
         assert "seed 1" in result.failures[0]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize(
+        "error",
+        [np.linalg.LinAlgError("synthetic singular matrix"), ValueError("non-finite entries")],
+    )
+    def test_numpy_failure_lands_in_failures(self, monkeypatch, tmp_path, jobs, error):
+        from tactilab import harness
+
+        real_trial_result = harness.TrialResult
+
+        def flaky(config, catalog, prior, projectors, evaluate, seed, use_prior):
+            if seed == 2:
+                raise error
+            mode = "transfer" if use_prior else "no_transfer"
+            return real_trial_result(seed, mode, [0.5], [], [], [])
+
+        monkeypatch.setattr(harness, "run_trial", flaky)
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(_tiny_config(
+            str(tactilab.data_path("catalogs", "sample_catalog.json")), seeds=[1, 2, 3]
+        )))
+        result = run_experiment(load_config(path), jobs=jobs)
+        assert len(result.failures) == 1
+        assert result.failures[0].startswith("seed 2: ")
+        assert type(error).__name__ in result.failures[0]
+        assert sorted(result.curves["transfer"]) == [1, 3]
+        out = tmp_path / "out"
+        assert cli_main(["run", str(path), "--out", str(out), "--jobs", str(jobs)]) == 3
 
     def test_parallel_jobs_match_serial(self):
         config = parse_config(config_dict(seeds=[1, 2], budget=1))
