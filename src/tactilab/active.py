@@ -118,8 +118,14 @@ def initialize_state(
 def uncertainty_table(
     models: Mapping[str, OvaGpcModel],
     observations: Mapping[str, Mapping[int, Sequence[FeatureObservation]]],
+    memo: Optional[dict] = None,
 ) -> UncertaintyTable:
-    """Mean posterior entropy per (action, object) observation group."""
+    """Mean posterior entropy per (action, object) observation group.
+
+    ``memo`` (a dict owned by the caller) keeps each action's last row with
+    the model object and group sizes it was computed from; the row is reused
+    while both are unchanged. Only valid while groups grow by appending, as
+    in one exploration loop."""
     action_ids = tuple(observations)
     object_ids: tuple[int, ...] = ()
     rows = []
@@ -129,6 +135,11 @@ def uncertainty_table(
         groups = observations[action_id]
         object_ids = tuple(sorted(groups))
         model = models[action_id]
+        sizes = tuple(len(groups[obj]) for obj in object_ids)
+        hit = memo.get(action_id) if memo is not None else None
+        if hit is not None and hit[0] is model and hit[1] == sizes:
+            rows.append(hit[2])
+            continue
         row = []
         for obj in object_ids:
             group = list(groups[obj])
@@ -136,6 +147,8 @@ def uncertainty_table(
                 raise StateError(f"empty observation group for ({action_id}, {obj})")
             probs = ova_predict_proba(model, group)
             row.append(np.mean([posterior_entropy(p) for p in probs]))
+        if memo is not None:
+            memo[action_id] = (model, sizes, row)
         rows.append(row)
     return UncertaintyTable(action_ids, object_ids, np.array(rows))
 
@@ -253,8 +266,9 @@ def run_loop(
         raise ParameterError("budget must be >= 0")
     state.check_groups()
     result = LoopResult(curve=[], records=[])
+    table_memo: dict = {}  # rows of actions whose model and groups are unchanged
     for _ in range(budget):
-        table = uncertainty_table(state.models, state.observations)
+        table = uncertainty_table(state.models, state.observations, table_memo)
         obj, act, branch, _ = _draw(table, state.eps_explore, state.explore_rng)
         acquire(state, obj, act, simulator, extractor)
         _, decisions = update_knowledge(

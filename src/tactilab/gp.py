@@ -4,6 +4,13 @@ Exact GP regression, binary GP classification via the Laplace approximation
 with a logistic noise model, one-vs-all multiclass on top of the binary
 machinery, and gradient-free hyperparameter search by multi-start coordinate
 ascent on the log marginal likelihood.
+
+Every factorization and solve calls LAPACK directly (``dpotrf``, ``dpotrs``,
+``dtrtrs``) with the arguments scipy's ``cholesky`` / ``cho_solve`` /
+``solve_triangular`` pass, so results are bit-identical to those wrappers
+without their per-call validation. Finiteness is checked explicitly instead:
+once per fit on the gram, once per Newton step on the stationarity residual
+and once per prediction on the cross-covariance; each raises NumericalError.
 """
 
 from __future__ import annotations
@@ -13,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky, solve_triangular
+from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 from scipy.special import expit
 
 from .errors import ConvergenceError, NumericalError, OptimizationError, ParameterError
@@ -40,13 +47,45 @@ def _log_sigmoid(z: np.ndarray) -> np.ndarray:
     return -np.logaddexp(0.0, -z)
 
 
+def _check_finite(a: np.ndarray, what: str) -> None:
+    if not np.isfinite(a).all():
+        raise NumericalError(f"{what} has non-finite entries")
+
+
+def _factor(a: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor (Fortran order) of a finite symmetric matrix."""
+    chol, info = dpotrf(a, lower=1, clean=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(
+            f"{info}-th leading minor of the array is not positive definite"
+        )
+    return chol
+
+
+def _cho_solve(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve (L L^T) x = b given the lower factor L."""
+    x, info = dpotrs(chol, b, lower=1)
+    if info != 0:
+        raise ValueError(f"illegal value in argument {-info} of dpotrs")
+    return x
+
+
+def _tri_solve(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve L x = b for a lower factor L returned by ``_factor``."""
+    x, info = dtrtrs(chol, b, lower=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"singular factor at diagonal {info - 1}")
+    return x
+
+
 def _chol_with_jitter(a: np.ndarray, base_jitter: float = 0.0):
     """Lower Cholesky factor, escalating diagonal jitter only on failure."""
+    _check_finite(a, "matrix to factor")
     jitter = base_jitter
     for _ in range(6):
         try:
             mat = a if jitter == 0.0 else a + jitter * np.eye(a.shape[0])
-            return cholesky(mat, lower=True), jitter
+            return _factor(mat), jitter
         except np.linalg.LinAlgError:
             jitter = GRAM_JITTER if jitter == 0.0 else jitter * 10.0
     raise NumericalError(
@@ -76,11 +115,12 @@ def gpr_fit(kernel, X_train, y, noise_variance: float = 0.0) -> GprModel:
     if noise_variance < 0:
         raise ParameterError("noise variance must be >= 0")
     y = np.asarray(y, dtype=float).ravel()
+    _check_finite(y, "regression target vector")
     X_train = ObservationBlock.of(X_train)
     k = training_gram(kernel, X_train)
     a = k + noise_variance * np.eye(k.shape[0])
     chol, _ = _chol_with_jitter(a)
-    alpha = cho_solve((chol, True), y)
+    alpha = _cho_solve(chol, y)
     n = y.size
     lml = (
         -0.5 * float(y @ alpha)
@@ -93,9 +133,10 @@ def gpr_fit(kernel, X_train, y, noise_variance: float = 0.0) -> GprModel:
 def gpr_predict(model: GprModel, x_star) -> tuple[float, float]:
     """Posterior mean and variance (including observation noise) at a point."""
     k_star = prediction_cross(model.kernel, model.X_train, [x_star])
+    _check_finite(k_star, "prediction cross-covariance")
     k_ss = prediction_diag(model.kernel, [x_star])[0]
     mean = float(k_star[:, 0] @ model.alpha)
-    v = solve_triangular(model.chol, k_star[:, 0], lower=True)
+    v = _tri_solve(model.chol, k_star[:, 0])
     var = float(k_ss - v @ v + model.noise_variance)
     return mean, var
 
@@ -121,7 +162,8 @@ class BinaryGpcModel:
 
 
 def gpc_fit(kernel, X_train, labels, n_old: int = 0) -> BinaryGpcModel:
-    """Newton iteration to the Laplace mode of the latent posterior."""
+    """Newton iteration to the Laplace mode of the latent posterior
+    (Rasmussen & Williams, GPML Alg. 3.1)."""
     X_train = ObservationBlock.of(X_train)
     y = np.asarray(labels, dtype=float).ravel()
     if y.size != len(X_train):
@@ -129,23 +171,32 @@ def gpc_fit(kernel, X_train, labels, n_old: int = 0) -> BinaryGpcModel:
     if not np.all((y == 1.0) | (y == -1.0)):
         raise ParameterError("binary labels must be -1 or +1")
     t = 0.5 * (y + 1.0)
-    k = training_gram(kernel, X_train, n_old) + GRAM_JITTER * np.eye(len(X_train))
-
     n = y.size
+    eye = np.eye(n)
+    k = training_gram(kernel, X_train, n_old) + GRAM_JITTER * eye
+    # A finite gram keeps every B = I + W^1/2 K W^1/2 finite; a step that
+    # turns non-finite shows up in the residual, checked at every step.
+    _check_finite(k, "training gram")
+
     f = np.zeros(n)
     a = np.zeros(n)
+    pi = expit(f)
     trace = []
     converged = False
     for _ in range(LAPLACE_MAX_ITER):
-        pi = expit(f)
         w = pi * (1.0 - pi)
         w_sqrt = np.sqrt(w)
-        b_mat = np.eye(n) + (w_sqrt[:, None] * k) * w_sqrt[None, :]
-        chol_b = cholesky(b_mat, lower=True)
+        chol_b = _factor(eye + (w_sqrt[:, None] * k) * w_sqrt[None, :])
         b = w * f + (t - pi)
-        a = b - w_sqrt * cho_solve((chol_b, True), w_sqrt * (k @ b))
+        a = b - w_sqrt * _cho_solve(chol_b, w_sqrt * (k @ b))
         f = k @ a
-        residual = float(np.max(np.abs((t - expit(f)) - a)))
+        pi = expit(f)
+        residual = float(np.max(np.abs((t - pi) - a)))
+        if not math.isfinite(residual):
+            raise NumericalError(
+                f"Laplace mode search hit a non-finite residual at iteration "
+                f"{len(trace) + 1}"
+            )
         trace.append(residual)
         if residual < LAPLACE_TOL:
             converged = True
@@ -156,10 +207,8 @@ def gpc_fit(kernel, X_train, labels, n_old: int = 0) -> BinaryGpcModel:
             f"after {len(trace)} iterations",
             trace=trace,
         )
-    pi = expit(f)
     w_sqrt = np.sqrt(pi * (1.0 - pi))
-    b_mat = np.eye(n) + (w_sqrt[:, None] * k) * w_sqrt[None, :]
-    chol_b = cholesky(b_mat, lower=True)
+    chol_b = _factor(eye + (w_sqrt[:, None] * k) * w_sqrt[None, :])
     lml = (
         -0.5 * float(a @ f)
         + float(np.sum(_log_sigmoid(y * f)))
@@ -185,8 +234,9 @@ def gpc_predict_batch(model: BinaryGpcModel, X_star) -> np.ndarray:
     X_star = ObservationBlock.of(X_star)
     k_star = prediction_cross(model.kernel, model.X_train, X_star, model.n_old)
     k_ss = prediction_diag(model.kernel, X_star)
+    _check_finite(k_star, "prediction cross-covariance")
     mu = k_star.T @ model.grad_hat
-    v = solve_triangular(model.chol_b, model.w_sqrt[:, None] * k_star, lower=True)
+    v = _tri_solve(model.chol_b, model.w_sqrt[:, None] * k_star)
     var = np.maximum(k_ss - np.sum(v**2, axis=0), 0.0)
     # Marginalize the logistic over the Gaussian latent with Gauss-Hermite.
     z = mu[:, None] + np.sqrt(2.0 * var)[:, None] * _GH_NODES[None, :]

@@ -418,13 +418,24 @@ def make_evaluator(config: ExperimentConfig, test: TestSet):
         obs = [o for o, m in zip(test.observations[action_id], mask) if m]
         slices[action_id] = (ObservationBlock.of(obs), test.labels[action_id][mask])
 
+    # Last accuracy per action with the model object it was computed from:
+    # the loop refits one action per step, so the others are not re-predicted.
+    # Holding the model keeps its identity from being reused.
+    last: dict[str, tuple[OvaGpcModel, float]] = {}
+
     def evaluate(models: Mapping[str, OvaGpcModel]) -> float:
         accs = []
         for action_id, (obs, labs) in slices.items():
             model = models[action_id]
+            hit = last.get(action_id)
+            if hit is not None and hit[0] is model:
+                accs.append(hit[1])
+                continue
             probs = ova_predict_proba(model, obs)
             preds = [argmax_label(model.classes, row) for row in probs]
-            accs.append(float(np.mean(np.array(preds) == labs)))
+            acc = float(np.mean(np.array(preds) == labs))
+            last[action_id] = (model, acc)
+            accs.append(acc)
         return float(np.mean(accs))
 
     return evaluate
@@ -745,55 +756,60 @@ def _run_ablation(config: ExperimentConfig, start: float) -> RunResult:
     )
 
     for seed in config.seeds:
-        pools = {
-            obj: [
-                build_observation(
-                    simulator(obj, action_id, derive_seed(seed, ABLATION_NS, a_idx, obj, k)),
-                    action_id,
-                    projectors[action_id],
-                    obj,
-                )
-                for k in range(max_per_class)
-            ]
-            for obj in new_ids
-        }
-        opt_rng = derive_rng(seed, ABLATION_NS, OPT_NS)
-        curves: dict[str, list[float]] = {m: [] for m in modes}
-        gamma_trace = []
-        for size in sizes:
-            train, labels = [], []
-            k = 0
-            while len(train) < size:
-                for obj in new_ids:
-                    if len(train) < size:
-                        train.append(pools[obj][k])
-                        labels.append(obj)
-                k += 1
-            train = ObservationBlock.of(train)
-            start_kernel = median_heuristic(train, train.modalities)
-            for variant, one_hot in variants.items():
-                if one_hot is None:
-                    spec = ModelSpec(kind="ova", kernel=start_kernel)
-                else:
-                    spec = ModelSpec(
-                        kind="ova",
-                        kernel=start_kernel.with_weights(one_hot),
-                        fit_weights=False,
+        try:
+            pools = {
+                obj: [
+                    build_observation(
+                        simulator(obj, action_id, derive_seed(seed, ABLATION_NS, a_idx, obj, k)),
+                        action_id,
+                        projectors[action_id],
+                        obj,
                     )
-                opt = optimize_hyperparams(
-                    spec, train, labels, restarts=INIT_RESTARTS, rng=opt_rng
-                )
-                probs = ova_predict_proba(opt.model, test_obs)
-                preds = [argmax_label(opt.model.classes, row) for row in probs]
-                curves[variant].append(float(np.mean(np.array(preds) == test_labels)))
-                if variant == "combined":
-                    gamma_trace.append(
-                        {
-                            "iteration": size,
-                            "action": action_id,
-                            "gamma": [float(g) for g in opt.kernel.weights],
-                        }
+                    for k in range(max_per_class)
+                ]
+                for obj in new_ids
+            }
+            opt_rng = derive_rng(seed, ABLATION_NS, OPT_NS)
+            curves: dict[str, list[float]] = {m: [] for m in modes}
+            gamma_trace = []
+            for size in sizes:
+                train, labels = [], []
+                k = 0
+                while len(train) < size:
+                    for obj in new_ids:
+                        if len(train) < size:
+                            train.append(pools[obj][k])
+                            labels.append(obj)
+                    k += 1
+                train = ObservationBlock.of(train)
+                start_kernel = median_heuristic(train, train.modalities)
+                for variant, one_hot in variants.items():
+                    if one_hot is None:
+                        spec = ModelSpec(kind="ova", kernel=start_kernel)
+                    else:
+                        spec = ModelSpec(
+                            kind="ova",
+                            kernel=start_kernel.with_weights(one_hot),
+                            fit_weights=False,
+                        )
+                    opt = optimize_hyperparams(
+                        spec, train, labels, restarts=INIT_RESTARTS, rng=opt_rng
                     )
+                    probs = ova_predict_proba(opt.model, test_obs)
+                    preds = [argmax_label(opt.model.classes, row) for row in probs]
+                    curves[variant].append(float(np.mean(np.array(preds) == test_labels)))
+                    if variant == "combined":
+                        gamma_trace.append(
+                            {
+                                "iteration": size,
+                                "action": action_id,
+                                "gamma": [float(g) for g in opt.kernel.weights],
+                            }
+                        )
+        except (ValueError, ArithmeticError, TactilabError) as exc:
+            # One bad seed lands in failures, as in _run_seed.
+            result.failures.append(f"seed {seed}: {type(exc).__name__}: {exc}")
+            continue
         for variant in modes:
             result.curves[variant][seed] = curves[variant]
             result.decisions[variant][seed] = []

@@ -125,6 +125,39 @@ class TestUncertaintyTable:
                     total += posterior_entropy(probs)
                 assert table.values[i, j] == pytest.approx(total / len(group), abs=1e-12)
 
+    def test_memo_re_predicts_only_changed_actions(self, monkeypatch):
+        state = fit_state_models(fresh_state(seed=9))
+        predicted = []
+        real = active.ova_predict_proba
+        monkeypatch.setattr(
+            active, "ova_predict_proba", lambda m, X: predicted.append(m) or real(m, X)
+        )
+
+        def fresh_values():
+            return uncertainty_table(state.models, state.observations, {}).values
+
+        memo = {}
+        first = uncertainty_table(state.models, state.observations, memo)
+        assert len(predicted) == len(ACTIONS) * len(OBJECTS)
+        del predicted[:]
+        assert np.array_equal(uncertainty_table(state.models, state.observations, memo).values, first.values)
+        assert predicted == []
+
+        # A grown group re-predicts its action only.
+        acquire(state, 12, "A2", fake_simulator, fake_extractor)
+        grown = uncertainty_table(state.models, state.observations, memo)
+        assert len(predicted) == len(OBJECTS)
+        assert all(m is state.models["A2"] for m in predicted)
+        assert np.array_equal(grown.values, fresh_values())
+
+        # So does a refit model.
+        update_knowledge(state, "A1", None, rng=np.random.default_rng(0))
+        del predicted[:]
+        refit = uncertainty_table(state.models, state.observations, memo)
+        assert len(predicted) == len(OBJECTS)
+        assert all(m is state.models["A1"] for m in predicted)
+        assert np.array_equal(refit.values, fresh_values())
+
     def test_missing_model_raises(self):
         state = fresh_state()
         with pytest.raises(StateError):
@@ -272,6 +305,25 @@ class TestRunLoop:
         )
         assert result.stopped_early
         assert len(result.curve) == 11  # window + the first comparison point
+
+    def test_table_memo_leaves_the_loop_unchanged(self, monkeypatch):
+        def loop():
+            state = fit_state_models(fresh_state(seed=21), seed=5)
+            return run_loop(
+                state, None, 6, constant_evaluator, fake_simulator, fake_extractor,
+                opt_rng=np.random.default_rng(5),
+            )
+
+        memoised = loop()
+        real = active.uncertainty_table
+        monkeypatch.setattr(
+            active, "uncertainty_table", lambda models, observations, memo=None: real(models, observations)
+        )
+        plain = loop()
+        assert [r.uncertainty for r in memoised.records] == [r.uncertainty for r in plain.records]
+        assert [(r.object_id, r.action_id) for r in memoised.records] == [
+            (r.object_id, r.action_id) for r in plain.records
+        ]
 
     def test_full_loop_determinism(self):
         curves = []

@@ -1,14 +1,21 @@
 """Observation blocks: layout checked once, memoised distances, and grams,
 cross-covariances and Laplace fits bit-identical to the per-call list path.
+The Laplace fit and the batch prediction, which call LAPACK directly, are
+bit-identical to the same algorithm written over scipy's checked wrappers.
 
 The reference functions below restack the observation lists on every call,
-exactly as the kernels did before blocks existed; results are compared with
-``np.array_equal`` / ``==``, never with a tolerance."""
+exactly as the kernels did before blocks existed, or factor and solve through
+``scipy.linalg``; results are compared with ``np.array_equal`` / ``==``, never
+with a tolerance."""
+
+import math
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import cho_solve, cholesky, solve_triangular
+from scipy.special import expit
 
 from tactilab import gp
 from tactilab.errors import SegmentationError
@@ -82,6 +89,66 @@ def ref_prediction_cross(kernel, X_train, X_star, n_old=0):
     if not n_old:
         return bottom
     return np.vstack([kernel.rho * _ref_cross(kernel.base, X_train[:n_old], X_star), bottom])
+
+
+def ref_gpc_fit(kernel, X_train, labels, n_old=0, gram=None):
+    """GPML Alg. 3.1 over scipy's ``cholesky`` / ``cho_solve``, which check
+    their inputs are finite on every call. ``gram`` replaces the kernel's."""
+    X_train = ObservationBlock.of(X_train)
+    y = np.asarray(labels, dtype=float).ravel()
+    t = 0.5 * (y + 1.0)
+    if gram is None:
+        gram = training_gram(kernel, X_train, n_old)
+    k = gram + gp.GRAM_JITTER * np.eye(len(X_train))
+    n = y.size
+    f = np.zeros(n)
+    a = np.zeros(n)
+    trace = []
+    for _ in range(gp.LAPLACE_MAX_ITER):
+        pi = expit(f)
+        w = pi * (1.0 - pi)
+        w_sqrt = np.sqrt(w)
+        b_mat = np.eye(n) + (w_sqrt[:, None] * k) * w_sqrt[None, :]
+        chol_b = cholesky(b_mat, lower=True)
+        b = w * f + (t - pi)
+        a = b - w_sqrt * cho_solve((chol_b, True), w_sqrt * (k @ b))
+        f = k @ a
+        trace.append(float(np.max(np.abs((t - expit(f)) - a))))
+        if trace[-1] < gp.LAPLACE_TOL:
+            break
+    pi = expit(f)
+    w_sqrt = np.sqrt(pi * (1.0 - pi))
+    chol_b = cholesky(np.eye(n) + (w_sqrt[:, None] * k) * w_sqrt[None, :], lower=True)
+    lml = (
+        -0.5 * float(a @ f)
+        + float(np.sum(-np.logaddexp(0.0, -(y * f))))
+        - float(np.sum(np.log(np.diag(chol_b))))
+    )
+    return gp.BinaryGpcModel(
+        kernel, X_train, y, n_old, f_hat=f, grad_hat=t - pi, w_sqrt=w_sqrt,
+        chol_b=chol_b, lml=lml, stationarity=trace[-1], iterations=len(trace),
+    )
+
+
+def ref_gpc_predict_batch(model, X_star):
+    """Batch posterior over scipy's ``solve_triangular``."""
+    X_star = ObservationBlock.of(X_star)
+    k_star = prediction_cross(model.kernel, model.X_train, X_star, model.n_old)
+    k_ss = gp.prediction_diag(model.kernel, X_star)
+    mu = k_star.T @ model.grad_hat
+    v = solve_triangular(model.chol_b, model.w_sqrt[:, None] * k_star, lower=True)
+    var = np.maximum(k_ss - np.sum(v**2, axis=0), 0.0)
+    z = mu[:, None] + np.sqrt(2.0 * var)[:, None] * gp._GH_NODES[None, :]
+    probs = (expit(z) @ gp._GH_WEIGHTS) / math.sqrt(math.pi)
+    return np.clip(probs, gp.PROB_CLIP, 1.0 - gp.PROB_CLIP)
+
+
+def assert_same_fit(got, want):
+    for name in ("f_hat", "grad_hat", "w_sqrt", "chol_b"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert got.lml == want.lml
+    assert got.stationarity == want.stationarity
+    assert got.iterations == want.iterations
 
 
 def random_observations(seed, n, scale):
@@ -215,3 +282,58 @@ class TestBitExactness:
                 want = gp.gpc_fit(kernel, obs, labels, n_old)
                 assert got.lml == want.lml
                 assert np.array_equal(got.f_hat, want.f_hat)
+
+
+class TestLapackPath:
+    """``gpc_fit`` / ``gpc_predict_batch`` against the scipy-wrapper reference."""
+
+    @SETTINGS
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 20),
+        m=st.integers(1, 15),
+        kernel=st.tuples(LENGTHS, LENGTHS, WEIGHTS),
+        rho=RHOS,
+        scale=st.sampled_from([0.1, 1.0, 5.0]),
+    )
+    def test_fit_and_predict_bit_identical(self, seed, n, m, kernel, rho, scale):
+        block = ObservationBlock.of(random_observations(seed, n, scale))
+        queries = ObservationBlock.of(random_observations(seed + 1, m, scale))
+        labels = np.where(np.random.default_rng(seed).random(n) < 0.5, 1.0, -1.0)
+        base = combined(*kernel)
+        cases = [(base, 0)] + [(DependentKernel(base, rho), k) for k in split_points(n)]
+        for kern, n_old in cases:
+            got = gp.gpc_fit(kern, block, labels, n_old)
+            assert_same_fit(got, ref_gpc_fit(kern, block, labels, n_old))
+            assert np.array_equal(
+                gp.gpc_predict_batch(got, queries), ref_gpc_predict_batch(got, queries)
+            )
+
+    def test_single_point(self):
+        block = ObservationBlock.of(random_observations(7, 1, 1.0))
+        for labels in ([1.0], [-1.0]):
+            got = gp.gpc_fit(combined(0.5, 2.0, (0.4, 0.6)), block, labels)
+            assert_same_fit(got, ref_gpc_fit(got.kernel, block, labels))
+            assert np.array_equal(
+                gp.gpc_predict_batch(got, block), ref_gpc_predict_batch(got, block)
+            )
+
+    @SETTINGS
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 12), low=st.floats(-50.0, -4.5))
+    def test_non_positive_definite_gram_raises_lin_alg_error_in_both(self, seed, n, low):
+        # One eigenvalue below -4 leaves I + K / 4, the first Newton matrix,
+        # indefinite.
+        rng = np.random.default_rng(seed)
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        eig = np.concatenate([[low], rng.uniform(0.1, 3.0, n - 1)])
+        bad = (q * eig) @ q.T
+        bad = 0.5 * (bad + bad.T)
+        block = ObservationBlock.of(random_observations(seed, n, 1.0))
+        labels = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+        kernel = combined(1.0, 1.0, (0.5, 0.5))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(gp, "training_gram", lambda k, X, n_old=0: bad)
+            with pytest.raises(np.linalg.LinAlgError):
+                gp.gpc_fit(kernel, block, labels)
+        with pytest.raises(np.linalg.LinAlgError):
+            ref_gpc_fit(kernel, block, labels, gram=bad)

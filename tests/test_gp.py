@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from tactilab.errors import OptimizationError, ParameterError
+from tactilab import gp
+from tactilab.errors import NumericalError, OptimizationError, ParameterError
 from tactilab.features import Modality
 from tactilab.gp import (
     BinaryGpcModel,
     ModelSpec,
     OvaGpcModel,
+    PooledSet,
     argmax_label,
     gpc_fit,
     gpc_predict,
@@ -17,6 +19,7 @@ from tactilab.gp import (
     gpr_fit,
     gpr_predict,
     optimize_hyperparams,
+    optimize_kernel_for_sets,
     ova_fit,
     ova_lml,
     ova_predict,
@@ -187,6 +190,58 @@ class TestBinaryGpc:
     def test_label_validation(self):
         with pytest.raises(ParameterError):
             gpc_fit(RbfKernel(1.0), pts(0.0, 1.0), [0, 1])
+
+
+NON_FINITE = [np.nan, np.inf, -np.inf]
+
+
+class TestNonFiniteGuards:
+    """Finiteness is checked once per fit or prediction and once per Newton
+    step; a NaN never comes back as a converged model."""
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_non_finite_gram_raises(self, monkeypatch, bad):
+        def gram_with_hole(kernel, X, n_old=0):
+            k = np.eye(len(X))
+            k[0, -1] = k[-1, 0] = bad
+            return k
+
+        monkeypatch.setattr(gp, "training_gram", gram_with_hole)
+        with pytest.raises(NumericalError, match="training gram"):
+            gpc_fit(RbfKernel(1.0), pts(0.0, 1.0, 2.0), [1, -1, 1])
+
+    def test_search_scores_a_non_finite_gram_as_minus_inf(self, monkeypatch):
+        monkeypatch.setattr(gp, "training_gram", lambda k, X, n_old=0: np.full((len(X), len(X)), np.nan))
+        start = CombinedKernel(((Modality.FORCE, RbfKernel(1.0, 1.0)),), np.array([1.0]))
+        sets = [PooledSet([force_obs(0.0), force_obs(1.0)], (1.0, -1.0))]
+        with pytest.raises(OptimizationError) as info:
+            optimize_kernel_for_sets(sets, start, restarts=2, rng=np.random.default_rng(0))
+        assert len(info.value.diagnostics) == 2
+        assert all("non-finite objective" in d for d in info.value.diagnostics)
+
+    def test_non_finite_newton_step_raises(self, monkeypatch):
+        monkeypatch.setattr(gp, "_cho_solve", lambda chol, b: np.full_like(b, np.nan))
+        with pytest.raises(NumericalError, match="iteration 1"):
+            gpc_fit(RbfKernel(1.0), pts(0.0, 1.0), [1, -1])
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_non_finite_cross_covariance_raises_on_predict(self, monkeypatch, bad):
+        model = gpc_fit(RbfKernel(1.0), pts(0.0, 1.0), [1, -1])
+        monkeypatch.setattr(
+            gp, "prediction_cross", lambda k, X, Y, n_old=0: np.full((len(X), len(Y)), bad)
+        )
+        with pytest.raises(NumericalError, match="cross-covariance"):
+            gpc_predict_batch(model, pts(0.5))
+
+    def test_gpr_rejects_non_finite_targets_and_cross_covariance(self, monkeypatch):
+        with pytest.raises(NumericalError, match="target"):
+            gpr_fit(RbfKernel(1.0), pts(0.0, 1.0), [0.5, np.nan], 0.1)
+        model = gpr_fit(RbfKernel(1.0), pts(0.0, 1.0), [0.5, -0.5], 0.1)
+        monkeypatch.setattr(
+            gp, "prediction_cross", lambda k, X, Y, n_old=0: np.full((len(X), len(Y)), np.inf)
+        )
+        with pytest.raises(NumericalError, match="cross-covariance"):
+            gpr_predict(model, np.array([0.5]))
 
 
 # ---------------------------------------------------------------------------

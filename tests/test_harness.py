@@ -300,11 +300,85 @@ class TestRunExperiment:
         out = tmp_path / "out"
         assert cli_main(["run", str(path), "--out", str(out), "--jobs", str(jobs)]) == 3
 
+    @pytest.mark.parametrize(
+        "error",
+        [
+            np.linalg.LinAlgError("synthetic singular matrix"),
+            ValueError("non-finite entries"),
+            tactilab.errors.NumericalError("synthetic numerical failure"),
+        ],
+    )
+    def test_ablation_seed_failure_lands_in_failures(self, monkeypatch, tmp_path, error):
+        from tactilab import harness
+        from tactilab.seeding import ABLATION_NS
+
+        real_derive_rng = harness.derive_rng
+
+        def flaky(*keys):
+            if keys[:2] == (2, ABLATION_NS):
+                raise error
+            return real_derive_rng(*keys)
+
+        monkeypatch.setattr(harness, "derive_rng", flaky)
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(_tiny_config(
+            str(tactilab.data_path("catalogs", "sample_catalog.json")),
+            mode="multi_kernel_ablation",
+            seeds=[1, 2, 3],
+            budget=0,
+            ablation_sizes=[2],
+        )))
+        result = run_experiment(load_config(path))
+        assert len(result.failures) == 1
+        assert result.failures[0].startswith("seed 2: ")
+        assert type(error).__name__ in result.failures[0]
+        for mode in result.modes:
+            assert sorted(result.curves[mode]) == [1, 3]
+        out = tmp_path / "out"
+        assert cli_main(["run", str(path), "--out", str(out)]) == 3
+
     def test_parallel_jobs_match_serial(self):
         config = parse_config(config_dict(seeds=[1, 2], budget=1))
         serial = run_experiment(config, jobs=1)
         parallel = run_experiment(config, jobs=2)
         assert serial.curves == parallel.curves
+
+
+class TestEvaluatorMemo:
+    def test_only_changed_models_are_re_predicted(self, monkeypatch):
+        from types import SimpleNamespace
+
+        from tactilab import harness
+        from tactilab.gp import ova_fit
+        from tactilab.kernels import CombinedKernel, RbfKernel
+
+        from conftest import force_obs
+
+        obs = [force_obs(v) for v in (-1.0, -0.8, 0.9, 1.2, 0.1)]
+        labels = np.array([11, 11, 12, 12, 11])
+        test = harness.TestSet({"P2": obs, "C1": obs}, {"P2": labels, "C1": labels})
+        config = SimpleNamespace(new_objects=(11, 12), actions=("P2", "C1"))
+        evaluate = make_evaluator(config, test)
+
+        def fit(length_scale):
+            kernel = CombinedKernel(((Modality.FORCE, RbfKernel(length_scale, 1.0)),), np.ones(1))
+            return ova_fit(kernel, obs[:4], labels[:4])
+
+        predicted = []
+        real = harness.ova_predict_proba
+        monkeypatch.setattr(
+            harness, "ova_predict_proba", lambda m, X: predicted.append(m) or real(m, X)
+        )
+        models = {"P2": fit(1.0), "C1": fit(0.05)}
+        first = evaluate(models)
+        assert len(predicted) == 2
+        assert evaluate(dict(models)) == first
+        assert len(predicted) == 2
+
+        models["C1"] = fit(3.0)
+        second = evaluate(models)
+        assert len(predicted) == 3 and predicted[2] is models["C1"]
+        assert second == make_evaluator(config, test)(models)
 
 
 class TestReport:
