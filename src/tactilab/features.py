@@ -130,31 +130,79 @@ def linear_correlation(x: Sequence[float], y: Sequence[float]) -> float:
     return float(np.clip(np.sum(xc * yc) / denom, -1.0, 1.0))
 
 
+#: Axis pairs (xy, xz, yz) correlated within each accelerometer.
+_AXIS_PAIRS = np.array(list(combinations(range(3), 2)))
+
+
+def _centred(rows: np.ndarray) -> np.ndarray:
+    """Each row minus its own mean."""
+    return rows - np.mean(rows, axis=1, keepdims=True)
+
+
 def extract_texture(trace: SensorTrace) -> np.ndarray:
     """4-vector [activity, mobility, complexity, axis correlation].
 
     The first three statistics are averaged over every accelerometer and
     axis with nonzero variance; the correlation is averaged over the axis
-    pairs (xy, yz, xz) of each accelerometer. Raises ZeroVarianceError only
-    when every axis is constant.
+    pairs (xy, xz, yz) of each accelerometer whose two axes both have
+    nonzero variance. Raises ZeroVarianceError when every axis is constant.
+
+    ``activity``, ``mobility``, ``complexity`` and ``linear_correlation``
+    are the reference definitions. This function computes the same numbers,
+    bit for bit, from one pass over the trace: the axes are the rows of one
+    (cells * 3, M) matrix, and each axis's activity of x, dx and d^2x is
+    computed once, by row-wise reductions in the scalar functions' order of
+    operations. It raises what the loop over the scalar functions raises,
+    axis by axis and cell by cell.
     """
     if trace.accels is None:
         raise ModalityError("trace has no accelerometer channels")
-    acts, mobs, comps, lcorrs = [], [], [], []
-    for cell in range(trace.accels.shape[0]):
-        axes = [trace.accels[cell, a, :] for a in range(3)]
-        live = [a for a in axes if activity(a) > 0.0]
-        for a in live:
-            acts.append(activity(a))
-            mobs.append(mobility(a))
-            comps.append(complexity(a))
-        for a, b in combinations(range(3), 2):
-            if activity(axes[a]) > 0.0 and activity(axes[b]) > 0.0:
-                lcorrs.append(linear_correlation(axes[a], axes[b]))
-    if not acts:
+    accels = np.ascontiguousarray(trace.accels, dtype=float)
+    cells, m = accels.shape[0], accels.shape[-1]
+    rows = accels.reshape(cells * 3, m)
+    if cells and m < 2:
+        raise DegenerateSequenceError(f"activity needs >= 2 samples, got {m}")
+    centred = _centred(rows)
+    squares = centred**2
+    acts = np.mean(squares, axis=1)
+    live = np.flatnonzero(acts > 0.0)
+    if not live.size:
         raise ZeroVarianceError("every accelerometer axis is constant")
+    if m < 3:
+        raise DegenerateSequenceError(f"mobility needs >= 3 samples, got {m}")
+    if m < 4:
+        raise DegenerateSequenceError(f"complexity needs >= 4 samples, got {m}")
+
+    diff1 = rows[live, 1:] - rows[live, :-1]
+    diff2 = diff1[:, 1:] - diff1[:, :-1]
+    acts1 = np.mean(_centred(diff1) ** 2, axis=1)
+    acts2 = np.mean(_centred(diff2) ** 2, axis=1)
+    mobs = np.sqrt(acts1 / acts[live])
+
+    first_rows = 3 * np.arange(cells)[:, None]
+    ia = (first_rows + _AXIS_PAIRS[:, 0]).ravel()
+    ib = (first_rows + _AXIS_PAIRS[:, 1]).ravel()
+    both = (acts[ia] > 0.0) & (acts[ib] > 0.0)
+    ia, ib = ia[both], ib[both]
+    sums = np.sum(squares, axis=1)
+    denoms = np.sqrt(sums[ia] * sums[ib])
+    # The first error the per-axis loop meets: a cell's axes come before its pairs.
+    flat_cells = live[mobs <= 0.0] // 3
+    zero_cells = ia[denoms == 0.0] // 3
+    if flat_cells.size and (not zero_cells.size or flat_cells[0] <= zero_cells[0]):
+        raise ZeroVarianceError("complexity undefined when mobility is zero")
+    if zero_cells.size:
+        raise ZeroVarianceError("correlation undefined for a constant sequence")
+
+    comps = np.sqrt(acts2 / acts1) / mobs
+    lcorrs = np.clip(np.sum(centred[ia] * centred[ib], axis=1) / denoms, -1.0, 1.0)
     return np.array(
-        [np.mean(acts), np.mean(mobs), np.mean(comps), np.mean(lcorrs) if lcorrs else 0.0]
+        [
+            np.mean(acts[live]),
+            np.mean(mobs),
+            np.mean(comps),
+            np.mean(lcorrs) if lcorrs.size else 0.0,
+        ]
     )
 
 

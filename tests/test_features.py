@@ -1,10 +1,15 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from tactilab.errors import (
     DegenerateSequenceError,
     InsufficientDataError,
     ModalityError,
+    TactilabError,
     ZeroVarianceError,
 )
 from tactilab.features import (
@@ -21,7 +26,15 @@ from tactilab.features import (
     mobility,
     _thermal_raw,
 )
-from tactilab.signals import ActionKind, SensorTrace, SkinConfig, pressing, simulate, sliding
+from tactilab.signals import (
+    STANDARD_ACTIONS,
+    ActionKind,
+    SensorTrace,
+    SkinConfig,
+    pressing,
+    simulate,
+    sliding,
+)
 
 from conftest import QUIET
 from test_signals import make_object
@@ -172,6 +185,149 @@ class TestExtractTexture:
         trace = simulate(make_object(), pressing(1.0, 3.0), 0)
         with pytest.raises(ModalityError):
             extract_texture(trace)
+
+
+def reference_texture(trace):
+    """extract_texture as a loop over the scalar reference statistics."""
+    acts, mobs, comps, lcorrs = [], [], [], []
+    for cell in range(trace.accels.shape[0]):
+        axes = [trace.accels[cell, a, :] for a in range(3)]
+        live = [a for a in axes if activity(a) > 0.0]
+        for a in live:
+            acts.append(activity(a))
+            mobs.append(mobility(a))
+            comps.append(complexity(a))
+        for a, b in combinations(range(3), 2):
+            if activity(axes[a]) > 0.0 and activity(axes[b]) > 0.0:
+                lcorrs.append(linear_correlation(axes[a], axes[b]))
+    if not acts:
+        raise ZeroVarianceError("every accelerometer axis is constant")
+    return np.array(
+        [np.mean(acts), np.mean(mobs), np.mean(comps), np.mean(lcorrs) if lcorrs else 0.0]
+    )
+
+
+def texture_outcome(extract, trace):
+    """The texture vector, or the type and message of the error raised."""
+    try:
+        return extract(trace)
+    except TactilabError as exc:
+        return type(exc), str(exc)
+
+
+def assert_same_outcome(trace):
+    got = texture_outcome(extract_texture, trace)
+    want = texture_outcome(reference_texture, trace)
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert isinstance(got, np.ndarray) and np.array_equal(got, want)
+
+
+AXIS_KINDS = ("noise", "walk", "sine", "constant", "zero", "ramp")
+
+
+def random_accels(seed, m, decades, kinds):
+    """(cells, 3, m) accelerations: one amplitude decade per cell, one kind
+    per axis. A "ramp" axis is an exact integer ramp whatever the decade."""
+    rng = np.random.default_rng(seed)
+    accels = np.empty((len(decades), 3, m))
+    steps = np.arange(m, dtype=float)
+    for cell, decade in enumerate(decades):
+        scale = 10.0**decade
+        for axis in range(3):
+            kind = kinds[3 * cell + axis]
+            if kind == "noise":
+                row = scale * (rng.standard_normal(m) + 10.0 * rng.standard_normal())
+            elif kind == "walk":
+                row = scale * np.cumsum(rng.standard_normal(m))
+            elif kind == "sine":
+                row = scale * np.sin(rng.uniform(0.01, 3.0) * steps + rng.uniform(0, 6))
+            elif kind == "constant":
+                row = np.full(m, scale * rng.standard_normal())
+            elif kind == "zero":
+                row = np.zeros(m)
+            else:
+                row = float(rng.integers(1, 5)) * steps + float(rng.integers(-9, 9))
+            accels[cell, axis] = row
+    return accels
+
+
+@st.composite
+def accel_layouts(draw):
+    cells = draw(st.integers(1, 7))
+    decades = draw(st.lists(st.integers(-170, 70), min_size=cells, max_size=cells))
+    # Mostly varying axes; a third of the cells are drawn whole-constant.
+    kinds = []
+    for _ in range(cells):
+        if draw(st.integers(0, 2)) == 0:
+            kinds += [draw(st.sampled_from(("constant", "zero"))) for _ in range(3)]
+        else:
+            kinds += [draw(st.sampled_from(AXIS_KINDS)) for _ in range(3)]
+    return decades, kinds
+
+
+class TestTextureMatchesReference:
+    """extract_texture equals the loop over the scalar statistics bit for bit,
+    and raises what that loop raises, with the same message."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(4, 300), layout=accel_layouts())
+    def test_random_axes_over_many_decades(self, seed, m, layout):
+        decades, kinds = layout
+        assert_same_outcome(accel_trace(random_accels(seed, m, decades, kinds)))
+
+    def test_simulated_sliding_traces_of_every_related_object(self, related_catalog):
+        sliding_ids = ("S1", "S2", "S3", "S4")
+        for obj in related_catalog:
+            for action_id in sliding_ids:
+                for seed in range(2):
+                    trace = simulate(
+                        obj,
+                        STANDARD_ACTIONS[action_id],
+                        seed,
+                        related_catalog.skin,
+                        related_catalog.noise,
+                    )
+                    want = reference_texture(trace)
+                    assert np.array_equal(extract_texture(trace), want)
+
+    def test_non_contiguous_and_float32_accels(self):
+        accels = random_accels(3, 80, [0, -2], ["noise", "walk", "sine"] * 2)
+        swapped = np.ascontiguousarray(np.swapaxes(accels, 0, 2)).swapaxes(0, 2)
+        assert_same_outcome(accel_trace(swapped))
+        assert_same_outcome(SensorTrace(None, None, accels.astype(np.float32), 100.0,
+                                        ActionKind.SLIDING))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestTextureErrorContract:
+    """Edge cases where the texture statistics are undefined."""
+
+    def test_exact_ramp_axis_has_zero_mobility(self):
+        accels = np.random.default_rng(0).standard_normal((1, 3, 50))
+        accels[0, 1] = np.arange(50.0)  # first difference exactly constant
+        with pytest.raises(ZeroVarianceError, match="complexity undefined"):
+            extract_texture(accel_trace(accels))
+
+    def test_three_samples_too_short_for_complexity(self):
+        accels = np.random.default_rng(1).standard_normal((2, 3, 3))
+        with pytest.raises(DegenerateSequenceError, match="complexity needs >= 4"):
+            extract_texture(accel_trace(accels))
+
+    def test_two_samples_too_short_for_mobility(self):
+        accels = np.random.default_rng(2).standard_normal((2, 3, 2))
+        with pytest.raises(DegenerateSequenceError, match="mobility needs >= 3"):
+            extract_texture(accel_trace(accels))
+
+    def test_correlation_denominator_underflow(self):
+        # Each axis has activity > 0, but the product of two sums of
+        # squares underflows to zero.
+        accels = 1e-160 * np.random.default_rng(3).standard_normal((2, 3, 100))
+        assert all(activity(axis) > 0.0 for axis in accels.reshape(6, 100))
+        with pytest.raises(ZeroVarianceError, match="correlation undefined"):
+            extract_texture(accel_trace(accels))
 
 
 def constant_temp_trace(value, n=200, fs=100.0):
