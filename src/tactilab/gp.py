@@ -1,9 +1,14 @@
 """Gaussian-process engine.
 
-Exact GP regression, binary GP classification via the Laplace approximation
-with a logistic noise model, one-vs-all multiclass on top of the binary
-machinery, and gradient-free hyperparameter search by multi-start coordinate
-ascent on the log marginal likelihood.
+Exact GP regression at given hyperparameters, binary GP classification via
+the Laplace approximation with a logistic noise model (Rasmussen & Williams,
+GPML Alg. 3.1/3.2), and one-vs-all multiclass on top of the binary machinery.
+
+There is one hyperparameter search, ``optimize_kernel_for_sets``: gradient-free
+multi-start coordinate ascent on the summed binary Laplace log marginal
+likelihood of a list of ``PooledSet``s. A one-vs-all ensemble is one set per
+class, all over the same observation block (``ova_sets``); relatedness
+selection is one set whose transfer-block rho joins the parameter vector.
 
 Every factorization and solve calls LAPACK directly (``dpotrf``, ``dpotrs``,
 ``dtrtrs``) with the arguments scipy's ``cholesky`` / ``cho_solve`` /
@@ -16,7 +21,7 @@ and once per prediction on the cross-covariance; each raises NumericalError.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -253,6 +258,29 @@ def gpc_predict(model: BinaryGpcModel, x_star) -> float:
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class PooledSet:
+    """One binary training problem sharing the kernel under search: the first
+    ``n_old`` rows are transfer-block observations coupled at ``rho``. ``X``
+    is held as one observation block, so every fit of the set during a search
+    reuses its squared distances."""
+
+    X: ObservationBlock
+    y: tuple
+    n_old: int = 0
+    rho: float = 0.0
+
+    def __post_init__(self):
+        object.__setattr__(self, "X", ObservationBlock.of(self.X))
+
+    def fit(self, kernel) -> BinaryGpcModel:
+        """Binary Laplace fit of this set under ``kernel`` (wrapped in the
+        rho-scaled block kernel when the set carries a transfer block)."""
+        if self.n_old > 0:
+            kernel = DependentKernel(kernel, self.rho)
+        return gpc_fit(kernel, self.X, self.y, n_old=self.n_old)
+
+
 @dataclass
 class OvaGpcModel:
     classes: tuple[int, ...]
@@ -264,23 +292,32 @@ class OvaGpcModel:
         object.__setattr__(self, "classes", tuple(sorted(self.classes)))
 
 
-def ova_fit(kernel, X, labels) -> OvaGpcModel:
-    """One binary model per class, each trained on the same observation block."""
+def ova_sets(X, labels) -> dict[int, PooledSet]:
+    """One class-vs-rest binary set per class, in sorted class order. Every
+    set holds the same observation block, so all classes share its
+    distances."""
     X = ObservationBlock.of(X)
     labels = [int(lb) for lb in labels]
-    classes = sorted(set(labels))
-    if len(classes) < 2:
+    return {
+        cls: PooledSet(X, tuple(1.0 if lb == cls else -1.0 for lb in labels))
+        for cls in sorted(set(labels))
+    }
+
+
+def ova_fit(kernel, X, labels) -> OvaGpcModel:
+    """One binary model per class, each trained on the same observation block."""
+    sets = ova_sets(X, labels)
+    if len(sets) < 2:
         raise ParameterError("one-vs-all needs at least two classes")
     models = {}
-    for cls in classes:
-        y = np.array([1.0 if lb == cls else -1.0 for lb in labels])
+    for cls, s in sets.items():
         try:
-            models[cls] = gpc_fit(kernel, X, y)
+            models[cls] = s.fit(kernel)
         except ConvergenceError as exc:
             raise ConvergenceError(
                 f"class {cls}: {exc}", trace=exc.trace
             ) from exc
-    return OvaGpcModel(tuple(classes), models)
+    return OvaGpcModel(tuple(sets), models)
 
 
 def ova_predict_proba(model: OvaGpcModel, X_star) -> np.ndarray:
@@ -306,146 +343,35 @@ def ova_predict(model: OvaGpcModel, x_star) -> tuple[int, dict[int, float]]:
     return label, dict(zip(model.classes, probs))
 
 
-def ova_lml(model: OvaGpcModel) -> float:
-    return float(sum(m.lml for m in model.models.values()))
-
-
 # ---------------------------------------------------------------------------
 # Hyperparameter search
 # ---------------------------------------------------------------------------
 
-
-@dataclass
-class ModelSpec:
-    """What to fit and which kernel blocks to search over.
-
-    ``kind`` is one of "gpr", "gpc" or "ova". When ``fit_rho`` is set the
-    training list's first ``n_old`` entries form the transferred block and the
-    kernel is wrapped in a DependentKernel.
-    """
-
-    kind: str
-    kernel: object  # CombinedKernel or RbfKernel starting point
-    noise_variance: float = 0.1
-    n_old: int = 0
-    rho: float = 0.5
-    fit_length_scales: bool = True
-    fit_signal_variances: bool = False
-    fit_weights: bool = True
-    fit_rho: bool = False
-    ls_bounds: tuple[float, float] = (1e-2, 1e3)
-    sv_bounds: tuple[float, float] = (1e-2, 1e2)
-
-
-@dataclass
-class OptimizedModel:
-    model: object
-    kernel: object
-    rho: Optional[float]
-    lml: float
-    params: np.ndarray
-    start_lmls: list[float]
-
-
-def _kernel_parts(kernel):
-    if isinstance(kernel, CombinedKernel):
-        return list(kernel.parts), np.array(kernel.weights, dtype=float)
-    return [(None, kernel)], np.array([1.0])
-
-
-def _encode(spec: ModelSpec):
-    """Parameter vector layout: [log ls...][log sv...][gamma...][rho]."""
-    parts, weights = _kernel_parts(spec.kernel)
-    vec, layout = [], []
-    if spec.fit_length_scales:
-        for _, p in parts:
-            vec.append(math.log(p.length_scale))
-        layout.append(("ls", len(parts)))
-    if spec.fit_signal_variances:
-        for _, p in parts:
-            vec.append(math.log(p.signal_variance))
-        layout.append(("sv", len(parts)))
-    fit_gamma = spec.fit_weights and isinstance(spec.kernel, CombinedKernel) and len(parts) > 1
-    if fit_gamma:
-        vec.extend(weights.tolist())
-        layout.append(("gamma", len(parts)))
-    if spec.fit_rho:
-        vec.append(spec.rho)
-        layout.append(("rho", 1))
-    return np.array(vec, dtype=float), layout
-
-
-def _decode(spec: ModelSpec, params: np.ndarray, layout):
-    parts, weights = _kernel_parts(spec.kernel)
-    ls = [p.length_scale for _, p in parts]
-    sv = [p.signal_variance for _, p in parts]
-    gamma = weights.copy()
-    rho = spec.rho
-    pos = 0
-    for name, size in layout:
-        block = params[pos : pos + size]
-        pos += size
-        if name == "ls":
-            ls = list(np.exp(block))
-        elif name == "sv":
-            sv = list(np.exp(block))
-        elif name == "gamma":
-            gamma = project_simplex(block)
-        elif name == "rho":
-            rho = float(np.clip(block[0], 0.0, 1.0))
-    new_parts = tuple(
-        (mod, RbfKernel(ls[i], sv[i])) for i, (mod, _) in enumerate(parts)
-    )
-    if isinstance(spec.kernel, CombinedKernel):
-        kernel = CombinedKernel(new_parts, gamma)
-    else:
-        kernel = new_parts[0][1]
-    return kernel, rho
-
-
-def _fit_for_spec(spec: ModelSpec, kernel, rho, X, labels):
-    if spec.fit_rho or spec.n_old > 0:
-        kernel = DependentKernel(kernel, rho)
-    if spec.kind == "gpr":
-        return gpr_fit(kernel, X, labels, spec.noise_variance)
-    if spec.kind == "gpc":
-        return gpc_fit(kernel, X, labels, n_old=spec.n_old)
-    if spec.kind == "ova":
-        return ova_fit(kernel, X, labels)
-    raise ParameterError(f"unknown model kind {spec.kind!r}")
-
-
-def _model_lml(model) -> float:
-    return ova_lml(model) if isinstance(model, OvaGpcModel) else model.lml
-
-
 IMPROVE_TOL = 0.25  # nats; steps below this are noise on a flat LML landscape
+# Search range of each parameter block (length scales on a log scale);
+# weights are projected to the simplex on decode, so their range reaches past it.
+_BOUNDS = {
+    "ls": (math.log(1e-2), math.log(1e3)),
+    "gamma": (-1.0, 2.0),
+    "rho": (0.0, 1.0),
+}
 
 
-def _coordinate_ascent(objective, x0, layout, bounds_of, max_sweeps):
-    """Greedy per-coordinate search.
+def _coordinate_ascent(objective, x, fx, names, max_sweeps):
+    """Greedy per-coordinate search from ``x``, whose objective value is
+    ``fx``; ``names`` gives each coordinate's parameter block.
 
     A step is accepted only when it improves the objective by more than
     IMPROVE_TOL, so near-flat likelihoods (e.g. one observation per class)
     keep their start point instead of drifting on noise."""
-    x = x0.copy()
-    fx = objective(x)
-    if not np.isfinite(fx):
-        return x, fx
-    steps = []
-    for name, size in layout:
-        init = math.log(3.0) if name in ("ls", "sv") else 0.25
-        steps.extend([init] * size)
-    steps = np.array(steps)
-    names = [name for name, size in layout for _ in range(size)]
-
+    steps = np.array([math.log(3.0) if name == "ls" else 0.25 for name in names])
     for _ in range(max_sweeps):
         improved = False
         for i in range(x.size):
             for direction in (1.0, -1.0):
                 trial = x.copy()
                 trial[i] += direction * steps[i]
-                lo, hi = bounds_of(names[i])
+                lo, hi = _BOUNDS[names[i]]
                 trial[i] = min(max(trial[i], lo), hi)
                 if trial[i] == x[i]:
                     continue
@@ -461,145 +387,82 @@ def _coordinate_ascent(objective, x0, layout, bounds_of, max_sweeps):
     return x, fx
 
 
-@dataclass(frozen=True)
-class PooledSet:
-    """One binary training problem sharing the kernel under search: the first
-    ``n_old`` rows are transfer-block observations coupled at ``rho``. ``X``
-    is held as one observation block, so every fit of the set during a search
-    reuses its squared distances."""
-
-    X: ObservationBlock
-    y: tuple
-    n_old: int = 0
-    rho: float = 0.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "X", ObservationBlock.of(self.X))
-
-    def fit(self, kernel) -> BinaryGpcModel:
-        """Binary Laplace fit of this set under ``kernel`` (wrapped in the
-        rho-scaled block kernel when the set carries a transfer block)."""
-        if self.n_old > 0:
-            kernel = DependentKernel(kernel, self.rho)
-        return gpc_fit(kernel, self.X, self.y, n_old=self.n_old)
-
-
 def optimize_kernel_for_sets(
     sets: Sequence[PooledSet],
     kernel_start: CombinedKernel,
     restarts: int = 2,
     rng: Optional[np.random.Generator] = None,
-    max_sweeps: int = 3,
+    max_sweeps: int = 4,
     fit_weights: bool = True,
-    fit_length_scales: bool = True,
-    fit_signal_variances: bool = False,
-    ls_bounds: tuple[float, float] = (1e-2, 1e3),
-    sv_bounds: tuple[float, float] = (1e-2, 1e2),
-) -> tuple[CombinedKernel, float]:
+    fit_rho: bool = False,
+) -> tuple[CombinedKernel, float, float]:
     """Tune one combined kernel to maximize the summed Laplace marginal
-    likelihood of several binary problems at once (the per-class training
-    sets of a one-vs-all ensemble, each possibly carrying a transfer block)."""
-    spec = ModelSpec(
-        kind="gpc",
-        kernel=kernel_start,
-        fit_length_scales=fit_length_scales,
-        fit_signal_variances=fit_signal_variances,
-        fit_weights=fit_weights,
-        ls_bounds=ls_bounds,
-        sv_bounds=sv_bounds,
-    )
+    likelihood of several binary problems at once: the per-class sets of a
+    one-vs-all ensemble (``ova_sets``), each possibly carrying a transfer
+    block. With ``fit_rho`` the relatedness joins the search, starting from
+    the first set's ``rho``, and every set is fit at the searched value.
 
-    def objective(kernel, _rho):
-        try:
-            return sum(s.fit(kernel).lml for s in sets)
-        except (NumericalError, ConvergenceError, np.linalg.LinAlgError):
-            return -np.inf
-
-    kernel, _, best_f, _, _ = _search(spec, objective, restarts, rng, max_sweeps)
-    return kernel, best_f
-
-
-def _search(spec: ModelSpec, objective_of, restarts, rng, max_sweeps):
-    """Multi-start coordinate-ascent driver over the requested search blocks.
-
-    ``objective_of(kernel, rho)`` returns the LML (or -inf on failure); the
-    winner's LML is never below that of any finite start point."""
+    Multi-start coordinate ascent over [log length scales][weights, when
+    ``fit_weights`` and the kernel has two or more parts][rho, when
+    ``fit_rho``]. The starts are ``kernel_start`` and ``restarts - 1``
+    random draws from ``rng``, each drawn block by block in that order.
+    Returns (kernel, rho, lml); the LML is never below that of any finite
+    start. Raises OptimizationError when every start scores -inf."""
     if restarts < 1:
         raise ParameterError("restarts must be >= 1")
     rng = rng if rng is not None else np.random.default_rng(0)
-    x0, layout = _encode(spec)
+    parts = kernel_start.parts
+    k = len(parts)
+    fit_gamma = fit_weights and k > 1
+    layout = [("ls", k)]
+    if fit_gamma:
+        layout.append(("gamma", k))
+    if fit_rho:
+        layout.append(("rho", 1))
+    names = [name for name, size in layout for _ in range(size)]
+    rho_start = sets[0].rho
 
-    def bounds_of(name):
-        if name == "ls":
-            return math.log(spec.ls_bounds[0]), math.log(spec.ls_bounds[1])
-        if name == "sv":
-            return math.log(spec.sv_bounds[0]), math.log(spec.sv_bounds[1])
-        if name == "gamma":
-            return -1.0, 2.0  # projected to the simplex on decode
-        return 0.0, 1.0  # rho
+    def decode(params):
+        ls = np.exp(params[:k])
+        gamma = project_simplex(params[k : 2 * k]) if fit_gamma else kernel_start.weights
+        rho = float(np.clip(params[-1], 0.0, 1.0)) if fit_rho else rho_start
+        new_parts = tuple(
+            (mod, RbfKernel(ls[i], p.signal_variance)) for i, (mod, p) in enumerate(parts)
+        )
+        return CombinedKernel(new_parts, gamma), rho
 
     def objective(params):
-        kernel, rho = _decode(spec, params, layout)
-        return objective_of(kernel, rho)
+        kernel, rho = decode(params)
+        fit_sets = [replace(s, rho=rho) for s in sets] if fit_rho else sets
+        try:
+            return sum(s.fit(kernel).lml for s in fit_sets)
+        except (NumericalError, ConvergenceError, np.linalg.LinAlgError):
+            return -np.inf
 
-    starts = [x0]
+    x0 = [math.log(p.length_scale) for _, p in parts]
+    if fit_gamma:
+        x0.extend(kernel_start.weights.tolist())
+    if fit_rho:
+        x0.append(rho_start)
+    starts = [np.array(x0, dtype=float)]
     for _ in range(restarts - 1):
         vec = []
         for name, size in layout:
-            lo, hi = bounds_of(name)
             if name == "gamma":
-                vec.extend(rng.dirichlet(np.ones(size)).tolist())
+                vec.extend(rng.dirichlet(np.ones(size)))
             else:
-                vec.extend(rng.uniform(lo, hi, size=size).tolist())
+                vec.extend(rng.uniform(*_BOUNDS[name], size=size))
         starts.append(np.array(vec))
 
-    start_lmls, results, diagnostics = [], [], []
+    results, diagnostics = [], []
     for start in starts:
         f_start = objective(start)
-        start_lmls.append(f_start)
         if not np.isfinite(f_start):
             diagnostics.append(f"start {start} -> non-finite objective")
             continue
-        best_x, best_f = _coordinate_ascent(objective, start, layout, bounds_of, max_sweeps)
-        results.append((best_f, best_x))
+        results.append(_coordinate_ascent(objective, start, f_start, names, max_sweeps))
     if not results:
         raise OptimizationError("all restarts failed", diagnostics=diagnostics)
-    best_f, best_x = max(results, key=lambda r: r[0])
-    kernel, rho = _decode(spec, best_x, layout)
-    return kernel, rho, best_f, best_x, start_lmls
-
-
-def optimize_hyperparams(
-    spec: ModelSpec,
-    X,
-    labels,
-    restarts: int = 3,
-    rng: Optional[np.random.Generator] = None,
-    max_sweeps: int = 4,
-) -> OptimizedModel:
-    """Multi-start coordinate ascent on the log marginal likelihood.
-
-    The returned model's LML is never below that of any start point. Raises
-    OptimizationError when every restart fails to produce a finite objective.
-    """
-    X = ObservationBlock.of(X)
-
-    def objective(kernel, rho):
-        try:
-            model = _fit_for_spec(spec, kernel, rho, X, labels)
-        except (NumericalError, ConvergenceError, np.linalg.LinAlgError):
-            return -np.inf
-        return _model_lml(model)
-
-    kernel, rho, best_f, best_x, start_lmls = _search(
-        spec, objective, restarts, rng, max_sweeps
-    )
-    model = _fit_for_spec(spec, kernel, rho, X, labels)
-    return OptimizedModel(
-        model=model,
-        kernel=kernel,
-        rho=rho if (spec.fit_rho or spec.n_old > 0) else None,
-        lml=best_f,
-        params=best_x,
-        start_lmls=start_lmls,
-    )
+    best_x, best_f = max(results, key=lambda r: r[1])
+    kernel, rho = decode(best_x)
+    return kernel, rho, best_f

@@ -24,7 +24,14 @@ from .errors import (
     TactilabError,
 )
 from .features import ThermalProjector, build_observation, fit_thermal_projector
-from .gp import ModelSpec, OvaGpcModel, argmax_label, optimize_hyperparams, ova_predict_proba
+from .gp import (
+    OvaGpcModel,
+    argmax_label,
+    optimize_kernel_for_sets,
+    ova_fit,
+    ova_predict_proba,
+    ova_sets,
+)
 from .kernels import ObservationBlock, median_heuristic
 from .seeding import (
     ABLATION_NS,
@@ -166,6 +173,13 @@ def _int_list(name: str, values) -> tuple[int, ...]:
     return tuple(_int_field(f"{name}[{i}]", v) for i, v in enumerate(values))
 
 
+def _distinct(name: str, values: tuple) -> tuple:
+    dups = sorted({v for v in values if values.count(v) > 1})
+    if dups:
+        raise ConfigError(f"{name} has duplicate entries {dups}")
+    return values
+
+
 def _float_field(name: str, value) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{name} must be a number, got {value!r}")
@@ -189,18 +203,18 @@ def parse_config(raw: dict, base_dir: Optional[str] = None) -> ExperimentConfig:
         if name not in raw:
             raise ConfigError(f"missing config field {name!r}")
 
-    prior = _int_list("prior_objects", raw.get("prior_objects", []))
-    new = _int_list("new_objects", raw["new_objects"])
+    prior = _distinct("prior_objects", _int_list("prior_objects", raw.get("prior_objects", [])))
+    new = _distinct("new_objects", _int_list("new_objects", raw["new_objects"]))
     if not new:
         raise ConfigError("new_objects must be nonempty")
     if set(prior) & set(new):
         raise ConfigError("prior_objects and new_objects must be disjoint")
-    actions = tuple(str(a) for a in raw["actions"])
+    actions = _distinct("actions", tuple(str(a) for a in raw["actions"]))
     bad = [a for a in actions if a not in STANDARD_ACTIONS]
     if bad or not actions:
         raise ConfigError(f"actions must be a nonempty subset of "
                           f"{sorted(STANDARD_ACTIONS)}, got {list(actions)}")
-    seeds = _int_list("seeds", raw["seeds"])
+    seeds = _distinct("seeds", _int_list("seeds", raw["seeds"]))
     if not seeds:
         raise ConfigError("seeds must be nonempty")
     if "trials" in raw and _int_field("trials", raw["trials"]) != len(seeds):
@@ -782,28 +796,26 @@ def _run_ablation(config: ExperimentConfig, start: float) -> RunResult:
                             labels.append(obj)
                     k += 1
                 train = ObservationBlock.of(train)
+                sets = list(ova_sets(train, labels).values())
                 start_kernel = median_heuristic(train, train.modalities)
                 for variant, one_hot in variants.items():
-                    if one_hot is None:
-                        spec = ModelSpec(kind="ova", kernel=start_kernel)
-                    else:
-                        spec = ModelSpec(
-                            kind="ova",
-                            kernel=start_kernel.with_weights(one_hot),
-                            fit_weights=False,
-                        )
-                    opt = optimize_hyperparams(
-                        spec, train, labels, restarts=INIT_RESTARTS, rng=opt_rng
+                    kernel, _, _ = optimize_kernel_for_sets(
+                        sets,
+                        start_kernel if one_hot is None else start_kernel.with_weights(one_hot),
+                        restarts=INIT_RESTARTS,
+                        rng=opt_rng,
+                        fit_weights=one_hot is None,
                     )
-                    probs = ova_predict_proba(opt.model, test_obs)
-                    preds = [argmax_label(opt.model.classes, row) for row in probs]
+                    model = ova_fit(kernel, train, labels)
+                    probs = ova_predict_proba(model, test_obs)
+                    preds = [argmax_label(model.classes, row) for row in probs]
                     curves[variant].append(float(np.mean(np.array(preds) == test_labels)))
                     if variant == "combined":
                         gamma_trace.append(
                             {
                                 "iteration": size,
                                 "action": action_id,
-                                "gamma": [float(g) for g in opt.kernel.weights],
+                                "gamma": [float(g) for g in kernel.weights],
                             }
                         )
         except (ValueError, ArithmeticError, TactilabError) as exc:

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -372,8 +372,3 @@ def load_catalog(path: str | Path) -> Catalog:
             raise SchemaError(f"objects: duplicate id {obj.id}")
         seen.add(obj.id)
     return Catalog(objects=objects, skin=skin, noise=noise)
-
-
-def subset(catalog: Catalog, ids: Sequence[int]) -> list[ObjectSpec]:
-    """Objects for ``ids`` in the given order; KeyError on unknown ids."""
-    return [catalog.by_id(i) for i in ids]

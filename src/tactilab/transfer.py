@@ -14,12 +14,12 @@ from .errors import MissingPriorError, ParameterError
 from .features import FeatureObservation, ThermalProjector
 from .gp import (
     BinaryGpcModel,
-    ModelSpec,
     OvaGpcModel,
     PooledSet,
-    optimize_hyperparams,
     optimize_kernel_for_sets,
+    ova_fit,
     ova_predict_proba,
+    ova_sets,
 )
 from .kernels import CombinedKernel, ObservationBlock, median_heuristic
 
@@ -96,20 +96,21 @@ def fit_prior_knowledge(
         flat, labels = _flatten(frozen[action_id])
         flat = ObservationBlock.of(flat)
         start = median_heuristic(flat, flat.modalities)
-        if len(frozen[action_id]) == 1:
+        sets = ova_sets(flat, labels)
+        if len(sets) == 1:
             # Single old object: degenerate one-class model, kernel tuned on
-            # the all-positive problem.
-            cls = next(iter(frozen[action_id]))
-            only = PooledSet(X=flat, y=(1.0,) * len(flat))
-            kernel, _ = optimize_kernel_for_sets([only], start, restarts=restarts, rng=rng)
-            kernels[action_id] = kernel
+            # the all-positive problem in three sweeps.
+            (cls, only), = sets.items()
+            kernel, _, _ = optimize_kernel_for_sets(
+                [only], start, restarts=restarts, rng=rng, max_sweeps=3
+            )
             models[action_id] = OvaGpcModel((cls,), {cls: only.fit(kernel)})
-            continue
-        opt = optimize_hyperparams(
-            ModelSpec(kind="ova", kernel=start), flat, labels, restarts=restarts, rng=rng
-        )
-        kernels[action_id] = opt.kernel
-        models[action_id] = opt.model
+        else:
+            kernel, _, _ = optimize_kernel_for_sets(
+                list(sets.values()), start, restarts=restarts, rng=rng
+            )
+            models[action_id] = ova_fit(kernel, flat, labels)
+        kernels[action_id] = kernel
     return PriorKnowledge(
         action_ids=tuple(instances),
         instances=frozen,
@@ -181,20 +182,13 @@ def select_prior_by_optimization(
     base = prior.kernels[action_id]
     best_old, best_rho = None, -1.0
     for old_id in prior.old_object_ids(action_id):
-        X_old = list(prior.instances[action_id][old_id])
-        pooled = ObservationBlock.of(X_old + list(X_new_j))
-        labels = np.ones(len(pooled))
-        spec = ModelSpec(
-            kind="gpc",
-            kernel=base,
-            n_old=len(X_old),
-            fit_rho=True,
-            fit_weights=False,
-            rho=0.5,
+        # Old and new observations all labelled +1, rho searched from 0.5.
+        pooled = _pooled_set(prior.instances[action_id][old_id], X_new_j, [], 0.5)
+        _, rho, _ = optimize_kernel_for_sets(
+            [pooled], base, restarts=restarts, rng=rng, fit_weights=False, fit_rho=True
         )
-        opt = optimize_hyperparams(spec, pooled, labels, restarts=restarts, rng=rng)
-        if opt.rho > best_rho:
-            best_old, best_rho = old_id, float(opt.rho)
+        if rho > best_rho:
+            best_old, best_rho = old_id, rho
     mean_pred = 0.0
     if action_id in prior.models:
         probs = ova_predict_proba(prior.models[action_id], X_new_j).mean(axis=0)
@@ -288,7 +282,7 @@ def build_action_models(
 
     flat, _ = _flatten(groups)
     start = kernel_start or median_heuristic(flat, flat[0].modalities)
-    kernel, _ = optimize_kernel_for_sets(
+    kernel, _, _ = optimize_kernel_for_sets(
         list(sets.values()), start, restarts=restarts, rng=rng, max_sweeps=sweeps
     )
 

@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 
@@ -49,3 +51,31 @@ def two_part_obs(force, thermal, object_id=None, action_id="test"):
         ),
         object_id,
     )
+
+
+def record_searches(monkeypatch, module):
+    """Replace ``module.optimize_kernel_for_sets`` with a pass-through that
+    records each call's effective settings (defaults applied): max_sweeps,
+    fit_weights, fit_rho, the start rho when rho is searched, and the start
+    kernel's weights."""
+    real = module.optimize_kernel_for_sets
+    signature = inspect.signature(real)
+    calls = []
+
+    def spy(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        a = bound.arguments
+        calls.append(
+            (
+                a["max_sweeps"],
+                a["fit_weights"],
+                a["fit_rho"],
+                a["sets"][0].rho if a["fit_rho"] else None,
+                tuple(a["kernel_start"].weights),
+            )
+        )
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, "optimize_kernel_for_sets", spy)
+    return calls

@@ -1,15 +1,19 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 from scipy.special import expit
 
 from tactilab import gp
-from tactilab.errors import NumericalError, OptimizationError, ParameterError
+from tactilab.errors import (
+    ConvergenceError,
+    NumericalError,
+    OptimizationError,
+    ParameterError,
+)
 from tactilab.features import Modality
 from tactilab.gp import (
-    BinaryGpcModel,
-    ModelSpec,
     OvaGpcModel,
     PooledSet,
     argmax_label,
@@ -18,14 +22,22 @@ from tactilab.gp import (
     gpc_predict_batch,
     gpr_fit,
     gpr_predict,
-    optimize_hyperparams,
     optimize_kernel_for_sets,
     ova_fit,
-    ova_lml,
     ova_predict,
     ova_predict_proba,
+    ova_sets,
 )
-from tactilab.kernels import CombinedKernel, RbfKernel, cross_gram, gram
+from tactilab.kernels import (
+    CombinedKernel,
+    DependentKernel,
+    ObservationBlock,
+    RbfKernel,
+    cross_gram,
+    gram,
+    median_heuristic,
+    project_simplex,
+)
 
 from conftest import force_obs, two_part_obs
 
@@ -310,38 +322,375 @@ class TestOva:
 # Hyperparameter search
 # ---------------------------------------------------------------------------
 
+# Reference copy of the former two-front-end search (``ModelSpec`` +
+# ``optimize_hyperparams`` for kinds gpc / ova, and the ``PooledSet`` front
+# end), kept as it was written, including its second scoring of each start.
+# The single search must reproduce it bit for bit.
 
-def sample_gp_dataset(rng, n=40, length_scale=1.0, noise=0.1):
-    xs = np.sort(rng.uniform(-5, 5, size=n))
-    X = [np.array([v]) for v in xs]
-    k = gram(RbfKernel(length_scale, 1.0), X)
-    y = rng.multivariate_normal(np.zeros(n), k + 1e-10 * np.eye(n))
-    y = y + noise * rng.standard_normal(n)
-    return X, y
+
+@dataclass
+class ModelSpec:
+    kind: str
+    kernel: object
+    noise_variance: float = 0.1
+    n_old: int = 0
+    rho: float = 0.5
+    fit_length_scales: bool = True
+    fit_signal_variances: bool = False
+    fit_weights: bool = True
+    fit_rho: bool = False
+    ls_bounds: tuple = (1e-2, 1e3)
+    sv_bounds: tuple = (1e-2, 1e2)
+
+
+def ref_kernel_parts(kernel):
+    if isinstance(kernel, CombinedKernel):
+        return list(kernel.parts), np.array(kernel.weights, dtype=float)
+    return [(None, kernel)], np.array([1.0])
+
+
+def ref_encode(spec):
+    parts, weights = ref_kernel_parts(spec.kernel)
+    vec, layout = [], []
+    if spec.fit_length_scales:
+        for _, p in parts:
+            vec.append(math.log(p.length_scale))
+        layout.append(("ls", len(parts)))
+    if spec.fit_signal_variances:
+        for _, p in parts:
+            vec.append(math.log(p.signal_variance))
+        layout.append(("sv", len(parts)))
+    fit_gamma = spec.fit_weights and isinstance(spec.kernel, CombinedKernel) and len(parts) > 1
+    if fit_gamma:
+        vec.extend(weights.tolist())
+        layout.append(("gamma", len(parts)))
+    if spec.fit_rho:
+        vec.append(spec.rho)
+        layout.append(("rho", 1))
+    return np.array(vec, dtype=float), layout
+
+
+def ref_decode(spec, params, layout):
+    parts, weights = ref_kernel_parts(spec.kernel)
+    ls = [p.length_scale for _, p in parts]
+    sv = [p.signal_variance for _, p in parts]
+    gamma = weights.copy()
+    rho = spec.rho
+    pos = 0
+    for name, size in layout:
+        block = params[pos : pos + size]
+        pos += size
+        if name == "ls":
+            ls = list(np.exp(block))
+        elif name == "sv":
+            sv = list(np.exp(block))
+        elif name == "gamma":
+            gamma = project_simplex(block)
+        elif name == "rho":
+            rho = float(np.clip(block[0], 0.0, 1.0))
+    new_parts = tuple((mod, RbfKernel(ls[i], sv[i])) for i, (mod, _) in enumerate(parts))
+    if isinstance(spec.kernel, CombinedKernel):
+        return CombinedKernel(new_parts, gamma), rho
+    return new_parts[0][1], rho
+
+
+def ref_ova_fit(kernel, X, labels):
+    X = ObservationBlock.of(X)
+    labels = [int(lb) for lb in labels]
+    classes = sorted(set(labels))
+    models = {}
+    for cls in classes:
+        y = np.array([1.0 if lb == cls else -1.0 for lb in labels])
+        models[cls] = gp.gpc_fit(kernel, X, y)
+    return OvaGpcModel(tuple(classes), models)
+
+
+def ref_fit_for_spec(spec, kernel, rho, X, labels):
+    if spec.fit_rho or spec.n_old > 0:
+        kernel = DependentKernel(kernel, rho)
+    if spec.kind == "gpc":
+        return gp.gpc_fit(kernel, X, labels, n_old=spec.n_old)
+    return ref_ova_fit(kernel, X, labels)
+
+
+def ref_model_lml(model):
+    if isinstance(model, OvaGpcModel):
+        return float(sum(m.lml for m in model.models.values()))
+    return model.lml
+
+
+def ref_coordinate_ascent(objective, x0, layout, bounds_of, max_sweeps):
+    x = x0.copy()
+    fx = objective(x)
+    if not np.isfinite(fx):
+        return x, fx
+    steps = []
+    for name, size in layout:
+        init = math.log(3.0) if name in ("ls", "sv") else 0.25
+        steps.extend([init] * size)
+    steps = np.array(steps)
+    names = [name for name, size in layout for _ in range(size)]
+    for _ in range(max_sweeps):
+        improved = False
+        for i in range(x.size):
+            for direction in (1.0, -1.0):
+                trial = x.copy()
+                trial[i] += direction * steps[i]
+                lo, hi = bounds_of(names[i])
+                trial[i] = min(max(trial[i], lo), hi)
+                if trial[i] == x[i]:
+                    continue
+                ft = objective(trial)
+                if ft > fx + gp.IMPROVE_TOL:
+                    x, fx = trial, ft
+                    improved = True
+                    break
+        if not improved:
+            steps *= 0.5
+            if np.max(steps) < 0.02:
+                break
+    return x, fx
+
+
+def ref_search(spec, objective_of, restarts, rng, max_sweeps):
+    if restarts < 1:
+        raise ParameterError("restarts must be >= 1")
+    rng = rng if rng is not None else np.random.default_rng(0)
+    x0, layout = ref_encode(spec)
+
+    def bounds_of(name):
+        if name == "ls":
+            return math.log(spec.ls_bounds[0]), math.log(spec.ls_bounds[1])
+        if name == "sv":
+            return math.log(spec.sv_bounds[0]), math.log(spec.sv_bounds[1])
+        if name == "gamma":
+            return -1.0, 2.0
+        return 0.0, 1.0
+
+    def objective(params):
+        kernel, rho = ref_decode(spec, params, layout)
+        return objective_of(kernel, rho)
+
+    starts = [x0]
+    for _ in range(restarts - 1):
+        vec = []
+        for name, size in layout:
+            lo, hi = bounds_of(name)
+            if name == "gamma":
+                vec.extend(rng.dirichlet(np.ones(size)).tolist())
+            else:
+                vec.extend(rng.uniform(lo, hi, size=size).tolist())
+        starts.append(np.array(vec))
+
+    start_lmls, results, diagnostics = [], [], []
+    for start in starts:
+        f_start = objective(start)
+        start_lmls.append(f_start)
+        if not np.isfinite(f_start):
+            diagnostics.append(f"start {start} -> non-finite objective")
+            continue
+        best_x, best_f = ref_coordinate_ascent(objective, start, layout, bounds_of, max_sweeps)
+        results.append((best_f, best_x))
+    if not results:
+        raise OptimizationError("all restarts failed", diagnostics=diagnostics)
+    best_f, best_x = max(results, key=lambda r: r[0])
+    kernel, rho = ref_decode(spec, best_x, layout)
+    return kernel, rho, best_f, best_x, start_lmls
+
+
+def ref_optimize_hyperparams(spec, X, labels, restarts=3, rng=None, max_sweeps=4):
+    """Returns (kernel, rho, lml, start_lmls)."""
+    X = ObservationBlock.of(X)
+
+    def objective(kernel, rho):
+        try:
+            model = ref_fit_for_spec(spec, kernel, rho, X, labels)
+        except (NumericalError, ConvergenceError, np.linalg.LinAlgError):
+            return -np.inf
+        return ref_model_lml(model)
+
+    kernel, rho, best_f, _, start_lmls = ref_search(spec, objective, restarts, rng, max_sweeps)
+    return kernel, rho, best_f, start_lmls
+
+
+def ref_optimize_kernel_for_sets(sets, kernel_start, restarts=2, rng=None, max_sweeps=3):
+    spec = ModelSpec(kind="gpc", kernel=kernel_start)
+
+    def objective(kernel, _rho):
+        try:
+            return sum(s.fit(kernel).lml for s in sets)
+        except (NumericalError, ConvergenceError, np.linalg.LinAlgError):
+            return -np.inf
+
+    kernel, _, best_f, _, _ = ref_search(spec, objective, restarts, rng, max_sweeps)
+    return kernel, best_f
+
+
+def labelled_two_part_obs(seed, classes=(1, 2, 3), per_class=5):
+    """Classes separated in force; the thermal part is weakly informative."""
+    rng = np.random.default_rng(seed)
+    X, labels = [], []
+    for cls in classes:
+        for _ in range(per_class):
+            X.append(
+                two_part_obs(
+                    float(cls) + 0.4 * rng.standard_normal(),
+                    0.3 * cls + rng.standard_normal(4),
+                    object_id=cls,
+                )
+            )
+            labels.append(cls)
+    return X, labels
+
+
+def median_start(X, scale=1.0):
+    """Median-heuristic kernel with every length scale multiplied by ``scale``
+    (a start far from the optimum makes the search use all its sweeps)."""
+    start = median_heuristic(X, ObservationBlock.of(X).modalities)
+    parts = tuple((mod, RbfKernel(p.length_scale * scale, p.signal_variance)) for mod, p in start.parts)
+    return CombinedKernel(parts, start.weights)
+
+
+def assert_same_search(new, ref):
+    """(kernel, rho, lml) of the single search equal to the reference's."""
+    (kernel, rho, lml), (ref_kernel, ref_rho, ref_lml) = new, ref
+    assert kernel.modalities == ref_kernel.modalities
+    assert [p.length_scale for _, p in kernel.parts] == [
+        p.length_scale for _, p in ref_kernel.parts
+    ]
+    assert [p.signal_variance for _, p in kernel.parts] == [
+        p.signal_variance for _, p in ref_kernel.parts
+    ]
+    assert np.array_equal(kernel.weights, ref_kernel.weights)
+    assert rho == ref_rho
+    assert lml == ref_lml
+
+
+SEEDS = [0, 1, 2, 3]
+
+
+class TestSearchMatchesReference:
+    """The callers' search shapes, against the reference copy: tuned length
+    scales, weights, rho, LML and the generator state afterwards."""
+
+    @pytest.mark.parametrize("scale", [1.0, 20.0])
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_one_vs_all_prior_model(self, seed, scale):
+        X, labels = labelled_two_part_obs(seed, classes=(1, 2, 3, 4, 5), per_class=3)
+        block = ObservationBlock.of(X)
+        start = median_start(block, scale)
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        new = optimize_kernel_for_sets(
+            list(ova_sets(block, labels).values()), start, restarts=2, rng=rng
+        )
+        ref_kernel, _, ref_lml, _ = ref_optimize_hyperparams(
+            ModelSpec(kind="ova", kernel=start), block, labels, restarts=2, rng=ref_rng
+        )
+        assert_same_search(new, (ref_kernel, 0.0, ref_lml))
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        model, ref_model = ova_fit(new[0], block, labels), ref_ova_fit(ref_kernel, block, labels)
+        for cls in model.classes:
+            assert np.array_equal(model.models[cls].f_hat, ref_model.models[cls].f_hat)
+
+    @pytest.mark.parametrize("scale", [1.0, 20.0])
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_one_hot_ablation_variant(self, seed, scale):
+        X, labels = labelled_two_part_obs(seed, classes=(1, 2, 3, 4), per_class=3)
+        block = ObservationBlock.of(X)
+        start = median_start(block, scale).with_weights([0.0, 1.0])
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        new = optimize_kernel_for_sets(
+            list(ova_sets(block, labels).values()), start, restarts=2, rng=rng, fit_weights=False
+        )
+        ref_kernel, _, ref_lml, _ = ref_optimize_hyperparams(
+            ModelSpec(kind="ova", kernel=start, fit_weights=False),
+            block,
+            labels,
+            restarts=2,
+            rng=ref_rng,
+        )
+        assert_same_search(new, (ref_kernel, 0.0, ref_lml))
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_rho_selection(self, seed):
+        X, labels = labelled_two_part_obs(seed, classes=(1, 2), per_class=6)
+        X_old = [x for x, lb in zip(X, labels) if lb == 1]
+        X_new = [x for x, lb in zip(X, labels) if lb == 2][: 1 + seed]
+        base = median_heuristic(ObservationBlock.of(X), X[0].modalities)
+        pooled = X_old + X_new
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        new = optimize_kernel_for_sets(
+            [PooledSet(pooled, (1.0,) * len(pooled), n_old=len(X_old), rho=0.5)],
+            base,
+            restarts=2,
+            rng=rng,
+            fit_weights=False,
+            fit_rho=True,
+        )
+        spec = ModelSpec(
+            kind="gpc", kernel=base, n_old=len(X_old), fit_rho=True, fit_weights=False, rho=0.5
+        )
+        ref_kernel, ref_rho, ref_lml, _ = ref_optimize_hyperparams(
+            spec, pooled, np.ones(len(pooled)), restarts=2, rng=ref_rng
+        )
+        assert_same_search(new, (ref_kernel, ref_rho, ref_lml))
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_transfer_sets_of_the_active_loop(self, seed):
+        X, labels = labelled_two_part_obs(seed, classes=(1, 2, 3), per_class=4)
+        X_old = X[:4]
+        new_groups = {cls: [x for x, lb in zip(X, labels) if lb == cls] for cls in (2, 3)}
+        sets = [
+            PooledSet(
+                X_old + new_groups[2] + new_groups[3],
+                (1.0,) * 8 + (-1.0,) * 4,
+                n_old=4,
+                rho=0.6,
+            ),
+            PooledSet(new_groups[3] + new_groups[2], (1.0,) * 4 + (-1.0,) * 4),
+        ]
+        start = median_heuristic(X, X[0].modalities)
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        new = optimize_kernel_for_sets(sets, start, restarts=2, rng=rng, max_sweeps=3)
+        ref_kernel, ref_lml = ref_optimize_kernel_for_sets(
+            sets, start, restarts=2, rng=ref_rng, max_sweeps=3
+        )
+        assert_same_search(new, (ref_kernel, 0.6, ref_lml))
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_each_start_is_scored_once(self, monkeypatch):
+        X, labels = labelled_two_part_obs(0)
+        block = ObservationBlock.of(X)
+        start = median_heuristic(block, block.modalities)
+        calls = []
+        fit = gp.gpc_fit
+        monkeypatch.setattr(gp, "gpc_fit", lambda *a, **kw: calls.append(1) or fit(*a, **kw))
+        sets = list(ova_sets(block, labels).values())
+        optimize_kernel_for_sets(sets, start, restarts=3, rng=np.random.default_rng(0))
+        new_calls = len(calls)
+        calls.clear()
+        _, _, _, start_lmls = ref_optimize_hyperparams(
+            ModelSpec(kind="ova", kernel=start), block, labels, restarts=3,
+            rng=np.random.default_rng(0),
+        )
+        finite_starts = sum(np.isfinite(f) for f in start_lmls)
+        assert finite_starts > 0
+        assert new_calls == len(calls) - finite_starts * len(sets)
 
 
 class TestOptimizeHyperparams:
-    def test_length_scale_recovery(self):
-        rng = np.random.default_rng(5)
-        X, y = sample_gp_dataset(rng, n=40, length_scale=1.0, noise=0.1)
-        spec = ModelSpec(kind="gpr", kernel=RbfKernel(0.05, 1.0), noise_variance=0.01)
-        opt = optimize_hyperparams(spec, X, y, restarts=3, rng=rng)
-        assert 0.5 <= opt.kernel.length_scale <= 2.0
+    """Properties of the single hyperparameter search."""
 
     def test_fixed_point_of_optimum(self):
+        X, labels = labelled_two_part_obs(6)
+        sets = list(ova_sets(X, labels).values())
+        start = median_heuristic(X, X[0].modalities)
         rng = np.random.default_rng(6)
-        X, y = sample_gp_dataset(rng, n=25)
-        spec = ModelSpec(kind="gpr", kernel=RbfKernel(0.3, 1.0), noise_variance=0.01)
-        first = optimize_hyperparams(spec, X, y, restarts=2, rng=rng, max_sweeps=8)
-        again = optimize_hyperparams(
-            ModelSpec(kind="gpr", kernel=first.kernel, noise_variance=0.01),
-            X,
-            y,
-            restarts=1,
-            rng=rng,
-            max_sweeps=8,
-        )
-        assert again.lml == pytest.approx(first.lml, abs=1e-6)
+        kernel, _, lml = optimize_kernel_for_sets(sets, start, restarts=2, rng=rng, max_sweeps=8)
+        again = optimize_kernel_for_sets(sets, kernel, restarts=1, rng=rng, max_sweeps=8)
+        assert again[2] == pytest.approx(lml, abs=1e-6)
 
     def test_noise_modality_weight_suppressed(self):
         rng = np.random.default_rng(7)
@@ -360,23 +709,31 @@ class TestOptimizeHyperparams:
             ((Modality.FORCE, RbfKernel(1.0, 1.0)), (Modality.THERMAL, RbfKernel(3.0, 1.0))),
             np.array([0.5, 0.5]),
         )
-        opt = optimize_hyperparams(
-            ModelSpec(kind="ova", kernel=start), X, labels, restarts=3, rng=rng
-        )
-        gamma = dict(zip([m for m, _ in opt.kernel.parts], opt.kernel.weights))
+        sets = list(ova_sets(X, labels).values())
+        kernel, _, _ = optimize_kernel_for_sets(sets, start, restarts=3, rng=rng)
+        gamma = dict(zip([m for m, _ in kernel.parts], kernel.weights))
         assert gamma[Modality.THERMAL] <= 0.2
 
     def test_lml_never_below_any_start(self):
-        rng = np.random.default_rng(8)
-        X, y = sample_gp_dataset(rng, n=20)
-        spec = ModelSpec(kind="gpr", kernel=RbfKernel(0.2, 1.0), noise_variance=0.05)
-        opt = optimize_hyperparams(spec, X, y, restarts=4, rng=rng)
-        finite_starts = [s for s in opt.start_lmls if np.isfinite(s)]
-        assert finite_starts
-        assert opt.lml >= max(finite_starts) - 1e-12
+        """The result is no worse than every start: the start kernel itself,
+        and (the draws being made in order) every start of a search with
+        fewer restarts from the same generator seed; with rho fixed and fitted."""
+        X, labels = labelled_two_part_obs(8, classes=(1, 2), per_class=6)
+        start = median_heuristic(X, X[0].modalities)
+        sets = [PooledSet(X, tuple(1.0 if lb == 1 else -1.0 for lb in labels), n_old=3, rho=0.4)]
+        start_lml = sum(s.fit(start).lml for s in sets)
+        for fit_rho in (False, True):
+            lmls = [
+                optimize_kernel_for_sets(
+                    sets, start, restarts=r, rng=np.random.default_rng(8), fit_rho=fit_rho
+                )[2]
+                for r in (1, 2, 4)
+            ]
+            assert start_lml <= lmls[0] <= lmls[1] <= lmls[2], fit_rho
 
     def test_restart_validation(self):
+        start = CombinedKernel(((Modality.FORCE, RbfKernel(1.0)),), np.array([1.0]))
         with pytest.raises(ParameterError):
-            optimize_hyperparams(
-                ModelSpec(kind="gpr", kernel=RbfKernel(1.0)), pts(0.0), [1.0], restarts=0
+            optimize_kernel_for_sets(
+                [PooledSet([force_obs(0.0)], (1.0,))], start, restarts=0
             )

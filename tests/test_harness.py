@@ -24,6 +24,8 @@ from tactilab.harness import (
 from tactilab.seeding import PRIOR_NS, TEST_NS, TRAIN_NS, derive_seed
 from tactilab.signals import load_catalog
 
+from conftest import record_searches
+
 
 def config_dict(**overrides):
     base = {
@@ -118,6 +120,24 @@ class TestConfigParsing:
     def test_integer_fields_reject_bools_and_fractions_by_name(self, field, value):
         with pytest.raises(ConfigError, match=field):
             parse_config(config_dict(**{field: value}))
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("seeds", [1, 1]),
+            ("new_objects", [11, 12, 11]),
+            ("prior_objects", [1, 2, 2]),
+            ("actions", ["P2", "C1", "P2"]),
+        ],
+    )
+    def test_duplicate_entries_rejected_by_name(self, field, value):
+        # A result is keyed by seed (and a model by object and action), so a
+        # repeated entry would silently collapse in the report.
+        raw = config_dict(**{field: value})
+        if field == "seeds":
+            raw["trials"] = len(value)
+        with pytest.raises(ConfigError, match=f"{field} has duplicate entries"):
+            parse_config(raw)
 
     def test_integral_floats_accepted(self):
         config = parse_config(config_dict(budget=3.0, seeds=[1.0, 2]))
@@ -336,6 +356,27 @@ class TestRunExperiment:
             assert sorted(result.curves[mode]) == [1, 3]
         out = tmp_path / "out"
         assert cli_main(["run", str(path), "--out", str(out)]) == 3
+
+    def test_ablation_search_settings(self, monkeypatch, tmp_path):
+        # Four sweeps per search; the combined variant searches the weights
+        # from uniform, each one-hot variant keeps its weights fixed.
+        from tactilab import harness
+
+        calls = record_searches(monkeypatch, harness)
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(_tiny_config(
+            str(tactilab.data_path("catalogs", "sample_catalog.json")),
+            mode="multi_kernel_ablation",
+            budget=0,
+            ablation_sizes=[2],
+        )))
+        result = run_experiment(load_config(path))
+        assert not result.failures
+        n = len(result.modes) - 1
+        one_hots = [tuple(float(i == j) for j in range(n)) for i in range(n)]
+        assert calls == [(4, True, False, None, (1.0 / n,) * n)] + [
+            (4, False, False, None, w) for w in one_hots
+        ]
 
     def test_parallel_jobs_match_serial(self):
         config = parse_config(config_dict(seeds=[1, 2], budget=1))

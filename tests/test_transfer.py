@@ -21,7 +21,7 @@ from tactilab.transfer import (
     select_prior_by_prediction,
 )
 
-from conftest import force_obs
+from conftest import force_obs, record_searches, two_part_obs
 
 ACTION = "P"
 
@@ -121,6 +121,39 @@ class TestSelectByOptimization:
             prior, ACTION, [force_obs(0.1)], 0.6, new_object_id=11, rng=rng
         )
         assert 0.0 <= decision.rho <= 1.0
+
+
+class TestSearchSettings:
+    """Each caller's search settings: four sweeps for the prior models and
+    the rho selection (three for a one-object prior), weights searched
+    except in the rho selection, rho searched from 0.5."""
+
+    def two_part_instances(self, rng, objects):
+        return {
+            ACTION: {
+                obj: [
+                    two_part_obs(obj + 0.2 * rng.standard_normal(), rng.standard_normal(3), obj)
+                    for _ in range(6)
+                ]
+                for obj in objects
+            }
+        }
+
+    def test_prior_models(self, monkeypatch):
+        calls = record_searches(monkeypatch, transfer)
+        rng = np.random.default_rng(20)
+        fit_prior_knowledge(self.two_part_instances(rng, (1, 2, 3)), {}, restarts=2, rng=rng)
+        fit_prior_knowledge(self.two_part_instances(rng, (1,)), {}, restarts=2, rng=rng)
+        assert calls == [(4, True, False, None, (0.5, 0.5)), (3, True, False, None, (0.5, 0.5))]
+
+    def test_rho_selection(self, monkeypatch):
+        rng = np.random.default_rng(21)
+        prior = fit_prior_knowledge(self.two_part_instances(rng, (1, 2)), {}, restarts=1, rng=rng)
+        calls = record_searches(monkeypatch, transfer)
+        X_new = self.two_part_instances(rng, (2,))[ACTION][2]
+        select_prior_by_optimization(prior, ACTION, X_new, 0.6, rng=rng)
+        weights = tuple(prior.kernels[ACTION].weights)
+        assert calls == [(4, False, True, 0.5, weights)] * 2
 
 
 class TestFitDependentGpc:
