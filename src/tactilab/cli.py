@@ -40,6 +40,16 @@ def _apply_overrides(args):
     return parse_config(raw, base_dir=config.base_dir)
 
 
+def _jobs(text: str) -> int:
+    try:
+        jobs = int(text)
+    except ValueError:
+        jobs = 0
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return jobs
+
+
 def _cmd_run(args) -> int:
     config = _apply_overrides(args)
     result = run_experiment(config, jobs=args.jobs)
@@ -134,7 +144,9 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--out", default="out", help="output directory")
     run.add_argument("--mode", choices=[m.value for m in Mode], default=None)
     run.add_argument("--seed-offset", type=int, default=0, dest="seed_offset")
-    run.add_argument("--jobs", type=int, default=1, help="parallel trials")
+    run.add_argument(
+        "--jobs", type=_jobs, default=1, help="worker processes for the trial seeds (>= 1)"
+    )
     run.set_defaults(func=_cmd_run)
 
     testset = sub.add_parser("testset", help="build the held-out test set")

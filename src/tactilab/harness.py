@@ -3,10 +3,13 @@ negative-transfer tests, multi-kernel ablations, and persisted results."""
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import json
 import math
+import os
 import time
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
@@ -252,7 +255,9 @@ def parse_config(raw: dict, base_dir: Optional[str] = None) -> ExperimentConfig:
     early_stop = raw.get("early_stop", False)
     if not isinstance(early_stop, bool):
         raise ConfigError(f"early_stop must be true or false, got {early_stop!r}")
-    sizes = _int_list("ablation_sizes", raw.get("ablation_sizes", [5, 10, 20, 40]))
+    sizes = _distinct(
+        "ablation_sizes", _int_list("ablation_sizes", raw.get("ablation_sizes", [5, 10, 20, 40]))
+    )
     if mode is Mode.MULTI_KERNEL_ABLATION and any(s < len(new) for s in sizes):
         raise ConfigError("ablation_sizes entries must cover one sample per class")
     return ExperimentConfig(
@@ -660,6 +665,90 @@ def _assets(config: ExperimentConfig):
     return _ASSET_CACHE[key]
 
 
+class _DlPhdrInfo(ctypes.Structure):
+    # The leading fields of glibc's ``struct dl_phdr_info``; only the name is read.
+    _fields_ = [("dlpi_addr", ctypes.c_void_p), ("dlpi_name", ctypes.c_char_p)]
+
+
+_PHDR_CALLBACK = ctypes.CFUNCTYPE(
+    ctypes.c_int, ctypes.POINTER(_DlPhdrInfo), ctypes.c_size_t, ctypes.c_void_p
+)
+
+
+def _loaded_openblas() -> list[tuple[str, ctypes.CDLL]]:
+    """(path, handle) of every OpenBLAS loaded in this process (numpy and
+    scipy each bundle one), found by walking the loaded shared objects with
+    ``dl_iterate_phdr`` as threadpoolctl does. Empty where libc lacks it."""
+    libc = ctypes.CDLL(None) if os.name == "posix" else None
+    iterate = getattr(libc, "dl_iterate_phdr", None)
+    if iterate is None:
+        return []
+    iterate.argtypes = [_PHDR_CALLBACK, ctypes.c_void_p]
+    iterate.restype = ctypes.c_int
+    paths: list[str] = []
+
+    def collect(info, _size, _data) -> int:
+        name = info.contents.dlpi_name
+        if name and b"openblas" in os.path.basename(name).lower():
+            paths.append(os.fsdecode(name))
+        return 0
+
+    iterate(_PHDR_CALLBACK(collect), None)
+    return [(path, ctypes.CDLL(path, mode=os.RTLD_NOLOAD)) for path in paths]
+
+
+def _blas_thread_controls(lib) -> Optional[tuple]:
+    """The (get, set) thread-count functions of one OpenBLAS: the names of
+    the scipy-openblas builds (``64_`` for numpy's 64-bit-index one), then
+    the plain OpenBLAS names. None when it exports none of them."""
+    for prefix in ("scipy_openblas", "openblas"):
+        for suffix in ("64_", ""):
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return None
+
+
+class SingleThreadedBlas:
+    """Every loaded OpenBLAS runs one thread from construction on; as a
+    context manager it restores the previous counts on exit.
+
+    A trial's matrices have a few dozen rows, too small for BLAS threads to
+    pay, and OpenBLAS sizes its pool to the cores: two ``--jobs`` workers
+    would run twice as many spinning BLAS threads as there are cores. As a
+    pool initializer it caps each worker for the worker's life. A loaded
+    OpenBLAS without the thread-count symbols keeps its count, with one
+    RuntimeWarning."""
+
+    def __init__(self) -> None:
+        self._previous = []
+        uncapped = []
+        for path, lib in _loaded_openblas():
+            controls = _blas_thread_controls(lib)
+            if controls is None:
+                uncapped.append(path)
+                continue
+            get, set_ = controls
+            self._previous.append((set_, get()))
+            set_(1)
+        if uncapped:
+            warnings.warn(
+                f"BLAS threads not capped: no set_num_threads symbol in {uncapped}",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+
+    def __enter__(self) -> "SingleThreadedBlas":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        for set_, count in self._previous:
+            set_(count)
+
+
 def _run_seed(config: ExperimentConfig, seed: int) -> dict[str, TrialResult]:
     """Both modes of one seed. A numpy/scipy failure (LinAlgError, the
     ValueError of a non-finite feature or matrix) is raised as a
@@ -687,47 +776,57 @@ def _run_seed_worker(args):
 
 
 def run_experiment(config: ExperimentConfig, jobs: int = 1) -> RunResult:
-    """Run every trial of the configured experiment and aggregate."""
+    """Run every trial of the configured experiment and aggregate.
+
+    With ``jobs`` > 1 the seeds run in a process pool of at most one
+    worker per seed; the multi-kernel ablation always runs its seeds here.
+    BLAS runs single-threaded in every process that runs trials, this one
+    until the call returns."""
+    jobs = _int_field("jobs", jobs)
+    if jobs < 1:
+        raise ConfigError(f"jobs must be >= 1, got {jobs}")
     start = time.perf_counter()
-    if config.mode is Mode.MULTI_KERNEL_ABLATION:
-        return _run_ablation(config, start)
+    with SingleThreadedBlas():
+        if config.mode is Mode.MULTI_KERNEL_ABLATION:
+            return _run_ablation(config, start)
 
-    modes = _modes_for(config)
-    result = RunResult(
-        config=config.to_dict(),
-        config_hash=config_hash(config),
-        modes=modes,
-        curves={m: {} for m in modes},
-        decisions={m: {} for m in modes},
-        gamma_traces={m: {} for m in modes},
-        records={m: {} for m in modes},
-    )
-    _assets(config)  # build shared assets (and fail fast) before any trial
+        modes = _modes_for(config)
+        result = RunResult(
+            config=config.to_dict(),
+            config_hash=config_hash(config),
+            modes=modes,
+            curves={m: {} for m in modes},
+            decisions={m: {} for m in modes},
+            gamma_traces={m: {} for m in modes},
+            records={m: {} for m in modes},
+        )
+        _assets(config)  # build shared assets (and fail fast) before any trial
 
-    per_seed: dict[int, dict[str, TrialResult]] = {}
-    if jobs > 1:
-        args = [(config.to_dict(), config.base_dir, seed) for seed in config.seeds]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for seed, trials, error in pool.map(_run_seed_worker, args):
-                if error is not None:
-                    result.failures.append(f"seed {seed}: {error}")
-                else:
-                    per_seed[seed] = trials
-    else:
-        for seed in config.seeds:
-            try:
-                per_seed[seed] = _run_seed(config, seed)
-            except TactilabError as exc:
-                result.failures.append(f"seed {seed}: {exc}")
+        per_seed: dict[int, dict[str, TrialResult]] = {}
+        workers = min(jobs, len(config.seeds))
+        if workers > 1:
+            args = [(config.to_dict(), config.base_dir, seed) for seed in config.seeds]
+            with ProcessPoolExecutor(max_workers=workers, initializer=SingleThreadedBlas) as pool:
+                for seed, trials, error in pool.map(_run_seed_worker, args):
+                    if error is not None:
+                        result.failures.append(f"seed {seed}: {error}")
+                    else:
+                        per_seed[seed] = trials
+        else:
+            for seed in config.seeds:
+                try:
+                    per_seed[seed] = _run_seed(config, seed)
+                except TactilabError as exc:
+                    result.failures.append(f"seed {seed}: {exc}")
 
-    for seed in sorted(per_seed):
-        for mode_name, trial in per_seed[seed].items():
-            result.curves[mode_name][seed] = trial.curve
-            result.decisions[mode_name][seed] = trial.decisions
-            result.gamma_traces[mode_name][seed] = trial.gamma_trace
-            result.records[mode_name][seed] = trial.records
-    result.wall_clock_s = time.perf_counter() - start
-    return result
+        for seed in sorted(per_seed):
+            for mode_name, trial in per_seed[seed].items():
+                result.curves[mode_name][seed] = trial.curve
+                result.decisions[mode_name][seed] = trial.decisions
+                result.gamma_traces[mode_name][seed] = trial.gamma_trace
+                result.records[mode_name][seed] = trial.records
+        result.wall_clock_s = time.perf_counter() - start
+        return result
 
 
 # ---------------------------------------------------------------------------

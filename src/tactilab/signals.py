@@ -173,13 +173,6 @@ class SensorTrace:
     sample_rate: float
     kind: ActionKind
 
-    @property
-    def n_samples(self) -> int:
-        for arr in (self.forces, self.temps, self.accels):
-            if arr is not None:
-                return arr.shape[-1]
-        return 0
-
 
 @dataclass
 class Catalog:

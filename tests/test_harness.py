@@ -1,5 +1,7 @@
 import json
+import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -128,6 +130,7 @@ class TestConfigParsing:
             ("new_objects", [11, 12, 11]),
             ("prior_objects", [1, 2, 2]),
             ("actions", ["P2", "C1", "P2"]),
+            ("ablation_sizes", [5, 5]),
         ],
     )
     def test_duplicate_entries_rejected_by_name(self, field, value):
@@ -378,11 +381,139 @@ class TestRunExperiment:
             (4, False, False, None, w) for w in one_hots
         ]
 
-    def test_parallel_jobs_match_serial(self):
+    def test_parallel_jobs_match_serial(self, tmp_path):
         config = parse_config(config_dict(seeds=[1, 2], budget=1))
         serial = run_experiment(config, jobs=1)
         parallel = run_experiment(config, jobs=2)
         assert serial.curves == parallel.curves
+        serial_paths = write_report(serial, tmp_path / "serial")
+        parallel_paths = write_report(parallel, tmp_path / "parallel")
+        for name in ("curves", "summary"):
+            assert serial_paths[name].read_bytes() == parallel_paths[name].read_bytes()
+
+
+def _report_blas_threads(monkeypatch, controls):
+    """Make every trial return, as its curve, the thread count that each of
+    ``controls`` reports in the process that runs the trial."""
+    from tactilab import harness
+
+    def report(config, catalog, prior, projectors, evaluate, seed, use_prior):
+        mode = "transfer" if use_prior else "no_transfer"
+        threads = [float(get()) for get, _ in controls]
+        return harness.TrialResult(seed, mode, threads, [], [], [])
+
+    monkeypatch.setattr(harness, "run_trial", report)
+
+
+class FakeOpenBlas:
+    """An OpenBLAS that exports only the plain OpenBLAS thread-count names."""
+
+    def __init__(self, threads):
+        self.threads = threads
+
+        def get():
+            return self.threads
+
+        def set_(count):
+            self.threads = count
+
+        self.openblas_get_num_threads = get
+        self.openblas_set_num_threads = set_
+
+
+class TestJobs:
+    def tiny_config(self, **overrides):
+        catalog = str(tactilab.data_path("catalogs", "sample_catalog.json"))
+        return parse_config(_tiny_config(catalog, **overrides))
+
+    @pytest.mark.parametrize("jobs", [0, -2])
+    def test_jobs_below_one_rejected(self, jobs):
+        with pytest.raises(ConfigError, match="jobs must be >= 1"):
+            run_experiment(self.tiny_config(), jobs=jobs)
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_cli_jobs_below_one_exit_2(self, tmp_path, capsys, jobs):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config_dict(seeds=[1], budget=1)))
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(["run", str(path), "--out", str(out), "--jobs", jobs])
+        assert exit_info.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "seeds, jobs, workers", [([1, 2, 3], 8, [3]), ([1, 2], 2, [2]), ([1], 2, [])]
+    )
+    def test_pool_never_has_more_workers_than_seeds(self, monkeypatch, seeds, jobs, workers):
+        # The recording pool runs its tasks in this process: no worker starts.
+        from tactilab import harness
+
+        pools = []
+
+        class RecordingPool:
+            def __init__(self, max_workers, initializer):
+                pools.append(max_workers)
+                assert initializer is harness.SingleThreadedBlas
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return None
+
+            def map(self, fn, iterable):
+                return map(fn, iterable)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        _report_blas_threads(monkeypatch, [])
+        result = run_experiment(self.tiny_config(seeds=seeds), jobs=jobs)
+        assert pools == workers
+        assert sorted(result.curves["transfer"]) == seeds
+
+    @pytest.mark.skipif(
+        not sys.platform.startswith("linux"),
+        reason="the OpenBLAS lookup walks the loaded objects with dl_iterate_phdr",
+    )
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_trials_run_one_blas_thread_and_the_caller_keeps_its_counts(self, monkeypatch, jobs):
+        from tactilab import harness
+
+        # numpy's and scipy's Linux wheels each bundle an OpenBLAS.
+        controls = [harness._blas_thread_controls(lib) for _, lib in harness._loaded_openblas()]
+        assert controls and None not in controls
+        originals = [get() for get, _ in controls]
+        _report_blas_threads(monkeypatch, controls)
+        config = self.tiny_config(seeds=[1, 2])
+        try:
+            # Two threads each, whatever the cores: the run must lower and restore them.
+            for _, set_ in controls:
+                set_(2)
+            result = run_experiment(config, jobs=jobs)
+            after = [get() for get, _ in controls]
+        finally:
+            for (_, set_), count in zip(controls, originals):
+                set_(count)
+        assert not result.failures
+        curves = [c for per in result.curves.values() for c in per.values()]
+        assert len(curves) == 4
+        assert all(curve == [1.0] * len(controls) for curve in curves)
+        assert after == [2] * len(controls)
+
+    def test_library_without_the_symbols_keeps_its_count_with_one_warning(self, monkeypatch):
+        from tactilab import harness
+
+        plain = FakeOpenBlas(threads=4)
+        bare = SimpleNamespace()  # exports no thread-count symbol
+        monkeypatch.setattr(
+            harness, "_loaded_openblas", lambda: [("libopenblas.so", plain), ("libbare.so", bare)]
+        )
+        with pytest.warns(RuntimeWarning, match="libbare.so") as warned:
+            with harness.SingleThreadedBlas():
+                assert plain.threads == 1
+        assert len(warned) == 1
+        assert "libopenblas.so" not in str(warned[0].message)
+        assert plain.threads == 4
 
 
 class TestEvaluatorMemo:
