@@ -9,20 +9,29 @@ multi-start coordinate ascent on the summed binary Laplace log marginal
 likelihood of a list of ``PooledSet``s. A one-vs-all ensemble is one set per
 class, all over the same observation block (``ova_sets``); relatedness
 selection is one set whose transfer-block rho joins the parameter vector.
+The search scores points in batches: all starts at once, then each scan of a
+sweep scores every remaining step from the current point and takes the first
+that improves (the speculative sweep), which is the path of trying one step
+at a time. A batch's grams come from one ``training_grams`` call per set,
+and all its (point, set) problems of one size are solved in one stacked
+Newton iteration (``_laplace_modes``); ``gpc_fit`` is that iteration's
+one-problem case. A decoded kernel is solved at most once per search.
 
 Every factorization and solve calls LAPACK directly (``dpotrf``, ``dpotrs``,
 ``dtrtrs``) with the arguments scipy's ``cholesky`` / ``cho_solve`` /
-``solve_triangular`` pass, so results are bit-identical to those wrappers
-without their per-call validation. Finiteness is checked explicitly instead:
-once per fit on the gram, once per Newton step on the stationarity residual
-and once per prediction on the cross-covariance; each raises NumericalError.
-"""
+``solve_triangular`` pass, one matrix per call, so results are bit-identical
+to those wrappers without their per-call validation; the stacked steps
+(elementwise ops, ``matmul`` matrix-vector products, row reductions) give
+each problem the bits of a fit on its own. Finiteness is checked explicitly
+instead: once per fit on the gram, once per Newton step on the stationarity
+residual and once per prediction on the cross-covariance; each raises
+NumericalError (a stacked problem fails alone)."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from dataclasses import dataclass, field
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
@@ -38,6 +47,7 @@ from .kernels import (
     prediction_diag,
     project_simplex,
     training_gram,
+    training_grams,
 )
 
 GRAM_JITTER = 1e-8
@@ -166,72 +176,150 @@ class BinaryGpcModel:
     iterations: int = 0
 
 
-def gpc_fit(kernel, X_train, labels, n_old: int = 0) -> BinaryGpcModel:
-    """Newton iteration to the Laplace mode of the latent posterior
-    (Rasmussen & Williams, GPML Alg. 3.1)."""
-    X_train = ObservationBlock.of(X_train)
-    y = np.asarray(labels, dtype=float).ravel()
-    if y.size != len(X_train):
+class _LaplaceMode(NamedTuple):
+    f_hat: np.ndarray
+    grad_hat: np.ndarray
+    w_sqrt: np.ndarray
+    chol_b: np.ndarray
+    lml: float
+    stationarity: float
+    iterations: int
+
+
+def _check_binary_problem(y: np.ndarray, n: int, n_old: int) -> None:
+    if y.size != n:
         raise ParameterError("labels must match training inputs")
+    if n == 0:
+        raise ParameterError("a binary fit needs at least one training point")
     if not np.all((y == 1.0) | (y == -1.0)):
         raise ParameterError("binary labels must be -1 or +1")
-    t = 0.5 * (y + 1.0)
-    n = y.size
+    if not 0 <= n_old < n:
+        raise ParameterError(f"n_old must lie in [0, {n}) for {n} training points, got {n_old}")
+
+
+def _matvec(k: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """k[j] @ v[j] for every j: one gemv per matrix, as for a single one."""
+    return np.matmul(k, v[..., None])[..., 0]
+
+
+def _laplace_modes(k: np.ndarray, y: np.ndarray) -> list:
+    """Newton iteration to the Laplace mode of the latent posterior
+    (Rasmussen & Williams, GPML Alg. 3.1) for a stack of binary problems of
+    one size: ``k`` holds the (m, n, n) jittered grams, ``y`` the (m, n)
+    labels in {-1, +1}. Returns one entry per problem, its ``_LaplaceMode``
+    or the error its fit raised (NumericalError, LinAlgError or
+    ConvergenceError).
+
+    The elementwise steps, the matrix-vector products (stacked ``matmul``)
+    and the row reductions run over the whole stack; ``dpotrf`` / ``dpotrs``
+    run per matrix, as a stacked Cholesky is not bit-identical to them. A
+    problem leaves the stack when it converges or fails, so its numbers are
+    those of a fit on its own."""
+    m, n = y.shape
     eye = np.eye(n)
-    k = training_gram(kernel, X_train, n_old) + GRAM_JITTER * eye
+    out: list = [None] * m
     # A finite gram keeps every B = I + W^1/2 K W^1/2 finite; a step that
     # turns non-finite shows up in the residual, checked at every step.
-    _check_finite(k, "training gram")
-
-    f = np.zeros(n)
-    a = np.zeros(n)
+    finite = np.isfinite(k).all(axis=(1, 2))
+    ids = np.flatnonzero(finite)
+    if ids.size < m:
+        for i in np.flatnonzero(~finite):
+            out[i] = NumericalError("training gram has non-finite entries")
+        k, y = k[ids], y[ids]
+    t = 0.5 * (y + 1.0)
+    f = np.zeros((ids.size, n))
     pi = expit(f)
-    trace = []
-    converged = False
-    for _ in range(LAPLACE_MAX_ITER):
+    history = []  # (ids, residuals) per iteration
+    for it in range(1, LAPLACE_MAX_ITER + 1):
+        if not ids.size:
+            break
         w = pi * (1.0 - pi)
         w_sqrt = np.sqrt(w)
-        chol_b = _factor(eye + (w_sqrt[:, None] * k) * w_sqrt[None, :])
         b = w * f + (t - pi)
-        a = b - w_sqrt * _cho_solve(chol_b, w_sqrt * (k @ b))
-        f = k @ a
+        rhs = w_sqrt * _matvec(k, b)
+        solved = np.zeros_like(rhs)
+        failed = []
+        for j, mat in enumerate(eye + (w_sqrt[:, :, None] * k) * w_sqrt[:, None, :]):
+            try:
+                solved[j] = _cho_solve(_factor(mat), rhs[j])
+            except np.linalg.LinAlgError as exc:
+                out[ids[j]] = exc
+                failed.append(j)
+        a = b - w_sqrt * solved
+        f = _matvec(k, a)
         pi = expit(f)
-        residual = float(np.max(np.abs((t - pi) - a)))
-        if not math.isfinite(residual):
-            raise NumericalError(
-                f"Laplace mode search hit a non-finite residual at iteration "
-                f"{len(trace) + 1}"
+        residual = np.abs((t - pi) - a).max(axis=1)
+        history.append((ids, residual))
+        # The sum is non-finite when any residual is (NaN compares False).
+        last = it == LAPLACE_MAX_ITER
+        if not (failed or last or residual.min() < LAPLACE_TOL or not residual.sum() < np.inf):
+            continue
+        keep = np.ones(ids.size, dtype=bool)
+        keep[failed] = False
+        converged = []
+        running = (residual >= LAPLACE_TOL) & (residual < np.inf)
+        for j in np.flatnonzero(keep if last else keep & ~running):
+            keep[j] = False
+            if not math.isfinite(residual[j]):
+                out[ids[j]] = NumericalError(
+                    f"Laplace mode search hit a non-finite residual at iteration {it}"
+                )
+            elif residual[j] >= 1e-6:
+                trace = [float(r[i == ids[j]][0]) for i, r in history]
+                out[ids[j]] = ConvergenceError(
+                    f"Laplace mode search stalled at residual {trace[-1]:.3e} "
+                    f"after {it} iterations",
+                    trace=trace,
+                )
+            else:
+                converged.append(j)
+        if converged:
+            _finish(
+                eye, k[converged], y[converged], f[converged], a[converged], pi[converged],
+                residual[converged], it, ids[converged], out,
             )
-        trace.append(residual)
-        if residual < LAPLACE_TOL:
-            converged = True
-            break
-    if not converged and trace[-1] >= 1e-6:
-        raise ConvergenceError(
-            f"Laplace mode search stalled at residual {trace[-1]:.3e} "
-            f"after {len(trace)} iterations",
-            trace=trace,
-        )
+        ids, k, y, t, f, pi = ids[keep], k[keep], y[keep], t[keep], f[keep], pi[keep]
+    return out
+
+
+def _finish(eye, k, y, f, a, pi, residual, iterations, ids, out) -> None:
+    """Laplace LML (GPML Alg. 3.2 without the gradient) at the converged
+    modes of a stack, each entered in ``out`` as its ``_LaplaceMode``."""
     w_sqrt = np.sqrt(pi * (1.0 - pi))
-    chol_b = _factor(eye + (w_sqrt[:, None] * k) * w_sqrt[None, :])
+    chols = []
+    diag = np.ones_like(f)
+    for j, mat in enumerate(eye + (w_sqrt[:, :, None] * k) * w_sqrt[:, None, :]):
+        try:
+            chols.append(_factor(mat))
+            diag[j] = np.diag(chols[j])
+        except np.linalg.LinAlgError as exc:
+            out[ids[j]] = exc
+            chols.append(None)
     lml = (
-        -0.5 * float(a @ f)
-        + float(np.sum(_log_sigmoid(y * f)))
-        - float(np.sum(np.log(np.diag(chol_b))))
+        -0.5 * np.matmul(a[:, None, :], f[:, :, None])[:, 0, 0]
+        + _log_sigmoid(y * f).sum(axis=1)
+        - np.log(diag).sum(axis=1)
     )
-    return BinaryGpcModel(
-        kernel,
-        X_train,
-        y,
-        n_old,
-        f_hat=f,
-        grad_hat=t - pi,
-        w_sqrt=w_sqrt,
-        chol_b=chol_b,
-        lml=lml,
-        stationarity=trace[-1],
-        iterations=len(trace),
-    )
+    grad = 0.5 * (y + 1.0) - pi
+    for j, chol in enumerate(chols):
+        if chol is not None:
+            out[ids[j]] = _LaplaceMode(
+                f[j], grad[j], w_sqrt[j], chol, float(lml[j]), float(residual[j]), iterations
+            )
+
+
+def gpc_fit(kernel, X_train, labels, n_old: int = 0) -> BinaryGpcModel:
+    """Newton iteration to the Laplace mode of the latent posterior
+    (Rasmussen & Williams, GPML Alg. 3.1): the one-problem case of
+    ``_laplace_modes``."""
+    X_train = ObservationBlock.of(X_train)
+    y = np.asarray(labels, dtype=float).ravel()
+    _check_binary_problem(y, len(X_train), n_old)
+    k = training_gram(kernel, X_train, n_old) + GRAM_JITTER * np.eye(y.size)
+    (mode,) = _laplace_modes(k[None], y[None])
+    if isinstance(mode, Exception):
+        raise mode
+    return BinaryGpcModel(kernel, X_train, y, n_old, **mode._asdict())
 
 
 def gpc_predict_batch(model: BinaryGpcModel, X_star) -> np.ndarray:
@@ -357,34 +445,90 @@ _BOUNDS = {
 }
 
 
-def _coordinate_ascent(objective, x, fx, names, max_sweeps):
+def _sweep_steps(x, steps, names, first):
+    """The trial points of a sweep from ``x``, coordinate ``first`` onward:
+    (coordinate, point) per step, coordinate then +/- order, each clipped to
+    its block's range and left out when clipping leaves it at ``x``."""
+    trials = []
+    for i in range(first, x.size):
+        lo, hi = _BOUNDS[names[i]]
+        for direction in (1.0, -1.0):
+            trial = x.copy()
+            trial[i] += direction * steps[i]
+            trial[i] = min(max(trial[i], lo), hi)
+            if trial[i] != x[i]:
+                trials.append((i, trial))
+    return trials
+
+
+def _coordinate_ascent(score, x, fx, names, max_sweeps):
     """Greedy per-coordinate search from ``x``, whose objective value is
-    ``fx``; ``names`` gives each coordinate's parameter block.
+    ``fx``; ``names`` gives each coordinate's parameter block and ``score``
+    maps a list of points to their objective values.
 
     A step is accepted only when it improves the objective by more than
     IMPROVE_TOL, so near-flat likelihoods (e.g. one observation per class)
-    keep their start point instead of drifting on noise."""
+    keep their start point instead of drifting on noise. Each scan scores
+    all of the sweep's remaining steps from ``x`` in one call and takes the
+    first that improves, then scans on from the next coordinate. A point's
+    value depends only on the point, so the path is that of trying one step
+    at a time."""
     steps = np.array([math.log(3.0) if name == "ls" else 0.25 for name in names])
     for _ in range(max_sweeps):
         improved = False
-        for i in range(x.size):
-            for direction in (1.0, -1.0):
-                trial = x.copy()
-                trial[i] += direction * steps[i]
-                lo, hi = _BOUNDS[names[i]]
-                trial[i] = min(max(trial[i], lo), hi)
-                if trial[i] == x[i]:
-                    continue
-                ft = objective(trial)
+        first = 0
+        while first < x.size:
+            trials = _sweep_steps(x, steps, names, first)
+            for (i, trial), ft in zip(trials, score([trial for _, trial in trials])):
                 if ft > fx + IMPROVE_TOL:
-                    x, fx = trial, ft
-                    improved = True
+                    x, fx, first, improved = trial, ft, i + 1, True
                     break
+            else:
+                break
         if not improved:
             steps *= 0.5
             if np.max(steps) < 0.02:
                 break
     return x, fx
+
+
+def _summed_lmls(sets: Sequence[PooledSet], kernels: list, rhos: Optional[list]) -> list:
+    """Laplace LML of every set under each kernel, summed in set order: the
+    value of ``sum(s.fit(kernel).lml for s in sets)``, or -inf when a fit
+    fails. ``rhos`` gives each kernel's rho for every set; without it each
+    set keeps its own.
+
+    Each set's grams come from one ``training_grams`` call over its block
+    (sets holding the same block and split share them), and every (kernel,
+    set) problem of one size joins one ``_laplace_modes`` stack."""
+    m = len(kernels)
+    grams_of: dict = {}
+    stacks: dict = {}  # size -> (grams, labels, set indices)
+    for si, s in enumerate(sets):
+        set_rhos = tuple(rhos) if rhos is not None else (s.rho,) * m
+        key = (id(s.X), s.n_old, set_rhos if s.n_old else None)
+        grams = grams_of.get(key)
+        if grams is None:
+            stacked = kernels
+            if s.n_old:
+                stacked = [DependentKernel(kern, rho) for kern, rho in zip(kernels, set_rhos)]
+            grams = grams_of[key] = training_grams(stacked, s.X, s.n_old)
+        grams_list, labels, indices = stacks.setdefault(len(s.X), ([], [], []))
+        grams_list.append(grams)
+        labels.append(np.broadcast_to(np.asarray(s.y, dtype=float), (m, len(s.X))))
+        indices.append(si)
+    lml = np.empty((len(sets), m))
+    failed = np.zeros(m, dtype=bool)
+    for n, (grams_list, labels, indices) in stacks.items():
+        k = np.concatenate(grams_list) + GRAM_JITTER * np.eye(n)
+        modes = _laplace_modes(k, np.concatenate(labels))
+        for row, si in enumerate(indices):
+            for i, mode in enumerate(modes[row * m : (row + 1) * m]):
+                if isinstance(mode, Exception):
+                    failed[i] = True
+                else:
+                    lml[si, i] = mode.lml
+    return [-np.inf if failed[i] else sum(lml[:, i].tolist()) for i in range(m)]
 
 
 def optimize_kernel_for_sets(
@@ -406,10 +550,21 @@ def optimize_kernel_for_sets(
     ``fit_weights`` and the kernel has two or more parts][rho, when
     ``fit_rho``]. The starts are ``kernel_start`` and ``restarts - 1``
     random draws from ``rng``, each drawn block by block in that order.
-    Returns (kernel, rho, lml); the LML is never below that of any finite
-    start. Raises OptimizationError when every start scores -inf."""
+    Points are scored in batches (all starts, then each scan of a sweep);
+    a point whose decoded kernel and rho were scored before in the same
+    search is not solved again. Returns (kernel, rho, lml); the LML is
+    never below that of any finite start. Raises OptimizationError when
+    every start scores -inf."""
     if restarts < 1:
         raise ParameterError("restarts must be >= 1")
+    if not sets:
+        raise ParameterError("optimize_kernel_for_sets needs at least one set")
+    if not isinstance(kernel_start, CombinedKernel):
+        raise TypeError(
+            f"kernel_start must be a CombinedKernel, got {type(kernel_start).__name__}"
+        )
+    for s in sets:
+        _check_binary_problem(np.asarray(s.y, dtype=float), len(s.X), s.n_old)
     rng = rng if rng is not None else np.random.default_rng(0)
     parts = kernel_start.parts
     k = len(parts)
@@ -426,18 +581,29 @@ def optimize_kernel_for_sets(
         ls = np.exp(params[:k])
         gamma = project_simplex(params[k : 2 * k]) if fit_gamma else kernel_start.weights
         rho = float(np.clip(params[-1], 0.0, 1.0)) if fit_rho else rho_start
+        return ls, gamma, rho
+
+    def build(ls, gamma):
         new_parts = tuple(
             (mod, RbfKernel(ls[i], p.signal_variance)) for i, (mod, p) in enumerate(parts)
         )
-        return CombinedKernel(new_parts, gamma), rho
+        return CombinedKernel(new_parts, gamma)
 
-    def objective(params):
-        kernel, rho = decode(params)
-        fit_sets = [replace(s, rho=rho) for s in sets] if fit_rho else sets
-        try:
-            return sum(s.fit(kernel).lml for s in fit_sets)
-        except (NumericalError, ConvergenceError, np.linalg.LinAlgError):
-            return -np.inf
+    scored: dict = {}  # bytes of the decoded (length scales, weights, rho) -> objective
+
+    def score(points):
+        keys, fresh = [], {}
+        for params in points:
+            ls, gamma, rho = decode(params)
+            key = np.concatenate([ls, gamma, [rho]]).tobytes()
+            keys.append(key)
+            if key not in scored:
+                fresh.setdefault(key, (ls, gamma, rho))
+        if fresh:
+            kernels = [build(ls, gamma) for ls, gamma, _ in fresh.values()]
+            rhos = [rho for _, _, rho in fresh.values()] if fit_rho else None
+            scored.update(zip(fresh, _summed_lmls(sets, kernels, rhos)))
+        return [scored[key] for key in keys]
 
     x0 = [math.log(p.length_scale) for _, p in parts]
     if fit_gamma:
@@ -455,14 +621,13 @@ def optimize_kernel_for_sets(
         starts.append(np.array(vec))
 
     results, diagnostics = [], []
-    for start in starts:
-        f_start = objective(start)
+    for start, f_start in zip(starts, score(starts)):
         if not np.isfinite(f_start):
             diagnostics.append(f"start {start} -> non-finite objective")
             continue
-        results.append(_coordinate_ascent(objective, start, f_start, names, max_sweeps))
+        results.append(_coordinate_ascent(score, start, f_start, names, max_sweeps))
     if not results:
         raise OptimizationError("all restarts failed", diagnostics=diagnostics)
     best_x, best_f = max(results, key=lambda r: r[1])
-    kernel, rho = decode(best_x)
-    return kernel, rho, best_f
+    ls, gamma, rho = decode(best_x)
+    return build(ls, gamma), rho, best_f

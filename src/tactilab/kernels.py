@@ -45,10 +45,6 @@ def _sqdist(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     return np.maximum(xn + yn - 2.0 * xs @ ys.T, 0.0)
 
 
-def _rbf_from_sq(kernel: RbfKernel, sq: np.ndarray) -> np.ndarray:
-    return kernel.signal_variance * np.exp(-sq / (2.0 * kernel.length_scale**2))
-
-
 def _frozen(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
@@ -224,17 +220,51 @@ def _block(kernel, X) -> ObservationBlock:
     return block
 
 
-def _kernel_matrix(kernel, shape: tuple[int, int], sq_of) -> np.ndarray:
-    """The kernel on squared distances ``sq_of(modality)``: one RBF, or the
-    gamma-weighted sum of the parts (parts with gamma 0 skipped)."""
+def _part_terms(kernel) -> list:
+    """(modality, gamma, signal variance, 2 l^2) of each part; a bare RBF is
+    one part of weight 1 (``0 + 1 * k`` is ``k`` bit for bit)."""
     if isinstance(kernel, RbfKernel):
-        return _rbf_from_sq(kernel, sq_of(None))
-    out = np.zeros(shape)
-    for gamma, (mod, part) in zip(kernel.weights, kernel.parts):
-        if gamma == 0.0:
+        return [(None, 1.0, kernel.signal_variance, 2.0 * kernel.length_scale**2)]
+    return [
+        (mod, gamma, part.signal_variance, 2.0 * part.length_scale**2)
+        for gamma, (mod, part) in zip(kernel.weights, kernel.parts)
+    ]
+
+
+def _kernel_matrices(kernels: Sequence, shape: tuple[int, int], sq_of) -> np.ndarray:
+    """The kernels on squared distances ``sq_of(modality)``, stacked: for
+    each, the gamma-weighted sum of its parts' RBFs, parts with gamma 0
+    skipped. All kernels share one layout; each part's distances are shared,
+    only the exp and the scalars are per kernel, in the order a single kernel
+    computes them. (A live term is never -0, so the first one needs no
+    zeros to be added to.)"""
+    terms = [_part_terms(kernel) for kernel in kernels]
+    modalities = [mod for mod, *_ in terms[0]]
+    if any([mod for mod, *_ in t] != modalities for t in terms[1:]):
+        raise SegmentationError("kernels stacked over one block must share their parts")
+    out = None
+    for j, mod in enumerate(modalities):
+        live = [i for i, t in enumerate(terms) if t[j][1] != 0.0]
+        if not live:
             continue
-        out += gamma * _rbf_from_sq(part, sq_of(mod))
-    return out
+        if len(kernels) == 1:  # plain scalars: a (1, 1, 1) array costs more per op
+            gamma, variance, denom = terms[0][j][1:]
+        else:
+            gamma, variance, denom = np.array([terms[i][j][1:] for i in live]).T[..., None, None]
+        term = gamma * (variance * np.exp(-sq_of(mod) / denom))
+        if len(live) == len(kernels):
+            out = term if out is None else out + term
+        else:
+            if out is None:
+                out = np.zeros((len(kernels),) + shape)
+            out[live] += term
+    if out is None:
+        return np.zeros((len(kernels),) + shape)
+    return out.reshape((len(kernels),) + shape)
+
+
+def _symmetric(k: np.ndarray) -> np.ndarray:
+    return 0.5 * (k + k.swapaxes(-1, -2))
 
 
 def cross_gram(kernel, X, Y) -> np.ndarray:
@@ -242,18 +272,20 @@ def cross_gram(kernel, X, Y) -> np.ndarray:
     X, Y = _block(kernel, X), _block(kernel, Y)
     if not (len(X) and len(Y)):
         return np.zeros((len(X), len(Y)))
-    return _kernel_matrix(
-        kernel, (len(X), len(Y)), lambda mod: _sqdist(X.matrix(mod), Y.matrix(mod))
-    )
+    return _kernel_matrices(
+        [kernel], (len(X), len(Y)), lambda mod: _sqdist(X.matrix(mod), Y.matrix(mod))
+    )[0]
 
 
 def gram(kernel, X) -> np.ndarray:
     """Symmetric kernel matrix over one observation block or list."""
     if len(X) == 0:
         raise ParameterError("gram of an empty observation list")
-    X = _block(kernel, X)
-    k = _kernel_matrix(kernel, (len(X), len(X)), X.sqdist)
-    return 0.5 * (k + k.T)
+    return _grams([kernel], _block(kernel, X))[0]
+
+
+def _grams(kernels: Sequence, X: ObservationBlock) -> np.ndarray:
+    return _symmetric(_kernel_matrices(kernels, (len(X), len(X)), X.sqdist))
 
 
 def kernel_diag(kernel, X) -> np.ndarray:
@@ -280,21 +312,21 @@ class DependentKernel:
 
 
 def _dependent_from(
-    kernel: DependentKernel, n_old: int, n_new: int, oo_of, nn_of, on_of
+    kernels: Sequence[DependentKernel], n_old: int, n_new: int, oo_of, nn_of, on_of
 ) -> np.ndarray:
-    """[[K_oo, rho K_on], [rho K_no, K_nn]] from the old-old, new-new and
-    old-new squared distances per modality."""
-    base = kernel.base
-    k_oo = _kernel_matrix(base, (n_old, n_old), oo_of)
-    k_nn = _kernel_matrix(base, (n_new, n_new), nn_of)
-    k_on = _kernel_matrix(base, (n_old, n_new), on_of)
-    out = np.empty((n_old + n_new, n_old + n_new))
-    out[:n_old, :n_old] = 0.5 * (k_oo + k_oo.T)
-    out[n_old:, n_old:] = 0.5 * (k_nn + k_nn.T)
-    cross = kernel.rho * k_on
-    out[:n_old, n_old:] = cross
-    out[n_old:, :n_old] = cross.T
-    return 0.5 * (out + out.T)
+    """[[K_oo, rho K_on], [rho K_no, K_nn]] per kernel, stacked, from the
+    old-old, new-new and old-new squared distances per modality."""
+    bases = [kernel.base for kernel in kernels]
+    k_oo = _kernel_matrices(bases, (n_old, n_old), oo_of)
+    k_nn = _kernel_matrices(bases, (n_new, n_new), nn_of)
+    k_on = _kernel_matrices(bases, (n_old, n_new), on_of)
+    out = np.empty((len(kernels), n_old + n_new, n_old + n_new))
+    out[:, :n_old, :n_old] = _symmetric(k_oo)
+    out[:, n_old:, n_old:] = _symmetric(k_nn)
+    cross = np.array([kernel.rho for kernel in kernels])[:, None, None] * k_on
+    out[:, :n_old, n_old:] = cross
+    out[:, n_old:, :n_old] = cross.swapaxes(1, 2)
+    return _symmetric(out)
 
 
 def dependent_gram(kernel: DependentKernel, X_old, X_new) -> np.ndarray:
@@ -307,28 +339,40 @@ def dependent_gram(kernel: DependentKernel, X_old, X_new) -> np.ndarray:
     if len(X_new) == 0:
         return gram(kernel.base, X_old)
     return _dependent_from(
-        kernel,
+        [kernel],
         len(X_old),
         len(X_new),
         X_old.sqdist,
         X_new.sqdist,
         lambda mod: _sqdist(X_old.matrix(mod), X_new.matrix(mod)),
-    )
+    )[0]
 
 
 def training_gram(kernel, X, n_old: int = 0) -> np.ndarray:
     """Gram over a training block whose first ``n_old`` rows are the
     transferred block (scaled cross-covariance for dependent kernels). The
     distances come from the block's memo."""
-    if not isinstance(kernel, DependentKernel):
-        return gram(kernel, X)
-    if not (0.0 <= kernel.rho <= 1.0):
-        raise ParameterError(f"rho must lie in [0, 1], got {kernel.rho}")
-    X = _block(kernel.base, X)
+    return training_grams([kernel], X, n_old)[0]
+
+
+def training_grams(kernels: Sequence, X, n_old: int = 0) -> np.ndarray:
+    """``training_gram`` of each kernel over one block, stacked (m, n, n):
+    bit for bit the matrices of the single-kernel calls, with the block's
+    memoised distances computed once for all of them. The kernels are all
+    dependent or all not, with the same parts."""
+    if len(X) == 0:
+        raise ParameterError("gram of an empty observation list")
+    dependent = isinstance(kernels[0], DependentKernel)
+    if any(isinstance(kernel, DependentKernel) != dependent for kernel in kernels):
+        raise TypeError("training_grams needs all dependent kernels or none")
+    if not dependent:
+        return _grams(kernels, _block(kernels[0], X))
+    bases = [kernel.base for kernel in kernels]
+    X = _block(bases[0], X)
     if not 0 < n_old < len(X):  # one side empty: a plain gram
-        return gram(kernel.base, X)
+        return _grams(bases, X)
     return _dependent_from(
-        kernel,
+        kernels,
         n_old,
         len(X) - n_old,
         lambda mod: X.split_sqdist(mod, n_old)[0],

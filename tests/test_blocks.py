@@ -15,11 +15,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import cho_solve, cholesky, solve_triangular
+from scipy.linalg.lapack import dpotrf, dpotrs
 from scipy.special import expit
 
 from tactilab import gp
-from tactilab.errors import SegmentationError
-from tactilab.features import Modality
+from tactilab.errors import ConvergenceError, NumericalError, ParameterError, SegmentationError
+from tactilab.features import FeatureObservation, Modality
 from tactilab.kernels import (
     CombinedKernel,
     DependentKernel,
@@ -27,6 +28,7 @@ from tactilab.kernels import (
     RbfKernel,
     prediction_cross,
     training_gram,
+    training_grams,
 )
 
 from conftest import force_obs, two_part_obs
@@ -130,6 +132,63 @@ def ref_gpc_fit(kernel, X_train, labels, n_old=0, gram=None):
     )
 
 
+def ref_single_laplace(k, y):
+    """The Laplace fit of one problem as written before the stacked solve
+    (GPML Alg. 3.1 over direct ``dpotrf`` / ``dpotrs`` calls) on a jittered
+    gram ``k``: (f_hat, grad_hat, w_sqrt, chol_b, lml, stationarity,
+    iterations), or the error it raises."""
+
+    def factor(a):
+        chol, info = dpotrf(a, lower=1, clean=1)
+        if info != 0:
+            raise np.linalg.LinAlgError(
+                f"{info}-th leading minor of the array is not positive definite"
+            )
+        return chol
+
+    if not np.isfinite(k).all():
+        raise NumericalError("training gram has non-finite entries")
+    t = 0.5 * (y + 1.0)
+    n = y.size
+    eye = np.eye(n)
+    f = np.zeros(n)
+    a = np.zeros(n)
+    pi = expit(f)
+    trace = []
+    converged = False
+    for _ in range(gp.LAPLACE_MAX_ITER):
+        w = pi * (1.0 - pi)
+        w_sqrt = np.sqrt(w)
+        chol_b = factor(eye + (w_sqrt[:, None] * k) * w_sqrt[None, :])
+        b = w * f + (t - pi)
+        a = b - w_sqrt * dpotrs(chol_b, w_sqrt * (k @ b), lower=1)[0]
+        f = k @ a
+        pi = expit(f)
+        residual = float(np.max(np.abs((t - pi) - a)))
+        if not math.isfinite(residual):
+            raise NumericalError(
+                f"Laplace mode search hit a non-finite residual at iteration {len(trace) + 1}"
+            )
+        trace.append(residual)
+        if residual < gp.LAPLACE_TOL:
+            converged = True
+            break
+    if not converged and trace[-1] >= 1e-6:
+        raise ConvergenceError(
+            f"Laplace mode search stalled at residual {trace[-1]:.3e} "
+            f"after {len(trace)} iterations",
+            trace=trace,
+        )
+    w_sqrt = np.sqrt(pi * (1.0 - pi))
+    chol_b = factor(eye + (w_sqrt[:, None] * k) * w_sqrt[None, :])
+    lml = (
+        -0.5 * float(a @ f)
+        + float(np.sum(-np.logaddexp(0.0, -(y * f))))
+        - float(np.sum(np.log(np.diag(chol_b))))
+    )
+    return f, t - pi, w_sqrt, chol_b, lml, trace[-1], len(trace)
+
+
 def ref_gpc_predict_batch(model, X_star):
     """Batch posterior over scipy's ``solve_triangular``."""
     X_star = ObservationBlock.of(X_star)
@@ -174,6 +233,11 @@ RHOS = st.sampled_from([0.0, 0.37, 1.0])
 
 def split_points(n):
     return sorted({0, 1, n // 2, n - 1, n} & set(range(n + 1)))
+
+
+def fit_splits(n):
+    """The split points a Laplace fit accepts: at least one new row."""
+    return [n_old for n_old in split_points(n) if n_old < n]
 
 
 class TestBlockLayout:
@@ -273,9 +337,11 @@ class TestBitExactness:
         for ls_f, ls_t, weights in kernels:
             base = combined(ls_f, ls_t, weights)
             for kernel, n_old in [(base, 0)] + [
-                (DependentKernel(base, rho), n_old) for n_old in split_points(n)
+                (DependentKernel(base, rho), n_old) for n_old in fit_splits(n)
             ]:
                 fits.append((kernel, n_old, gp.gpc_fit(kernel, block, labels, n_old)))
+            with pytest.raises(ParameterError, match="n_old"):
+                gp.gpc_fit(DependentKernel(base, rho), block, labels, n)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(gp, "training_gram", lambda k, X, n_old=0: ref_training_gram(k, obs, n_old))
             for kernel, n_old, got in fits:
@@ -301,7 +367,7 @@ class TestLapackPath:
         queries = ObservationBlock.of(random_observations(seed + 1, m, scale))
         labels = np.where(np.random.default_rng(seed).random(n) < 0.5, 1.0, -1.0)
         base = combined(*kernel)
-        cases = [(base, 0)] + [(DependentKernel(base, rho), k) for k in split_points(n)]
+        cases = [(base, 0)] + [(DependentKernel(base, rho), k) for k in fit_splits(n)]
         for kern, n_old in cases:
             got = gp.gpc_fit(kern, block, labels, n_old)
             assert_same_fit(got, ref_gpc_fit(kern, block, labels, n_old))
@@ -337,3 +403,104 @@ class TestLapackPath:
                 gp.gpc_fit(kernel, block, labels)
         with pytest.raises(np.linalg.LinAlgError):
             ref_gpc_fit(kernel, block, labels, gram=bad)
+
+
+def indefinite_gram(rng, n, low=-8.0):
+    """A symmetric matrix with one eigenvalue at ``low``: below -4 it leaves
+    I + K / 4, the first Newton matrix, indefinite."""
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    bad = (q * np.concatenate([[low], rng.uniform(0.1, 3.0, n - 1)])) @ q.T
+    return 0.5 * (bad + bad.T)
+
+
+class TestStackedLaplace:
+    """``training_grams`` and ``_laplace_modes`` against the single-kernel
+    grams and the per-problem fit, with ``==`` / ``np.array_equal``."""
+
+    @SETTINGS
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 30),
+        kernels=st.lists(st.tuples(LENGTHS, LENGTHS, WEIGHTS, RHOS), min_size=1, max_size=5),
+    )
+    def test_training_grams_match_single_kernel_grams(self, seed, n, kernels):
+        obs = random_observations(seed, n, 1.0)
+        block = ObservationBlock.of(obs)
+        bases = [combined(ls_f, ls_t, weights) for ls_f, ls_t, weights, _ in kernels]
+        for i, k in enumerate(training_grams(bases, block)):
+            assert np.array_equal(k, ref_training_gram(bases[i], obs))
+        dependent = [DependentKernel(b, rho) for b, (*_, rho) in zip(bases, kernels)]
+        for n_old in split_points(n):
+            for i, k in enumerate(training_grams(dependent, block, n_old)):
+                assert np.array_equal(k, ref_training_gram(dependent[i], obs, n_old))
+
+    @SETTINGS
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 12),
+        kernels=st.lists(
+            st.tuples(LENGTHS, LENGTHS, LENGTHS, st.sampled_from([(0.2, 0.3, 0.5), (0.0, 0.6, 0.4), (0.5, 0.0, 0.5)])),
+            min_size=1,
+            max_size=4,
+        ),
+    )
+    def test_three_part_grams_sum_the_parts_in_order(self, seed, n, kernels):
+        """With three parts the order of the sum shows in the last bits."""
+        rng = np.random.default_rng(seed)
+        mods = (Modality.FORCE, Modality.TEXTURE, Modality.THERMAL)
+        obs = [
+            FeatureObservation("test", tuple((mod, rng.standard_normal(3)) for mod in mods))
+            for _ in range(n)
+        ]
+        bases = [
+            CombinedKernel(
+                tuple((mod, RbfKernel(ls, 1.0 + 0.1 * i)) for i, (mod, ls) in enumerate(zip(mods, lengths))),
+                np.array(weights),
+            )
+            for *lengths, weights in kernels
+        ]
+        for i, k in enumerate(training_grams(bases, ObservationBlock.of(obs))):
+            assert np.array_equal(k, ref_training_gram(bases[i], obs))
+
+    @SETTINGS
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 45),
+        items=st.lists(
+            st.tuples(LENGTHS, LENGTHS, WEIGHTS, RHOS, st.floats(0.0, 1.0)), min_size=1, max_size=6
+        ),
+        bad=st.sampled_from([None, np.nan, np.inf, "indefinite"]),
+    )
+    def test_stack_matches_per_problem_fits(self, seed, n, items, bad):
+        """One stack of problems of one size, each with its own kernel,
+        rho, split and labels; one problem may carry a non-finite or
+        indefinite gram, which fails alone."""
+        rng = np.random.default_rng(seed)
+        block = ObservationBlock.of(random_observations(seed, n, 1.0))
+        grams, labels = [], []
+        for ls_f, ls_t, weights, rho, split in items:
+            n_old = min(int(split * n), n - 1)
+            kernel = DependentKernel(combined(ls_f, ls_t, weights), rho)
+            grams.append(training_gram(kernel, block, n_old) + gp.GRAM_JITTER * np.eye(n))
+            labels.append(np.where(rng.random(n) < 0.5, 1.0, -1.0))
+        failing = None
+        if bad is not None:
+            failing = int(rng.integers(len(items)))
+            if bad == "indefinite":
+                grams[failing] = indefinite_gram(rng, n)
+            else:
+                grams[failing][rng.integers(n), rng.integers(n)] = bad
+        modes = gp._laplace_modes(np.stack(grams), np.stack(labels))
+        assert len(modes) == len(items)
+        for i, mode in enumerate(modes):
+            try:
+                want = ref_single_laplace(grams[i], labels[i])
+            except (NumericalError, np.linalg.LinAlgError, ConvergenceError) as exc:
+                assert type(mode) is type(exc) and str(mode) == str(exc)
+                continue
+            assert i != failing
+            assert not isinstance(mode, Exception)
+            for got, expected in zip(mode, want):
+                assert np.array_equal(got, expected)
+        if failing is not None:
+            assert isinstance(modes[failing], (NumericalError, np.linalg.LinAlgError))

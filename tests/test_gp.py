@@ -223,7 +223,10 @@ class TestNonFiniteGuards:
             gpc_fit(RbfKernel(1.0), pts(0.0, 1.0, 2.0), [1, -1, 1])
 
     def test_search_scores_a_non_finite_gram_as_minus_inf(self, monkeypatch):
-        monkeypatch.setattr(gp, "training_gram", lambda k, X, n_old=0: np.full((len(X), len(X)), np.nan))
+        # The search builds its grams through the stacked entry point.
+        monkeypatch.setattr(
+            gp, "training_grams", lambda ks, X, n_old=0: np.full((len(ks), len(X), len(X)), np.nan)
+        )
         start = CombinedKernel(((Modality.FORCE, RbfKernel(1.0, 1.0)),), np.array([1.0]))
         sets = [PooledSet([force_obs(0.0), force_obs(1.0)], (1.0, -1.0))]
         with pytest.raises(OptimizationError) as info:
@@ -637,6 +640,31 @@ class TestSearchMatchesReference:
         assert_same_search(new, (ref_kernel, ref_rho, ref_lml))
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
+    @pytest.mark.parametrize("rho", [0.5, 1.0])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_rho_search_that_moves_rho(self, seed, rho):
+        """Old rows labelled +1 on top of the new negatives: coupling them
+        costs likelihood, so the search drives rho to 0 (and a trial point
+        differing only in rho is a different problem)."""
+        rng0 = np.random.default_rng(seed)
+        old = [force_obs(3.0 + 0.1 * rng0.standard_normal()) for _ in range(6)]
+        pos = [force_obs(0.1 * rng0.standard_normal()) for _ in range(3)]
+        neg = [force_obs(3.0 + 0.1 * rng0.standard_normal()) for _ in range(3)]
+        labels = (1.0,) * 9 + (-1.0,) * 3
+        start = CombinedKernel(((Modality.FORCE, RbfKernel(1.0, 1.0)),), np.array([1.0]))
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        new = optimize_kernel_for_sets(
+            [PooledSet(old + pos + neg, labels, n_old=6, rho=rho)], start, restarts=2, rng=rng,
+            fit_rho=True,
+        )
+        spec = ModelSpec(kind="gpc", kernel=start, n_old=6, fit_rho=True, rho=rho)
+        ref_kernel, ref_rho, ref_lml, _ = ref_optimize_hyperparams(
+            spec, old + pos + neg, labels, restarts=2, rng=ref_rng
+        )
+        assert_same_search(new, (ref_kernel, ref_rho, ref_lml))
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert new[1] == 0.0
+
     @pytest.mark.parametrize("seed", SEEDS)
     def test_transfer_sets_of_the_active_loop(self, seed):
         X, labels = labelled_two_part_obs(seed, classes=(1, 2, 3), per_class=4)
@@ -660,24 +688,70 @@ class TestSearchMatchesReference:
         assert_same_search(new, (ref_kernel, 0.6, ref_lml))
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
+    @pytest.mark.parametrize("seed", [0, 2, 3])
+    def test_far_start_search(self, seed, monkeypatch):
+        """Start length scales 20 times the median heuristic: the search
+        accepts many steps, so many scans are cut short by an accepted step
+        and rescored from the new point. (Seed 1 accepts only one step.)"""
+        X, labels = labelled_two_part_obs(seed, classes=(1, 2, 3), per_class=4)
+        X_old = X[:4]
+        groups = {cls: [x for x, lb in zip(X, labels) if lb == cls] for cls in (2, 3)}
+        sets = [
+            PooledSet(X_old + groups[2] + groups[3], (1.0,) * 8 + (-1.0,) * 4, n_old=4, rho=0.6),
+            PooledSet(groups[3] + groups[2], (1.0,) * 4 + (-1.0,) * 4),
+            PooledSet(groups[2] + groups[3], (1.0,) * 4 + (-1.0,) * 4),
+        ]
+        start = median_start(X, 20.0)
+        points = set()  # every point a scan starts from: the starts and each accepted step
+        scan = gp._sweep_steps
+        monkeypatch.setattr(gp, "_sweep_steps", lambda x, *a: points.add(x.tobytes()) or scan(x, *a))
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        new = optimize_kernel_for_sets(sets, start, restarts=3, rng=rng, max_sweeps=4)
+        ref_kernel, ref_lml = ref_optimize_kernel_for_sets(
+            sets, start, restarts=3, rng=ref_rng, max_sweeps=4
+        )
+        assert_same_search(new, (ref_kernel, 0.6, ref_lml))
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert len(points) - 3 >= 5
+
     def test_each_start_is_scored_once(self, monkeypatch):
+        """Solves are counted as problems through the stacked Laplace entry
+        point. The search solves every kernel the one-step-at-a-time
+        reference scores, and none twice: each finite start once (the
+        reference scores it twice), once per set."""
         X, labels = labelled_two_part_obs(0)
         block = ObservationBlock.of(X)
         start = median_heuristic(block, block.modalities)
-        calls = []
-        fit = gp.gpc_fit
-        monkeypatch.setattr(gp, "gpc_fit", lambda *a, **kw: calls.append(1) or fit(*a, **kw))
         sets = list(ova_sets(block, labels).values())
+
+        def key(kernel):
+            return tuple(p.length_scale for _, p in kernel.parts) + tuple(kernel.weights)
+
+        solved, scored = [], []
+        modes, summed = gp._laplace_modes, gp._summed_lmls
+        monkeypatch.setattr(gp, "_laplace_modes", lambda k, y: solved.append(len(k)) or modes(k, y))
+        monkeypatch.setattr(
+            gp,
+            "_summed_lmls",
+            lambda sets, kernels, rhos: scored.extend(map(key, kernels)) or summed(sets, kernels, rhos),
+        )
         optimize_kernel_for_sets(sets, start, restarts=3, rng=np.random.default_rng(0))
-        new_calls = len(calls)
-        calls.clear()
+        assert len(scored) == len(set(scored))
+        assert sum(solved) == len(scored) * len(sets)
+
+        ref_scored = []
+        fit = gp.gpc_fit
+        monkeypatch.setattr(
+            gp, "gpc_fit", lambda kernel, *a, **kw: ref_scored.append(key(kernel)) or fit(kernel, *a, **kw)
+        )
         _, _, _, start_lmls = ref_optimize_hyperparams(
             ModelSpec(kind="ova", kernel=start), block, labels, restarts=3,
             rng=np.random.default_rng(0),
         )
-        finite_starts = sum(np.isfinite(f) for f in start_lmls)
-        assert finite_starts > 0
-        assert new_calls == len(calls) - finite_starts * len(sets)
+        assert sum(np.isfinite(f) for f in start_lmls) == 3
+        assert set(ref_scored) <= set(scored)
+        assert ref_scored.count(key(start)) == 2 * len(sets)
+        assert scored.count(key(start)) == 1
 
 
 class TestOptimizeHyperparams:
@@ -730,6 +804,30 @@ class TestOptimizeHyperparams:
                 for r in (1, 2, 4)
             ]
             assert start_lml <= lmls[0] <= lmls[1] <= lmls[2], fit_rho
+
+    def test_input_errors_are_named(self):
+        start = CombinedKernel(((Modality.FORCE, RbfKernel(1.0)),), np.array([1.0]))
+        with pytest.raises(ParameterError, match="at least one set"):
+            optimize_kernel_for_sets([], start)
+        with pytest.raises(TypeError, match="kernel_start.*RbfKernel"):
+            optimize_kernel_for_sets([PooledSet([force_obs(0.0)], (1.0,))], RbfKernel(1.0))
+
+    @pytest.mark.parametrize("n_old", [-1, 4, 9])
+    def test_out_of_range_n_old_rejected_by_name(self, n_old):
+        """0 <= n_old < n, in the fit, the set's fit and the search."""
+        X = [force_obs(v) for v in (0.0, 0.5, 1.0, 1.5)]
+        y = (1.0, 1.0, -1.0, -1.0)
+        start = CombinedKernel(((Modality.FORCE, RbfKernel(1.0)),), np.array([1.0]))
+        kernel = DependentKernel(start, 0.5)
+        with pytest.raises(ParameterError, match="n_old"):
+            gpc_fit(kernel, X, y, n_old=n_old)
+        pooled = PooledSet(X, y, n_old=n_old, rho=0.5)
+        with pytest.raises(ParameterError, match="n_old"):
+            pooled.fit(start)
+        with pytest.raises(ParameterError, match="n_old"):
+            optimize_kernel_for_sets([pooled], start, fit_rho=True)
+        for ok in range(4):
+            gpc_fit(kernel, X, y, n_old=ok)
 
     def test_restart_validation(self):
         start = CombinedKernel(((Modality.FORCE, RbfKernel(1.0)),), np.array([1.0]))
