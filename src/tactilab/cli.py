@@ -16,6 +16,7 @@ from .harness import (
     RunResult,
     build_prior,
     build_test_set,
+    check_catalog_objects,
     config_hash,
     load_config,
     parse_config,
@@ -64,6 +65,7 @@ def _cmd_run(args) -> int:
 def _cmd_testset(args) -> int:
     config = _apply_overrides(args)
     catalog = load_catalog(config.catalog_path())
+    check_catalog_objects(config, catalog)
     _, projectors = build_prior(config, catalog)
     test = build_test_set(config, catalog, projectors)
     out = Path(args.out)
@@ -99,13 +101,7 @@ def _cmd_report(args) -> int:
 def _cmd_validate(args) -> int:
     config = load_config(args.config)
     catalog = load_catalog(config.catalog_path())
-    missing = [
-        i
-        for i in list(config.prior_objects) + list(config.new_objects)
-        if not any(obj.id == i for obj in catalog)
-    ]
-    if missing:
-        raise ConfigError(f"object id(s) {missing} not present in catalog")
+    check_catalog_objects(config, catalog)
     print(f"config ok: hash {config_hash(config)}, {len(catalog)} catalog objects")
     return EXIT_OK
 

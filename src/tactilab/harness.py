@@ -11,7 +11,7 @@ import os
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
@@ -22,7 +22,6 @@ from .active import STOP_WINDOW, initialize_state, run_loop
 from .errors import (
     ConfigError,
     InsufficientDataError,
-    NumericalError,
     SchemaError,
     TactilabError,
 )
@@ -295,8 +294,21 @@ def load_config(path: str | Path) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 
 
-def _action_index(config: ExperimentConfig, action_id: str) -> int:
+def _action_index(action_id: str) -> int:
+    """The action's place in the standard order; it keys the action's seed
+    streams."""
     return list(STANDARD_ACTIONS).index(action_id)
+
+
+def check_catalog_objects(config: ExperimentConfig, catalog: Catalog) -> None:
+    """Raise ConfigError naming the configured object ids the catalog lacks."""
+    missing = [
+        i
+        for i in config.prior_objects + config.new_objects
+        if not any(obj.id == i for obj in catalog)
+    ]
+    if missing:
+        raise ConfigError(f"object id(s) {missing} not present in catalog")
 
 
 def _make_simulator(catalog: Catalog):
@@ -327,7 +339,7 @@ def fit_projectors_from_pool(
     projectors: dict[str, ThermalProjector] = {}
     traces: dict[str, dict[int, list]] = {}
     for action_id in actions:
-        a_idx = list(STANDARD_ACTIONS).index(action_id)
+        a_idx = _action_index(action_id)
         action_traces: dict[int, list] = {}
         for obj in object_ids:
             action_traces[obj] = [
@@ -414,7 +426,7 @@ def build_test_set(
     observations: dict[str, list] = {}
     labels: dict[str, np.ndarray] = {}
     for action_id in config.actions:
-        a_idx = _action_index(config, action_id)
+        a_idx = _action_index(action_id)
         n = test_samples_for(config, action_id)
         obs, labs = [], []
         for obj in object_ids:
@@ -428,14 +440,26 @@ def build_test_set(
     return TestSet(observations, labels)
 
 
+def new_object_slice(
+    config: ExperimentConfig, test: TestSet, action_id: str
+) -> tuple[ObservationBlock, np.ndarray]:
+    """The action's test observations of the new objects, with their labels."""
+    labels = test.labels[action_id]
+    mask = np.isin(labels, list(config.new_objects))
+    obs = [o for o, m in zip(test.observations[action_id], mask) if m]
+    return ObservationBlock.of(obs), labels[mask]
+
+
+def accuracy(model: OvaGpcModel, obs: ObservationBlock, labels: np.ndarray) -> float:
+    """Share of ``obs`` whose most probable class is its label."""
+    probs = ova_predict_proba(model, obs)
+    preds = [argmax_label(model.classes, row) for row in probs]
+    return float(np.mean(np.array(preds) == labels))
+
+
 def make_evaluator(config: ExperimentConfig, test: TestSet):
     """Discrimination accuracy on the new-object slice, averaged over actions."""
-    new_ids = set(config.new_objects)
-    slices = {}
-    for action_id in config.actions:
-        mask = np.isin(test.labels[action_id], list(new_ids))
-        obs = [o for o, m in zip(test.observations[action_id], mask) if m]
-        slices[action_id] = (ObservationBlock.of(obs), test.labels[action_id][mask])
+    slices = {a: new_object_slice(config, test, a) for a in config.actions}
 
     # Last accuracy per action with the model object it was computed from:
     # the loop refits one action per step, so the others are not re-predicted.
@@ -450,9 +474,7 @@ def make_evaluator(config: ExperimentConfig, test: TestSet):
             if hit is not None and hit[0] is model:
                 accs.append(hit[1])
                 continue
-            probs = ova_predict_proba(model, obs)
-            preds = [argmax_label(model.classes, row) for row in probs]
-            acc = float(np.mean(np.array(preds) == labs))
+            acc = accuracy(model, obs, labs)
             last[action_id] = (model, acc)
             accs.append(acc)
         return float(np.mean(accs))
@@ -467,8 +489,8 @@ def make_evaluator(config: ExperimentConfig, test: TestSet):
 
 @dataclass
 class TrialResult:
-    seed: int
-    mode: str
+    """One trial (one mode or ablation variant at one seed)."""
+
     curve: list[float]
     decisions: list[dict]
     gamma_trace: list[dict]
@@ -525,7 +547,6 @@ def run_trial(
         opt_sweeps=UPDATE_SWEEPS,
         opt_rng=opt_rng,
     )
-    mode_name = Mode.TRANSFER.value if use_prior else Mode.NO_TRANSFER.value
     decisions = [d.to_dict() for d in init_decisions]
     gamma_trace = [
         {"iteration": 0, "action": a, "gamma": [float(g) for g in k.weights]}
@@ -546,7 +567,7 @@ def run_trial(
                 "accuracy": rec.accuracy,
             }
         )
-    return TrialResult(seed, mode_name, loop.curve, decisions, gamma_trace, records)
+    return TrialResult(loop.curve, decisions, gamma_trace, records)
 
 
 @dataclass
@@ -554,15 +575,18 @@ class RunResult:
     config: dict
     config_hash: str
     modes: list[str]
-    curves: dict[str, dict[int, list[float]]]  # mode -> seed -> curve
-    decisions: dict[str, dict[int, list[dict]]]
-    gamma_traces: dict[str, dict[int, list[dict]]]
-    records: dict[str, dict[int, list[dict]]]
-    failures: list[str] = field(default_factory=list)
-    wall_clock_s: float = 0.0
+    trials: dict[str, dict[int, TrialResult]]  # mode -> seed -> trial
+    failures: list[str]
+    wall_clock_s: float
+
+    def seeds(self, mode: str) -> list[tuple[int, TrialResult]]:
+        """(seed, trial) of one mode by ascending seed. Means and files
+        follow this order within ``modes`` order, so a result read back from
+        JSON (string seed keys) reports the same bytes."""
+        return sorted(self.trials.get(mode, {}).items())
 
     def mean_curve(self, mode: str) -> list[float]:
-        curves = [c for c in self.curves.get(mode, {}).values() if c]
+        curves = [t.curve for _, t in self.seeds(mode) if t.curve]
         if not curves:
             return []
         length = min(len(c) for c in curves)
@@ -572,64 +596,58 @@ class RunResult:
         return [float(v) for v in stacked.mean(axis=0)]
 
     def to_dict(self) -> dict:
+        def per_seed(part: str) -> dict:
+            return {
+                m: {str(s): getattr(t, part) for s, t in self.seeds(m)} for m in self.modes
+            }
+
         return {
             "config": self.config,
             "config_hash": self.config_hash,
             "modes": self.modes,
-            "curves": {
-                m: {str(s): c for s, c in sorted(per.items())}
-                for m, per in self.curves.items()
-            },
+            "curves": per_seed("curve"),
             "mean_curves": {m: self.mean_curve(m) for m in self.modes},
-            "decisions": {
-                m: {str(s): d for s, d in sorted(per.items())}
-                for m, per in self.decisions.items()
-            },
-            "gamma_traces": {
-                m: {str(s): g for s, g in sorted(per.items())}
-                for m, per in self.gamma_traces.items()
-            },
-            "records": {
-                m: {str(s): r for s, r in sorted(per.items())}
-                for m, per in self.records.items()
-            },
+            "decisions": per_seed("decisions"),
+            "gamma_traces": per_seed("gamma_trace"),
+            "records": per_seed("records"),
             "failures": self.failures,
             "wall_clock_s": self.wall_clock_s,
         }
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunResult":
+        """The inverse of ``to_dict``; a file without ``records`` reads
+        every trial's records as empty."""
+        modes = list(raw["modes"])
+        records = raw.get("records", {})
+        trials = {
+            m: {
+                int(s): TrialResult(
+                    curve,
+                    raw["decisions"][m][s],
+                    raw["gamma_traces"][m][s],
+                    records.get(m, {}).get(s, []),
+                )
+                for s, curve in raw["curves"][m].items()
+            }
+            for m in modes
+        }
         return cls(
             config=raw["config"],
             config_hash=raw["config_hash"],
-            modes=list(raw["modes"]),
-            curves={
-                m: {int(s): c for s, c in per.items()}
-                for m, per in raw["curves"].items()
-            },
-            decisions={
-                m: {int(s): d for s, d in per.items()}
-                for m, per in raw["decisions"].items()
-            },
-            gamma_traces={
-                m: {int(s): g for s, g in per.items()}
-                for m, per in raw["gamma_traces"].items()
-            },
-            records={
-                m: {int(s): r for s, r in per.items()}
-                for m, per in raw.get("records", {}).items()
-            },
+            modes=modes,
+            trials=trials,
             failures=list(raw.get("failures", [])),
             wall_clock_s=float(raw.get("wall_clock_s", 0.0)),
         )
 
 
-def _modes_for(config: ExperimentConfig) -> list[str]:
-    if config.mode in (Mode.TRANSFER, Mode.NEGATIVE_TRANSFER):
-        return [Mode.TRANSFER.value, Mode.NO_TRANSFER.value]
+def _modes_for(config: ExperimentConfig, test: TestSet) -> list[str]:
+    if config.mode is Mode.MULTI_KERNEL_ABLATION:
+        return list(_ablation_variants(new_object_slice(config, test, config.actions[0])[0]))
     if config.mode is Mode.NO_TRANSFER:
         return [Mode.NO_TRANSFER.value]
-    return []
+    return [Mode.TRANSFER.value, Mode.NO_TRANSFER.value]
 
 
 # Shared assets per (config hash, resolved catalog path, catalog sha256): the
@@ -651,13 +669,7 @@ def _assets(config: ExperimentConfig):
     key = _asset_key(config)
     if key not in _ASSET_CACHE:
         catalog = load_catalog(config.catalog_path())
-        missing = [
-            i
-            for i in list(config.prior_objects) + list(config.new_objects)
-            if not any(obj.id == i for obj in catalog)
-        ]
-        if missing:
-            raise ConfigError(f"object id(s) {missing} not present in catalog")
+        check_catalog_objects(config, catalog)
         prior, projectors = build_prior(config, catalog)
         test = build_test_set(config, catalog, projectors)
         evaluate = make_evaluator(config, test)
@@ -749,84 +761,75 @@ class SingleThreadedBlas:
             set_(count)
 
 
-def _run_seed(config: ExperimentConfig, seed: int) -> dict[str, TrialResult]:
-    """Both modes of one seed. A numpy/scipy failure (LinAlgError, the
-    ValueError of a non-finite feature or matrix) is raised as a
-    NumericalError, so it counts as this seed's failure like any other."""
-    catalog, prior, projectors, _, evaluate = _assets(config)
-    out = {}
-    for mode_name in _modes_for(config):
-        use_prior = mode_name == Mode.TRANSFER.value and prior is not None
-        try:
-            out[mode_name] = run_trial(
+def _run_seed(
+    config: ExperimentConfig, seed: int
+) -> tuple[Optional[dict[str, TrialResult]], Optional[str]]:
+    """Every trial of one seed: both modes of a transfer comparison, or the
+    ablation's variants. Returns (mode -> TrialResult, None), or (None, the
+    failure line) when any of them fails. A numpy/scipy failure (LinAlgError,
+    the ValueError of a non-finite feature or matrix) is this seed's failure
+    like a TactilabError."""
+    mode = None
+    try:
+        catalog, prior, projectors, test, evaluate = _assets(config)
+        if config.mode is Mode.MULTI_KERNEL_ABLATION:
+            return run_ablation_seed(config, catalog, projectors, test, seed), None
+        trials = {}
+        for mode in _modes_for(config, test):
+            use_prior = mode == Mode.TRANSFER.value and prior is not None
+            trials[mode] = run_trial(
                 config, catalog, prior, projectors, evaluate, seed, use_prior
             )
-        except (ValueError, ArithmeticError) as exc:  # LinAlgError is a ValueError
-            raise NumericalError(f"{mode_name}: {type(exc).__name__}: {exc}") from exc
-    return out
+        return trials, None
+    except (ValueError, ArithmeticError, TactilabError) as exc:  # LinAlgError is a ValueError
+        named = f"{mode}: " if mode else ""
+        return None, f"seed {seed}: {named}{type(exc).__name__}: {exc}"
 
 
 def _run_seed_worker(args):
+    """``_run_seed`` in a pool worker, from a picklable config."""
     config_dict, base_dir, seed = args
-    config = parse_config(config_dict, base_dir=base_dir)
-    try:
-        return seed, _run_seed(config, seed), None
-    except TactilabError as exc:
-        return seed, None, str(exc)
+    return _run_seed(parse_config(config_dict, base_dir=base_dir), seed)
 
 
 def run_experiment(config: ExperimentConfig, jobs: int = 1) -> RunResult:
     """Run every trial of the configured experiment and aggregate.
 
     With ``jobs`` > 1 the seeds run in a process pool of at most one
-    worker per seed; the multi-kernel ablation always runs its seeds here.
-    BLAS runs single-threaded in every process that runs trials, this one
-    until the call returns."""
+    worker per seed. BLAS runs single-threaded in every process that runs
+    trials, this one until the call returns."""
     jobs = _int_field("jobs", jobs)
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
     start = time.perf_counter()
     with SingleThreadedBlas():
-        if config.mode is Mode.MULTI_KERNEL_ABLATION:
-            return _run_ablation(config, start)
-
-        modes = _modes_for(config)
-        result = RunResult(
-            config=config.to_dict(),
-            config_hash=config_hash(config),
-            modes=modes,
-            curves={m: {} for m in modes},
-            decisions={m: {} for m in modes},
-            gamma_traces={m: {} for m in modes},
-            records={m: {} for m in modes},
-        )
-        _assets(config)  # build shared assets (and fail fast) before any trial
-
-        per_seed: dict[int, dict[str, TrialResult]] = {}
+        # Build the shared assets (and fail fast) before any trial; pool
+        # workers inherit them through fork.
+        modes = _modes_for(config, _assets(config)[3])
         workers = min(jobs, len(config.seeds))
         if workers > 1:
             args = [(config.to_dict(), config.base_dir, seed) for seed in config.seeds]
             with ProcessPoolExecutor(max_workers=workers, initializer=SingleThreadedBlas) as pool:
-                for seed, trials, error in pool.map(_run_seed_worker, args):
-                    if error is not None:
-                        result.failures.append(f"seed {seed}: {error}")
-                    else:
-                        per_seed[seed] = trials
+                outcomes = list(pool.map(_run_seed_worker, args))
         else:
-            for seed in config.seeds:
-                try:
-                    per_seed[seed] = _run_seed(config, seed)
-                except TactilabError as exc:
-                    result.failures.append(f"seed {seed}: {exc}")
+            outcomes = [_run_seed(config, seed) for seed in config.seeds]
 
-        for seed in sorted(per_seed):
-            for mode_name, trial in per_seed[seed].items():
-                result.curves[mode_name][seed] = trial.curve
-                result.decisions[mode_name][seed] = trial.decisions
-                result.gamma_traces[mode_name][seed] = trial.gamma_trace
-                result.records[mode_name][seed] = trial.records
-        result.wall_clock_s = time.perf_counter() - start
-        return result
+        trials: dict[str, dict[int, TrialResult]] = {mode: {} for mode in modes}
+        failures = []
+        for seed, (per_mode, error) in zip(config.seeds, outcomes):
+            if error is not None:
+                failures.append(error)
+                continue
+            for mode, trial in per_mode.items():
+                trials[mode][seed] = trial
+        return RunResult(
+            config=config.to_dict(),
+            config_hash=config_hash(config),
+            modes=modes,
+            trials=trials,
+            failures=failures,
+            wall_clock_s=time.perf_counter() - start,
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -834,103 +837,90 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> RunResult:
 # ---------------------------------------------------------------------------
 
 
-def _run_ablation(config: ExperimentConfig, start: float) -> RunResult:
-    """Learning-curve comparison of the weighted combined kernel against each
-    single modality, over growing training-set sizes."""
-    catalog, _, projectors, test, _ = _assets(config)
+def _ablation_variants(test_obs: ObservationBlock) -> dict[str, Optional[np.ndarray]]:
+    """The ablation's kernels: ``combined`` searches its modality weights,
+    each ``<modality>_only`` keeps a one-hot weight vector."""
+    modalities = test_obs.modalities
+    variants: dict[str, Optional[np.ndarray]] = {"combined": None}
+    for idx, mod in enumerate(modalities):
+        one_hot = np.zeros(len(modalities))
+        one_hot[idx] = 1.0
+        variants[f"{mod.value}_only"] = one_hot
+    return variants
+
+
+def run_ablation_seed(
+    config: ExperimentConfig,
+    catalog: Catalog,
+    projectors: Mapping[str, ThermalProjector],
+    test: TestSet,
+    seed: int,
+) -> dict[str, TrialResult]:
+    """One seed of the multi-kernel ablation: test accuracy of the weighted
+    combined kernel and of each single modality over growing training-set
+    sizes, as variant -> TrialResult."""
     action_id = config.actions[0]
-    a_idx = _action_index(config, action_id)
+    a_idx = _action_index(action_id)
     simulator = _make_simulator(catalog)
     new_ids = list(config.new_objects)
     sizes = list(config.ablation_sizes)
     max_per_class = -(-max(sizes) // len(new_ids))
+    test_obs, test_labels = new_object_slice(config, test, action_id)
+    variants = _ablation_variants(test_obs)
 
-    test_obs = test.observations[action_id]
-    test_labels = test.labels[action_id]
-    mask = np.isin(test_labels, new_ids)
-    test_obs = ObservationBlock.of([o for o, m in zip(test_obs, mask) if m])
-    test_labels = test_labels[mask]
-
-    sample_modalities = test_obs.modalities
-    variants: dict[str, Optional[np.ndarray]] = {"combined": None}
-    for idx, mod in enumerate(sample_modalities):
-        one_hot = np.zeros(len(sample_modalities))
-        one_hot[idx] = 1.0
-        variants[f"{mod.value}_only"] = one_hot
-    modes = list(variants)
-    result = RunResult(
-        config=config.to_dict(),
-        config_hash=config_hash(config),
-        modes=modes,
-        curves={m: {} for m in modes},
-        decisions={m: {} for m in modes},
-        gamma_traces={m: {} for m in modes},
-        records={m: {} for m in modes},
-    )
-
-    for seed in config.seeds:
-        try:
-            pools = {
-                obj: [
-                    build_observation(
-                        simulator(obj, action_id, derive_seed(seed, ABLATION_NS, a_idx, obj, k)),
-                        action_id,
-                        projectors[action_id],
-                        obj,
-                    )
-                    for k in range(max_per_class)
-                ]
-                for obj in new_ids
-            }
-            opt_rng = derive_rng(seed, ABLATION_NS, OPT_NS)
-            curves: dict[str, list[float]] = {m: [] for m in modes}
-            gamma_trace = []
-            for size in sizes:
-                train, labels = [], []
-                k = 0
-                while len(train) < size:
-                    for obj in new_ids:
-                        if len(train) < size:
-                            train.append(pools[obj][k])
-                            labels.append(obj)
-                    k += 1
-                train = ObservationBlock.of(train)
-                sets = list(ova_sets(train, labels).values())
-                start_kernel = median_heuristic(train, train.modalities)
-                for variant, one_hot in variants.items():
-                    kernel, _, _ = optimize_kernel_for_sets(
-                        sets,
-                        start_kernel if one_hot is None else start_kernel.with_weights(one_hot),
-                        restarts=INIT_RESTARTS,
-                        rng=opt_rng,
-                        fit_weights=one_hot is None,
-                    )
-                    model = ova_fit(kernel, train, labels)
-                    probs = ova_predict_proba(model, test_obs)
-                    preds = [argmax_label(model.classes, row) for row in probs]
-                    curves[variant].append(float(np.mean(np.array(preds) == test_labels)))
-                    if variant == "combined":
-                        gamma_trace.append(
-                            {
-                                "iteration": size,
-                                "action": action_id,
-                                "gamma": [float(g) for g in kernel.weights],
-                            }
-                        )
-        except (ValueError, ArithmeticError, TactilabError) as exc:
-            # One bad seed lands in failures, as in _run_seed.
-            result.failures.append(f"seed {seed}: {type(exc).__name__}: {exc}")
-            continue
-        for variant in modes:
-            result.curves[variant][seed] = curves[variant]
-            result.decisions[variant][seed] = []
-            result.gamma_traces[variant][seed] = gamma_trace if variant == "combined" else []
-            result.records[variant][seed] = [
+    # (label, observation) with the classes in turn: the first ``size`` are
+    # the training set of that size.
+    samples = [
+        (
+            obj,
+            build_observation(
+                simulator(obj, action_id, derive_seed(seed, ABLATION_NS, a_idx, obj, k)),
+                action_id,
+                projectors[action_id],
+                obj,
+            ),
+        )
+        for k in range(max_per_class)
+        for obj in new_ids
+    ]
+    opt_rng = derive_rng(seed, ABLATION_NS, OPT_NS)
+    curves: dict[str, list[float]] = {v: [] for v in variants}
+    gamma_trace = []
+    for size in sizes:
+        train = ObservationBlock.of([o for _, o in samples[:size]])
+        labels = [obj for obj, _ in samples[:size]]
+        sets = list(ova_sets(train, labels).values())
+        start_kernel = median_heuristic(train, train.modalities)
+        for variant, one_hot in variants.items():
+            kernel, _, _ = optimize_kernel_for_sets(
+                sets,
+                start_kernel if one_hot is None else start_kernel.with_weights(one_hot),
+                restarts=INIT_RESTARTS,
+                rng=opt_rng,
+                fit_weights=one_hot is None,
+            )
+            model = ova_fit(kernel, train, labels)
+            curves[variant].append(accuracy(model, test_obs, test_labels))
+            if one_hot is None:
+                gamma_trace.append(
+                    {
+                        "iteration": size,
+                        "action": action_id,
+                        "gamma": [float(g) for g in kernel.weights],
+                    }
+                )
+    return {
+        variant: TrialResult(
+            curve=curves[variant],
+            decisions=[],
+            gamma_trace=gamma_trace if one_hot is None else [],
+            records=[
                 {"iteration": size, "accuracy": acc}
                 for size, acc in zip(sizes, curves[variant])
-            ]
-    result.wall_clock_s = time.perf_counter() - start
-    return result
+            ],
+        )
+        for variant, one_hot in variants.items()
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -949,30 +939,23 @@ def write_report(result: RunResult, out_dir: str | Path) -> dict[str, Path]:
     is_ablation = result.config.get("mode") == Mode.MULTI_KERNEL_ABLATION.value
     sizes = result.config.get("ablation_sizes", [])
     for mode in result.modes:
-        for seed in sorted(result.curves[mode]):
-            for idx, acc in enumerate(result.curves[mode][seed]):
+        for seed, trial in result.seeds(mode):
+            for idx, acc in enumerate(trial.curve):
                 iteration = sizes[idx] if is_ablation else idx + 1
                 lines.append(f"{iteration},{seed},{mode},{acc:.10f}")
     csv_path.write_text("\n".join(lines) + "\n")
 
-    decision_rows = [
-        d for per in result.decisions.values() for ds in per.values() for d in ds
-    ]
+    trials = [t for mode in result.modes for _, t in result.seeds(mode)]
+    decision_rows = [d for t in trials for d in t.decisions]
     none_count = sum(1 for d in decision_rows if d["selected_old"] is None)
-    gamma_means: dict[str, list[float]] = {}
-    for per in result.gamma_traces.values():
-        for entries in per.values():
-            for entry in entries:
-                gamma_means.setdefault(entry["action"], [])
-    for action in gamma_means:
-        stacks = [
-            entry["gamma"]
-            for per in result.gamma_traces.values()
-            for entries in per.values()
-            for entry in entries
-            if entry["action"] == action
-        ]
-        gamma_means[action] = [float(v) for v in np.mean(np.array(stacks), axis=0)]
+    gammas: dict[str, list] = {}
+    for t in trials:
+        for entry in t.gamma_trace:
+            gammas.setdefault(entry["action"], []).append(entry["gamma"])
+    gamma_means = {
+        action: [float(v) for v in np.mean(np.array(stacks), axis=0)]
+        for action, stacks in gammas.items()
+    }
 
     summary = {
         "config_hash": result.config_hash,
@@ -981,7 +964,7 @@ def write_report(result: RunResult, out_dir: str | Path) -> dict[str, Path]:
                 "mean_curve": result.mean_curve(mode),
                 "one_shot_accuracy": (result.mean_curve(mode) or [None])[0],
                 "final_accuracy": (result.mean_curve(mode) or [None])[-1],
-                "trials": len(result.curves[mode]),
+                "trials": len(result.trials[mode]),
             }
             for mode in result.modes
         },

@@ -84,7 +84,7 @@ class TestA3NegativeTransferGuard:
         baseline = np.array(result.mean_curve("no_transfer"))
         max_gap = float(np.max(np.abs(transfer - baseline)))
         decisions = [
-            d for per in result.decisions["transfer"].values() for d in per
+            d for t in result.trials["transfer"].values() for d in t.decisions
         ]
         none_fraction = sum(1 for d in decisions if d["selected_old"] is None) / len(
             decisions

@@ -44,6 +44,11 @@ def config_dict(**overrides):
     return base
 
 
+def curves_of(result):
+    """mode -> seed -> curve of a RunResult."""
+    return {m: {s: t.curve for s, t in per.items()} for m, per in result.trials.items()}
+
+
 @pytest.fixture(scope="module")
 def small_result():
     config = parse_config(config_dict())
@@ -251,9 +256,9 @@ class TestRunExperiment:
         config, result = small_result
         assert result.modes == ["transfer", "no_transfer"]
         for mode in result.modes:
-            assert sorted(result.curves[mode]) == [1, 2]
-            for curve in result.curves[mode].values():
-                assert len(curve) == config.budget
+            assert sorted(result.trials[mode]) == [1, 2]
+            for trial in result.trials[mode].values():
+                assert len(trial.curve) == config.budget
 
     def test_no_transfer_with_empty_priors_has_empty_decision_log(self):
         config = parse_config(
@@ -261,13 +266,13 @@ class TestRunExperiment:
         )
         result = run_experiment(config)
         assert result.modes == ["no_transfer"]
-        assert all(d == [] for d in result.decisions["no_transfer"].values())
+        assert all(t.decisions == [] for t in result.trials["no_transfer"].values())
 
     def test_identical_seeds_reproduce_curves(self):
         config = parse_config(config_dict(seeds=[7], budget=2))
         a = run_experiment(config)
         b = run_experiment(config)
-        assert a.curves == b.curves
+        assert curves_of(a) == curves_of(b)
 
     def test_fair_comparison_same_exploration_stream(self, small_result):
         # With unrelated priors every decision is None, so both modes walk the
@@ -275,8 +280,8 @@ class TestRunExperiment:
         # coinciding prefixes of the related-prior run.
         config, result = small_result
         for seed in config.seeds:
-            tr = result.records["transfer"][seed]
-            nt = result.records["no_transfer"][seed]
+            tr = result.trials["transfer"][seed].records
+            nt = result.trials["no_transfer"][seed].records
             for a, b in zip(tr, nt):
                 if a["branch"] == "explore" and b["branch"] == "explore":
                     assert (a["object"], a["action"]) == (b["object"], b["action"])
@@ -307,8 +312,7 @@ class TestRunExperiment:
         def flaky(config, catalog, prior, projectors, evaluate, seed, use_prior):
             if seed == 2:
                 raise error
-            mode = "transfer" if use_prior else "no_transfer"
-            return real_trial_result(seed, mode, [0.5], [], [], [])
+            return real_trial_result([0.5], [], [], [])
 
         monkeypatch.setattr(harness, "run_trial", flaky)
         path = tmp_path / "run.json"
@@ -319,7 +323,7 @@ class TestRunExperiment:
         assert len(result.failures) == 1
         assert result.failures[0].startswith("seed 2: ")
         assert type(error).__name__ in result.failures[0]
-        assert sorted(result.curves["transfer"]) == [1, 3]
+        assert sorted(result.trials["transfer"]) == [1, 3]
         out = tmp_path / "out"
         assert cli_main(["run", str(path), "--out", str(out), "--jobs", str(jobs)]) == 3
 
@@ -351,14 +355,41 @@ class TestRunExperiment:
             budget=0,
             ablation_sizes=[2],
         )))
-        result = run_experiment(load_config(path))
-        assert len(result.failures) == 1
-        assert result.failures[0].startswith("seed 2: ")
-        assert type(error).__name__ in result.failures[0]
-        for mode in result.modes:
-            assert sorted(result.curves[mode]) == [1, 3]
-        out = tmp_path / "out"
-        assert cli_main(["run", str(path), "--out", str(out)]) == 3
+        for jobs in (1, 2):  # in this process, then in the pool
+            result = run_experiment(load_config(path), jobs=jobs)
+            assert len(result.failures) == 1
+            assert result.failures[0].startswith("seed 2: ")
+            assert type(error).__name__ in result.failures[0]
+            for mode in result.modes:
+                assert sorted(result.trials[mode]) == [1, 3]
+            out = tmp_path / f"out{jobs}"
+            assert cli_main(["run", str(path), "--out", str(out), "--jobs", str(jobs)]) == 3
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_failure_lines_name_seed_mode_and_type(self, monkeypatch, jobs):
+        from tactilab import harness
+
+        real_trial_result = harness.TrialResult
+
+        def flaky(config, catalog, prior, projectors, evaluate, seed, use_prior):
+            if seed == 2 and not use_prior:
+                raise tactilab.errors.NumericalError("synthetic numerical failure")
+            if seed == 3:
+                raise np.linalg.LinAlgError("synthetic singular matrix")
+            return real_trial_result([0.5], [], [], [])
+
+        monkeypatch.setattr(harness, "run_trial", flaky)
+        catalog = str(tactilab.data_path("catalogs", "sample_catalog.json"))
+        result = run_experiment(parse_config(_tiny_config(catalog, seeds=[1, 2, 3])), jobs=jobs)
+        assert result.failures == [
+            "seed 2: no_transfer: NumericalError: synthetic numerical failure",
+            "seed 3: transfer: LinAlgError: synthetic singular matrix",
+        ]
+        # A seed lands whole or not at all: seed 2's transfer trial is dropped too.
+        assert {m: sorted(per) for m, per in result.trials.items()} == {
+            "transfer": [1],
+            "no_transfer": [1],
+        }
 
     def test_ablation_search_settings(self, monkeypatch, tmp_path):
         # Four sweeps per search; the combined variant searches the weights
@@ -382,14 +413,23 @@ class TestRunExperiment:
         ]
 
     def test_parallel_jobs_match_serial(self, tmp_path):
-        config = parse_config(config_dict(seeds=[1, 2], budget=1))
-        serial = run_experiment(config, jobs=1)
-        parallel = run_experiment(config, jobs=2)
-        assert serial.curves == parallel.curves
-        serial_paths = write_report(serial, tmp_path / "serial")
-        parallel_paths = write_report(parallel, tmp_path / "parallel")
-        for name in ("curves", "summary"):
-            assert serial_paths[name].read_bytes() == parallel_paths[name].read_bytes()
+        catalog = str(tactilab.data_path("catalogs", "sample_catalog.json"))
+        configs = {
+            "transfer": parse_config(config_dict(seeds=[1, 2], budget=1)),
+            "ablation": parse_config(_tiny_config(
+                catalog, mode="multi_kernel_ablation", seeds=[1, 2], budget=0,
+                ablation_sizes=[2, 4],
+            )),
+        }
+        for name, config in configs.items():
+            serial = run_experiment(config, jobs=1)
+            parallel = run_experiment(config, jobs=2)
+            assert not serial.failures
+            assert curves_of(serial) == curves_of(parallel)
+            serial_paths = write_report(serial, tmp_path / name / "serial")
+            parallel_paths = write_report(parallel, tmp_path / name / "parallel")
+            for part in ("curves", "summary"):
+                assert serial_paths[part].read_bytes() == parallel_paths[part].read_bytes()
 
 
 def _report_blas_threads(monkeypatch, controls):
@@ -398,11 +438,28 @@ def _report_blas_threads(monkeypatch, controls):
     from tactilab import harness
 
     def report(config, catalog, prior, projectors, evaluate, seed, use_prior):
-        mode = "transfer" if use_prior else "no_transfer"
         threads = [float(get()) for get, _ in controls]
-        return harness.TrialResult(seed, mode, threads, [], [], [])
+        return harness.TrialResult(threads, [], [], [])
 
     monkeypatch.setattr(harness, "run_trial", report)
+
+
+def _random_trials(monkeypatch):
+    """Make every trial return a random curve, kernel-weight trace and
+    decision log, drawn from its seed and mode."""
+    from tactilab import harness
+
+    def draw(config, catalog, prior, projectors, evaluate, seed, use_prior):
+        rng = np.random.default_rng([seed, int(use_prior)])
+        gamma_trace = [
+            {"iteration": i, "action": "P2", "gamma": [float(g) for g in rng.dirichlet(np.ones(3))]}
+            for i in range(3)
+        ]
+        decisions = [{"selected_old": None if rng.random() < 0.5 else 1}]
+        curve = [float(v) for v in rng.random(3)]
+        return harness.TrialResult(curve, decisions, gamma_trace, [])
+
+    monkeypatch.setattr(harness, "run_trial", draw)
 
 
 class FakeOpenBlas:
@@ -469,7 +526,7 @@ class TestJobs:
         _report_blas_threads(monkeypatch, [])
         result = run_experiment(self.tiny_config(seeds=seeds), jobs=jobs)
         assert pools == workers
-        assert sorted(result.curves["transfer"]) == seeds
+        assert sorted(result.trials["transfer"]) == seeds
 
     @pytest.mark.skipif(
         not sys.platform.startswith("linux"),
@@ -495,7 +552,7 @@ class TestJobs:
             for (_, set_), count in zip(controls, originals):
                 set_(count)
         assert not result.failures
-        curves = [c for per in result.curves.values() for c in per.values()]
+        curves = [t.curve for per in result.trials.values() for t in per.values()]
         assert len(curves) == 4
         assert all(curve == [1.0] * len(controls) for curve in curves)
         assert after == [2] * len(controls)
@@ -573,13 +630,26 @@ class TestReport:
         for key in first:
             assert first[key].read_bytes() == second[key].read_bytes()
 
-    def test_result_roundtrip_through_json(self, small_result, tmp_path):
+    def test_result_roundtrip_through_json(self, small_result, tmp_path, monkeypatch):
         _, result = small_result
         paths = write_report(result, tmp_path / "rt")
         loaded = RunResult.from_dict(json.loads(paths["result"].read_text()))
-        assert loaded.curves == result.curves
+        assert curves_of(loaded) == curves_of(result)
         assert loaded.config_hash == result.config_hash
         assert loaded.mean_curve("transfer") == result.mean_curve("transfer")
+
+        # Read back, 12 seeds come in key order ("1", "10", "11", "2", ...)
+        # and the modes as sorted keys; the report must not depend on that.
+        _random_trials(monkeypatch)
+        catalog = str(tactilab.data_path("catalogs", "sample_catalog.json"))
+        run = run_experiment(parse_config(_tiny_config(catalog, seeds=list(range(1, 13)))))
+        direct = write_report(run, tmp_path / "run")
+        reread = write_report(
+            RunResult.from_dict(json.loads(direct["result"].read_text())), tmp_path / "report"
+        )
+        assert set(reread) == {"curves", "summary", "config", "result"}
+        for name in direct:
+            assert reread[name].read_bytes() == direct[name].read_bytes(), name
 
     def test_golden_files_reproduced_bit_exactly(self, tmp_path):
         golden = Path(__file__).parent / "golden"
@@ -615,6 +685,16 @@ class TestCli:
     def test_validate_missing_object_exit_2(self, tmp_path):
         path = self.write_config(tmp_path, new_objects=[99])
         assert cli_main(["validate", str(path)]) == 2
+
+    def test_object_missing_from_catalog_named_by_every_verb(self, tmp_path, capsys):
+        path = self.write_config(tmp_path, new_objects=[11, 99], seeds=[1], budget=1)
+        assert cli_main(["validate", str(path)]) == 2
+        assert "object id(s) [99] not present in catalog" in capsys.readouterr().err
+        for verb in ("run", "testset"):
+            out = tmp_path / verb
+            assert cli_main([verb, str(path), "--out", str(out)]) == 2
+            assert "object id(s) [99] not present in catalog" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_run_writes_reports(self, tmp_path):
         path = self.write_config(tmp_path, seeds=[1], budget=1)
