@@ -254,13 +254,12 @@ def run_loop(
     thresholds: TransferThresholds = TransferThresholds(),
     method: SelectionMethod = SelectionMethod.MODEL_PREDICTION,
     stop_window: Optional[int] = None,
-    stop_delta: float = STOP_DELTA,
     opt_restarts: int = 1,
     opt_sweeps: int = 2,
     opt_rng: Optional[np.random.Generator] = None,
 ) -> LoopResult:
     """select -> acquire -> update -> evaluate until the budget is spent or
-    accuracy stalls (no gain above ``stop_delta`` across ``stop_window``
+    accuracy stalls (no gain above STOP_DELTA across ``stop_window``
     acquisitions). Returns one accuracy value per acquisition."""
     if budget < 0:
         raise ParameterError("budget must be >= 0")
@@ -304,7 +303,7 @@ def run_loop(
         if stop_window is not None and len(result.curve) > stop_window:
             recent = max(result.curve[-stop_window:])
             before = max(result.curve[:-stop_window])
-            if recent - before <= stop_delta:
+            if recent - before <= STOP_DELTA:
                 result.stopped_early = True
                 break
     return result

@@ -41,14 +41,14 @@ def _apply_overrides(args):
     return parse_config(raw, base_dir=config.base_dir)
 
 
-def _jobs(text: str) -> int:
+def _positive_int(text: str) -> int:
     try:
-        jobs = int(text)
+        value = int(text)
     except ValueError:
-        jobs = 0
-    if jobs < 1:
+        value = 0
+    if value < 1:
         raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
-    return jobs
+    return value
 
 
 def _cmd_run(args) -> int:
@@ -91,7 +91,11 @@ def _cmd_testset(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    raw = json.loads(Path(args.result).read_text())
+    path = Path(args.result)
+    try:
+        raw = json.loads(path.read_text())
+    except (OSError, ValueError) as exc:
+        raise SchemaError(f"cannot parse result {path}: {exc}") from exc
     result = RunResult.from_dict(raw)
     paths = write_report(result, args.out)
     print(f"wrote {', '.join(str(p) for p in paths.values())}")
@@ -141,7 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--mode", choices=[m.value for m in Mode], default=None)
     run.add_argument("--seed-offset", type=int, default=0, dest="seed_offset")
     run.add_argument(
-        "--jobs", type=_jobs, default=1, help="worker processes for the trial seeds (>= 1)"
+        "--jobs", type=_positive_int, default=1, help="worker processes for the trial seeds (>= 1)"
     )
     run.set_defaults(func=_cmd_run)
 
@@ -163,8 +167,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("gen-groups", help="emit prior-group config variants")
     gen.add_argument("config")
-    gen.add_argument("--groups", type=int, default=10)
-    gen.add_argument("--size", type=int, default=3)
+    gen.add_argument("--groups", type=_positive_int, default=10)
+    gen.add_argument("--size", type=_positive_int, default=3)
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--out", default="groups")
     gen.set_defaults(func=_cmd_gen_groups)
@@ -177,7 +181,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ConfigError, SchemaError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+        kind = "config" if isinstance(exc, ConfigError) else "input"
+        print(f"{kind} error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except TactilabError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -6,7 +6,7 @@ class TactilabError(Exception):
 
 
 class SchemaError(TactilabError):
-    """A catalog or config file failed validation; message names the field."""
+    """A catalog or result file failed validation; message names the field."""
 
 
 class DegenerateTraceError(TactilabError):

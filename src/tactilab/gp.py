@@ -14,8 +14,9 @@ sweep scores every remaining step from the current point and takes the first
 that improves (the speculative sweep), which is the path of trying one step
 at a time. A batch's grams come from one ``training_grams`` call per set,
 and all its (point, set) problems of one size are solved in one stacked
-Newton iteration (``_laplace_modes``); ``gpc_fit`` is that iteration's
-one-problem case. A decoded kernel is solved at most once per search.
+Newton iteration (``_laplace_modes``). A decoded kernel is solved at most
+once per search. ``fit_sets`` fits the final models at one kernel the same
+way (``_solve_sets``); ``gpc_fit`` is the iteration's one-problem case.
 
 Every factorization and solve calls LAPACK directly (``dpotrf``, ``dpotrs``,
 ``dtrtrs``) with the arguments scipy's ``cholesky`` / ``cho_solve`` /
@@ -31,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
@@ -93,10 +94,10 @@ def _tri_solve(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def _chol_with_jitter(a: np.ndarray, base_jitter: float = 0.0):
+def _chol_with_jitter(a: np.ndarray):
     """Lower Cholesky factor, escalating diagonal jitter only on failure."""
     _check_finite(a, "matrix to factor")
-    jitter = base_jitter
+    jitter = 0.0
     for _ in range(6):
         try:
             mat = a if jitter == 0.0 else a + jitter * np.eye(a.shape[0])
@@ -392,20 +393,72 @@ def ova_sets(X, labels) -> dict[int, PooledSet]:
     }
 
 
+def _check_sets(sets, caller: str) -> None:
+    if not sets:
+        raise ParameterError(f"{caller} needs at least one set")
+    for s in sets:
+        _check_binary_problem(np.asarray(s.y, dtype=float), len(s.X), s.n_old)
+
+
+def _solve_sets(sets: Sequence[PooledSet], kernels: list, rhos: Optional[list]) -> list:
+    """The Laplace mode of every set under each kernel: per set, one entry
+    per kernel, its ``_LaplaceMode`` or the error its fit raised (the
+    bits of ``s.fit(kernel)``). ``rhos`` gives each kernel's rho for every
+    set; without it each set keeps its own.
+
+    Each set's grams come from one ``training_grams`` call over its block
+    (sets holding the same block and split share them), and every (kernel,
+    set) problem of one size joins one ``_laplace_modes`` stack."""
+    m = len(kernels)
+    grams_of: dict = {}
+    stacks: dict = {}  # size -> (grams, labels, set indices)
+    for si, s in enumerate(sets):
+        set_rhos = tuple(rhos) if rhos is not None else (s.rho,) * m
+        key = (id(s.X), s.n_old, set_rhos if s.n_old else None)
+        grams = grams_of.get(key)
+        if grams is None:
+            stacked = kernels
+            if s.n_old:
+                stacked = [DependentKernel(kern, rho) for kern, rho in zip(kernels, set_rhos)]
+            grams = grams_of[key] = training_grams(stacked, s.X, s.n_old)
+        grams_list, labels, indices = stacks.setdefault(len(s.X), ([], [], []))
+        grams_list.append(grams)
+        labels.append(np.broadcast_to(np.asarray(s.y, dtype=float), (m, len(s.X))))
+        indices.append(si)
+    out: list = [None] * len(sets)
+    for n, (grams_list, labels, indices) in stacks.items():
+        k = np.concatenate(grams_list) + GRAM_JITTER * np.eye(n)
+        modes = _laplace_modes(k, np.concatenate(labels))
+        for row, si in enumerate(indices):
+            out[si] = modes[row * m : (row + 1) * m]
+    return out
+
+
+def fit_sets(sets: Mapping[int, PooledSet], kernel) -> OvaGpcModel:
+    """The models ``{cls: s.fit(kernel)}`` bit for bit, solved in one
+    ``_solve_sets`` call. Raises the error of the first failing class in
+    class order; a ConvergenceError names its class."""
+    _check_sets(sets.values(), "fit_sets")
+    classes = sorted(sets)
+    models = {}
+    for cls, (mode,) in zip(classes, _solve_sets([sets[c] for c in classes], [kernel], None)):
+        if isinstance(mode, ConvergenceError):
+            raise ConvergenceError(f"class {cls}: {mode}", trace=mode.trace) from mode
+        if isinstance(mode, Exception):
+            raise mode
+        s = sets[cls]
+        kern = DependentKernel(kernel, s.rho) if s.n_old else kernel
+        y = np.asarray(s.y, dtype=float)
+        models[cls] = BinaryGpcModel(kern, s.X, y, s.n_old, **mode._asdict())
+    return OvaGpcModel(tuple(classes), models)
+
+
 def ova_fit(kernel, X, labels) -> OvaGpcModel:
     """One binary model per class, each trained on the same observation block."""
     sets = ova_sets(X, labels)
     if len(sets) < 2:
         raise ParameterError("one-vs-all needs at least two classes")
-    models = {}
-    for cls, s in sets.items():
-        try:
-            models[cls] = s.fit(kernel)
-        except ConvergenceError as exc:
-            raise ConvergenceError(
-                f"class {cls}: {exc}", trace=exc.trace
-            ) from exc
-    return OvaGpcModel(tuple(sets), models)
+    return fit_sets(sets, kernel)
 
 
 def ova_predict_proba(model: OvaGpcModel, X_star) -> np.ndarray:
@@ -493,42 +546,13 @@ def _coordinate_ascent(score, x, fx, names, max_sweeps):
 
 
 def _summed_lmls(sets: Sequence[PooledSet], kernels: list, rhos: Optional[list]) -> list:
-    """Laplace LML of every set under each kernel, summed in set order: the
-    value of ``sum(s.fit(kernel).lml for s in sets)``, or -inf when a fit
-    fails. ``rhos`` gives each kernel's rho for every set; without it each
-    set keeps its own.
-
-    Each set's grams come from one ``training_grams`` call over its block
-    (sets holding the same block and split share them), and every (kernel,
-    set) problem of one size joins one ``_laplace_modes`` stack."""
-    m = len(kernels)
-    grams_of: dict = {}
-    stacks: dict = {}  # size -> (grams, labels, set indices)
-    for si, s in enumerate(sets):
-        set_rhos = tuple(rhos) if rhos is not None else (s.rho,) * m
-        key = (id(s.X), s.n_old, set_rhos if s.n_old else None)
-        grams = grams_of.get(key)
-        if grams is None:
-            stacked = kernels
-            if s.n_old:
-                stacked = [DependentKernel(kern, rho) for kern, rho in zip(kernels, set_rhos)]
-            grams = grams_of[key] = training_grams(stacked, s.X, s.n_old)
-        grams_list, labels, indices = stacks.setdefault(len(s.X), ([], [], []))
-        grams_list.append(grams)
-        labels.append(np.broadcast_to(np.asarray(s.y, dtype=float), (m, len(s.X))))
-        indices.append(si)
-    lml = np.empty((len(sets), m))
-    failed = np.zeros(m, dtype=bool)
-    for n, (grams_list, labels, indices) in stacks.items():
-        k = np.concatenate(grams_list) + GRAM_JITTER * np.eye(n)
-        modes = _laplace_modes(k, np.concatenate(labels))
-        for row, si in enumerate(indices):
-            for i, mode in enumerate(modes[row * m : (row + 1) * m]):
-                if isinstance(mode, Exception):
-                    failed[i] = True
-                else:
-                    lml[si, i] = mode.lml
-    return [-np.inf if failed[i] else sum(lml[:, i].tolist()) for i in range(m)]
+    """The search objective of each kernel: its sets' Laplace LMLs summed in
+    set order, or -inf when a fit fails."""
+    lmls = []
+    for modes in zip(*_solve_sets(sets, kernels, rhos)):
+        failed = any(isinstance(mode, Exception) for mode in modes)
+        lmls.append(-np.inf if failed else sum(mode.lml for mode in modes))
+    return lmls
 
 
 def optimize_kernel_for_sets(
@@ -557,14 +581,11 @@ def optimize_kernel_for_sets(
     every start scores -inf."""
     if restarts < 1:
         raise ParameterError("restarts must be >= 1")
-    if not sets:
-        raise ParameterError("optimize_kernel_for_sets needs at least one set")
+    _check_sets(sets, "optimize_kernel_for_sets")
     if not isinstance(kernel_start, CombinedKernel):
         raise TypeError(
             f"kernel_start must be a CombinedKernel, got {type(kernel_start).__name__}"
         )
-    for s in sets:
-        _check_binary_problem(np.asarray(s.y, dtype=float), len(s.X), s.n_old)
     rng = rng if rng is not None else np.random.default_rng(0)
     parts = kernel_start.parts
     k = len(parts)

@@ -29,8 +29,8 @@ from .features import ThermalProjector, build_observation, fit_thermal_projector
 from .gp import (
     OvaGpcModel,
     argmax_label,
+    fit_sets,
     optimize_kernel_for_sets,
-    ova_fit,
     ova_predict_proba,
     ova_sets,
 )
@@ -219,6 +219,9 @@ def parse_config(raw: dict, base_dir: Optional[str] = None) -> ExperimentConfig:
     seeds = _distinct("seeds", _int_list("seeds", raw["seeds"]))
     if not seeds:
         raise ConfigError("seeds must be nonempty")
+    for i, seed in enumerate(seeds):
+        if seed < 0:  # seed sequences take non-negative entropy only
+            raise ConfigError(f"seeds[{i}] must be >= 0, got {seed}")
     if "trials" in raw and _int_field("trials", raw["trials"]) != len(seeds):
         raise ConfigError("trials must equal the number of seeds")
     budget = _int_field("budget", raw["budget"])
@@ -257,6 +260,8 @@ def parse_config(raw: dict, base_dir: Optional[str] = None) -> ExperimentConfig:
     sizes = _distinct(
         "ablation_sizes", _int_list("ablation_sizes", raw.get("ablation_sizes", [5, 10, 20, 40]))
     )
+    if mode is Mode.MULTI_KERNEL_ABLATION and len(new) < 2:
+        raise ConfigError("new_objects must hold at least two classes for the ablation")
     if mode is Mode.MULTI_KERNEL_ABLATION and any(s < len(new) for s in sizes):
         raise ConfigError("ablation_sizes entries must cover one sample per class")
     return ExperimentConfig(
@@ -617,29 +622,54 @@ class RunResult:
     @classmethod
     def from_dict(cls, raw: dict) -> "RunResult":
         """The inverse of ``to_dict``; a file without ``records`` reads
-        every trial's records as empty."""
-        modes = list(raw["modes"])
-        records = raw.get("records", {})
-        trials = {
-            m: {
-                int(s): TrialResult(
-                    curve,
-                    raw["decisions"][m][s],
-                    raw["gamma_traces"][m][s],
-                    records.get(m, {}).get(s, []),
+        every trial's records as empty. A missing or mistyped field raises
+        SchemaError naming it."""
+        if not isinstance(raw, dict):
+            raise SchemaError(f"result root must be a mapping, got {type(raw).__name__}")
+        modes = _result_field(raw, list, "modes")
+        for i, m in enumerate(modes):
+            if not isinstance(m, str):
+                raise SchemaError(f"result field modes[{i}] must be a string, got {m!r}")
+        trials = {}
+        for m in modes:
+            trials[m] = {}
+            for s in _result_field(raw, dict, "curves", m):
+                if not s.isdigit():
+                    raise SchemaError(f"result field curves[{m}] has a non-seed key {s!r}")
+                trials[m][int(s)] = TrialResult(
+                    _result_field(raw, list, "curves", m, s),
+                    _result_field(raw, list, "decisions", m, s),
+                    _result_field(raw, list, "gamma_traces", m, s),
+                    _result_field(raw, list, "records", m, s, default=[]),
                 )
-                for s, curve in raw["curves"][m].items()
-            }
-            for m in modes
-        }
         return cls(
-            config=raw["config"],
-            config_hash=raw["config_hash"],
+            config=_result_field(raw, dict, "config"),
+            config_hash=_result_field(raw, str, "config_hash"),
             modes=modes,
             trials=trials,
-            failures=list(raw.get("failures", [])),
-            wall_clock_s=float(raw.get("wall_clock_s", 0.0)),
+            failures=list(_result_field(raw, list, "failures", default=[])),
+            wall_clock_s=float(_result_field(raw, (int, float), "wall_clock_s", default=0.0)),
         )
+
+
+def _result_field(raw: dict, kind, *path: str, default=None):
+    """``raw[path[0]][path[1]]...``, which must be of type ``kind``, every
+    step before it a mapping. A missing step gives ``default`` when one is
+    given; otherwise, as for a mistyped one, SchemaError names the field."""
+    value = raw
+    for depth, key in enumerate(path):
+        name = path[0] + "".join(f"[{k}]" for k in path[1 : depth + 1])
+        if key not in value:
+            if default is None:
+                raise SchemaError(f"result field {name} is missing")
+            return default
+        value = value[key]
+        expected = kind if depth == len(path) - 1 else dict
+        if not isinstance(value, expected) or isinstance(value, bool):
+            kinds = expected if isinstance(expected, tuple) else (expected,)
+            names = " or ".join(t.__name__ for t in kinds)
+            raise SchemaError(f"result field {name} must be {names}, got {type(value).__name__}")
+    return value
 
 
 def _modes_for(config: ExperimentConfig, test: TestSet) -> list[str]:
@@ -889,17 +919,17 @@ def run_ablation_seed(
     for size in sizes:
         train = ObservationBlock.of([o for _, o in samples[:size]])
         labels = [obj for obj, _ in samples[:size]]
-        sets = list(ova_sets(train, labels).values())
+        sets = ova_sets(train, labels)
         start_kernel = median_heuristic(train, train.modalities)
         for variant, one_hot in variants.items():
             kernel, _, _ = optimize_kernel_for_sets(
-                sets,
+                list(sets.values()),
                 start_kernel if one_hot is None else start_kernel.with_weights(one_hot),
                 restarts=INIT_RESTARTS,
                 rng=opt_rng,
                 fit_weights=one_hot is None,
             )
-            model = ova_fit(kernel, train, labels)
+            model = fit_sets(sets, kernel)
             curves[variant].append(accuracy(model, test_obs, test_labels))
             if one_hot is None:
                 gamma_trace.append(

@@ -399,28 +399,17 @@ def prediction_diag(kernel, X_star) -> np.ndarray:
 
 
 def median_heuristic(
-    observations: Sequence[FeatureObservation],
-    modalities: Sequence[Modality],
-    signal_variance: float = 1.0,
-    scale: float = 0.5,
+    observations: Sequence[FeatureObservation], modalities: Sequence[Modality]
 ) -> CombinedKernel:
-    """Uniform-weight combined kernel with per-modality length scales set to
-    ``scale`` times the median nonzero pairwise distance (1.0 when
-    degenerate). The default half-median keeps sparse classes separated."""
+    """Uniform-weight combined kernel with unit signal variances and
+    per-modality length scales set to half the median nonzero pairwise
+    distance (1.0 when degenerate): the half-median keeps sparse classes
+    separated. The distances come from the block's memo."""
     block = ObservationBlock.of(observations)
     parts = []
     for mod in modalities:
-        xs = block.matrix(mod)
-        if xs.shape[0] > 1:
-            sq = (
-                np.sum(xs**2, axis=1)[:, None]
-                + np.sum(xs**2, axis=1)[None, :]
-                - 2.0 * xs @ xs.T
-            )
-            dists = np.sqrt(np.maximum(sq[np.triu_indices(xs.shape[0], 1)], 0.0))
-            dists = dists[dists > 0]
-            width = scale * float(np.median(dists)) if dists.size else 1.0
-        else:
-            width = 1.0
-        parts.append((mod, RbfKernel(max(width, 1e-2), signal_variance)))
+        dists = np.sqrt(block.sqdist(mod)[np.triu_indices(len(block), 1)])
+        dists = dists[dists > 0]
+        width = 0.5 * float(np.median(dists)) if dists.size else 1.0
+        parts.append((mod, RbfKernel(max(width, 1e-2))))
     return uniform_combined(parts)

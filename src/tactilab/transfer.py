@@ -16,8 +16,8 @@ from .gp import (
     BinaryGpcModel,
     OvaGpcModel,
     PooledSet,
+    fit_sets,
     optimize_kernel_for_sets,
-    ova_fit,
     ova_predict_proba,
     ova_sets,
 )
@@ -97,19 +97,13 @@ def fit_prior_knowledge(
         flat = ObservationBlock.of(flat)
         start = median_heuristic(flat, flat.modalities)
         sets = ova_sets(flat, labels)
-        if len(sets) == 1:
-            # Single old object: degenerate one-class model, kernel tuned on
-            # the all-positive problem in three sweeps.
-            (cls, only), = sets.items()
-            kernel, _, _ = optimize_kernel_for_sets(
-                [only], start, restarts=restarts, rng=rng, max_sweeps=3
-            )
-            models[action_id] = OvaGpcModel((cls,), {cls: only.fit(kernel)})
-        else:
-            kernel, _, _ = optimize_kernel_for_sets(
-                list(sets.values()), start, restarts=restarts, rng=rng
-            )
-            models[action_id] = ova_fit(kernel, flat, labels)
+        # A single old object gives a degenerate one-class model, its kernel
+        # tuned on the all-positive problem in three sweeps.
+        kernel, _, _ = optimize_kernel_for_sets(
+            list(sets.values()), start, restarts=restarts, rng=rng,
+            max_sweeps=3 if len(sets) == 1 else 4,
+        )
+        models[action_id] = fit_sets(sets, kernel)
         kernels[action_id] = kernel
     return PriorKnowledge(
         action_ids=tuple(instances),
@@ -169,7 +163,6 @@ def select_prior_by_optimization(
     X_new_j: Sequence[FeatureObservation],
     eps_neg2: float = 0.6,
     new_object_id: int = -1,
-    restarts: int = 2,
     rng: Optional[np.random.Generator] = None,
 ) -> TransferDecision:
     """Treat the relatedness as a hyperparameter: for every old object, tune
@@ -185,7 +178,7 @@ def select_prior_by_optimization(
         # Old and new observations all labelled +1, rho searched from 0.5.
         pooled = _pooled_set(prior.instances[action_id][old_id], X_new_j, [], 0.5)
         _, rho, _ = optimize_kernel_for_sets(
-            [pooled], base, restarts=restarts, rng=rng, fit_weights=False, fit_rho=True
+            [pooled], base, rng=rng, fit_weights=False, fit_rho=True
         )
         if rho > best_rho:
             best_old, best_rho = old_id, rho
@@ -286,8 +279,7 @@ def build_action_models(
         list(sets.values()), start, restarts=restarts, rng=rng, max_sweeps=sweeps
     )
 
-    models = {obj: s.fit(kernel) for obj, s in sets.items()}
-    return OvaGpcModel(tuple(object_ids), models), kernel, decisions
+    return fit_sets(sets, kernel), kernel, decisions
 
 
 def build_new_observation_models(
@@ -295,7 +287,6 @@ def build_new_observation_models(
     X_new: Mapping[str, ObservationGroups],
     thresholds: TransferThresholds = TransferThresholds(),
     method: SelectionMethod = SelectionMethod.MODEL_PREDICTION,
-    kernel_starts: Optional[Mapping[str, CombinedKernel]] = None,
     restarts: int = 2,
     sweeps: int = 3,
     rng: Optional[np.random.Generator] = None,
@@ -305,14 +296,12 @@ def build_new_observation_models(
     kernels: dict[str, CombinedKernel] = {}
     decisions: list[TransferDecision] = []
     for action_id, groups in X_new.items():
-        start = kernel_starts.get(action_id) if kernel_starts else None
         model, kernel, action_decisions = build_action_models(
             prior,
             action_id,
             groups,
             thresholds,
             method,
-            kernel_start=start,
             restarts=restarts,
             sweeps=sweeps,
             rng=rng,

@@ -504,3 +504,93 @@ class TestStackedLaplace:
                 assert np.array_equal(got, expected)
         if failing is not None:
             assert isinstance(modes[failing], (NumericalError, np.linalg.LinAlgError))
+
+    @SETTINGS
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        kernel=st.tuples(LENGTHS, LENGTHS, WEIGHTS),
+        specs=st.lists(
+            st.tuples(st.integers(1, 15), RHOS, st.floats(0.0, 1.0), st.booleans()),
+            min_size=1,
+            max_size=6,
+        ),
+        bad=st.sampled_from([None, np.nan, np.inf, "indefinite"]),
+    )
+    def test_fit_sets_matches_per_set_fits(self, seed, kernel, specs, bad):
+        """Classes of mixed sizes and splits, some sharing a block as the
+        sets of ``ova_sets`` do, inserted out of class order: each model is
+        the set's own ``gpc_fit`` bit for bit. When one block's gram is
+        non-finite or indefinite, ``fit_sets`` raises what the first failing
+        class's own fit raises."""
+        rng = np.random.default_rng(seed)
+        base = combined(*kernel)
+        sets = {}
+        for cls in rng.permutation(len(specs)):
+            n, rho, split, share = specs[cls]
+            if share and sets:  # a set over an earlier class's block
+                X = next(iter(sets.values())).X
+                n = len(X)
+            else:
+                X = ObservationBlock.of(random_observations(int(rng.integers(2**32)), n, 1.0))
+            y = tuple(np.where(rng.random(n) < 0.5, 1.0, -1.0).tolist())
+            sets[int(cls) * 3] = gp.PooledSet(X, y, min(int(split * n), n - 1), rho)
+
+        real_grams = training_grams
+        bad_block = bad_gram = None
+        if bad is not None:
+            bad_block = sets[int(rng.choice(list(sets)))].X
+            n = len(bad_block)
+            bad_gram = indefinite_gram(rng, n) if bad == "indefinite" else np.zeros((n, n))
+            if bad != "indefinite":
+                bad_gram[rng.integers(n), rng.integers(n)] = bad
+
+        def grams(kernels, X, n_old=0):
+            if X is bad_block:
+                return np.stack([bad_gram] * len(kernels))
+            return real_grams(kernels, X, n_old)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(gp, "training_grams", grams)
+            mp.setattr(gp, "training_gram", lambda k, X, n_old=0: grams([k], X, n_old)[0])
+            want, error = {}, None
+            for cls in sorted(sets):
+                try:
+                    want[cls] = sets[cls].fit(base)
+                except (NumericalError, np.linalg.LinAlgError) as exc:
+                    error = exc
+                    break
+            if error is not None:
+                with pytest.raises(type(error)) as raised:
+                    gp.fit_sets(sets, base)
+                assert type(raised.value) is type(error) and str(raised.value) == str(error)
+                return
+            got = gp.fit_sets(sets, base)
+        assert got.classes == tuple(sorted(sets))
+        for cls, model in got.models.items():
+            expected = want[cls]
+            assert_same_fit(model, expected)
+            assert np.array_equal(model.y, expected.y) and model.y.dtype == float
+            assert model.y.flags.writeable
+            assert model.n_old == expected.n_old
+            assert model.kernel == expected.kernel
+            assert model.X_train is expected.X_train
+
+    def test_convergence_error_names_its_class(self, monkeypatch):
+        """A stalled Laplace fit names the first failing class in class
+        order, through ``ova_fit`` and through ``fit_sets`` over a mapping
+        inserted out of order, and keeps the set's own message and trace."""
+        monkeypatch.setattr(gp, "LAPLACE_MAX_ITER", 1)
+        obs = random_observations(3, 9, 1.0)
+        labels = [7, 4, 9, 7, 4, 9, 7, 4, 9]
+        kernel = combined(1.0, 2.0, (0.4, 0.6))
+        sets = gp.ova_sets(obs, labels)
+        with pytest.raises(ConvergenceError) as own:
+            sets[4].fit(kernel)
+        for fit in (
+            lambda: gp.ova_fit(kernel, obs, labels),
+            lambda: gp.fit_sets({cls: sets[cls] for cls in (9, 4, 7)}, kernel),
+        ):
+            with pytest.raises(ConvergenceError) as raised:
+                fit()
+            assert str(raised.value) == f"class 4: {own.value}"
+            assert raised.value.trace == own.value.trace and len(own.value.trace) == 1

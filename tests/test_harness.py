@@ -1,4 +1,5 @@
 import json
+import re
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -8,7 +9,7 @@ import pytest
 
 import tactilab
 from tactilab.cli import main as cli_main
-from tactilab.errors import ConfigError
+from tactilab.errors import ConfigError, SchemaError
 from tactilab.features import Modality
 from tactilab.harness import (
     ExperimentConfig,
@@ -146,6 +147,28 @@ class TestConfigParsing:
             raw["trials"] = len(value)
         with pytest.raises(ConfigError, match=f"{field} has duplicate entries"):
             parse_config(raw)
+
+    @pytest.mark.parametrize("seeds, name", [([-1], "seeds[0]"), ([3, 0, -4], "seeds[2]")])
+    def test_negative_seeds_rejected_by_name(self, tmp_path, capsys, seeds, name):
+        # A seed sequence takes non-negative entropy only; a negative seed
+        # would pass validation and fail every trial at run time.
+        with pytest.raises(ConfigError, match=re.escape(f"{name} must be >= 0")):
+            parse_config(config_dict(seeds=seeds))
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config_dict(seeds=seeds)))
+        assert cli_main(["validate", str(path)]) == 2
+        assert name in capsys.readouterr().err
+        path.write_text(json.dumps(config_dict(seeds=[1, 2], budget=1)))
+        out = tmp_path / "out"
+        assert cli_main(["run", str(path), "--out", str(out), "--seed-offset", "-2"]) == 2
+        assert "seeds[0] must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_ablation_needs_two_classes(self):
+        with pytest.raises(ConfigError, match="new_objects"):
+            parse_config(
+                config_dict(new_objects=[11], mode="multi_kernel_ablation", ablation_sizes=[2])
+            )
 
     def test_integral_floats_accepted(self):
         config = parse_config(config_dict(budget=3.0, seeds=[1.0, 2]))
@@ -498,6 +521,12 @@ class TestJobs:
         assert exit_info.value.code == 2
         assert "--jobs" in capsys.readouterr().err
         assert not out.exists()
+        for flag in ("--size", "--groups"):
+            with pytest.raises(SystemExit) as exit_info:
+                cli_main(["gen-groups", str(path), "--out", str(out), flag, jobs])
+            assert exit_info.value.code == 2
+            assert flag in capsys.readouterr().err
+            assert not out.exists()
 
     @pytest.mark.parametrize(
         "seeds, jobs, workers", [([1, 2, 3], 8, [3]), ([1, 2], 2, [2]), ([1], 2, [])]
@@ -719,6 +748,36 @@ class TestCli:
         out2 = tmp_path / "out2"
         assert cli_main(["report", str(out / "result.json"), "--out", str(out2)]) == 0
         assert (out2 / "curves.csv").read_bytes() == (out / "curves.csv").read_bytes()
+
+    def test_report_rejects_what_is_not_a_result(self, tmp_path, capsys):
+        """A config, a missing file and a JSON list exit 2 naming the
+        missing or mistyped field, or the unreadable path."""
+        config = self.write_config(tmp_path)
+        listed = tmp_path / "list.json"
+        listed.write_text("[1, 2]")
+        missing = tmp_path / "missing.json"
+        cases = [
+            (config, "result field modes is missing"),
+            (missing, f"cannot parse result {missing}"),
+            (listed, "result root must be a mapping, got list"),
+        ]
+        for path, message in cases:
+            out = tmp_path / "out"
+            assert cli_main(["report", str(path), "--out", str(out)]) == 2
+            assert message in capsys.readouterr().err
+            assert not out.exists()
+
+    def test_report_names_nested_fields(self, small_result):
+        _, result = small_result
+        raw = result.to_dict()
+        del raw["decisions"]["transfer"]["2"]
+        with pytest.raises(SchemaError, match=re.escape("decisions[transfer][2] is missing")):
+            RunResult.from_dict(raw)
+        raw = result.to_dict()
+        raw["curves"]["no_transfer"] = []
+        message = "curves[no_transfer] must be dict, got list"
+        with pytest.raises(SchemaError, match=re.escape(message)):
+            RunResult.from_dict(raw)
 
     def test_testset_verb(self, tmp_path):
         path = self.write_config(tmp_path, seeds=[1], budget=1)
