@@ -235,38 +235,79 @@ def _thermal_raw(trace: SensorTrace, resample_len: int) -> np.ndarray:
     return np.concatenate([resampled, grad])
 
 
-def fit_thermal_projector(
-    traces: Sequence[SensorTrace], resample_len: int = THERMAL_RESAMPLE_LEN
+def fit_projector(
+    raw: np.ndarray, resample_len: int = THERMAL_RESAMPLE_LEN
 ) -> ThermalProjector:
-    """Fit the top-10 principal directions of the [T, grad T] features."""
-    if len(traces) < THERMAL_DIM + 1:
+    """Fit the top-10 principal directions of stacked [T, grad T] features,
+    one row per trace (as ``_thermal_raw`` gives them)."""
+    if len(raw) < THERMAL_DIM + 1:
         raise InsufficientDataError(
-            f"thermal projector needs >= {THERMAL_DIM + 1} traces, got {len(traces)}"
+            f"thermal projector needs >= {THERMAL_DIM + 1} traces, got {len(raw)}"
         )
-    feats = np.stack([_thermal_raw(tr, resample_len) for tr in traces])
-    mean = feats.mean(axis=0)
-    centered = feats - mean
+    mean = raw.mean(axis=0)
+    centered = raw - mean
     # SVD of the centered data: rows of vt are the principal directions.
     _, s, vt = np.linalg.svd(centered, full_matrices=True)
     explained = np.zeros(THERMAL_DIM)
-    explained[: s.size] = (s[:THERMAL_DIM] ** 2) / len(traces)
+    explained[: s.size] = (s[:THERMAL_DIM] ** 2) / len(raw)
     return ThermalProjector(
         mean_vector=mean,
-        basis=vt[:THERMAL_DIM],
+        basis=vt[:THERMAL_DIM].copy(),  # a view would keep all of vt alive
         source_dim=mean.size,
         resample_len=resample_len,
         explained_variance=explained,
     )
 
 
-def extract_thermal(trace: SensorTrace, projector: ThermalProjector) -> np.ndarray:
-    """Project the trace's [T, grad T] feature onto the fitted basis."""
-    raw = _thermal_raw(trace, projector.resample_len)
+def fit_thermal_projector(
+    traces: Sequence[SensorTrace], resample_len: int = THERMAL_RESAMPLE_LEN
+) -> ThermalProjector:
+    """``fit_projector`` on the traces' [T, grad T] features."""
+    return fit_projector(np.stack([_thermal_raw(tr, resample_len) for tr in traces]), resample_len)
+
+
+def project_thermal(raw: np.ndarray, projector: ThermalProjector) -> np.ndarray:
+    """Project a [T, grad T] feature onto the fitted basis."""
     if raw.size != projector.source_dim:
         raise ProjectorMismatchError(
             f"feature length {raw.size} != projector source_dim {projector.source_dim}"
         )
     return projector.basis @ (raw - projector.mean_vector)
+
+
+def extract_thermal(trace: SensorTrace, projector: ThermalProjector) -> np.ndarray:
+    """Project the trace's [T, grad T] feature onto the fitted basis."""
+    return project_thermal(_thermal_raw(trace, projector.resample_len), projector)
+
+
+@dataclass(frozen=True)
+class RawFeatures:
+    """What an observation needs of its trace before a thermal projector
+    exists: the lead segment (stiffness or texture) and the raw [T, grad T]
+    thermal feature. A few kilobytes, where the trace holds about a hundred."""
+
+    lead: tuple[Modality, np.ndarray]
+    thermal: np.ndarray
+
+
+def raw_features(trace: SensorTrace, resample_len: int = THERMAL_RESAMPLE_LEN) -> RawFeatures:
+    """Reduce a trace to its lead segment and raw thermal feature."""
+    if trace.kind is ActionKind.SLIDING:
+        lead = (Modality.TEXTURE, extract_texture(trace))
+    else:
+        lead = (Modality.FORCE, np.array([extract_stiffness(trace)]))
+    return RawFeatures(lead, _thermal_raw(trace, resample_len))
+
+
+def observation_from_raw(
+    raw: RawFeatures,
+    action_id: str,
+    projector: ThermalProjector,
+    object_id: Optional[int] = None,
+) -> FeatureObservation:
+    """The feature observation of a trace reduced by ``raw_features``."""
+    thermal = (Modality.THERMAL, project_thermal(raw.thermal, projector))
+    return FeatureObservation(action_id, (raw.lead, thermal), object_id)
 
 
 def build_observation(
@@ -276,9 +317,5 @@ def build_observation(
     object_id: Optional[int] = None,
 ) -> FeatureObservation:
     """Assemble the full feature observation for a trace."""
-    if trace.kind is ActionKind.SLIDING:
-        lead = (Modality.TEXTURE, extract_texture(trace))
-    else:
-        lead = (Modality.FORCE, np.array([extract_stiffness(trace)]))
-    thermal = (Modality.THERMAL, extract_thermal(trace, projector))
-    return FeatureObservation(action_id, (lead, thermal), object_id)
+    raw = raw_features(trace, projector.resample_len)
+    return observation_from_raw(raw, action_id, projector, object_id)

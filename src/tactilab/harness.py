@@ -11,10 +11,13 @@ import os
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
+from itertools import islice
 from pathlib import Path
-from typing import Mapping, Optional, Sequence
+from typing import Callable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -25,7 +28,14 @@ from .errors import (
     SchemaError,
     TactilabError,
 )
-from .features import ThermalProjector, build_observation, fit_thermal_projector
+from .features import (
+    RawFeatures,
+    ThermalProjector,
+    build_observation,
+    fit_projector,
+    observation_from_raw,
+    raw_features,
+)
 from .gp import (
     OvaGpcModel,
     argmax_label,
@@ -329,78 +339,104 @@ def _make_simulator(catalog: Catalog):
     return simulator
 
 
-def fit_projectors_from_pool(
-    catalog: Catalog,
-    object_ids: Sequence[int],
-    actions: Sequence[str],
-    samples_per_object: int,
-    namespace: int,
-) -> tuple[dict[str, ThermalProjector], dict[str, dict[int, list]]]:
-    """Simulate a per-action trace pool and fit one thermal projector each.
+#: One simulated trace of set-up: (action id, object id, seed).
+TraceJob = tuple[str, int, int]
 
-    Returns the projectors plus the raw traces so callers can reuse the pool
-    for feature extraction."""
-    simulator = _make_simulator(catalog)
+
+def _trace_jobs(
+    config: ExperimentConfig,
+    object_ids: Sequence[int],
+    samples: Callable[[str], int],
+    namespace: int,
+) -> list[TraceJob]:
+    """Per action, per object, ``samples(action_id)`` traces from the
+    namespace's streams."""
+    return [
+        (action_id, obj, derive_seed(namespace, _action_index(action_id), obj, k))
+        for action_id in config.actions
+        for obj in object_ids
+        for k in range(samples(action_id))
+    ]
+
+
+def projector_pool_jobs(config: ExperimentConfig) -> list[TraceJob]:
+    """The traces the thermal projectors are fitted on: the prior pool, or,
+    without prior objects, a calibration pool over the new objects."""
+    if config.prior_objects:
+        per_object = config.prior_samples_per_object
+        return _trace_jobs(config, config.prior_objects, lambda _: per_object, PRIOR_NS)
+    calib_samples = max(3, -(-11 // len(config.new_objects)))
+    return _trace_jobs(config, config.new_objects, lambda _: calib_samples, CALIB_NS)
+
+
+def held_out_jobs(config: ExperimentConfig) -> list[TraceJob]:
+    """The held-out traces of every (object, action) pair, drawn from the
+    test seed namespace (disjoint from all training streams)."""
+    objects = config.prior_objects + config.new_objects
+    return _trace_jobs(config, objects, partial(test_samples_for, config), TEST_NS)
+
+
+def trace_features(catalog: Catalog, job: TraceJob) -> RawFeatures:
+    """Simulate one set-up trace and reduce it to its raw features."""
+    action_id, obj, seed = job
+    return raw_features(_make_simulator(catalog)(obj, action_id, seed))
+
+
+def _features_of(
+    catalog: Catalog, jobs: Sequence[TraceJob], features: Optional[Iterator[RawFeatures]]
+) -> Iterator[RawFeatures]:
+    """The next ``len(jobs)`` items of ``features``, or, without a stream,
+    the jobs' features computed here one trace at a time."""
+    if features is None:
+        return map(partial(trace_features, catalog), jobs)
+    return islice(features, len(jobs))
+
+
+def fit_projectors_from_pool(
+    jobs: Sequence[TraceJob], raws: Sequence[RawFeatures]
+) -> dict[str, ThermalProjector]:
+    """One thermal projector per action, fitted on the raw thermal features
+    of that action's pool traces."""
     projectors: dict[str, ThermalProjector] = {}
-    traces: dict[str, dict[int, list]] = {}
-    for action_id in actions:
-        a_idx = _action_index(action_id)
-        action_traces: dict[int, list] = {}
-        for obj in object_ids:
-            action_traces[obj] = [
-                simulator(obj, action_id, derive_seed(namespace, a_idx, obj, k))
-                for k in range(samples_per_object)
-            ]
-        flat = [tr for group in action_traces.values() for tr in group]
-        if len(flat) < 11:
+    for action_id in dict.fromkeys(a for a, _, _ in jobs):
+        thermal = [r.thermal for (a, _, _), r in zip(jobs, raws) if a == action_id]
+        if len(thermal) < 11:
             raise InsufficientDataError(
-                f"action {action_id}: projector pool holds {len(flat)} traces (< 11); "
+                f"action {action_id}: projector pool holds {len(thermal)} traces (< 11); "
                 "raise prior_samples_per_object"
             )
-        projectors[action_id] = fit_thermal_projector(flat)
-        traces[action_id] = action_traces
-    return projectors, traces
+        projectors[action_id] = fit_projector(np.stack(thermal))
+    return projectors
 
 
 def build_prior(
-    config: ExperimentConfig, catalog: Catalog
+    config: ExperimentConfig,
+    catalog: Catalog,
+    features: Optional[Iterator[RawFeatures]] = None,
 ) -> tuple[Optional[PriorKnowledge], dict[str, ThermalProjector]]:
     """Fixed prior tactile knowledge for the experiment.
 
     With prior objects configured, the projectors are fitted on the prior
     pool and the pool itself becomes the instance knowledge. Without priors,
     projectors come from a dedicated calibration stream over the new objects
-    and no knowledge store is built."""
-    if config.prior_objects:
-        projectors, traces = fit_projectors_from_pool(
-            catalog,
-            config.prior_objects,
-            config.actions,
-            config.prior_samples_per_object,
-            PRIOR_NS,
-        )
-        instances = {
-            action_id: {
-                obj: [
-                    build_observation(tr, action_id, projectors[action_id], obj)
-                    for tr in group
-                ]
-                for obj, group in traces[action_id].items()
-            }
-            for action_id in config.actions
-        }
-        prior = fit_prior_knowledge(
-            instances,
-            projectors,
-            restarts=INIT_RESTARTS,
-            rng=derive_rng(OPT_NS, PRIOR_NS),
-        )
-        return prior, projectors
-    calib_samples = max(3, -(-11 // len(config.new_objects)))
-    projectors, _ = fit_projectors_from_pool(
-        catalog, config.new_objects, config.actions, calib_samples, CALIB_NS
+    and no knowledge store is built. ``features`` yields the raw features of
+    ``projector_pool_jobs(config)`` in order; without it they are computed here."""
+    jobs = projector_pool_jobs(config)
+    raws = list(_features_of(catalog, jobs, features))
+    projectors = fit_projectors_from_pool(jobs, raws)
+    if not config.prior_objects:
+        return None, projectors
+    instances: dict[str, dict[int, list]] = {}
+    for (action_id, obj, _), raw in zip(jobs, raws):
+        obs = observation_from_raw(raw, action_id, projectors[action_id], obj)
+        instances.setdefault(action_id, {}).setdefault(obj, []).append(obs)
+    prior = fit_prior_knowledge(
+        instances,
+        projectors,
+        restarts=INIT_RESTARTS,
+        rng=derive_rng(OPT_NS, PRIOR_NS),
     )
-    return None, projectors
+    return prior, projectors
 
 
 @dataclass
@@ -423,26 +459,20 @@ def build_test_set(
     config: ExperimentConfig,
     catalog: Catalog,
     projectors: Mapping[str, ThermalProjector],
+    features: Optional[Iterator[RawFeatures]] = None,
 ) -> TestSet:
-    """Labeled held-out observations for every (object, action) pair, drawn
-    from the test seed namespace (disjoint from all training streams)."""
-    simulator = _make_simulator(catalog)
-    object_ids = list(config.prior_objects) + list(config.new_objects)
-    observations: dict[str, list] = {}
-    labels: dict[str, np.ndarray] = {}
-    for action_id in config.actions:
-        a_idx = _action_index(action_id)
-        n = test_samples_for(config, action_id)
-        obs, labs = [], []
-        for obj in object_ids:
-            for k in range(n):
-                seed = derive_seed(TEST_NS, a_idx, obj, k)
-                trace = simulator(obj, action_id, seed)
-                obs.append(build_observation(trace, action_id, projectors[action_id], obj))
-                labs.append(obj)
-        observations[action_id] = obs
-        labels[action_id] = np.array(labs)
-    return TestSet(observations, labels)
+    """Labeled held-out observations of ``held_out_jobs(config)``. ``features``
+    yields the jobs' raw features in order; without it they are computed
+    here."""
+    jobs = held_out_jobs(config)
+    observations: dict[str, list] = {a: [] for a in config.actions}
+    labels: dict[str, list] = {a: [] for a in config.actions}
+    for (action_id, obj, _), raw in zip(jobs, _features_of(catalog, jobs, features)):
+        observations[action_id].append(
+            observation_from_raw(raw, action_id, projectors[action_id], obj)
+        )
+        labels[action_id].append(obj)
+    return TestSet(observations, {a: np.array(labs) for a, labs in labels.items()})
 
 
 def new_object_slice(
@@ -636,12 +666,17 @@ class RunResult:
             for s in _result_field(raw, dict, "curves", m):
                 if not s.isdigit():
                     raise SchemaError(f"result field curves[{m}] has a non-seed key {s!r}")
-                trials[m][int(s)] = TrialResult(
-                    _result_field(raw, list, "curves", m, s),
-                    _result_field(raw, list, "decisions", m, s),
-                    _result_field(raw, list, "gamma_traces", m, s),
-                    _result_field(raw, list, "records", m, s, default=[]),
-                )
+                curve = _numbers(raw, "curves", m, s)
+                decisions = _result_field(raw, list, "decisions", m, s)
+                gamma_trace = _result_field(raw, list, "gamma_traces", m, s)
+                # The entries that write_report reads.
+                for i in range(len(decisions)):
+                    _result_field(raw, (int, type(None)), "decisions", m, s, i, "selected_old")
+                for i in range(len(gamma_trace)):
+                    _result_field(raw, str, "gamma_traces", m, s, i, "action")
+                    _numbers(raw, "gamma_traces", m, s, i, "gamma")
+                records = _result_field(raw, list, "records", m, s, default=[])
+                trials[m][int(s)] = TrialResult(curve, decisions, gamma_trace, records)
         return cls(
             config=_result_field(raw, dict, "config"),
             config_hash=_result_field(raw, str, "config_hash"),
@@ -652,24 +687,36 @@ class RunResult:
         )
 
 
-def _result_field(raw: dict, kind, *path: str, default=None):
-    """``raw[path[0]][path[1]]...``, which must be of type ``kind``, every
-    step before it a mapping. A missing step gives ``default`` when one is
-    given; otherwise, as for a mistyped one, SchemaError names the field."""
+def _result_field(raw: dict, kind, *path, default=None):
+    """``raw[path[0]][path[1]]...``, which must be of type ``kind``; every
+    step before it is a mapping, or a list where the next key is an int. A
+    missing step gives ``default`` when one is given; otherwise, as for a
+    mistyped one, SchemaError names the field. A bool is of no kind."""
     value = raw
     for depth, key in enumerate(path):
         name = path[0] + "".join(f"[{k}]" for k in path[1 : depth + 1])
-        if key not in value:
+        if key not in (range(len(value)) if isinstance(value, list) else value):
             if default is None:
                 raise SchemaError(f"result field {name} is missing")
             return default
         value = value[key]
-        expected = kind if depth == len(path) - 1 else dict
+        if depth == len(path) - 1:
+            expected = kind
+        else:
+            expected = list if isinstance(path[depth + 1], int) else dict
         if not isinstance(value, expected) or isinstance(value, bool):
             kinds = expected if isinstance(expected, tuple) else (expected,)
-            names = " or ".join(t.__name__ for t in kinds)
+            names = " or ".join("null" if t is type(None) else t.__name__ for t in kinds)
             raise SchemaError(f"result field {name} must be {names}, got {type(value).__name__}")
     return value
+
+
+def _numbers(raw: dict, *path) -> list:
+    """The list field at ``path``; every item must be a number."""
+    values = _result_field(raw, list, *path)
+    for i in range(len(values)):
+        _result_field(raw, (int, float), *path, i)
+    return values
 
 
 def _modes_for(config: ExperimentConfig, test: TestSet) -> list[str]:
@@ -695,16 +742,54 @@ def _asset_key(config: ExperimentConfig) -> tuple[str, str, str]:
     return config_hash(config), str(path), digest
 
 
-def _assets(config: ExperimentConfig):
+def _assets(config: ExperimentConfig, workers: int = 1):
     key = _asset_key(config)
     if key not in _ASSET_CACHE:
-        catalog = load_catalog(config.catalog_path())
-        check_catalog_objects(config, catalog)
-        prior, projectors = build_prior(config, catalog)
-        test = build_test_set(config, catalog, projectors)
-        evaluate = make_evaluator(config, test)
-        _ASSET_CACHE[key] = (catalog, prior, projectors, test, evaluate)
+        _ASSET_CACHE[key] = build_assets(config, workers)
     return _ASSET_CACHE[key]
+
+
+#: Trace jobs per set-up pool task. A trace takes about a millisecond to
+#: simulate and reduce (2-vCPU x86 VM), far more than sending its job and raw
+#: features between processes.
+SETUP_CHUNKSIZE = 16
+
+
+@contextmanager
+def _setup_map(workers: int):
+    """``map`` for the set-up's trace jobs: the builtin one, or with
+    ``workers`` > 1 that of a process pool, which works ahead of its reader
+    and yields in job order. The pool is gone on exit; when set-up fails,
+    its queued tasks are cancelled rather than run."""
+    if workers == 1:
+        yield map
+        return
+    with ProcessPoolExecutor(max_workers=workers, initializer=SingleThreadedBlas) as pool:
+        try:
+            yield partial(pool.map, chunksize=SETUP_CHUNKSIZE)
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
+
+
+def build_assets(config: ExperimentConfig, workers: int = 1) -> tuple:
+    """(catalog, prior, projectors, test set, evaluator): what every trial
+    of the config shares.
+
+    Set-up maps one ordered stream of trace jobs, the projector pool's and
+    then the test set's, each trace reduced to its raw features at once.
+    With ``workers`` > 1 a pool simulates the test set while this process
+    fits the projectors and the prior knowledge; the prior fit stays here,
+    in order, because its searches share one rng stream. The same bits come
+    out either way."""
+    catalog = load_catalog(config.catalog_path())
+    check_catalog_objects(config, catalog)
+    jobs = projector_pool_jobs(config) + held_out_jobs(config)
+    with _setup_map(workers) as mapper:
+        features = mapper(partial(trace_features, catalog), jobs)
+        prior, projectors = build_prior(config, catalog, features)
+        test = build_test_set(config, catalog, projectors, features)
+    return catalog, prior, projectors, test, make_evaluator(config, test)
 
 
 class _DlPhdrInfo(ctypes.Structure):
@@ -774,8 +859,12 @@ class SingleThreadedBlas:
                 uncapped.append(path)
                 continue
             get, set_ = controls
-            self._previous.append((set_, get()))
-            set_(1)
+            count = get()
+            # Skipped at one thread: in a forked worker, which inherits the
+            # cap, set_num_threads rebuilds the thread pool and its threads spin.
+            if count != 1:
+                self._previous.append((set_, count))
+                set_(1)
         if uncapped:
             warnings.warn(
                 f"BLAS threads not capped: no set_num_threads symbol in {uncapped}",
@@ -825,18 +914,19 @@ def _run_seed_worker(args):
 def run_experiment(config: ExperimentConfig, jobs: int = 1) -> RunResult:
     """Run every trial of the configured experiment and aggregate.
 
-    With ``jobs`` > 1 the seeds run in a process pool of at most one
-    worker per seed. BLAS runs single-threaded in every process that runs
-    trials, this one until the call returns."""
+    With ``jobs`` > 1 the set-up's simulations, then the seeds, run in a
+    process pool of at most one worker per seed. BLAS runs single-threaded
+    in every process that runs trials, this one until the call returns."""
     jobs = _int_field("jobs", jobs)
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
     start = time.perf_counter()
     with SingleThreadedBlas():
-        # Build the shared assets (and fail fast) before any trial; pool
-        # workers inherit them through fork.
-        modes = _modes_for(config, _assets(config)[3])
+        # Build the shared assets (and fail fast) before any trial; the
+        # set-up pool is gone before the trial pool's workers inherit the
+        # assets through fork.
         workers = min(jobs, len(config.seeds))
+        modes = _modes_for(config, _assets(config, workers)[3])
         if workers > 1:
             args = [(config.to_dict(), config.base_dir, seed) for seed in config.seeds]
             with ProcessPoolExecutor(max_workers=workers, initializer=SingleThreadedBlas) as pool:

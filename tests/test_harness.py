@@ -1,15 +1,25 @@
+import dataclasses
 import json
+import multiprocessing
+import os
 import re
 import sys
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
+from typing import Mapping
 
 import numpy as np
 import pytest
 
 import tactilab
 from tactilab.cli import main as cli_main
-from tactilab.errors import ConfigError, SchemaError
+from tactilab.errors import (
+    ConfigError,
+    DegenerateTraceError,
+    InsufficientDataError,
+    SchemaError,
+)
 from tactilab.features import Modality
 from tactilab.harness import (
     ExperimentConfig,
@@ -24,6 +34,7 @@ from tactilab.harness import (
     run_experiment,
     write_report,
 )
+from tactilab.kernels import ObservationBlock
 from tactilab.seeding import PRIOR_NS, TEST_NS, TRAIN_NS, derive_seed
 from tactilab.signals import load_catalog
 
@@ -272,6 +283,102 @@ class TestTestSet:
             assert set(test.labels[action]) == set(config.prior_objects) | set(
                 config.new_objects
             )
+
+
+def assert_same(a, b, where="assets"):
+    """``a`` equals ``b`` bit for bit, field by field: arrays by
+    ``np.array_equal`` with equal dtypes, dataclasses and observation blocks
+    by their fields, mappings in key order."""
+    assert type(a) is type(b), where
+    if isinstance(a, np.ndarray):
+        assert a.dtype == b.dtype and np.array_equal(a, b, equal_nan=True), where
+    elif isinstance(a, ObservationBlock):
+        assert a.modalities == b.modalities, where
+        for mod in a.modalities:
+            assert_same(a.matrix(mod), b.matrix(mod), f"{where}.matrix({mod})")
+    elif dataclasses.is_dataclass(a):
+        for f in dataclasses.fields(a):
+            assert_same(getattr(a, f.name), getattr(b, f.name), f"{where}.{f.name}")
+    elif isinstance(a, Mapping):
+        assert list(a) == list(b), where
+        for key in a:
+            assert_same(a[key], b[key], f"{where}[{key!r}]")
+    elif isinstance(a, (list, tuple)):
+        assert len(a) == len(b), where
+        for i, (x, y) in enumerate(zip(a, b)):
+            assert_same(x, y, f"{where}[{i}]")
+    else:
+        assert a == b or (a != a and b != b), where  # NaN equals NaN here
+
+
+class TestSetup:
+    @pytest.mark.parametrize("prior_objects", [[1, 2, 3], []], ids=["prior", "calibration"])
+    def test_pool_set_up_equals_in_process(self, prior_objects):
+        from tactilab import harness
+
+        config = parse_config(config_dict(prior_objects=prior_objects, actions=["P2", "S1", "C1"]))
+        _, prior, projectors, test, _ = harness.build_assets(config, 1)
+        _, pooled_prior, pooled_projectors, pooled_test, _ = harness.build_assets(config, 2)
+        assert not multiprocessing.active_children()
+        assert (prior is None) == (not prior_objects)
+        if prior is not None:
+            assert [len(g) for g in prior.instances["S1"].values()] == [15] * 3
+            assert list(prior.models) == list(config.actions)
+        objects = len(prior_objects) + len(config.new_objects)
+        assert test.size() == objects * (20 + 20 + 10)
+        assert_same(pooled_projectors, projectors, "projectors")
+        assert_same(pooled_test, test, "test")
+        assert_same(pooled_prior, prior, "prior")
+
+    def test_in_process_set_up_holds_no_pool_of_traces(self):
+        """Each trace is reduced to its features as it is simulated: set-up
+        peaks below a quarter of the bytes of the prior pool's traces."""
+        from tactilab import harness
+
+        config = parse_config(config_dict(
+            catalog=str(tactilab.data_path("catalogs", "related_priors.json")),
+            actions=["P2", "S4", "C1"],
+            prior_samples_per_object=15,
+        ))
+        simulator = harness._make_simulator(load_catalog(config.catalog_path()))
+        pool_bytes = 0
+        for action_id, obj, seed in harness.projector_pool_jobs(config):
+            trace = simulator(obj, action_id, seed)
+            channels = (trace.forces, trace.temps, trace.accels)
+            pool_bytes += sum(c.nbytes for c in channels if c is not None)
+        tracemalloc.start()
+        try:
+            harness.build_assets(config, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < pool_bytes / 4
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("where", ["test-set-trace", "projector-fit"])
+    def test_set_up_error_fails_the_run_before_any_trial(self, monkeypatch, jobs, where):
+        from tactilab import harness
+
+        trials = []
+        monkeypatch.setattr(harness, "run_trial", lambda *args: trials.append(args))
+        catalog = str(tactilab.data_path("catalogs", "sample_catalog.json"))
+        if where == "test-set-trace":  # a new object's: simulated after the pool's
+            real_simulate = harness.simulate
+
+            def flaky(obj, *args):
+                if obj.id == 12:
+                    raise DegenerateTraceError("synthetic set-up failure")
+                return real_simulate(obj, *args)
+
+            monkeypatch.setattr(harness, "simulate", flaky)
+            config, error = _tiny_config(catalog, seeds=[1, 2]), DegenerateTraceError
+        else:  # here, while the pool still holds test-set traces to simulate
+            config = _tiny_config(catalog, seeds=[1, 2], prior_samples_per_object=5)
+            error = InsufficientDataError
+        with pytest.raises(error):
+            run_experiment(parse_config(config), jobs=jobs)
+        assert not trials
+        assert not multiprocessing.active_children()
 
 
 class TestRunExperiment:
@@ -529,10 +636,11 @@ class TestJobs:
             assert not out.exists()
 
     @pytest.mark.parametrize(
-        "seeds, jobs, workers", [([1, 2, 3], 8, [3]), ([1, 2], 2, [2]), ([1], 2, [])]
+        "seeds, jobs, workers", [([1, 2, 3], 8, [3, 3]), ([1, 2], 2, [2, 2]), ([1], 2, [])]
     )
     def test_pool_never_has_more_workers_than_seeds(self, monkeypatch, seeds, jobs, workers):
         # The recording pool runs its tasks in this process: no worker starts.
+        # Set-up and trials each get a pool.
         from tactilab import harness
 
         pools = []
@@ -548,10 +656,11 @@ class TestJobs:
             def __exit__(self, *exc_info):
                 return None
 
-            def map(self, fn, iterable):
+            def map(self, fn, iterable, chunksize=1):
                 return map(fn, iterable)
 
         monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(harness, "_ASSET_CACHE", {})  # set-up runs only when not cached
         _report_blas_threads(monkeypatch, [])
         result = run_experiment(self.tiny_config(seeds=seeds), jobs=jobs)
         assert pools == workers
@@ -585,6 +694,23 @@ class TestJobs:
         assert len(curves) == 4
         assert all(curve == [1.0] * len(controls) for curve in curves)
         assert after == [2] * len(controls)
+
+    @pytest.mark.skipif(
+        not sys.platform.startswith("linux"), reason="counts the threads in /proc/self/task"
+    )
+    def test_pool_workers_run_one_os_thread(self, monkeypatch):
+        # A forked worker inherits the cap of one BLAS thread; setting it again
+        # there would restart OpenBLAS's thread pool, whose threads spin.
+        from tactilab import harness
+
+        def report(config, catalog, prior, projectors, evaluate, seed, use_prior):
+            return harness.TrialResult([float(len(os.listdir("/proc/self/task")))], [], [], [])
+
+        monkeypatch.setattr(harness, "run_trial", report)
+        result = run_experiment(self.tiny_config(seeds=[1, 2]), jobs=2)
+        assert not result.failures
+        curves = [t.curve for per in result.trials.values() for t in per.values()]
+        assert curves == [[1.0]] * 4
 
     def test_library_without_the_symbols_keeps_its_count_with_one_warning(self, monkeypatch):
         from tactilab import harness
@@ -778,6 +904,46 @@ class TestCli:
         message = "curves[no_transfer] must be dict, got list"
         with pytest.raises(SchemaError, match=re.escape(message)):
             RunResult.from_dict(raw)
+
+    @pytest.mark.parametrize(
+        "path, value, message",
+        [
+            (("decisions", "transfer", "1", 0, "selected_old"), None,
+             "decisions[transfer][1][0][selected_old] is missing"),
+            (("decisions", "transfer", "2", 3, "selected_old"), "1",
+             "decisions[transfer][2][3][selected_old] must be int or null, got str"),
+            (("curves", "transfer", "2", 0), "x",
+             "curves[transfer][2][0] must be int or float, got str"),
+            (("curves", "no_transfer", "1", 2), True,
+             "curves[no_transfer][1][2] must be int or float, got bool"),
+            (("gamma_traces", "no_transfer", "2", 0, "action"), None,
+             "gamma_traces[no_transfer][2][0][action] is missing"),
+            (("gamma_traces", "transfer", "1", 1, "gamma"), None,
+             "gamma_traces[transfer][1][1][gamma] is missing"),
+        ],
+        ids=["no-selected-old", "str-selected-old", "str-curve", "bool-curve", "no-action",
+             "no-gamma"],
+    )
+    def test_report_names_the_entries_it_reads(
+        self, small_result, tmp_path, capsys, path, value, message
+    ):
+        """An entry that write_report reads, missing (value None) or
+        mistyped, exits 2 naming the field."""
+        _, result = small_result
+        raw = json.loads(json.dumps(result.to_dict()))  # to_dict shares the trials' lists
+        entry = raw
+        for key in path[:-1]:
+            entry = entry[key]
+        if value is None:
+            del entry[path[-1]]
+        else:
+            entry[path[-1]] = value
+        source = tmp_path / "result.json"
+        source.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        assert cli_main(["report", str(source), "--out", str(out)]) == 2
+        assert f"result field {message}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_testset_verb(self, tmp_path):
         path = self.write_config(tmp_path, seeds=[1], budget=1)
