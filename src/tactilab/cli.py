@@ -6,6 +6,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -14,14 +15,17 @@ from .errors import ConfigError, SchemaError, TactilabError
 from .harness import (
     Mode,
     RunResult,
-    build_prior,
     build_test_set,
     check_catalog_objects,
     config_hash,
+    fit_projectors_from_pool,
+    held_out_jobs,
     load_config,
     parse_config,
+    projector_pool_jobs,
     run_experiment,
     test_samples_for,
+    trace_features,
     write_report,
 )
 from .signals import load_catalog
@@ -66,8 +70,10 @@ def _cmd_testset(args) -> int:
     config = _apply_overrides(args)
     catalog = load_catalog(config.catalog_path())
     check_catalog_objects(config, catalog)
-    _, projectors = build_prior(config, catalog)
-    test = build_test_set(config, catalog, projectors)
+    features = partial(trace_features, catalog)
+    pool_jobs, test_jobs = projector_pool_jobs(config), held_out_jobs(config)
+    projectors = fit_projectors_from_pool(pool_jobs, list(map(features, pool_jobs)))
+    test = build_test_set(config, projectors, test_jobs, map(features, test_jobs))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     per_action = {

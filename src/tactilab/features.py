@@ -259,13 +259,6 @@ def fit_projector(
     )
 
 
-def fit_thermal_projector(
-    traces: Sequence[SensorTrace], resample_len: int = THERMAL_RESAMPLE_LEN
-) -> ThermalProjector:
-    """``fit_projector`` on the traces' [T, grad T] features."""
-    return fit_projector(np.stack([_thermal_raw(tr, resample_len) for tr in traces]), resample_len)
-
-
 def project_thermal(raw: np.ndarray, projector: ThermalProjector) -> np.ndarray:
     """Project a [T, grad T] feature onto the fitted basis."""
     if raw.size != projector.source_dim:
@@ -273,11 +266,6 @@ def project_thermal(raw: np.ndarray, projector: ThermalProjector) -> np.ndarray:
             f"feature length {raw.size} != projector source_dim {projector.source_dim}"
         )
     return projector.basis @ (raw - projector.mean_vector)
-
-
-def extract_thermal(trace: SensorTrace, projector: ThermalProjector) -> np.ndarray:
-    """Project the trace's [T, grad T] feature onto the fitted basis."""
-    return project_thermal(_thermal_raw(trace, projector.resample_len), projector)
 
 
 @dataclass(frozen=True)

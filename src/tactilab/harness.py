@@ -7,7 +7,9 @@ import ctypes
 import hashlib
 import json
 import math
+import multiprocessing
 import os
+import sys
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -17,7 +19,7 @@ from enum import Enum
 from functools import partial
 from itertools import islice
 from pathlib import Path
-from typing import Callable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -382,16 +384,6 @@ def trace_features(catalog: Catalog, job: TraceJob) -> RawFeatures:
     return raw_features(_make_simulator(catalog)(obj, action_id, seed))
 
 
-def _features_of(
-    catalog: Catalog, jobs: Sequence[TraceJob], features: Optional[Iterator[RawFeatures]]
-) -> Iterator[RawFeatures]:
-    """The next ``len(jobs)`` items of ``features``, or, without a stream,
-    the jobs' features computed here one trace at a time."""
-    if features is None:
-        return map(partial(trace_features, catalog), jobs)
-    return islice(features, len(jobs))
-
-
 def fit_projectors_from_pool(
     jobs: Sequence[TraceJob], raws: Sequence[RawFeatures]
 ) -> dict[str, ThermalProjector]:
@@ -410,19 +402,16 @@ def fit_projectors_from_pool(
 
 
 def build_prior(
-    config: ExperimentConfig,
-    catalog: Catalog,
-    features: Optional[Iterator[RawFeatures]] = None,
+    config: ExperimentConfig, jobs: Sequence[TraceJob], features: Iterable[RawFeatures]
 ) -> tuple[Optional[PriorKnowledge], dict[str, ThermalProjector]]:
     """Fixed prior tactile knowledge for the experiment.
 
     With prior objects configured, the projectors are fitted on the prior
     pool and the pool itself becomes the instance knowledge. Without priors,
     projectors come from a dedicated calibration stream over the new objects
-    and no knowledge store is built. ``features`` yields the raw features of
-    ``projector_pool_jobs(config)`` in order; without it they are computed here."""
-    jobs = projector_pool_jobs(config)
-    raws = list(_features_of(catalog, jobs, features))
+    and no knowledge store is built. ``jobs`` is ``projector_pool_jobs(config)``;
+    the first ``len(jobs)`` items of ``features`` are their raw features."""
+    raws = list(islice(features, len(jobs)))
     projectors = fit_projectors_from_pool(jobs, raws)
     if not config.prior_objects:
         return None, projectors
@@ -457,17 +446,15 @@ def test_samples_for(config: ExperimentConfig, action_id: str) -> int:
 
 def build_test_set(
     config: ExperimentConfig,
-    catalog: Catalog,
     projectors: Mapping[str, ThermalProjector],
-    features: Optional[Iterator[RawFeatures]] = None,
+    jobs: Sequence[TraceJob],
+    features: Iterable[RawFeatures],
 ) -> TestSet:
-    """Labeled held-out observations of ``held_out_jobs(config)``. ``features``
-    yields the jobs' raw features in order; without it they are computed
-    here."""
-    jobs = held_out_jobs(config)
+    """Labeled held-out observations. ``jobs`` is ``held_out_jobs(config)``;
+    the first ``len(jobs)`` items of ``features`` are their raw features."""
     observations: dict[str, list] = {a: [] for a in config.actions}
     labels: dict[str, list] = {a: [] for a in config.actions}
-    for (action_id, obj, _), raw in zip(jobs, _features_of(catalog, jobs, features)):
+    for (action_id, obj, _), raw in zip(jobs, features):
         observations[action_id].append(
             observation_from_raw(raw, action_id, projectors[action_id], obj)
         )
@@ -727,26 +714,14 @@ def _modes_for(config: ExperimentConfig, test: TestSet) -> list[str]:
     return [Mode.TRANSFER.value, Mode.NO_TRANSFER.value]
 
 
-# Shared assets per (config hash, resolved catalog path, catalog sha256): the
-# same config text next to another catalog, or over edited catalog bytes, gets
-# its own entry.
-_ASSET_CACHE: dict[tuple[str, str, str], tuple] = {}
-
-
-def _asset_key(config: ExperimentConfig) -> tuple[str, str, str]:
-    path = config.catalog_path().resolve()
-    try:
-        digest = hashlib.sha256(path.read_bytes()).hexdigest()
-    except OSError as exc:
-        raise SchemaError(f"cannot parse catalog {path}: {exc}") from exc
-    return config_hash(config), str(path), digest
-
-
-def _assets(config: ExperimentConfig, workers: int = 1):
-    key = _asset_key(config)
-    if key not in _ASSET_CACHE:
-        _ASSET_CACHE[key] = build_assets(config, workers)
-    return _ASSET_CACHE[key]
+def _pool_context():
+    """The multiprocessing context of both pools: fork on Linux, where a
+    worker starts without re-importing tactilab, else the platform default.
+    Workers are handed everything they need, so any context gives the same
+    result."""
+    if sys.platform.startswith("linux"):
+        return multiprocessing.get_context("fork")
+    return multiprocessing.get_context()
 
 
 #: Trace jobs per set-up pool task. A trace takes about a millisecond to
@@ -764,7 +739,9 @@ def _setup_map(workers: int):
     if workers == 1:
         yield map
         return
-    with ProcessPoolExecutor(max_workers=workers, initializer=SingleThreadedBlas) as pool:
+    with ProcessPoolExecutor(
+        max_workers=workers, mp_context=_pool_context(), initializer=SingleThreadedBlas
+    ) as pool:
         try:
             yield partial(pool.map, chunksize=SETUP_CHUNKSIZE)
         except BaseException:
@@ -773,8 +750,8 @@ def _setup_map(workers: int):
 
 
 def build_assets(config: ExperimentConfig, workers: int = 1) -> tuple:
-    """(catalog, prior, projectors, test set, evaluator): what every trial
-    of the config shares.
+    """(catalog, prior, projectors, test set): what every trial of the
+    config shares.
 
     Set-up maps one ordered stream of trace jobs, the projector pool's and
     then the test set's, each trace reduced to its raw features at once.
@@ -784,12 +761,12 @@ def build_assets(config: ExperimentConfig, workers: int = 1) -> tuple:
     out either way."""
     catalog = load_catalog(config.catalog_path())
     check_catalog_objects(config, catalog)
-    jobs = projector_pool_jobs(config) + held_out_jobs(config)
+    pool_jobs, test_jobs = projector_pool_jobs(config), held_out_jobs(config)
     with _setup_map(workers) as mapper:
-        features = mapper(partial(trace_features, catalog), jobs)
-        prior, projectors = build_prior(config, catalog, features)
-        test = build_test_set(config, catalog, projectors, features)
-    return catalog, prior, projectors, test, make_evaluator(config, test)
+        features = mapper(partial(trace_features, catalog), pool_jobs + test_jobs)
+        prior, projectors = build_prior(config, pool_jobs, features)
+        test = build_test_set(config, projectors, test_jobs, features)
+    return catalog, prior, projectors, test
 
 
 class _DlPhdrInfo(ctypes.Structure):
@@ -881,18 +858,19 @@ class SingleThreadedBlas:
 
 
 def _run_seed(
-    config: ExperimentConfig, seed: int
+    config: ExperimentConfig, assets: tuple, seed: int
 ) -> tuple[Optional[dict[str, TrialResult]], Optional[str]]:
-    """Every trial of one seed: both modes of a transfer comparison, or the
-    ablation's variants. Returns (mode -> TrialResult, None), or (None, the
-    failure line) when any of them fails. A numpy/scipy failure (LinAlgError,
-    the ValueError of a non-finite feature or matrix) is this seed's failure
-    like a TactilabError."""
+    """Every trial of one seed over the ``build_assets`` tuple: both modes of
+    a transfer comparison, or the ablation's variants. Returns (mode ->
+    TrialResult, None), or (None, the failure line) when any of them fails.
+    A numpy/scipy failure (LinAlgError, the ValueError of a non-finite
+    feature or matrix) is this seed's failure like a TactilabError."""
+    catalog, prior, projectors, test = assets
     mode = None
     try:
-        catalog, prior, projectors, test, evaluate = _assets(config)
         if config.mode is Mode.MULTI_KERNEL_ABLATION:
             return run_ablation_seed(config, catalog, projectors, test, seed), None
+        evaluate = make_evaluator(config, test)
         trials = {}
         for mode in _modes_for(config, test):
             use_prior = mode == Mode.TRANSFER.value and prior is not None
@@ -905,10 +883,23 @@ def _run_seed(
         return None, f"seed {seed}: {named}{type(exc).__name__}: {exc}"
 
 
-def _run_seed_worker(args):
-    """``_run_seed`` in a pool worker, from a picklable config."""
-    config_dict, base_dir, seed = args
-    return _run_seed(parse_config(config_dict, base_dir=base_dir), seed)
+#: (config, assets) of the run, in a trial pool worker only.
+_worker_run: Optional[tuple] = None
+
+
+def _start_trial_worker(config: ExperimentConfig, assets: tuple) -> None:
+    """Trial pool initializer: one BLAS thread, and the run's config and
+    assets for every seed the worker runs. Inherited under fork, pickled
+    once per worker otherwise."""
+    global _worker_run
+    SingleThreadedBlas()
+    _worker_run = (config, assets)
+
+
+def _run_seed_worker(seed: int):
+    """``_run_seed`` in a trial pool worker."""
+    config, assets = _worker_run
+    return _run_seed(config, assets, seed)
 
 
 def run_experiment(config: ExperimentConfig, jobs: int = 1) -> RunResult:
@@ -923,16 +914,20 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> RunResult:
     start = time.perf_counter()
     with SingleThreadedBlas():
         # Build the shared assets (and fail fast) before any trial; the
-        # set-up pool is gone before the trial pool's workers inherit the
-        # assets through fork.
+        # set-up pool is gone before the trial pool starts.
         workers = min(jobs, len(config.seeds))
-        modes = _modes_for(config, _assets(config, workers)[3])
+        assets = build_assets(config, workers)
+        modes = _modes_for(config, assets[3])
         if workers > 1:
-            args = [(config.to_dict(), config.base_dir, seed) for seed in config.seeds]
-            with ProcessPoolExecutor(max_workers=workers, initializer=SingleThreadedBlas) as pool:
-                outcomes = list(pool.map(_run_seed_worker, args))
+            with ProcessPoolExecutor(
+                max_workers=workers,
+                mp_context=_pool_context(),
+                initializer=_start_trial_worker,
+                initargs=(config, assets),
+            ) as pool:
+                outcomes = list(pool.map(_run_seed_worker, config.seeds))
         else:
-            outcomes = [_run_seed(config, seed) for seed in config.seeds]
+            outcomes = [_run_seed(config, assets, seed) for seed in config.seeds]
 
         trials: dict[str, dict[int, TrialResult]] = {mode: {} for mode in modes}
         failures = []

@@ -13,6 +13,7 @@ from tactilab.errors import (
     ZeroVarianceError,
 )
 from tactilab.features import (
+    THERMAL_RESAMPLE_LEN,
     FeatureObservation,
     Modality,
     activity,
@@ -20,10 +21,10 @@ from tactilab.features import (
     complexity,
     extract_stiffness,
     extract_texture,
-    extract_thermal,
-    fit_thermal_projector,
+    fit_projector,
     linear_correlation,
     mobility,
+    project_thermal,
     _thermal_raw,
 )
 from tactilab.signals import (
@@ -335,6 +336,11 @@ def constant_temp_trace(value, n=200, fs=100.0):
     return SensorTrace(None, temps, None, fs, ActionKind.STATIC_CONTACT)
 
 
+def raw_thermal(traces):
+    """The traces' raw [T, grad T] features, one row per trace."""
+    return np.stack([_thermal_raw(tr, THERMAL_RESAMPLE_LEN) for tr in traces])
+
+
 def thermal_traces_for_fit(rng, count=20, n=150):
     traces = []
     for _ in range(count):
@@ -351,7 +357,7 @@ class TestThermalProjector:
         # Constant-temperature traces differ only along the all-ones direction
         # in the temperature half of the feature.
         traces = [constant_temp_trace(25.0 + i * 0.5) for i in range(12)]
-        proj = fit_thermal_projector(traces)
+        proj = fit_projector(raw_thermal(traces))
         direction = np.concatenate([np.ones(proj.resample_len), np.zeros(proj.resample_len)])
         direction /= np.linalg.norm(direction)
         cosine = abs(float(proj.basis[0] @ direction))
@@ -359,68 +365,63 @@ class TestThermalProjector:
 
     def test_basis_orthonormal(self):
         rng = np.random.default_rng(5)
-        proj = fit_thermal_projector(thermal_traces_for_fit(rng))
+        proj = fit_projector(raw_thermal(thermal_traces_for_fit(rng)))
         gram = proj.basis @ proj.basis.T
         assert np.max(np.abs(gram - np.eye(10))) < 1e-8
 
     def test_explained_variance_matches_eigh_oracle(self):
         rng = np.random.default_rng(11)
         traces = thermal_traces_for_fit(rng, count=20)
-        proj = fit_thermal_projector(traces)
-        feats = np.stack([_thermal_raw(tr, proj.resample_len) for tr in traces])
+        feats = raw_thermal(traces)
+        proj = fit_projector(feats)
         centered = feats - feats.mean(axis=0)
         evals = np.linalg.eigvalsh(centered.T @ centered / len(traces))[::-1]
         assert np.allclose(proj.explained_variance, evals[:10], atol=1e-8)
 
     def test_projected_variances_non_increasing(self):
         rng = np.random.default_rng(13)
-        traces = thermal_traces_for_fit(rng, count=25)
-        proj = fit_thermal_projector(traces)
-        projected = np.stack([extract_thermal(tr, proj) for tr in traces])
+        raws = raw_thermal(thermal_traces_for_fit(rng, count=25))
+        proj = fit_projector(raws)
+        projected = np.stack([project_thermal(raw, proj) for raw in raws])
         variances = projected.var(axis=0)
         assert np.all(np.diff(variances) <= 1e-10)
 
     def test_top10_eigenvalue_mass_reproduced(self):
         rng = np.random.default_rng(17)
-        traces = thermal_traces_for_fit(rng, count=30)
-        proj = fit_thermal_projector(traces)
-        projected = np.stack([extract_thermal(tr, proj) for tr in traces])
-        feats = np.stack([_thermal_raw(tr, proj.resample_len) for tr in traces])
+        feats = raw_thermal(thermal_traces_for_fit(rng, count=30))
+        proj = fit_projector(feats)
+        projected = np.stack([project_thermal(raw, proj) for raw in feats])
         centered = feats - feats.mean(axis=0)
-        evals = np.sort(np.linalg.eigvalsh(centered.T @ centered / len(traces)))[::-1]
+        evals = np.sort(np.linalg.eigvalsh(centered.T @ centered / len(feats)))[::-1]
         assert projected.var(axis=0).sum() >= evals[:10].sum() - 1e-8
 
     def test_insufficient_traces(self):
         with pytest.raises(InsufficientDataError):
-            fit_thermal_projector([constant_temp_trace(25.0)] * 10)
+            fit_projector(raw_thermal([constant_temp_trace(25.0)] * 10))
 
 
 class TestExtractThermal:
     def test_mean_trace_projects_to_zero(self):
         # Values symmetric around 25 -> the 25-degree trace IS the mean.
         values = [25.0 + d for d in (-3, -2.5, -2, -1.5, -1, -0.5, 0.5, 1, 1.5, 2, 2.5, 3)]
-        traces = [constant_temp_trace(v) for v in values]
-        proj = fit_thermal_projector(traces)
-        vec = extract_thermal(constant_temp_trace(25.0), proj)
+        proj = fit_projector(raw_thermal([constant_temp_trace(v) for v in values]))
+        vec = project_thermal(raw_thermal([constant_temp_trace(25.0)])[0], proj)
         assert np.max(np.abs(vec)) < 1e-10
 
     def test_rank_one_reconstruction(self):
-        traces = [constant_temp_trace(25.0 + i * 0.5) for i in range(12)]
-        proj = fit_thermal_projector(traces)
-        for tr in traces:
-            raw = _thermal_raw(tr, proj.resample_len)
-            coords = extract_thermal(tr, proj)
+        raws = raw_thermal([constant_temp_trace(25.0 + i * 0.5) for i in range(12)])
+        proj = fit_projector(raws)
+        for raw in raws:
+            coords = project_thermal(raw, proj)
             recon = proj.mean_vector + proj.basis.T @ coords
             assert np.max(np.abs(recon - raw)) < 1e-8
 
     def test_matches_direct_matrix_oracle(self):
         rng = np.random.default_rng(19)
-        traces = thermal_traces_for_fit(rng, count=15)
-        proj = fit_thermal_projector(traces)
-        target = thermal_traces_for_fit(rng, count=1)[0]
-        raw = _thermal_raw(target, proj.resample_len)
+        proj = fit_projector(raw_thermal(thermal_traces_for_fit(rng, count=15)))
+        raw = raw_thermal(thermal_traces_for_fit(rng, count=1))[0]
         oracle = proj.basis @ (raw - proj.mean_vector)
-        assert np.allclose(extract_thermal(target, proj), oracle, atol=1e-12)
+        assert np.allclose(project_thermal(raw, proj), oracle, atol=1e-12)
 
 
 class TestBuildObservation:
@@ -431,7 +432,7 @@ class TestBuildObservation:
             for obj in sample_catalog
             for s in range(1)
         ]
-        proj = fit_thermal_projector(press_traces)
+        proj = fit_projector(raw_thermal(press_traces))
         obs = build_observation(press_traces[0], "P2", proj, object_id=1)
         assert obs.modalities == (Modality.FORCE, Modality.THERMAL)
         assert obs.segment(Modality.FORCE).shape == (1,)
@@ -442,7 +443,7 @@ class TestBuildObservation:
             for obj in sample_catalog
             for s in range(1)
         ]
-        proj_s = fit_thermal_projector(slide_traces)
+        proj_s = fit_projector(raw_thermal(slide_traces))
         obs_s = build_observation(slide_traces[0], "S4", proj_s, object_id=1)
         assert obs_s.modalities == (Modality.TEXTURE, Modality.THERMAL)
         assert obs_s.segment(Modality.TEXTURE).shape == (4,)

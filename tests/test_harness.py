@@ -25,13 +25,16 @@ from tactilab.harness import (
     ExperimentConfig,
     Mode,
     RunResult,
-    build_prior,
     build_test_set,
     config_hash,
+    fit_projectors_from_pool,
+    held_out_jobs,
     load_config,
     make_evaluator,
     parse_config,
+    projector_pool_jobs,
     run_experiment,
+    trace_features,
     write_report,
 )
 from tactilab.kernels import ObservationBlock
@@ -222,9 +225,20 @@ def _tiny_config(catalog, **overrides):
 
 
 class TestAssetCache:
-    def test_same_config_text_over_other_catalog_bytes_gets_its_own_assets(self, tmp_path):
+    def test_same_config_text_over_other_catalog_bytes_gets_its_own_assets(
+        self, monkeypatch, tmp_path
+    ):
         from tactilab import harness
 
+        priors = []
+        real_build_prior = harness.build_prior
+
+        def recording(*args):
+            prior, projectors = real_build_prior(*args)
+            priors.append(prior)
+            return prior, projectors
+
+        monkeypatch.setattr(harness, "build_prior", recording)
         raw = json.loads(Path(tactilab.data_path("catalogs", "sample_catalog.json")).read_text())
         stiff = json.loads(json.dumps(raw))
         for obj in stiff["objects"]:
@@ -238,17 +252,29 @@ class TestAssetCache:
         config_a, config_b = load_config(paths["a"]), load_config(paths["b"])
         assert config_hash(config_a) == config_hash(config_b)
 
-        cat_a, prior_a, *_ = harness._assets(config_a)
-        cat_b, prior_b, *_ = harness._assets(config_b)
-        assert cat_b.by_id(11).stiffness_coeff == pytest.approx(3.0 * cat_a.by_id(11).stiffness_coeff)
-        obs_a = prior_a.instances["P2"][1][0].segment(Modality.FORCE)
-        obs_b = prior_b.instances["P2"][1][0].segment(Modality.FORCE)
-        assert not np.array_equal(obs_a, obs_b)
-
-        # Editing b's catalog in place is seen as well.
+        run_experiment(config_a)
+        run_experiment(config_b)
+        # Editing b's catalog in place is seen by the next run as well.
         paths["b"].with_name("cat.json").write_text(json.dumps(raw))
-        cat_b2, *_ = harness._assets(config_b)
-        assert cat_b2.by_id(11).stiffness_coeff == cat_a.by_id(11).stiffness_coeff
+        run_experiment(config_b)
+        force_a, force_b, force_b2 = (
+            prior.instances["P2"][1][0].segment(Modality.FORCE) for prior in priors
+        )
+        assert not np.array_equal(force_a, force_b)
+        assert np.array_equal(force_b2, force_a)
+
+
+def held_out_set(config):
+    """The config's test set, built in this process as ``tactilab testset``
+    builds it: projectors fitted on the projector pool, no prior."""
+    catalog = load_catalog(config.catalog_path())
+    pool_jobs, test_jobs = projector_pool_jobs(config), held_out_jobs(config)
+    projectors = fit_projectors_from_pool(
+        pool_jobs, [trace_features(catalog, job) for job in pool_jobs]
+    )
+    return build_test_set(
+        config, projectors, test_jobs, (trace_features(catalog, job) for job in test_jobs)
+    )
 
 
 class TestTestSet:
@@ -260,9 +286,7 @@ class TestTestSet:
                 actions=["P1", "P2", "S1", "S2", "S3", "S4", "C1"],
             )
         )
-        catalog = load_catalog(config.catalog_path())
-        _, projectors = build_prior(config, catalog)
-        test = build_test_set(config, catalog, projectors)
+        test = held_out_set(config)
         # 15 objects x 6 actions x 20 trials + 15 objects x 1 action x 10 trials
         assert test.size() == 1950
 
@@ -276,9 +300,7 @@ class TestTestSet:
 
     def test_labels_cover_all_objects(self, small_result):
         config, _ = small_result
-        catalog = load_catalog(config.catalog_path())
-        _, projectors = build_prior(config, catalog)
-        test = build_test_set(config, catalog, projectors)
+        test = held_out_set(config)
         for action in config.actions:
             assert set(test.labels[action]) == set(config.prior_objects) | set(
                 config.new_objects
@@ -317,8 +339,8 @@ class TestSetup:
         from tactilab import harness
 
         config = parse_config(config_dict(prior_objects=prior_objects, actions=["P2", "S1", "C1"]))
-        _, prior, projectors, test, _ = harness.build_assets(config, 1)
-        _, pooled_prior, pooled_projectors, pooled_test, _ = harness.build_assets(config, 2)
+        _, prior, projectors, test = harness.build_assets(config, 1)
+        _, pooled_prior, pooled_projectors, pooled_test = harness.build_assets(config, 2)
         assert not multiprocessing.active_children()
         assert (prior is None) == (not prior_objects)
         if prior is not None:
@@ -424,7 +446,6 @@ class TestRunExperiment:
             raise tactilab.errors.TactilabError("synthetic trial failure")
 
         monkeypatch.setattr(harness, "run_trial", boom)
-        harness._ASSET_CACHE.clear()
         result = run_experiment(config)
         assert len(result.failures) == 1
         assert "seed 1" in result.failures[0]
@@ -639,16 +660,18 @@ class TestJobs:
         "seeds, jobs, workers", [([1, 2, 3], 8, [3, 3]), ([1, 2], 2, [2, 2]), ([1], 2, [])]
     )
     def test_pool_never_has_more_workers_than_seeds(self, monkeypatch, seeds, jobs, workers):
-        # The recording pool runs its tasks in this process: no worker starts.
-        # Set-up and trials each get a pool.
+        # The recording pool runs its initializer and tasks in this process:
+        # no worker starts. Set-up and trials each get a pool.
         from tactilab import harness
 
         pools = []
 
         class RecordingPool:
-            def __init__(self, max_workers, initializer):
+            def __init__(self, max_workers, mp_context, initializer, initargs=()):
                 pools.append(max_workers)
-                assert initializer is harness.SingleThreadedBlas
+                assert mp_context is harness._pool_context()
+                assert initializer in (harness.SingleThreadedBlas, harness._start_trial_worker)
+                initializer(*initargs)
 
             def __enter__(self):
                 return self
@@ -660,7 +683,7 @@ class TestJobs:
                 return map(fn, iterable)
 
         monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(harness, "_ASSET_CACHE", {})  # set-up runs only when not cached
+        monkeypatch.setattr(harness, "_worker_run", None)  # set here by the trial initializer
         _report_blas_threads(monkeypatch, [])
         result = run_experiment(self.tiny_config(seeds=seeds), jobs=jobs)
         assert pools == workers
@@ -711,6 +734,49 @@ class TestJobs:
         assert not result.failures
         curves = [t.curve for per in result.trials.values() for t in per.values()]
         assert curves == [[1.0]] * 4
+
+    @pytest.mark.parametrize("method", ["fork", "forkserver", "spawn"])
+    @pytest.mark.parametrize("name", ["sample_run", "a4_multikernel"])
+    def test_jobs_2_writes_the_bytes_of_jobs_1_under_every_start_method(
+        self, monkeypatch, tmp_path, name, method
+    ):
+        """The trial workers get the run's assets from the parent: the catalog
+        file is gone once set-up returns, so a worker that read it again or
+        rebuilt set-up would fail its seeds."""
+        from tactilab import harness
+
+        if method not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"no {method} start method on this platform")
+        source = tactilab.data_path("configs", f"{name}.json")
+        raw = json.loads(source.read_text())
+        catalog_bytes = (source.parent / raw["catalog"]).read_bytes()
+        raw["catalog"] = "catalog.json"
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(raw))
+        catalog = tmp_path / "catalog.json"
+
+        real_build_test_set = harness.build_test_set
+
+        def build_test_set_then_delete_catalog(*args):
+            test = real_build_test_set(*args)
+            catalog.unlink()
+            return test
+
+        monkeypatch.setattr(harness, "build_test_set", build_test_set_then_delete_catalog)
+        monkeypatch.setattr(harness, "_pool_context", lambda: multiprocessing.get_context(method))
+        outs = []
+        for jobs in (1, 2):
+            catalog.write_bytes(catalog_bytes)
+            outs.append(tmp_path / f"jobs{jobs}")
+            assert cli_main(["run", str(path), "--out", str(outs[-1]), "--jobs", str(jobs)]) == 0
+            assert not catalog.exists()
+        assert not multiprocessing.active_children()
+        for file in ("curves.csv", "summary.json"):
+            assert (outs[0] / file).read_bytes() == (outs[1] / file).read_bytes(), file
+        results = [json.loads((out / "result.json").read_text()) for out in outs]
+        for result in results:
+            del result["wall_clock_s"]
+        assert results[0] == results[1]
 
     def test_library_without_the_symbols_keeps_its_count_with_one_warning(self, monkeypatch):
         from tactilab import harness
@@ -978,7 +1044,6 @@ class TestCli:
             raise tactilab.errors.TactilabError("synthetic trial failure")
 
         monkeypatch.setattr(harness, "run_trial", boom)
-        harness._ASSET_CACHE.clear()
         path = self.write_config(tmp_path, seeds=[1], budget=1)
         out = tmp_path / "out"
         assert cli_main(["run", str(path), "--out", str(out)]) == 3
