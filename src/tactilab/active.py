@@ -52,11 +52,6 @@ class UncertaintyTable:
         if np.any(self.values < 0.0) or np.any(self.values > bound):
             raise StateError("uncertainty entries must lie in [0, log N]")
 
-    def entry(self, action_id: str, object_id: int) -> float:
-        i = self.action_ids.index(action_id)
-        j = self.object_ids.index(object_id)
-        return float(self.values[i, j])
-
 
 @dataclass
 class ExplorationState:

@@ -1,0 +1,97 @@
+"""OpenBLAS thread control through ``ctypes``: every loaded OpenBLAS is found
+by walking the process's shared objects and capped at one thread."""
+
+from __future__ import annotations
+
+import ctypes
+import os
+import warnings
+from typing import Optional
+
+
+class _DlPhdrInfo(ctypes.Structure):
+    # The leading fields of glibc's ``struct dl_phdr_info``; only the name is read.
+    _fields_ = [("dlpi_addr", ctypes.c_void_p), ("dlpi_name", ctypes.c_char_p)]
+
+
+_PHDR_CALLBACK = ctypes.CFUNCTYPE(
+    ctypes.c_int, ctypes.POINTER(_DlPhdrInfo), ctypes.c_size_t, ctypes.c_void_p
+)
+
+
+def _loaded_openblas() -> list[tuple[str, ctypes.CDLL]]:
+    """(path, handle) of every OpenBLAS loaded in this process (numpy and
+    scipy each bundle one), found by walking the loaded shared objects with
+    ``dl_iterate_phdr`` as threadpoolctl does. Empty where libc lacks it."""
+    libc = ctypes.CDLL(None) if os.name == "posix" else None
+    iterate = getattr(libc, "dl_iterate_phdr", None)
+    if iterate is None:
+        return []
+    iterate.argtypes = [_PHDR_CALLBACK, ctypes.c_void_p]
+    iterate.restype = ctypes.c_int
+    paths: list[str] = []
+
+    def collect(info, _size, _data) -> int:
+        name = info.contents.dlpi_name
+        if name and b"openblas" in os.path.basename(name).lower():
+            paths.append(os.fsdecode(name))
+        return 0
+
+    iterate(_PHDR_CALLBACK(collect), None)
+    return [(path, ctypes.CDLL(path, mode=os.RTLD_NOLOAD)) for path in paths]
+
+
+def _blas_thread_controls(lib) -> Optional[tuple]:
+    """The (get, set) thread-count functions of one OpenBLAS: the names of
+    the scipy-openblas builds (``64_`` for numpy's 64-bit-index one), then
+    the plain OpenBLAS names. None when it exports none of them."""
+    for prefix in ("scipy_openblas", "openblas"):
+        for suffix in ("64_", ""):
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return None
+
+
+class SingleThreadedBlas:
+    """Every loaded OpenBLAS runs one thread from construction on; as a
+    context manager it restores the previous counts on exit.
+
+    A trial's matrices have a few dozen rows, too small for BLAS threads to
+    pay, and OpenBLAS sizes its pool to the cores: two ``--jobs`` workers
+    would run twice as many spinning BLAS threads as there are cores. As a
+    pool initializer it caps each worker for the worker's life. A loaded
+    OpenBLAS without the thread-count symbols keeps its count, with one
+    RuntimeWarning."""
+
+    def __init__(self) -> None:
+        self._previous = []
+        uncapped = []
+        for path, lib in _loaded_openblas():
+            controls = _blas_thread_controls(lib)
+            if controls is None:
+                uncapped.append(path)
+                continue
+            get, set_ = controls
+            count = get()
+            # Skipped at one thread: in a forked worker, which inherits the
+            # cap, set_num_threads rebuilds the thread pool and its threads spin.
+            if count != 1:
+                self._previous.append((set_, count))
+                set_(1)
+        if uncapped:
+            warnings.warn(
+                f"BLAS threads not capped: no set_num_threads symbol in {uncapped}",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+
+    def __enter__(self) -> "SingleThreadedBlas":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        for set_, count in self._previous:
+            set_(count)

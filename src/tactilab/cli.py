@@ -11,23 +11,19 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, SchemaError, TactilabError
-from .harness import (
-    Mode,
-    RunResult,
+from .assets import (
     build_test_set,
     check_catalog_objects,
-    config_hash,
     fit_projectors_from_pool,
     held_out_jobs,
-    load_config,
-    parse_config,
     projector_pool_jobs,
-    run_experiment,
     test_samples_for,
     trace_features,
-    write_report,
 )
+from .config import Mode, config_hash, load_config, parse_config
+from .errors import ConfigError, SchemaError, TactilabError
+from .harness import run_experiment
+from .results import RunResult, write_report
 from .signals import load_catalog
 
 EXIT_OK = 0
@@ -45,13 +41,15 @@ def _apply_overrides(args):
     return parse_config(raw, base_dir=config.base_dir)
 
 
-def _positive_int(text: str) -> int:
+def _int_at_least(low: int, text: str) -> int:
+    """An argparse type, bound to ``low`` with ``partial``; argparse names
+    the flag."""
     try:
         value = int(text)
     except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+        value = low - 1
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {text!r}")
     return value
 
 
@@ -151,7 +149,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--mode", choices=[m.value for m in Mode], default=None)
     run.add_argument("--seed-offset", type=int, default=0, dest="seed_offset")
     run.add_argument(
-        "--jobs", type=_positive_int, default=1, help="worker processes for the trial seeds (>= 1)"
+        "--jobs", type=partial(_int_at_least, 1), default=1,
+        help="worker processes for the trial seeds (>= 1)",
     )
     run.set_defaults(func=_cmd_run)
 
@@ -173,9 +172,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("gen-groups", help="emit prior-group config variants")
     gen.add_argument("config")
-    gen.add_argument("--groups", type=_positive_int, default=10)
-    gen.add_argument("--size", type=_positive_int, default=3)
-    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--groups", type=partial(_int_at_least, 1), default=10)
+    gen.add_argument("--size", type=partial(_int_at_least, 1), default=3)
+    gen.add_argument("--seed", type=partial(_int_at_least, 0), default=0)
     gen.add_argument("--out", default="groups")
     gen.set_defaults(func=_cmd_gen_groups)
     return parser

@@ -13,7 +13,17 @@ import numpy as np
 import pytest
 
 import tactilab
+from tactilab.assets import (
+    build_test_set,
+    fit_projectors_from_pool,
+    held_out_jobs,
+    make_evaluator,
+    projector_pool_jobs,
+    trace_features,
+)
+from tactilab.blas import SingleThreadedBlas
 from tactilab.cli import main as cli_main
+from tactilab.config import config_hash, load_config, parse_config
 from tactilab.errors import (
     ConfigError,
     DegenerateTraceError,
@@ -21,23 +31,9 @@ from tactilab.errors import (
     SchemaError,
 )
 from tactilab.features import Modality
-from tactilab.harness import (
-    ExperimentConfig,
-    Mode,
-    RunResult,
-    build_test_set,
-    config_hash,
-    fit_projectors_from_pool,
-    held_out_jobs,
-    load_config,
-    make_evaluator,
-    parse_config,
-    projector_pool_jobs,
-    run_experiment,
-    trace_features,
-    write_report,
-)
+from tactilab.harness import run_experiment
 from tactilab.kernels import ObservationBlock
+from tactilab.results import RunResult, TrialResult, write_report
 from tactilab.seeding import PRIOR_NS, TEST_NS, TRAIN_NS, derive_seed
 from tactilab.signals import load_catalog
 
@@ -93,7 +89,7 @@ class TestConfigParsing:
             parse_config(config_dict(actions=["P9"]))
 
     def test_zero_test_size_rejected(self):
-        with pytest.raises(ConfigError, match="test-set"):
+        with pytest.raises(ConfigError, match="test_samples_press_slide must be >= 1"):
             parse_config(config_dict(test_samples_press_slide=0))
 
     def test_negative_budget_rejected(self):
@@ -121,6 +117,29 @@ class TestConfigParsing:
     @pytest.mark.parametrize("value", [0.0, 1.0])
     def test_epsilon_neg2_range_is_closed(self, value):
         assert parse_config(config_dict(epsilon_neg2=value)).epsilon_neg2 == value
+
+    @pytest.mark.parametrize("value", [0.49, 1.01, 5.0])
+    def test_epsilon_neg1_outside_half_to_one_rejected(self, value):
+        # A mean posterior never exceeds 1: above it transfer is never taken.
+        with pytest.raises(ConfigError, match=re.escape("epsilon_neg1 must lie in [0.5, 1]")):
+            parse_config(config_dict(epsilon_neg1=value))
+
+    @pytest.mark.parametrize("value", [0.5, 1.0])
+    def test_epsilon_neg1_range_is_closed(self, value):
+        assert parse_config(config_dict(epsilon_neg1=value)).epsilon_neg1 == value
+
+    @pytest.mark.parametrize("value", [5, None, "P2", ["P2", 5]])
+    def test_actions_must_be_a_list_of_action_ids(self, tmp_path, capsys, value):
+        message = f"actions must be a list of action ids, got {value!r}"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            parse_config(config_dict(actions=value))
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config_dict(actions=value)))
+        out = tmp_path / "out"
+        for argv in (["validate", str(path)], ["run", str(path), "--out", str(out)]):
+            assert cli_main(argv) == 2
+            assert message in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "field, value",
@@ -355,16 +374,16 @@ class TestSetup:
     def test_in_process_set_up_holds_no_pool_of_traces(self):
         """Each trace is reduced to its features as it is simulated: set-up
         peaks below a quarter of the bytes of the prior pool's traces."""
-        from tactilab import harness
+        from tactilab import assets, harness
 
         config = parse_config(config_dict(
             catalog=str(tactilab.data_path("catalogs", "related_priors.json")),
             actions=["P2", "S4", "C1"],
             prior_samples_per_object=15,
         ))
-        simulator = harness._make_simulator(load_catalog(config.catalog_path()))
+        simulator = assets._make_simulator(load_catalog(config.catalog_path()))
         pool_bytes = 0
-        for action_id, obj, seed in harness.projector_pool_jobs(config):
+        for action_id, obj, seed in projector_pool_jobs(config):
             trace = simulator(obj, action_id, seed)
             channels = (trace.forces, trace.temps, trace.accels)
             pool_bytes += sum(c.nbytes for c in channels if c is not None)
@@ -379,20 +398,20 @@ class TestSetup:
     @pytest.mark.parametrize("jobs", [1, 2])
     @pytest.mark.parametrize("where", ["test-set-trace", "projector-fit"])
     def test_set_up_error_fails_the_run_before_any_trial(self, monkeypatch, jobs, where):
-        from tactilab import harness
+        from tactilab import assets, harness
 
         trials = []
         monkeypatch.setattr(harness, "run_trial", lambda *args: trials.append(args))
         catalog = str(tactilab.data_path("catalogs", "sample_catalog.json"))
         if where == "test-set-trace":  # a new object's: simulated after the pool's
-            real_simulate = harness.simulate
+            real_simulate = assets.simulate
 
             def flaky(obj, *args):
                 if obj.id == 12:
                     raise DegenerateTraceError("synthetic set-up failure")
                 return real_simulate(obj, *args)
 
-            monkeypatch.setattr(harness, "simulate", flaky)
+            monkeypatch.setattr(assets, "simulate", flaky)
             config, error = _tiny_config(catalog, seeds=[1, 2]), DegenerateTraceError
         else:  # here, while the pool still holds test-set traces to simulate
             config = _tiny_config(catalog, seeds=[1, 2], prior_samples_per_object=5)
@@ -458,12 +477,10 @@ class TestRunExperiment:
     def test_numpy_failure_lands_in_failures(self, monkeypatch, tmp_path, jobs, error):
         from tactilab import harness
 
-        real_trial_result = harness.TrialResult
-
         def flaky(config, catalog, prior, projectors, evaluate, seed, use_prior):
             if seed == 2:
                 raise error
-            return real_trial_result([0.5], [], [], [])
+            return TrialResult([0.5], [], [], [])
 
         monkeypatch.setattr(harness, "run_trial", flaky)
         path = tmp_path / "run.json"
@@ -520,14 +537,12 @@ class TestRunExperiment:
     def test_failure_lines_name_seed_mode_and_type(self, monkeypatch, jobs):
         from tactilab import harness
 
-        real_trial_result = harness.TrialResult
-
         def flaky(config, catalog, prior, projectors, evaluate, seed, use_prior):
             if seed == 2 and not use_prior:
                 raise tactilab.errors.NumericalError("synthetic numerical failure")
             if seed == 3:
                 raise np.linalg.LinAlgError("synthetic singular matrix")
-            return real_trial_result([0.5], [], [], [])
+            return TrialResult([0.5], [], [], [])
 
         monkeypatch.setattr(harness, "run_trial", flaky)
         catalog = str(tactilab.data_path("catalogs", "sample_catalog.json"))
@@ -590,7 +605,7 @@ def _report_blas_threads(monkeypatch, controls):
 
     def report(config, catalog, prior, projectors, evaluate, seed, use_prior):
         threads = [float(get()) for get, _ in controls]
-        return harness.TrialResult(threads, [], [], [])
+        return TrialResult(threads, [], [], [])
 
     monkeypatch.setattr(harness, "run_trial", report)
 
@@ -608,7 +623,7 @@ def _random_trials(monkeypatch):
         ]
         decisions = [{"selected_old": None if rng.random() < 0.5 else 1}]
         curve = [float(v) for v in rng.random(3)]
-        return harness.TrialResult(curve, decisions, gamma_trace, [])
+        return TrialResult(curve, decisions, gamma_trace, [])
 
     monkeypatch.setattr(harness, "run_trial", draw)
 
@@ -656,6 +671,17 @@ class TestJobs:
             assert flag in capsys.readouterr().err
             assert not out.exists()
 
+    def test_cli_negative_group_seed_exit_2(self, tmp_path, capsys):
+        # A seed sequence takes non-negative entropy only.
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config_dict()))
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(["gen-groups", str(path), "--out", str(out), "--seed", "-1"])
+        assert exit_info.value.code == 2
+        assert "--seed: must be an integer >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "seeds, jobs, workers", [([1, 2, 3], 8, [3, 3]), ([1, 2], 2, [2, 2]), ([1], 2, [])]
     )
@@ -670,7 +696,7 @@ class TestJobs:
             def __init__(self, max_workers, mp_context, initializer, initargs=()):
                 pools.append(max_workers)
                 assert mp_context is harness._pool_context()
-                assert initializer in (harness.SingleThreadedBlas, harness._start_trial_worker)
+                assert initializer in (SingleThreadedBlas, harness._start_trial_worker)
                 initializer(*initargs)
 
             def __enter__(self):
@@ -695,10 +721,10 @@ class TestJobs:
     )
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_trials_run_one_blas_thread_and_the_caller_keeps_its_counts(self, monkeypatch, jobs):
-        from tactilab import harness
+        from tactilab import blas
 
         # numpy's and scipy's Linux wheels each bundle an OpenBLAS.
-        controls = [harness._blas_thread_controls(lib) for _, lib in harness._loaded_openblas()]
+        controls = [blas._blas_thread_controls(lib) for _, lib in blas._loaded_openblas()]
         assert controls and None not in controls
         originals = [get() for get, _ in controls]
         _report_blas_threads(monkeypatch, controls)
@@ -727,7 +753,7 @@ class TestJobs:
         from tactilab import harness
 
         def report(config, catalog, prior, projectors, evaluate, seed, use_prior):
-            return harness.TrialResult([float(len(os.listdir("/proc/self/task")))], [], [], [])
+            return TrialResult([float(len(os.listdir("/proc/self/task")))], [], [], [])
 
         monkeypatch.setattr(harness, "run_trial", report)
         result = run_experiment(self.tiny_config(seeds=[1, 2]), jobs=2)
@@ -779,15 +805,15 @@ class TestJobs:
         assert results[0] == results[1]
 
     def test_library_without_the_symbols_keeps_its_count_with_one_warning(self, monkeypatch):
-        from tactilab import harness
+        from tactilab import blas
 
         plain = FakeOpenBlas(threads=4)
         bare = SimpleNamespace()  # exports no thread-count symbol
         monkeypatch.setattr(
-            harness, "_loaded_openblas", lambda: [("libopenblas.so", plain), ("libbare.so", bare)]
+            blas, "_loaded_openblas", lambda: [("libopenblas.so", plain), ("libbare.so", bare)]
         )
         with pytest.warns(RuntimeWarning, match="libbare.so") as warned:
-            with harness.SingleThreadedBlas():
+            with SingleThreadedBlas():
                 assert plain.threads == 1
         assert len(warned) == 1
         assert "libopenblas.so" not in str(warned[0].message)
@@ -798,7 +824,7 @@ class TestEvaluatorMemo:
     def test_only_changed_models_are_re_predicted(self, monkeypatch):
         from types import SimpleNamespace
 
-        from tactilab import harness
+        from tactilab import assets
         from tactilab.gp import ova_fit
         from tactilab.kernels import CombinedKernel, RbfKernel
 
@@ -806,7 +832,7 @@ class TestEvaluatorMemo:
 
         obs = [force_obs(v) for v in (-1.0, -0.8, 0.9, 1.2, 0.1)]
         labels = np.array([11, 11, 12, 12, 11])
-        test = harness.TestSet({"P2": obs, "C1": obs}, {"P2": labels, "C1": labels})
+        test = assets.TestSet({"P2": obs, "C1": obs}, {"P2": labels, "C1": labels})
         config = SimpleNamespace(new_objects=(11, 12), actions=("P2", "C1"))
         evaluate = make_evaluator(config, test)
 
@@ -815,9 +841,9 @@ class TestEvaluatorMemo:
             return ova_fit(kernel, obs[:4], labels[:4])
 
         predicted = []
-        real = harness.ova_predict_proba
+        real = assets.ova_predict_proba
         monkeypatch.setattr(
-            harness, "ova_predict_proba", lambda m, X: predicted.append(m) or real(m, X)
+            assets, "ova_predict_proba", lambda m, X: predicted.append(m) or real(m, X)
         )
         models = {"P2": fit(1.0), "C1": fit(0.05)}
         first = evaluate(models)
