@@ -19,6 +19,8 @@ from .transfer import (
     SelectionMethod,
     TransferDecision,
     TransferThresholds,
+    UPDATE_RESTARTS,
+    UPDATE_SWEEPS,
     build_action_models,
 )
 
@@ -113,14 +115,9 @@ def initialize_state(
 def uncertainty_table(
     models: Mapping[str, OvaGpcModel],
     observations: Mapping[str, Mapping[int, Sequence[FeatureObservation]]],
-    memo: Optional[dict] = None,
 ) -> UncertaintyTable:
-    """Mean posterior entropy per (action, object) observation group.
-
-    ``memo`` (a dict owned by the caller) keeps each action's last row with
-    the model object and group sizes it was computed from; the row is reused
-    while both are unchanged. Only valid while groups grow by appending, as
-    in one exploration loop."""
+    """Mean posterior entropy per (action, object) observation group, one
+    row per action of ``observations``."""
     action_ids = tuple(observations)
     object_ids: tuple[int, ...] = ()
     rows = []
@@ -129,21 +126,13 @@ def uncertainty_table(
             raise StateError(f"no model fitted for action {action_id!r}")
         groups = observations[action_id]
         object_ids = tuple(sorted(groups))
-        model = models[action_id]
-        sizes = tuple(len(groups[obj]) for obj in object_ids)
-        hit = memo.get(action_id) if memo is not None else None
-        if hit is not None and hit[0] is model and hit[1] == sizes:
-            rows.append(hit[2])
-            continue
         row = []
         for obj in object_ids:
             group = list(groups[obj])
             if not group:
                 raise StateError(f"empty observation group for ({action_id}, {obj})")
-            probs = ova_predict_proba(model, group)
+            probs = ova_predict_proba(models[action_id], group)
             row.append(np.mean([posterior_entropy(p) for p in probs]))
-        if memo is not None:
-            memo[action_id] = (model, sizes, row)
         rows.append(row)
     return UncertaintyTable(action_ids, object_ids, np.array(rows))
 
@@ -196,12 +185,12 @@ def update_knowledge(
     prior: Optional[PriorKnowledge],
     thresholds: TransferThresholds = TransferThresholds(),
     method: SelectionMethod = SelectionMethod.MODEL_PREDICTION,
-    restarts: int = 1,
-    sweeps: int = 2,
     rng: Optional[np.random.Generator] = None,
 ) -> tuple[dict[str, OvaGpcModel], list[TransferDecision]]:
     """Re-run weight estimation, prior selection and model fitting for one
-    action; models of every other action are left untouched."""
+    action on the (UPDATE_RESTARTS, UPDATE_SWEEPS) search schedule, starting
+    from its current kernel; models of every other action are left
+    untouched."""
     model, kernel, decisions = build_action_models(
         prior,
         action_id,
@@ -209,8 +198,8 @@ def update_knowledge(
         thresholds,
         method,
         kernel_start=state.kernels.get(action_id),
-        restarts=restarts,
-        sweeps=sweeps,
+        restarts=UPDATE_RESTARTS,
+        sweeps=UPDATE_SWEEPS,
         rng=rng,
     )
     new_models = dict(state.models)
@@ -243,39 +232,45 @@ def run_loop(
     state: ExplorationState,
     prior: Optional[PriorKnowledge],
     budget: int,
-    evaluate: Callable[[Mapping[str, OvaGpcModel]], float],
+    evaluate: Callable[[str, OvaGpcModel], float],
     simulator: Simulator,
     extractor: Extractor,
     thresholds: TransferThresholds = TransferThresholds(),
     method: SelectionMethod = SelectionMethod.MODEL_PREDICTION,
     stop_window: Optional[int] = None,
-    opt_restarts: int = 1,
-    opt_sweeps: int = 2,
     opt_rng: Optional[np.random.Generator] = None,
 ) -> LoopResult:
     """select -> acquire -> update -> evaluate until the budget is spent or
     accuracy stalls (no gain above STOP_DELTA across ``stop_window``
-    acquisitions). Returns one accuracy value per acquisition."""
+    acquisitions). Returns one accuracy value per acquisition: the mean over
+    ``state.action_ids`` of ``evaluate(action_id, model)``.
+
+    The loop holds each action's uncertainty row and accuracy. An
+    acquisition grows one action's groups and refits that action's model
+    only, so only its row and accuracy are computed again; the first
+    iteration computes them all."""
     if budget < 0:
         raise ParameterError("budget must be >= 0")
     state.check_groups()
     result = LoopResult(curve=[], records=[])
-    table_memo: dict = {}  # rows of actions whose model and groups are unchanged
+    rows: dict[str, np.ndarray] = {}
+    accs: dict[str, float] = {}
     for _ in range(budget):
-        table = uncertainty_table(state.models, state.observations, table_memo)
+        stale = [a for a in state.action_ids if a not in rows]
+        fresh = uncertainty_table(state.models, {a: state.observations[a] for a in stale})
+        rows.update(zip(stale, fresh.values))
+        table = UncertaintyTable(
+            state.action_ids, fresh.object_ids, np.array([rows[a] for a in state.action_ids])
+        )
         obj, act, branch, _ = _draw(table, state.eps_explore, state.explore_rng)
         acquire(state, obj, act, simulator, extractor)
-        _, decisions = update_knowledge(
-            state,
-            act,
-            prior,
-            thresholds,
-            method,
-            restarts=opt_restarts,
-            sweeps=opt_sweeps,
-            rng=opt_rng,
-        )
-        accuracy = float(evaluate(state.models))
+        _, decisions = update_knowledge(state, act, prior, thresholds, method, rng=opt_rng)
+        del rows[act]
+        accs.pop(act, None)
+        for a in state.action_ids:
+            if a not in accs:
+                accs[a] = evaluate(a, state.models[a])
+        accuracy = float(np.mean([accs[a] for a in state.action_ids]))
         result.curve.append(accuracy)
         result.records.append(
             LoopRecord(

@@ -24,11 +24,7 @@ from .gp import OvaGpcModel, argmax_label, ova_predict_proba
 from .kernels import ObservationBlock
 from .seeding import CALIB_NS, OPT_NS, PRIOR_NS, TEST_NS, derive_rng, derive_seed
 from .signals import STANDARD_ACTIONS, ActionKind, Catalog, simulate
-from .transfer import PriorKnowledge, fit_prior_knowledge
-
-#: Restarts of each first search: the prior's, a trial's first models' and
-#: the ablation's.
-INIT_RESTARTS = 2
+from .transfer import INIT_RESTARTS, PriorKnowledge, fit_prior_knowledge
 
 
 def _action_index(action_id: str) -> int:
@@ -140,10 +136,7 @@ def build_prior(
         obs = observation_from_raw(raw, action_id, projectors[action_id], obj)
         instances.setdefault(action_id, {}).setdefault(obj, []).append(obs)
     prior = fit_prior_knowledge(
-        instances,
-        projectors,
-        restarts=INIT_RESTARTS,
-        rng=derive_rng(OPT_NS, PRIOR_NS),
+        instances, restarts=INIT_RESTARTS, rng=derive_rng(OPT_NS, PRIOR_NS)
     )
     return prior, projectors
 
@@ -200,25 +193,12 @@ def accuracy(model: OvaGpcModel, obs: ObservationBlock, labels: np.ndarray) -> f
 
 
 def make_evaluator(config: ExperimentConfig, test: TestSet):
-    """Discrimination accuracy on the new-object slice, averaged over actions."""
+    """``evaluate(action_id, model)``: the model's discrimination accuracy on
+    the action's new-object test slice. The active loop averages it over the
+    actions."""
     slices = {a: new_object_slice(config, test, a) for a in config.actions}
 
-    # Last accuracy per action with the model object it was computed from:
-    # the loop refits one action per step, so the others are not re-predicted.
-    # Holding the model keeps its identity from being reused.
-    last: dict[str, tuple[OvaGpcModel, float]] = {}
-
-    def evaluate(models: Mapping[str, OvaGpcModel]) -> float:
-        accs = []
-        for action_id, (obs, labs) in slices.items():
-            model = models[action_id]
-            hit = last.get(action_id)
-            if hit is not None and hit[0] is model:
-                accs.append(hit[1])
-                continue
-            acc = accuracy(model, obs, labs)
-            last[action_id] = (model, acc)
-            accs.append(acc)
-        return float(np.mean(accs))
+    def evaluate(action_id: str, model: OvaGpcModel) -> float:
+        return accuracy(model, *slices[action_id])
 
     return evaluate

@@ -208,6 +208,8 @@ def parse_config(raw: dict, base_dir: Optional[str] = None) -> ExperimentConfig:
     if config.mode is Mode.MULTI_KERNEL_ABLATION:
         if len(new) < 2:
             raise ConfigError("new_objects must hold at least two classes for the ablation")
+        if not config.ablation_sizes:
+            raise ConfigError("ablation_sizes must be nonempty for the ablation")
         if any(s < len(new) for s in config.ablation_sizes):
             raise ConfigError("ablation_sizes entries must cover one sample per class")
     return config

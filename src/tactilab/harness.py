@@ -17,7 +17,6 @@ import numpy as np
 
 from .active import STOP_WINDOW, initialize_state, run_loop
 from .assets import (
-    INIT_RESTARTS,
     TestSet,
     _action_index,
     _make_simulator,
@@ -40,11 +39,7 @@ from .kernels import ObservationBlock, median_heuristic
 from .results import RunResult, TrialResult
 from .seeding import ABLATION_NS, OPT_NS, derive_rng, derive_seed
 from .signals import Catalog, load_catalog
-from .transfer import PriorKnowledge, build_new_observation_models
-
-INIT_SWEEPS = 3
-UPDATE_RESTARTS = 1
-UPDATE_SWEEPS = 2
+from .transfer import INIT_RESTARTS, PriorKnowledge, build_new_observation_models
 
 
 def _pool_context():
@@ -127,13 +122,7 @@ def run_trial(
     prior_arg = prior if use_prior else None
     opt_rng = derive_rng(seed, OPT_NS)
     models, kernels, init_decisions = build_new_observation_models(
-        prior_arg,
-        state.observations,
-        config.thresholds,
-        config.selection_method,
-        restarts=INIT_RESTARTS,
-        sweeps=INIT_SWEEPS,
-        rng=opt_rng,
+        prior_arg, state.observations, config.thresholds, config.selection_method, rng=opt_rng
     )
     state.models = models
     state.kernels = kernels
@@ -148,8 +137,6 @@ def run_trial(
         thresholds=config.thresholds,
         method=config.selection_method,
         stop_window=STOP_WINDOW if config.early_stop else None,
-        opt_restarts=UPDATE_RESTARTS,
-        opt_sweeps=UPDATE_SWEEPS,
         opt_rng=opt_rng,
     )
     decisions = [d.to_dict() for d in init_decisions]

@@ -4,14 +4,14 @@ pools the old object's observations with the new object's."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
 from .errors import MissingPriorError, ParameterError
-from .features import FeatureObservation, ThermalProjector
+from .features import FeatureObservation
 from .gp import (
     BinaryGpcModel,
     OvaGpcModel,
@@ -24,6 +24,12 @@ from .gp import (
 from .kernels import CombinedKernel, ObservationBlock, median_heuristic
 
 ObservationGroups = Mapping[int, Sequence[FeatureObservation]]
+
+#: Search schedule (restarts, sweeps) of the first models of a trial, and
+#: of each refit in the active loop. The prior's fit and the ablation start
+#: with INIT_RESTARTS too.
+INIT_RESTARTS, INIT_SWEEPS = 2, 3
+UPDATE_RESTARTS, UPDATE_SWEEPS = 1, 2
 
 
 class SelectionMethod(Enum):
@@ -69,11 +75,9 @@ class PriorKnowledge:
     the one-vs-all models fitted on exactly those observations (model
     knowledge). Immutable: nothing downstream may mutate it."""
 
-    action_ids: tuple[str, ...]
     instances: Mapping[str, Mapping[int, tuple[FeatureObservation, ...]]]
     models: Mapping[str, OvaGpcModel]
     kernels: Mapping[str, CombinedKernel]
-    projectors: Mapping[str, ThermalProjector] = field(default_factory=dict)
 
     def old_object_ids(self, action_id: str) -> tuple[int, ...]:
         return tuple(sorted(self.instances[action_id]))
@@ -81,8 +85,7 @@ class PriorKnowledge:
 
 def fit_prior_knowledge(
     instances: Mapping[str, ObservationGroups],
-    projectors: Mapping[str, ThermalProjector],
-    restarts: int = 2,
+    restarts: int = INIT_RESTARTS,
     rng: Optional[np.random.Generator] = None,
 ) -> PriorKnowledge:
     """Freeze the instance store and fit one observation model per action."""
@@ -105,13 +108,7 @@ def fit_prior_knowledge(
         )
         models[action_id] = fit_sets(sets, kernel)
         kernels[action_id] = kernel
-    return PriorKnowledge(
-        action_ids=tuple(instances),
-        instances=frozen,
-        models=models,
-        kernels=kernels,
-        projectors=dict(projectors),
-    )
+    return PriorKnowledge(instances=frozen, models=models, kernels=kernels)
 
 
 def _flatten(groups: ObservationGroups):
@@ -232,8 +229,8 @@ def build_action_models(
     thresholds: TransferThresholds = TransferThresholds(),
     method: SelectionMethod = SelectionMethod.MODEL_PREDICTION,
     kernel_start: Optional[CombinedKernel] = None,
-    restarts: int = 2,
-    sweeps: int = 3,
+    restarts: int = INIT_RESTARTS,
+    sweeps: int = INIT_SWEEPS,
     rng: Optional[np.random.Generator] = None,
 ) -> tuple[OvaGpcModel, CombinedKernel, list[TransferDecision]]:
     """Prior selection, weight estimation and model fitting for one action.
@@ -287,24 +284,16 @@ def build_new_observation_models(
     X_new: Mapping[str, ObservationGroups],
     thresholds: TransferThresholds = TransferThresholds(),
     method: SelectionMethod = SelectionMethod.MODEL_PREDICTION,
-    restarts: int = 2,
-    sweeps: int = 3,
     rng: Optional[np.random.Generator] = None,
 ) -> tuple[dict[str, OvaGpcModel], dict[str, CombinedKernel], list[TransferDecision]]:
-    """Run the per-action pipeline for every action in ``X_new``."""
+    """Run the per-action pipeline for every action in ``X_new``: a trial's
+    first models, searched on the (INIT_RESTARTS, INIT_SWEEPS) schedule."""
     models: dict[str, OvaGpcModel] = {}
     kernels: dict[str, CombinedKernel] = {}
     decisions: list[TransferDecision] = []
     for action_id, groups in X_new.items():
         model, kernel, action_decisions = build_action_models(
-            prior,
-            action_id,
-            groups,
-            thresholds,
-            method,
-            restarts=restarts,
-            sweeps=sweeps,
-            rng=rng,
+            prior, action_id, groups, thresholds, method, rng=rng
         )
         models[action_id] = model
         kernels[action_id] = kernel

@@ -125,39 +125,6 @@ class TestUncertaintyTable:
                     total += posterior_entropy(probs)
                 assert table.values[i, j] == pytest.approx(total / len(group), abs=1e-12)
 
-    def test_memo_re_predicts_only_changed_actions(self, monkeypatch):
-        state = fit_state_models(fresh_state(seed=9))
-        predicted = []
-        real = active.ova_predict_proba
-        monkeypatch.setattr(
-            active, "ova_predict_proba", lambda m, X: predicted.append(m) or real(m, X)
-        )
-
-        def fresh_values():
-            return uncertainty_table(state.models, state.observations, {}).values
-
-        memo = {}
-        first = uncertainty_table(state.models, state.observations, memo)
-        assert len(predicted) == len(ACTIONS) * len(OBJECTS)
-        del predicted[:]
-        assert np.array_equal(uncertainty_table(state.models, state.observations, memo).values, first.values)
-        assert predicted == []
-
-        # A grown group re-predicts its action only.
-        acquire(state, 12, "A2", fake_simulator, fake_extractor)
-        grown = uncertainty_table(state.models, state.observations, memo)
-        assert len(predicted) == len(OBJECTS)
-        assert all(m is state.models["A2"] for m in predicted)
-        assert np.array_equal(grown.values, fresh_values())
-
-        # So does a refit model.
-        update_knowledge(state, "A1", None, rng=np.random.default_rng(0))
-        del predicted[:]
-        refit = uncertainty_table(state.models, state.observations, memo)
-        assert len(predicted) == len(OBJECTS)
-        assert all(m is state.models["A1"] for m in predicted)
-        assert np.array_equal(refit.values, fresh_values())
-
     def test_missing_model_raises(self):
         state = fresh_state()
         with pytest.raises(StateError):
@@ -270,8 +237,17 @@ class TestUpdateKnowledge:
         assert stable_runs >= 16
 
 
-def constant_evaluator(models):
+def constant_evaluator(action_id, model):
     return 0.5
+
+
+def level_score(action_id, model):
+    """Mean posterior of the right object for one query at each object's
+    level: a score that moves with every refit."""
+    from tactilab.gp import ova_predict_proba
+
+    probs = ova_predict_proba(model, [force_obs(v) for v in (-4.0, 0.0, 4.0)])
+    return float(np.mean([p[model.classes.index(o)] for p, o in zip(probs, OBJECTS)]))
 
 
 class TestRunLoop:
@@ -306,24 +282,73 @@ class TestRunLoop:
         assert result.stopped_early
         assert len(result.curve) == 11  # window + the first comparison point
 
-    def test_table_memo_leaves_the_loop_unchanged(self, monkeypatch):
-        def loop():
-            state = fit_state_models(fresh_state(seed=21), seed=5)
-            return run_loop(
-                state, None, 6, constant_evaluator, fake_simulator, fake_extractor,
-                opt_rng=np.random.default_rng(5),
-            )
+    def test_later_iterations_predict_only_the_refitted_action(self, monkeypatch):
+        # Every uncertainty prediction, refit and evaluation, in order, with
+        # the model it used; holding the models keeps their ids distinct.
+        events, refits = [], []
+        real_predict, real_update = active.ova_predict_proba, active.update_knowledge
 
-        memoised = loop()
-        real = active.uncertainty_table
-        monkeypatch.setattr(
-            active, "uncertainty_table", lambda models, observations, memo=None: real(models, observations)
-        )
-        plain = loop()
-        assert [r.uncertainty for r in memoised.records] == [r.uncertainty for r in plain.records]
-        assert [(r.object_id, r.action_id) for r in memoised.records] == [
-            (r.object_id, r.action_id) for r in plain.records
-        ]
+        def predict(model, X):
+            events.append(("table", model))
+            return real_predict(model, X)
+
+        def update(state, action_id, *args, **kwargs):
+            out = real_update(state, action_id, *args, **kwargs)
+            events.append(("refit", state.models[action_id]))
+            refits.append((action_id, state.models[action_id]))
+            return out
+
+        def evaluate(action_id, model):
+            events.append(("evaluate", model))
+            return level_score(action_id, model)
+
+        monkeypatch.setattr(active, "ova_predict_proba", predict)
+        monkeypatch.setattr(active, "update_knowledge", update)
+        state = fit_state_models(fresh_state(seed=9, eps=0.5))
+        models = dict(state.models)
+        run_loop(state, None, 6, evaluate, fake_simulator, fake_extractor,
+                 opt_rng=np.random.default_rng(5))
+
+        expected = [("table", models[a]) for a in ACTIONS for _ in OBJECTS]
+        for k, (act, model) in enumerate(refits):
+            models[act] = model
+            expected.append(("refit", model))
+            expected += [("evaluate", models[a]) for a in (ACTIONS if k == 0 else (act,))]
+            if k + 1 < len(refits):
+                expected += [("table", model)] * len(OBJECTS)
+        assert len(refits) == 6 and {a for a, _ in refits} == set(ACTIONS)
+        assert [(kind, id(m)) for kind, m in events] == [(kind, id(m)) for kind, m in expected]
+
+    def test_records_equal_those_of_a_loop_that_recomputes_everything(self):
+        def reference_loop(state, budget, opt_rng):
+            """Every uncertainty row and accuracy from scratch each iteration."""
+            curve, records = [], []
+            for _ in range(budget):
+                table = uncertainty_table(state.models, state.observations)
+                obj, act, branch, _ = active._draw(table, state.eps_explore, state.explore_rng)
+                acquire(state, obj, act, fake_simulator, fake_extractor)
+                update_knowledge(state, act, None, rng=opt_rng)
+                acc = float(np.mean([level_score(a, state.models[a]) for a in state.action_ids]))
+                curve.append(acc)
+                uncertainty = {
+                    a: {o: float(table.values[i, j]) for j, o in enumerate(table.object_ids)}
+                    for i, a in enumerate(table.action_ids)
+                }
+                records.append((uncertainty, obj, act, branch, acc))
+            return curve, records
+
+        for seed in (9, 21):
+            state = fit_state_models(fresh_state(seed=seed), seed=seed)
+            loop = run_loop(state, None, 8, level_score, fake_simulator, fake_extractor,
+                            opt_rng=np.random.default_rng(seed))
+            state = fit_state_models(fresh_state(seed=seed), seed=seed)
+            curve, records = reference_loop(state, 8, np.random.default_rng(seed))
+            assert loop.curve == curve
+            assert [
+                (r.uncertainty, r.object_id, r.action_id, r.branch, r.accuracy)
+                for r in loop.records
+            ] == records
+            assert {r.branch for r in loop.records} == {"explore", "exploit"}
 
     def test_full_loop_determinism(self):
         curves = []
@@ -331,12 +356,11 @@ class TestRunLoop:
             state = fit_state_models(fresh_state(seed=33), seed=7)
             rng = np.random.default_rng(7)
 
-            def evaluate(models):
+            def evaluate(action_id, model):
                 from tactilab.gp import ova_predict_proba
 
                 queries = [force_obs(v) for v in (-4.0, 0.0, 4.0)]
-                probs = ova_predict_proba(models["A1"], queries)
-                return float(probs.max())
+                return float(ova_predict_proba(model, queries).max())
 
             result = run_loop(
                 state, None, 6, evaluate, fake_simulator, fake_extractor, opt_rng=rng

@@ -220,10 +220,9 @@ class TestConfigParsing:
             assert len(config.new_objects) == 6
 
     def test_ablation_sizes_still_checked_in_the_ablation(self):
-        with pytest.raises(ConfigError, match="ablation_sizes"):
-            parse_config(
-                config_dict(new_objects=[10, 11, 12, 13, 14, 15], mode="multi_kernel_ablation")
-            )
+        for overrides in ({"new_objects": [10, 11, 12, 13, 14, 15]}, {"ablation_sizes": []}):
+            with pytest.raises(ConfigError, match="ablation_sizes"):
+                parse_config(config_dict(mode="multi_kernel_ablation", **overrides))
 
 
 def _tiny_config(catalog, **overrides):
@@ -820,8 +819,8 @@ class TestJobs:
         assert plain.threads == 4
 
 
-class TestEvaluatorMemo:
-    def test_only_changed_models_are_re_predicted(self, monkeypatch):
+class TestEvaluator:
+    def test_scores_each_model_on_its_actions_new_object_slice(self, monkeypatch):
         from types import SimpleNamespace
 
         from tactilab import assets
@@ -830,31 +829,28 @@ class TestEvaluatorMemo:
 
         from conftest import force_obs
 
-        obs = [force_obs(v) for v in (-1.0, -0.8, 0.9, 1.2, 0.1)]
-        labels = np.array([11, 11, 12, 12, 11])
-        test = assets.TestSet({"P2": obs, "C1": obs}, {"P2": labels, "C1": labels})
+        obs = [force_obs(v) for v in (-1.0, -0.8, 0.9, 1.2, 0.1, 5.0)]
+        labels = np.array([11, 11, 12, 12, 11, 13])
+        test = assets.TestSet(
+            {"P2": obs, "C1": obs[::-1]}, {"P2": labels, "C1": labels[::-1]}
+        )
         config = SimpleNamespace(new_objects=(11, 12), actions=("P2", "C1"))
         evaluate = make_evaluator(config, test)
 
-        def fit(length_scale):
-            kernel = CombinedKernel(((Modality.FORCE, RbfKernel(length_scale, 1.0)),), np.ones(1))
-            return ova_fit(kernel, obs[:4], labels[:4])
-
+        kernel = CombinedKernel(((Modality.FORCE, RbfKernel(1.0, 1.0)),), np.ones(1))
+        model = ova_fit(kernel, obs[:4], labels[:4])
         predicted = []
         real = assets.ova_predict_proba
         monkeypatch.setattr(
-            assets, "ova_predict_proba", lambda m, X: predicted.append(m) or real(m, X)
+            assets, "ova_predict_proba", lambda m, X: predicted.append((m, len(X))) or real(m, X)
         )
-        models = {"P2": fit(1.0), "C1": fit(0.05)}
-        first = evaluate(models)
-        assert len(predicted) == 2
-        assert evaluate(dict(models)) == first
-        assert len(predicted) == 2
-
-        models["C1"] = fit(3.0)
-        second = evaluate(models)
-        assert len(predicted) == 3 and predicted[2] is models["C1"]
-        assert second == make_evaluator(config, test)(models)
+        for action_id in config.actions:
+            slice_obs, slice_labels = assets.new_object_slice(config, test, action_id)
+            assert list(slice_labels) == [lab for lab in test.labels[action_id] if lab != 13]
+            assert evaluate(action_id, model) == assets.accuracy(model, slice_obs, slice_labels)
+        # No cache: every call predicts its model's slice.
+        assert evaluate("P2", model) == evaluate("P2", model)
+        assert predicted == [(model, 5)] * 6
 
 
 class TestReport:

@@ -36,7 +36,7 @@ def force_kernel(ls=0.5, sv=2.0):
 
 def make_prior(rng, centers={1: -4.0, 2: 0.0, 3: 4.0}, per_object=12, action=ACTION):
     instances = {action: {obj: cluster(rng, c, per_object, object_id=obj) for obj, c in centers.items()}}
-    return fit_prior_knowledge(instances, projectors={}, restarts=1, rng=rng)
+    return fit_prior_knowledge(instances, restarts=1, rng=rng)
 
 
 @pytest.fixture(scope="module")
@@ -92,7 +92,7 @@ class TestSelectByOptimization:
         for seed in range(20):
             rng = np.random.default_rng(300 + seed)
             instances = {ACTION: {1: cluster(rng, 0.0, 30, object_id=1)}}
-            prior = fit_prior_knowledge(instances, {}, restarts=1, rng=rng)
+            prior = fit_prior_knowledge(instances, restarts=1, rng=rng)
             X_new = cluster(rng, 0.0, 30)
             decision = select_prior_by_optimization(
                 prior, ACTION, X_new, 0.6, new_object_id=11, rng=rng
@@ -104,7 +104,7 @@ class TestSelectByOptimization:
     def test_below_threshold_gives_none(self):
         rng = np.random.default_rng(9)
         instances = {ACTION: {1: cluster(rng, 0.0, 10, object_id=1)}}
-        prior = fit_prior_knowledge(instances, {}, restarts=1, rng=rng)
+        prior = fit_prior_knowledge(instances, restarts=1, rng=rng)
         decision = select_prior_by_optimization(
             prior, ACTION, cluster(rng, 80.0, 10), 0.99, new_object_id=11, rng=rng
         )
@@ -116,7 +116,7 @@ class TestSelectByOptimization:
         # contract (completion, range) is asserted.
         rng = np.random.default_rng(10)
         instances = {ACTION: {1: cluster(rng, 0.0, 15, object_id=1)}}
-        prior = fit_prior_knowledge(instances, {}, restarts=1, rng=rng)
+        prior = fit_prior_knowledge(instances, restarts=1, rng=rng)
         decision = select_prior_by_optimization(
             prior, ACTION, [force_obs(0.1)], 0.6, new_object_id=11, rng=rng
         )
@@ -142,13 +142,13 @@ class TestSearchSettings:
     def test_prior_models(self, monkeypatch):
         calls = record_searches(monkeypatch, transfer)
         rng = np.random.default_rng(20)
-        fit_prior_knowledge(self.two_part_instances(rng, (1, 2, 3)), {}, restarts=2, rng=rng)
-        fit_prior_knowledge(self.two_part_instances(rng, (1,)), {}, restarts=2, rng=rng)
+        fit_prior_knowledge(self.two_part_instances(rng, (1, 2, 3)), restarts=2, rng=rng)
+        fit_prior_knowledge(self.two_part_instances(rng, (1,)), restarts=2, rng=rng)
         assert calls == [(4, True, False, None, (0.5, 0.5)), (3, True, False, None, (0.5, 0.5))]
 
     def test_rho_selection(self, monkeypatch):
         rng = np.random.default_rng(21)
-        prior = fit_prior_knowledge(self.two_part_instances(rng, (1, 2)), {}, restarts=1, rng=rng)
+        prior = fit_prior_knowledge(self.two_part_instances(rng, (1, 2)), restarts=1, rng=rng)
         calls = record_searches(monkeypatch, transfer)
         X_new = self.two_part_instances(rng, (2,))[ACTION][2]
         select_prior_by_optimization(prior, ACTION, X_new, 0.6, rng=rng)
@@ -227,7 +227,7 @@ class TestBuildModels:
             None, groups, rng=np.random.default_rng(77)
         )
         models_b, kernels_b, decisions_b = build_new_observation_models(
-            PriorKnowledge((), {}, {}, {}), groups, rng=np.random.default_rng(77)
+            PriorKnowledge({}, {}, {}), groups, rng=np.random.default_rng(77)
         )
         assert decisions_a == [] and decisions_b == []
         queries = [force_obs(v) for v in (-4.0, 0.0, 7.0)]
