@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import ParameterError, StateError
 from .features import FeatureObservation
-from .gp import OvaGpcModel, ova_predict_proba
+from .gp import OvaGpcModel, ova_predict_groups
 from .kernels import CombinedKernel
 from .seeding import EXPLORE_NS, INIT_NS, TRAIN_NS, derive_rng, derive_seed
 from .transfer import (
@@ -117,7 +117,8 @@ def uncertainty_table(
     observations: Mapping[str, Mapping[int, Sequence[FeatureObservation]]],
 ) -> UncertaintyTable:
     """Mean posterior entropy per (action, object) observation group, one
-    row per action of ``observations``."""
+    row per action of ``observations``, each from one prediction over the
+    row's groups."""
     action_ids = tuple(observations)
     object_ids: tuple[int, ...] = ()
     rows = []
@@ -126,14 +127,11 @@ def uncertainty_table(
             raise StateError(f"no model fitted for action {action_id!r}")
         groups = observations[action_id]
         object_ids = tuple(sorted(groups))
-        row = []
         for obj in object_ids:
-            group = list(groups[obj])
-            if not group:
+            if not groups[obj]:
                 raise StateError(f"empty observation group for ({action_id}, {obj})")
-            probs = ova_predict_proba(models[action_id], group)
-            row.append(np.mean([posterior_entropy(p) for p in probs]))
-        rows.append(row)
+        probs = ova_predict_groups(models[action_id], [groups[obj] for obj in object_ids])
+        rows.append([np.mean([posterior_entropy(p) for p in group]) for group in probs])
     return UncertaintyTable(action_ids, object_ids, np.array(rows))
 
 

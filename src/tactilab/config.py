@@ -11,6 +11,7 @@ from pathlib import Path
 from typing import Optional
 
 from .errors import ConfigError
+from .features import THERMAL_DIM
 from .signals import STANDARD_ACTIONS
 from .transfer import SelectionMethod, TransferThresholds
 
@@ -203,8 +204,14 @@ def parse_config(raw: dict, base_dir: Optional[str] = None) -> ExperimentConfig:
         raise ConfigError("prior_objects and new_objects must be disjoint")
     if "trials" in raw and _int_field("trials", raw["trials"]) != config.trials:
         raise ConfigError("trials must equal the number of seeds")
-    if prior:
-        _at_least(1)("prior_samples_per_object", config.prior_samples_per_object)
+    if prior:  # each action's projector pool holds these traces of every prior object
+        samples, needed = config.prior_samples_per_object, THERMAL_DIM + 1
+        if len(prior) * samples < needed:
+            raise ConfigError(
+                f"prior_samples_per_object must be >= {-(-needed // len(prior))} with "
+                f"{len(prior)} prior object(s), got {samples}: the thermal projector "
+                f"needs {needed} traces per action"
+            )
     if config.mode is Mode.MULTI_KERNEL_ABLATION:
         if len(new) < 2:
             raise ConfigError("new_objects must hold at least two classes for the ablation")

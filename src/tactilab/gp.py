@@ -12,11 +12,14 @@ selection is one set whose transfer-block rho joins the parameter vector.
 The search scores points in batches: all starts at once, then each scan of a
 sweep scores every remaining step from the current point and takes the first
 that improves (the speculative sweep), which is the path of trying one step
-at a time. A batch's grams come from one ``training_grams`` call per set,
-and all its (point, set) problems of one size are solved in one stacked
-Newton iteration (``_laplace_modes``). A decoded kernel is solved at most
-once per search. ``fit_sets`` fits the final models at one kernel the same
-way (``_solve_sets``); ``gpc_fit`` is the iteration's one-problem case.
+at a time. A batch's grams come from one ``training_gram_stack`` call per
+set size and split, and all its (point, set) problems of one size are solved
+in one stacked Newton iteration (``_laplace_modes``). A decoded kernel is
+solved at most once per search. ``fit_sets`` fits the final models at one
+kernel the same way (``_solve_sets``); ``gpc_fit`` is the iteration's
+one-problem case. Predictions are stacked the same way: ``ova_predict_groups``
+predicts every (class, query group) item of a model at once, and
+``gpc_predict_batch`` is its one-item case.
 
 Every factorization and solve calls LAPACK directly (``dpotrf``, ``dpotrs``,
 ``dtrtrs``) with the arguments scipy's ``cholesky`` / ``cho_solve`` /
@@ -45,10 +48,11 @@ from .kernels import (
     ObservationBlock,
     RbfKernel,
     prediction_cross,
+    prediction_cross_stack,
     prediction_diag,
     project_simplex,
     training_gram,
-    training_grams,
+    training_gram_stack,
 )
 
 GRAM_JITTER = 1e-8
@@ -292,7 +296,7 @@ def _finish(eye, k, y, f, a, pi, residual, iterations, ids, out) -> None:
     for j, mat in enumerate(eye + (w_sqrt[:, :, None] * k) * w_sqrt[:, None, :]):
         try:
             chols.append(_factor(mat))
-            diag[j] = np.diag(chols[j])
+            diag[j] = chols[j].diagonal()
         except np.linalg.LinAlgError as exc:
             out[ids[j]] = exc
             chols.append(None)
@@ -325,17 +329,43 @@ def gpc_fit(kernel, X_train, labels, n_old: int = 0) -> BinaryGpcModel:
 
 def gpc_predict_batch(model: BinaryGpcModel, X_star) -> np.ndarray:
     """Posterior probability of the +1 label for each query point."""
-    X_star = ObservationBlock.of(X_star)
-    k_star = prediction_cross(model.kernel, model.X_train, X_star, model.n_old)
-    k_ss = prediction_diag(model.kernel, X_star)
-    _check_finite(k_star, "prediction cross-covariance")
-    mu = k_star.T @ model.grad_hat
-    v = _tri_solve(model.chol_b, model.w_sqrt[:, None] * k_star)
-    var = np.maximum(k_ss - np.sum(v**2, axis=0), 0.0)
-    # Marginalize the logistic over the Gaussian latent with Gauss-Hermite.
-    z = mu[:, None] + np.sqrt(2.0 * var)[:, None] * _GH_NODES[None, :]
-    probs = (expit(z) @ _GH_WEIGHTS) / math.sqrt(math.pi)
-    return np.clip(probs, PROB_CLIP, 1.0 - PROB_CLIP)
+    (probs,) = _predict_items([(model, ObservationBlock.of(X_star))])
+    return probs
+
+
+def _predict_items(items: Sequence[tuple[BinaryGpcModel, ObservationBlock]]) -> list:
+    """``gpc_predict_batch(model, X_star)`` of every (model, query block)
+    item, bit for bit. Items of one training size, split, query count and
+    base kernel form a group, which gets one stacked cross-covariance, one
+    stacked ``matmul`` per matrix-vector step and one stacked Gauss-Hermite
+    step; ``dtrtrs`` and its column sums run per matrix."""
+    groups: dict = {}
+    for i, (model, X_star) in enumerate(items):
+        dependent = isinstance(model.kernel, DependentKernel)
+        base = model.kernel.base if dependent else model.kernel
+        key = (len(model.X_train), model.n_old if dependent else 0, len(X_star), id(base))
+        groups.setdefault(key, []).append(i)
+    out: list = [None] * len(items)
+    for (_, n_old, _, _), idx in groups.items():
+        models, stars = zip(*[items[i] for i in idx])
+        k_star = prediction_cross_stack(
+            [model.kernel for model in models], [model.X_train for model in models], stars, n_old
+        )
+        k_ss = prediction_diag(models[0].kernel, stars[0])
+        _check_finite(k_star, "prediction cross-covariance")
+        mu = _matvec(k_star.swapaxes(1, 2), np.array([model.grad_hat for model in models]))
+        rhs = np.array([model.w_sqrt for model in models])[:, :, None] * k_star
+        v_sq = np.empty(mu.shape)
+        for j, model in enumerate(models):
+            v_sq[j] = np.sum(_tri_solve(model.chol_b, rhs[j]) ** 2, axis=0)
+        var = np.maximum(k_ss - v_sq, 0.0)
+        # Marginalize the logistic over the Gaussian latent with Gauss-Hermite.
+        z = mu[..., None] + np.sqrt(2.0 * var)[..., None] * _GH_NODES
+        probs = (expit(z) @ _GH_WEIGHTS) / math.sqrt(math.pi)
+        probs = np.clip(probs, PROB_CLIP, 1.0 - PROB_CLIP)
+        for j, i in enumerate(idx):
+            out[i] = probs[j]
+    return out
 
 
 def gpc_predict(model: BinaryGpcModel, x_star) -> float:
@@ -406,29 +436,37 @@ def _solve_sets(sets: Sequence[PooledSet], kernels: list, rhos: Optional[list]) 
     bits of ``s.fit(kernel)``). ``rhos`` gives each kernel's rho for every
     set; without it each set keeps its own.
 
-    Each set's grams come from one ``training_grams`` call over its block
-    (sets holding the same block and split share them), and every (kernel,
-    set) problem of one size joins one ``_laplace_modes`` stack."""
+    The grams of all sets of one size and split come from one
+    ``training_gram_stack`` call (sets holding the same block, split and
+    rhos share theirs), and every (kernel, set) problem of one size joins
+    one ``_laplace_modes`` stack."""
     m = len(kernels)
-    grams_of: dict = {}
-    stacks: dict = {}  # size -> (grams, labels, set indices)
-    for si, s in enumerate(sets):
+    rows: dict = {}  # (block, split, rhos) -> (size, split), first row of its grams there
+    groups: dict = {}  # (size, split) -> the kernels and blocks of its gram stack
+    where = []  # per set, its rows
+    for s in sets:
         set_rhos = tuple(rhos) if rhos is not None else (s.rho,) * m
         key = (id(s.X), s.n_old, set_rhos if s.n_old else None)
-        grams = grams_of.get(key)
-        if grams is None:
+        if key not in rows:
             stacked = kernels
             if s.n_old:
                 stacked = [DependentKernel(kern, rho) for kern, rho in zip(kernels, set_rhos)]
-            grams = grams_of[key] = training_grams(stacked, s.X, s.n_old)
+            group_kernels, blocks = groups.setdefault((len(s.X), s.n_old), ([], []))
+            rows[key] = (len(s.X), s.n_old), len(blocks)
+            group_kernels.extend(stacked)
+            blocks.extend([s.X] * m)
+        where.append(rows[key])
+    grams = {group: training_gram_stack(*stack, group[1]) for group, stack in groups.items()}
+    stacks: dict = {}  # size -> (grams, labels, set indices)
+    for si, (s, (group, row)) in enumerate(zip(sets, where)):
         grams_list, labels, indices = stacks.setdefault(len(s.X), ([], [], []))
-        grams_list.append(grams)
-        labels.append(np.broadcast_to(np.asarray(s.y, dtype=float), (m, len(s.X))))
+        grams_list.append(grams[group][row : row + m])
+        labels.append(s.y)
         indices.append(si)
     out: list = [None] * len(sets)
     for n, (grams_list, labels, indices) in stacks.items():
         k = np.concatenate(grams_list) + GRAM_JITTER * np.eye(n)
-        modes = _laplace_modes(k, np.concatenate(labels))
+        modes = _laplace_modes(k, np.repeat(np.array(labels, dtype=float), m, axis=0))
         for row, si in enumerate(indices):
             out[si] = modes[row * m : (row + 1) * m]
     return out
@@ -463,10 +501,17 @@ def ova_fit(kernel, X, labels) -> OvaGpcModel:
 
 def ova_predict_proba(model: OvaGpcModel, X_star) -> np.ndarray:
     """Raw per-class binary posteriors, one column per class (not renormalized)."""
-    X_star = ObservationBlock.of(X_star)
-    return np.column_stack(
-        [gpc_predict_batch(model.models[cls], X_star) for cls in model.classes]
-    )
+    return ova_predict_groups(model, [X_star])[0]
+
+
+def ova_predict_groups(model: OvaGpcModel, groups: Sequence) -> list:
+    """``ova_predict_proba(model, X)`` of each query group X, bit for bit,
+    from one stacked prediction over every (class, group) item."""
+    groups = [ObservationBlock.of(X) for X in groups]
+    items = [(model.models[cls], X) for X in groups for cls in model.classes]
+    probs = _predict_items(items)
+    c = len(model.classes)
+    return [np.column_stack(probs[g * c : (g + 1) * c]) for g in range(len(groups))]
 
 
 def argmax_label(classes: Sequence[int], probs: Sequence[float]) -> int:

@@ -39,10 +39,11 @@ def rbf_eval(kernel: RbfKernel, x: Sequence[float], y: Sequence[float]) -> float
 
 def _sqdist(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """Squared distances via the expansion |x-y|^2 = |x|^2 + |y|^2 - 2 x.y,
-    clipped at zero against rounding."""
-    xn = np.sum(xs**2, axis=1)[:, None]
-    yn = np.sum(ys**2, axis=1)[None, :]
-    return np.maximum(xn + yn - 2.0 * xs @ ys.T, 0.0)
+    clipped at zero against rounding; over stacks of matrices, pair by pair
+    (``matmul`` makes one BLAS call per pair, as for a pair alone)."""
+    xn = np.sum(xs**2, axis=-1)[..., :, None]
+    yn = np.sum(ys**2, axis=-1)[..., None, :]
+    return np.maximum(xn + yn - 2.0 * xs @ ys.swapaxes(-1, -2), 0.0)
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -220,47 +221,72 @@ def _block(kernel, X) -> ObservationBlock:
     return block
 
 
-def _part_terms(kernel) -> list:
-    """(modality, gamma, signal variance, 2 l^2) of each part; a bare RBF is
-    one part of weight 1 (``0 + 1 * k`` is ``k`` bit for bit)."""
-    if isinstance(kernel, RbfKernel):
-        return [(None, 1.0, kernel.signal_variance, 2.0 * kernel.length_scale**2)]
-    return [
-        (mod, gamma, part.signal_variance, 2.0 * part.length_scale**2)
-        for gamma, (mod, part) in zip(kernel.weights, kernel.parts)
+def _part_table(kernels: Sequence) -> tuple[list, np.ndarray]:
+    """The parts' modalities, which all kernels must share, and each
+    kernel's (gamma, signal variance, 2 l^2) per part, (m, parts, 3), read
+    once per distinct kernel. A bare RBF is one part of weight 1 (``0 + 1 *
+    k`` is ``k`` bit for bit)."""
+    distinct, index = _distinct(kernels)
+    terms = [
+        [(None, 1.0, kernel.signal_variance, 2.0 * kernel.length_scale**2)]
+        if isinstance(kernel, RbfKernel)
+        else [
+            (mod, gamma, part.signal_variance, 2.0 * part.length_scale**2)
+            for gamma, (mod, part) in zip(kernel.weights, kernel.parts)
+        ]
+        for kernel in distinct
     ]
-
-
-def _kernel_matrices(kernels: Sequence, shape: tuple[int, int], sq_of) -> np.ndarray:
-    """The kernels on squared distances ``sq_of(modality)``, stacked: for
-    each, the gamma-weighted sum of its parts' RBFs, parts with gamma 0
-    skipped. All kernels share one layout; each part's distances are shared,
-    only the exp and the scalars are per kernel, in the order a single kernel
-    computes them. (A live term is never -0, so the first one needs no
-    zeros to be added to.)"""
-    terms = [_part_terms(kernel) for kernel in kernels]
     modalities = [mod for mod, *_ in terms[0]]
     if any([mod for mod, *_ in t] != modalities for t in terms[1:]):
-        raise SegmentationError("kernels stacked over one block must share their parts")
+        raise SegmentationError("stacked kernels must share their parts")
+    return modalities, np.array([[t[1:] for t in parts] for parts in terms])[index]
+
+
+def _kernel_matrices(parts: tuple, shape: tuple[int, int], sq_of) -> np.ndarray:
+    """The kernels of ``parts`` (a ``_part_table``) on squared distances,
+    stacked: for each, the gamma-weighted sum of its parts' RBFs, parts with
+    gamma 0 skipped. ``sq_of(modality)`` gives one matrix shared by all
+    kernels or a stack of one per kernel. Only the exp and the scalars are
+    per kernel, in the order a single kernel computes them: ``gamma *
+    (variance * exp(-sq / denom))``, taken as ``sq / -denom`` and without
+    factors of 1, the same bits. (A live term is never -0, so the first one
+    needs no zeros to be added to.)"""
+    modalities, table = parts
+    m = len(table)
     out = None
     for j, mod in enumerate(modalities):
-        live = [i for i, t in enumerate(terms) if t[j][1] != 0.0]
-        if not live:
+        live = table[:, j, 0].nonzero()[0]
+        if not live.size:
             continue
-        if len(kernels) == 1:  # plain scalars: a (1, 1, 1) array costs more per op
-            gamma, variance, denom = terms[0][j][1:]
-        else:
-            gamma, variance, denom = np.array([terms[i][j][1:] for i in live]).T[..., None, None]
-        term = gamma * (variance * np.exp(-sq_of(mod) / denom))
-        if len(live) == len(kernels):
-            out = term if out is None else out + term
+        sq = sq_of(mod)
+        if sq.ndim == 3 and live.size < m:
+            sq = sq[live]
+        params = table[:, j] if live.size == m else table[live, j]
+        # One kernel: plain scalars, as a (1, 1, 1) array costs more per op.
+        gamma, variance, denom = params[0] if m == 1 else params.T[..., None, None]
+        term = np.divide(sq, -denom)
+        np.exp(term, out=term)
+        if (variance != 1.0).any():
+            term *= variance
+        if (gamma != 1.0).any():
+            term *= gamma
+        if live.size == m:
+            out = term if out is None else np.add(out, term, out=out)
         else:
             if out is None:
-                out = np.zeros((len(kernels),) + shape)
+                out = np.zeros((m,) + shape)
             out[live] += term
     if out is None:
-        return np.zeros((len(kernels),) + shape)
-    return out.reshape((len(kernels),) + shape)
+        return np.zeros((m,) + shape)
+    return out.reshape((m,) + shape)
+
+
+def _distinct(items: Sequence) -> tuple[list, list]:
+    """The distinct entries of ``items`` (by identity) in first-seen order,
+    and each entry's index among them."""
+    first: dict = {}
+    index = [first.setdefault(id(item), len(first)) for item in items]
+    return list({id(item): item for item in items}.values()), index
 
 
 def _symmetric(k: np.ndarray) -> np.ndarray:
@@ -269,33 +295,12 @@ def _symmetric(k: np.ndarray) -> np.ndarray:
 
 def cross_gram(kernel, X, Y) -> np.ndarray:
     """Kernel matrix between two observation blocks or lists (rows: X, cols: Y)."""
-    X, Y = _block(kernel, X), _block(kernel, Y)
-    if not (len(X) and len(Y)):
-        return np.zeros((len(X), len(Y)))
-    return _kernel_matrices(
-        [kernel], (len(X), len(Y)), lambda mod: _sqdist(X.matrix(mod), Y.matrix(mod))
-    )[0]
+    return prediction_cross_stack([kernel], [X], [Y])[0]
 
 
 def gram(kernel, X) -> np.ndarray:
     """Symmetric kernel matrix over one observation block or list."""
-    if len(X) == 0:
-        raise ParameterError("gram of an empty observation list")
-    return _grams([kernel], _block(kernel, X))[0]
-
-
-def _grams(kernels: Sequence, X: ObservationBlock) -> np.ndarray:
-    return _symmetric(_kernel_matrices(kernels, (len(X), len(X)), X.sqdist))
-
-
-def kernel_diag(kernel, X) -> np.ndarray:
-    """Diagonal of gram(kernel, X) without building the full matrix."""
-    if isinstance(kernel, RbfKernel):
-        return np.full(len(X), kernel.signal_variance)
-    value = float(
-        sum(g * p.signal_variance for g, (_, p) in zip(kernel.weights, kernel.parts))
-    )
-    return np.full(len(X), value)
+    return training_gram(kernel, X)
 
 
 @dataclass(frozen=True)
@@ -316,10 +321,10 @@ def _dependent_from(
 ) -> np.ndarray:
     """[[K_oo, rho K_on], [rho K_no, K_nn]] per kernel, stacked, from the
     old-old, new-new and old-new squared distances per modality."""
-    bases = [kernel.base for kernel in kernels]
-    k_oo = _kernel_matrices(bases, (n_old, n_old), oo_of)
-    k_nn = _kernel_matrices(bases, (n_new, n_new), nn_of)
-    k_on = _kernel_matrices(bases, (n_old, n_new), on_of)
+    parts = _part_table([kernel.base for kernel in kernels])
+    k_oo = _kernel_matrices(parts, (n_old, n_old), oo_of)
+    k_nn = _kernel_matrices(parts, (n_new, n_new), nn_of)
+    k_on = _kernel_matrices(parts, (n_old, n_new), on_of)
     out = np.empty((len(kernels), n_old + n_new, n_old + n_new))
     out[:, :n_old, :n_old] = _symmetric(k_oo)
     out[:, n_old:, n_old:] = _symmetric(k_nn)
@@ -356,46 +361,94 @@ def training_gram(kernel, X, n_old: int = 0) -> np.ndarray:
 
 
 def training_grams(kernels: Sequence, X, n_old: int = 0) -> np.ndarray:
-    """``training_gram`` of each kernel over one block, stacked (m, n, n):
-    bit for bit the matrices of the single-kernel calls, with the block's
-    memoised distances computed once for all of them. The kernels are all
-    dependent or all not, with the same parts."""
-    if len(X) == 0:
-        raise ParameterError("gram of an empty observation list")
+    """``training_gram`` of each kernel over one block, stacked (m, n, n)."""
+    return training_gram_stack(kernels, [X] * len(kernels), n_old)
+
+
+def training_gram_stack(kernels: Sequence, blocks: Sequence, n_old: int = 0) -> np.ndarray:
+    """``training_gram(kernels[i], blocks[i], n_old)`` of every item, stacked
+    (m, n, n): bit for bit the matrices of the single calls, from each
+    block's memoised distances, and its layout checked once. The blocks have
+    one size; the kernels are all dependent or all not, with the same
+    parts."""
     dependent = isinstance(kernels[0], DependentKernel)
     if any(isinstance(kernel, DependentKernel) != dependent for kernel in kernels):
-        raise TypeError("training_grams needs all dependent kernels or none")
-    if not dependent:
-        return _grams(kernels, _block(kernels[0], X))
-    bases = [kernel.base for kernel in kernels]
-    X = _block(bases[0], X)
-    if not 0 < n_old < len(X):  # one side empty: a plain gram
-        return _grams(bases, X)
-    return _dependent_from(
-        kernels,
-        n_old,
-        len(X) - n_old,
-        lambda mod: X.split_sqdist(mod, n_old)[0],
-        lambda mod: X.split_sqdist(mod, n_old)[1],
-        lambda mod: X.split_sqdist(mod, n_old)[2],
-    )
+        raise TypeError("training grams need all dependent kernels or none")
+    bases = [kernel.base for kernel in kernels] if dependent else kernels
+    if len(blocks[0]) == 0:
+        raise ParameterError("gram of an empty observation list")
+    distinct, index = _distinct(blocks)
+    distinct = [_block(bases[0], X) for X in distinct]  # each checked once
+    n = len(distinct[0])
+
+    def sq_of(dist):  # one matrix shared by all items, or one per item
+        def of(mod):
+            per_block = [dist(X, mod) for X in distinct]
+            return per_block[0] if len(per_block) == 1 else np.array([per_block[i] for i in index])
+
+        return of
+
+    if not (dependent and 0 < n_old < n):  # one side empty: a plain gram
+        parts = _part_table(bases)
+        return _symmetric(_kernel_matrices(parts, (n, n), sq_of(ObservationBlock.sqdist)))
+    split = [sq_of(lambda X, mod, p=p: X.split_sqdist(mod, n_old)[p]) for p in range(3)]
+    return _dependent_from(kernels, n_old, n - n_old, *split)
 
 
 def prediction_cross(kernel, X_train, X_star, n_old: int = 0) -> np.ndarray:
     """Covariance between training points and query points (queries live on
     the new-object side of a dependent kernel)."""
-    X_train, X_star = ObservationBlock.of(X_train), ObservationBlock.of(X_star)
-    if isinstance(kernel, DependentKernel):
-        top = kernel.rho * cross_gram(kernel.base, X_train[:n_old], X_star)
-        bottom = cross_gram(kernel.base, X_train[n_old:], X_star)
-        return np.vstack([top, bottom]) if n_old else bottom
-    return cross_gram(kernel, X_train, X_star)
+    n_old = n_old if isinstance(kernel, DependentKernel) else 0
+    return prediction_cross_stack([kernel], [X_train], [X_star], n_old)[0]
+
+
+def prediction_cross_stack(
+    kernels: Sequence, trains: Sequence, stars: Sequence, n_old: int = 0
+) -> np.ndarray:
+    """``prediction_cross(kernels[i], trains[i], stars[i], n_old)`` of every
+    item, stacked (m, n, q): bit for bit the matrices of the single calls.
+    The items share the training size, the query count and the split, which
+    needs dependent kernels when above 0; the kernels share their parts.
+    Each block's layout is checked once; the distances of all items come
+    from one stacked product per part (and per side of the split), and one
+    exp serves both sides."""
+    bases = [kernel.base if isinstance(kernel, DependentKernel) else kernel for kernel in kernels]
+    distinct, index = _distinct([*trains, *stars])
+    distinct = [_block(bases[0], X) for X in distinct]  # each checked once
+    blocks = [distinct[i] for i in index]
+    trains, stars = blocks[: len(trains)], blocks[len(trains) :]
+    n, q = len(trains[0]), len(stars[0])
+    if not (n and q):
+        return np.zeros((len(kernels), n, q))
+
+    def sq_of(mod):  # one matrix for one item, else one per item
+        splits = (slice(None, n_old), slice(n_old, None)) if n_old else (slice(None),)
+        out = []
+        for rows in splits:  # the old rows' products apart, as alone
+            xs = [X.matrix(mod)[rows] for X in trains]
+            ys = [Y.matrix(mod) for Y in stars]
+            if len(xs) == 1:
+                out.append(_sqdist(xs[0], ys[0]))
+                continue
+            out.append(_sqdist(np.array(xs), np.array(ys)))
+            for i, (x, y) in enumerate(zip(xs, ys)):
+                if np.may_share_memory(x, y):  # alone, x @ y.T is a syrk, not a gemm
+                    out[-1][i] = _sqdist(x, y)
+        return out[0] if len(out) == 1 else np.concatenate(out, axis=-2)
+
+    k = _kernel_matrices(_part_table(bases), (n, q), sq_of)
+    if n_old:
+        k[:, :n_old] *= np.array([kernel.rho for kernel in kernels])[:, None, None]
+    return k
 
 
 def prediction_diag(kernel, X_star) -> np.ndarray:
-    if isinstance(kernel, DependentKernel):
-        return kernel_diag(kernel.base, X_star)
-    return kernel_diag(kernel, X_star)
+    """Prior variance at each query point (a dependent kernel's base's)."""
+    kernel = kernel.base if isinstance(kernel, DependentKernel) else kernel
+    if isinstance(kernel, RbfKernel):
+        return np.full(len(X_star), kernel.signal_variance)
+    variance = sum(g * p.signal_variance for g, (_, p) in zip(kernel.weights, kernel.parts))
+    return np.full(len(X_star), float(variance))
 
 
 def median_heuristic(

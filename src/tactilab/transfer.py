@@ -18,6 +18,7 @@ from .gp import (
     PooledSet,
     fit_sets,
     optimize_kernel_for_sets,
+    ova_predict_groups,
     ova_predict_proba,
     ova_sets,
 )
@@ -130,14 +131,21 @@ def select_prior_by_prediction(
     """Score each old object by its mean binary posterior over the new
     observations; transfer from the best one iff the score clears the
     threshold, with the score itself as the relatedness."""
-    if eps_neg1 < 0.5:
-        raise ParameterError(f"eps_neg1 must be >= 0.5, got {eps_neg1}")
     if len(X_new_j) == 0:
         raise ParameterError("X_new_j must be nonempty")
     if action_id not in prior.models:
         raise MissingPriorError(f"no prior model for action {action_id!r}")
     model = prior.models[action_id]
     p_bar = ova_predict_proba(model, X_new_j).mean(axis=0)
+    return _by_prediction(model, action_id, p_bar, eps_neg1, new_object_id)
+
+
+def _by_prediction(
+    model: OvaGpcModel, action_id: str, p_bar: np.ndarray, eps_neg1: float, new_object_id: int
+) -> TransferDecision:
+    """The decision from the prior model's mean posteriors ``p_bar``."""
+    if eps_neg1 < 0.5:
+        raise ParameterError(f"eps_neg1 must be >= 0.5, got {eps_neg1}")
     best = int(np.argmax(p_bar))  # ties: lowest old-object id (classes sorted)
     best_p = float(p_bar[best])
     if best_p >= eps_neg1:
@@ -246,17 +254,20 @@ def build_action_models(
             raise ParameterError(f"object {obj} has no observations for {action_id}")
 
     has_prior = prior is not None and action_id in prior.models
+    if has_prior and method is SelectionMethod.MODEL_PREDICTION:  # all objects in one call
+        probs = ova_predict_groups(prior.models[action_id], [groups[obj] for obj in object_ids])
     decisions: list[TransferDecision] = []
     sets: dict[int, PooledSet] = {}
-    for obj in object_ids:
+    for k, obj in enumerate(object_ids):
         X_j = list(groups[obj])
         X_rest = [o for other in object_ids if other != obj for o in groups[other]]
         X_old: list = []
         rho = 0.0
         if has_prior:
             if method is SelectionMethod.MODEL_PREDICTION:
-                decision = select_prior_by_prediction(
-                    prior, action_id, X_j, thresholds.eps_neg1, new_object_id=obj
+                p_bar = probs[k].mean(axis=0)
+                decision = _by_prediction(
+                    prior.models[action_id], action_id, p_bar, thresholds.eps_neg1, obj
                 )
             else:
                 decision = select_prior_by_optimization(

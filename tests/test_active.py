@@ -89,8 +89,8 @@ class TestUncertaintyTable:
         state = fit_state_models(fresh_state())
         monkeypatch.setattr(
             active,
-            "ova_predict_proba",
-            lambda model, X: np.full((len(X), len(OBJECTS)), 0.5),
+            "ova_predict_groups",
+            lambda model, groups: [np.full((len(X), len(OBJECTS)), 0.5) for X in groups],
         )
         table = uncertainty_table(state.models, state.observations)
         assert np.allclose(table.values, math.log(3), atol=1e-12)
@@ -283,14 +283,16 @@ class TestRunLoop:
         assert len(result.curve) == 11  # window + the first comparison point
 
     def test_later_iterations_predict_only_the_refitted_action(self, monkeypatch):
-        # Every uncertainty prediction, refit and evaluation, in order, with
-        # the model it used; holding the models keeps their ids distinct.
+        # Every uncertainty row's prediction (one per row, over all the
+        # objects' groups), refit and evaluation, in order, with the model it
+        # used; holding the models keeps their ids distinct.
         events, refits = [], []
-        real_predict, real_update = active.ova_predict_proba, active.update_knowledge
+        real_predict, real_update = active.ova_predict_groups, active.update_knowledge
 
-        def predict(model, X):
+        def predict(model, groups):
+            assert len(groups) == len(OBJECTS)
             events.append(("table", model))
-            return real_predict(model, X)
+            return real_predict(model, groups)
 
         def update(state, action_id, *args, **kwargs):
             out = real_update(state, action_id, *args, **kwargs)
@@ -302,20 +304,20 @@ class TestRunLoop:
             events.append(("evaluate", model))
             return level_score(action_id, model)
 
-        monkeypatch.setattr(active, "ova_predict_proba", predict)
+        monkeypatch.setattr(active, "ova_predict_groups", predict)
         monkeypatch.setattr(active, "update_knowledge", update)
         state = fit_state_models(fresh_state(seed=9, eps=0.5))
         models = dict(state.models)
         run_loop(state, None, 6, evaluate, fake_simulator, fake_extractor,
                  opt_rng=np.random.default_rng(5))
 
-        expected = [("table", models[a]) for a in ACTIONS for _ in OBJECTS]
+        expected = [("table", models[a]) for a in ACTIONS]
         for k, (act, model) in enumerate(refits):
             models[act] = model
             expected.append(("refit", model))
             expected += [("evaluate", models[a]) for a in (ACTIONS if k == 0 else (act,))]
             if k + 1 < len(refits):
-                expected += [("table", model)] * len(OBJECTS)
+                expected.append(("table", model))
         assert len(refits) == 6 and {a for a, _ in refits} == set(ACTIONS)
         assert [(kind, id(m)) for kind, m in events] == [(kind, id(m)) for kind, m in expected]
 

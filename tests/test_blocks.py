@@ -28,6 +28,7 @@ from tactilab.kernels import (
     RbfKernel,
     prediction_cross,
     training_gram,
+    training_gram_stack,
     training_grams,
 )
 
@@ -535,7 +536,7 @@ class TestStackedLaplace:
             y = tuple(np.where(rng.random(n) < 0.5, 1.0, -1.0).tolist())
             sets[int(cls) * 3] = gp.PooledSet(X, y, min(int(split * n), n - 1), rho)
 
-        real_grams = training_grams
+        real_stack = training_gram_stack
         bad_block = bad_gram = None
         if bad is not None:
             bad_block = sets[int(rng.choice(list(sets)))].X
@@ -544,14 +545,16 @@ class TestStackedLaplace:
             if bad != "indefinite":
                 bad_gram[rng.integers(n), rng.integers(n)] = bad
 
-        def grams(kernels, X, n_old=0):
-            if X is bad_block:
-                return np.stack([bad_gram] * len(kernels))
-            return real_grams(kernels, X, n_old)
+        def stack(kernels, blocks, n_old=0):
+            grams = real_stack(kernels, blocks, n_old)
+            for i, X in enumerate(blocks):
+                if X is bad_block:
+                    grams[i] = bad_gram
+            return grams
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(gp, "training_grams", grams)
-            mp.setattr(gp, "training_gram", lambda k, X, n_old=0: grams([k], X, n_old)[0])
+            mp.setattr(gp, "training_gram_stack", stack)
+            mp.setattr(gp, "training_gram", lambda k, X, n_old=0: stack([k], [X], n_old)[0])
             want, error = {}, None
             for cls in sorted(sets):
                 try:
@@ -594,3 +597,165 @@ class TestStackedLaplace:
                 fit()
             assert str(raised.value) == f"class 4: {own.value}"
             assert raised.value.trace == own.value.trace and len(own.value.trace) == 1
+
+
+class TestStackedItems:
+    """The stacked gram and prediction builders against their one-item
+    cases (``training_grams`` per set, ``gpc_predict_batch`` per class) and
+    the list-path references, with ``np.array_equal``."""
+
+    @SETTINGS
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 25),
+        items=st.lists(
+            st.tuples(st.integers(0, 2), LENGTHS, LENGTHS, WEIGHTS, RHOS), min_size=1, max_size=8
+        ),
+    )
+    def test_gram_stack_matches_per_set_grams(self, seed, n, items):
+        """Items over three blocks of one size (several items share a block),
+        each with its own kernel and rho, some with a zero-weight part."""
+        observations = [random_observations(seed + b, n, 1.0) for b in range(3)]
+        blocks = [ObservationBlock.of(obs) for obs in observations]
+        bases = [combined(ls_f, ls_t, weights) for _, ls_f, ls_t, weights, _ in items]
+        which = [b for b, *_ in items]
+        stack = training_gram_stack(bases, [blocks[b] for b in which])
+        for k, base, b in zip(stack, bases, which):
+            assert np.array_equal(k, training_grams([base], blocks[b])[0])
+            assert np.array_equal(k, ref_training_gram(base, observations[b]))
+        dependent = [DependentKernel(base, rho) for base, (*_, rho) in zip(bases, items)]
+        for n_old in split_points(n):
+            stack = training_gram_stack(dependent, [blocks[b] for b in which], n_old)
+            for k, kernel, b in zip(stack, dependent, which):
+                assert np.array_equal(k, training_grams([kernel], blocks[b], n_old)[0])
+                assert np.array_equal(k, ref_training_gram(kernel, observations[b], n_old))
+
+    @SETTINGS
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        kernels=st.lists(st.tuples(LENGTHS, LENGTHS, WEIGHTS), min_size=1, max_size=3),
+        specs=st.lists(
+            st.tuples(st.integers(2, 12), RHOS, st.floats(0.0, 1.0), st.booleans()),
+            min_size=1,
+            max_size=7,
+        ),
+        search_rho=st.booleans(),
+    )
+    def test_solve_sets_builds_one_gram_stack_per_size_and_split(
+        self, seed, kernels, specs, search_rho
+    ):
+        """Sets of mixed sizes and splits, each with its own rho (or every
+        kernel's searched rho), some sharing a block: one stack call per
+        (size, split), every item the set's own gram, and every mode that
+        of the set solved alone."""
+        rng = np.random.default_rng(seed)
+        bases = [combined(*kernel) for kernel in kernels]
+        rhos = [float(r) for r in rng.uniform(0.0, 1.0, len(bases))] if search_rho else None
+        sets = []
+        for n, rho, split, share in specs:
+            X = sets[-1].X if share and sets else ObservationBlock.of(
+                random_observations(int(rng.integers(2**32)), n, 1.0)
+            )
+            n = len(X)
+            y = tuple(np.where(rng.random(n) < 0.5, 1.0, -1.0).tolist())
+            sets.append(gp.PooledSet(X, y, min(int(split * n), n - 1), rho))
+
+        calls = []
+
+        def spy(stacked, blocks, n_old=0):
+            grams = training_gram_stack(stacked, blocks, n_old)
+            calls.append((stacked, blocks, n_old, grams))
+            return grams
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(gp, "training_gram_stack", spy)
+            got = gp._solve_sets(sets, bases, rhos)
+        assert sorted((len(blocks[0]), n_old) for _, blocks, n_old, _ in calls) == sorted(
+            {(len(s.X), s.n_old) for s in sets}
+        )
+        for stacked, blocks, n_old, grams in calls:
+            for kernel, X, k in zip(stacked, blocks, grams):
+                assert np.array_equal(k, training_grams([kernel], X, n_old)[0])
+        for s, modes in zip(sets, got):
+            for mode, alone in zip(modes, gp._solve_sets([s], bases, rhos)[0]):
+                if isinstance(alone, Exception):
+                    assert type(mode) is type(alone) and str(mode) == str(alone)
+                else:
+                    for a, b in zip(mode, alone):
+                        assert np.array_equal(a, b)
+
+    @staticmethod
+    def mixed_model(seed, specs, kernels):
+        """A one-vs-all model whose classes have their own sizes, splits and
+        rhos, each fitted under one of ``kernels``."""
+        rng = np.random.default_rng(seed)
+        bases = [combined(*kernel) for kernel in kernels]
+        models = {}
+        for cls, (n, rho, split, which) in enumerate(specs):
+            X = ObservationBlock.of(random_observations(int(rng.integers(2**32)), n, 1.0))
+            y = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+            n_old = min(int(split * n), n - 1)
+            base = bases[which % len(bases)]
+            kernel = DependentKernel(base, rho) if n_old else base
+            models[cls] = gp.gpc_fit(kernel, X, y, n_old)
+        return gp.OvaGpcModel(tuple(models), models)
+
+    MODEL_SPECS = st.lists(
+        st.tuples(st.integers(1, 10), RHOS, st.floats(0.0, 1.0), st.integers(0, 2)),
+        min_size=1,
+        max_size=6,
+    )
+
+    @SETTINGS
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        specs=MODEL_SPECS,
+        kernels=st.lists(st.tuples(LENGTHS, LENGTHS, WEIGHTS), min_size=1, max_size=3),
+        sizes=st.lists(st.sampled_from([1, 1, 2, 3, 5]), min_size=1, max_size=6),
+        own_rows=st.booleans(),
+    )
+    def test_ova_predict_groups_matches_per_class_predictions(
+        self, seed, specs, kernels, sizes, own_rows
+    ):
+        """Classes with mixed splits and kernels, one-query and many-query
+        groups (several of one size), and optionally a class's own training
+        block as a group."""
+        model = self.mixed_model(seed, specs, kernels)
+        groups = [random_observations(seed + 1 + g, q, 1.0) for g, q in enumerate(sizes)]
+        if own_rows:
+            groups.append(model.models[model.classes[-1]].X_train)
+        got = gp.ova_predict_groups(model, groups)
+        assert len(got) == len(groups)
+        for probs, X in zip(got, groups):
+            assert probs.shape == (len(X), len(model.classes))
+            assert np.array_equal(probs, gp.ova_predict_proba(model, X))
+            for c, cls in enumerate(model.classes):
+                binary = model.models[cls]
+                assert np.array_equal(probs[:, c], gp.gpc_predict_batch(binary, X))
+                assert np.array_equal(probs[:, c], ref_gpc_predict_batch(binary, X))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_cross_covariance_in_one_item_raises(self, bad):
+        model = self.mixed_model(5, [(6, 0.37, 0.0, 0), (6, 0.37, 0.0, 1), (6, 1.0, 0.0, 0)],
+                                 [(0.5, 2.0, (0.4, 0.6)), (1.5, 0.7, (0.4, 0.6))])
+        groups = [random_observations(11, 3, 1.0), random_observations(12, 3, 1.0)]
+        real = gp.prediction_cross_stack
+
+        def poisoned(kernels, trains, stars, n_old=0):
+            k = real(kernels, trains, stars, n_old)
+            for i, X in enumerate(trains):
+                if X is model.models[1].X_train:
+                    k[i, -1, 0] = bad
+            return k
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(gp, "prediction_cross_stack", poisoned)
+            with pytest.raises(NumericalError) as alone:
+                gp.gpc_predict_batch(model.models[1], groups[0])
+            with pytest.raises(NumericalError) as stacked:
+                gp.ova_predict_groups(model, groups)
+            assert gp.ova_predict_groups(
+                gp.OvaGpcModel((0, 2), {0: model.models[0], 2: model.models[2]}), groups
+            )
+        assert str(stacked.value) == str(alone.value)
+        assert str(alone.value) == "prediction cross-covariance has non-finite entries"

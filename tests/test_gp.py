@@ -225,7 +225,9 @@ class TestNonFiniteGuards:
     def test_search_scores_a_non_finite_gram_as_minus_inf(self, monkeypatch):
         # The search builds its grams through the stacked entry point.
         monkeypatch.setattr(
-            gp, "training_grams", lambda ks, X, n_old=0: np.full((len(ks), len(X), len(X)), np.nan)
+            gp,
+            "training_gram_stack",
+            lambda ks, Xs, n_old=0: np.full((len(ks), len(Xs[0]), len(Xs[0])), np.nan),
         )
         start = CombinedKernel(((Modality.FORCE, RbfKernel(1.0, 1.0)),), np.array([1.0]))
         sets = [PooledSet([force_obs(0.0), force_obs(1.0)], (1.0, -1.0))]
@@ -243,7 +245,9 @@ class TestNonFiniteGuards:
     def test_non_finite_cross_covariance_raises_on_predict(self, monkeypatch, bad):
         model = gpc_fit(RbfKernel(1.0), pts(0.0, 1.0), [1, -1])
         monkeypatch.setattr(
-            gp, "prediction_cross", lambda k, X, Y, n_old=0: np.full((len(X), len(Y)), bad)
+            gp,
+            "prediction_cross_stack",
+            lambda ks, Xs, Ys, n_old=0: np.full((len(ks), len(Xs[0]), len(Ys[0])), bad),
         )
         with pytest.raises(NumericalError, match="cross-covariance"):
             gpc_predict_batch(model, pts(0.5))

@@ -181,6 +181,27 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=f"{field} has duplicate entries"):
             parse_config(raw)
 
+    @pytest.mark.parametrize(
+        "prior, samples, low", [([1], 5, 11), ([1, 2, 3], 3, 4), ([1, 2], 0, 6)]
+    )
+    def test_prior_pool_too_small_for_the_projector_rejected(
+        self, tmp_path, capsys, prior, samples, low
+    ):
+        # The thermal projector needs 11 traces per action; a smaller pool
+        # used to pass validation and fail the run in set-up with exit 3.
+        raw = config_dict(prior_objects=prior, prior_samples_per_object=samples)
+        message = f"prior_samples_per_object must be >= {low}"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            parse_config(raw)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        for argv in (["validate", str(path)], ["run", str(path), "--out", str(out)]):
+            assert cli_main(argv) == 2
+            assert message in capsys.readouterr().err
+        assert not out.exists()
+        parse_config(config_dict(prior_objects=prior, prior_samples_per_object=low))
+
     @pytest.mark.parametrize("seeds, name", [([-1], "seeds[0]"), ([3, 0, -4], "seeds[2]")])
     def test_negative_seeds_rejected_by_name(self, tmp_path, capsys, seeds, name):
         # A seed sequence takes non-negative entropy only; a negative seed
@@ -413,8 +434,11 @@ class TestSetup:
             monkeypatch.setattr(assets, "simulate", flaky)
             config, error = _tiny_config(catalog, seeds=[1, 2]), DegenerateTraceError
         else:  # here, while the pool still holds test-set traces to simulate
-            config = _tiny_config(catalog, seeds=[1, 2], prior_samples_per_object=5)
-            error = InsufficientDataError
+            def failing_fit(thermal):
+                raise InsufficientDataError("synthetic projector failure")
+
+            monkeypatch.setattr(assets, "fit_projector", failing_fit)
+            config, error = _tiny_config(catalog, seeds=[1, 2]), InsufficientDataError
         with pytest.raises(error):
             run_experiment(parse_config(config), jobs=jobs)
         assert not trials
@@ -907,6 +931,22 @@ class TestReport:
             paths["config"].read_bytes()
             == (golden / "golden_config_echo.json").read_bytes()
         )
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("name", ["optimization", "ablation"])
+    def test_pinned_runs_reproduced_bit_exactly(self, tmp_path, name, jobs):
+        """Two modes the golden files leave out: a model_optimization
+        transfer run (its rho searches, and the mean predictions in its
+        decisions) and a multi-kernel ablation. Their curves.csv and
+        result.json (without its wall clock) are pinned."""
+        golden = Path(__file__).parent / "golden"
+        result = run_experiment(load_config(golden / f"pinned_{name}_config.json"), jobs=jobs)
+        paths = write_report(result, tmp_path / name)
+        assert paths["curves"].read_bytes() == (golden / f"pinned_{name}_curves.csv").read_bytes()
+        raw = json.loads(paths["result"].read_text())
+        del raw["wall_clock_s"]
+        pinned = (golden / f"pinned_{name}_result.json").read_text()
+        assert json.dumps(raw, sort_keys=True) + "\n" == pinned
 
 
 class TestCli:
