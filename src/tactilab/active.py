@@ -42,6 +42,14 @@ def posterior_entropy(probs: Sequence[float]) -> float:
     return float(-np.sum(p * np.log(p)))
 
 
+def posterior_entropies(probs: np.ndarray) -> np.ndarray:
+    """``posterior_entropy`` of each row of a (queries, classes) matrix, bit
+    for bit."""
+    p = np.clip(np.ascontiguousarray(probs, dtype=float), PROB_FLOOR, 1.0 - PROB_FLOOR)
+    p = p / p.sum(axis=1, keepdims=True)
+    return -np.sum(p * np.log(p), axis=1)
+
+
 @dataclass
 class UncertaintyTable:
     action_ids: tuple[str, ...]
@@ -131,7 +139,7 @@ def uncertainty_table(
             if not groups[obj]:
                 raise StateError(f"empty observation group for ({action_id}, {obj})")
         probs = ova_predict_groups(models[action_id], [groups[obj] for obj in object_ids])
-        rows.append([np.mean([posterior_entropy(p) for p in group]) for group in probs])
+        rows.append([np.mean(posterior_entropies(group)) for group in probs])
     return UncertaintyTable(action_ids, object_ids, np.array(rows))
 
 

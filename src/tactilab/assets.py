@@ -20,7 +20,7 @@ from .features import (
     observation_from_raw,
     raw_features,
 )
-from .gp import OvaGpcModel, argmax_label, ova_predict_proba
+from .gp import OvaGpcModel, argmax_labels, ova_predict_proba
 from .kernels import ObservationBlock
 from .seeding import CALIB_NS, OPT_NS, PRIOR_NS, TEST_NS, derive_rng, derive_seed
 from .signals import STANDARD_ACTIONS, ActionKind, Catalog, simulate
@@ -187,9 +187,8 @@ def new_object_slice(
 
 def accuracy(model: OvaGpcModel, obs: ObservationBlock, labels: np.ndarray) -> float:
     """Share of ``obs`` whose most probable class is its label."""
-    probs = ova_predict_proba(model, obs)
-    preds = [argmax_label(model.classes, row) for row in probs]
-    return float(np.mean(np.array(preds) == labels))
+    preds = argmax_labels(model.classes, ova_predict_proba(model, obs))
+    return float(np.mean(preds == labels))
 
 
 def make_evaluator(config: ExperimentConfig, test: TestSet):

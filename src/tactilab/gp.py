@@ -9,27 +9,32 @@ multi-start coordinate ascent on the summed binary Laplace log marginal
 likelihood of a list of ``PooledSet``s. A one-vs-all ensemble is one set per
 class, all over the same observation block (``ova_sets``); relatedness
 selection is one set whose transfer-block rho joins the parameter vector.
-The search scores points in batches: all starts at once, then each scan of a
-sweep scores every remaining step from the current point and takes the first
-that improves (the speculative sweep), which is the path of trying one step
-at a time. A batch's grams come from one ``training_gram_stack`` call per
-set size and split, and all its (point, set) problems of one size are solved
-in one stacked Newton iteration (``_laplace_modes``). A decoded kernel is
-solved at most once per search. ``fit_sets`` fits the final models at one
-kernel the same way (``_solve_sets``); ``gpc_fit`` is the iteration's
-one-problem case. Predictions are stacked the same way: ``ova_predict_groups``
-predicts every (class, query group) item of a model at once, and
-``gpc_predict_batch`` is its one-item case.
+The starts' ascents advance in lockstep rounds: the first round scores every
+start with its first scan, each later round the pending scan of every live
+ascent (a scan is every remaining step of the sweep from the current point;
+its first improving step is taken), and each ascent reads its values in the
+order of trying one step at a time. A round's points are decoded into one
+kernel table (``KernelStack``) and scored in chunks of at most
+``STACK_BYTES`` of grams: one ``training_gram_stack`` call per set size and
+split, and all (point, set) problems of one size in one stacked Newton
+iteration (``_laplace_modes``). A decoded kernel is solved at most once per
+search. The search hands back the Laplace modes of its best point, and
+``ova_from_modes`` makes the one-vs-all model from them; ``fit_sets`` fits
+models at one kernel through the same ``_solve_sets`` path, and ``gpc_fit``
+is the iteration's one-problem case. Predictions are stacked the same way:
+``ova_predict_groups`` predicts every (class, query group) item of a model at
+once, and ``gpc_predict_batch`` is its one-item case.
 
-Every factorization and solve calls LAPACK directly (``dpotrf``, ``dpotrs``,
-``dtrtrs``) with the arguments scipy's ``cholesky`` / ``cho_solve`` /
-``solve_triangular`` pass, one matrix per call, so results are bit-identical
-to those wrappers without their per-call validation; the stacked steps
-(elementwise ops, ``matmul`` matrix-vector products, row reductions) give
-each problem the bits of a fit on its own. Finiteness is checked explicitly
-instead: once per fit on the gram, once per Newton step on the stationarity
-residual and once per prediction on the cross-covariance; each raises
-NumericalError (a stacked problem fails alone)."""
+Each Newton matrix is solved by one ``dposv`` call; every other factorization
+and solve calls LAPACK directly (``dpotrf``, ``dpotrs``, ``dtrtrs``) with the
+arguments scipy's ``cholesky`` / ``cho_solve`` / ``solve_triangular`` pass,
+one matrix per call, so results are bit-identical to those wrappers without
+their per-call validation (``dposv`` is ``dpotrf`` then ``dpotrs``); the
+stacked steps (elementwise ops, ``matmul`` matrix-vector products, row
+reductions) give each problem the bits of a fit on its own. Finiteness is
+checked explicitly instead: once per fit on the gram, once per Newton step on
+the stationarity residual and once per prediction on the cross-covariance;
+each raises NumericalError (a stacked problem fails alone)."""
 
 from __future__ import annotations
 
@@ -38,13 +43,14 @@ from dataclasses import dataclass, field
 from typing import Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
+from scipy.linalg.lapack import dposv, dpotrf, dpotrs, dtrtrs
 from scipy.special import expit
 
 from .errors import ConvergenceError, NumericalError, OptimizationError, ParameterError
 from .kernels import (
     CombinedKernel,
     DependentKernel,
+    KernelStack,
     ObservationBlock,
     RbfKernel,
     prediction_cross,
@@ -82,11 +88,17 @@ def _factor(a: np.ndarray) -> np.ndarray:
     return chol
 
 
-def _cho_solve(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve (L L^T) x = b given the lower factor L."""
-    x, info = dpotrs(chol, b, lower=1)
-    if info != 0:
-        raise ValueError(f"illegal value in argument {-info} of dpotrs")
+def _pos_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve a x = b for a finite symmetric positive definite ``a`` (read
+    from its lower triangle) in one ``dposv`` call: ``dpotrf`` then
+    ``dpotrs``, the bits of the two calls."""
+    _, x, info = dposv(a, b, lower=1)
+    if info > 0:
+        raise np.linalg.LinAlgError(
+            f"{info}-th leading minor of the array is not positive definite"
+        )
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of dposv")
     return x
 
 
@@ -140,7 +152,9 @@ def gpr_fit(kernel, X_train, y, noise_variance: float = 0.0) -> GprModel:
     k = training_gram(kernel, X_train)
     a = k + noise_variance * np.eye(k.shape[0])
     chol, _ = _chol_with_jitter(a)
-    alpha = _cho_solve(chol, y)
+    alpha, info = dpotrs(chol, y, lower=1)
+    if info != 0:
+        raise ValueError(f"illegal value in argument {-info} of dpotrs")
     n = y.size
     lml = (
         -0.5 * float(y @ alpha)
@@ -207,6 +221,15 @@ def _matvec(k: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.matmul(k, v[..., None])[..., 0]
 
 
+def _b_matrices(k: np.ndarray, w_sqrt: np.ndarray, eye: np.ndarray) -> np.ndarray:
+    """B = I + W^1/2 K W^1/2 of every problem of a stack, built in one
+    buffer: the bits of ``eye + (w_sqrt k) w_sqrt``."""
+    b = w_sqrt[:, :, None] * k
+    b *= w_sqrt[:, None, :]
+    b += eye
+    return b
+
+
 def _laplace_modes(k: np.ndarray, y: np.ndarray) -> list:
     """Newton iteration to the Laplace mode of the latent posterior
     (Rasmussen & Williams, GPML Alg. 3.1) for a stack of binary problems of
@@ -216,10 +239,10 @@ def _laplace_modes(k: np.ndarray, y: np.ndarray) -> list:
     ConvergenceError).
 
     The elementwise steps, the matrix-vector products (stacked ``matmul``)
-    and the row reductions run over the whole stack; ``dpotrf`` / ``dpotrs``
-    run per matrix, as a stacked Cholesky is not bit-identical to them. A
-    problem leaves the stack when it converges or fails, so its numbers are
-    those of a fit on its own."""
+    and the row reductions run over the whole stack; each Newton matrix is
+    solved alone (``dposv``), as a stacked Cholesky is not bit-identical to
+    LAPACK's. A problem leaves the stack when it converges or fails, so its
+    numbers are those of a fit on its own."""
     m, n = y.shape
     eye = np.eye(n)
     out: list = [None] * m
@@ -244,9 +267,9 @@ def _laplace_modes(k: np.ndarray, y: np.ndarray) -> list:
         rhs = w_sqrt * _matvec(k, b)
         solved = np.zeros_like(rhs)
         failed = []
-        for j, mat in enumerate(eye + (w_sqrt[:, :, None] * k) * w_sqrt[:, None, :]):
+        for j, mat in enumerate(_b_matrices(k, w_sqrt, eye)):
             try:
-                solved[j] = _cho_solve(_factor(mat), rhs[j])
+                solved[j] = _pos_solve(mat, rhs[j])
             except np.linalg.LinAlgError as exc:
                 out[ids[j]] = exc
                 failed.append(j)
@@ -293,7 +316,7 @@ def _finish(eye, k, y, f, a, pi, residual, iterations, ids, out) -> None:
     w_sqrt = np.sqrt(pi * (1.0 - pi))
     chols = []
     diag = np.ones_like(f)
-    for j, mat in enumerate(eye + (w_sqrt[:, :, None] * k) * w_sqrt[:, None, :]):
+    for j, mat in enumerate(_b_matrices(k, w_sqrt, eye)):
         try:
             chols.append(_factor(mat))
             diag[j] = chols[j].diagonal()
@@ -430,33 +453,38 @@ def _check_sets(sets, caller: str) -> None:
         _check_binary_problem(np.asarray(s.y, dtype=float), len(s.X), s.n_old)
 
 
-def _solve_sets(sets: Sequence[PooledSet], kernels: list, rhos: Optional[list]) -> list:
+def _solve_sets(sets: Sequence[PooledSet], kernels, rhos) -> list:
     """The Laplace mode of every set under each kernel: per set, one entry
     per kernel, its ``_LaplaceMode`` or the error its fit raised (the
-    bits of ``s.fit(kernel)``). ``rhos`` gives each kernel's rho for every
-    set; without it each set keeps its own.
+    bits of ``s.fit(kernel)``). ``kernels`` is a ``KernelStack`` or kernel
+    objects; ``rhos`` gives each kernel's rho for every set, and without it
+    each set keeps its own.
 
     The grams of all sets of one size and split come from one
     ``training_gram_stack`` call (sets holding the same block, split and
     rhos share theirs), and every (kernel, set) problem of one size joins
     one ``_laplace_modes`` stack."""
-    m = len(kernels)
-    rows: dict = {}  # (block, split, rhos) -> (size, split), first row of its grams there
-    groups: dict = {}  # (size, split) -> the kernels and blocks of its gram stack
+    stack = KernelStack.of(kernels)
+    m = len(stack)
+    rows: dict = {}  # (block, split, own rho) -> (size, split), first row of its grams there
+    groups: dict = {}  # (size, split) -> the rhos and blocks of its gram stack
     where = []  # per set, its rows
     for s in sets:
-        set_rhos = tuple(rhos) if rhos is not None else (s.rho,) * m
-        key = (id(s.X), s.n_old, set_rhos if s.n_old else None)
+        key = (id(s.X), s.n_old, s.rho if s.n_old and rhos is None else None)
         if key not in rows:
-            stacked = kernels
-            if s.n_old:
-                stacked = [DependentKernel(kern, rho) for kern, rho in zip(kernels, set_rhos)]
-            group_kernels, blocks = groups.setdefault((len(s.X), s.n_old), ([], []))
+            group_rhos, blocks = groups.setdefault((len(s.X), s.n_old), ([], []))
             rows[key] = (len(s.X), s.n_old), len(blocks)
-            group_kernels.extend(stacked)
+            group_rhos.append(np.full(m, s.rho) if rhos is None else rhos)
             blocks.extend([s.X] * m)
         where.append(rows[key])
-    grams = {group: training_gram_stack(*stack, group[1]) for group, stack in groups.items()}
+    grams = {}
+    for (n, n_old), (group_rhos, blocks) in groups.items():  # the kernels once per block
+        items = KernelStack(
+            stack.modalities,
+            np.concatenate([stack.table] * len(group_rhos)),
+            np.concatenate(group_rhos) if n_old else None,
+        )
+        grams[n, n_old] = training_gram_stack(items, blocks, n_old)
     stacks: dict = {}  # size -> (grams, labels, set indices)
     for si, (s, (group, row)) in enumerate(zip(sets, where)):
         grams_list, labels, indices = stacks.setdefault(len(s.X), ([], [], []))
@@ -465,7 +493,8 @@ def _solve_sets(sets: Sequence[PooledSet], kernels: list, rhos: Optional[list]) 
         indices.append(si)
     out: list = [None] * len(sets)
     for n, (grams_list, labels, indices) in stacks.items():
-        k = np.concatenate(grams_list) + GRAM_JITTER * np.eye(n)
+        k = np.concatenate(grams_list)
+        k += GRAM_JITTER * np.eye(n)
         modes = _laplace_modes(k, np.repeat(np.array(labels, dtype=float), m, axis=0))
         for row, si in enumerate(indices):
             out[si] = modes[row * m : (row + 1) * m]
@@ -474,12 +503,23 @@ def _solve_sets(sets: Sequence[PooledSet], kernels: list, rhos: Optional[list]) 
 
 def fit_sets(sets: Mapping[int, PooledSet], kernel) -> OvaGpcModel:
     """The models ``{cls: s.fit(kernel)}`` bit for bit, solved in one
-    ``_solve_sets`` call. Raises the error of the first failing class in
-    class order; a ConvergenceError names its class."""
+    ``_solve_sets`` call (see ``ova_from_modes`` for its errors)."""
     _check_sets(sets.values(), "fit_sets")
+    solved = _solve_sets(list(sets.values()), [kernel], None)
+    return ova_from_modes(sets, kernel, [mode for (mode,) in solved])
+
+
+def ova_from_modes(sets: Mapping[int, PooledSet], kernel, modes: Sequence) -> OvaGpcModel:
+    """The one-vs-all model of ``sets`` (class -> set) under ``kernel`` from
+    each set's Laplace mode at its own rho, ``modes`` in the order of
+    ``sets`` (``_LaplaceMode``s or errors, as ``_solve_sets`` gives them):
+    the models of ``fit_sets(sets, kernel)``. Raises the error of the first
+    failing class in class order; a ConvergenceError names its class."""
+    by_class = dict(zip(sets, modes))
     classes = sorted(sets)
     models = {}
-    for cls, (mode,) in zip(classes, _solve_sets([sets[c] for c in classes], [kernel], None)):
+    for cls in classes:
+        mode = by_class[cls]
         if isinstance(mode, ConvergenceError):
             raise ConvergenceError(f"class {cls}: {mode}", trace=mode.trace) from mode
         if isinstance(mode, Exception):
@@ -523,6 +563,12 @@ def argmax_label(classes: Sequence[int], probs: Sequence[float]) -> int:
     return best_cls
 
 
+def argmax_labels(classes: Sequence[int], probs: np.ndarray) -> np.ndarray:
+    """``argmax_label`` of each row of a (queries, classes) matrix: the
+    first maximum, so ties take the lowest class id."""
+    return np.asarray(classes)[np.argmax(probs, axis=1)]
+
+
 def ova_predict(model: OvaGpcModel, x_star) -> tuple[int, dict[int, float]]:
     probs = ova_predict_proba(model, [x_star])[0]
     label = argmax_label(model.classes, probs)
@@ -559,45 +605,123 @@ def _sweep_steps(x, steps, names, first):
     return trials
 
 
-def _coordinate_ascent(score, x, fx, names, max_sweeps):
-    """Greedy per-coordinate search from ``x``, whose objective value is
-    ``fx``; ``names`` gives each coordinate's parameter block and ``score``
-    maps a list of points to their objective values.
+class _Ascent:
+    """One start's greedy per-coordinate search, advanced one scan at a
+    time. ``scan`` holds the (coordinate, point) steps that wait for their
+    values: the rest of the current sweep from the current point ``x``.
+    ``fx`` is None until the start's value is known; ``modes`` holds the
+    Laplace modes of the current point, or None when that point was scored
+    in an earlier round.
 
     A step is accepted only when it improves the objective by more than
     IMPROVE_TOL, so near-flat likelihoods (e.g. one observation per class)
-    keep their start point instead of drifting on noise. Each scan scores
-    all of the sweep's remaining steps from ``x`` in one call and takes the
-    first that improves, then scans on from the next coordinate. A point's
-    value depends only on the point, so the path is that of trying one step
-    at a time."""
-    steps = np.array([math.log(3.0) if name == "ls" else 0.25 for name in names])
-    for _ in range(max_sweeps):
-        improved = False
-        first = 0
-        while first < x.size:
-            trials = _sweep_steps(x, steps, names, first)
-            for (i, trial), ft in zip(trials, score([trial for _, trial in trials])):
-                if ft > fx + IMPROVE_TOL:
-                    x, fx, first, improved = trial, ft, i + 1, True
+    keep their start point instead of drifting on noise. The first step
+    that improves ends the scan, and the next scan runs on from the next
+    coordinate; a scan without one ends the sweep. A sweep without an
+    accepted step halves the step sizes, and the search ends once they all
+    fall below 0.02 or after ``max_sweeps`` sweeps. A point's value depends
+    only on the point, so the path is that of trying one step at a time."""
+
+    def __init__(self, x: np.ndarray, names: list, max_sweeps: int):
+        self.x, self.fx, self.modes = x, None, None
+        self.names = names
+        self.steps = np.array([math.log(3.0) if name == "ls" else 0.25 for name in names])
+        self.sweeps, self.first, self.improved = max_sweeps, 0, False
+        self.scan = self._next_scan()
+
+    def _next_scan(self) -> list:
+        """The current sweep's steps from coordinate ``first`` on, or the
+        next sweep's when it is over; [] when the search is done."""
+        while self.sweeps:
+            if self.first < self.x.size:
+                trials = _sweep_steps(self.x, self.steps, self.names, self.first)
+                if trials:
+                    return trials
+            self.sweeps -= 1
+            if not self.improved:
+                self.steps *= 0.5
+                if np.max(self.steps) < 0.02:
+                    self.sweeps = 0
+            self.first, self.improved = 0, False
+        return []
+
+    def pending(self) -> list:
+        """The points this round scores: the start until its value is
+        known, then the scan."""
+        return ([self.x] if self.fx is None else []) + [trial for _, trial in self.scan]
+
+    def accepted(self, values: list) -> list:
+        """Indices into ``pending()`` of the points that become the current
+        point in turn, read from ``values`` (None while unknown) up to the
+        first unknown one: the start when its value is finite, then the
+        first step that improves on the current value."""
+        taken, fx = [], self.fx
+        for j, ft in enumerate(values):
+            if ft is None:
+                break
+            if fx is None:  # the start
+                if not np.isfinite(ft):
                     break
-            else:
+                taken.append(j)
+                fx = ft
+            elif ft > fx + IMPROVE_TOL:
+                taken.append(j)
                 break
-        if not improved:
-            steps *= 0.5
-            if np.max(steps) < 0.02:
-                break
-    return x, fx
+        return taken
+
+    def advance(self, values: list, modes: list) -> bool:
+        """Take this round's values and the modes held for its points (None
+        where not held). Returns False when the start's value is not finite:
+        the start is dropped."""
+        taken = self.accepted(values)
+        if self.fx is None:
+            if not taken:
+                return False
+            self.fx, self.modes = values[0], modes[0]
+            values, modes, taken = values[1:], modes[1:], [j - 1 for j in taken[1:]]
+        if taken:
+            (j,) = taken
+            i, self.x = self.scan[j]
+            self.fx, self.modes, self.first, self.improved = values[j], modes[j], i + 1, True
+        else:  # no step improves: the sweep is over
+            self.first = self.x.size
+        self.scan = self._next_scan()
+        return True
 
 
-def _summed_lmls(sets: Sequence[PooledSet], kernels: list, rhos: Optional[list]) -> list:
-    """The search objective of each kernel: its sets' Laplace LMLs summed in
-    set order, or -inf when a fit fails."""
-    lmls = []
-    for modes in zip(*_solve_sets(sets, kernels, rhos)):
-        failed = any(isinstance(mode, Exception) for mode in modes)
-        lmls.append(-np.inf if failed else sum(mode.lml for mode in modes))
-    return lmls
+#: Gram bytes of the (kernel, set) problems solved together in a search:
+#: each round's kernels are scored in chunks of at most this size (at least
+#: one kernel), so a round's grams and Laplace stacks stay this small
+#: however many ascents it advances.
+STACK_BYTES = 192 * 1024
+
+
+def _summed_lmls(sets: Sequence[PooledSet], stack: KernelStack, rhos: Optional[np.ndarray]):
+    """The search objective of each kernel of ``stack``: its sets' Laplace
+    LMLs summed in set order, or -inf when a fit fails. Yields, per chunk
+    of kernels in stack order, the chunk's objectives and each kernel's
+    modes (one per set); with ``rhos`` (one per kernel) every set is fit at
+    its kernel's rho."""
+    size = max(1, STACK_BYTES // (8 * sum(len(s.X) ** 2 for s in sets)))
+    for lo in range(0, len(stack), size):
+        chunk = KernelStack(stack.modalities, stack.table[lo : lo + size])
+        chunk_rhos = None if rhos is None else rhos[lo : lo + size]
+        solved = list(zip(*_solve_sets(sets, chunk, chunk_rhos)))
+        lmls = []
+        for modes in solved:
+            failed = any(isinstance(mode, Exception) for mode in modes)
+            lmls.append(-np.inf if failed else sum(mode.lml for mode in modes))
+        yield lmls, solved
+
+
+class SearchResult(NamedTuple):
+    """The kernel and rho a search found, its objective, and each set's
+    Laplace mode there, in set order (``ova_from_modes`` makes the model)."""
+
+    kernel: CombinedKernel
+    rho: float
+    lml: float
+    modes: list
 
 
 def optimize_kernel_for_sets(
@@ -608,22 +732,29 @@ def optimize_kernel_for_sets(
     max_sweeps: int = 4,
     fit_weights: bool = True,
     fit_rho: bool = False,
-) -> tuple[CombinedKernel, float, float]:
+) -> SearchResult:
     """Tune one combined kernel to maximize the summed Laplace marginal
     likelihood of several binary problems at once: the per-class sets of a
     one-vs-all ensemble (``ova_sets``), each possibly carrying a transfer
     block. With ``fit_rho`` the relatedness joins the search, starting from
     the first set's ``rho``, and every set is fit at the searched value.
 
-    Multi-start coordinate ascent over [log length scales][weights, when
-    ``fit_weights`` and the kernel has two or more parts][rho, when
-    ``fit_rho``]. The starts are ``kernel_start`` and ``restarts - 1``
-    random draws from ``rng``, each drawn block by block in that order.
-    Points are scored in batches (all starts, then each scan of a sweep);
-    a point whose decoded kernel and rho were scored before in the same
-    search is not solved again. Returns (kernel, rho, lml); the LML is
-    never below that of any finite start. Raises OptimizationError when
-    every start scores -inf."""
+    Multi-start coordinate ascent (``_Ascent``) over [log length scales]
+    [weights, when ``fit_weights`` and the kernel has two or more parts]
+    [rho, when ``fit_rho``]. The starts are ``kernel_start`` and
+    ``restarts - 1`` random draws from ``rng``, each drawn block by block in
+    that order. The ascents advance in lockstep: the first round scores
+    every start with its first scan (whose points do not depend on the
+    start's value), each later round the pending scan of every live ascent,
+    in one ``_summed_lmls`` call. Each ascent reads its values in the order
+    of an ascent run alone, so its path is that of one step at a time. A
+    point whose decoded kernel and rho were scored before in the same
+    search is not solved again.
+
+    Returns a ``SearchResult``; its LML is never below that of any finite
+    start, and its modes are those of the best point, kept from the round
+    that scored it. Raises OptimizationError when every start scores
+    -inf."""
     if restarts < 1:
         raise ParameterError("restarts must be >= 1")
     _check_sets(sets, "optimize_kernel_for_sets")
@@ -643,33 +774,14 @@ def optimize_kernel_for_sets(
     names = [name for name, size in layout for _ in range(size)]
     rho_start = sets[0].rho
 
-    def decode(params):
-        ls = np.exp(params[:k])
-        gamma = project_simplex(params[k : 2 * k]) if fit_gamma else kernel_start.weights
-        rho = float(np.clip(params[-1], 0.0, 1.0)) if fit_rho else rho_start
+    def decode(points):  # rows of parameters -> length scales, weights, rhos
+        ls = np.exp(points[:, :k])
+        if fit_gamma:
+            gamma = project_simplex(points[:, k : 2 * k])
+        else:
+            gamma = np.broadcast_to(kernel_start.weights, (len(points), k))
+        rho = np.clip(points[:, -1], 0.0, 1.0) if fit_rho else np.full(len(points), rho_start)
         return ls, gamma, rho
-
-    def build(ls, gamma):
-        new_parts = tuple(
-            (mod, RbfKernel(ls[i], p.signal_variance)) for i, (mod, p) in enumerate(parts)
-        )
-        return CombinedKernel(new_parts, gamma)
-
-    scored: dict = {}  # bytes of the decoded (length scales, weights, rho) -> objective
-
-    def score(points):
-        keys, fresh = [], {}
-        for params in points:
-            ls, gamma, rho = decode(params)
-            key = np.concatenate([ls, gamma, [rho]]).tobytes()
-            keys.append(key)
-            if key not in scored:
-                fresh.setdefault(key, (ls, gamma, rho))
-        if fresh:
-            kernels = [build(ls, gamma) for ls, gamma, _ in fresh.values()]
-            rhos = [rho for _, _, rho in fresh.values()] if fit_rho else None
-            scored.update(zip(fresh, _summed_lmls(sets, kernels, rhos)))
-        return [scored[key] for key in keys]
 
     x0 = [math.log(p.length_scale) for _, p in parts]
     if fit_gamma:
@@ -686,14 +798,55 @@ def optimize_kernel_for_sets(
                 vec.extend(rng.uniform(*_BOUNDS[name], size=size))
         starts.append(np.array(vec))
 
-    results, diagnostics = [], []
-    for start, f_start in zip(starts, score(starts)):
-        if not np.isfinite(f_start):
-            diagnostics.append(f"start {start} -> non-finite objective")
-            continue
-        results.append(_coordinate_ascent(score, start, f_start, names, max_sweeps))
+    ascents = [_Ascent(start, names, max_sweeps) for start in starts]
+    scored: dict = {}  # bytes of a decoded (length scales, weights, rho) -> objective
+    diagnostics, live = [], ascents
+    while live:
+        pending = [a.pending() for a in live]
+        ls, gamma, rho = decode(np.array([x for points in pending for x in points]))
+        keys = [row.tobytes() for row in np.column_stack([ls, gamma, rho])]
+        fresh: dict = {}  # key -> its first row
+        for i, key in enumerate(keys):
+            if key not in scored:
+                fresh.setdefault(key, i)
+        per_ascent, lo = [], 0
+        for points in pending:
+            per_ascent.append(keys[lo : lo + len(points)])
+            lo += len(points)
+        held: dict = {}  # key -> modes, of the points that may become current
+        if fresh:
+            rows = list(fresh.values())
+            stack = KernelStack.combined(parts, ls[rows], gamma[rows])
+            done = iter(fresh)
+            for lmls, modes in _summed_lmls(sets, stack, rho[rows] if fit_rho else None):
+                chunk = [next(done) for _ in lmls]
+                scored.update(zip(chunk, lmls))
+                wanted = {
+                    ascent_keys[j]
+                    for a, ascent_keys in zip(live, per_ascent)
+                    for j in a.accepted([scored.get(key) for key in ascent_keys])
+                }
+                held.update((key, m) for key, m in zip(chunk, modes) if key in wanted)
+        still = []
+        for a, ascent_keys in zip(live, per_ascent):
+            values = [scored[key] for key in ascent_keys]
+            if not a.advance(values, [held.get(key) for key in ascent_keys]):
+                diagnostics.append(f"start {a.x} -> non-finite objective")
+            elif a.scan:
+                still.append(a)
+        live = still
+
+    results = [a for a in ascents if a.fx is not None]
     if not results:
         raise OptimizationError("all restarts failed", diagnostics=diagnostics)
-    best_x, best_f = max(results, key=lambda r: r[1])
-    ls, gamma, rho = decode(best_x)
-    return build(ls, gamma), rho, best_f
+    best = max(results, key=lambda a: a.fx)
+    ls, gamma, rho = decode(best.x[None])
+    kernel = CombinedKernel(
+        tuple((mod, RbfKernel(ls[0, i], p.signal_variance)) for i, (mod, p) in enumerate(parts)),
+        gamma[0],
+    )
+    modes = best.modes
+    if modes is None:  # scored in an earlier round than the one that took it
+        solved = _solve_sets(sets, [kernel], rho if fit_rho else None)
+        modes = [mode for (mode,) in solved]
+    return SearchResult(kernel, float(rho[0]), best.fx, list(modes))

@@ -34,7 +34,7 @@ from .blas import SingleThreadedBlas
 from .config import ExperimentConfig, Mode, _at_least, config_hash
 from .errors import TactilabError
 from .features import ThermalProjector, build_observation
-from .gp import fit_sets, optimize_kernel_for_sets, ova_sets
+from .gp import optimize_kernel_for_sets, ova_from_modes, ova_sets
 from .kernels import ObservationBlock, median_heuristic
 from .results import RunResult, TrialResult
 from .seeding import ABLATION_NS, OPT_NS, derive_rng, derive_seed
@@ -313,21 +313,21 @@ def run_ablation_seed(
         sets = ova_sets(train, labels)
         start_kernel = median_heuristic(train, train.modalities)
         for variant, one_hot in variants.items():
-            kernel, _, _ = optimize_kernel_for_sets(
+            found = optimize_kernel_for_sets(
                 list(sets.values()),
                 start_kernel if one_hot is None else start_kernel.with_weights(one_hot),
                 restarts=INIT_RESTARTS,
                 rng=opt_rng,
                 fit_weights=one_hot is None,
             )
-            model = fit_sets(sets, kernel)
+            model = ova_from_modes(sets, found.kernel, found.modes)
             curves[variant].append(accuracy(model, test_obs, test_labels))
             if one_hot is None:
                 gamma_trace.append(
                     {
                         "iteration": size,
                         "action": action_id,
-                        "gamma": [float(g) for g in kernel.weights],
+                        "gamma": [float(g) for g in found.kernel.weights],
                     }
                 )
     return {

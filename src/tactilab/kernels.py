@@ -89,20 +89,40 @@ class ObservationBlock:
 
     @classmethod
     def _of_observations(cls, observations: list) -> "ObservationBlock":
-        modalities = observations[0].modalities
-        for obs in observations:
-            if obs.modalities != modalities:
+        rows = lambda obs, i: obs.segments[i][1]  # the observation's i-th segment
+        return cls._joined(observations, len(observations), rows, np.stack)
+
+    @classmethod
+    def concat(cls, blocks: Sequence) -> "ObservationBlock":
+        """The rows of ``blocks`` in order, as one block: bit for bit the
+        block of all their observations. Empty blocks are left out."""
+        blocks = [block for block in blocks if len(block)]
+        if len(blocks) == 1:
+            return blocks[0]
+        rows = lambda block, i: block._matrices[i]  # the block's i-th matrix
+        return cls._joined(blocks, sum(map(len, blocks)), rows, np.concatenate)
+
+    @classmethod
+    def _joined(cls, items: list, n: int, rows_of, join) -> "ObservationBlock":
+        """The block of the ``n`` rows of ``items`` (observations or blocks
+        of one modality layout): per modality i, ``join`` of every item's
+        ``rows_of(item, i)``."""
+        if not items:
+            return cls((), (), 0)
+        modalities = items[0].modalities
+        for item in items:
+            if item.modalities != modalities:
                 raise SegmentationError(
-                    f"observation modalities {obs.modalities} differ from "
+                    f"observation modalities {item.modalities} differ from "
                     f"{modalities} within one block"
                 )
         matrices = []
         for i, mod in enumerate(modalities):
             try:
-                matrices.append(np.stack([obs.segments[i][1] for obs in observations]))
+                matrices.append(join([rows_of(item, i) for item in items]))
             except ValueError as exc:
                 raise SegmentationError(f"{mod.value} segments differ in size: {exc}") from exc
-        return cls(modalities, tuple(matrices), len(observations))
+        return cls(modalities, tuple(matrices), n)
 
     def __len__(self) -> int:
         return self._n
@@ -142,13 +162,12 @@ class ObservationBlock:
         return d
 
 
-def project_simplex(weights: Sequence[float]) -> np.ndarray:
-    """Clip to nonnegative and renormalize to sum one."""
+def project_simplex(weights) -> np.ndarray:
+    """Clip to nonnegative and renormalize to sum one along the last axis
+    (each row of a matrix); uniform where nothing is left."""
     w = np.clip(np.asarray(weights, dtype=float), 0.0, None)
-    total = w.sum()
-    if total <= 0.0:
-        return np.full(w.size, 1.0 / w.size)
-    return w / total
+    total = w.sum(axis=-1, keepdims=True)
+    return np.divide(w, total, out=np.full(w.shape, 1.0 / w.shape[-1]), where=~(total <= 0.0))
 
 
 @dataclass(frozen=True)
@@ -204,57 +223,116 @@ def combined_eval(
     return float(total)
 
 
-def _block(kernel, X) -> ObservationBlock:
-    """``X`` as a block whose layout matches the kernel's parts."""
-    block = ObservationBlock.of(X)
+def _layout(kernel) -> tuple:
+    """The modalities of the kernel's parts, ``(None,)`` for a bare RBF."""
     if isinstance(kernel, RbfKernel):
-        expected = (None,)
-    elif isinstance(kernel, CombinedKernel):
-        expected = kernel.modalities
-    else:
-        raise TypeError(f"unsupported kernel type {type(kernel).__name__}")
-    if len(block) and block.modalities != expected:
+        return (None,)
+    if isinstance(kernel, CombinedKernel):
+        return kernel.modalities
+    raise TypeError(f"unsupported kernel type {type(kernel).__name__}")
+
+
+def _block(layout: tuple, X) -> ObservationBlock:
+    """``X`` as a block whose modalities are ``layout``."""
+    block = ObservationBlock.of(X)
+    if len(block) and block.modalities != layout:
         raise SegmentationError(
-            f"observation modalities {block.modalities} do not match kernel parts "
-            f"{expected}"
+            f"observation modalities {block.modalities} do not match kernel parts {layout}"
         )
     return block
 
 
-def _part_table(kernels: Sequence) -> tuple[list, np.ndarray]:
-    """The parts' modalities, which all kernels must share, and each
-    kernel's (gamma, signal variance, 2 l^2) per part, (m, parts, 3), read
-    once per distinct kernel. A bare RBF is one part of weight 1 (``0 + 1 *
-    k`` is ``k`` bit for bit)."""
-    distinct, index = _distinct(kernels)
-    terms = [
-        [(None, 1.0, kernel.signal_variance, 2.0 * kernel.length_scale**2)]
-        if isinstance(kernel, RbfKernel)
-        else [
-            (mod, gamma, part.signal_variance, 2.0 * part.length_scale**2)
-            for gamma, (mod, part) in zip(kernel.weights, kernel.parts)
+class KernelStack:
+    """m kernels of one part layout as arrays: the parts' modalities, each
+    kernel's (gamma, signal variance, 2 l^2) per part, (m, parts, 3), and,
+    for dependent kernels, each rho (m,). A bare RBF is one part of weight 1
+    (``0 + 1 * k`` is ``k`` bit for bit). Every gram builder reads kernels in
+    this form; ``of`` reads kernel objects once per distinct kernel and
+    ``combined`` builds a stack of combined kernels from parameter rows."""
+
+    __slots__ = ("modalities", "table", "rhos")
+
+    def __init__(self, modalities: tuple, table: np.ndarray, rhos=None):
+        self.modalities = modalities
+        self.table = table
+        self.rhos = None if rhos is None else np.asarray(rhos, dtype=float)
+        if self.rhos is not None:  # the check of each ``DependentKernel``
+            bad = ~((0.0 <= self.rhos) & (self.rhos <= 1.0))
+            if bad.any():
+                raise ParameterError(f"rho must lie in [0, 1], got {self.rhos[bad][0]}")
+
+    def __len__(self) -> int:
+        return len(self.table)
+
+    @classmethod
+    def of(cls, kernels) -> "KernelStack":
+        """``kernels`` itself when it is a stack, else the stack of a
+        sequence of kernel objects, all dependent (``DependentKernel``) or
+        none, sharing their parts' modalities."""
+        if isinstance(kernels, KernelStack):
+            return kernels
+        dependent = isinstance(kernels[0], DependentKernel)
+        if any(isinstance(kernel, DependentKernel) != dependent for kernel in kernels):
+            raise TypeError("stacked kernels must be all dependent or none")
+        distinct, index = _distinct([kernel.base for kernel in kernels] if dependent else kernels)
+        layout = _layout(distinct[0])
+        if any(_layout(kernel) != layout for kernel in distinct[1:]):
+            raise SegmentationError("stacked kernels must share their parts")
+        rows = [
+            [(1.0, kernel.signal_variance, 2.0 * kernel.length_scale**2)]
+            if isinstance(kernel, RbfKernel)
+            else [
+                (gamma, part.signal_variance, 2.0 * part.length_scale**2)
+                for gamma, (_, part) in zip(kernel.weights, kernel.parts)
+            ]
+            for kernel in distinct
         ]
-        for kernel in distinct
-    ]
-    modalities = [mod for mod, *_ in terms[0]]
-    if any([mod for mod, *_ in t] != modalities for t in terms[1:]):
-        raise SegmentationError("stacked kernels must share their parts")
-    return modalities, np.array([[t[1:] for t in parts] for parts in terms])[index]
+        rhos = [kernel.rho for kernel in kernels] if dependent else None
+        return cls(layout, np.array(rows)[index], rhos)
+
+    @classmethod
+    def combined(cls, parts, length_scales: np.ndarray, weights: np.ndarray) -> "KernelStack":
+        """The ``CombinedKernel`` of each row of length scales and weights
+        (m, parts) over ``parts``' modalities and signal variances, bit for
+        bit the stack of those kernel objects. The rows are checked at once;
+        the first one its kernel would reject raises that kernel's
+        ParameterError."""
+        bad = (
+            ~(length_scales > 0).all(axis=1)
+            | (weights < -SIMPLEX_TOL).any(axis=1)
+            | (weights > 1.0 + SIMPLEX_TOL).any(axis=1)
+            | (np.abs(np.abs(weights).sum(axis=1) - 1.0) > SIMPLEX_TOL)
+        )
+        for row in np.flatnonzero(bad)[:1]:
+            CombinedKernel(
+                tuple(
+                    (mod, RbfKernel(ls, part.signal_variance))
+                    for ls, (mod, part) in zip(length_scales[row], parts)
+                ),
+                weights[row],
+            )
+        table = np.empty(weights.shape + (3,))
+        table[..., 0] = weights
+        table[..., 1] = [part.signal_variance for _, part in parts]
+        # libm pow per entry, as ``length_scale**2`` of one kernel's float;
+        # ``ls * ls`` differs from it in the last bit for some ls.
+        table[..., 2] = 2.0 * np.float_power(length_scales, 2.0)
+        return cls(tuple(mod for mod, _ in parts), table)
 
 
-def _kernel_matrices(parts: tuple, shape: tuple[int, int], sq_of) -> np.ndarray:
-    """The kernels of ``parts`` (a ``_part_table``) on squared distances,
-    stacked: for each, the gamma-weighted sum of its parts' RBFs, parts with
-    gamma 0 skipped. ``sq_of(modality)`` gives one matrix shared by all
-    kernels or a stack of one per kernel. Only the exp and the scalars are
-    per kernel, in the order a single kernel computes them: ``gamma *
-    (variance * exp(-sq / denom))``, taken as ``sq / -denom`` and without
-    factors of 1, the same bits. (A live term is never -0, so the first one
-    needs no zeros to be added to.)"""
-    modalities, table = parts
+def _kernel_matrices(stack: KernelStack, shape: tuple[int, int], sq_of) -> np.ndarray:
+    """The kernels of ``stack`` on squared distances, stacked: for each, the
+    gamma-weighted sum of its parts' RBFs, parts with gamma 0 skipped.
+    ``sq_of(modality)`` gives one matrix shared by all kernels or a stack of
+    one per kernel. Only the exp and the scalars are per kernel, in the
+    order a single kernel computes them: ``gamma * (variance * exp(-sq /
+    denom))``, taken as ``sq / -denom`` and without factors of 1, the same
+    bits. (A live term is never -0, so the first one needs no zeros to be
+    added to.)"""
+    table = stack.table
     m = len(table)
     out = None
-    for j, mod in enumerate(modalities):
+    for j, mod in enumerate(stack.modalities):
         live = table[:, j, 0].nonzero()[0]
         if not live.size:
             continue
@@ -317,18 +395,18 @@ class DependentKernel:
 
 
 def _dependent_from(
-    kernels: Sequence[DependentKernel], n_old: int, n_new: int, oo_of, nn_of, on_of
+    stack: KernelStack, n_old: int, n_new: int, oo_of, nn_of, on_of
 ) -> np.ndarray:
-    """[[K_oo, rho K_on], [rho K_no, K_nn]] per kernel, stacked, from the
-    old-old, new-new and old-new squared distances per modality."""
-    parts = _part_table([kernel.base for kernel in kernels])
-    k_oo = _kernel_matrices(parts, (n_old, n_old), oo_of)
-    k_nn = _kernel_matrices(parts, (n_new, n_new), nn_of)
-    k_on = _kernel_matrices(parts, (n_old, n_new), on_of)
-    out = np.empty((len(kernels), n_old + n_new, n_old + n_new))
+    """[[K_oo, rho K_on], [rho K_no, K_nn]] per kernel of a dependent stack,
+    stacked, from the old-old, new-new and old-new squared distances per
+    modality."""
+    k_oo = _kernel_matrices(stack, (n_old, n_old), oo_of)
+    k_nn = _kernel_matrices(stack, (n_new, n_new), nn_of)
+    k_on = _kernel_matrices(stack, (n_old, n_new), on_of)
+    out = np.empty((len(stack), n_old + n_new, n_old + n_new))
     out[:, :n_old, :n_old] = _symmetric(k_oo)
     out[:, n_old:, n_old:] = _symmetric(k_nn)
-    cross = np.array([kernel.rho for kernel in kernels])[:, None, None] * k_on
+    cross = stack.rhos[:, None, None] * k_on
     out[:, :n_old, n_old:] = cross
     out[:, n_old:, :n_old] = cross.swapaxes(1, 2)
     return _symmetric(out)
@@ -338,13 +416,14 @@ def dependent_gram(kernel: DependentKernel, X_old, X_new) -> np.ndarray:
     """[[K_oo, rho K_on], [rho K_no, K_nn]] over the pooled observations."""
     if not (0.0 <= kernel.rho <= 1.0):
         raise ParameterError(f"rho must lie in [0, 1], got {kernel.rho}")
-    X_old, X_new = _block(kernel.base, X_old), _block(kernel.base, X_new)
+    layout = _layout(kernel.base)
+    X_old, X_new = _block(layout, X_old), _block(layout, X_new)
     if len(X_old) == 0:
         return gram(kernel.base, X_new)
     if len(X_new) == 0:
         return gram(kernel.base, X_old)
     return _dependent_from(
-        [kernel],
+        KernelStack.of([kernel]),
         len(X_old),
         len(X_new),
         X_old.sqdist,
@@ -365,20 +444,17 @@ def training_grams(kernels: Sequence, X, n_old: int = 0) -> np.ndarray:
     return training_gram_stack(kernels, [X] * len(kernels), n_old)
 
 
-def training_gram_stack(kernels: Sequence, blocks: Sequence, n_old: int = 0) -> np.ndarray:
+def training_gram_stack(kernels, blocks: Sequence, n_old: int = 0) -> np.ndarray:
     """``training_gram(kernels[i], blocks[i], n_old)`` of every item, stacked
     (m, n, n): bit for bit the matrices of the single calls, from each
-    block's memoised distances, and its layout checked once. The blocks have
-    one size; the kernels are all dependent or all not, with the same
-    parts."""
-    dependent = isinstance(kernels[0], DependentKernel)
-    if any(isinstance(kernel, DependentKernel) != dependent for kernel in kernels):
-        raise TypeError("training grams need all dependent kernels or none")
-    bases = [kernel.base for kernel in kernels] if dependent else kernels
+    block's memoised distances, and its layout checked once. ``kernels`` is
+    a ``KernelStack`` or kernel objects (see ``KernelStack.of``); the blocks
+    have one size."""
+    stack = KernelStack.of(kernels)
     if len(blocks[0]) == 0:
         raise ParameterError("gram of an empty observation list")
     distinct, index = _distinct(blocks)
-    distinct = [_block(bases[0], X) for X in distinct]  # each checked once
+    distinct = [_block(stack.modalities, X) for X in distinct]  # each checked once
     n = len(distinct[0])
 
     def sq_of(dist):  # one matrix shared by all items, or one per item
@@ -388,11 +464,10 @@ def training_gram_stack(kernels: Sequence, blocks: Sequence, n_old: int = 0) -> 
 
         return of
 
-    if not (dependent and 0 < n_old < n):  # one side empty: a plain gram
-        parts = _part_table(bases)
-        return _symmetric(_kernel_matrices(parts, (n, n), sq_of(ObservationBlock.sqdist)))
+    if stack.rhos is None or not 0 < n_old < n:  # one side empty: a plain gram
+        return _symmetric(_kernel_matrices(stack, (n, n), sq_of(ObservationBlock.sqdist)))
     split = [sq_of(lambda X, mod, p=p: X.split_sqdist(mod, n_old)[p]) for p in range(3)]
-    return _dependent_from(kernels, n_old, n - n_old, *split)
+    return _dependent_from(stack, n_old, n - n_old, *split)
 
 
 def prediction_cross(kernel, X_train, X_star, n_old: int = 0) -> np.ndarray:
@@ -412,9 +487,11 @@ def prediction_cross_stack(
     Each block's layout is checked once; the distances of all items come
     from one stacked product per part (and per side of the split), and one
     exp serves both sides."""
-    bases = [kernel.base if isinstance(kernel, DependentKernel) else kernel for kernel in kernels]
+    stack = KernelStack.of(
+        [kernel.base if isinstance(kernel, DependentKernel) else kernel for kernel in kernels]
+    )
     distinct, index = _distinct([*trains, *stars])
-    distinct = [_block(bases[0], X) for X in distinct]  # each checked once
+    distinct = [_block(stack.modalities, X) for X in distinct]  # each checked once
     blocks = [distinct[i] for i in index]
     trains, stars = blocks[: len(trains)], blocks[len(trains) :]
     n, q = len(trains[0]), len(stars[0])
@@ -436,7 +513,7 @@ def prediction_cross_stack(
                     out[-1][i] = _sqdist(x, y)
         return out[0] if len(out) == 1 else np.concatenate(out, axis=-2)
 
-    k = _kernel_matrices(_part_table(bases), (n, q), sq_of)
+    k = _kernel_matrices(stack, (n, q), sq_of)
     if n_old:
         k[:, :n_old] *= np.array([kernel.rho for kernel in kernels])[:, None, None]
     return k

@@ -16,8 +16,8 @@ from .gp import (
     BinaryGpcModel,
     OvaGpcModel,
     PooledSet,
-    fit_sets,
     optimize_kernel_for_sets,
+    ova_from_modes,
     ova_predict_groups,
     ova_predict_proba,
     ova_sets,
@@ -103,12 +103,12 @@ def fit_prior_knowledge(
         sets = ova_sets(flat, labels)
         # A single old object gives a degenerate one-class model, its kernel
         # tuned on the all-positive problem in three sweeps.
-        kernel, _, _ = optimize_kernel_for_sets(
+        found = optimize_kernel_for_sets(
             list(sets.values()), start, restarts=restarts, rng=rng,
             max_sweeps=3 if len(sets) == 1 else 4,
         )
-        models[action_id] = fit_sets(sets, kernel)
-        kernels[action_id] = kernel
+        models[action_id] = ova_from_modes(sets, found.kernel, found.modes)
+        kernels[action_id] = found.kernel
     return PriorKnowledge(instances=frozen, models=models, kernels=kernels)
 
 
@@ -182,9 +182,9 @@ def select_prior_by_optimization(
     for old_id in prior.old_object_ids(action_id):
         # Old and new observations all labelled +1, rho searched from 0.5.
         pooled = _pooled_set(prior.instances[action_id][old_id], X_new_j, [], 0.5)
-        _, rho, _ = optimize_kernel_for_sets(
+        rho = optimize_kernel_for_sets(
             [pooled], base, rng=rng, fit_weights=False, fit_rho=True
-        )
+        ).rho
         if rho > best_rho:
             best_old, best_rho = old_id, rho
     mean_pred = 0.0
@@ -216,18 +216,17 @@ def fit_dependent_gpc(
     """Binary classifier of the new object where the old object's
     observations join the positive side through the relatedness-scaled
     block kernel."""
-    return _pooled_set(X_old_i, X_new_j, X_new_rest, rho).fit(kernel)
+    return _pooled_set(X_old_i, X_new_j, [X_new_rest], rho).fit(kernel)
 
 
-def _pooled_set(X_old, X_j, X_rest, rho: float) -> PooledSet:
-    """Old and target observations labelled +1, the other new objects -1."""
-    X_old, X_j, X_rest = list(X_old), list(X_j), list(X_rest)
-    return PooledSet(
-        X=X_old + X_j + X_rest,
-        y=(1.0,) * (len(X_old) + len(X_j)) + (-1.0,) * len(X_rest),
-        n_old=len(X_old),
-        rho=rho,
-    )
+def _pooled_set(X_old, X_j, X_rest: Sequence, rho: float) -> PooledSet:
+    """Old and target observations labelled +1, the other new objects'
+    groups (``X_rest``, one per object) -1: one block of those rows in that
+    order, joined from the per-object blocks."""
+    blocks = [ObservationBlock.of(X) for X in (X_old, X_j, *X_rest)]
+    n_old, n_pos = len(blocks[0]), len(blocks[0]) + len(blocks[1])
+    X = ObservationBlock.concat(blocks)
+    return PooledSet(X, (1.0,) * n_pos + (-1.0,) * (len(X) - n_pos), n_old, rho)
 
 
 def build_action_models(
@@ -253,15 +252,14 @@ def build_action_models(
         if len(groups[obj]) == 0:
             raise ParameterError(f"object {obj} has no observations for {action_id}")
 
+    blocks = {obj: ObservationBlock.of(groups[obj]) for obj in object_ids}
     has_prior = prior is not None and action_id in prior.models
     if has_prior and method is SelectionMethod.MODEL_PREDICTION:  # all objects in one call
-        probs = ova_predict_groups(prior.models[action_id], [groups[obj] for obj in object_ids])
+        probs = ova_predict_groups(prior.models[action_id], [blocks[obj] for obj in object_ids])
     decisions: list[TransferDecision] = []
     sets: dict[int, PooledSet] = {}
     for k, obj in enumerate(object_ids):
-        X_j = list(groups[obj])
-        X_rest = [o for other in object_ids if other != obj for o in groups[other]]
-        X_old: list = []
+        X_old: Sequence[FeatureObservation] = ()
         rho = 0.0
         if has_prior:
             if method is SelectionMethod.MODEL_PREDICTION:
@@ -271,23 +269,24 @@ def build_action_models(
                 )
             else:
                 decision = select_prior_by_optimization(
-                    prior, action_id, X_j, thresholds.eps_neg2, new_object_id=obj, rng=rng
+                    prior, action_id, blocks[obj], thresholds.eps_neg2, new_object_id=obj, rng=rng
                 )
             decisions.append(decision)
             if decision.selected_old_id is not None:
-                X_old = list(prior.instances[action_id][decision.selected_old_id])
+                X_old = prior.instances[action_id][decision.selected_old_id]
                 rho = decision.rho
         # One block per class: the rows of each set are ordered differently,
         # so no two classes can share distance matrices bit for bit.
-        sets[obj] = _pooled_set(X_old, X_j, X_rest, rho)
+        rest = [blocks[other] for other in object_ids if other != obj]
+        sets[obj] = _pooled_set(X_old, blocks[obj], rest, rho)
 
-    flat, _ = _flatten(groups)
-    start = kernel_start or median_heuristic(flat, flat[0].modalities)
-    kernel, _, _ = optimize_kernel_for_sets(
-        list(sets.values()), start, restarts=restarts, rng=rng, max_sweeps=sweeps
+    if kernel_start is None:
+        flat = ObservationBlock.concat([blocks[obj] for obj in object_ids])
+        kernel_start = median_heuristic(flat, flat.modalities)
+    found = optimize_kernel_for_sets(
+        list(sets.values()), kernel_start, restarts=restarts, rng=rng, max_sweeps=sweeps
     )
-
-    return fit_sets(sets, kernel), kernel, decisions
+    return ova_from_modes(sets, found.kernel, found.modes), found.kernel, decisions
 
 
 def build_new_observation_models(

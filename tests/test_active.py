@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import chi2
 
 from tactilab import active
@@ -10,6 +12,7 @@ from tactilab.active import (
     UncertaintyTable,
     acquire,
     initialize_state,
+    posterior_entropies,
     posterior_entropy,
     run_loop,
     select_next,
@@ -57,7 +60,29 @@ def fit_state_models(state, prior=None, seed=42):
     return state
 
 
+#: Probability matrices with repeated entries (ties) and entries at and
+#: beyond the clip floor, as (queries, classes).
+PROB_ROWS = st.integers(1, 12).flatmap(
+    lambda c: st.lists(
+        st.lists(
+            st.sampled_from([0.0, 1e-12, 0.2, 0.5, 1.0]) | st.floats(0.0, 1.0),
+            min_size=c,
+            max_size=c,
+        ),
+        min_size=1,
+        max_size=20,
+    )
+)
+
+
 class TestPosteriorEntropy:
+    @settings(max_examples=200, deadline=None)
+    @given(rows=PROB_ROWS)
+    def test_rows_match_one_row_at_a_time(self, rows):
+        probs = np.array(rows)
+        want = np.array([posterior_entropy(row) for row in probs])
+        assert np.array_equal(posterior_entropies(probs), want)
+        assert np.array_equal(posterior_entropies(np.asfortranarray(probs)), want)
     def test_uniform_over_five_classes(self):
         assert posterior_entropy([0.2] * 5) == pytest.approx(math.log(5), abs=1e-9)
 

@@ -24,9 +24,11 @@ from tactilab.features import FeatureObservation, Modality
 from tactilab.kernels import (
     CombinedKernel,
     DependentKernel,
+    KernelStack,
     ObservationBlock,
     RbfKernel,
     prediction_cross,
+    project_simplex,
     training_gram,
     training_gram_stack,
     training_grams,
@@ -604,6 +606,34 @@ class TestStackedItems:
     cases (``training_grams`` per set, ``gpc_predict_batch`` per class) and
     the list-path references, with ``np.array_equal``."""
 
+    def test_kernel_table_from_parameter_rows_matches_kernel_objects(self):
+        """``KernelStack.combined`` over rows of length scales and weights
+        (as the search decodes them) is the table of the ``CombinedKernel``
+        objects of those rows, bit for bit; a row such a kernel rejects
+        raises its ParameterError."""
+        rng = np.random.default_rng(0)
+        parts = ((Modality.FORCE, RbfKernel(1.0, 2.0)), (Modality.THERMAL, RbfKernel(1.0, 0.5)))
+        ls = np.exp(rng.uniform(math.log(1e-2), math.log(1e3), (6000, 2)))
+        weights = project_simplex(rng.uniform(-1.0, 2.0, (6000, 2)))
+
+        def kernel(row_ls, row_weights):
+            return CombinedKernel(
+                tuple((mod, RbfKernel(l, p.signal_variance)) for l, (mod, p) in zip(row_ls, parts)),
+                row_weights,
+            )
+
+        got = KernelStack.combined(parts, ls, weights)
+        want = KernelStack.of([kernel(*row) for row in zip(ls, weights)])
+        assert got.modalities == want.modalities == MODS
+        assert np.array_equal(got.table, want.table)
+        for bad_ls, bad_weights in [((1.0, 0.0), (0.5, 0.5)), ((1.0, 2.0), (0.5, 0.6))]:
+            rows = (np.array([(1.0, 1.0), bad_ls]), np.array([(0.5, 0.5), bad_weights]))
+            with pytest.raises(ParameterError) as own:
+                kernel(bad_ls, np.array(bad_weights))
+            with pytest.raises(ParameterError) as got:
+                KernelStack.combined(parts, *rows)
+            assert str(got.value) == str(own.value)
+
     @SETTINGS
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -673,8 +703,16 @@ class TestStackedItems:
         assert sorted((len(blocks[0]), n_old) for _, blocks, n_old, _ in calls) == sorted(
             {(len(s.X), s.n_old) for s in sets}
         )
-        for stacked, blocks, n_old, grams in calls:
-            for kernel, X, k in zip(stacked, blocks, grams):
+        for stacked, blocks, n_old, grams in calls:  # item i: kernel i % m of a set
+            for i, (X, k) in enumerate(zip(blocks, grams)):
+                kernel = bases[i % len(bases)]
+                if n_old:
+                    rho = stacked.rhos[i]
+                    if search_rho:
+                        assert rho == rhos[i % len(bases)]
+                    else:
+                        assert any(s.X is X and s.n_old == n_old and s.rho == rho for s in sets)
+                    kernel = DependentKernel(kernel, rho)
                 assert np.array_equal(k, training_grams([kernel], X, n_old)[0])
         for s, modes in zip(sets, got):
             for mode, alone in zip(modes, gp._solve_sets([s], bases, rhos)[0]):

@@ -3,6 +3,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import expit
 
 from tactilab import gp
@@ -17,6 +19,7 @@ from tactilab.gp import (
     OvaGpcModel,
     PooledSet,
     argmax_label,
+    argmax_labels,
     gpc_fit,
     gpc_predict,
     gpc_predict_batch,
@@ -31,6 +34,7 @@ from tactilab.gp import (
 from tactilab.kernels import (
     CombinedKernel,
     DependentKernel,
+    KernelStack,
     ObservationBlock,
     RbfKernel,
     cross_gram,
@@ -237,7 +241,7 @@ class TestNonFiniteGuards:
         assert all("non-finite objective" in d for d in info.value.diagnostics)
 
     def test_non_finite_newton_step_raises(self, monkeypatch):
-        monkeypatch.setattr(gp, "_cho_solve", lambda chol, b: np.full_like(b, np.nan))
+        monkeypatch.setattr(gp, "_pos_solve", lambda a, b: np.full_like(b, np.nan))
         with pytest.raises(NumericalError, match="iteration 1"):
             gpc_fit(RbfKernel(1.0), pts(0.0, 1.0), [1, -1])
 
@@ -303,6 +307,28 @@ class TestOva:
     def test_exact_tie_takes_lowest_class_id(self):
         assert argmax_label((2, 5, 9), [0.4, 0.4, 0.1]) == 2
         assert argmax_label((1, 3), [0.25, 0.25]) == 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rows=st.integers(1, 8).flatmap(
+            lambda c: st.lists(
+                st.lists(
+                    st.sampled_from([1e-12, 0.25, 0.5]) | st.floats(0.0, 1.0),
+                    min_size=c,
+                    max_size=c,
+                ),
+                min_size=1,
+                max_size=20,
+            )
+        ),
+        first=st.integers(-3, 40),
+    )
+    def test_row_argmax_matches_argmax_label_ties_included(self, rows, first):
+        """Each row's label is ``argmax_label``'s, ties to the lowest class."""
+        probs = np.array(rows)
+        classes = tuple(range(first, first + 3 * probs.shape[1], 3))
+        want = np.array([argmax_label(classes, row) for row in probs])
+        assert np.array_equal(argmax_labels(classes, probs), want)
 
     def test_argmax_invariant_under_increasing_transform(self):
         rng = np.random.default_rng(4)
@@ -533,6 +559,71 @@ def ref_optimize_kernel_for_sets(sets, kernel_start, restarts=2, rng=None, max_s
     return kernel, best_f
 
 
+def ref_scan_search(sets, kernel_start, restarts, rng, max_sweeps):
+    """The scan-at-a-time search that the lockstep rounds replaced: the
+    starts scored together, then each start's ascent in turn, each scan of
+    a sweep scored whole (every remaining step from the current point), a
+    decoded kernel solved once. Returns (kernel, lml, the kernel-table rows
+    it solved)."""
+    spec = ModelSpec(kind="gpc", kernel=kernel_start)
+    x0, layout = ref_encode(spec)
+    names = [name for name, size in layout for _ in range(size)]
+    bounds = {"ls": (math.log(1e-2), math.log(1e3)), "gamma": (-1.0, 2.0)}
+    memo = {}
+
+    def score(points):
+        values = []
+        for params in points:
+            kernel, _ = ref_decode(spec, params, layout)
+            key = KernelStack.of([kernel]).table.tobytes()
+            if key not in memo:
+                try:
+                    memo[key] = sum(s.fit(kernel).lml for s in sets)
+                except (NumericalError, ConvergenceError, np.linalg.LinAlgError):
+                    memo[key] = -np.inf
+            values.append(memo[key])
+        return values
+
+    starts = [x0]
+    for _ in range(restarts - 1):
+        vec = []
+        for name, size in layout:
+            if name == "gamma":
+                vec.extend(rng.dirichlet(np.ones(size)).tolist())
+            else:
+                vec.extend(rng.uniform(*bounds[name], size=size).tolist())
+        starts.append(np.array(vec))
+    results = []
+    for x, fx in zip(starts, score(starts)):
+        if not np.isfinite(fx):
+            continue
+        steps = np.array([math.log(3.0) if name == "ls" else 0.25 for name in names])
+        for _ in range(max_sweeps):
+            improved, first = False, 0
+            while first < x.size:
+                trials = []
+                for i in range(first, x.size):
+                    for direction in (1.0, -1.0):
+                        lo, hi = bounds[names[i]]
+                        trial = x.copy()
+                        trial[i] = min(max(trial[i] + direction * steps[i], lo), hi)
+                        if trial[i] != x[i]:
+                            trials.append((i, trial))
+                for (i, trial), ft in zip(trials, score([t for _, t in trials])):
+                    if ft > fx + gp.IMPROVE_TOL:
+                        x, fx, first, improved = trial, ft, i + 1, True
+                        break
+                else:
+                    break
+            if not improved:
+                steps *= 0.5
+                if np.max(steps) < 0.02:
+                    break
+        results.append((x, fx))
+    best_x, best_f = max(results, key=lambda r: r[1])
+    return ref_decode(spec, best_x, layout)[0], best_f, list(memo)
+
+
 def labelled_two_part_obs(seed, classes=(1, 2, 3), per_class=5):
     """Classes separated in force; the thermal part is weakly informative."""
     rng = np.random.default_rng(seed)
@@ -560,7 +651,7 @@ def median_start(X, scale=1.0):
 
 def assert_same_search(new, ref):
     """(kernel, rho, lml) of the single search equal to the reference's."""
-    (kernel, rho, lml), (ref_kernel, ref_rho, ref_lml) = new, ref
+    (kernel, rho, lml, _), (ref_kernel, ref_rho, ref_lml) = new, ref
     assert kernel.modalities == ref_kernel.modalities
     assert [p.length_scale for _, p in kernel.parts] == [
         p.length_scale for _, p in ref_kernel.parts
@@ -728,8 +819,8 @@ class TestSearchMatchesReference:
         start = median_heuristic(block, block.modalities)
         sets = list(ova_sets(block, labels).values())
 
-        def key(kernel):
-            return tuple(p.length_scale for _, p in kernel.parts) + tuple(kernel.weights)
+        def key(kernel):  # its row of the kernel table
+            return KernelStack.of([kernel]).table.tobytes()
 
         solved, scored = [], []
         modes, summed = gp._laplace_modes, gp._summed_lmls
@@ -737,11 +828,15 @@ class TestSearchMatchesReference:
         monkeypatch.setattr(
             gp,
             "_summed_lmls",
-            lambda sets, kernels, rhos: scored.extend(map(key, kernels)) or summed(sets, kernels, rhos),
+            lambda sets, stack, rhos: scored.extend(row.tobytes() for row in stack.table)
+            or summed(sets, stack, rhos),
         )
         optimize_kernel_for_sets(sets, start, restarts=3, rng=np.random.default_rng(0))
         assert len(scored) == len(set(scored))
-        assert sum(solved) == len(scored) * len(sets)
+        # Here the best ascent takes a point scored in an earlier round (a
+        # weight clipped to 0 decodes two points alike), so the returned
+        # modes are solved once more: the final fit the parent always made.
+        assert sum(solved) == (len(scored) + 1) * len(sets)
 
         ref_scored = []
         fit = gp.gpc_fit
@@ -758,6 +853,194 @@ class TestSearchMatchesReference:
         assert scored.count(key(start)) == 1
 
 
+def spy_search(monkeypatch):
+    """Record the kernel-table rows the search scores (``gp._summed_lmls``),
+    the kernels the reference fits (``gp.gpc_fit``, by their base's row) and
+    the problems solved (``gp._laplace_modes``)."""
+    seen = {"scored": [], "fitted": [], "problems": []}
+    modes, summed, fit = gp._laplace_modes, gp._summed_lmls, gp.gpc_fit
+
+    def laplace_modes(k, y):
+        seen["problems"].append(len(k))
+        return modes(k, y)
+
+    def summed_lmls(sets, stack, rhos):
+        seen["scored"].extend(row.tobytes() for row in stack.table)
+        return summed(sets, stack, rhos)
+
+    def gpc_fit(kernel, *args, **kwargs):
+        base = kernel.base if isinstance(kernel, DependentKernel) else kernel
+        seen["fitted"].append(KernelStack.of([base]).table.tobytes())
+        return fit(kernel, *args, **kwargs)
+
+    monkeypatch.setattr(gp, "_laplace_modes", laplace_modes)
+    monkeypatch.setattr(gp, "_summed_lmls", summed_lmls)
+    monkeypatch.setattr(gp, "gpc_fit", gpc_fit)
+    return seen
+
+
+def assert_same_models(got, want):
+    """Two one-vs-all models equal field by field."""
+    assert got.classes == want.classes
+    for cls in got.classes:
+        a, b = got.models[cls], want.models[cls]
+        assert a.kernel == b.kernel and a.X_train is b.X_train and a.n_old == b.n_old
+        for name in ("y", "f_hat", "grad_hat", "w_sqrt", "chol_b"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+        assert (a.lml, a.stationarity, a.iterations) == (b.lml, b.stationarity, b.iterations)
+
+
+class TestLockstepSearch:
+    """The lockstep search against the scan-at-a-time reference, bit for
+    bit: its result and the generator state afterwards, the points it
+    solves (none the reference does not, with finite starts) and the
+    models it hands back (those of ``fit_sets``)."""
+
+    @staticmethod
+    def transfer_sets(seed):
+        X, labels = labelled_two_part_obs(seed, classes=(1, 2, 3), per_class=4)
+        groups = {cls: [x for x, lb in zip(X, labels) if lb == cls] for cls in (2, 3)}
+        return X, {
+            2: PooledSet(X[:4] + groups[2] + groups[3], (1.0,) * 8 + (-1.0,) * 4, n_old=4, rho=0.6),
+            3: PooledSet(groups[3] + groups[2], (1.0,) * 4 + (-1.0,) * 4),
+        }
+
+    @pytest.mark.parametrize("max_sweeps", [0, 1, 2, 3, 4])
+    @pytest.mark.parametrize("restarts", [1, 2, 3, 4])
+    def test_matches_scan_at_a_time(self, monkeypatch, restarts, max_sweeps):
+        X, sets = self.transfer_sets(restarts + 4 * max_sweeps)
+        start = median_start(X, 20.0)
+        seen = spy_search(monkeypatch)
+        rng, ref_rng = np.random.default_rng(restarts), np.random.default_rng(restarts)
+        found = optimize_kernel_for_sets(
+            list(sets.values()), start, restarts=restarts, rng=rng, max_sweeps=max_sweeps
+        )
+        problems, scored = sum(seen["problems"]), seen["scored"]
+        model = gp.ova_from_modes(sets, found.kernel, found.modes)
+        ref_kernel, ref_lml = ref_optimize_kernel_for_sets(
+            list(sets.values()), start, restarts=restarts, rng=ref_rng, max_sweeps=max_sweeps
+        )
+        assert_same_search(found, (ref_kernel, 0.6, ref_lml))
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert_same_models(model, gp.fit_sets(sets, found.kernel))
+        scan_kernel, scan_lml, scan_scored = ref_scan_search(
+            list(sets.values()), start, restarts, np.random.default_rng(restarts), max_sweeps
+        )
+        assert_same_search(found, (scan_kernel, 0.6, scan_lml))
+        # The same points as the scan-at-a-time search, each solved once;
+        # the returned modes are kept, not solved again (no best point here
+        # was scored in an earlier round than the one that took it; see
+        # ``test_best_point_scored_in_an_earlier_round``).
+        assert len(scored) == len(set(scored)) and set(scored) == set(scan_scored)
+        assert problems == len(scored) * len(sets)
+        if max_sweeps == 0:  # the starts only: no scan is scored
+            assert len(scored) == restarts
+
+    @pytest.mark.parametrize("max_sweeps", [0, 1, 4])
+    @pytest.mark.parametrize("restarts", [1, 3])
+    def test_rho_search_with_a_step_at_the_last_coordinate(self, monkeypatch, restarts, max_sweeps):
+        """rho, the last coordinate, is driven to 0 (``test_rho_search_that_
+        moves_rho``): steps are accepted at the last coordinate, which ends
+        their sweep. The modes are those of the sets at the searched rho."""
+        rng0 = np.random.default_rng(restarts)
+        old = [force_obs(3.0 + 0.1 * rng0.standard_normal()) for _ in range(6)]
+        pos = [force_obs(0.1 * rng0.standard_normal()) for _ in range(3)]
+        neg = [force_obs(3.0 + 0.1 * rng0.standard_normal()) for _ in range(3)]
+        pooled = PooledSet(old + pos + neg, (1.0,) * 9 + (-1.0,) * 3, n_old=6, rho=0.5)
+        start = CombinedKernel(((Modality.FORCE, RbfKernel(1.0, 1.0)),), np.array([1.0]))
+        last = []
+        next_scan = gp._Ascent._next_scan
+
+        def spy(ascent):
+            last.append(ascent.improved and ascent.first == ascent.x.size)
+            return next_scan(ascent)
+
+        monkeypatch.setattr(gp._Ascent, "_next_scan", spy)
+        rng, ref_rng = np.random.default_rng(restarts), np.random.default_rng(restarts)
+        found = optimize_kernel_for_sets(
+            [pooled], start, restarts=restarts, rng=rng, max_sweeps=max_sweeps, fit_rho=True
+        )
+        spec = ModelSpec(kind="gpc", kernel=start, n_old=6, fit_rho=True, rho=0.5)
+        ref_kernel, ref_rho, ref_lml, _ = ref_optimize_hyperparams(
+            spec, pooled.X, pooled.y, restarts=restarts, rng=ref_rng, max_sweeps=max_sweeps
+        )
+        assert_same_search(found, (ref_kernel, ref_rho, ref_lml))
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert any(last) == (max_sweeps > 0)
+        (want,) = gp._solve_sets([pooled], [found.kernel], [found.rho])[0]
+        for got, expected in zip(found.modes[0], want):
+            assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("every_start", [False, True])
+    def test_start_scoring_minus_inf(self, monkeypatch, every_start):
+        """Grams of the kernel start (or of every kernel) made non-finite:
+        the start is dropped with the reference's diagnostic, and when no
+        start is left both raise OptimizationError with the same ones."""
+        X, sets = self.transfer_sets(5)
+        start = median_start(X, 20.0)
+        bad = 2.0 * start.parts[0][1].length_scale ** 2
+
+        def poisoned(row):  # the start's decoded length scale is exp(log(l))
+            return every_start or abs(row[0, 2] - bad) <= 1e-9 * bad
+
+        real_stack, real_gram = gp.training_gram_stack, gp.training_gram
+
+        def stack(kernels, blocks, n_old=0):
+            grams = real_stack(kernels, blocks, n_old)
+            grams[[poisoned(row) for row in KernelStack.of(kernels).table]] = np.nan
+            return grams
+
+        def gram(kernel, X, n_old=0):
+            base = kernel.base if isinstance(kernel, DependentKernel) else kernel
+            k = real_gram(kernel, X, n_old)
+            return k * np.nan if poisoned(KernelStack.of([base]).table[0]) else k
+
+        monkeypatch.setattr(gp, "training_gram_stack", stack)
+        monkeypatch.setattr(gp, "training_gram", gram)
+
+        def search():
+            return optimize_kernel_for_sets(
+                list(sets.values()), start, restarts=3, rng=np.random.default_rng(5)
+            )
+
+        def ref():
+            return ref_optimize_kernel_for_sets(
+                list(sets.values()), start, restarts=3, rng=np.random.default_rng(5)
+            )
+
+        if every_start:
+            with pytest.raises(OptimizationError) as got:
+                search()
+            with pytest.raises(OptimizationError) as want:
+                ref()
+            assert got.value.diagnostics == want.value.diagnostics
+            assert len(got.value.diagnostics) == 3
+            return
+        found = search()
+        ref_kernel, ref_lml = ref()
+        assert_same_search(found, (ref_kernel, 0.6, ref_lml))
+        assert_same_models(
+            gp.ova_from_modes(sets, found.kernel, found.modes), gp.fit_sets(sets, found.kernel)
+        )
+
+    def test_best_point_scored_in_an_earlier_round(self, monkeypatch):
+        """The best ascent takes a point that an earlier round scored (a
+        weight clipped to 0 makes two points decode alike): its modes are
+        solved again, and the models are still those of ``fit_sets``."""
+        X, labels = labelled_two_part_obs(0)
+        block = ObservationBlock.of(X)
+        sets = ova_sets(block, labels)
+        start = median_heuristic(block, block.modalities)
+        seen = spy_search(monkeypatch)
+        found = optimize_kernel_for_sets(
+            list(sets.values()), start, restarts=3, rng=np.random.default_rng(0)
+        )
+        assert sum(seen["problems"]) == (len(seen["scored"]) + 1) * len(sets)
+        assert_same_models(
+            gp.ova_from_modes(sets, found.kernel, found.modes), gp.fit_sets(sets, found.kernel)
+        )
+
+
 class TestOptimizeHyperparams:
     """Properties of the single hyperparameter search."""
 
@@ -766,9 +1049,9 @@ class TestOptimizeHyperparams:
         sets = list(ova_sets(X, labels).values())
         start = median_heuristic(X, X[0].modalities)
         rng = np.random.default_rng(6)
-        kernel, _, lml = optimize_kernel_for_sets(sets, start, restarts=2, rng=rng, max_sweeps=8)
-        again = optimize_kernel_for_sets(sets, kernel, restarts=1, rng=rng, max_sweeps=8)
-        assert again[2] == pytest.approx(lml, abs=1e-6)
+        found = optimize_kernel_for_sets(sets, start, restarts=2, rng=rng, max_sweeps=8)
+        again = optimize_kernel_for_sets(sets, found.kernel, restarts=1, rng=rng, max_sweeps=8)
+        assert again.lml == pytest.approx(found.lml, abs=1e-6)
 
     def test_noise_modality_weight_suppressed(self):
         rng = np.random.default_rng(7)
@@ -788,7 +1071,7 @@ class TestOptimizeHyperparams:
             np.array([0.5, 0.5]),
         )
         sets = list(ova_sets(X, labels).values())
-        kernel, _, _ = optimize_kernel_for_sets(sets, start, restarts=3, rng=rng)
+        kernel = optimize_kernel_for_sets(sets, start, restarts=3, rng=rng).kernel
         gamma = dict(zip([m for m, _ in kernel.parts], kernel.weights))
         assert gamma[Modality.THERMAL] <= 0.2
 

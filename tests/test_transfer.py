@@ -7,7 +7,13 @@ from tactilab import transfer
 from tactilab.errors import MissingPriorError, ParameterError
 from tactilab.features import Modality
 from tactilab.gp import gpc_fit, gpc_predict_batch, ova_predict_proba
-from tactilab.kernels import CombinedKernel, DependentKernel, RbfKernel, dependent_gram
+from tactilab.kernels import (
+    CombinedKernel,
+    DependentKernel,
+    ObservationBlock,
+    RbfKernel,
+    dependent_gram,
+)
 from tactilab.transfer import (
     PriorKnowledge,
     SelectionMethod,
@@ -234,6 +240,43 @@ class TestBuildModels:
         pa = ova_predict_proba(models_a[ACTION], queries)
         pb = ova_predict_proba(models_b[ACTION], queries)
         assert np.array_equal(pa, pb)
+
+    @pytest.mark.parametrize("method", list(SelectionMethod))
+    def test_class_sets_hold_the_rows_of_the_observation_lists(self, monkeypatch, method):
+        """Each class set's block, joined from per-object blocks, holds bit
+        for bit the rows of the observation lists: the selected old object's
+        instances, the class's group, then the other groups in object order,
+        with their labels, split and rho."""
+        rng = np.random.default_rng(16)
+        prior = make_prior(rng)
+        groups = {
+            11: cluster(rng, -4.0, 3, object_id=11),
+            12: cluster(rng, 0.0, 2, object_id=12),
+            13: cluster(rng, 9.0, 4, object_id=13),
+        }
+        searched = []
+        real = transfer.optimize_kernel_for_sets
+        monkeypatch.setattr(
+            transfer,
+            "optimize_kernel_for_sets",
+            lambda sets, *args, **kwargs: searched.append(sets) or real(sets, *args, **kwargs),
+        )
+        _, _, decisions = build_action_models(
+            prior, ACTION, groups, method=method, rng=np.random.default_rng(3)
+        )
+        if method is SelectionMethod.MODEL_PREDICTION:
+            assert any(d.selected_old_id is not None for d in decisions)
+        for obj, s, decision in zip(sorted(groups), searched[-1], decisions):
+            old = []
+            if decision.selected_old_id is not None:
+                old = list(prior.instances[ACTION][decision.selected_old_id])
+            rest = [o for other in sorted(groups) if other != obj for o in groups[other]]
+            want = ObservationBlock.of(old + groups[obj] + rest)
+            assert s.X.modalities == want.modalities
+            for mod in want.modalities:
+                assert np.array_equal(s.X.matrix(mod), want.matrix(mod))
+            assert s.y == (1.0,) * (len(old) + len(groups[obj])) + (-1.0,) * len(rest)
+            assert (s.n_old, s.rho) == (len(old), decision.rho)
 
     def test_audit_log_shape(self, prior):
         rng = np.random.default_rng(14)
