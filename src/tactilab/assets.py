@@ -6,8 +6,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from itertools import islice
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from itertools import chain, groupby, islice
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -18,12 +19,19 @@ from .features import (
     ThermalProjector,
     fit_projector,
     observation_from_raw,
-    raw_features,
+    raw_features_stack,
 )
 from .gp import OvaGpcModel, argmax_labels, ova_predict_proba
 from .kernels import ObservationBlock
 from .seeding import CALIB_NS, OPT_NS, PRIOR_NS, TEST_NS, derive_rng, derive_seed
-from .signals import STANDARD_ACTIONS, ActionKind, Catalog, simulate
+from .signals import (
+    STANDARD_ACTIONS,
+    ActionKind,
+    Catalog,
+    simulate,
+    simulate_stack,
+    trace_nbytes,
+)
 from .transfer import INIT_RESTARTS, PriorKnowledge, fit_prior_knowledge
 
 
@@ -94,10 +102,44 @@ def held_out_jobs(config: ExperimentConfig) -> list[TraceJob]:
     return _trace_jobs(config, objects, partial(test_samples_for, config), TEST_NS)
 
 
-def trace_features(catalog: Catalog, job: TraceJob) -> RawFeatures:
-    """Simulate one set-up trace and reduce it to its raw features."""
-    action_id, obj, seed = job
-    return raw_features(_make_simulator(catalog)(obj, action_id, seed))
+#: Stacked trace bytes per set-up batch. A trace larger than this goes alone
+#: (a C1 trace of the default skin is 336 KB). Wider batches save little
+#: more numpy call overhead and raise set-up's peak memory.
+BATCH_BYTES = 192 * 1024
+
+
+def job_batches(catalog: Catalog, jobs: Sequence[TraceJob]) -> list[list[TraceJob]]:
+    """``jobs`` in order, cut into batches of consecutive jobs of one action,
+    each of at most ``BATCH_BYTES`` of traces (at least one trace)."""
+    batches = []
+    for action_id, run in groupby(jobs, key=itemgetter(0)):
+        run = list(run)
+        nbytes = trace_nbytes(STANDARD_ACTIONS[action_id], catalog.skin)
+        size = max(1, BATCH_BYTES // max(1, nbytes))
+        batches += [run[i : i + size] for i in range(0, len(run), size)]
+    return batches
+
+
+def batch_features(catalog: Catalog, batch: Sequence[TraceJob]) -> list[RawFeatures]:
+    """Simulate one batch of set-up traces as one stack and reduce each to
+    its raw features: bit for bit what each trace gives alone."""
+    stack = simulate_stack(
+        [catalog.by_id(obj) for _, obj, _ in batch],
+        STANDARD_ACTIONS[batch[0][0]],
+        [seed for _, _, seed in batch],
+        catalog.skin,
+        catalog.noise,
+    )
+    return raw_features_stack(stack)
+
+
+def set_up_features(
+    catalog: Catalog, jobs: Sequence[TraceJob], mapper=map
+) -> Iterator[RawFeatures]:
+    """The raw features of ``jobs``, in order: ``mapper`` (``map``, or a
+    pool's) runs ``batch_features`` over the ``job_batches``."""
+    batches = job_batches(catalog, jobs)
+    return chain.from_iterable(mapper(partial(batch_features, catalog), batches))
 
 
 def fit_projectors_from_pool(

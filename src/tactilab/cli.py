@@ -17,8 +17,8 @@ from .assets import (
     fit_projectors_from_pool,
     held_out_jobs,
     projector_pool_jobs,
+    set_up_features,
     test_samples_for,
-    trace_features,
 )
 from .config import Mode, config_hash, load_config, parse_config
 from .errors import ConfigError, SchemaError, TactilabError
@@ -68,10 +68,9 @@ def _cmd_testset(args) -> int:
     config = _apply_overrides(args)
     catalog = load_catalog(config.catalog_path())
     check_catalog_objects(config, catalog)
-    features = partial(trace_features, catalog)
     pool_jobs, test_jobs = projector_pool_jobs(config), held_out_jobs(config)
-    projectors = fit_projectors_from_pool(pool_jobs, list(map(features, pool_jobs)))
-    test = build_test_set(config, projectors, test_jobs, map(features, test_jobs))
+    projectors = fit_projectors_from_pool(pool_jobs, list(set_up_features(catalog, pool_jobs)))
+    test = build_test_set(config, projectors, test_jobs, set_up_features(catalog, test_jobs))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     per_action = {

@@ -212,9 +212,9 @@ def parse_config(raw: dict, base_dir: Optional[str] = None) -> ExperimentConfig:
                 f"{len(prior)} prior object(s), got {samples}: the thermal projector "
                 f"needs {needed} traces per action"
             )
+    if len(new) < 2:  # one class: every prediction is that class, every accuracy 1
+        raise ConfigError(f"new_objects must hold at least two classes, got {list(new)}")
     if config.mode is Mode.MULTI_KERNEL_ABLATION:
-        if len(new) < 2:
-            raise ConfigError("new_objects must hold at least two classes for the ablation")
         if not config.ablation_sizes:
             raise ConfigError("ablation_sizes must be nonempty for the ablation")
         if any(s < len(new) for s in config.ablation_sizes):

@@ -21,7 +21,7 @@ from .errors import (
     ProjectorMismatchError,
     ZeroVarianceError,
 )
-from .signals import ActionKind, SensorTrace
+from .signals import ActionKind, SensorTrace, TraceStack
 
 THERMAL_DIM = 10
 THERMAL_RESAMPLE_LEN = 128
@@ -74,9 +74,15 @@ class FeatureObservation:
 
 def extract_stiffness(trace: SensorTrace) -> float:
     """Mean normal force over all force sensors and time steps."""
-    if trace.forces is None:
+    return float(_stiffnesses(TraceStack.of(trace).forces)[0])
+
+
+def _stiffnesses(forces: Optional[np.ndarray]) -> np.ndarray:
+    """``extract_stiffness`` of each trace of a (k, n_force, M) stack: the
+    mean of each trace's own force block, as that trace alone reduces it."""
+    if forces is None:
         raise ModalityError("trace has no force channels")
-    return float(np.mean(trace.forces))
+    return np.array([np.mean(block) for block in forces])
 
 
 def activity(x: Sequence[float]) -> float:
@@ -146,26 +152,36 @@ def extract_texture(trace: SensorTrace) -> np.ndarray:
     axis with nonzero variance; the correlation is averaged over the axis
     pairs (xy, xz, yz) of each accelerometer whose two axes both have
     nonzero variance. Raises ZeroVarianceError when every axis is constant.
+    The one-item case of ``_textures``."""
+    return _textures(TraceStack.of(trace).accels)[0]
+
+
+def _textures(accels: Optional[np.ndarray]) -> np.ndarray:
+    """The (k, 4) texture vectors of a (k, cells, 3, M) stack.
 
     ``activity``, ``mobility``, ``complexity`` and ``linear_correlation``
     are the reference definitions. This function computes the same numbers,
-    bit for bit, from one pass over the trace: the axes are the rows of one
-    (cells * 3, M) matrix, and each axis's activity of x, dx and d^2x is
-    computed once, by row-wise reductions in the scalar functions' order of
-    operations. It raises what the loop over the scalar functions raises,
-    axis by axis and cell by cell.
-    """
-    if trace.accels is None:
+    bit for bit, in one pass over the stack: the axes are the rows of one
+    (k * cells * 3, M) matrix, and each axis's activity of x, dx and d^2x is
+    computed once, by row-wise reductions over contiguous rows in the scalar
+    functions' order of operations. One trace raises what the loop over the
+    scalar functions raises, axis by axis and cell by cell, and a stack the
+    error of its first trace that raises. A stack in which some trace has a
+    constant axis, or which is too short, is reduced trace by trace."""
+    if accels is None:
         raise ModalityError("trace has no accelerometer channels")
-    accels = np.ascontiguousarray(trace.accels, dtype=float)
-    cells, m = accels.shape[0], accels.shape[-1]
-    rows = accels.reshape(cells * 3, m)
+    accels = np.ascontiguousarray(accels, dtype=float)
+    k, cells, m = accels.shape[0], accels.shape[1], accels.shape[-1]
+    width = 3 * cells  # axes per trace
+    rows = accels.reshape(k * width, m)
     if cells and m < 2:
         raise DegenerateSequenceError(f"activity needs >= 2 samples, got {m}")
     centred = _centred(rows)
     squares = centred**2
     acts = np.mean(squares, axis=1)
     live = np.flatnonzero(acts > 0.0)
+    if k > 1 and (m < 4 or live.size < k * width):  # each trace on its own, in order
+        return np.concatenate([_textures(trace[None]) for trace in accels])
     if not live.size:
         raise ZeroVarianceError("every accelerometer axis is constant")
     if m < 3:
@@ -179,14 +195,15 @@ def extract_texture(trace: SensorTrace) -> np.ndarray:
     acts2 = np.mean(_centred(diff2) ** 2, axis=1)
     mobs = np.sqrt(acts1 / acts[live])
 
-    first_rows = 3 * np.arange(cells)[:, None]
+    first_rows = 3 * np.arange(k * cells)[:, None]
     ia = (first_rows + _AXIS_PAIRS[:, 0]).ravel()
     ib = (first_rows + _AXIS_PAIRS[:, 1]).ravel()
     both = (acts[ia] > 0.0) & (acts[ib] > 0.0)
     ia, ib = ia[both], ib[both]
     sums = np.sum(squares, axis=1)
     denoms = np.sqrt(sums[ia] * sums[ib])
-    # The first error the per-axis loop meets: a cell's axes come before its pairs.
+    # The first error the per-axis loop meets, trace by trace and cell by
+    # cell: a cell's axes come before its pairs.
     flat_cells = live[mobs <= 0.0] // 3
     zero_cells = ia[denoms == 0.0] // 3
     if flat_cells.size and (not zero_cells.size or flat_cells[0] <= zero_cells[0]):
@@ -196,14 +213,11 @@ def extract_texture(trace: SensorTrace) -> np.ndarray:
 
     comps = np.sqrt(acts2 / acts1) / mobs
     lcorrs = np.clip(np.sum(centred[ia] * centred[ib], axis=1) / denoms, -1.0, 1.0)
-    return np.array(
-        [
-            np.mean(acts[live]),
-            np.mean(mobs),
-            np.mean(comps),
-            np.mean(lcorrs) if lcorrs.size else 0.0,
-        ]
-    )
+    if live.size == ia.size == k * width:  # every axis and pair counts
+        stats = (acts, mobs, comps, lcorrs)
+        return np.stack([np.mean(x.reshape(k, width), axis=1) for x in stats], axis=1)
+    mean_lcorr = np.mean(lcorrs) if lcorrs.size else 0.0  # one trace, constant axes
+    return np.array([[np.mean(acts[live]), np.mean(mobs), np.mean(comps), mean_lcorr]])
 
 
 @dataclass(frozen=True)
@@ -223,23 +237,27 @@ class ThermalProjector:
             )
 
 
-def _thermal_raw(trace: SensorTrace, resample_len: int) -> np.ndarray:
-    """Resampled [mean-temperature, gradient] feature, length 2*resample_len."""
-    if trace.temps is None:
+def _thermal_raws(temps: Optional[np.ndarray], resample_len: int) -> np.ndarray:
+    """Each trace's resampled [mean-temperature, gradient] feature, of length
+    2*resample_len, from a (k, n_temp, M) stack: one row per trace."""
+    if temps is None:
         raise ModalityError("trace has no temperature channels")
-    mean_seq = np.mean(trace.temps, axis=0)
-    src = np.linspace(0.0, 1.0, mean_seq.size)
+    mean_seqs = np.mean(temps, axis=1)
+    src = np.linspace(0.0, 1.0, mean_seqs.shape[1])
     dst = np.linspace(0.0, 1.0, resample_len)
-    resampled = np.interp(dst, src, mean_seq)
-    grad = np.gradient(resampled)
-    return np.concatenate([resampled, grad])
+    raw = np.empty((len(mean_seqs), 2 * resample_len))
+    resampled = raw[:, :resample_len]
+    for row, mean_seq in zip(resampled, mean_seqs):
+        row[:] = np.interp(dst, src, mean_seq)
+    raw[:, resample_len:] = np.gradient(resampled, axis=1)
+    return raw
 
 
 def fit_projector(
     raw: np.ndarray, resample_len: int = THERMAL_RESAMPLE_LEN
 ) -> ThermalProjector:
     """Fit the top-10 principal directions of stacked [T, grad T] features,
-    one row per trace (as ``_thermal_raw`` gives them)."""
+    one row per trace (as ``_thermal_raws`` gives them)."""
     if len(raw) < THERMAL_DIM + 1:
         raise InsufficientDataError(
             f"thermal projector needs >= {THERMAL_DIM + 1} traces, got {len(raw)}"
@@ -279,12 +297,22 @@ class RawFeatures:
 
 
 def raw_features(trace: SensorTrace, resample_len: int = THERMAL_RESAMPLE_LEN) -> RawFeatures:
-    """Reduce a trace to its lead segment and raw thermal feature."""
-    if trace.kind is ActionKind.SLIDING:
-        lead = (Modality.TEXTURE, extract_texture(trace))
+    """Reduce a trace to its lead segment and raw thermal feature: the
+    one-item case of ``raw_features_stack``."""
+    return raw_features_stack(TraceStack.of(trace), resample_len)[0]
+
+
+def raw_features_stack(
+    stack: TraceStack, resample_len: int = THERMAL_RESAMPLE_LEN
+) -> list[RawFeatures]:
+    """Each trace of the stack reduced to its raw features, bit for bit as
+    if reduced alone. The first trace that fails raises its own error."""
+    if stack.kind is ActionKind.SLIDING:
+        leads = [(Modality.TEXTURE, vec) for vec in _textures(stack.accels)]
     else:
-        lead = (Modality.FORCE, np.array([extract_stiffness(trace)]))
-    return RawFeatures(lead, _thermal_raw(trace, resample_len))
+        leads = [(Modality.FORCE, vec) for vec in _stiffnesses(stack.forces)[:, None]]
+    thermal = _thermal_raws(stack.temps, resample_len)
+    return [RawFeatures(lead, raw) for lead, raw in zip(leads, thermal)]
 
 
 def observation_from_raw(

@@ -28,7 +28,7 @@ from .assets import (
     make_evaluator,
     new_object_slice,
     projector_pool_jobs,
-    trace_features,
+    set_up_features,
 )
 from .blas import SingleThreadedBlas
 from .config import ExperimentConfig, Mode, _at_least, config_hash
@@ -52,17 +52,17 @@ def _pool_context():
     return multiprocessing.get_context()
 
 
-#: Trace jobs per set-up pool task. A trace takes about a millisecond to
-#: simulate and reduce (2-vCPU x86 VM), far more than sending its job and raw
-#: features between processes.
-SETUP_CHUNKSIZE = 16
+#: Set-up job batches per pool task. One batch per task (a P2 batch of the
+#: default skin is two traces, well under a millisecond of work) spends more
+#: on the pool's messaging than four do (2-vCPU x86 VM).
+SETUP_CHUNKSIZE = 4
 
 
 @contextmanager
 def _setup_map(workers: int):
-    """``map`` for the set-up's trace jobs: the builtin one, or with
+    """``map`` for the set-up's job batches: the builtin one, or with
     ``workers`` > 1 that of a process pool, which works ahead of its reader
-    and yields in job order. The pool is gone on exit; when set-up fails,
+    and yields in batch order. The pool is gone on exit; when set-up fails,
     its queued tasks are cancelled rather than run."""
     if workers == 1:
         yield map
@@ -82,16 +82,17 @@ def build_assets(config: ExperimentConfig, workers: int = 1) -> tuple:
     config shares.
 
     Set-up maps one ordered stream of trace jobs, the projector pool's and
-    then the test set's, each trace reduced to its raw features at once.
-    With ``workers`` > 1 a pool simulates the test set while this process
-    fits the projectors and the prior knowledge; the prior fit stays here,
-    in order, because its searches share one rng stream. The same bits come
-    out either way."""
+    then the test set's, in batches (``job_batches``): each batch simulated
+    as one stack and reduced to its traces' raw features at once. With
+    ``workers`` > 1 a pool simulates the test set while this process fits
+    the projectors and the prior knowledge; the prior fit stays here, in
+    order, because its searches share one rng stream. The same bits come out
+    either way."""
     catalog = load_catalog(config.catalog_path())
     check_catalog_objects(config, catalog)
     pool_jobs, test_jobs = projector_pool_jobs(config), held_out_jobs(config)
     with _setup_map(workers) as mapper:
-        features = mapper(partial(trace_features, catalog), pool_jobs + test_jobs)
+        features = set_up_features(catalog, pool_jobs + test_jobs, mapper)
         prior, projectors = build_prior(config, pool_jobs, features)
         test = build_test_set(config, projectors, test_jobs, features)
     return catalog, prior, projectors, test

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -207,18 +207,41 @@ def _n_samples(duration_s: float, sample_rate: float) -> int:
     return m
 
 
-def _thermal_curve(obj: ObjectSpec, t: np.ndarray, ambient: float, gain: float) -> np.ndarray:
-    # Skin starts at ambient and relaxes toward ambient + delta.
-    delta = obj.thermal_equilib_delta * gain
-    return ambient + delta * (1.0 - np.exp(-t / obj.thermal_time_const))
+def trace_nbytes(action: ExploratoryAction, skin: SkinConfig) -> int:
+    """Bytes of one trace's channel arrays (float64) for the action."""
+    m = math.floor(action.duration_s * skin.sample_rate_hz)
+    lead = 3 * skin.n_accel if action.kind is ActionKind.SLIDING else skin.n_force
+    return 8 * (lead + skin.n_temp) * m
 
 
-def _axis_offsets(obj: ObjectSpec) -> np.ndarray:
-    # Object-specific inter-axis phase offsets: a smooth function of the
-    # latent texture parameters so near-identical objects produce
-    # near-identical axis correlations.
-    base = obj.roughness_freq / (1.0 + obj.roughness_freq)
-    return 2.0 * math.pi * base * np.array([0.0, 0.35, 0.7])
+@dataclass
+class TraceStack:
+    """Traces of one action stacked along a leading item axis: item ``i`` of
+    each channel array holds trace ``i``'s channels, laid out as in
+    :class:`SensorTrace`."""
+
+    forces: Optional[np.ndarray]  # (k, n_force, M) in N
+    temps: Optional[np.ndarray]  # (k, n_temp, M) in degC
+    accels: Optional[np.ndarray]  # (k, n_accel, 3, M) in g
+    sample_rate: float
+    kind: ActionKind
+
+    @classmethod
+    def of(cls, trace: SensorTrace) -> "TraceStack":
+        """The one-item stack of ``trace`` (views of its channels)."""
+        lift = lambda c: None if c is None else c[None]
+        channels = (lift(trace.forces), lift(trace.temps), lift(trace.accels))
+        return cls(*channels, trace.sample_rate, trace.kind)
+
+    def trace(self, i: int) -> SensorTrace:
+        """Trace ``i`` (views of its rows)."""
+        pick = lambda c: None if c is None else c[i]
+        channels = (pick(self.forces), pick(self.temps), pick(self.accels))
+        return SensorTrace(*channels, self.sample_rate, self.kind)
+
+
+#: (harmonic, weight) of the three sliding vibration components.
+_HARMONICS = ((1.0, 1.0), (2.0, 0.5), (3.0, 0.25))
 
 
 def simulate(
@@ -231,60 +254,95 @@ def simulate(
     """Generate the sensor trace for one action execution.
 
     Pure function of (object, action, seed, skin, noise): the same inputs
-    produce a bit-identical trace.
-    """
-    rng = np.random.default_rng(seed)
+    produce a bit-identical trace. The one-item case of ``simulate_stack``."""
+    return simulate_stack([obj], action, [seed], skin, noise).trace(0)
+
+
+def simulate_stack(
+    objs: Sequence[ObjectSpec],
+    action: ExploratoryAction,
+    seeds: Sequence[int],
+    skin: SkinConfig = SkinConfig(),
+    noise: NoiseScales = NoiseScales(),
+) -> TraceStack:
+    """The traces of ``action`` on ``objs[i]`` with ``seeds[i]``, stacked.
+
+    Each trace draws from its own ``default_rng(seed)``, always the same
+    draws in the same order, into its rows of the stack. The arithmetic then
+    runs once over the stack, elementwise in one trace's order of
+    operations, so a trace's bits do not depend on its stack."""
     m = _n_samples(action.duration_s, skin.sample_rate_hz)
     t = np.arange(m) / skin.sample_rate_hz
+    k = len(seeds)
+    column = lambda name: np.array([getattr(obj, name) for obj in objs], dtype=float)
+    sliding = action.kind is ActionKind.SLIDING
+    # Per trace, in this order: two trial-level gains, (temp, accel) when
+    # sliding and (force, temp) otherwise; when sliding, one phase per
+    # harmonic, then the phase jitter and the accelerations' sample noise;
+    # else the forces' sample noise; then the temperatures' sample noise.
+    gains, phases = np.empty((k, 2)), np.empty((k, 3))
+    if sliding:
+        normals = (np.empty((k, skin.n_accel, 3, 3)), np.empty((k, skin.n_accel, 3, m)))
+    else:
+        normals = (np.empty((k, skin.n_force, m)),)
+    temps = np.empty((k, skin.n_temp, m))
+    for i, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        rng.standard_normal(out=gains[i])
+        if sliding:
+            phases[i] = rng.uniform(0.0, 2.0 * math.pi, size=3)
+        for draws in (*normals, temps):
+            rng.standard_normal(out=draws[i])
 
-    if action.kind is ActionKind.SLIDING:
+    if sliding:
+        jitter, shake = normals
+        temp_gain = 1.0 + noise.temp_trial * gains[:, 0]
+        accel_gain = 1.0 + noise.accel_trial * gains[:, 1]
+        jitter *= 0.2
+
         force_n, speed, _ = action.params
-        temp_gain = 1.0 + noise.temp_trial * rng.standard_normal()
-        accel_gain = 1.0 + noise.accel_trial * rng.standard_normal()
-        base_phases = rng.uniform(0.0, 2.0 * math.pi, size=3)  # one per harmonic
-        jitter = 0.2 * rng.standard_normal((skin.n_accel, 3, 3))
-
-        f0 = obj.roughness_freq * speed
-        amp = obj.roughness_amp * force_n
-        harmonics = np.array([1.0, 2.0, 3.0])
-        weights = np.array([1.0, 0.5, 0.25])
-        offsets = _axis_offsets(obj)
+        freq = column("roughness_freq")
+        f0 = freq * speed
+        amp = column("roughness_amp") * force_n
+        # Object-specific inter-axis phase offsets: a smooth function of the
+        # latent texture parameters so near-identical objects produce
+        # near-identical axis correlations.
+        base = (freq / (1.0 + freq))[:, None]
+        offsets = 2.0 * math.pi * base * np.array([0.0, 0.35, 0.7])
         cell_shift = 0.15 * np.arange(skin.n_accel)
 
-        accels = np.zeros((skin.n_accel, 3, m))
-        for h in range(3):
+        accels = np.zeros((k, skin.n_accel, 3, m))
+        for h, (harmonic, weight) in enumerate(_HARMONICS):
             phase = (
-                base_phases[h]
-                + offsets[None, :, None]
+                phases[:, h, None, None, None]
+                + offsets[:, None, :, None]
                 + cell_shift[:, None, None]
-                + jitter[:, :, h : h + 1]
+                + jitter[..., h : h + 1]
             )
-            accels += (
-                accel_gain
-                * amp
-                * weights[h]
-                * np.sin(2.0 * math.pi * f0 * harmonics[h] * t[None, None, :] + phase)
-            )
-        accels += noise.accel_sample * rng.standard_normal(accels.shape)
+            wave = (2.0 * math.pi * f0 * harmonic)[:, None, None, None] * t + phase
+            np.sin(wave, out=wave)
+            wave *= (accel_gain * amp * weight)[:, None, None, None]
+            accels += wave
+        shake *= noise.accel_sample
+        accels += shake
+        forces = None
+    else:  # pressing and static contact share the force + temperature layout
+        (forces,) = normals
+        force_gain = 1.0 + noise.force_trial * gains[:, 0]
+        temp_gain = 1.0 + noise.temp_trial * gains[:, 1]
+        plateau = column("stiffness_coeff") * action.params[0] * force_gain
+        forces *= noise.force_sample
+        forces += plateau[:, None, None]
+        accels = None
 
-        temps = _thermal_curve(obj, t, skin.ambient_temp_c, temp_gain)[None, :]
-        temps = np.repeat(temps, skin.n_temp, axis=0)
-        temps = temps + noise.temp_sample * rng.standard_normal(temps.shape)
-        return SensorTrace(None, temps, accels, skin.sample_rate_hz, action.kind)
-
-    # Pressing and static contact share the force + temperature layout.
-    depth = action.params[0]
-    force_gain = 1.0 + noise.force_trial * rng.standard_normal()
-    temp_gain = 1.0 + noise.temp_trial * rng.standard_normal()
-
-    plateau = obj.stiffness_coeff * depth * force_gain
-    forces = np.full((skin.n_force, m), plateau)
-    forces = forces + noise.force_sample * rng.standard_normal(forces.shape)
-
-    temps = _thermal_curve(obj, t, skin.ambient_temp_c, temp_gain)[None, :]
-    temps = np.repeat(temps, skin.n_temp, axis=0)
-    temps = temps + noise.temp_sample * rng.standard_normal(temps.shape)
-    return SensorTrace(forces, temps, None, skin.sample_rate_hz, action.kind)
+    # Skin starts at ambient and relaxes toward ambient + delta.
+    delta = column("thermal_equilib_delta") * temp_gain
+    curve = skin.ambient_temp_c + delta[:, None] * (
+        1.0 - np.exp(-t / column("thermal_time_const")[:, None])
+    )
+    temps *= noise.temp_sample
+    temps += curve[:, None, :]
+    return TraceStack(forces, temps, accels, skin.sample_rate_hz, action.kind)
 
 
 _OBJECT_FIELDS = {

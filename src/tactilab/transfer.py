@@ -74,11 +74,13 @@ class TransferDecision:
 class PriorKnowledge:
     """Per-action store of old-object observations (instance knowledge) and
     the one-vs-all models fitted on exactly those observations (model
-    knowledge). Immutable: nothing downstream may mutate it."""
+    knowledge). ``blocks`` holds each old object's instances as one block,
+    stacked once. Immutable: nothing downstream may mutate it."""
 
     instances: Mapping[str, Mapping[int, tuple[FeatureObservation, ...]]]
     models: Mapping[str, OvaGpcModel]
     kernels: Mapping[str, CombinedKernel]
+    blocks: Mapping[str, Mapping[int, ObservationBlock]]
 
     def old_object_ids(self, action_id: str) -> tuple[int, ...]:
         return tuple(sorted(self.instances[action_id]))
@@ -89,16 +91,21 @@ def fit_prior_knowledge(
     restarts: int = INIT_RESTARTS,
     rng: Optional[np.random.Generator] = None,
 ) -> PriorKnowledge:
-    """Freeze the instance store and fit one observation model per action."""
+    """Freeze the instance store, stack each old object's instances into one
+    block, and fit one observation model per action."""
     frozen: dict[str, dict[int, tuple[FeatureObservation, ...]]] = {}
+    blocks: dict[str, dict[int, ObservationBlock]] = {}
     models: dict[str, OvaGpcModel] = {}
     kernels: dict[str, CombinedKernel] = {}
     for action_id, groups in instances.items():
         frozen[action_id] = {
             obj: tuple(obs_list) for obj, obs_list in sorted(groups.items())
         }
-        flat, labels = _flatten(frozen[action_id])
-        flat = ObservationBlock.of(flat)
+        blocks[action_id] = {
+            obj: ObservationBlock.of(obs) for obj, obs in frozen[action_id].items()
+        }
+        flat = ObservationBlock.concat(list(blocks[action_id].values()))
+        labels = [obj for obj, obs in frozen[action_id].items() for _ in obs]
         start = median_heuristic(flat, flat.modalities)
         sets = ova_sets(flat, labels)
         # A single old object gives a degenerate one-class model, its kernel
@@ -109,16 +116,7 @@ def fit_prior_knowledge(
         )
         models[action_id] = ova_from_modes(sets, found.kernel, found.modes)
         kernels[action_id] = found.kernel
-    return PriorKnowledge(instances=frozen, models=models, kernels=kernels)
-
-
-def _flatten(groups: ObservationGroups):
-    flat, labels = [], []
-    for obj in sorted(groups):
-        for obs in groups[obj]:
-            flat.append(obs)
-            labels.append(obj)
-    return flat, labels
+    return PriorKnowledge(instances=frozen, models=models, kernels=kernels, blocks=blocks)
 
 
 def select_prior_by_prediction(
@@ -181,7 +179,7 @@ def select_prior_by_optimization(
     best_old, best_rho = None, -1.0
     for old_id in prior.old_object_ids(action_id):
         # Old and new observations all labelled +1, rho searched from 0.5.
-        pooled = _pooled_set(prior.instances[action_id][old_id], X_new_j, [], 0.5)
+        pooled = _pooled_set(prior.blocks[action_id][old_id], X_new_j, [], 0.5)
         rho = optimize_kernel_for_sets(
             [pooled], base, rng=rng, fit_weights=False, fit_rho=True
         ).rho
@@ -259,7 +257,7 @@ def build_action_models(
     decisions: list[TransferDecision] = []
     sets: dict[int, PooledSet] = {}
     for k, obj in enumerate(object_ids):
-        X_old: Sequence[FeatureObservation] = ()
+        X_old: Sequence[FeatureObservation] | ObservationBlock = ()
         rho = 0.0
         if has_prior:
             if method is SelectionMethod.MODEL_PREDICTION:
@@ -273,7 +271,7 @@ def build_action_models(
                 )
             decisions.append(decision)
             if decision.selected_old_id is not None:
-                X_old = prior.instances[action_id][decision.selected_old_id]
+                X_old = prior.blocks[action_id][decision.selected_old_id]
                 rho = decision.rho
         # One block per class: the rows of each set are ordered differently,
         # so no two classes can share distance matrices bit for bit.

@@ -25,7 +25,7 @@ from tactilab.features import (
     linear_correlation,
     mobility,
     project_thermal,
-    _thermal_raw,
+    _thermal_raws,
 )
 from tactilab.signals import (
     STANDARD_ACTIONS,
@@ -338,7 +338,7 @@ def constant_temp_trace(value, n=200, fs=100.0):
 
 def raw_thermal(traces):
     """The traces' raw [T, grad T] features, one row per trace."""
-    return np.stack([_thermal_raw(tr, THERMAL_RESAMPLE_LEN) for tr in traces])
+    return _thermal_raws(np.stack([tr.temps for tr in traces]), THERMAL_RESAMPLE_LEN)
 
 
 def thermal_traces_for_fit(rng, count=20, n=150):

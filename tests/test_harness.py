@@ -19,7 +19,7 @@ from tactilab.assets import (
     held_out_jobs,
     make_evaluator,
     projector_pool_jobs,
-    trace_features,
+    set_up_features,
 )
 from tactilab.blas import SingleThreadedBlas
 from tactilab.cli import main as cli_main
@@ -224,6 +224,14 @@ class TestConfigParsing:
                 config_dict(new_objects=[11], mode="multi_kernel_ablation", ablation_sizes=[2])
             )
 
+    @pytest.mark.parametrize("mode", ["transfer", "no_transfer", "negative_transfer"])
+    def test_one_new_object_exits_2_in_every_mode(self, tmp_path, capsys, mode):
+        # One class: every test label is that class and every accuracy reads 1.
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config_dict(new_objects=[11], mode=mode)))
+        assert cli_main(["validate", str(path)]) == 2
+        assert "new_objects must hold at least two classes" in capsys.readouterr().err
+
     def test_integral_floats_accepted(self):
         config = parse_config(config_dict(budget=3.0, seeds=[1.0, 2]))
         assert config.budget == 3 and isinstance(config.budget, int)
@@ -308,12 +316,8 @@ def held_out_set(config):
     builds it: projectors fitted on the projector pool, no prior."""
     catalog = load_catalog(config.catalog_path())
     pool_jobs, test_jobs = projector_pool_jobs(config), held_out_jobs(config)
-    projectors = fit_projectors_from_pool(
-        pool_jobs, [trace_features(catalog, job) for job in pool_jobs]
-    )
-    return build_test_set(
-        config, projectors, test_jobs, (trace_features(catalog, job) for job in test_jobs)
-    )
+    projectors = fit_projectors_from_pool(pool_jobs, list(set_up_features(catalog, pool_jobs)))
+    return build_test_set(config, projectors, test_jobs, set_up_features(catalog, test_jobs))
 
 
 class TestTestSet:
@@ -424,14 +428,14 @@ class TestSetup:
         monkeypatch.setattr(harness, "run_trial", lambda *args: trials.append(args))
         catalog = str(tactilab.data_path("catalogs", "sample_catalog.json"))
         if where == "test-set-trace":  # a new object's: simulated after the pool's
-            real_simulate = assets.simulate
+            real_simulate_stack = assets.simulate_stack
 
-            def flaky(obj, *args):
-                if obj.id == 12:
+            def flaky(objs, *args):
+                if any(obj.id == 12 for obj in objs):
                     raise DegenerateTraceError("synthetic set-up failure")
-                return real_simulate(obj, *args)
+                return real_simulate_stack(objs, *args)
 
-            monkeypatch.setattr(assets, "simulate", flaky)
+            monkeypatch.setattr(assets, "simulate_stack", flaky)
             config, error = _tiny_config(catalog, seeds=[1, 2]), DegenerateTraceError
         else:  # here, while the pool still holds test-set traces to simulate
             def failing_fit(thermal):
@@ -965,9 +969,10 @@ class TestCli:
         path.write_text(json.dumps(config_dict(mystery=True)))
         assert cli_main(["validate", str(path)]) == 2
 
-    def test_validate_missing_object_exit_2(self, tmp_path):
-        path = self.write_config(tmp_path, new_objects=[99])
+    def test_validate_missing_object_exit_2(self, tmp_path, capsys):
+        path = self.write_config(tmp_path, new_objects=[98, 99])
         assert cli_main(["validate", str(path)]) == 2
+        assert "object id(s) [98, 99] not present in catalog" in capsys.readouterr().err
 
     def test_object_missing_from_catalog_named_by_every_verb(self, tmp_path, capsys):
         path = self.write_config(tmp_path, new_objects=[11, 99], seeds=[1], budget=1)

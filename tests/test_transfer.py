@@ -233,7 +233,7 @@ class TestBuildModels:
             None, groups, rng=np.random.default_rng(77)
         )
         models_b, kernels_b, decisions_b = build_new_observation_models(
-            PriorKnowledge({}, {}, {}), groups, rng=np.random.default_rng(77)
+            PriorKnowledge({}, {}, {}, {}), groups, rng=np.random.default_rng(77)
         )
         assert decisions_a == [] and decisions_b == []
         queries = [force_obs(v) for v in (-4.0, 0.0, 7.0)]
@@ -277,6 +277,32 @@ class TestBuildModels:
                 assert np.array_equal(s.X.matrix(mod), want.matrix(mod))
             assert s.y == (1.0,) * (len(old) + len(groups[obj])) + (-1.0,) * len(rest)
             assert (s.n_old, s.rho) == (len(old), decision.rho)
+
+    @pytest.mark.parametrize("method", list(SelectionMethod))
+    def test_old_objects_are_stacked_once(self, monkeypatch, method):
+        """The prior holds each old object's instances as one block, bit for
+        bit their rows; model builds read those blocks and stack no prior
+        instances again."""
+        rng = np.random.default_rng(16)
+        prior = make_prior(rng)
+        stored = prior.blocks[ACTION]
+        assert list(stored) == list(prior.instances[ACTION])
+        for obj, block in stored.items():
+            want = ObservationBlock.of(list(prior.instances[ACTION][obj]))
+            assert np.array_equal(block.matrix(Modality.FORCE), want.matrix(Modality.FORCE))
+        stacked, real_of = [], ObservationBlock.of.__func__
+        monkeypatch.setattr(
+            ObservationBlock, "of", classmethod(lambda cls, X: stacked.append(X) or real_of(cls, X))
+        )
+        groups = {11: cluster(rng, -4.0, 3, object_id=11), 12: cluster(rng, 0.0, 2, object_id=12)}
+        _, _, decisions = build_action_models(
+            prior, ACTION, groups, method=method, rng=np.random.default_rng(3)
+        )
+        selected = {d.selected_old_id for d in decisions} - {None}
+        assert selected
+        assert all(any(X is stored[obj] for X in stacked) for obj in selected)
+        instances = prior.instances[ACTION].values()
+        assert not any(X is obs for X in stacked for obs in instances)
 
     def test_audit_log_shape(self, prior):
         rng = np.random.default_rng(14)
