@@ -271,6 +271,8 @@ def simulate_stack(
     draws in the same order, into its rows of the stack. The arithmetic then
     runs once over the stack, elementwise in one trace's order of
     operations, so a trace's bits do not depend on its stack."""
+    if len(objs) != len(seeds):
+        raise ParameterError(f"{len(objs)} objects for {len(seeds)} seeds")
     m = _n_samples(action.duration_s, skin.sample_rate_hz)
     t = np.arange(m) / skin.sample_rate_hz
     k = len(seeds)

@@ -22,7 +22,7 @@ from tactilab.assets import (
     set_up_features,
 )
 from tactilab.config import parse_config
-from tactilab.errors import TactilabError
+from tactilab.errors import ParameterError, TactilabError
 from tactilab.features import (
     THERMAL_RESAMPLE_LEN,
     Modality,
@@ -141,6 +141,11 @@ def test_stack_matches_one_trace_references(catalog_name, action_id):
         assert channel_bytes(stack.trace(i)) == channel_bytes(want) == channel_bytes(alone)
         expected = (lead, want_lead.tobytes(), want_thermal.tobytes())
         assert raw_bytes(raws[i]) == raw_bytes(raw_features(alone)) == expected
+
+
+def test_one_seed_per_object(related_catalog):
+    with pytest.raises(ParameterError, match="2 objects for 1 seeds"):
+        simulate_stack(list(related_catalog)[:2], STANDARD_ACTIONS["P2"], [1])
 
 
 class TestJobBatches:
