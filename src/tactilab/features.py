@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from itertools import combinations
 from typing import Optional, Sequence
 
@@ -82,7 +83,7 @@ def _stiffnesses(forces: Optional[np.ndarray]) -> np.ndarray:
     mean of each trace's own force block, as that trace alone reduces it."""
     if forces is None:
         raise ModalityError("trace has no force channels")
-    return np.array([np.mean(block) for block in forces])
+    return np.array([np.mean(block) for block in forces], dtype=float)
 
 
 def activity(x: Sequence[float]) -> float:
@@ -243,14 +244,24 @@ def _thermal_raws(temps: Optional[np.ndarray], resample_len: int) -> np.ndarray:
     if temps is None:
         raise ModalityError("trace has no temperature channels")
     mean_seqs = np.mean(temps, axis=1)
-    src = np.linspace(0.0, 1.0, mean_seqs.shape[1])
-    dst = np.linspace(0.0, 1.0, resample_len)
+    src, dst = _unit_grid(mean_seqs.shape[1]), _unit_grid(resample_len)
     raw = np.empty((len(mean_seqs), 2 * resample_len))
-    resampled = raw[:, :resample_len]
+    resampled, grad = raw[:, :resample_len], raw[:, resample_len:]
     for row, mean_seq in zip(resampled, mean_seqs):
         row[:] = np.interp(dst, src, mean_seq)
-    raw[:, resample_len:] = np.gradient(resampled, axis=1)
+    # np.gradient at unit spacing: central differences inside, one-sided ends.
+    grad[:, 1:-1] = (resampled[:, 2:] - resampled[:, :-2]) / 2.0
+    grad[:, 0] = resampled[:, 1] - resampled[:, 0]
+    grad[:, -1] = resampled[:, -1] - resampled[:, -2]
     return raw
+
+
+@lru_cache(maxsize=None)
+def _unit_grid(n: int) -> np.ndarray:
+    """``np.linspace(0, 1, n)``, read-only: one per trace and resample length."""
+    grid = np.linspace(0.0, 1.0, n)
+    grid.flags.writeable = False
+    return grid
 
 
 def fit_projector(
