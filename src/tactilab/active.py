@@ -12,9 +12,10 @@ import numpy as np
 from .errors import ParameterError, StateError
 from .features import FeatureObservation
 from .gp import OvaGpcModel, ova_predict_groups
-from .kernels import CombinedKernel
+from .kernels import CombinedKernel, ObservationBlock
 from .seeding import EXPLORE_NS, INIT_NS, TRAIN_NS, derive_rng, derive_seed
 from .transfer import (
+    ObservationGroups,
     PriorKnowledge,
     SelectionMethod,
     TransferDecision,
@@ -65,11 +66,11 @@ class UncertaintyTable:
 
 @dataclass
 class ExplorationState:
-    """Mutable record of the collection loop."""
+    """Mutable record of the collection loop; one block per (action, object)."""
 
     new_object_ids: tuple[int, ...]
     action_ids: tuple[str, ...]
-    observations: dict[str, dict[int, list[FeatureObservation]]]
+    observations: dict[str, dict[int, ObservationBlock]]
     models: dict[str, OvaGpcModel] = field(default_factory=dict)
     kernels: dict[str, CombinedKernel] = field(default_factory=dict)
     iteration: int = 0
@@ -98,15 +99,15 @@ def initialize_state(
     """Initial data collection: one observation per (action, object)."""
     if not (0.0 <= eps_explore <= 1.0):
         raise ParameterError("eps_explore must lie in [0, 1]")
-    observations: dict[str, dict[int, list[FeatureObservation]]] = {}
+    observations: dict[str, dict[int, ObservationBlock]] = {}
     idx = 0
     for action_id in action_ids:
-        groups: dict[int, list[FeatureObservation]] = {}
+        groups: dict[int, ObservationBlock] = {}
         for obj in new_object_ids:
             seed = derive_seed(seed_root, INIT_NS, idx)
             idx += 1
             trace = simulator(obj, action_id, seed)
-            groups[obj] = [extractor(trace, action_id, obj)]
+            groups[obj] = ObservationBlock.of([extractor(trace, action_id, obj)])
         observations[action_id] = groups
     state = ExplorationState(
         new_object_ids=tuple(new_object_ids),
@@ -122,7 +123,7 @@ def initialize_state(
 
 def uncertainty_table(
     models: Mapping[str, OvaGpcModel],
-    observations: Mapping[str, Mapping[int, Sequence[FeatureObservation]]],
+    observations: Mapping[str, ObservationGroups],
 ) -> UncertaintyTable:
     """Mean posterior entropy per (action, object) observation group, one
     row per action of ``observations``, each from one prediction over the
@@ -174,13 +175,15 @@ def acquire(
     simulator: Simulator,
     extractor: Extractor,
 ) -> FeatureObservation:
-    """Execute one action on one object and append the new observation."""
+    """Execute one action on one object and append the new observation to
+    its group's block."""
     if object_id not in state.new_object_ids:
         raise StateError(f"object {object_id} is not in the new-object set")
     seed = derive_seed(state.seed_root, TRAIN_NS, state.iteration)
     trace = simulator(object_id, action_id, seed)
     obs = extractor(trace, action_id, object_id)
-    state.observations[action_id][object_id].append(obs)
+    groups = state.observations[action_id]
+    groups[object_id] = ObservationBlock.concat([groups[object_id], ObservationBlock.of([obs])])
     state.iteration += 1
     return obs
 

@@ -32,7 +32,7 @@ from .signals import (
     simulate_stack,
     trace_nbytes,
 )
-from .transfer import INIT_RESTARTS, PriorKnowledge, fit_prior_knowledge
+from .transfer import INIT_RESTARTS, ObservationGroups, PriorKnowledge, fit_prior_knowledge
 
 
 def _action_index(action_id: str) -> int:
@@ -175,23 +175,31 @@ def build_prior(
     projectors = fit_projectors_from_pool(jobs, raws)
     if not config.prior_objects:
         return None, projectors
-    instances: dict[str, dict[int, list]] = {}
-    for (action_id, obj, _), raw in zip(jobs, raws):
-        obs = observation_from_raw(raw, action_id, projectors[action_id], obj)
-        instances.setdefault(action_id, {}).setdefault(obj, []).append(obs)
-    prior = fit_prior_knowledge(
-        instances, restarts=INIT_RESTARTS, rng=derive_rng(OPT_NS, PRIOR_NS)
-    )
+    groups = _observation_groups(projectors, jobs, raws)
+    prior = fit_prior_knowledge(groups, restarts=INIT_RESTARTS, rng=derive_rng(OPT_NS, PRIOR_NS))
     return prior, projectors
+
+
+def _observation_groups(
+    projectors: Mapping[str, ThermalProjector],
+    jobs: Sequence[TraceJob],
+    features: Iterable[RawFeatures],
+) -> dict[str, dict[int, ObservationBlock]]:
+    """Each job's observation, from its raw features, in one block per
+    (action, object): actions and objects in job order, rows in job order."""
+    groups: dict[str, dict[int, list]] = {}
+    for (action_id, obj, _), raw in zip(jobs, features):
+        obs = observation_from_raw(raw, action_id, projectors[action_id], obj)
+        groups.setdefault(action_id, {}).setdefault(obj, []).append(obs)
+    return {a: {obj: ObservationBlock.of(obs) for obj, obs in g.items()} for a, g in groups.items()}
 
 
 @dataclass
 class TestSet:
-    observations: dict[str, list]  # per action: FeatureObservation list
-    labels: dict[str, np.ndarray]  # per action: object ids
+    groups: dict[str, ObservationGroups]  # per action: object id -> its block
 
     def size(self) -> int:
-        return sum(len(v) for v in self.observations.values())
+        return sum(len(block) for groups in self.groups.values() for block in groups.values())
 
 
 def test_samples_for(config: ExperimentConfig, action_id: str) -> int:
@@ -207,26 +215,20 @@ def build_test_set(
     jobs: Sequence[TraceJob],
     features: Iterable[RawFeatures],
 ) -> TestSet:
-    """Labeled held-out observations. ``jobs`` is ``held_out_jobs(config)``;
-    the first ``len(jobs)`` items of ``features`` are their raw features."""
-    observations: dict[str, list] = {a: [] for a in config.actions}
-    labels: dict[str, list] = {a: [] for a in config.actions}
-    for (action_id, obj, _), raw in zip(jobs, features):
-        observations[action_id].append(
-            observation_from_raw(raw, action_id, projectors[action_id], obj)
-        )
-        labels[action_id].append(obj)
-    return TestSet(observations, {a: np.array(labs) for a, labs in labels.items()})
+    """Held-out observations, grouped by action and object. ``jobs`` is
+    ``held_out_jobs(config)``; the first ``len(jobs)`` items of ``features``
+    are their raw features."""
+    return TestSet(_observation_groups(projectors, jobs, features))
 
 
 def new_object_slice(
     config: ExperimentConfig, test: TestSet, action_id: str
 ) -> tuple[ObservationBlock, np.ndarray]:
-    """The action's test observations of the new objects, with their labels."""
-    labels = test.labels[action_id]
-    mask = np.isin(labels, list(config.new_objects))
-    obs = [o for o, m in zip(test.observations[action_id], mask) if m]
-    return ObservationBlock.of(obs), labels[mask]
+    """The action's test observations of the new objects, in
+    ``config.new_objects`` order, with their labels."""
+    blocks = [test.groups[action_id][obj] for obj in config.new_objects]
+    labels = np.repeat(config.new_objects, [len(block) for block in blocks])
+    return ObservationBlock.concat(blocks), labels
 
 
 def accuracy(model: OvaGpcModel, obs: ObservationBlock, labels: np.ndarray) -> float:

@@ -34,9 +34,9 @@ EXIT_TRIAL_FAILURES = 3
 def _apply_overrides(args):
     config = load_config(args.config)
     raw = config.to_dict()
-    if getattr(args, "mode", None):
+    if args.mode:
         raw["mode"] = args.mode
-    if getattr(args, "seed_offset", 0):
+    if args.seed_offset:
         raw["seeds"] = [s + args.seed_offset for s in raw["seeds"]]
     return parse_config(raw, base_dir=config.base_dir)
 
@@ -65,7 +65,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_testset(args) -> int:
-    config = _apply_overrides(args)
+    config = load_config(args.config)
     catalog = load_catalog(config.catalog_path())
     check_catalog_objects(config, catalog)
     pool_jobs, test_jobs = projector_pool_jobs(config), held_out_jobs(config)
@@ -76,7 +76,7 @@ def _cmd_testset(args) -> int:
     per_action = {
         action: {
             "samples_per_object": test_samples_for(config, action),
-            "total": len(test.observations[action]),
+            "total": sum(len(block) for block in test.groups[action].values()),
         }
         for action in config.actions
     }
@@ -156,8 +156,6 @@ def build_parser() -> argparse.ArgumentParser:
     testset = sub.add_parser("testset", help="build the held-out test set")
     testset.add_argument("config")
     testset.add_argument("--out", default="out")
-    testset.add_argument("--mode", choices=[m.value for m in Mode], default=None)
-    testset.add_argument("--seed-offset", type=int, default=0, dest="seed_offset")
     testset.set_defaults(func=_cmd_testset)
 
     report = sub.add_parser("report", help="re-emit report files from result.json")

@@ -165,7 +165,7 @@ def run_trial(
 
 def _modes_for(config: ExperimentConfig, test: TestSet) -> list[str]:
     if config.mode is Mode.MULTI_KERNEL_ABLATION:
-        return list(_ablation_variants(new_object_slice(config, test, config.actions[0])[0]))
+        return list(_ablation_variants(test.groups[config.actions[0]][config.new_objects[0]]))
     if config.mode is Mode.NO_TRANSFER:
         return [Mode.NO_TRANSFER.value]
     return [Mode.TRANSFER.value, Mode.NO_TRANSFER.value]
@@ -260,8 +260,9 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> RunResult:
 
 
 def _ablation_variants(test_obs: ObservationBlock) -> dict[str, Optional[np.ndarray]]:
-    """The ablation's kernels: ``combined`` searches its modality weights,
-    each ``<modality>_only`` keeps a one-hot weight vector."""
+    """The ablation's kernels over the modalities of the test block
+    ``test_obs``: ``combined`` searches its modality weights, each
+    ``<modality>_only`` keeps a one-hot weight vector."""
     modalities = test_obs.modalities
     variants: dict[str, Optional[np.ndarray]] = {"combined": None}
     for idx, mod in enumerate(modalities):

@@ -528,14 +528,11 @@ def prediction_diag(kernel, X_star) -> np.ndarray:
     return np.full(len(X_star), float(variance))
 
 
-def median_heuristic(
-    observations: Sequence[FeatureObservation], modalities: Sequence[Modality]
-) -> CombinedKernel:
+def median_heuristic(block: ObservationBlock, modalities: Sequence[Modality]) -> CombinedKernel:
     """Uniform-weight combined kernel with unit signal variances and
     per-modality length scales set to half the median nonzero pairwise
     distance (1.0 when degenerate): the half-median keeps sparse classes
     separated. The distances come from the block's memo."""
-    block = ObservationBlock.of(observations)
     parts = []
     for mod in modalities:
         dists = np.sqrt(block.sqdist(mod)[np.triu_indices(len(block), 1)])

@@ -24,7 +24,8 @@ from .gp import (
 )
 from .kernels import CombinedKernel, ObservationBlock, median_heuristic
 
-ObservationGroups = Mapping[int, Sequence[FeatureObservation]]
+#: An action's observations: one block per object.
+ObservationGroups = Mapping[int, ObservationBlock]
 
 #: Search schedule (restarts, sweeps) of the first models of a trial, and
 #: of each refit in the active loop. The prior's fit and the ablation start
@@ -72,18 +73,17 @@ class TransferDecision:
 
 @dataclass(frozen=True)
 class PriorKnowledge:
-    """Per-action store of old-object observations (instance knowledge) and
-    the one-vs-all models fitted on exactly those observations (model
-    knowledge). ``blocks`` holds each old object's instances as one block,
-    stacked once. Immutable: nothing downstream may mutate it."""
+    """Per-action store of old-object observations, one block per old
+    object (instance knowledge), and the one-vs-all models fitted on exactly
+    those observations (model knowledge). Immutable: nothing downstream may
+    mutate it, and block matrices are read-only."""
 
-    instances: Mapping[str, Mapping[int, tuple[FeatureObservation, ...]]]
+    blocks: Mapping[str, ObservationGroups]
     models: Mapping[str, OvaGpcModel]
     kernels: Mapping[str, CombinedKernel]
-    blocks: Mapping[str, Mapping[int, ObservationBlock]]
 
     def old_object_ids(self, action_id: str) -> tuple[int, ...]:
-        return tuple(sorted(self.instances[action_id]))
+        return tuple(sorted(self.blocks[action_id]))
 
 
 def fit_prior_knowledge(
@@ -91,21 +91,15 @@ def fit_prior_knowledge(
     restarts: int = INIT_RESTARTS,
     rng: Optional[np.random.Generator] = None,
 ) -> PriorKnowledge:
-    """Freeze the instance store, stack each old object's instances into one
-    block, and fit one observation model per action."""
-    frozen: dict[str, dict[int, tuple[FeatureObservation, ...]]] = {}
+    """Store each action's old-object blocks in object order and fit one
+    observation model per action."""
     blocks: dict[str, dict[int, ObservationBlock]] = {}
     models: dict[str, OvaGpcModel] = {}
     kernels: dict[str, CombinedKernel] = {}
     for action_id, groups in instances.items():
-        frozen[action_id] = {
-            obj: tuple(obs_list) for obj, obs_list in sorted(groups.items())
-        }
-        blocks[action_id] = {
-            obj: ObservationBlock.of(obs) for obj, obs in frozen[action_id].items()
-        }
+        blocks[action_id] = dict(sorted(groups.items()))
         flat = ObservationBlock.concat(list(blocks[action_id].values()))
-        labels = [obj for obj, obs in frozen[action_id].items() for _ in obs]
+        labels = [obj for obj, block in blocks[action_id].items() for _ in range(len(block))]
         start = median_heuristic(flat, flat.modalities)
         sets = ova_sets(flat, labels)
         # A single old object gives a degenerate one-class model, its kernel
@@ -116,7 +110,7 @@ def fit_prior_knowledge(
         )
         models[action_id] = ova_from_modes(sets, found.kernel, found.modes)
         kernels[action_id] = found.kernel
-    return PriorKnowledge(instances=frozen, models=models, kernels=kernels, blocks=blocks)
+    return PriorKnowledge(blocks=blocks, models=models, kernels=kernels)
 
 
 def select_prior_by_prediction(
@@ -163,7 +157,7 @@ def _by_prediction(
 def select_prior_by_optimization(
     prior: PriorKnowledge,
     action_id: str,
-    X_new_j: Sequence[FeatureObservation],
+    X_new_j: Sequence[FeatureObservation] | ObservationBlock,
     eps_neg2: float = 0.6,
     new_object_id: int = -1,
     rng: Optional[np.random.Generator] = None,
@@ -173,8 +167,9 @@ def select_prior_by_optimization(
     fitted value. Known to over-estimate when new observations are scarce."""
     if len(X_new_j) == 0:
         raise ParameterError("X_new_j must be nonempty")
-    if action_id not in prior.instances:
+    if action_id not in prior.blocks:
         raise MissingPriorError(f"no prior instances for action {action_id!r}")
+    X_new_j = ObservationBlock.of(X_new_j)
     base = prior.kernels[action_id]
     best_old, best_rho = None, -1.0
     for old_id in prior.old_object_ids(action_id):
@@ -214,16 +209,15 @@ def fit_dependent_gpc(
     """Binary classifier of the new object where the old object's
     observations join the positive side through the relatedness-scaled
     block kernel."""
-    return _pooled_set(X_old_i, X_new_j, [X_new_rest], rho).fit(kernel)
+    X_old, X_j, X_rest = (ObservationBlock.of(X) for X in (X_old_i, X_new_j, X_new_rest))
+    return _pooled_set(X_old, X_j, [X_rest], rho).fit(kernel)
 
 
 def _pooled_set(X_old, X_j, X_rest: Sequence, rho: float) -> PooledSet:
-    """Old and target observations labelled +1, the other new objects'
-    groups (``X_rest``, one per object) -1: one block of those rows in that
-    order, joined from the per-object blocks."""
-    blocks = [ObservationBlock.of(X) for X in (X_old, X_j, *X_rest)]
-    n_old, n_pos = len(blocks[0]), len(blocks[0]) + len(blocks[1])
-    X = ObservationBlock.concat(blocks)
+    """Old and target blocks labelled +1, the other new objects' blocks
+    (``X_rest``, one per object) -1: one block of those rows in that order."""
+    n_old, n_pos = len(X_old), len(X_old) + len(X_j)
+    X = ObservationBlock.concat([X_old, X_j, *X_rest])
     return PooledSet(X, (1.0,) * n_pos + (-1.0,) * (len(X) - n_pos), n_old, rho)
 
 
@@ -250,15 +244,13 @@ def build_action_models(
         if len(groups[obj]) == 0:
             raise ParameterError(f"object {obj} has no observations for {action_id}")
 
-    blocks = {obj: ObservationBlock.of(groups[obj]) for obj in object_ids}
     has_prior = prior is not None and action_id in prior.models
     if has_prior and method is SelectionMethod.MODEL_PREDICTION:  # all objects in one call
-        probs = ova_predict_groups(prior.models[action_id], [blocks[obj] for obj in object_ids])
+        probs = ova_predict_groups(prior.models[action_id], [groups[obj] for obj in object_ids])
     decisions: list[TransferDecision] = []
     sets: dict[int, PooledSet] = {}
     for k, obj in enumerate(object_ids):
-        X_old: Sequence[FeatureObservation] | ObservationBlock = ()
-        rho = 0.0
+        X_old, rho = ObservationBlock.of(()), 0.0
         if has_prior:
             if method is SelectionMethod.MODEL_PREDICTION:
                 p_bar = probs[k].mean(axis=0)
@@ -267,7 +259,7 @@ def build_action_models(
                 )
             else:
                 decision = select_prior_by_optimization(
-                    prior, action_id, blocks[obj], thresholds.eps_neg2, new_object_id=obj, rng=rng
+                    prior, action_id, groups[obj], thresholds.eps_neg2, new_object_id=obj, rng=rng
                 )
             decisions.append(decision)
             if decision.selected_old_id is not None:
@@ -275,11 +267,11 @@ def build_action_models(
                 rho = decision.rho
         # One block per class: the rows of each set are ordered differently,
         # so no two classes can share distance matrices bit for bit.
-        rest = [blocks[other] for other in object_ids if other != obj]
-        sets[obj] = _pooled_set(X_old, blocks[obj], rest, rho)
+        rest = [groups[other] for other in object_ids if other != obj]
+        sets[obj] = _pooled_set(X_old, groups[obj], rest, rho)
 
     if kernel_start is None:
-        flat = ObservationBlock.concat([blocks[obj] for obj in object_ids])
+        flat = ObservationBlock.concat([groups[obj] for obj in object_ids])
         kernel_start = median_heuristic(flat, flat.modalities)
     found = optimize_kernel_for_sets(
         list(sets.values()), kernel_start, restarts=restarts, rng=rng, max_sweeps=sweeps

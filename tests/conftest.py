@@ -1,10 +1,12 @@
 import inspect
+from typing import Mapping
 
 import numpy as np
 import pytest
 
 import tactilab
 from tactilab.features import FeatureObservation, Modality
+from tactilab.kernels import ObservationBlock
 from tactilab.signals import NoiseScales, SkinConfig, load_catalog
 
 QUIET = NoiseScales(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
@@ -51,6 +53,16 @@ def two_part_obs(force, thermal, object_id=None, action_id="test"):
         ),
         object_id,
     )
+
+
+def as_blocks(groups: Mapping) -> dict:
+    """Observation groups (object -> list of observations, or action -> such
+    a mapping) with each list stacked into one ObservationBlock, the form
+    the loop state, the prior knowledge and the test set hold."""
+    return {
+        key: as_blocks(value) if isinstance(value, Mapping) else ObservationBlock.of(value)
+        for key, value in groups.items()
+    }
 
 
 def record_searches(monkeypatch, module):

@@ -21,6 +21,7 @@ from tactilab.active import (
 )
 from tactilab.errors import ParameterError, StateError
 from tactilab.features import FeatureObservation, Modality
+from tactilab.kernels import ObservationBlock
 from tactilab.signals import ActionKind, SensorTrace
 
 from conftest import force_obs
@@ -145,8 +146,8 @@ class TestUncertaintyTable:
             for j, obj in enumerate(table.object_ids):
                 group = state.observations[action][obj]
                 total = 0.0
-                for obs in group:
-                    probs = ova_predict_proba(state.models[action], [obs])[0]
+                for row in range(len(group)):
+                    probs = ova_predict_proba(state.models[action], group[row : row + 1])[0]
                     total += posterior_entropy(probs)
                 assert table.values[i, j] == pytest.approx(total / len(group), abs=1e-12)
 
@@ -203,6 +204,27 @@ class TestAcquire:
         assert len(state.observations["A1"][12]) == before + 1
         assert obs.action_id == "A1"
         assert state.iteration == 1
+
+    def test_groups_hold_the_rows_of_their_observations(self):
+        """After several acquisitions each group block holds bit for bit the
+        rows of the block stacked from its observations as a list."""
+        seen = {}
+
+        def extractor(trace, action_id, object_id):
+            obs = fake_extractor(trace, action_id, object_id)
+            seen.setdefault((action_id, object_id), []).append(obs)
+            return obs
+
+        state = initialize_state(OBJECTS, ACTIONS, fake_simulator, extractor, 4)
+        for k in range(9):
+            acquire(state, OBJECTS[k % 3], ACTIONS[k % 2], fake_simulator, extractor)
+        assert max(len(obs) for obs in seen.values()) > 2
+        for (action, obj), observations in seen.items():
+            block, want = state.observations[action][obj], ObservationBlock.of(observations)
+            assert len(block) == len(observations)
+            assert block.modalities == want.modalities
+            for mod in want.modalities:
+                assert block.matrix(mod).tobytes() == want.matrix(mod).tobytes()
 
     def test_reproducible_across_runs(self):
         a = fresh_state(seed=5)

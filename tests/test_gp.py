@@ -644,7 +644,8 @@ def labelled_two_part_obs(seed, classes=(1, 2, 3), per_class=5):
 def median_start(X, scale=1.0):
     """Median-heuristic kernel with every length scale multiplied by ``scale``
     (a start far from the optimum makes the search use all its sweeps)."""
-    start = median_heuristic(X, ObservationBlock.of(X).modalities)
+    block = ObservationBlock.of(X)
+    start = median_heuristic(block, block.modalities)
     parts = tuple((mod, RbfKernel(p.length_scale * scale, p.signal_variance)) for mod, p in start.parts)
     return CombinedKernel(parts, start.weights)
 
@@ -774,7 +775,7 @@ class TestSearchMatchesReference:
             ),
             PooledSet(new_groups[3] + new_groups[2], (1.0,) * 4 + (-1.0,) * 4),
         ]
-        start = median_heuristic(X, X[0].modalities)
+        start = median_heuristic(ObservationBlock.of(X), X[0].modalities)
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         new = optimize_kernel_for_sets(sets, start, restarts=2, rng=rng, max_sweeps=3)
         ref_kernel, ref_lml = ref_optimize_kernel_for_sets(
@@ -1047,7 +1048,7 @@ class TestOptimizeHyperparams:
     def test_fixed_point_of_optimum(self):
         X, labels = labelled_two_part_obs(6)
         sets = list(ova_sets(X, labels).values())
-        start = median_heuristic(X, X[0].modalities)
+        start = median_heuristic(ObservationBlock.of(X), X[0].modalities)
         rng = np.random.default_rng(6)
         found = optimize_kernel_for_sets(sets, start, restarts=2, rng=rng, max_sweeps=8)
         again = optimize_kernel_for_sets(sets, found.kernel, restarts=1, rng=rng, max_sweeps=8)
@@ -1080,7 +1081,7 @@ class TestOptimizeHyperparams:
         and (the draws being made in order) every start of a search with
         fewer restarts from the same generator seed; with rho fixed and fitted."""
         X, labels = labelled_two_part_obs(8, classes=(1, 2), per_class=6)
-        start = median_heuristic(X, X[0].modalities)
+        start = median_heuristic(ObservationBlock.of(X), X[0].modalities)
         sets = [PooledSet(X, tuple(1.0 if lb == 1 else -1.0 for lb in labels), n_old=3, rho=0.4)]
         start_lml = sum(s.fit(start).lml for s in sets)
         for fit_rho in (False, True):

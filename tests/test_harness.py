@@ -18,6 +18,7 @@ from tactilab.assets import (
     fit_projectors_from_pool,
     held_out_jobs,
     make_evaluator,
+    new_object_slice,
     projector_pool_jobs,
     set_up_features,
 )
@@ -30,14 +31,14 @@ from tactilab.errors import (
     InsufficientDataError,
     SchemaError,
 )
-from tactilab.features import Modality
+from tactilab.features import Modality, observation_from_raw
 from tactilab.harness import run_experiment
 from tactilab.kernels import ObservationBlock
 from tactilab.results import RunResult, TrialResult, write_report
 from tactilab.seeding import PRIOR_NS, TEST_NS, TRAIN_NS, derive_seed
 from tactilab.signals import load_catalog
 
-from conftest import record_searches
+from conftest import as_blocks, record_searches
 
 
 def config_dict(**overrides):
@@ -305,7 +306,7 @@ class TestAssetCache:
         paths["b"].with_name("cat.json").write_text(json.dumps(raw))
         run_experiment(config_b)
         force_a, force_b, force_b2 = (
-            prior.instances["P2"][1][0].segment(Modality.FORCE) for prior in priors
+            prior.blocks["P2"][1].matrix(Modality.FORCE)[0] for prior in priors
         )
         assert not np.array_equal(force_a, force_b)
         assert np.array_equal(force_b2, force_a)
@@ -345,9 +346,54 @@ class TestTestSet:
         config, _ = small_result
         test = held_out_set(config)
         for action in config.actions:
-            assert set(test.labels[action]) == set(config.prior_objects) | set(
+            assert set(test.groups[action]) == set(config.prior_objects) | set(
                 config.new_objects
             )
+            assert all(len(block) for block in test.groups[action].values())
+
+    def test_new_object_slice_equals_mask_and_filter_reference(self):
+        """The new objects' blocks, joined in config order, are bit for bit
+        the slice that a mask over flat per-action lists cuts, rows and
+        labels, on a held-out set that holds prior objects too."""
+        config = parse_config(
+            config_dict(prior_objects=[3, 1], new_objects=[14, 11, 12], actions=["S1", "P2"])
+        )
+        catalog = load_catalog(config.catalog_path())
+        pool_jobs, test_jobs = projector_pool_jobs(config), held_out_jobs(config)
+        projectors = fit_projectors_from_pool(pool_jobs, list(set_up_features(catalog, pool_jobs)))
+        raws = list(set_up_features(catalog, test_jobs))
+        test = build_test_set(config, projectors, test_jobs, raws)
+        observations, labels = flat_test_set(config, projectors, test_jobs, raws)
+        for action in config.actions:
+            block, block_labels = new_object_slice(config, test, action)
+            want, want_labels = mask_and_filter_slice(config, observations, labels, action)
+            assert block_labels.dtype == want_labels.dtype
+            assert block_labels.tobytes() == want_labels.tobytes()
+            assert len(block) == len(want) and block.modalities == want.modalities
+            for mod in want.modalities:
+                assert block.matrix(mod).tobytes() == want.matrix(mod).tobytes()
+
+
+def flat_test_set(config, projectors, jobs, raws):
+    """Reference: the held-out set as flat per-action lists of observations
+    in job order, with one label array per action."""
+    observations = {a: [] for a in config.actions}
+    labels = {a: [] for a in config.actions}
+    for (action_id, obj, _), raw in zip(jobs, raws):
+        observations[action_id].append(
+            observation_from_raw(raw, action_id, projectors[action_id], obj)
+        )
+        labels[action_id].append(obj)
+    return observations, {a: np.array(labs) for a, labs in labels.items()}
+
+
+def mask_and_filter_slice(config, observations, labels, action_id):
+    """Reference: the new objects' test observations cut from the flat
+    lists by an ``np.isin`` mask over the labels."""
+    labels = labels[action_id]
+    mask = np.isin(labels, list(config.new_objects))
+    obs = [o for o, m in zip(observations[action_id], mask) if m]
+    return ObservationBlock.of(obs), labels[mask]
 
 
 def assert_same(a, b, where="assets"):
@@ -387,7 +433,7 @@ class TestSetup:
         assert not multiprocessing.active_children()
         assert (prior is None) == (not prior_objects)
         if prior is not None:
-            assert [len(g) for g in prior.instances["S1"].values()] == [15] * 3
+            assert [len(g) for g in prior.blocks["S1"].values()] == [15] * 3
             assert list(prior.models) == list(config.actions)
         objects = len(prior_objects) + len(config.new_objects)
         assert test.size() == objects * (20 + 20 + 10)
@@ -857,16 +903,19 @@ class TestEvaluator:
 
         from conftest import force_obs
 
-        obs = [force_obs(v) for v in (-1.0, -0.8, 0.9, 1.2, 0.1, 5.0)]
-        labels = np.array([11, 11, 12, 12, 11, 13])
+        values = {11: [-1.0, -0.8, 0.1], 12: [0.9, 1.2], 13: [5.0]}
+        per_action = {"P2": values, "C1": {obj: vs[::-1] for obj, vs in values.items()}}
         test = assets.TestSet(
-            {"P2": obs, "C1": obs[::-1]}, {"P2": labels, "C1": labels[::-1]}
+            {
+                action: as_blocks({obj: [force_obs(v) for v in vs] for obj, vs in groups.items()})
+                for action, groups in per_action.items()
+            }
         )
-        config = SimpleNamespace(new_objects=(11, 12), actions=("P2", "C1"))
+        config = SimpleNamespace(new_objects=(12, 11), actions=("P2", "C1"))
         evaluate = make_evaluator(config, test)
 
         kernel = CombinedKernel(((Modality.FORCE, RbfKernel(1.0, 1.0)),), np.ones(1))
-        model = ova_fit(kernel, obs[:4], labels[:4])
+        model = ova_fit(kernel, [force_obs(v) for v in (-1.0, -0.8, 0.9, 1.2)], [11, 11, 12, 12])
         predicted = []
         real = assets.ova_predict_proba
         monkeypatch.setattr(
@@ -874,7 +923,9 @@ class TestEvaluator:
         )
         for action_id in config.actions:
             slice_obs, slice_labels = assets.new_object_slice(config, test, action_id)
-            assert list(slice_labels) == [lab for lab in test.labels[action_id] if lab != 13]
+            assert list(slice_labels) == [12, 12, 11, 11, 11]
+            rows = [v for obj in config.new_objects for v in per_action[action_id][obj]]
+            assert list(slice_obs.matrix(Modality.FORCE)[:, 0]) == rows
             assert evaluate(action_id, model) == assets.accuracy(model, slice_obs, slice_labels)
         # No cache: every call predicts its model's slice.
         assert evaluate("P2", model) == evaluate("P2", model)
@@ -1085,6 +1136,17 @@ class TestCli:
         summary = json.loads((out / "testset_summary.json").read_text())
         # 8 objects x (20 for P2 + 10 for C1)
         assert summary["total_samples"] == 8 * 30
+        assert {a: s["total"] for a, s in summary["per_action"].items()} == {
+            "P2": 8 * 20, "C1": 8 * 10
+        }
+
+    @pytest.mark.parametrize("flag", [["--mode", "no_transfer"], ["--seed-offset", "3"]])
+    def test_testset_takes_no_run_flags(self, tmp_path, flag):
+        """The held-out set depends on neither the mode nor the seeds."""
+        path = self.write_config(tmp_path, seeds=[1], budget=1)
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(["testset", str(path), "--out", str(tmp_path / "ts"), *flag])
+        assert exit_info.value.code == 2
 
     def test_gen_groups(self, tmp_path):
         path = self.write_config(tmp_path, prior_objects=[1, 2, 3, 4, 5, 6])

@@ -8,6 +8,7 @@ from tactilab.features import Modality
 from tactilab.kernels import (
     CombinedKernel,
     DependentKernel,
+    ObservationBlock,
     RbfKernel,
     combined_eval,
     cross_gram,
@@ -133,7 +134,7 @@ class TestGram:
         rng = np.random.default_rng(1)
         obs = random_two_part_obs(rng, 5)
         obs.append(obs[2])
-        k = median_heuristic(obs, (Modality.FORCE, Modality.THERMAL))
+        k = median_heuristic(ObservationBlock.of(obs), (Modality.FORCE, Modality.THERMAL))
         out = gram(k, obs)
         assert np.array_equal(out[2], out[5])
 

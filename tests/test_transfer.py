@@ -27,7 +27,7 @@ from tactilab.transfer import (
     select_prior_by_prediction,
 )
 
-from conftest import force_obs, record_searches, two_part_obs
+from conftest import as_blocks, force_obs, record_searches, two_part_obs
 
 ACTION = "P"
 
@@ -40,9 +40,13 @@ def force_kernel(ls=0.5, sv=2.0):
     return CombinedKernel(((Modality.FORCE, RbfKernel(ls, sv)),), np.array([1.0]))
 
 
+def prior_instances(rng, centers={1: -4.0, 2: 0.0, 3: 4.0}, per_object=12, action=ACTION):
+    return {action: {obj: cluster(rng, c, per_object, object_id=obj) for obj, c in centers.items()}}
+
+
 def make_prior(rng, centers={1: -4.0, 2: 0.0, 3: 4.0}, per_object=12, action=ACTION):
-    instances = {action: {obj: cluster(rng, c, per_object, object_id=obj) for obj, c in centers.items()}}
-    return fit_prior_knowledge(instances, restarts=1, rng=rng)
+    instances = prior_instances(rng, centers, per_object, action)
+    return fit_prior_knowledge(as_blocks(instances), restarts=1, rng=rng)
 
 
 @pytest.fixture(scope="module")
@@ -98,7 +102,7 @@ class TestSelectByOptimization:
         for seed in range(20):
             rng = np.random.default_rng(300 + seed)
             instances = {ACTION: {1: cluster(rng, 0.0, 30, object_id=1)}}
-            prior = fit_prior_knowledge(instances, restarts=1, rng=rng)
+            prior = fit_prior_knowledge(as_blocks(instances), restarts=1, rng=rng)
             X_new = cluster(rng, 0.0, 30)
             decision = select_prior_by_optimization(
                 prior, ACTION, X_new, 0.6, new_object_id=11, rng=rng
@@ -110,7 +114,7 @@ class TestSelectByOptimization:
     def test_below_threshold_gives_none(self):
         rng = np.random.default_rng(9)
         instances = {ACTION: {1: cluster(rng, 0.0, 10, object_id=1)}}
-        prior = fit_prior_knowledge(instances, restarts=1, rng=rng)
+        prior = fit_prior_knowledge(as_blocks(instances), restarts=1, rng=rng)
         decision = select_prior_by_optimization(
             prior, ACTION, cluster(rng, 80.0, 10), 0.99, new_object_id=11, rng=rng
         )
@@ -122,7 +126,7 @@ class TestSelectByOptimization:
         # contract (completion, range) is asserted.
         rng = np.random.default_rng(10)
         instances = {ACTION: {1: cluster(rng, 0.0, 15, object_id=1)}}
-        prior = fit_prior_knowledge(instances, restarts=1, rng=rng)
+        prior = fit_prior_knowledge(as_blocks(instances), restarts=1, rng=rng)
         decision = select_prior_by_optimization(
             prior, ACTION, [force_obs(0.1)], 0.6, new_object_id=11, rng=rng
         )
@@ -148,13 +152,15 @@ class TestSearchSettings:
     def test_prior_models(self, monkeypatch):
         calls = record_searches(monkeypatch, transfer)
         rng = np.random.default_rng(20)
-        fit_prior_knowledge(self.two_part_instances(rng, (1, 2, 3)), restarts=2, rng=rng)
-        fit_prior_knowledge(self.two_part_instances(rng, (1,)), restarts=2, rng=rng)
+        for objects in ((1, 2, 3), (1,)):
+            instances = as_blocks(self.two_part_instances(rng, objects))
+            fit_prior_knowledge(instances, restarts=2, rng=rng)
         assert calls == [(4, True, False, None, (0.5, 0.5)), (3, True, False, None, (0.5, 0.5))]
 
     def test_rho_selection(self, monkeypatch):
         rng = np.random.default_rng(21)
-        prior = fit_prior_knowledge(self.two_part_instances(rng, (1, 2)), restarts=1, rng=rng)
+        instances = as_blocks(self.two_part_instances(rng, (1, 2)))
+        prior = fit_prior_knowledge(instances, restarts=1, rng=rng)
         calls = record_searches(monkeypatch, transfer)
         X_new = self.two_part_instances(rng, (2,))[ACTION][2]
         select_prior_by_optimization(prior, ACTION, X_new, 0.6, rng=rng)
@@ -220,9 +226,9 @@ class TestFitDependentGpc:
 
 
 def new_groups(rng, centers={11: -4.0, 12: 0.1, 13: 7.0}, n=3):
-    return {
-        ACTION: {obj: cluster(rng, c, n, object_id=obj) for obj, c in centers.items()}
-    }
+    return as_blocks(
+        {ACTION: {obj: cluster(rng, c, n, object_id=obj) for obj, c in centers.items()}}
+    )
 
 
 class TestBuildModels:
@@ -233,7 +239,7 @@ class TestBuildModels:
             None, groups, rng=np.random.default_rng(77)
         )
         models_b, kernels_b, decisions_b = build_new_observation_models(
-            PriorKnowledge({}, {}, {}, {}), groups, rng=np.random.default_rng(77)
+            PriorKnowledge({}, {}, {}), groups, rng=np.random.default_rng(77)
         )
         assert decisions_a == [] and decisions_b == []
         queries = [force_obs(v) for v in (-4.0, 0.0, 7.0)]
@@ -248,7 +254,8 @@ class TestBuildModels:
         instances, the class's group, then the other groups in object order,
         with their labels, split and rho."""
         rng = np.random.default_rng(16)
-        prior = make_prior(rng)
+        instances = prior_instances(rng)[ACTION]
+        prior = fit_prior_knowledge(as_blocks({ACTION: instances}), restarts=1, rng=rng)
         groups = {
             11: cluster(rng, -4.0, 3, object_id=11),
             12: cluster(rng, 0.0, 2, object_id=12),
@@ -262,14 +269,14 @@ class TestBuildModels:
             lambda sets, *args, **kwargs: searched.append(sets) or real(sets, *args, **kwargs),
         )
         _, _, decisions = build_action_models(
-            prior, ACTION, groups, method=method, rng=np.random.default_rng(3)
+            prior, ACTION, as_blocks(groups), method=method, rng=np.random.default_rng(3)
         )
         if method is SelectionMethod.MODEL_PREDICTION:
             assert any(d.selected_old_id is not None for d in decisions)
         for obj, s, decision in zip(sorted(groups), searched[-1], decisions):
             old = []
             if decision.selected_old_id is not None:
-                old = list(prior.instances[ACTION][decision.selected_old_id])
+                old = instances[decision.selected_old_id]
             rest = [o for other in sorted(groups) if other != obj for o in groups[other]]
             want = ObservationBlock.of(old + groups[obj] + rest)
             assert s.X.modalities == want.modalities
@@ -280,29 +287,40 @@ class TestBuildModels:
 
     @pytest.mark.parametrize("method", list(SelectionMethod))
     def test_old_objects_are_stacked_once(self, monkeypatch, method):
-        """The prior holds each old object's instances as one block, bit for
-        bit their rows; model builds read those blocks and stack no prior
-        instances again."""
+        """The prior holds each old object's block as given, in object
+        order, bit for bit its instances' rows; model builds join those
+        blocks and stack nothing from observations again."""
         rng = np.random.default_rng(16)
-        prior = make_prior(rng)
+        instances = prior_instances(rng)[ACTION]
+        given = as_blocks(instances)
+        prior = fit_prior_knowledge({ACTION: given}, restarts=1, rng=rng)
         stored = prior.blocks[ACTION]
-        assert list(stored) == list(prior.instances[ACTION])
+        assert list(stored) == sorted(instances)
         for obj, block in stored.items():
-            want = ObservationBlock.of(list(prior.instances[ACTION][obj]))
+            assert block is given[obj]
+            want = ObservationBlock.of(instances[obj])
             assert np.array_equal(block.matrix(Modality.FORCE), want.matrix(Modality.FORCE))
+        groups = as_blocks(
+            {11: cluster(rng, -4.0, 3, object_id=11), 12: cluster(rng, 0.0, 2, object_id=12)}
+        )
         stacked, real_of = [], ObservationBlock.of.__func__
+        joined, real_concat = [], ObservationBlock.concat.__func__
         monkeypatch.setattr(
             ObservationBlock, "of", classmethod(lambda cls, X: stacked.append(X) or real_of(cls, X))
         )
-        groups = {11: cluster(rng, -4.0, 3, object_id=11), 12: cluster(rng, 0.0, 2, object_id=12)}
+
+        def concat(cls, blocks):
+            joined.append(list(blocks))
+            return real_concat(cls, blocks)
+
+        monkeypatch.setattr(ObservationBlock, "concat", classmethod(concat))
         _, _, decisions = build_action_models(
             prior, ACTION, groups, method=method, rng=np.random.default_rng(3)
         )
         selected = {d.selected_old_id for d in decisions} - {None}
         assert selected
-        assert all(any(X is stored[obj] for X in stacked) for obj in selected)
-        instances = prior.instances[ACTION].values()
-        assert not any(X is obs for X in stacked for obs in instances)
+        assert all(any(X is stored[obj] for blocks in joined for X in blocks) for obj in selected)
+        assert all(isinstance(X, ObservationBlock) or len(X) == 0 for X in stacked)
 
     def test_audit_log_shape(self, prior):
         rng = np.random.default_rng(14)
@@ -330,12 +348,14 @@ class TestBuildModels:
 
     def test_none_decision_bitwise_equal_to_no_transfer(self, prior):
         rng = np.random.default_rng(15)
-        groups = {
-            ACTION: {
-                11: cluster(rng, 40.0, 3, object_id=11),
-                12: cluster(rng, 50.0, 3, object_id=12),
+        groups = as_blocks(
+            {
+                ACTION: {
+                    11: cluster(rng, 40.0, 3, object_id=11),
+                    12: cluster(rng, 50.0, 3, object_id=12),
+                }
             }
-        }
+        )
         models_t, _, decisions = build_new_observation_models(
             prior, groups, rng=np.random.default_rng(99)
         )
@@ -366,22 +386,25 @@ class TestBuildModels:
         assert non_none / total <= 0.10
 
     def test_prior_instances_read_only(self, prior):
+        """Every matrix of the prior's blocks is read-only, and a model build
+        leaves them as they were."""
         snapshot = {
-            action: {obj: [o.vector().copy() for o in obs] for obj, obs in groups.items()}
-            for action, groups in prior.instances.items()
+            (action, obj): {mod: block.matrix(mod).copy() for mod in block.modalities}
+            for action, groups in prior.blocks.items()
+            for obj, block in groups.items()
         }
         rng = np.random.default_rng(16)
         groups = new_groups(rng)
         build_new_observation_models(prior, groups, rng=np.random.default_rng(1))
-        for action, obj_groups in prior.instances.items():
-            for obj, obs_list in obj_groups.items():
-                assert isinstance(obs_list, tuple)
-                for obs, saved in zip(obs_list, snapshot[action][obj]):
-                    assert np.array_equal(obs.vector(), saved)
+        for action, obj_groups in prior.blocks.items():
+            for obj, block in obj_groups.items():
+                for mod, saved in snapshot[action, obj].items():
+                    assert not block.matrix(mod).flags.writeable
+                    assert np.array_equal(block.matrix(mod), saved)
 
     def test_missing_group_observation_rejected(self, prior):
         with pytest.raises(ParameterError):
-            build_action_models(prior, ACTION, {11: []})
+            build_action_models(prior, ACTION, as_blocks({11: []}))
 
 
 class TestTransferDecision:
