@@ -5,12 +5,12 @@ knowledge update with a no-improvement stopping rule."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
 from .errors import ParameterError, StateError
-from .features import FeatureObservation
 from .gp import OvaGpcModel, ova_predict_groups
 from .kernels import CombinedKernel, ObservationBlock
 from .seeding import EXPLORE_NS, INIT_NS, TRAIN_NS, derive_rng, derive_seed
@@ -29,8 +29,9 @@ PROB_FLOOR = 1e-9
 STOP_WINDOW = 10
 STOP_DELTA = 0.005  # half a percentage point
 
-Simulator = Callable[[int, str, int], object]  # (object_id, action_id, seed) -> trace
-Extractor = Callable[[object, str, int], FeatureObservation]
+#: ``observe(jobs)``: the observations of (action id, object id, seed) jobs,
+#: one block per (action, object), as ``assets.observe`` bound to a run.
+Observe = Callable[[Sequence[tuple[str, int, int]]], dict[str, dict[int, ObservationBlock]]]
 
 
 def posterior_entropy(probs: Sequence[float]) -> float:
@@ -91,28 +92,21 @@ class ExplorationState:
 def initialize_state(
     new_object_ids: Sequence[int],
     action_ids: Sequence[str],
-    simulator: Simulator,
-    extractor: Extractor,
+    observe: Observe,
     seed_root: int,
     eps_explore: float = 0.3,
 ) -> ExplorationState:
     """Initial data collection: one observation per (action, object)."""
     if not (0.0 <= eps_explore <= 1.0):
         raise ParameterError("eps_explore must lie in [0, 1]")
-    observations: dict[str, dict[int, ObservationBlock]] = {}
-    idx = 0
-    for action_id in action_ids:
-        groups: dict[int, ObservationBlock] = {}
-        for obj in new_object_ids:
-            seed = derive_seed(seed_root, INIT_NS, idx)
-            idx += 1
-            trace = simulator(obj, action_id, seed)
-            groups[obj] = ObservationBlock.of([extractor(trace, action_id, obj)])
-        observations[action_id] = groups
+    jobs = [
+        (action_id, obj, derive_seed(seed_root, INIT_NS, idx))
+        for idx, (action_id, obj) in enumerate(product(action_ids, new_object_ids))
+    ]
     state = ExplorationState(
         new_object_ids=tuple(new_object_ids),
         action_ids=tuple(action_ids),
-        observations=observations,
+        observations=observe(jobs),
         seed_root=seed_root,
         eps_explore=eps_explore,
         explore_rng=derive_rng(seed_root, EXPLORE_NS),
@@ -169,23 +163,20 @@ def select_next(
 
 
 def acquire(
-    state: ExplorationState,
-    object_id: int,
-    action_id: str,
-    simulator: Simulator,
-    extractor: Extractor,
-) -> FeatureObservation:
-    """Execute one action on one object and append the new observation to
-    its group's block."""
+    state: ExplorationState, object_id: int, action_id: str, observe: Observe
+) -> ObservationBlock:
+    """Execute one action on one object, append the new observation to its
+    group's block and return it as a one-row block."""
     if object_id not in state.new_object_ids:
         raise StateError(f"object {object_id} is not in the new-object set")
+    if action_id not in state.action_ids:
+        raise StateError(f"action {action_id!r} is not in the action set")
     seed = derive_seed(state.seed_root, TRAIN_NS, state.iteration)
-    trace = simulator(object_id, action_id, seed)
-    obs = extractor(trace, action_id, object_id)
+    row = observe([(action_id, object_id, seed)])[action_id][object_id]
     groups = state.observations[action_id]
-    groups[object_id] = ObservationBlock.concat([groups[object_id], ObservationBlock.of([obs])])
+    groups[object_id] = ObservationBlock.concat([groups[object_id], row])
     state.iteration += 1
-    return obs
+    return row
 
 
 def update_knowledge(
@@ -242,8 +233,7 @@ def run_loop(
     prior: Optional[PriorKnowledge],
     budget: int,
     evaluate: Callable[[str, OvaGpcModel], float],
-    simulator: Simulator,
-    extractor: Extractor,
+    observe: Observe,
     thresholds: TransferThresholds = TransferThresholds(),
     method: SelectionMethod = SelectionMethod.MODEL_PREDICTION,
     stop_window: Optional[int] = None,
@@ -272,7 +262,7 @@ def run_loop(
             state.action_ids, fresh.object_ids, np.array([rows[a] for a in state.action_ids])
         )
         obj, act, branch, _ = _draw(table, state.eps_explore, state.explore_rng)
-        acquire(state, obj, act, simulator, extractor)
+        acquire(state, obj, act, observe)
         _, decisions = update_knowledge(state, act, prior, thresholds, method, rng=opt_rng)
         del rows[act]
         accs.pop(act, None)

@@ -1,6 +1,7 @@
 """What every trial of a run shares: the set-up's trace jobs and their raw
 features, the thermal projectors, the prior knowledge, the held-out test set
-and the accuracy evaluator over it."""
+and the accuracy evaluator over it; and the one path from trace jobs to
+observations, which set-up, the trials and the ablation all take."""
 
 from __future__ import annotations
 
@@ -15,6 +16,7 @@ import numpy as np
 from .config import ExperimentConfig
 from .errors import ConfigError, InsufficientDataError
 from .features import (
+    FeatureObservation,
     RawFeatures,
     ThermalProjector,
     fit_projector,
@@ -28,7 +30,6 @@ from .signals import (
     STANDARD_ACTIONS,
     ActionKind,
     Catalog,
-    simulate,
     simulate_stack,
     trace_nbytes,
 )
@@ -52,20 +53,7 @@ def check_catalog_objects(config: ExperimentConfig, catalog: Catalog) -> None:
         raise ConfigError(f"object id(s) {missing} not present in catalog")
 
 
-def _make_simulator(catalog: Catalog):
-    def simulator(object_id: int, action_id: str, seed: int):
-        return simulate(
-            catalog.by_id(object_id),
-            STANDARD_ACTIONS[action_id],
-            seed,
-            catalog.skin,
-            catalog.noise,
-        )
-
-    return simulator
-
-
-#: One simulated trace of set-up: (action id, object id, seed).
+#: One simulated trace, of set-up or of a trial: (action id, object id, seed).
 TraceJob = tuple[str, int, int]
 
 
@@ -123,7 +111,7 @@ def job_batches(catalog: Catalog, jobs: Sequence[TraceJob]) -> list[list[TraceJo
 
 
 def batch_features(catalog: Catalog, batch: Sequence[TraceJob]) -> list[RawFeatures]:
-    """Simulate one batch of set-up traces as one stack and reduce each to
+    """Simulate one batch of trace jobs as one stack and reduce each to
     its raw features: bit for bit what each trace gives alone."""
     stack = simulate_stack(
         [catalog.by_id(obj) for _, obj, _ in batch],
@@ -175,23 +163,44 @@ def build_prior(
     projectors = fit_projectors_from_pool(jobs, raws)
     if not config.prior_objects:
         return None, projectors
-    groups = _observation_groups(projectors, jobs, raws)
+    groups = observation_groups(jobs, job_observations(projectors, jobs, raws))
     prior = fit_prior_knowledge(groups, restarts=INIT_RESTARTS, rng=derive_rng(OPT_NS, PRIOR_NS))
     return prior, projectors
 
 
-def _observation_groups(
+def job_observations(
     projectors: Mapping[str, ThermalProjector],
     jobs: Sequence[TraceJob],
     features: Iterable[RawFeatures],
+) -> list[FeatureObservation]:
+    """Each job's observation, from its raw features, in job order. Takes
+    ``len(jobs)`` items of ``features``, no more."""
+    return [
+        observation_from_raw(raw, action_id, projectors[action_id], obj)
+        for (action_id, obj, _), raw in zip(jobs, features)
+    ]
+
+
+def observation_groups(
+    jobs: Sequence[TraceJob], observations: Sequence[FeatureObservation]
 ) -> dict[str, dict[int, ObservationBlock]]:
-    """Each job's observation, from its raw features, in one block per
-    (action, object): actions and objects in job order, rows in job order."""
+    """The jobs' observations in one block per (action, object): actions and
+    objects in job order, rows in job order."""
     groups: dict[str, dict[int, list]] = {}
-    for (action_id, obj, _), raw in zip(jobs, features):
-        obs = observation_from_raw(raw, action_id, projectors[action_id], obj)
+    for (action_id, obj, _), obs in zip(jobs, observations):
         groups.setdefault(action_id, {}).setdefault(obj, []).append(obs)
     return {a: {obj: ObservationBlock.of(obs) for obj, obs in g.items()} for a, g in groups.items()}
+
+
+def observe(
+    catalog: Catalog, projectors: Mapping[str, ThermalProjector], jobs: Sequence[TraceJob]
+) -> dict[str, dict[int, ObservationBlock]]:
+    """The observations of ``jobs``, one block per (action, object): simulated
+    and reduced in set-up's batches, bit for bit what each trace gives
+    alone. A trial binds the run's catalog and projectors."""
+    return observation_groups(
+        jobs, job_observations(projectors, jobs, set_up_features(catalog, jobs))
+    )
 
 
 @dataclass
@@ -218,7 +227,7 @@ def build_test_set(
     """Held-out observations, grouped by action and object. ``jobs`` is
     ``held_out_jobs(config)``; the first ``len(jobs)`` items of ``features``
     are their raw features."""
-    return TestSet(_observation_groups(projectors, jobs, features))
+    return TestSet(observation_groups(jobs, job_observations(projectors, jobs, features)))
 
 
 def new_object_slice(

@@ -228,7 +228,6 @@ class ThermalProjector:
     mean_vector: np.ndarray
     basis: np.ndarray  # (THERMAL_DIM, source_dim), orthonormal rows
     source_dim: int
-    resample_len: int = THERMAL_RESAMPLE_LEN
     explained_variance: Optional[np.ndarray] = None
 
     def __post_init__(self):
@@ -238,15 +237,16 @@ class ThermalProjector:
             )
 
 
-def _thermal_raws(temps: Optional[np.ndarray], resample_len: int) -> np.ndarray:
+def _thermal_raws(temps: Optional[np.ndarray]) -> np.ndarray:
     """Each trace's resampled [mean-temperature, gradient] feature, of length
-    2*resample_len, from a (k, n_temp, M) stack: one row per trace."""
+    2*THERMAL_RESAMPLE_LEN, from a (k, n_temp, M) stack: one row per trace."""
     if temps is None:
         raise ModalityError("trace has no temperature channels")
+    n = THERMAL_RESAMPLE_LEN
     mean_seqs = np.mean(temps, axis=1)
-    src, dst = _unit_grid(mean_seqs.shape[1]), _unit_grid(resample_len)
-    raw = np.empty((len(mean_seqs), 2 * resample_len))
-    resampled, grad = raw[:, :resample_len], raw[:, resample_len:]
+    src, dst = _unit_grid(mean_seqs.shape[1]), _unit_grid(n)
+    raw = np.empty((len(mean_seqs), 2 * n))
+    resampled, grad = raw[:, :n], raw[:, n:]
     for row, mean_seq in zip(resampled, mean_seqs):
         row[:] = np.interp(dst, src, mean_seq)
     # np.gradient at unit spacing: central differences inside, one-sided ends.
@@ -264,9 +264,7 @@ def _unit_grid(n: int) -> np.ndarray:
     return grid
 
 
-def fit_projector(
-    raw: np.ndarray, resample_len: int = THERMAL_RESAMPLE_LEN
-) -> ThermalProjector:
+def fit_projector(raw: np.ndarray) -> ThermalProjector:
     """Fit the top-10 principal directions of stacked [T, grad T] features,
     one row per trace (as ``_thermal_raws`` gives them)."""
     if len(raw) < THERMAL_DIM + 1:
@@ -283,7 +281,6 @@ def fit_projector(
         mean_vector=mean,
         basis=vt[:THERMAL_DIM].copy(),  # a view would keep all of vt alive
         source_dim=mean.size,
-        resample_len=resample_len,
         explained_variance=explained,
     )
 
@@ -307,22 +304,14 @@ class RawFeatures:
     thermal: np.ndarray
 
 
-def raw_features(trace: SensorTrace, resample_len: int = THERMAL_RESAMPLE_LEN) -> RawFeatures:
-    """Reduce a trace to its lead segment and raw thermal feature: the
-    one-item case of ``raw_features_stack``."""
-    return raw_features_stack(TraceStack.of(trace), resample_len)[0]
-
-
-def raw_features_stack(
-    stack: TraceStack, resample_len: int = THERMAL_RESAMPLE_LEN
-) -> list[RawFeatures]:
+def raw_features_stack(stack: TraceStack) -> list[RawFeatures]:
     """Each trace of the stack reduced to its raw features, bit for bit as
     if reduced alone. The first trace that fails raises its own error."""
     if stack.kind is ActionKind.SLIDING:
         leads = [(Modality.TEXTURE, vec) for vec in _textures(stack.accels)]
     else:
         leads = [(Modality.FORCE, vec) for vec in _stiffnesses(stack.forces)[:, None]]
-    thermal = _thermal_raws(stack.temps, resample_len)
+    thermal = _thermal_raws(stack.temps)
     return [RawFeatures(lead, raw) for lead, raw in zip(leads, thermal)]
 
 
@@ -332,17 +321,7 @@ def observation_from_raw(
     projector: ThermalProjector,
     object_id: Optional[int] = None,
 ) -> FeatureObservation:
-    """The feature observation of a trace reduced by ``raw_features``."""
+    """The feature observation of a trace reduced by ``raw_features_stack``."""
     thermal = (Modality.THERMAL, project_thermal(raw.thermal, projector))
     return FeatureObservation(action_id, (raw.lead, thermal), object_id)
 
-
-def build_observation(
-    trace: SensorTrace,
-    action_id: str,
-    projector: ThermalProjector,
-    object_id: Optional[int] = None,
-) -> FeatureObservation:
-    """Assemble the full feature observation for a trace."""
-    raw = raw_features(trace, projector.resample_len)
-    return observation_from_raw(raw, action_id, projector, object_id)

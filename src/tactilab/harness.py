@@ -19,21 +19,22 @@ from .active import STOP_WINDOW, initialize_state, run_loop
 from .assets import (
     TestSet,
     _action_index,
-    _make_simulator,
     accuracy,
     build_prior,
     build_test_set,
     check_catalog_objects,
     held_out_jobs,
+    job_observations,
     make_evaluator,
     new_object_slice,
+    observe,
     projector_pool_jobs,
     set_up_features,
 )
 from .blas import SingleThreadedBlas
 from .config import ExperimentConfig, Mode, _at_least, config_hash
 from .errors import TactilabError
-from .features import ThermalProjector, build_observation
+from .features import ThermalProjector
 from .gp import optimize_kernel_for_sets, ova_from_modes, ova_sets
 from .kernels import ObservationBlock, median_heuristic
 from .results import RunResult, TrialResult
@@ -107,16 +108,11 @@ def run_trial(
     seed: int,
     use_prior: bool,
 ) -> TrialResult:
-    simulator = _make_simulator(catalog)
-
-    def extractor(trace, action_id, object_id):
-        return build_observation(trace, action_id, projectors[action_id], object_id)
-
+    observe_trial = partial(observe, catalog, projectors)
     state = initialize_state(
         config.new_objects,
         config.actions,
-        simulator,
-        extractor,
+        observe_trial,
         seed_root=seed,
         eps_explore=config.epsilon_explore,
     )
@@ -133,8 +129,7 @@ def run_trial(
         prior_arg,
         config.budget,
         evaluate,
-        simulator,
-        extractor,
+        observe_trial,
         thresholds=config.thresholds,
         method=config.selection_method,
         stop_window=STOP_WINDOW if config.early_stop else None,
@@ -284,34 +279,26 @@ def run_ablation_seed(
     sizes, as variant -> TrialResult."""
     action_id = config.actions[0]
     a_idx = _action_index(action_id)
-    simulator = _make_simulator(catalog)
     new_ids = list(config.new_objects)
     sizes = list(config.ablation_sizes)
     max_per_class = -(-max(sizes) // len(new_ids))
     test_obs, test_labels = new_object_slice(config, test, action_id)
     variants = _ablation_variants(test_obs)
 
-    # (label, observation) with the classes in turn: the first ``size`` are
-    # the training set of that size.
-    samples = [
-        (
-            obj,
-            build_observation(
-                simulator(obj, action_id, derive_seed(seed, ABLATION_NS, a_idx, obj, k)),
-                action_id,
-                projectors[action_id],
-                obj,
-            ),
-        )
+    # The classes in turn: the first ``size`` samples are the training set of
+    # that size.
+    jobs = [
+        (action_id, obj, derive_seed(seed, ABLATION_NS, a_idx, obj, k))
         for k in range(max_per_class)
         for obj in new_ids
     ]
+    samples = job_observations(projectors, jobs, set_up_features(catalog, jobs))
     opt_rng = derive_rng(seed, ABLATION_NS, OPT_NS)
     curves: dict[str, list[float]] = {v: [] for v in variants}
     gamma_trace = []
     for size in sizes:
-        train = ObservationBlock.of([o for _, o in samples[:size]])
-        labels = [obj for obj, _ in samples[:size]]
+        train = ObservationBlock.of(samples[:size])
+        labels = [obj for _, obj, _ in jobs[:size]]
         sets = ova_sets(train, labels)
         start_kernel = median_heuristic(train, train.modalities)
         for variant, one_hot in variants.items():

@@ -371,16 +371,6 @@ def _symmetric(k: np.ndarray) -> np.ndarray:
     return 0.5 * (k + k.swapaxes(-1, -2))
 
 
-def cross_gram(kernel, X, Y) -> np.ndarray:
-    """Kernel matrix between two observation blocks or lists (rows: X, cols: Y)."""
-    return prediction_cross_stack([kernel], [X], [Y])[0]
-
-
-def gram(kernel, X) -> np.ndarray:
-    """Symmetric kernel matrix over one observation block or list."""
-    return training_gram(kernel, X)
-
-
 @dataclass(frozen=True)
 class DependentKernel:
     """Block kernel that scales old/new cross-covariance by a relatedness
@@ -413,35 +403,18 @@ def _dependent_from(
 
 
 def dependent_gram(kernel: DependentKernel, X_old, X_new) -> np.ndarray:
-    """[[K_oo, rho K_on], [rho K_no, K_nn]] over the pooled observations."""
-    if not (0.0 <= kernel.rho <= 1.0):
-        raise ParameterError(f"rho must lie in [0, 1], got {kernel.rho}")
+    """[[K_oo, rho K_on], [rho K_no, K_nn]] over the pooled observations:
+    the training gram of the joined block, split after ``X_old``."""
     layout = _layout(kernel.base)
     X_old, X_new = _block(layout, X_old), _block(layout, X_new)
-    if len(X_old) == 0:
-        return gram(kernel.base, X_new)
-    if len(X_new) == 0:
-        return gram(kernel.base, X_old)
-    return _dependent_from(
-        KernelStack.of([kernel]),
-        len(X_old),
-        len(X_new),
-        X_old.sqdist,
-        X_new.sqdist,
-        lambda mod: _sqdist(X_old.matrix(mod), X_new.matrix(mod)),
-    )[0]
+    return training_gram(kernel, ObservationBlock.concat([X_old, X_new]), len(X_old))
 
 
 def training_gram(kernel, X, n_old: int = 0) -> np.ndarray:
     """Gram over a training block whose first ``n_old`` rows are the
     transferred block (scaled cross-covariance for dependent kernels). The
     distances come from the block's memo."""
-    return training_grams([kernel], X, n_old)[0]
-
-
-def training_grams(kernels: Sequence, X, n_old: int = 0) -> np.ndarray:
-    """``training_gram`` of each kernel over one block, stacked (m, n, n)."""
-    return training_gram_stack(kernels, [X] * len(kernels), n_old)
+    return training_gram_stack([kernel], [X], n_old)[0]
 
 
 def training_gram_stack(kernels, blocks: Sequence, n_old: int = 0) -> np.ndarray:

@@ -21,8 +21,8 @@ from tactilab.active import (
 )
 from tactilab.errors import ParameterError, StateError
 from tactilab.features import FeatureObservation, Modality
+from tactilab.assets import observation_groups
 from tactilab.kernels import ObservationBlock
-from tactilab.signals import ActionKind, SensorTrace
 
 from conftest import force_obs
 from test_transfer import cluster, make_prior
@@ -31,23 +31,20 @@ ACTIONS = ("A1", "A2")
 OBJECTS = (11, 12, 13)
 
 
-def fake_simulator(object_id, action_id, seed):
-    # Deterministic 1-D "trace": the object id sets the level, the seed jitters it.
+def fake_observation(action_id, object_id, seed):
+    # Deterministic 1-D observation: the object id sets the level, the seed jitters it.
     rng = np.random.default_rng(seed)
     level = {11: -4.0, 12: 0.0, 13: 4.0}[object_id] + 0.2 * rng.standard_normal()
-    return SensorTrace(
-        np.full((1, 2), level), np.full((1, 2), 25.0), None, 100.0, ActionKind.PRESSING
-    )
+    return FeatureObservation(action_id, ((Modality.FORCE, np.array([level])),), object_id)
 
 
-def fake_extractor(trace, action_id, object_id):
-    return FeatureObservation(
-        action_id, ((Modality.FORCE, np.array([float(trace.forces[0, 0])])),), object_id
-    )
+def fake_observe(jobs):
+    """``observe`` over fake observations: one block per (action, object)."""
+    return observation_groups(jobs, [fake_observation(*job) for job in jobs])
 
 
 def fresh_state(seed=3, eps=0.3):
-    return initialize_state(OBJECTS, ACTIONS, fake_simulator, fake_extractor, seed, eps)
+    return initialize_state(OBJECTS, ACTIONS, fake_observe, seed, eps)
 
 
 def fit_state_models(state, prior=None, seed=42):
@@ -138,7 +135,7 @@ class TestUncertaintyTable:
     def test_matches_double_loop_oracle(self):
         state = fit_state_models(fresh_state(seed=9))
         for k in range(4):
-            acquire(state, OBJECTS[k % 3], ACTIONS[k % 2], fake_simulator, fake_extractor)
+            acquire(state, OBJECTS[k % 3], ACTIONS[k % 2], fake_observe)
         from tactilab.gp import ova_predict_proba
 
         table = uncertainty_table(state.models, state.observations)
@@ -200,9 +197,11 @@ class TestAcquire:
     def test_group_grows_by_one(self):
         state = fresh_state()
         before = len(state.observations["A1"][12])
-        obs = acquire(state, 12, "A1", fake_simulator, fake_extractor)
-        assert len(state.observations["A1"][12]) == before + 1
-        assert obs.action_id == "A1"
+        row = acquire(state, 12, "A1", fake_observe)
+        group = state.observations["A1"][12]
+        assert len(group) == before + 1
+        assert len(row) == 1 and row.modalities == (Modality.FORCE,)
+        assert group.matrix(Modality.FORCE)[-1:].tobytes() == row.matrix(Modality.FORCE).tobytes()
         assert state.iteration == 1
 
     def test_groups_hold_the_rows_of_their_observations(self):
@@ -210,14 +209,15 @@ class TestAcquire:
         rows of the block stacked from its observations as a list."""
         seen = {}
 
-        def extractor(trace, action_id, object_id):
-            obs = fake_extractor(trace, action_id, object_id)
-            seen.setdefault((action_id, object_id), []).append(obs)
-            return obs
+        def observe(jobs):
+            for action_id, object_id, seed in jobs:
+                obs = fake_observation(action_id, object_id, seed)
+                seen.setdefault((action_id, object_id), []).append(obs)
+            return fake_observe(jobs)
 
-        state = initialize_state(OBJECTS, ACTIONS, fake_simulator, extractor, 4)
+        state = initialize_state(OBJECTS, ACTIONS, observe, 4)
         for k in range(9):
-            acquire(state, OBJECTS[k % 3], ACTIONS[k % 2], fake_simulator, extractor)
+            acquire(state, OBJECTS[k % 3], ACTIONS[k % 2], observe)
         assert max(len(obs) for obs in seen.values()) > 2
         for (action, obj), observations in seen.items():
             block, want = state.observations[action][obj], ObservationBlock.of(observations)
@@ -230,21 +230,29 @@ class TestAcquire:
         a = fresh_state(seed=5)
         b = fresh_state(seed=5)
         for _ in range(3):
-            oa = acquire(a, 11, "A2", fake_simulator, fake_extractor)
-            ob = acquire(b, 11, "A2", fake_simulator, fake_extractor)
-            assert np.array_equal(oa.vector(), ob.vector())
+            oa = acquire(a, 11, "A2", fake_observe)
+            ob = acquire(b, 11, "A2", fake_observe)
+            assert np.array_equal(oa.matrix(Modality.FORCE), ob.matrix(Modality.FORCE))
 
     def test_unknown_object_rejected(self):
         state = fresh_state()
         with pytest.raises(StateError):
-            acquire(state, 99, "A1", fake_simulator, fake_extractor)
+            acquire(state, 99, "A1", fake_observe)
+
+    def test_unknown_action_rejected_before_observing(self):
+        state = fresh_state()
+        calls = []
+        with pytest.raises(StateError, match="'A9'"):
+            acquire(state, 11, "A9", lambda jobs: calls.append(jobs) or fake_observe(jobs))
+        assert calls == []
+        assert state.iteration == 0
 
 
 class TestUpdateKnowledge:
     def test_other_actions_untouched_bitwise(self):
         state = fit_state_models(fresh_state())
         untouched = state.models["A2"]
-        acquire(state, 11, "A1", fake_simulator, fake_extractor)
+        acquire(state, 11, "A1", fake_observe)
         update_knowledge(state, "A1", None, rng=np.random.default_rng(0))
         assert state.models["A2"] is untouched
         assert state.models["A1"] is not untouched
@@ -252,8 +260,8 @@ class TestUpdateKnowledge:
     def test_empty_prior_equals_plain_refit(self):
         state_a = fit_state_models(fresh_state(seed=21))
         state_b = fit_state_models(fresh_state(seed=21))
-        acquire(state_a, 12, "A1", fake_simulator, fake_extractor)
-        acquire(state_b, 12, "A1", fake_simulator, fake_extractor)
+        acquire(state_a, 12, "A1", fake_observe)
+        acquire(state_b, 12, "A1", fake_observe)
         update_knowledge(state_a, "A1", None, rng=np.random.default_rng(3))
         update_knowledge(state_b, "A1", None, rng=np.random.default_rng(3))
         from tactilab.gp import ova_predict_proba
@@ -273,7 +281,7 @@ class TestUpdateKnowledge:
             state = fit_state_models(fresh_state(seed=seed), prior=prior, seed=seed)
             selected = []
             for _ in range(6):
-                acquire(state, 12, "A1", fake_simulator, fake_extractor)
+                acquire(state, 12, "A1", fake_observe)
                 _, decisions = update_knowledge(
                     state, "A1", prior, rng=np.random.default_rng(seed)
                 )
@@ -302,7 +310,7 @@ class TestRunLoop:
         state = fit_state_models(fresh_state())
         models_before = dict(state.models)
         result = run_loop(
-            state, None, 0, constant_evaluator, fake_simulator, fake_extractor
+            state, None, 0, constant_evaluator, fake_observe
         )
         assert result.curve == []
         assert state.models == models_before
@@ -310,7 +318,7 @@ class TestRunLoop:
     def test_curve_length_bounded_by_budget(self):
         state = fit_state_models(fresh_state())
         result = run_loop(
-            state, None, 4, constant_evaluator, fake_simulator, fake_extractor
+            state, None, 4, constant_evaluator, fake_observe
         )
         assert len(result.curve) == 4
         assert len(result.records) == 4
@@ -322,8 +330,7 @@ class TestRunLoop:
             None,
             30,
             constant_evaluator,
-            fake_simulator,
-            fake_extractor,
+            fake_observe,
             stop_window=10,
         )
         assert result.stopped_early
@@ -355,7 +362,7 @@ class TestRunLoop:
         monkeypatch.setattr(active, "update_knowledge", update)
         state = fit_state_models(fresh_state(seed=9, eps=0.5))
         models = dict(state.models)
-        run_loop(state, None, 6, evaluate, fake_simulator, fake_extractor,
+        run_loop(state, None, 6, evaluate, fake_observe,
                  opt_rng=np.random.default_rng(5))
 
         expected = [("table", models[a]) for a in ACTIONS]
@@ -375,7 +382,7 @@ class TestRunLoop:
             for _ in range(budget):
                 table = uncertainty_table(state.models, state.observations)
                 obj, act, branch, _ = active._draw(table, state.eps_explore, state.explore_rng)
-                acquire(state, obj, act, fake_simulator, fake_extractor)
+                acquire(state, obj, act, fake_observe)
                 update_knowledge(state, act, None, rng=opt_rng)
                 acc = float(np.mean([level_score(a, state.models[a]) for a in state.action_ids]))
                 curve.append(acc)
@@ -388,7 +395,7 @@ class TestRunLoop:
 
         for seed in (9, 21):
             state = fit_state_models(fresh_state(seed=seed), seed=seed)
-            loop = run_loop(state, None, 8, level_score, fake_simulator, fake_extractor,
+            loop = run_loop(state, None, 8, level_score, fake_observe,
                             opt_rng=np.random.default_rng(seed))
             state = fit_state_models(fresh_state(seed=seed), seed=seed)
             curve, records = reference_loop(state, 8, np.random.default_rng(seed))
@@ -412,7 +419,7 @@ class TestRunLoop:
                 return float(ova_predict_proba(model, queries).max())
 
             result = run_loop(
-                state, None, 6, evaluate, fake_simulator, fake_extractor, opt_rng=rng
+                state, None, 6, evaluate, fake_observe, opt_rng=rng
             )
             curves.append(result.curve)
         assert curves[0] == curves[1]
@@ -420,7 +427,7 @@ class TestRunLoop:
     def test_records_carry_branch_and_gamma(self):
         state = fit_state_models(fresh_state(seed=8))
         result = run_loop(
-            state, None, 3, constant_evaluator, fake_simulator, fake_extractor
+            state, None, 3, constant_evaluator, fake_observe
         )
         for rec in result.records:
             assert rec.branch in ("explore", "exploit")

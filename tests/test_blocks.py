@@ -31,7 +31,6 @@ from tactilab.kernels import (
     project_simplex,
     training_gram,
     training_gram_stack,
-    training_grams,
 )
 
 from conftest import force_obs, two_part_obs
@@ -417,7 +416,7 @@ def indefinite_gram(rng, n, low=-8.0):
 
 
 class TestStackedLaplace:
-    """``training_grams`` and ``_laplace_modes`` against the single-kernel
+    """``training_gram_stack`` over one block and ``_laplace_modes`` against the single-kernel
     grams and the per-problem fit, with ``==`` / ``np.array_equal``."""
 
     @SETTINGS
@@ -430,11 +429,11 @@ class TestStackedLaplace:
         obs = random_observations(seed, n, 1.0)
         block = ObservationBlock.of(obs)
         bases = [combined(ls_f, ls_t, weights) for ls_f, ls_t, weights, _ in kernels]
-        for i, k in enumerate(training_grams(bases, block)):
+        for i, k in enumerate(training_gram_stack(bases, [block] * len(bases))):
             assert np.array_equal(k, ref_training_gram(bases[i], obs))
         dependent = [DependentKernel(b, rho) for b, (*_, rho) in zip(bases, kernels)]
         for n_old in split_points(n):
-            for i, k in enumerate(training_grams(dependent, block, n_old)):
+            for i, k in enumerate(training_gram_stack(dependent, [block] * len(dependent), n_old)):
                 assert np.array_equal(k, ref_training_gram(dependent[i], obs, n_old))
 
     @SETTINGS
@@ -462,7 +461,7 @@ class TestStackedLaplace:
             )
             for *lengths, weights in kernels
         ]
-        for i, k in enumerate(training_grams(bases, ObservationBlock.of(obs))):
+        for i, k in enumerate(training_gram_stack(bases, [ObservationBlock.of(obs)] * len(bases))):
             assert np.array_equal(k, ref_training_gram(bases[i], obs))
 
     @SETTINGS
@@ -603,7 +602,7 @@ class TestStackedLaplace:
 
 class TestStackedItems:
     """The stacked gram and prediction builders against their one-item
-    cases (``training_grams`` per set, ``gpc_predict_batch`` per class) and
+    cases (``training_gram`` per set, ``gpc_predict_batch`` per class) and
     the list-path references, with ``np.array_equal``."""
 
     def test_kernel_table_from_parameter_rows_matches_kernel_objects(self):
@@ -651,13 +650,13 @@ class TestStackedItems:
         which = [b for b, *_ in items]
         stack = training_gram_stack(bases, [blocks[b] for b in which])
         for k, base, b in zip(stack, bases, which):
-            assert np.array_equal(k, training_grams([base], blocks[b])[0])
+            assert np.array_equal(k, training_gram(base, blocks[b]))
             assert np.array_equal(k, ref_training_gram(base, observations[b]))
         dependent = [DependentKernel(base, rho) for base, (*_, rho) in zip(bases, items)]
         for n_old in split_points(n):
             stack = training_gram_stack(dependent, [blocks[b] for b in which], n_old)
             for k, kernel, b in zip(stack, dependent, which):
-                assert np.array_equal(k, training_grams([kernel], blocks[b], n_old)[0])
+                assert np.array_equal(k, training_gram(kernel, blocks[b], n_old))
                 assert np.array_equal(k, ref_training_gram(kernel, observations[b], n_old))
 
     @SETTINGS
@@ -713,7 +712,7 @@ class TestStackedItems:
                     else:
                         assert any(s.X is X and s.n_old == n_old and s.rho == rho for s in sets)
                     kernel = DependentKernel(kernel, rho)
-                assert np.array_equal(k, training_grams([kernel], X, n_old)[0])
+                assert np.array_equal(k, training_gram(kernel, X, n_old))
         for s, modes in zip(sets, got):
             for mode, alone in zip(modes, gp._solve_sets([s], bases, rhos)[0]):
                 if isinstance(alone, Exception):

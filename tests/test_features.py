@@ -17,14 +17,15 @@ from tactilab.features import (
     FeatureObservation,
     Modality,
     activity,
-    build_observation,
     complexity,
     extract_stiffness,
     extract_texture,
     fit_projector,
     linear_correlation,
     mobility,
+    observation_from_raw,
     project_thermal,
+    raw_features_stack,
     _thermal_raws,
 )
 from tactilab.signals import (
@@ -32,6 +33,7 @@ from tactilab.signals import (
     ActionKind,
     SensorTrace,
     SkinConfig,
+    TraceStack,
     pressing,
     simulate,
     sliding,
@@ -338,7 +340,7 @@ def constant_temp_trace(value, n=200, fs=100.0):
 
 def raw_thermal(traces):
     """The traces' raw [T, grad T] features, one row per trace."""
-    return _thermal_raws(np.stack([tr.temps for tr in traces]), THERMAL_RESAMPLE_LEN)
+    return _thermal_raws(np.stack([tr.temps for tr in traces]))
 
 
 def thermal_traces_for_fit(rng, count=20, n=150):
@@ -358,7 +360,7 @@ class TestThermalProjector:
         # in the temperature half of the feature.
         traces = [constant_temp_trace(25.0 + i * 0.5) for i in range(12)]
         proj = fit_projector(raw_thermal(traces))
-        direction = np.concatenate([np.ones(proj.resample_len), np.zeros(proj.resample_len)])
+        direction = np.concatenate([np.ones(THERMAL_RESAMPLE_LEN), np.zeros(THERMAL_RESAMPLE_LEN)])
         direction /= np.linalg.norm(direction)
         cosine = abs(float(proj.basis[0] @ direction))
         assert cosine > 0.999
@@ -424,6 +426,12 @@ class TestExtractThermal:
         assert np.allclose(project_thermal(raw, proj), oracle, atol=1e-12)
 
 
+def one_trace_observation(trace, action_id, projector, object_id=None):
+    """The observation of one trace: its raw features as a one-item stack."""
+    raw = raw_features_stack(TraceStack.of(trace))[0]
+    return observation_from_raw(raw, action_id, projector, object_id)
+
+
 class TestBuildObservation:
     def test_segmentation_per_action_kind(self, sample_catalog):
         rng = np.random.default_rng(3)
@@ -433,7 +441,7 @@ class TestBuildObservation:
             for s in range(1)
         ]
         proj = fit_projector(raw_thermal(press_traces))
-        obs = build_observation(press_traces[0], "P2", proj, object_id=1)
+        obs = one_trace_observation(press_traces[0], "P2", proj, object_id=1)
         assert obs.modalities == (Modality.FORCE, Modality.THERMAL)
         assert obs.segment(Modality.FORCE).shape == (1,)
         assert obs.segment(Modality.THERMAL).shape == (10,)
@@ -444,7 +452,7 @@ class TestBuildObservation:
             for s in range(1)
         ]
         proj_s = fit_projector(raw_thermal(slide_traces))
-        obs_s = build_observation(slide_traces[0], "S4", proj_s, object_id=1)
+        obs_s = one_trace_observation(slide_traces[0], "S4", proj_s, object_id=1)
         assert obs_s.modalities == (Modality.TEXTURE, Modality.THERMAL)
         assert obs_s.segment(Modality.TEXTURE).shape == (4,)
 

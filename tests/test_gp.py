@@ -37,10 +37,10 @@ from tactilab.kernels import (
     KernelStack,
     ObservationBlock,
     RbfKernel,
-    cross_gram,
-    gram,
     median_heuristic,
+    prediction_cross,
     project_simplex,
+    training_gram,
 )
 
 from conftest import force_obs, two_part_obs
@@ -57,9 +57,9 @@ def pts(*values):
 
 def gpr_dense_inverse_oracle(kernel, X, y, sigma2, x_star):
     """Textbook closed form via an explicit matrix inverse."""
-    k = gram(kernel, X)
+    k = training_gram(kernel, X)
     a_inv = np.linalg.inv(k + sigma2 * np.eye(len(X)))
-    k_star = cross_gram(kernel, X, [x_star])[:, 0]
+    k_star = prediction_cross(kernel, X, [x_star])[:, 0]
     k_ss = kernel.signal_variance if isinstance(kernel, RbfKernel) else None
     mean = float(k_star @ a_inv @ np.asarray(y))
     var = float(k_ss - k_star @ a_inv @ k_star + sigma2)
@@ -70,7 +70,7 @@ def gpc_quadrature_oracle(kernel, X, y, x_star, nodes=10):
     """Exact binary posterior by tensor Gauss-Hermite over the training
     latents plus a 1-D quadrature over the test latent."""
     n = len(X)
-    k = gram(kernel, X) + 1e-10 * np.eye(n)
+    k = training_gram(kernel, X) + 1e-10 * np.eye(n)
     chol = np.linalg.cholesky(k)
     gh_x, gh_w = np.polynomial.hermite.hermgauss(nodes)
     grids = np.meshgrid(*([gh_x] * n), indexing="ij")
@@ -81,7 +81,7 @@ def gpc_quadrature_oracle(kernel, X, y, x_star, nodes=10):
     h = chol @ (math.sqrt(2.0) * z)
     lik = np.prod(expit(np.asarray(y)[:, None] * h), axis=0)
 
-    k_star = cross_gram(kernel, X, [x_star])[:, 0]
+    k_star = prediction_cross(kernel, X, [x_star])[:, 0]
     a = np.linalg.solve(k, k_star)
     mu = a @ h
     var = max(float(kernel.signal_variance - k_star @ a), 0.0)

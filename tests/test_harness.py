@@ -36,7 +36,7 @@ from tactilab.harness import run_experiment
 from tactilab.kernels import ObservationBlock
 from tactilab.results import RunResult, TrialResult, write_report
 from tactilab.seeding import PRIOR_NS, TEST_NS, TRAIN_NS, derive_seed
-from tactilab.signals import load_catalog
+from tactilab.signals import STANDARD_ACTIONS, load_catalog, trace_nbytes
 
 from conftest import as_blocks, record_searches
 
@@ -444,19 +444,18 @@ class TestSetup:
     def test_in_process_set_up_holds_no_pool_of_traces(self):
         """Each trace is reduced to its features as it is simulated: set-up
         peaks below a quarter of the bytes of the prior pool's traces."""
-        from tactilab import assets, harness
+        from tactilab import harness
 
         config = parse_config(config_dict(
             catalog=str(tactilab.data_path("catalogs", "related_priors.json")),
             actions=["P2", "S4", "C1"],
             prior_samples_per_object=15,
         ))
-        simulator = assets._make_simulator(load_catalog(config.catalog_path()))
-        pool_bytes = 0
-        for action_id, obj, seed in projector_pool_jobs(config):
-            trace = simulator(obj, action_id, seed)
-            channels = (trace.forces, trace.temps, trace.accels)
-            pool_bytes += sum(c.nbytes for c in channels if c is not None)
+        skin = load_catalog(config.catalog_path()).skin
+        pool_bytes = sum(
+            trace_nbytes(STANDARD_ACTIONS[action_id], skin)
+            for action_id, _, _ in projector_pool_jobs(config)
+        )
         tracemalloc.start()
         try:
             harness.build_assets(config, 1)

@@ -11,12 +11,11 @@ from tactilab.kernels import (
     ObservationBlock,
     RbfKernel,
     combined_eval,
-    cross_gram,
     dependent_gram,
-    gram,
     median_heuristic,
     project_simplex,
     rbf_eval,
+    training_gram,
     uniform_combined,
 )
 
@@ -126,7 +125,7 @@ class TestCombined:
 class TestGram:
     def test_single_observation(self):
         k = uniform_combined(((Modality.FORCE, RbfKernel(1.0, 1.7)),))
-        out = gram(k, [force_obs(0.4)])
+        out = training_gram(k, [force_obs(0.4)])
         assert out.shape == (1, 1)
         assert out[0, 0] == pytest.approx(1.7, abs=1e-15)
 
@@ -135,7 +134,7 @@ class TestGram:
         obs = random_two_part_obs(rng, 5)
         obs.append(obs[2])
         k = median_heuristic(ObservationBlock.of(obs), (Modality.FORCE, Modality.THERMAL))
-        out = gram(k, obs)
+        out = training_gram(k, obs)
         assert np.array_equal(out[2], out[5])
 
     def test_random_gram_psd_by_eigen_oracle(self):
@@ -145,7 +144,7 @@ class TestGram:
             ((Modality.FORCE, RbfKernel(0.7, 1.0)), (Modality.THERMAL, RbfKernel(2.0, 1.0))),
             np.array([0.4, 0.6]),
         )
-        out = gram(k, obs)
+        out = training_gram(k, obs)
         assert np.max(np.abs(out - out.T)) < 1e-12
         assert np.linalg.eigvalsh(out).min() >= -1e-8
 
@@ -156,13 +155,13 @@ class TestGram:
             ((Modality.FORCE, RbfKernel(0.5, 2.0)), (Modality.THERMAL, RbfKernel(1.0, 3.0))),
             np.array([0.5, 0.5]),
         )
-        out = gram(k, obs)
+        out = training_gram(k, obs)
         assert np.max(out) <= 0.5 * 2.0 + 0.5 * 3.0 + 1e-12
 
     def test_raw_vector_gram(self):
         k = RbfKernel(1.0, 1.0)
         xs = [np.array([0.0]), np.array([1.0]), np.array([2.0])]
-        out = gram(k, xs)
+        out = training_gram(k, xs)
         assert out[0, 1] == pytest.approx(math.exp(-0.5), abs=1e-12)
         assert out[0, 2] == pytest.approx(math.exp(-2.0), abs=1e-12)
 
@@ -180,7 +179,7 @@ class TestDependentGram:
         old = random_two_part_obs(rng, 4)
         new = random_two_part_obs(rng, 3)
         k = self.make_kernel(1.0)
-        assert np.allclose(dependent_gram(k, old, new), gram(k.base, old + new), atol=1e-12)
+        assert np.allclose(dependent_gram(k, old, new), training_gram(k.base, old + new), atol=1e-12)
 
     def test_rho_zero_block_diagonal(self):
         rng = np.random.default_rng(5)

@@ -4,8 +4,10 @@ with ``tobytes()``, against one-trace references that keep the per-trace
 formulas (the simulator's draws and arithmetic, the scalar texture loop, the
 per-trace stiffness and thermal reductions)."""
 
+import dataclasses
 import math
-from itertools import chain
+from functools import partial
+from itertools import chain, product
 
 import numpy as np
 import pytest
@@ -13,11 +15,17 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import tactilab
+from tactilab import harness
+from tactilab.active import acquire, initialize_state
 from tactilab.assets import (
     BATCH_BYTES,
     batch_features,
+    build_test_set,
+    fit_projectors_from_pool,
     held_out_jobs,
     job_batches,
+    job_observations,
+    observe,
     projector_pool_jobs,
     set_up_features,
 )
@@ -26,12 +34,12 @@ from tactilab.errors import ParameterError, TactilabError
 from tactilab.features import (
     THERMAL_RESAMPLE_LEN,
     Modality,
-    build_observation,
     extract_texture,
     fit_projector,
-    raw_features,
+    observation_from_raw,
     raw_features_stack,
 )
+from tactilab.seeding import ABLATION_NS, INIT_NS, TRAIN_NS, derive_seed
 from tactilab.signals import (
     STANDARD_ACTIONS,
     ActionKind,
@@ -125,7 +133,8 @@ def raw_bytes(raw):
 def test_stack_matches_one_trace_references(catalog_name, action_id):
     """Every object of the catalog, two seeds each, as one stack: each trace
     and its raw features equal the one-trace references, and the one-item
-    calls (``simulate``, ``raw_features``) give the same bytes."""
+    calls (``simulate``, ``raw_features_stack`` of a one-trace stack) give the
+    same bytes."""
     catalog = load_catalog(tactilab.data_path("catalogs", f"{catalog_name}.json"))
     action = STANDARD_ACTIONS[action_id]
     lead = Modality.TEXTURE if action.kind is ActionKind.SLIDING else Modality.FORCE
@@ -140,7 +149,8 @@ def test_stack_matches_one_trace_references(catalog_name, action_id):
         alone = simulate(obj, action, seed, catalog.skin, catalog.noise)
         assert channel_bytes(stack.trace(i)) == channel_bytes(want) == channel_bytes(alone)
         expected = (lead, want_lead.tobytes(), want_thermal.tobytes())
-        assert raw_bytes(raws[i]) == raw_bytes(raw_features(alone)) == expected
+        alone_raw = raw_features_stack(TraceStack.of(alone))[0]
+        assert raw_bytes(raws[i]) == raw_bytes(alone_raw) == expected
 
 
 def test_one_seed_per_object(related_catalog):
@@ -148,22 +158,26 @@ def test_one_seed_per_object(related_catalog):
         simulate_stack(list(related_catalog)[:2], STANDARD_ACTIONS["P2"], [1])
 
 
+def small_config(**overrides):
+    raw = {
+        "schema_version": 1,
+        "catalog": str(tactilab.data_path("catalogs", "related_priors.json")),
+        "prior_objects": [1, 2, 3],
+        "new_objects": [11, 12],
+        "actions": ["P2", "S4", "C1"],
+        "seeds": [1],
+        "budget": 1,
+        "prior_samples_per_object": 5,
+        "test_samples_press_slide": 3,
+        "test_samples_static": 2,
+    }
+    raw.update(overrides)
+    return parse_config(raw)
+
+
 class TestJobBatches:
     def config(self, **overrides):
-        raw = {
-            "schema_version": 1,
-            "catalog": str(tactilab.data_path("catalogs", "related_priors.json")),
-            "prior_objects": [1, 2, 3],
-            "new_objects": [11, 12],
-            "actions": ["P2", "S4", "C1"],
-            "seeds": [1],
-            "budget": 1,
-            "prior_samples_per_object": 5,
-            "test_samples_press_slide": 3,
-            "test_samples_static": 2,
-        }
-        raw.update(overrides)
-        return parse_config(raw)
+        return small_config(**overrides)
 
     def test_batches_cut_at_the_byte_cap_and_cross_objects(self):
         config = self.config()
@@ -207,11 +221,86 @@ class TestJobBatches:
             for seed in (9, 10)
         ]
         projector = fit_projector(np.stack([reference_raw(t)[1] for t in traces]))
-        obs = build_observation(trace, "S2", projector, 12)
+        obs = observation_from_raw(raw_features_stack(TraceStack.of(trace))[0], "S2", projector, 12)
         lead, thermal = reference_raw(trace)
         assert obs.segment(Modality.TEXTURE).tobytes() == lead.tobytes()
         want = projector.basis @ (thermal - projector.mean_vector)
         assert obs.segment(Modality.THERMAL).tobytes() == want.tobytes()
+
+
+def assert_rows(observations, want):
+    """``observations`` (a block, or a list) hold the rows of the
+    observations ``want``, in order, bit for bit."""
+    assert len(observations) == len(want)
+    for i, obs in enumerate(want):
+        for mod, vec in obs.segments:
+            got = (
+                observations[i].segment(mod)
+                if isinstance(observations, list)
+                else observations.matrix(mod)[i]
+            )
+            assert got.tobytes() == vec.tobytes()
+
+
+class TestTrialObservations:
+    """Trials and the ablation observe through set-up's batches: each row is
+    bit for bit the observation of its trace simulated and reduced alone
+    (``simulate``, then ``raw_features_stack`` of a one-trace stack)."""
+
+    @pytest.fixture(scope="class")
+    def run(self):
+        config = small_config()
+        catalog = load_catalog(config.catalog_path())
+        pool_jobs = projector_pool_jobs(config)
+        projectors = fit_projectors_from_pool(pool_jobs, list(set_up_features(catalog, pool_jobs)))
+        return config, catalog, projectors
+
+    @staticmethod
+    def one_trace(catalog, projectors, job):
+        action_id, obj, seed = job
+        action = STANDARD_ACTIONS[action_id]
+        trace = simulate(catalog.by_id(obj), action, seed, catalog.skin, catalog.noise)
+        raw = raw_features_stack(TraceStack.of(trace))[0]
+        return observation_from_raw(raw, action_id, projectors[action_id], obj)
+
+    def test_initial_and_acquired_rows(self, run):
+        config, catalog, projectors = run
+        observe_run = partial(observe, catalog, projectors)
+        state = initialize_state(config.new_objects, config.actions, observe_run, seed_root=7)
+        want = {}
+        for idx, (action_id, obj) in enumerate(product(config.actions, config.new_objects)):
+            job = (action_id, obj, derive_seed(7, INIT_NS, idx))
+            want[action_id, obj] = [self.one_trace(catalog, projectors, job)]
+        for (action_id, obj), rows in want.items():
+            assert_rows(state.observations[action_id][obj], rows)
+        for i, action_id in enumerate(config.actions):  # one acquisition per action
+            obj = config.new_objects[i % 2]
+            row = acquire(state, obj, action_id, observe_run)
+            job = (action_id, obj, derive_seed(7, TRAIN_NS, i))
+            want[action_id, obj].append(self.one_trace(catalog, projectors, job))
+            assert_rows(row, want[action_id, obj][-1:])
+            assert_rows(state.observations[action_id][obj], want[action_id, obj])
+
+    @pytest.mark.parametrize("action_id", ["P2", "S4", "C1"])
+    def test_ablation_samples(self, run, monkeypatch, action_id):
+        config, catalog, projectors = run
+        config = dataclasses.replace(config, actions=(action_id,), ablation_sizes=(2, 5))
+        test_jobs = held_out_jobs(config)
+        test = build_test_set(config, projectors, test_jobs, set_up_features(catalog, test_jobs))
+        samples = []
+        real = harness.job_observations
+        monkeypatch.setattr(
+            harness, "job_observations", lambda *args: samples.append(real(*args)) or samples[-1]
+        )
+        harness.run_ablation_seed(config, catalog, projectors, test, 3)
+        a_idx = list(STANDARD_ACTIONS).index(action_id)
+        jobs = [  # three per class, the classes in turn
+            (action_id, obj, derive_seed(3, ABLATION_NS, a_idx, obj, k))
+            for k in range(3)
+            for obj in config.new_objects
+        ]
+        assert len(samples) == 1
+        assert_rows(samples[0], [self.one_trace(catalog, projectors, job) for job in jobs])
 
 
 def sliding_stack(accels):
