@@ -1,13 +1,13 @@
-"""What every trial of a run shares: the set-up's trace jobs and their raw
-features, the thermal projectors, the prior knowledge, the held-out test set
-and the accuracy evaluator over it; and the one path from trace jobs to
-observations, which set-up, the trials and the ablation all take."""
+"""What every trial of a run shares: the set-up's trace jobs and their
+feature rows, the thermal projectors, the prior knowledge, the held-out test
+set and the accuracy evaluator over it; and the one path from trace jobs to
+observation blocks, which set-up, the trials and the ablation all take."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain, groupby, islice
+from itertools import groupby
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
@@ -16,11 +16,10 @@ import numpy as np
 from .config import ExperimentConfig
 from .errors import ConfigError, InsufficientDataError
 from .features import (
-    FeatureObservation,
-    RawFeatures,
+    Modality,
     ThermalProjector,
     fit_projector,
-    observation_from_raw,
+    project_thermal,
     raw_features_stack,
 )
 from .gp import OvaGpcModel, argmax_labels, ova_predict_proba
@@ -110,9 +109,15 @@ def job_batches(catalog: Catalog, jobs: Sequence[TraceJob]) -> list[list[TraceJo
     return batches
 
 
-def batch_features(catalog: Catalog, batch: Sequence[TraceJob]) -> list[RawFeatures]:
-    """Simulate one batch of trace jobs as one stack and reduce each to
-    its raw features: bit for bit what each trace gives alone."""
+#: One batch's (lead modality, lead rows, raw thermal rows): ``raw_features_stack``.
+FeatureRows = tuple[Modality, np.ndarray, np.ndarray]
+#: Batches with their feature rows, as ``set_up_features`` yields them.
+Batches = Iterable[tuple[Sequence[TraceJob], FeatureRows]]
+
+
+def batch_features(catalog: Catalog, batch: Sequence[TraceJob]) -> FeatureRows:
+    """Simulate one batch of trace jobs as one stack and reduce it to its
+    feature rows: bit for bit what each trace gives alone."""
     stack = simulate_stack(
         [catalog.by_id(obj) for _, obj, _ in batch],
         STANDARD_ACTIONS[batch[0][0]],
@@ -125,71 +130,80 @@ def batch_features(catalog: Catalog, batch: Sequence[TraceJob]) -> list[RawFeatu
 
 def set_up_features(
     catalog: Catalog, jobs: Sequence[TraceJob], mapper=map
-) -> Iterator[RawFeatures]:
-    """The raw features of ``jobs``, in order: ``mapper`` (``map``, or a
-    pool's) runs ``batch_features`` over the ``job_batches``."""
+) -> Iterator[tuple[list[TraceJob], FeatureRows]]:
+    """Each of the ``job_batches`` of ``jobs``, in order, with its feature
+    rows: ``mapper`` (``map``, or a pool's, which is handed every batch
+    now) runs ``batch_features`` over the batches."""
     batches = job_batches(catalog, jobs)
-    return chain.from_iterable(mapper(partial(batch_features, catalog), batches))
+    return zip(batches, mapper(partial(batch_features, catalog), batches))
 
 
-def fit_projectors_from_pool(
-    jobs: Sequence[TraceJob], raws: Sequence[RawFeatures]
-) -> dict[str, ThermalProjector]:
-    """One thermal projector per action, fitted on the raw thermal features
-    of that action's pool traces."""
+def fit_projectors_from_pool(batches: Batches) -> dict[str, ThermalProjector]:
+    """One thermal projector per action, fitted on the raw thermal rows of
+    that action's pool batches."""
+    thermal: dict[str, list[np.ndarray]] = {}
+    for jobs, (_, _, raw) in batches:
+        thermal.setdefault(jobs[0][0], []).append(raw)
     projectors: dict[str, ThermalProjector] = {}
-    for action_id in dict.fromkeys(a for a, _, _ in jobs):
-        thermal = [r.thermal for (a, _, _), r in zip(jobs, raws) if a == action_id]
-        if len(thermal) < 11:
+    for action_id, rows in thermal.items():
+        rows = np.concatenate(rows)
+        if len(rows) < 11:
             raise InsufficientDataError(
-                f"action {action_id}: projector pool holds {len(thermal)} traces (< 11); "
+                f"action {action_id}: projector pool holds {len(rows)} traces (< 11); "
                 "raise prior_samples_per_object"
             )
-        projectors[action_id] = fit_projector(np.stack(thermal))
+        projectors[action_id] = fit_projector(rows)
     return projectors
 
 
 def build_prior(
-    config: ExperimentConfig, jobs: Sequence[TraceJob], features: Iterable[RawFeatures]
+    config: ExperimentConfig, batches: Batches
 ) -> tuple[Optional[PriorKnowledge], dict[str, ThermalProjector]]:
-    """Fixed prior tactile knowledge for the experiment.
+    """Fixed prior tactile knowledge, from the ``projector_pool_jobs`` batches.
 
     With prior objects configured, the projectors are fitted on the prior
     pool and the pool itself becomes the instance knowledge. Without priors,
     projectors come from a dedicated calibration stream over the new objects
-    and no knowledge store is built. ``jobs`` is ``projector_pool_jobs(config)``;
-    the first ``len(jobs)`` items of ``features`` are their raw features."""
-    raws = list(islice(features, len(jobs)))
-    projectors = fit_projectors_from_pool(jobs, raws)
+    and no knowledge store is built."""
+    batches = list(batches)
+    projectors = fit_projectors_from_pool(batches)
     if not config.prior_objects:
         return None, projectors
-    groups = observation_groups(jobs, job_observations(projectors, jobs, raws))
+    groups = observation_groups(projectors, batches)
     prior = fit_prior_knowledge(groups, restarts=INIT_RESTARTS, rng=derive_rng(OPT_NS, PRIOR_NS))
     return prior, projectors
 
 
-def job_observations(
-    projectors: Mapping[str, ThermalProjector],
-    jobs: Sequence[TraceJob],
-    features: Iterable[RawFeatures],
-) -> list[FeatureObservation]:
-    """Each job's observation, from its raw features, in job order. Takes
-    ``len(jobs)`` items of ``features``, no more."""
-    return [
-        observation_from_raw(raw, action_id, projectors[action_id], obj)
-        for (action_id, obj, _), raw in zip(jobs, features)
-    ]
+def batch_block(
+    projectors: Mapping[str, ThermalProjector], jobs: Sequence[TraceJob], rows: FeatureRows
+) -> ObservationBlock:
+    """One batch's observations as one block, its thermal rows projected.
+    The first row with a non-finite entry raises ValueError naming the
+    segment, its lead segment before its thermal."""
+    lead, lead_rows, raw = rows
+    thermal = project_thermal(raw, projectors[jobs[0][0]])
+    lead_bad = ~np.isfinite(lead_rows).all(axis=1)
+    bad = lead_bad | ~np.isfinite(thermal).all(axis=1)
+    if bad.any():
+        segment = lead if lead_bad[np.argmax(bad)] else Modality.THERMAL
+        raise ValueError(f"non-finite entries in {segment.value} segment")
+    return ObservationBlock((lead, Modality.THERMAL), (lead_rows, thermal), len(jobs))
 
 
 def observation_groups(
-    jobs: Sequence[TraceJob], observations: Sequence[FeatureObservation]
+    projectors: Mapping[str, ThermalProjector], batches: Batches
 ) -> dict[str, dict[int, ObservationBlock]]:
-    """The jobs' observations in one block per (action, object): actions and
-    objects in job order, rows in job order."""
-    groups: dict[str, dict[int, list]] = {}
-    for (action_id, obj, _), obs in zip(jobs, observations):
-        groups.setdefault(action_id, {}).setdefault(obj, []).append(obs)
-    return {a: {obj: ObservationBlock.of(obs) for obj, obs in g.items()} for a, g in groups.items()}
+    """The batches' observations in one block per (action, object): actions,
+    objects and rows in job order. Each batch block is made (and checked) as
+    it arrives, and cut into its runs of one (action, object)."""
+    runs: dict[str, dict[int, list[ObservationBlock]]] = {}
+    for jobs, rows in batches:
+        block, start = batch_block(projectors, jobs, rows), 0
+        for (action_id, obj), run in groupby(jobs, key=itemgetter(0, 1)):
+            stop = start + len(list(run))
+            runs.setdefault(action_id, {}).setdefault(obj, []).append(block[start:stop])
+            start = stop
+    return {a: {obj: ObservationBlock.concat(p) for obj, p in g.items()} for a, g in runs.items()}
 
 
 def observe(
@@ -198,9 +212,7 @@ def observe(
     """The observations of ``jobs``, one block per (action, object): simulated
     and reduced in set-up's batches, bit for bit what each trace gives
     alone. A trial binds the run's catalog and projectors."""
-    return observation_groups(
-        jobs, job_observations(projectors, jobs, set_up_features(catalog, jobs))
-    )
+    return observation_groups(projectors, set_up_features(catalog, jobs))
 
 
 @dataclass
@@ -218,16 +230,9 @@ def test_samples_for(config: ExperimentConfig, action_id: str) -> int:
     return config.test_samples_press_slide
 
 
-def build_test_set(
-    config: ExperimentConfig,
-    projectors: Mapping[str, ThermalProjector],
-    jobs: Sequence[TraceJob],
-    features: Iterable[RawFeatures],
-) -> TestSet:
-    """Held-out observations, grouped by action and object. ``jobs`` is
-    ``held_out_jobs(config)``; the first ``len(jobs)`` items of ``features``
-    are their raw features."""
-    return TestSet(observation_groups(jobs, job_observations(projectors, jobs, features)))
+def build_test_set(projectors: Mapping[str, ThermalProjector], batches: Batches) -> TestSet:
+    """Held-out observations by action and object, from ``held_out_jobs`` batches."""
+    return TestSet(observation_groups(projectors, batches))
 
 
 def new_object_slice(

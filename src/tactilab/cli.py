@@ -68,9 +68,8 @@ def _cmd_testset(args) -> int:
     config = load_config(args.config)
     catalog = load_catalog(config.catalog_path())
     check_catalog_objects(config, catalog)
-    pool_jobs, test_jobs = projector_pool_jobs(config), held_out_jobs(config)
-    projectors = fit_projectors_from_pool(pool_jobs, list(set_up_features(catalog, pool_jobs)))
-    test = build_test_set(config, projectors, test_jobs, set_up_features(catalog, test_jobs))
+    projectors = fit_projectors_from_pool(set_up_features(catalog, projector_pool_jobs(config)))
+    test = build_test_set(projectors, set_up_features(catalog, held_out_jobs(config)))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     per_action = {

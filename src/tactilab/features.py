@@ -69,9 +69,6 @@ class FeatureObservation:
                 return vec
         raise KeyError(f"no {modality.value} segment in observation")
 
-    def vector(self) -> np.ndarray:
-        return np.concatenate([vec for _, vec in self.segments])
-
 
 def extract_stiffness(trace: SensorTrace) -> float:
     """Mean normal force over all force sensors and time steps."""
@@ -286,42 +283,23 @@ def fit_projector(raw: np.ndarray) -> ThermalProjector:
 
 
 def project_thermal(raw: np.ndarray, projector: ThermalProjector) -> np.ndarray:
-    """Project a [T, grad T] feature onto the fitted basis."""
-    if raw.size != projector.source_dim:
+    """Project a [T, grad T] feature, or each row of a matrix of them, onto
+    the fitted basis: one matrix-vector product per row, so a row's bits do
+    not depend on the rows around it."""
+    if raw.shape[-1] != projector.source_dim:
         raise ProjectorMismatchError(
-            f"feature length {raw.size} != projector source_dim {projector.source_dim}"
+            f"feature length {raw.shape[-1]} != projector source_dim {projector.source_dim}"
         )
-    return projector.basis @ (raw - projector.mean_vector)
+    return np.matmul(projector.basis, (raw - projector.mean_vector)[..., None])[..., 0]
 
 
-@dataclass(frozen=True)
-class RawFeatures:
-    """What an observation needs of its trace before a thermal projector
-    exists: the lead segment (stiffness or texture) and the raw [T, grad T]
-    thermal feature. A few kilobytes, where the trace holds about a hundred."""
-
-    lead: tuple[Modality, np.ndarray]
-    thermal: np.ndarray
-
-
-def raw_features_stack(stack: TraceStack) -> list[RawFeatures]:
-    """Each trace of the stack reduced to its raw features, bit for bit as
-    if reduced alone. The first trace that fails raises its own error."""
+def raw_features_stack(stack: TraceStack) -> tuple[Modality, np.ndarray, np.ndarray]:
+    """The stack's rows before a thermal projector exists: (lead modality,
+    (k, d) stiffness or texture rows, (k, 2*THERMAL_RESAMPLE_LEN) raw
+    [T, grad T] rows), bit for bit each trace's reduced alone. The first
+    trace that fails raises its own error."""
     if stack.kind is ActionKind.SLIDING:
-        leads = [(Modality.TEXTURE, vec) for vec in _textures(stack.accels)]
+        lead = Modality.TEXTURE, _textures(stack.accels)
     else:
-        leads = [(Modality.FORCE, vec) for vec in _stiffnesses(stack.forces)[:, None]]
-    thermal = _thermal_raws(stack.temps)
-    return [RawFeatures(lead, raw) for lead, raw in zip(leads, thermal)]
-
-
-def observation_from_raw(
-    raw: RawFeatures,
-    action_id: str,
-    projector: ThermalProjector,
-    object_id: Optional[int] = None,
-) -> FeatureObservation:
-    """The feature observation of a trace reduced by ``raw_features_stack``."""
-    thermal = (Modality.THERMAL, project_thermal(raw.thermal, projector))
-    return FeatureObservation(action_id, (raw.lead, thermal), object_id)
-
+        lead = Modality.FORCE, _stiffnesses(stack.forces)[:, None]
+    return (*lead, _thermal_raws(stack.temps))

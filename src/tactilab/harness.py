@@ -20,11 +20,11 @@ from .assets import (
     TestSet,
     _action_index,
     accuracy,
+    batch_block,
     build_prior,
     build_test_set,
     check_catalog_objects,
     held_out_jobs,
-    job_observations,
     make_evaluator,
     new_object_slice,
     observe,
@@ -82,20 +82,20 @@ def build_assets(config: ExperimentConfig, workers: int = 1) -> tuple:
     """(catalog, prior, projectors, test set): what every trial of the
     config shares.
 
-    Set-up maps one ordered stream of trace jobs, the projector pool's and
-    then the test set's, in batches (``job_batches``): each batch simulated
-    as one stack and reduced to its traces' raw features at once. With
-    ``workers`` > 1 a pool simulates the test set while this process fits
-    the projectors and the prior knowledge; the prior fit stays here, in
-    order, because its searches share one rng stream. The same bits come out
-    either way."""
+    Set-up maps the projector pool's trace jobs, then the test set's, in
+    batches (``job_batches``): each batch simulated as one stack and reduced
+    to its feature rows at once. With ``workers`` > 1 a pool is handed both
+    streams' batches at once, and simulates the test set while this process
+    fits the projectors and the prior knowledge; the prior fit stays here,
+    in order, because its searches share one rng stream. The same bits come
+    out either way."""
     catalog = load_catalog(config.catalog_path())
     check_catalog_objects(config, catalog)
-    pool_jobs, test_jobs = projector_pool_jobs(config), held_out_jobs(config)
     with _setup_map(workers) as mapper:
-        features = set_up_features(catalog, pool_jobs + test_jobs, mapper)
-        prior, projectors = build_prior(config, pool_jobs, features)
-        test = build_test_set(config, projectors, test_jobs, features)
+        pool = set_up_features(catalog, projector_pool_jobs(config), mapper)
+        held_out = set_up_features(catalog, held_out_jobs(config), mapper)
+        prior, projectors = build_prior(config, pool)
+        test = build_test_set(projectors, held_out)
     return catalog, prior, projectors, test
 
 
@@ -292,12 +292,14 @@ def run_ablation_seed(
         for k in range(max_per_class)
         for obj in new_ids
     ]
-    samples = job_observations(projectors, jobs, set_up_features(catalog, jobs))
+    samples = ObservationBlock.concat(
+        [batch_block(projectors, batch, rows) for batch, rows in set_up_features(catalog, jobs)]
+    )
     opt_rng = derive_rng(seed, ABLATION_NS, OPT_NS)
     curves: dict[str, list[float]] = {v: [] for v in variants}
     gamma_trace = []
     for size in sizes:
-        train = ObservationBlock.of(samples[:size])
+        train = samples[:size]
         labels = [obj for _, obj, _ in jobs[:size]]
         sets = ova_sets(train, labels)
         start_kernel = median_heuristic(train, train.modalities)

@@ -90,6 +90,13 @@ STANDARD_ACTIONS: dict[str, ExploratoryAction] = {
 }
 
 
+def _check_finite(where: str, fields: dict) -> None:
+    """SchemaError naming the first field that holds a non-finite float (JSON's NaN, Infinity)."""
+    for name, value in fields.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise SchemaError(f"{where}: {name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class ObjectSpec:
     """Latent physical parameters of one catalog object."""
@@ -103,6 +110,7 @@ class ObjectSpec:
     label: str = ""
 
     def __post_init__(self):
+        _check_finite(f"object {self.id}", vars(self))  # "inf" and "nan" strings parse too
         for name in ("stiffness_coeff", "roughness_freq", "thermal_time_const"):
             if not (getattr(self, name) > 0):
                 raise SchemaError(f"object {self.id}: {name} must be > 0")
@@ -120,6 +128,9 @@ class SkinConfig:
     accel_per_cell: int = 1
     sample_rate_hz: float = 100.0
     ambient_temp_c: float = 25.0
+
+    def __post_init__(self):
+        _check_finite("skin", vars(self))
 
     @property
     def n_force(self) -> int:
@@ -146,6 +157,7 @@ class NoiseScales:
     accel_sample: float = 0.002
 
     def __post_init__(self):
+        _check_finite("noise", vars(self))
         for name in (
             "force_trial",
             "force_sample",
@@ -361,6 +373,7 @@ _OBJECT_FIELDS = {
 def _parse_object(entry: dict, index: int) -> ObjectSpec:
     if not isinstance(entry, dict):
         raise SchemaError(f"objects[{index}] must be a mapping")
+    _check_finite(f"objects[{index}]", entry)  # before int() overflows on an Infinity id
     unknown = set(entry) - _OBJECT_FIELDS
     if unknown:
         raise SchemaError(f"objects[{index}]: unknown field(s) {sorted(unknown)}")

@@ -21,7 +21,6 @@ from tactilab.active import (
 )
 from tactilab.errors import ParameterError, StateError
 from tactilab.features import FeatureObservation, Modality
-from tactilab.assets import observation_groups
 from tactilab.kernels import ObservationBlock
 
 from conftest import force_obs
@@ -39,8 +38,12 @@ def fake_observation(action_id, object_id, seed):
 
 
 def fake_observe(jobs):
-    """``observe`` over fake observations: one block per (action, object)."""
-    return observation_groups(jobs, [fake_observation(*job) for job in jobs])
+    """``observe`` over fake observations: one block per (action, object),
+    actions and objects in job order, rows in job order."""
+    groups = {}
+    for job in jobs:
+        groups.setdefault(job[0], {}).setdefault(job[1], []).append(fake_observation(*job))
+    return {a: {obj: ObservationBlock.of(obs) for obj, obs in g.items()} for a, g in groups.items()}
 
 
 def fresh_state(seed=3, eps=0.3):

@@ -23,7 +23,6 @@ from tactilab.features import (
     fit_projector,
     linear_correlation,
     mobility,
-    observation_from_raw,
     project_thermal,
     raw_features_stack,
     _thermal_raws,
@@ -427,9 +426,11 @@ class TestExtractThermal:
 
 
 def one_trace_observation(trace, action_id, projector, object_id=None):
-    """The observation of one trace: its raw features as a one-item stack."""
-    raw = raw_features_stack(TraceStack.of(trace))[0]
-    return observation_from_raw(raw, action_id, projector, object_id)
+    """The observation of one trace: its feature rows as a one-item stack,
+    the thermal row projected."""
+    lead, lead_rows, thermal_rows = raw_features_stack(TraceStack.of(trace))
+    thermal = (Modality.THERMAL, project_thermal(thermal_rows[0], projector))
+    return FeatureObservation(action_id, ((lead, lead_rows[0]), thermal), object_id)
 
 
 class TestBuildObservation:

@@ -31,7 +31,7 @@ from tactilab.errors import (
     InsufficientDataError,
     SchemaError,
 )
-from tactilab.features import Modality, observation_from_raw
+from tactilab.features import FeatureObservation, Modality
 from tactilab.harness import run_experiment
 from tactilab.kernels import ObservationBlock
 from tactilab.results import RunResult, TrialResult, write_report
@@ -316,9 +316,8 @@ def held_out_set(config):
     """The config's test set, built in this process as ``tactilab testset``
     builds it: projectors fitted on the projector pool, no prior."""
     catalog = load_catalog(config.catalog_path())
-    pool_jobs, test_jobs = projector_pool_jobs(config), held_out_jobs(config)
-    projectors = fit_projectors_from_pool(pool_jobs, list(set_up_features(catalog, pool_jobs)))
-    return build_test_set(config, projectors, test_jobs, set_up_features(catalog, test_jobs))
+    projectors = fit_projectors_from_pool(set_up_features(catalog, projector_pool_jobs(config)))
+    return build_test_set(projectors, set_up_features(catalog, held_out_jobs(config)))
 
 
 class TestTestSet:
@@ -359,11 +358,10 @@ class TestTestSet:
             config_dict(prior_objects=[3, 1], new_objects=[14, 11, 12], actions=["S1", "P2"])
         )
         catalog = load_catalog(config.catalog_path())
-        pool_jobs, test_jobs = projector_pool_jobs(config), held_out_jobs(config)
-        projectors = fit_projectors_from_pool(pool_jobs, list(set_up_features(catalog, pool_jobs)))
-        raws = list(set_up_features(catalog, test_jobs))
-        test = build_test_set(config, projectors, test_jobs, raws)
-        observations, labels = flat_test_set(config, projectors, test_jobs, raws)
+        projectors = fit_projectors_from_pool(set_up_features(catalog, projector_pool_jobs(config)))
+        batches = list(set_up_features(catalog, held_out_jobs(config)))
+        test = build_test_set(projectors, batches)
+        observations, labels = flat_test_set(config, projectors, batches)
         for action in config.actions:
             block, block_labels = new_object_slice(config, test, action)
             want, want_labels = mask_and_filter_slice(config, observations, labels, action)
@@ -374,16 +372,19 @@ class TestTestSet:
                 assert block.matrix(mod).tobytes() == want.matrix(mod).tobytes()
 
 
-def flat_test_set(config, projectors, jobs, raws):
+def flat_test_set(config, projectors, batches):
     """Reference: the held-out set as flat per-action lists of observations
-    in job order, with one label array per action."""
+    in job order, each thermal row projected as one vector, with one label
+    array per action."""
     observations = {a: [] for a in config.actions}
     labels = {a: [] for a in config.actions}
-    for (action_id, obj, _), raw in zip(jobs, raws):
-        observations[action_id].append(
-            observation_from_raw(raw, action_id, projectors[action_id], obj)
-        )
-        labels[action_id].append(obj)
+    for jobs, (lead, lead_rows, thermal_rows) in batches:
+        for (action_id, obj, _), lead_row, raw in zip(jobs, lead_rows, thermal_rows):
+            projector = projectors[action_id]
+            thermal = projector.basis @ (raw - projector.mean_vector)
+            segments = ((lead, lead_row), (Modality.THERMAL, thermal))
+            observations[action_id].append(FeatureObservation(action_id, segments, obj))
+            labels[action_id].append(obj)
     return observations, {a: np.array(labs) for a, labs in labels.items()}
 
 
@@ -423,11 +424,15 @@ def assert_same(a, b, where="assets"):
 
 
 class TestSetup:
-    @pytest.mark.parametrize("prior_objects", [[1, 2, 3], []], ids=["prior", "calibration"])
-    def test_pool_set_up_equals_in_process(self, prior_objects):
+    @pytest.mark.parametrize(
+        "prior_objects, actions",
+        [([1, 2, 3], ["P2", "S1", "C1"]), ([], ["P2", "S1", "C1"]), ([], ["P2"])],
+        ids=["prior", "calibration", "calibration-one-action"],
+    )
+    def test_pool_set_up_equals_in_process(self, prior_objects, actions):
         from tactilab import harness
 
-        config = parse_config(config_dict(prior_objects=prior_objects, actions=["P2", "S1", "C1"]))
+        config = parse_config(config_dict(prior_objects=prior_objects, actions=actions))
         _, prior, projectors, test = harness.build_assets(config, 1)
         _, pooled_prior, pooled_projectors, pooled_test = harness.build_assets(config, 2)
         assert not multiprocessing.active_children()
@@ -436,7 +441,8 @@ class TestSetup:
             assert [len(g) for g in prior.blocks["S1"].values()] == [15] * 3
             assert list(prior.models) == list(config.actions)
         objects = len(prior_objects) + len(config.new_objects)
-        assert test.size() == objects * (20 + 20 + 10)
+        per_object = {"P2": 20, "S1": 20, "C1": 10}
+        assert test.size() == objects * sum(per_object[a] for a in actions)
         assert_same(pooled_projectors, projectors, "projectors")
         assert_same(pooled_test, test, "test")
         assert_same(pooled_prior, prior, "prior")
@@ -1023,6 +1029,24 @@ class TestCli:
         path = self.write_config(tmp_path, new_objects=[98, 99])
         assert cli_main(["validate", str(path)]) == 2
         assert "object id(s) [98, 99] not present in catalog" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "field, value", [("thermal_equilib_delta", float("inf")), ("roughness_amp", float("nan"))]
+    )
+    def test_non_finite_catalog_number_exits_2(self, tmp_path, capsys, field, value):
+        # Infinity used to pass validate and fail run with an SVD traceback.
+        source = tactilab.data_path("configs", "sample_run.json")
+        raw = json.loads(source.read_text())
+        catalog = json.loads((source.parent / raw["catalog"]).read_text())
+        catalog["objects"][0][field] = value  # prior object 1
+        (tmp_path / "catalog.json").write_text(json.dumps(catalog))
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({**raw, "catalog": "catalog.json"}))
+        out = tmp_path / "out"
+        for argv in (["validate", str(path)], ["run", str(path), "--out", str(out)]):
+            assert cli_main(argv) == 2
+            assert f"objects[0]: {field} must be finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_object_missing_from_catalog_named_by_every_verb(self, tmp_path, capsys):
         path = self.write_config(tmp_path, new_objects=[11, 99], seeds=[1], budget=1)

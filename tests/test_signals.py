@@ -1,4 +1,6 @@
 import json
+import math
+import re
 
 import numpy as np
 import pytest
@@ -187,6 +189,47 @@ class TestLoadCatalog:
         path = tmp_path / "cat.json"
         path.write_text(json.dumps({"schema_version": 1, "objects": [], "extra": 1}))
         with pytest.raises(SchemaError, match="extra"):
+            load_catalog(path)
+
+    @pytest.mark.parametrize(
+        "name", ["sample_catalog", "related_priors", "unrelated_priors", "uniform_stiffness"]
+    )
+    def test_packaged_catalogs_load(self, name):
+        assert len(load_catalog(tactilab.data_path("catalogs", f"{name}.json")))
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize(
+        "section, field, where",
+        [
+            ("objects", "thermal_equilib_delta", "objects[1]"),
+            ("objects", "roughness_amp", "objects[1]"),
+            ("objects", "stiffness_coeff", "objects[1]"),
+            ("objects", "id", "objects[1]"),
+            ("skin", "ambient_temp_c", "skin"),
+            ("skin", "sample_rate_hz", "skin"),
+            ("noise", "temp_sample", "noise"),
+        ],
+    )
+    def test_non_finite_numbers_rejected_by_field(self, tmp_path, section, field, where, value):
+        # JSON's Infinity and NaN parse as floats; NaN passed the sign checks
+        # (NaN < 0 is false) and Infinity failed the run in the projector fit.
+        raw = json.loads(tactilab.data_path("catalogs", "sample_catalog.json").read_text())
+        if section == "objects":
+            raw["objects"][1][field] = value
+        else:
+            raw[section] = {**raw.get(section, {}), field: value}
+        path = tmp_path / "cat.json"
+        path.write_text(json.dumps(raw))
+        with pytest.raises(SchemaError, match=re.escape(f"{where}: {field} must be finite")):
+            load_catalog(path)
+
+    @pytest.mark.parametrize("value", ["inf", "-Infinity", "nan"])
+    def test_non_finite_number_strings_rejected(self, tmp_path, value):
+        raw = json.loads(tactilab.data_path("catalogs", "sample_catalog.json").read_text())
+        raw["objects"][1]["roughness_amp"] = value
+        path = tmp_path / "cat.json"
+        path.write_text(json.dumps(raw))
+        with pytest.raises(SchemaError, match="object 2: roughness_amp must be finite"):
             load_catalog(path)
 
     def test_missing_schema_version_rejected(self, tmp_path):

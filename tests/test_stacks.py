@@ -19,24 +19,27 @@ from tactilab import harness
 from tactilab.active import acquire, initialize_state
 from tactilab.assets import (
     BATCH_BYTES,
+    batch_block,
     batch_features,
     build_test_set,
     fit_projectors_from_pool,
     held_out_jobs,
     job_batches,
-    job_observations,
     observe,
     projector_pool_jobs,
     set_up_features,
 )
 from tactilab.config import parse_config
 from tactilab.errors import ParameterError, TactilabError
+from tactilab.kernels import ObservationBlock
 from tactilab.features import (
+    THERMAL_DIM,
     THERMAL_RESAMPLE_LEN,
+    FeatureObservation,
     Modality,
     extract_texture,
     fit_projector,
-    observation_from_raw,
+    project_thermal,
     raw_features_stack,
 )
 from tactilab.seeding import ABLATION_NS, INIT_NS, TRAIN_NS, derive_seed
@@ -124,8 +127,23 @@ def channel_bytes(trace):
     return tuple(None if c is None else c.tobytes() for c in channels)
 
 
-def raw_bytes(raw):
-    return raw.lead[0], raw.lead[1].tobytes(), raw.thermal.tobytes()
+def row_bytes(rows, i):
+    """(lead modality, lead row bytes, raw thermal row bytes) of row ``i`` of
+    ``raw_features_stack``'s rows."""
+    lead, lead_rows, thermal_rows = rows
+    return lead, lead_rows[i].tobytes(), thermal_rows[i].tobytes()
+
+
+def one_trace_observation(catalog, projectors, job):
+    """The reference observation of one job: its trace simulated alone and
+    reduced as a one-item stack, its thermal row projected as one vector."""
+    action_id, obj, seed = job
+    action = STANDARD_ACTIONS[action_id]
+    trace = simulate(catalog.by_id(obj), action, seed, catalog.skin, catalog.noise)
+    lead, lead_rows, thermal_rows = raw_features_stack(TraceStack.of(trace))
+    projector = projectors[action_id]
+    thermal = projector.basis @ (thermal_rows[0] - projector.mean_vector)
+    return FeatureObservation(action_id, ((lead, lead_rows[0]), (Modality.THERMAL, thermal)), obj)
 
 
 @pytest.mark.parametrize("action_id", list(STANDARD_ACTIONS))
@@ -142,15 +160,15 @@ def test_stack_matches_one_trace_references(catalog_name, action_id):
     objs, seeds = [o for o, _ in items], [s for _, s in items]
     stack = simulate_stack(objs, action, seeds, catalog.skin, catalog.noise)
     raws = raw_features_stack(stack)
-    assert len(raws) == len(items)
+    assert len(raws[1]) == len(raws[2]) == len(items)
     for i, (obj, seed) in enumerate(items):
         want = reference_simulate(obj, action, seed, catalog.skin, catalog.noise)
         want_lead, want_thermal = reference_raw(want)
         alone = simulate(obj, action, seed, catalog.skin, catalog.noise)
         assert channel_bytes(stack.trace(i)) == channel_bytes(want) == channel_bytes(alone)
         expected = (lead, want_lead.tobytes(), want_thermal.tobytes())
-        alone_raw = raw_features_stack(TraceStack.of(alone))[0]
-        assert raw_bytes(raws[i]) == raw_bytes(alone_raw) == expected
+        alone_raws = raw_features_stack(TraceStack.of(alone))
+        assert row_bytes(raws, i) == row_bytes(alone_raws, 0) == expected
 
 
 def test_one_seed_per_object(related_catalog):
@@ -203,14 +221,22 @@ class TestJobBatches:
         catalog = load_catalog(config.catalog_path())
         jobs = projector_pool_jobs(config) + held_out_jobs(config)
         got = list(set_up_features(catalog, jobs))
-        assert len(got) == len(jobs)
-        for (action_id, obj, seed), raw in zip(jobs, got):
+        assert [batch for batch, _ in got] == job_batches(catalog, jobs)
+        rows = []
+        for batch, batch_rows in got:
+            assert len(batch_rows[1]) == len(batch_rows[2]) == len(batch)
+            rows += [row_bytes(batch_rows, i) for i in range(len(batch))]
+        assert len(rows) == len(jobs)
+        for (action_id, obj, seed), (lead, lead_row, thermal_row) in zip(jobs, rows):
+            action = STANDARD_ACTIONS[action_id]
             trace = reference_simulate(
-                catalog.by_id(obj), STANDARD_ACTIONS[action_id], seed, catalog.skin, catalog.noise
+                catalog.by_id(obj), action, seed, catalog.skin, catalog.noise
             )
             want_lead, want_thermal = reference_raw(trace)
-            assert raw.lead[1].tobytes() == want_lead.tobytes()
-            assert raw.thermal.tobytes() == want_thermal.tobytes()
+            sliding = action.kind is ActionKind.SLIDING
+            assert lead is (Modality.TEXTURE if sliding else Modality.FORCE)
+            assert lead_row == want_lead.tobytes()
+            assert thermal_row == want_thermal.tobytes()
 
     def test_one_item_observation_matches_reference(self, related_catalog):
         action = STANDARD_ACTIONS["S2"]
@@ -221,47 +247,108 @@ class TestJobBatches:
             for seed in (9, 10)
         ]
         projector = fit_projector(np.stack([reference_raw(t)[1] for t in traces]))
-        obs = observation_from_raw(raw_features_stack(TraceStack.of(trace))[0], "S2", projector, 12)
+        block = batch_block(
+            {"S2": projector}, [("S2", 12, 5)], raw_features_stack(TraceStack.of(trace))
+        )
         lead, thermal = reference_raw(trace)
-        assert obs.segment(Modality.TEXTURE).tobytes() == lead.tobytes()
+        assert len(block) == 1 and block.modalities == (Modality.TEXTURE, Modality.THERMAL)
+        assert block.matrix(Modality.TEXTURE)[0].tobytes() == lead.tobytes()
         want = projector.basis @ (thermal - projector.mean_vector)
-        assert obs.segment(Modality.THERMAL).tobytes() == want.tobytes()
+        assert block.matrix(Modality.THERMAL)[0].tobytes() == want.tobytes()
 
 
-def assert_rows(observations, want):
-    """``observations`` (a block, or a list) hold the rows of the
-    observations ``want``, in order, bit for bit."""
-    assert len(observations) == len(want)
+@pytest.mark.parametrize("action_id", list(STANDARD_ACTIONS))
+def test_projected_rows_equal_per_vector_projections(action_id):
+    """A matrix of thermal rows projects each row to the bits of
+    ``project_thermal`` of that row alone, and of the per-vector formula."""
+    catalog = load_catalog(tactilab.data_path("catalogs", "sample_catalog.json"))
+    items = [(obj, 31 * k + obj.id) for k in range(2) for obj in catalog]
+    stack = simulate_stack(
+        [o for o, _ in items], STANDARD_ACTIONS[action_id], [s for _, s in items],
+        catalog.skin, catalog.noise,
+    )
+    _, _, raws = raw_features_stack(stack)
+    projector = fit_projector(raws)
+    rows = project_thermal(raws, projector)
+    assert rows.shape == (len(items), THERMAL_DIM)
+    for raw, row in zip(raws, rows):
+        want = projector.basis @ (raw - projector.mean_vector)
+        assert row.tobytes() == project_thermal(raw, projector).tobytes() == want.tobytes()
+
+
+class TestBatchBlock:
+    """``batch_block`` is the run path's finiteness check on hand-made rows:
+    the first row with a non-finite entry raises, and names its lead segment
+    before its thermal one."""
+
+    JOBS = [("P2", 1, seed) for seed in range(4)]
+
+    @pytest.fixture(scope="class")
+    def projectors(self):
+        rng = np.random.default_rng(5)
+        return {"P2": fit_projector(rng.standard_normal((12, 2 * THERMAL_RESAMPLE_LEN)))}
+
+    def rows(self, lead=Modality.FORCE, width=1):
+        rng = np.random.default_rng(6)
+        k = len(self.JOBS)
+        raws = rng.standard_normal((k, 2 * THERMAL_RESAMPLE_LEN))
+        return lead, rng.standard_normal((k, width)), raws
+
+    def test_finite_rows_make_one_block(self, projectors):
+        lead, lead_rows, raws = self.rows()
+        block = batch_block(projectors, self.JOBS, (lead, lead_rows, raws))
+        assert len(block) == 4 and block.modalities == (Modality.FORCE, Modality.THERMAL)
+        assert block.matrix(Modality.FORCE).tobytes() == lead_rows.tobytes()
+        want = project_thermal(raws, projectors["P2"])
+        assert block.matrix(Modality.THERMAL).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "lead_bad, thermal_bad, segment",
+        [
+            ([2], [], "force"),
+            ([], [1], "thermal"),
+            ([2], [1], "thermal"),  # the first bad row wins
+            ([1, 3], [1], "force"),  # within a row, the lead segment first
+            ([0], [3], "force"),
+        ],
+    )
+    def test_first_non_finite_row_raises(self, projectors, lead_bad, thermal_bad, segment):
+        lead, lead_rows, raws = self.rows()
+        lead_rows[lead_bad, 0] = np.inf
+        raws[thermal_bad, 5] = np.inf
+        with pytest.raises(ValueError, match=f"^non-finite entries in {segment} segment$"):
+            batch_block(projectors, self.JOBS, (lead, lead_rows, raws))
+
+    def test_texture_rows_named(self, projectors):
+        lead, lead_rows, raws = self.rows(Modality.TEXTURE, width=4)
+        lead_rows[3, 2] = np.nan
+        with pytest.raises(ValueError, match="^non-finite entries in texture segment$"):
+            batch_block(projectors, self.JOBS, (lead, lead_rows, raws))
+
+
+def assert_rows(block, want):
+    """``block`` holds the rows of the observations ``want``, in order, bit
+    for bit."""
+    assert len(block) == len(want)
     for i, obs in enumerate(want):
+        assert block.modalities == obs.modalities
         for mod, vec in obs.segments:
-            got = (
-                observations[i].segment(mod)
-                if isinstance(observations, list)
-                else observations.matrix(mod)[i]
-            )
-            assert got.tobytes() == vec.tobytes()
+            assert block.matrix(mod)[i].tobytes() == vec.tobytes()
 
 
 class TestTrialObservations:
     """Trials and the ablation observe through set-up's batches: each row is
     bit for bit the observation of its trace simulated and reduced alone
-    (``simulate``, then ``raw_features_stack`` of a one-trace stack)."""
+    (``one_trace_observation``)."""
 
     @pytest.fixture(scope="class")
     def run(self):
         config = small_config()
         catalog = load_catalog(config.catalog_path())
-        pool_jobs = projector_pool_jobs(config)
-        projectors = fit_projectors_from_pool(pool_jobs, list(set_up_features(catalog, pool_jobs)))
+        projectors = fit_projectors_from_pool(set_up_features(catalog, projector_pool_jobs(config)))
         return config, catalog, projectors
 
-    @staticmethod
-    def one_trace(catalog, projectors, job):
-        action_id, obj, seed = job
-        action = STANDARD_ACTIONS[action_id]
-        trace = simulate(catalog.by_id(obj), action, seed, catalog.skin, catalog.noise)
-        raw = raw_features_stack(TraceStack.of(trace))[0]
-        return observation_from_raw(raw, action_id, projectors[action_id], obj)
+    one_trace = staticmethod(one_trace_observation)
 
     def test_initial_and_acquired_rows(self, run):
         config, catalog, projectors = run
@@ -285,12 +372,14 @@ class TestTrialObservations:
     def test_ablation_samples(self, run, monkeypatch, action_id):
         config, catalog, projectors = run
         config = dataclasses.replace(config, actions=(action_id,), ablation_sizes=(2, 5))
-        test_jobs = held_out_jobs(config)
-        test = build_test_set(config, projectors, test_jobs, set_up_features(catalog, test_jobs))
-        samples = []
-        real = harness.job_observations
+        test = build_test_set(projectors, set_up_features(catalog, held_out_jobs(config)))
+        blocks, train_sets = [], []
+        real_block, real_sets = harness.batch_block, harness.ova_sets
         monkeypatch.setattr(
-            harness, "job_observations", lambda *args: samples.append(real(*args)) or samples[-1]
+            harness, "batch_block", lambda *args: blocks.append(real_block(*args)) or blocks[-1]
+        )
+        monkeypatch.setattr(
+            harness, "ova_sets", lambda *args: train_sets.append(args) or real_sets(*args)
         )
         harness.run_ablation_seed(config, catalog, projectors, test, 3)
         a_idx = list(STANDARD_ACTIONS).index(action_id)
@@ -299,8 +388,12 @@ class TestTrialObservations:
             for k in range(3)
             for obj in config.new_objects
         ]
-        assert len(samples) == 1
-        assert_rows(samples[0], [self.one_trace(catalog, projectors, job) for job in jobs])
+        want = [self.one_trace(catalog, projectors, job) for job in jobs]
+        assert_rows(ObservationBlock.concat(blocks), want)
+        assert [len(train) for train, _ in train_sets] == [2, 5]
+        for train, labels in train_sets:  # the first ``size`` samples
+            assert_rows(train, want[: len(train)])
+            assert list(labels) == [obj for _, obj, _ in jobs[: len(train)]]
 
 
 def sliding_stack(accels):
@@ -318,9 +411,9 @@ def outcome(fn, *args):
 
 def texture_stack_outcome(accels):
     raws = outcome(raw_features_stack, sliding_stack(accels))
-    if isinstance(raws, tuple):
+    if isinstance(raws[0], type):  # an error's (type, message)
         return raws
-    return [raw.lead[1] for raw in raws]
+    return list(raws[1])
 
 
 def assert_stack_matches_traces(accels):
