@@ -1,28 +1,31 @@
 """What every trial of a run shares: the set-up's trace jobs and their
-feature rows, the thermal projectors, the prior knowledge, the held-out test
-set and the accuracy evaluator over it; and the one path from trace jobs to
-observation blocks, which set-up, the trials and the ablation all take."""
+feature rows, each action's thermal projector and prior knowledge (one
+set-up task per action), the held-out test set and the accuracy evaluator
+over it; and the one path from trace jobs to observation blocks, which
+set-up, the trials and the ablation all take."""
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from functools import partial
 from itertools import groupby
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .config import ExperimentConfig
 from .errors import ConfigError, InsufficientDataError
 from .features import (
+    SEGMENTATION,
     Modality,
     ThermalProjector,
     fit_projector,
     project_thermal,
     raw_features_stack,
 )
-from .gp import OvaGpcModel, argmax_labels, ova_predict_proba
+from .gp import OvaGpcModel, argmax_labels, draw_starts, ova_predict_proba
 from .kernels import ObservationBlock
 from .seeding import CALIB_NS, OPT_NS, PRIOR_NS, TEST_NS, derive_rng, derive_seed
 from .signals import (
@@ -32,7 +35,7 @@ from .signals import (
     simulate_stack,
     trace_nbytes,
 )
-from .transfer import INIT_RESTARTS, ObservationGroups, PriorKnowledge, fit_prior_knowledge
+from .transfer import INIT_RESTARTS, ObservationGroups, fit_action_prior
 
 
 def _action_index(action_id: str) -> int:
@@ -156,22 +159,37 @@ def fit_projectors_from_pool(batches: Batches) -> dict[str, ThermalProjector]:
     return projectors
 
 
-def build_prior(
-    config: ExperimentConfig, batches: Batches
-) -> tuple[Optional[PriorKnowledge], dict[str, ThermalProjector]]:
-    """Fixed prior tactile knowledge, from the ``projector_pool_jobs`` batches.
+def prior_search_rngs(config: ExperimentConfig) -> list[np.random.Generator]:
+    """Per configured action, the prior's search stream
+    ``derive_rng(OPT_NS, PRIOR_NS)`` at the state that action's search
+    starts from when the actions' priors are fitted in turn on the one
+    stream (``fit_prior_knowledge``): one copy of the stream per action,
+    taken before that action's draws (``draw_starts``, whose layout is set
+    by the action's modalities)."""
+    stream, rngs = derive_rng(OPT_NS, PRIOR_NS), []
+    for action_id in config.actions:
+        rngs.append(copy.deepcopy(stream))
+        draw_starts(stream, len(SEGMENTATION[STANDARD_ACTIONS[action_id].kind]), INIT_RESTARTS)
+    return rngs
 
-    With prior objects configured, the projectors are fitted on the prior
-    pool and the pool itself becomes the instance knowledge. Without priors,
-    projectors come from a dedicated calibration stream over the new objects
-    and no knowledge store is built."""
-    batches = list(batches)
-    projectors = fit_projectors_from_pool(batches)
+
+def set_up_action(
+    config: ExperimentConfig, catalog: Catalog, action_id: str, rng: np.random.Generator
+) -> tuple:
+    """One action's share of set-up: simulate the action's
+    ``projector_pool_jobs`` batches and fit its thermal projector on them.
+    With prior objects configured the pool is also the action's instance
+    knowledge, and its model is searched from ``rng``
+    (``prior_search_rngs``): returns (projector, blocks, model, kernel).
+    Without priors the pool is a calibration stream over the new objects:
+    returns (projector,)."""
+    jobs = [job for job in projector_pool_jobs(config) if job[0] == action_id]
+    batches = list(set_up_features(catalog, jobs))
+    projector = fit_projectors_from_pool(batches)[action_id]
     if not config.prior_objects:
-        return None, projectors
-    groups = observation_groups(projectors, batches)
-    prior = fit_prior_knowledge(groups, restarts=INIT_RESTARTS, rng=derive_rng(OPT_NS, PRIOR_NS))
-    return prior, projectors
+        return (projector,)
+    groups = observation_groups({action_id: projector}, batches)[action_id]
+    return (projector, *fit_action_prior(groups, INIT_RESTARTS, rng))
 
 
 def batch_block(

@@ -37,6 +37,12 @@ def _int_field(name: str, value) -> int:
     return int(value)
 
 
+def _string(name: str, value) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{name} must be a string, got {value!r}")
+    return value
+
+
 def _distinct(name: str, values: tuple) -> tuple:
     dups = sorted({v for v in values if values.count(v) > 1})
     if dups:
@@ -122,7 +128,7 @@ def _field(parse, default=MISSING):
 
 @dataclass(frozen=True, kw_only=True)
 class ExperimentConfig:
-    catalog: str = _field(lambda _, value: str(value))
+    catalog: str = _field(_string)
     prior_objects: tuple[int, ...] = _field(_ids, ())
     new_objects: tuple[int, ...] = _field(_nonempty_ids)
     actions: tuple[str, ...] = _field(_actions)

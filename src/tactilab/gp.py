@@ -724,6 +724,43 @@ class SearchResult(NamedTuple):
     modes: list
 
 
+def _layout(parts: int, fit_weights: bool, fit_rho: bool) -> list:
+    """A search's (block name, size) parameter blocks in vector order."""
+    layout = [("ls", parts)]
+    if fit_weights and parts > 1:
+        layout.append(("gamma", parts))
+    if fit_rho:
+        layout.append(("rho", 1))
+    return layout
+
+
+def draw_starts(
+    rng: Optional[np.random.Generator],
+    parts: int,
+    restarts: int,
+    fit_weights: bool = True,
+    fit_rho: bool = False,
+) -> list:
+    """The ``restarts - 1`` random starts of ``optimize_kernel_for_sets``
+    over a kernel of ``parts`` parts, drawn from ``rng`` (a fresh
+    ``default_rng(0)`` when None) block by block: uniform over each ``ls``
+    and ``rho`` block's range, Dirichlet for ``gamma``. They are all that
+    the search draws, before any solve, and their layout does not depend on
+    the data, so this call advances a generator exactly as the search
+    does."""
+    rng = rng if rng is not None else np.random.default_rng(0)
+    starts = []
+    for _ in range(restarts - 1):
+        vec = []
+        for name, size in _layout(parts, fit_weights, fit_rho):
+            if name == "gamma":
+                vec.extend(rng.dirichlet(np.ones(size)))
+            else:
+                vec.extend(rng.uniform(*_BOUNDS[name], size=size))
+        starts.append(np.array(vec))
+    return starts
+
+
 def optimize_kernel_for_sets(
     sets: Sequence[PooledSet],
     kernel_start: CombinedKernel,
@@ -742,14 +779,14 @@ def optimize_kernel_for_sets(
     Multi-start coordinate ascent (``_Ascent``) over [log length scales]
     [weights, when ``fit_weights`` and the kernel has two or more parts]
     [rho, when ``fit_rho``]. The starts are ``kernel_start`` and
-    ``restarts - 1`` random draws from ``rng``, each drawn block by block in
-    that order. The ascents advance in lockstep: the first round scores
-    every start with its first scan (whose points do not depend on the
-    start's value), each later round the pending scan of every live ascent,
-    in one ``_summed_lmls`` call. Each ascent reads its values in the order
-    of an ascent run alone, so its path is that of one step at a time. A
-    point whose decoded kernel and rho were scored before in the same
-    search is not solved again.
+    ``restarts - 1`` random draws from ``rng`` (``draw_starts``), each drawn
+    block by block in that order. The ascents advance in lockstep: the
+    first round scores every start with its first scan (whose points do not
+    depend on the start's value), each later round the pending scan of
+    every live ascent, in one ``_summed_lmls`` call. Each ascent reads its
+    values in the order of an ascent run alone, so its path is that of one
+    step at a time. A point whose decoded kernel and rho were scored before
+    in the same search is not solved again.
 
     Returns a ``SearchResult``; its LML is never below that of any finite
     start, and its modes are those of the best point, kept from the round
@@ -762,16 +799,10 @@ def optimize_kernel_for_sets(
         raise TypeError(
             f"kernel_start must be a CombinedKernel, got {type(kernel_start).__name__}"
         )
-    rng = rng if rng is not None else np.random.default_rng(0)
     parts = kernel_start.parts
     k = len(parts)
     fit_gamma = fit_weights and k > 1
-    layout = [("ls", k)]
-    if fit_gamma:
-        layout.append(("gamma", k))
-    if fit_rho:
-        layout.append(("rho", 1))
-    names = [name for name, size in layout for _ in range(size)]
+    names = [name for name, size in _layout(k, fit_weights, fit_rho) for _ in range(size)]
     rho_start = sets[0].rho
 
     def decode(points):  # rows of parameters -> length scales, weights, rhos
@@ -789,14 +820,7 @@ def optimize_kernel_for_sets(
     if fit_rho:
         x0.append(rho_start)
     starts = [np.array(x0, dtype=float)]
-    for _ in range(restarts - 1):
-        vec = []
-        for name, size in layout:
-            if name == "gamma":
-                vec.extend(rng.dirichlet(np.ones(size)))
-            else:
-                vec.extend(rng.uniform(*_BOUNDS[name], size=size))
-        starts.append(np.array(vec))
+    starts += draw_starts(rng, k, restarts, fit_weights, fit_rho)
 
     ascents = [_Ascent(start, names, max_sweeps) for start in starts]
     scored: dict = {}  # bytes of a decoded (length scales, weights, rho) -> objective

@@ -21,14 +21,14 @@ from .assets import (
     _action_index,
     accuracy,
     batch_block,
-    build_prior,
     build_test_set,
     check_catalog_objects,
     held_out_jobs,
     make_evaluator,
     new_object_slice,
     observe,
-    projector_pool_jobs,
+    prior_search_rngs,
+    set_up_action,
     set_up_features,
 )
 from .blas import SingleThreadedBlas
@@ -53,26 +53,28 @@ def _pool_context():
     return multiprocessing.get_context()
 
 
-#: Set-up job batches per pool task. One batch per task (a P2 batch of the
-#: default skin is two traces, well under a millisecond of work) spends more
-#: on the pool's messaging than four do (2-vCPU x86 VM).
+#: Held-out job batches per set-up pool task. One batch per task (a P2
+#: batch of the default skin is two traces, well under a millisecond of
+#: work) spends more on the pool's messaging than four do (2-vCPU x86 VM).
+#: Each action's task (``set_up_action``) goes alone.
 SETUP_CHUNKSIZE = 4
 
 
 @contextmanager
 def _setup_map(workers: int):
-    """``map`` for the set-up's job batches: the builtin one, or with
-    ``workers`` > 1 that of a process pool, which works ahead of its reader
-    and yields in batch order. The pool is gone on exit; when set-up fails,
+    """``map(fn, *iterables, chunksize=1)`` for set-up's tasks: the builtin
+    one (without chunks), or with ``workers`` > 1 that of a process pool,
+    which is handed every task of a call at once, works ahead of its reader
+    and yields in task order. The pool is gone on exit; when set-up fails,
     its queued tasks are cancelled rather than run."""
     if workers == 1:
-        yield map
+        yield lambda fn, *iterables, chunksize=1: map(fn, *iterables)
         return
     with ProcessPoolExecutor(
         max_workers=workers, mp_context=_pool_context(), initializer=SingleThreadedBlas
     ) as pool:
         try:
-            yield partial(pool.map, chunksize=SETUP_CHUNKSIZE)
+            yield pool.map
         except BaseException:
             pool.shutdown(cancel_futures=True)
             raise
@@ -82,19 +84,33 @@ def build_assets(config: ExperimentConfig, workers: int = 1) -> tuple:
     """(catalog, prior, projectors, test set): what every trial of the
     config shares.
 
-    Set-up maps the projector pool's trace jobs, then the test set's, in
-    batches (``job_batches``): each batch simulated as one stack and reduced
-    to its feature rows at once. With ``workers`` > 1 a pool is handed both
-    streams' batches at once, and simulates the test set while this process
-    fits the projectors and the prior knowledge; the prior fit stays here,
-    in order, because its searches share one rng stream. The same bits come
-    out either way."""
+    Set-up runs one task per action (``set_up_action``: the action's
+    projector pool simulated in batches, its thermal projector and, with
+    prior objects, its prior knowledge fitted), then maps the held-out
+    trace jobs in batches (``job_batches``), each simulated as one stack
+    and reduced to its feature rows at once. With ``workers`` > 1 a pool is
+    handed the action tasks first, one per task, then the held-out batches,
+    ``SETUP_CHUNKSIZE`` per task; this process only gathers the actions'
+    results in config order and builds the test set. Each action's search
+    starts from its own copy of the prior's search stream
+    (``prior_search_rngs``), so the same bits come out either way, and as
+    from ``fit_prior_knowledge`` over the actions in turn."""
     catalog = load_catalog(config.catalog_path())
     check_catalog_objects(config, catalog)
     with _setup_map(workers) as mapper:
-        pool = set_up_features(catalog, projector_pool_jobs(config), mapper)
-        held_out = set_up_features(catalog, held_out_jobs(config), mapper)
-        prior, projectors = build_prior(config, pool)
+        # A pool is handed the action tasks, then the held-out batches,
+        # before any result is read.
+        fits = mapper(
+            partial(set_up_action, config, catalog), config.actions, prior_search_rngs(config)
+        )
+        held_out = set_up_features(
+            catalog, held_out_jobs(config), partial(mapper, chunksize=SETUP_CHUNKSIZE)
+        )
+        fits = dict(zip(config.actions, fits))
+        projectors = {action_id: fit[0] for action_id, fit in fits.items()}
+        prior = None
+        if config.prior_objects:
+            prior = PriorKnowledge.of({action_id: fit[1:] for action_id, fit in fits.items()})
         test = build_test_set(projectors, held_out)
     return catalog, prior, projectors, test
 
@@ -214,7 +230,7 @@ def _run_seed_worker(seed: int):
 def run_experiment(config: ExperimentConfig, jobs: int = 1) -> RunResult:
     """Run every trial of the configured experiment and aggregate.
 
-    With ``jobs`` > 1 the set-up's simulations, then the seeds, run in a
+    With ``jobs`` > 1 the set-up's tasks, then the seeds, run in a
     process pool of at most one worker per seed. BLAS runs single-threaded
     in every process that runs trials, this one until the call returns."""
     jobs = _at_least(1)("jobs", jobs)

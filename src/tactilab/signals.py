@@ -394,6 +394,31 @@ def _parse_object(entry: dict, index: int) -> ObjectSpec:
         raise SchemaError(f"objects[{index}]: {exc}") from exc
 
 
+#: The skin's sensor counts, each with its least value.
+_SKIN_COUNTS = {"cells": 1, "force_per_cell": 0, "temp_per_cell": 0, "accel_per_cell": 0}
+
+
+def _parse_skin(fields) -> SkinConfig:
+    """The catalog's skin: each sensor count an integer (a bool is not one)
+    of at least its least value, the sample rate and the ambient
+    temperature finite real numbers, the rate > 0."""
+    try:
+        skin = SkinConfig(**fields)
+    except TypeError as exc:
+        raise SchemaError(f"skin: {exc}") from exc
+    for name, low in _SKIN_COUNTS.items():
+        value = getattr(skin, name)
+        if isinstance(value, bool) or not isinstance(value, int) or value < low:
+            raise SchemaError(f"skin: {name} must be an integer >= {low}, got {value!r}")
+    for name in ("sample_rate_hz", "ambient_temp_c"):
+        value = getattr(skin, name)
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise SchemaError(f"skin: {name} must be a number, got {value!r}")
+    if not (skin.sample_rate_hz > 0):
+        raise SchemaError("skin: sample_rate_hz must be > 0")
+    return skin
+
+
 def load_catalog(path: str | Path) -> Catalog:
     """Load and validate a catalog file.
 
@@ -415,18 +440,11 @@ def load_catalog(path: str | Path) -> Catalog:
     if unknown:
         raise SchemaError(f"unknown top-level field(s) {sorted(unknown)}")
 
-    try:
-        skin = SkinConfig(**raw.get("skin", {}))
-    except TypeError as exc:
-        raise SchemaError(f"skin: {exc}") from exc
+    skin = _parse_skin(raw.get("skin", {}))
     try:
         noise = NoiseScales(**raw.get("noise", {}))
     except TypeError as exc:
         raise SchemaError(f"noise: {exc}") from exc
-    if skin.cells < 1 or skin.force_per_cell < 0 or skin.temp_per_cell < 0:
-        raise SchemaError("skin: cells must be >= 1 and sensor counts >= 0")
-    if not (skin.sample_rate_hz > 0):
-        raise SchemaError("skin: sample_rate_hz must be > 0")
 
     entries = raw.get("objects", [])
     if not isinstance(entries, list) or not entries:

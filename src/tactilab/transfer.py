@@ -82,8 +82,45 @@ class PriorKnowledge:
     models: Mapping[str, OvaGpcModel]
     kernels: Mapping[str, CombinedKernel]
 
+    @classmethod
+    def of(cls, fits: Mapping[str, ActionPrior]) -> PriorKnowledge:
+        """The knowledge of each action's ``fit_action_prior``, in the
+        mapping's order."""
+        return cls(
+            blocks={a: blocks for a, (blocks, _, _) in fits.items()},
+            models={a: model for a, (_, model, _) in fits.items()},
+            kernels={a: kernel for a, (_, _, kernel) in fits.items()},
+        )
+
     def old_object_ids(self, action_id: str) -> tuple[int, ...]:
         return tuple(sorted(self.blocks[action_id]))
+
+
+#: One action's prior knowledge: its old-object blocks in object order, and
+#: the one-vs-all model and kernel fitted on them (``fit_action_prior``).
+ActionPrior = tuple[dict[int, ObservationBlock], OvaGpcModel, CombinedKernel]
+
+
+def fit_action_prior(
+    groups: ObservationGroups,
+    restarts: int = INIT_RESTARTS,
+    rng: Optional[np.random.Generator] = None,
+) -> ActionPrior:
+    """Store one action's old-object blocks in object order and fit its
+    observation model. The search draws from ``rng`` only its
+    ``restarts - 1`` starts (``gp.draw_starts``)."""
+    blocks = dict(sorted(groups.items()))
+    flat = ObservationBlock.concat(list(blocks.values()))
+    labels = [obj for obj, block in blocks.items() for _ in range(len(block))]
+    start = median_heuristic(flat, flat.modalities)
+    sets = ova_sets(flat, labels)
+    # A single old object gives a degenerate one-class model, its kernel
+    # tuned on the all-positive problem in three sweeps.
+    found = optimize_kernel_for_sets(
+        list(sets.values()), start, restarts=restarts, rng=rng,
+        max_sweeps=3 if len(sets) == 1 else 4,
+    )
+    return blocks, ova_from_modes(sets, found.kernel, found.modes), found.kernel
 
 
 def fit_prior_knowledge(
@@ -91,26 +128,11 @@ def fit_prior_knowledge(
     restarts: int = INIT_RESTARTS,
     rng: Optional[np.random.Generator] = None,
 ) -> PriorKnowledge:
-    """Store each action's old-object blocks in object order and fit one
-    observation model per action."""
-    blocks: dict[str, dict[int, ObservationBlock]] = {}
-    models: dict[str, OvaGpcModel] = {}
-    kernels: dict[str, CombinedKernel] = {}
-    for action_id, groups in instances.items():
-        blocks[action_id] = dict(sorted(groups.items()))
-        flat = ObservationBlock.concat(list(blocks[action_id].values()))
-        labels = [obj for obj, block in blocks[action_id].items() for _ in range(len(block))]
-        start = median_heuristic(flat, flat.modalities)
-        sets = ova_sets(flat, labels)
-        # A single old object gives a degenerate one-class model, its kernel
-        # tuned on the all-positive problem in three sweeps.
-        found = optimize_kernel_for_sets(
-            list(sets.values()), start, restarts=restarts, rng=rng,
-            max_sweeps=3 if len(sets) == 1 else 4,
-        )
-        models[action_id] = ova_from_modes(sets, found.kernel, found.modes)
-        kernels[action_id] = found.kernel
-    return PriorKnowledge(blocks=blocks, models=models, kernels=kernels)
+    """Fit each action's prior (``fit_action_prior``) in turn, every search
+    drawing from the one ``rng``."""
+    return PriorKnowledge.of(
+        {action: fit_action_prior(groups, restarts, rng) for action, groups in instances.items()}
+    )
 
 
 def select_prior_by_prediction(

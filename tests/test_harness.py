@@ -19,6 +19,7 @@ from tactilab.assets import (
     held_out_jobs,
     make_evaluator,
     new_object_slice,
+    observation_groups,
     projector_pool_jobs,
     set_up_features,
 )
@@ -29,14 +30,16 @@ from tactilab.errors import (
     ConfigError,
     DegenerateTraceError,
     InsufficientDataError,
+    OptimizationError,
     SchemaError,
 )
 from tactilab.features import FeatureObservation, Modality
 from tactilab.harness import run_experiment
 from tactilab.kernels import ObservationBlock
 from tactilab.results import RunResult, TrialResult, write_report
-from tactilab.seeding import PRIOR_NS, TEST_NS, TRAIN_NS, derive_seed
+from tactilab.seeding import OPT_NS, PRIOR_NS, TEST_NS, TRAIN_NS, derive_rng, derive_seed
 from tactilab.signals import STANDARD_ACTIONS, load_catalog, trace_nbytes
+from tactilab.transfer import INIT_RESTARTS, fit_prior_knowledge
 
 from conftest import as_blocks, record_searches
 
@@ -163,6 +166,15 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=field):
             parse_config(config_dict(**{field: value}))
 
+    def test_catalog_must_be_a_string(self, tmp_path, capsys):
+        # A list used to become the path "[1]".
+        with pytest.raises(ConfigError, match="catalog must be a string, got \\[1\\]"):
+            parse_config(config_dict(catalog=[1]))
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(config_dict(catalog=[1])))
+        assert cli_main(["validate", str(path)]) == 2
+        assert "catalog must be a string" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "field, value",
         [
@@ -279,14 +291,14 @@ class TestAssetCache:
         from tactilab import harness
 
         priors = []
-        real_build_prior = harness.build_prior
+        real_build_assets = harness.build_assets
 
         def recording(*args):
-            prior, projectors = real_build_prior(*args)
-            priors.append(prior)
-            return prior, projectors
+            assets = real_build_assets(*args)
+            priors.append(assets[1])
+            return assets
 
-        monkeypatch.setattr(harness, "build_prior", recording)
+        monkeypatch.setattr(harness, "build_assets", recording)
         raw = json.loads(Path(tactilab.data_path("catalogs", "sample_catalog.json")).read_text())
         stiff = json.loads(json.dumps(raw))
         for obj in stiff["objects"]:
@@ -471,9 +483,48 @@ class TestSetup:
         assert peak < pool_bytes / 4
 
     @pytest.mark.parametrize("jobs", [1, 2])
-    @pytest.mark.parametrize("where", ["test-set-trace", "projector-fit"])
+    def test_prior_equals_the_actions_fitted_in_turn_on_one_stream(self, jobs):
+        """Each action's search starts where the sequential fit leaves the
+        prior's search stream for it. On this catalog C1's random start wins
+        its search, so a C1 search that drew from a fresh stream would show."""
+        from tactilab import harness
+
+        config = parse_config(config_dict(
+            catalog=str(tactilab.data_path("catalogs", "unrelated_priors.json")),
+            actions=["P2", "S4", "C1"],
+        ))
+        catalog = load_catalog(config.catalog_path())
+        batches = list(set_up_features(catalog, projector_pool_jobs(config)))
+        groups = observation_groups(fit_projectors_from_pool(batches), batches)
+        expected = fit_prior_knowledge(groups, rng=derive_rng(OPT_NS, PRIOR_NS))
+        _, prior, _, _ = harness.build_assets(config, jobs)
+        assert_same(prior, expected, "prior")
+
+    def test_pool_set_up_runs_no_solve_in_this_process(self, monkeypatch):
+        from tactilab import assets, gp, harness
+
+        parent = os.getpid()
+
+        def elsewhere(fn):
+            def guarded(*args, **kwargs):
+                if os.getpid() == parent:
+                    raise AssertionError(f"{fn.__name__} ran in the parent")
+                return fn(*args, **kwargs)
+
+            return guarded
+
+        monkeypatch.setattr(gp, "_laplace_modes", elsewhere(gp._laplace_modes))
+        monkeypatch.setattr(assets, "fit_projector", elsewhere(assets.fit_projector))
+        config = parse_config(config_dict(actions=["P2", "S4", "C1"]))
+        with pytest.raises(AssertionError, match="ran in the parent"):
+            harness.build_assets(config, 1)
+        _, prior, projectors, _ = harness.build_assets(config, 2)
+        assert list(prior.models) == list(projectors) == list(config.actions)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("where", ["test-set-trace", "projector-fit", "prior-search"])
     def test_set_up_error_fails_the_run_before_any_trial(self, monkeypatch, jobs, where):
-        from tactilab import assets, harness
+        from tactilab import assets, gp, harness
 
         trials = []
         monkeypatch.setattr(harness, "run_trial", lambda *args: trials.append(args))
@@ -488,14 +539,31 @@ class TestSetup:
 
             monkeypatch.setattr(assets, "simulate_stack", flaky)
             config, error = _tiny_config(catalog, seeds=[1, 2]), DegenerateTraceError
-        else:  # here, while the pool still holds test-set traces to simulate
+        elif where == "projector-fit":  # while the pool still holds test-set batches
             def failing_fit(thermal):
                 raise InsufficientDataError("synthetic projector failure")
 
             monkeypatch.setattr(assets, "fit_projector", failing_fit)
             config, error = _tiny_config(catalog, seeds=[1, 2]), InsufficientDataError
-        with pytest.raises(error):
+        else:  # every start of the second action's search scores -inf
+            real_summed_lmls = gp._summed_lmls
+
+            def failing(sets, *args):
+                for lmls, modes in real_summed_lmls(sets, *args):
+                    if Modality.TEXTURE in sets[0].X.modalities:
+                        lmls = [-np.inf] * len(lmls)
+                    yield lmls, modes
+
+            monkeypatch.setattr(gp, "_summed_lmls", failing)
+            config = _tiny_config(catalog, seeds=[1, 2], actions=["P2", "S4"])
+            error = OptimizationError
+        with pytest.raises(error) as raised:
             run_experiment(parse_config(config), jobs=jobs)
+        if where == "prior-search":
+            assert str(raised.value) == "all restarts failed"
+            diagnostics = raised.value.diagnostics
+            assert len(diagnostics) == INIT_RESTARTS
+            assert all(line.endswith("-> non-finite objective") for line in diagnostics)
         assert not trials
         assert not multiprocessing.active_children()
 
@@ -783,8 +851,8 @@ class TestJobs:
             def __exit__(self, *exc_info):
                 return None
 
-            def map(self, fn, iterable, chunksize=1):
-                return map(fn, iterable)
+            def map(self, fn, *iterables, chunksize=1):
+                return map(fn, *iterables)
 
         monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(harness, "_worker_run", None)  # set here by the trial initializer
@@ -1046,6 +1114,33 @@ class TestCli:
         for argv in (["validate", str(path)], ["run", str(path), "--out", str(out)]):
             assert cli_main(argv) == 2
             assert f"objects[0]: {field} must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "field, value, expected",
+        [
+            ("cells", "7", "an integer >= 1, got '7'"),
+            ("sample_rate_hz", "100", "a number, got '100'"),
+            ("cells", 2.5, "an integer >= 1, got 2.5"),
+            ("ambient_temp_c", None, "a number, got None"),
+            ("cells", True, "an integer >= 1, got True"),
+        ],
+        ids=["cells-string", "sample-rate-string", "cells-fraction", "ambient-null", "cells-bool"],
+    )
+    def test_mistyped_skin_field_exits_2(self, tmp_path, capsys, field, value, expected):
+        # The strings failed validate with a TypeError (exit 1), the fraction
+        # and the null passed validate and failed run, and true passed as 1.
+        source = tactilab.data_path("configs", "sample_run.json")
+        raw = json.loads(source.read_text())
+        catalog = json.loads((source.parent / raw["catalog"]).read_text())
+        catalog["skin"][field] = value
+        (tmp_path / "catalog.json").write_text(json.dumps(catalog))
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({**raw, "catalog": "catalog.json"}))
+        out = tmp_path / "out"
+        for argv in (["validate", str(path)], ["run", str(path), "--out", str(out)]):
+            assert cli_main(argv) == 2
+            assert f"skin: {field} must be {expected}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_object_missing_from_catalog_named_by_every_verb(self, tmp_path, capsys):
