@@ -44,8 +44,18 @@ def _action_index(action_id: str) -> int:
     return list(STANDARD_ACTIONS).index(action_id)
 
 
+#: The skin's per-cell sensor count that each feature modality reads.
+_SENSOR_COUNTS = {
+    Modality.FORCE: "force_per_cell",
+    Modality.TEXTURE: "accel_per_cell",
+    Modality.THERMAL: "temp_per_cell",
+}
+
+
 def check_catalog_objects(config: ExperimentConfig, catalog: Catalog) -> None:
-    """Raise ConfigError naming the configured object ids the catalog lacks."""
+    """Raise ConfigError naming the configured object ids the catalog lacks,
+    or a skin sensor count of 0 that a configured action's features read
+    (``SEGMENTATION``), with that action."""
     missing = [
         i
         for i in config.prior_objects + config.new_objects
@@ -53,6 +63,14 @@ def check_catalog_objects(config: ExperimentConfig, catalog: Catalog) -> None:
     ]
     if missing:
         raise ConfigError(f"object id(s) {missing} not present in catalog")
+    for action_id in config.actions:
+        for modality, _ in SEGMENTATION[STANDARD_ACTIONS[action_id].kind]:
+            name = _SENSOR_COUNTS[modality]
+            count = getattr(catalog.skin, name)
+            if count < 1:
+                raise ConfigError(
+                    f"skin: {name} must be >= 1 for action {action_id}, got {count}"
+                )
 
 
 #: One simulated trace, of set-up or of a trial: (action id, object id, seed).
@@ -163,8 +181,9 @@ def prior_search_rngs(config: ExperimentConfig) -> list[np.random.Generator]:
     """Per configured action, the prior's search stream
     ``derive_rng(OPT_NS, PRIOR_NS)`` at the state that action's search
     starts from when the actions' priors are fitted in turn on the one
-    stream (``fit_prior_knowledge``): one copy of the stream per action,
-    taken before that action's draws (``draw_starts``, whose layout is set
+    stream (``fit_action_prior`` per action in config order, every search
+    drawing from that stream): one copy of the stream per action, taken
+    before that action's draws (``draw_starts``, whose layout is set
     by the action's modalities)."""
     stream, rngs = derive_rng(OPT_NS, PRIOR_NS), []
     for action_id in config.actions:

@@ -22,7 +22,7 @@ from .errors import (
     ProjectorMismatchError,
     ZeroVarianceError,
 )
-from .signals import ActionKind, SensorTrace, TraceStack
+from .signals import ActionKind, TraceStack
 
 THERMAL_DIM = 10
 THERMAL_RESAMPLE_LEN = 128
@@ -70,14 +70,10 @@ class FeatureObservation:
         raise KeyError(f"no {modality.value} segment in observation")
 
 
-def extract_stiffness(trace: SensorTrace) -> float:
-    """Mean normal force over all force sensors and time steps."""
-    return float(_stiffnesses(TraceStack.of(trace).forces)[0])
-
-
 def _stiffnesses(forces: Optional[np.ndarray]) -> np.ndarray:
-    """``extract_stiffness`` of each trace of a (k, n_force, M) stack: the
-    mean of each trace's own force block, as that trace alone reduces it."""
+    """The stiffness of each trace of a (k, n_force, M) stack: the mean
+    normal force over all of the trace's force sensors and time steps, its
+    own force block reduced as that trace alone reduces it."""
     if forces is None:
         raise ModalityError("trace has no force channels")
     return np.array([np.mean(block) for block in forces], dtype=float)
@@ -143,19 +139,15 @@ def _centred(rows: np.ndarray) -> np.ndarray:
     return rows - np.mean(rows, axis=1, keepdims=True)
 
 
-def extract_texture(trace: SensorTrace) -> np.ndarray:
-    """4-vector [activity, mobility, complexity, axis correlation].
-
-    The first three statistics are averaged over every accelerometer and
-    axis with nonzero variance; the correlation is averaged over the axis
-    pairs (xy, xz, yz) of each accelerometer whose two axes both have
-    nonzero variance. Raises ZeroVarianceError when every axis is constant.
-    The one-item case of ``_textures``."""
-    return _textures(TraceStack.of(trace).accels)[0]
-
-
 def _textures(accels: Optional[np.ndarray]) -> np.ndarray:
-    """The (k, 4) texture vectors of a (k, cells, 3, M) stack.
+    """The (k, 4) texture vectors [activity, mobility, complexity, axis
+    correlation] of a (k, cells, 3, M) stack.
+
+    Per trace, the first three statistics are averaged over every
+    accelerometer and axis with nonzero variance; the correlation is
+    averaged over the axis pairs (xy, xz, yz) of each accelerometer whose two
+    axes both have nonzero variance. Raises ZeroVarianceError when every
+    axis is constant.
 
     ``activity``, ``mobility``, ``complexity`` and ``linear_correlation``
     are the reference definitions. This function computes the same numbers,

@@ -94,7 +94,8 @@ def build_assets(config: ExperimentConfig, workers: int = 1) -> tuple:
     results in config order and builds the test set. Each action's search
     starts from its own copy of the prior's search stream
     (``prior_search_rngs``), so the same bits come out either way, and as
-    from ``fit_prior_knowledge`` over the actions in turn."""
+    from ``fit_action_prior`` over the actions in turn, every search
+    drawing from the one stream."""
     catalog = load_catalog(config.catalog_path())
     check_catalog_objects(config, catalog)
     with _setup_map(workers) as mapper:

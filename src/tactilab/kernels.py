@@ -28,15 +28,6 @@ class RbfKernel:
             )
 
 
-def rbf_eval(kernel: RbfKernel, x: Sequence[float], y: Sequence[float]) -> float:
-    x = np.asarray(x, dtype=float).ravel()
-    y = np.asarray(y, dtype=float).ravel()
-    if x.shape != y.shape:
-        raise SegmentationError(f"dimension mismatch: {x.shape} vs {y.shape}")
-    sq = float(np.sum((x - y) ** 2))
-    return kernel.signal_variance * np.exp(-sq / (2.0 * kernel.length_scale**2))
-
-
 def _sqdist(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """Squared distances via the expansion |x-y|^2 = |x|^2 + |y|^2 - 2 x.y,
     clipped at zero against rounding; over stacks of matrices, pair by pair
@@ -202,25 +193,6 @@ class CombinedKernel:
 def uniform_combined(parts: Sequence[tuple[Modality, RbfKernel]]) -> CombinedKernel:
     parts = tuple(parts)
     return CombinedKernel(parts, np.full(len(parts), 1.0 / len(parts)))
-
-
-def _check_segmentation(kernel: CombinedKernel, obs: FeatureObservation) -> None:
-    if obs.modalities != kernel.modalities:
-        raise SegmentationError(
-            f"observation modalities {obs.modalities} do not match kernel parts "
-            f"{kernel.modalities}"
-        )
-
-
-def combined_eval(
-    kernel: CombinedKernel, x: FeatureObservation, y: FeatureObservation
-) -> float:
-    _check_segmentation(kernel, x)
-    _check_segmentation(kernel, y)
-    total = 0.0
-    for gamma, (mod, part) in zip(kernel.weights, kernel.parts):
-        total += gamma * rbf_eval(part, x.segment(mod), y.segment(mod))
-    return float(total)
 
 
 def _layout(kernel) -> tuple:

@@ -1,8 +1,9 @@
 """Deterministic synthetic tactile world.
 
 Replaces the robot-plus-skin stack with seeded signal generators: an object
-catalog carries latent physical parameters, and ``simulate`` turns an
-(object, action, seed) triple into multi-channel sensor traces.
+catalog carries latent physical parameters, and ``simulate_stack`` turns
+(object, action, seed) triples of one action into multi-channel sensor
+traces.
 """
 
 from __future__ import annotations
@@ -256,20 +257,6 @@ class TraceStack:
 _HARMONICS = ((1.0, 1.0), (2.0, 0.5), (3.0, 0.25))
 
 
-def simulate(
-    obj: ObjectSpec,
-    action: ExploratoryAction,
-    seed: int,
-    skin: SkinConfig = SkinConfig(),
-    noise: NoiseScales = NoiseScales(),
-) -> SensorTrace:
-    """Generate the sensor trace for one action execution.
-
-    Pure function of (object, action, seed, skin, noise): the same inputs
-    produce a bit-identical trace. The one-item case of ``simulate_stack``."""
-    return simulate_stack([obj], action, [seed], skin, noise).trace(0)
-
-
 def simulate_stack(
     objs: Sequence[ObjectSpec],
     action: ExploratoryAction,
@@ -279,10 +266,12 @@ def simulate_stack(
 ) -> TraceStack:
     """The traces of ``action`` on ``objs[i]`` with ``seeds[i]``, stacked.
 
-    Each trace draws from its own ``default_rng(seed)``, always the same
-    draws in the same order, into its rows of the stack. The arithmetic then
-    runs once over the stack, elementwise in one trace's order of
-    operations, so a trace's bits do not depend on its stack."""
+    Each trace is a pure function of (object, action, seed, skin, noise):
+    the same inputs give a bit-identical trace in any stack, the one-item
+    stack included. Each trace draws from its own ``default_rng(seed)``,
+    always the same draws in the same order, into its rows of the stack.
+    The arithmetic then runs once over the stack, elementwise in one trace's
+    order of operations, so a trace's bits do not depend on its stack."""
     if len(objs) != len(seeds):
         raise ParameterError(f"{len(objs)} objects for {len(seeds)} seeds")
     m = _n_samples(action.duration_s, skin.sample_rate_hz)

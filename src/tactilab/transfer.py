@@ -13,9 +13,7 @@ import numpy as np
 from .errors import MissingPriorError, ParameterError
 from .features import FeatureObservation
 from .gp import (
-    BinaryGpcModel,
     OvaGpcModel,
-    PooledSet,
     optimize_kernel_for_sets,
     ova_from_modes,
     ova_predict_groups,
@@ -23,6 +21,7 @@ from .gp import (
     ova_sets,
 )
 from .kernels import CombinedKernel, ObservationBlock, median_heuristic
+from .laplace import BinaryGpcModel, PooledSet
 
 #: An action's observations: one block per object.
 ObservationGroups = Mapping[int, ObservationBlock]
@@ -121,37 +120,6 @@ def fit_action_prior(
         max_sweeps=3 if len(sets) == 1 else 4,
     )
     return blocks, ova_from_modes(sets, found.kernel, found.modes), found.kernel
-
-
-def fit_prior_knowledge(
-    instances: Mapping[str, ObservationGroups],
-    restarts: int = INIT_RESTARTS,
-    rng: Optional[np.random.Generator] = None,
-) -> PriorKnowledge:
-    """Fit each action's prior (``fit_action_prior``) in turn, every search
-    drawing from the one ``rng``."""
-    return PriorKnowledge.of(
-        {action: fit_action_prior(groups, restarts, rng) for action, groups in instances.items()}
-    )
-
-
-def select_prior_by_prediction(
-    prior: PriorKnowledge,
-    action_id: str,
-    X_new_j: Sequence[FeatureObservation],
-    eps_neg1: float = 0.6,
-    new_object_id: int = -1,
-) -> TransferDecision:
-    """Score each old object by its mean binary posterior over the new
-    observations; transfer from the best one iff the score clears the
-    threshold, with the score itself as the relatedness."""
-    if len(X_new_j) == 0:
-        raise ParameterError("X_new_j must be nonempty")
-    if action_id not in prior.models:
-        raise MissingPriorError(f"no prior model for action {action_id!r}")
-    model = prior.models[action_id]
-    p_bar = ova_predict_proba(model, X_new_j).mean(axis=0)
-    return _by_prediction(model, action_id, p_bar, eps_neg1, new_object_id)
 
 
 def _by_prediction(

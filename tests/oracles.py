@@ -1,0 +1,193 @@
+"""Reference implementations that the tests check the package against.
+
+Each is the one-item, one-problem or scalar case of a stacked path that the
+package runs, kept here because no run path calls it:
+
+- ``fit_sets``, ``ova_fit``, ``ova_predict`` and ``argmax_label``: one-vs-all
+  models fitted at one kernel and one-query predictions, over the stacked
+  solve (``laplace._solve_sets``) and prediction (``gp.ova_predict_proba``);
+- ``rbf_eval`` and ``combined_eval``: one kernel entry between two points,
+  against the gram builders in ``kernels``;
+- ``extract_stiffness`` and ``extract_texture``: one trace's features, the
+  one-item cases of ``features._stiffnesses`` and ``features._textures``;
+- ``simulate``: one trace, the one-item case of ``signals.simulate_stack``;
+- ``fit_prior_knowledge``: every action's ``transfer.fit_action_prior`` in
+  turn on one rng, the prior that set-up fits one action per task;
+- ``select_prior_by_prediction``: one new object's prediction-based
+  decision, which ``transfer.build_action_models`` makes for all new
+  objects from one stacked prediction.
+"""
+
+from __future__ import annotations
+
+from typing import Mapping, Optional, Sequence
+
+import numpy as np
+
+from tactilab.errors import MissingPriorError, ParameterError, SegmentationError
+from tactilab.features import FeatureObservation, _stiffnesses, _textures
+from tactilab.gp import OvaGpcModel, ova_from_modes, ova_predict_proba, ova_sets
+from tactilab.kernels import CombinedKernel, RbfKernel
+from tactilab.laplace import PooledSet, _check_sets, _solve_sets
+from tactilab.signals import (
+    ExploratoryAction,
+    NoiseScales,
+    ObjectSpec,
+    SensorTrace,
+    SkinConfig,
+    TraceStack,
+    simulate_stack,
+)
+from tactilab.transfer import (
+    INIT_RESTARTS,
+    ObservationGroups,
+    PriorKnowledge,
+    TransferDecision,
+    _by_prediction,
+    fit_action_prior,
+)
+
+
+# ---------------------------------------------------------------------------
+# One-vs-all
+# ---------------------------------------------------------------------------
+
+
+def fit_sets(sets: Mapping[int, PooledSet], kernel) -> OvaGpcModel:
+    """The models ``{cls: s.fit(kernel)}`` bit for bit, solved in one
+    ``_solve_sets`` call (see ``ova_from_modes`` for its errors)."""
+    _check_sets(sets.values(), "fit_sets")
+    solved = _solve_sets(list(sets.values()), [kernel], None)
+    return ova_from_modes(sets, kernel, [mode for (mode,) in solved])
+
+
+def ova_fit(kernel, X, labels) -> OvaGpcModel:
+    """One binary model per class, each trained on the same observation block."""
+    sets = ova_sets(X, labels)
+    if len(sets) < 2:
+        raise ParameterError("one-vs-all needs at least two classes")
+    return fit_sets(sets, kernel)
+
+
+def argmax_label(classes: Sequence[int], probs: Sequence[float]) -> int:
+    """Argmax with lowest-class-id tie-break (classes assumed sorted)."""
+    best_cls, best_p = classes[0], probs[0]
+    for cls, p in zip(classes[1:], probs[1:]):
+        if p > best_p:
+            best_cls, best_p = cls, p
+    return best_cls
+
+
+def ova_predict(model: OvaGpcModel, x_star) -> tuple[int, dict[int, float]]:
+    probs = ova_predict_proba(model, [x_star])[0]
+    label = argmax_label(model.classes, probs)
+    return label, dict(zip(model.classes, probs))
+
+
+# ---------------------------------------------------------------------------
+# Kernel entries
+# ---------------------------------------------------------------------------
+
+
+def rbf_eval(kernel: RbfKernel, x: Sequence[float], y: Sequence[float]) -> float:
+    x = np.asarray(x, dtype=float).ravel()
+    y = np.asarray(y, dtype=float).ravel()
+    if x.shape != y.shape:
+        raise SegmentationError(f"dimension mismatch: {x.shape} vs {y.shape}")
+    sq = float(np.sum((x - y) ** 2))
+    return kernel.signal_variance * np.exp(-sq / (2.0 * kernel.length_scale**2))
+
+
+def _check_segmentation(kernel: CombinedKernel, obs: FeatureObservation) -> None:
+    if obs.modalities != kernel.modalities:
+        raise SegmentationError(
+            f"observation modalities {obs.modalities} do not match kernel parts "
+            f"{kernel.modalities}"
+        )
+
+
+def combined_eval(
+    kernel: CombinedKernel, x: FeatureObservation, y: FeatureObservation
+) -> float:
+    _check_segmentation(kernel, x)
+    _check_segmentation(kernel, y)
+    total = 0.0
+    for gamma, (mod, part) in zip(kernel.weights, kernel.parts):
+        total += gamma * rbf_eval(part, x.segment(mod), y.segment(mod))
+    return float(total)
+
+
+# ---------------------------------------------------------------------------
+# Features of one trace
+# ---------------------------------------------------------------------------
+
+
+def extract_stiffness(trace: SensorTrace) -> float:
+    """Mean normal force over all force sensors and time steps."""
+    return float(_stiffnesses(TraceStack.of(trace).forces)[0])
+
+
+def extract_texture(trace: SensorTrace) -> np.ndarray:
+    """4-vector [activity, mobility, complexity, axis correlation].
+
+    The first three statistics are averaged over every accelerometer and
+    axis with nonzero variance; the correlation is averaged over the axis
+    pairs (xy, xz, yz) of each accelerometer whose two axes both have
+    nonzero variance. Raises ZeroVarianceError when every axis is constant.
+    The one-item case of ``_textures``."""
+    return _textures(TraceStack.of(trace).accels)[0]
+
+
+# ---------------------------------------------------------------------------
+# One trace
+# ---------------------------------------------------------------------------
+
+
+def simulate(
+    obj: ObjectSpec,
+    action: ExploratoryAction,
+    seed: int,
+    skin: SkinConfig = SkinConfig(),
+    noise: NoiseScales = NoiseScales(),
+) -> SensorTrace:
+    """Generate the sensor trace for one action execution.
+
+    Pure function of (object, action, seed, skin, noise): the same inputs
+    produce a bit-identical trace. The one-item case of ``simulate_stack``."""
+    return simulate_stack([obj], action, [seed], skin, noise).trace(0)
+
+
+# ---------------------------------------------------------------------------
+# Prior knowledge and selection
+# ---------------------------------------------------------------------------
+
+
+def fit_prior_knowledge(
+    instances: Mapping[str, ObservationGroups],
+    restarts: int = INIT_RESTARTS,
+    rng: Optional[np.random.Generator] = None,
+) -> PriorKnowledge:
+    """Fit each action's prior (``fit_action_prior``) in turn, every search
+    drawing from the one ``rng``."""
+    return PriorKnowledge.of(
+        {action: fit_action_prior(groups, restarts, rng) for action, groups in instances.items()}
+    )
+
+
+def select_prior_by_prediction(
+    prior: PriorKnowledge,
+    action_id: str,
+    X_new_j: Sequence[FeatureObservation],
+    eps_neg1: float = 0.6,
+    new_object_id: int = -1,
+) -> TransferDecision:
+    """Score each old object by its mean binary posterior over the new
+    observations; transfer from the best one iff the score clears the
+    threshold, with the score itself as the relatedness."""
+    if len(X_new_j) == 0:
+        raise ParameterError("X_new_j must be nonempty")
+    if action_id not in prior.models:
+        raise MissingPriorError(f"no prior model for action {action_id!r}")
+    model = prior.models[action_id]
+    p_bar = ova_predict_proba(model, X_new_j).mean(axis=0)
+    return _by_prediction(model, action_id, p_bar, eps_neg1, new_object_id)

@@ -14,9 +14,9 @@ from tactilab.active import UncertaintyTable, posterior_entropy, select_next
 from tactilab.cli import main as cli_main
 from tactilab.config import load_config
 from tactilab.features import Modality, activity, complexity, linear_correlation, mobility
-from tactilab.gp import gpc_fit, gpc_predict, gpc_predict_batch, gpr_fit, gpr_predict
 from tactilab.harness import run_experiment
 from tactilab.kernels import CombinedKernel, DependentKernel, RbfKernel, dependent_gram
+from tactilab.laplace import gpc_fit, gpc_predict, gpc_predict_batch, gpr_fit, gpr_predict
 from tactilab.signals import STANDARD_ACTIONS
 from tactilab.transfer import fit_dependent_gpc
 

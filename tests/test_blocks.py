@@ -18,7 +18,7 @@ from scipy.linalg import cho_solve, cholesky, solve_triangular
 from scipy.linalg.lapack import dpotrf, dpotrs
 from scipy.special import expit
 
-from tactilab import gp
+from tactilab import gp, laplace
 from tactilab.errors import ConvergenceError, NumericalError, ParameterError, SegmentationError
 from tactilab.features import FeatureObservation, Modality
 from tactilab.kernels import (
@@ -34,6 +34,7 @@ from tactilab.kernels import (
 )
 
 from conftest import force_obs, two_part_obs
+from oracles import fit_sets, ova_fit
 
 MODS = (Modality.FORCE, Modality.THERMAL)
 SETTINGS = settings(
@@ -103,12 +104,12 @@ def ref_gpc_fit(kernel, X_train, labels, n_old=0, gram=None):
     t = 0.5 * (y + 1.0)
     if gram is None:
         gram = training_gram(kernel, X_train, n_old)
-    k = gram + gp.GRAM_JITTER * np.eye(len(X_train))
+    k = gram + laplace.GRAM_JITTER * np.eye(len(X_train))
     n = y.size
     f = np.zeros(n)
     a = np.zeros(n)
     trace = []
-    for _ in range(gp.LAPLACE_MAX_ITER):
+    for _ in range(laplace.LAPLACE_MAX_ITER):
         pi = expit(f)
         w = pi * (1.0 - pi)
         w_sqrt = np.sqrt(w)
@@ -118,7 +119,7 @@ def ref_gpc_fit(kernel, X_train, labels, n_old=0, gram=None):
         a = b - w_sqrt * cho_solve((chol_b, True), w_sqrt * (k @ b))
         f = k @ a
         trace.append(float(np.max(np.abs((t - expit(f)) - a))))
-        if trace[-1] < gp.LAPLACE_TOL:
+        if trace[-1] < laplace.LAPLACE_TOL:
             break
     pi = expit(f)
     w_sqrt = np.sqrt(pi * (1.0 - pi))
@@ -128,7 +129,7 @@ def ref_gpc_fit(kernel, X_train, labels, n_old=0, gram=None):
         + float(np.sum(-np.logaddexp(0.0, -(y * f))))
         - float(np.sum(np.log(np.diag(chol_b))))
     )
-    return gp.BinaryGpcModel(
+    return laplace.BinaryGpcModel(
         kernel, X_train, y, n_old, f_hat=f, grad_hat=t - pi, w_sqrt=w_sqrt,
         chol_b=chol_b, lml=lml, stationarity=trace[-1], iterations=len(trace),
     )
@@ -158,7 +159,7 @@ def ref_single_laplace(k, y):
     pi = expit(f)
     trace = []
     converged = False
-    for _ in range(gp.LAPLACE_MAX_ITER):
+    for _ in range(laplace.LAPLACE_MAX_ITER):
         w = pi * (1.0 - pi)
         w_sqrt = np.sqrt(w)
         chol_b = factor(eye + (w_sqrt[:, None] * k) * w_sqrt[None, :])
@@ -172,7 +173,7 @@ def ref_single_laplace(k, y):
                 f"Laplace mode search hit a non-finite residual at iteration {len(trace) + 1}"
             )
         trace.append(residual)
-        if residual < gp.LAPLACE_TOL:
+        if residual < laplace.LAPLACE_TOL:
             converged = True
             break
     if not converged and trace[-1] >= 1e-6:
@@ -195,13 +196,13 @@ def ref_gpc_predict_batch(model, X_star):
     """Batch posterior over scipy's ``solve_triangular``."""
     X_star = ObservationBlock.of(X_star)
     k_star = prediction_cross(model.kernel, model.X_train, X_star, model.n_old)
-    k_ss = gp.prediction_diag(model.kernel, X_star)
+    k_ss = laplace.prediction_diag(model.kernel, X_star)
     mu = k_star.T @ model.grad_hat
     v = solve_triangular(model.chol_b, model.w_sqrt[:, None] * k_star, lower=True)
     var = np.maximum(k_ss - np.sum(v**2, axis=0), 0.0)
-    z = mu[:, None] + np.sqrt(2.0 * var)[:, None] * gp._GH_NODES[None, :]
-    probs = (expit(z) @ gp._GH_WEIGHTS) / math.sqrt(math.pi)
-    return np.clip(probs, gp.PROB_CLIP, 1.0 - gp.PROB_CLIP)
+    z = mu[:, None] + np.sqrt(2.0 * var)[:, None] * laplace._GH_NODES[None, :]
+    probs = (expit(z) @ laplace._GH_WEIGHTS) / math.sqrt(math.pi)
+    return np.clip(probs, laplace.PROB_CLIP, 1.0 - laplace.PROB_CLIP)
 
 
 def assert_same_fit(got, want):
@@ -341,13 +342,13 @@ class TestBitExactness:
             for kernel, n_old in [(base, 0)] + [
                 (DependentKernel(base, rho), n_old) for n_old in fit_splits(n)
             ]:
-                fits.append((kernel, n_old, gp.gpc_fit(kernel, block, labels, n_old)))
+                fits.append((kernel, n_old, laplace.gpc_fit(kernel, block, labels, n_old)))
             with pytest.raises(ParameterError, match="n_old"):
-                gp.gpc_fit(DependentKernel(base, rho), block, labels, n)
+                laplace.gpc_fit(DependentKernel(base, rho), block, labels, n)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(gp, "training_gram", lambda k, X, n_old=0: ref_training_gram(k, obs, n_old))
+            mp.setattr(laplace, "training_gram", lambda k, X, n_old=0: ref_training_gram(k, obs, n_old))
             for kernel, n_old, got in fits:
-                want = gp.gpc_fit(kernel, obs, labels, n_old)
+                want = laplace.gpc_fit(kernel, obs, labels, n_old)
                 assert got.lml == want.lml
                 assert np.array_equal(got.f_hat, want.f_hat)
 
@@ -371,19 +372,19 @@ class TestLapackPath:
         base = combined(*kernel)
         cases = [(base, 0)] + [(DependentKernel(base, rho), k) for k in fit_splits(n)]
         for kern, n_old in cases:
-            got = gp.gpc_fit(kern, block, labels, n_old)
+            got = laplace.gpc_fit(kern, block, labels, n_old)
             assert_same_fit(got, ref_gpc_fit(kern, block, labels, n_old))
             assert np.array_equal(
-                gp.gpc_predict_batch(got, queries), ref_gpc_predict_batch(got, queries)
+                laplace.gpc_predict_batch(got, queries), ref_gpc_predict_batch(got, queries)
             )
 
     def test_single_point(self):
         block = ObservationBlock.of(random_observations(7, 1, 1.0))
         for labels in ([1.0], [-1.0]):
-            got = gp.gpc_fit(combined(0.5, 2.0, (0.4, 0.6)), block, labels)
+            got = laplace.gpc_fit(combined(0.5, 2.0, (0.4, 0.6)), block, labels)
             assert_same_fit(got, ref_gpc_fit(got.kernel, block, labels))
             assert np.array_equal(
-                gp.gpc_predict_batch(got, block), ref_gpc_predict_batch(got, block)
+                laplace.gpc_predict_batch(got, block), ref_gpc_predict_batch(got, block)
             )
 
     @SETTINGS
@@ -400,9 +401,9 @@ class TestLapackPath:
         labels = np.where(rng.random(n) < 0.5, 1.0, -1.0)
         kernel = combined(1.0, 1.0, (0.5, 0.5))
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(gp, "training_gram", lambda k, X, n_old=0: bad)
+            mp.setattr(laplace, "training_gram", lambda k, X, n_old=0: bad)
             with pytest.raises(np.linalg.LinAlgError):
-                gp.gpc_fit(kernel, block, labels)
+                laplace.gpc_fit(kernel, block, labels)
         with pytest.raises(np.linalg.LinAlgError):
             ref_gpc_fit(kernel, block, labels, gram=bad)
 
@@ -483,7 +484,7 @@ class TestStackedLaplace:
         for ls_f, ls_t, weights, rho, split in items:
             n_old = min(int(split * n), n - 1)
             kernel = DependentKernel(combined(ls_f, ls_t, weights), rho)
-            grams.append(training_gram(kernel, block, n_old) + gp.GRAM_JITTER * np.eye(n))
+            grams.append(training_gram(kernel, block, n_old) + laplace.GRAM_JITTER * np.eye(n))
             labels.append(np.where(rng.random(n) < 0.5, 1.0, -1.0))
         failing = None
         if bad is not None:
@@ -492,7 +493,7 @@ class TestStackedLaplace:
                 grams[failing] = indefinite_gram(rng, n)
             else:
                 grams[failing][rng.integers(n), rng.integers(n)] = bad
-        modes = gp._laplace_modes(np.stack(grams), np.stack(labels))
+        modes = laplace._laplace_modes(np.stack(grams), np.stack(labels))
         assert len(modes) == len(items)
         for i, mode in enumerate(modes):
             try:
@@ -535,7 +536,7 @@ class TestStackedLaplace:
             else:
                 X = ObservationBlock.of(random_observations(int(rng.integers(2**32)), n, 1.0))
             y = tuple(np.where(rng.random(n) < 0.5, 1.0, -1.0).tolist())
-            sets[int(cls) * 3] = gp.PooledSet(X, y, min(int(split * n), n - 1), rho)
+            sets[int(cls) * 3] = laplace.PooledSet(X, y, min(int(split * n), n - 1), rho)
 
         real_stack = training_gram_stack
         bad_block = bad_gram = None
@@ -554,8 +555,8 @@ class TestStackedLaplace:
             return grams
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(gp, "training_gram_stack", stack)
-            mp.setattr(gp, "training_gram", lambda k, X, n_old=0: stack([k], [X], n_old)[0])
+            mp.setattr(laplace, "training_gram_stack", stack)
+            mp.setattr(laplace, "training_gram", lambda k, X, n_old=0: stack([k], [X], n_old)[0])
             want, error = {}, None
             for cls in sorted(sets):
                 try:
@@ -565,10 +566,10 @@ class TestStackedLaplace:
                     break
             if error is not None:
                 with pytest.raises(type(error)) as raised:
-                    gp.fit_sets(sets, base)
+                    fit_sets(sets, base)
                 assert type(raised.value) is type(error) and str(raised.value) == str(error)
                 return
-            got = gp.fit_sets(sets, base)
+            got = fit_sets(sets, base)
         assert got.classes == tuple(sorted(sets))
         for cls, model in got.models.items():
             expected = want[cls]
@@ -583,7 +584,7 @@ class TestStackedLaplace:
         """A stalled Laplace fit names the first failing class in class
         order, through ``ova_fit`` and through ``fit_sets`` over a mapping
         inserted out of order, and keeps the set's own message and trace."""
-        monkeypatch.setattr(gp, "LAPLACE_MAX_ITER", 1)
+        monkeypatch.setattr(laplace, "LAPLACE_MAX_ITER", 1)
         obs = random_observations(3, 9, 1.0)
         labels = [7, 4, 9, 7, 4, 9, 7, 4, 9]
         kernel = combined(1.0, 2.0, (0.4, 0.6))
@@ -591,8 +592,8 @@ class TestStackedLaplace:
         with pytest.raises(ConvergenceError) as own:
             sets[4].fit(kernel)
         for fit in (
-            lambda: gp.ova_fit(kernel, obs, labels),
-            lambda: gp.fit_sets({cls: sets[cls] for cls in (9, 4, 7)}, kernel),
+            lambda: ova_fit(kernel, obs, labels),
+            lambda: fit_sets({cls: sets[cls] for cls in (9, 4, 7)}, kernel),
         ):
             with pytest.raises(ConvergenceError) as raised:
                 fit()
@@ -687,7 +688,7 @@ class TestStackedItems:
             )
             n = len(X)
             y = tuple(np.where(rng.random(n) < 0.5, 1.0, -1.0).tolist())
-            sets.append(gp.PooledSet(X, y, min(int(split * n), n - 1), rho))
+            sets.append(laplace.PooledSet(X, y, min(int(split * n), n - 1), rho))
 
         calls = []
 
@@ -697,8 +698,8 @@ class TestStackedItems:
             return grams
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(gp, "training_gram_stack", spy)
-            got = gp._solve_sets(sets, bases, rhos)
+            mp.setattr(laplace, "training_gram_stack", spy)
+            got = laplace._solve_sets(sets, bases, rhos)
         assert sorted((len(blocks[0]), n_old) for _, blocks, n_old, _ in calls) == sorted(
             {(len(s.X), s.n_old) for s in sets}
         )
@@ -714,7 +715,7 @@ class TestStackedItems:
                     kernel = DependentKernel(kernel, rho)
                 assert np.array_equal(k, training_gram(kernel, X, n_old))
         for s, modes in zip(sets, got):
-            for mode, alone in zip(modes, gp._solve_sets([s], bases, rhos)[0]):
+            for mode, alone in zip(modes, laplace._solve_sets([s], bases, rhos)[0]):
                 if isinstance(alone, Exception):
                     assert type(mode) is type(alone) and str(mode) == str(alone)
                 else:
@@ -734,7 +735,7 @@ class TestStackedItems:
             n_old = min(int(split * n), n - 1)
             base = bases[which % len(bases)]
             kernel = DependentKernel(base, rho) if n_old else base
-            models[cls] = gp.gpc_fit(kernel, X, y, n_old)
+            models[cls] = laplace.gpc_fit(kernel, X, y, n_old)
         return gp.OvaGpcModel(tuple(models), models)
 
     MODEL_SPECS = st.lists(
@@ -768,7 +769,7 @@ class TestStackedItems:
             assert np.array_equal(probs, gp.ova_predict_proba(model, X))
             for c, cls in enumerate(model.classes):
                 binary = model.models[cls]
-                assert np.array_equal(probs[:, c], gp.gpc_predict_batch(binary, X))
+                assert np.array_equal(probs[:, c], laplace.gpc_predict_batch(binary, X))
                 assert np.array_equal(probs[:, c], ref_gpc_predict_batch(binary, X))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -776,7 +777,7 @@ class TestStackedItems:
         model = self.mixed_model(5, [(6, 0.37, 0.0, 0), (6, 0.37, 0.0, 1), (6, 1.0, 0.0, 0)],
                                  [(0.5, 2.0, (0.4, 0.6)), (1.5, 0.7, (0.4, 0.6))])
         groups = [random_observations(11, 3, 1.0), random_observations(12, 3, 1.0)]
-        real = gp.prediction_cross_stack
+        real = laplace.prediction_cross_stack
 
         def poisoned(kernels, trains, stars, n_old=0):
             k = real(kernels, trains, stars, n_old)
@@ -786,9 +787,9 @@ class TestStackedItems:
             return k
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(gp, "prediction_cross_stack", poisoned)
+            mp.setattr(laplace, "prediction_cross_stack", poisoned)
             with pytest.raises(NumericalError) as alone:
-                gp.gpc_predict_batch(model.models[1], groups[0])
+                laplace.gpc_predict_batch(model.models[1], groups[0])
             with pytest.raises(NumericalError) as stacked:
                 gp.ova_predict_groups(model, groups)
             assert gp.ova_predict_groups(

@@ -18,8 +18,6 @@ from tactilab.features import (
     Modality,
     activity,
     complexity,
-    extract_stiffness,
-    extract_texture,
     fit_projector,
     linear_correlation,
     mobility,
@@ -34,11 +32,11 @@ from tactilab.signals import (
     SkinConfig,
     TraceStack,
     pressing,
-    simulate,
     sliding,
 )
 
 from conftest import QUIET
+from oracles import extract_stiffness, extract_texture, simulate
 from test_signals import make_object
 
 

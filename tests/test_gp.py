@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import expit
 
-from tactilab import gp
+from tactilab import gp, laplace
 from tactilab.errors import (
     ConvergenceError,
     NumericalError,
@@ -17,17 +17,8 @@ from tactilab.errors import (
 from tactilab.features import Modality
 from tactilab.gp import (
     OvaGpcModel,
-    PooledSet,
-    argmax_label,
     argmax_labels,
-    gpc_fit,
-    gpc_predict,
-    gpc_predict_batch,
-    gpr_fit,
-    gpr_predict,
     optimize_kernel_for_sets,
-    ova_fit,
-    ova_predict,
     ova_predict_proba,
     ova_sets,
 )
@@ -42,8 +33,17 @@ from tactilab.kernels import (
     project_simplex,
     training_gram,
 )
+from tactilab.laplace import (
+    PooledSet,
+    gpc_fit,
+    gpc_predict,
+    gpc_predict_batch,
+    gpr_fit,
+    gpr_predict,
+)
 
 from conftest import force_obs, two_part_obs
+from oracles import argmax_label, fit_sets, ova_fit, ova_predict
 
 
 def pts(*values):
@@ -222,14 +222,14 @@ class TestNonFiniteGuards:
             k[0, -1] = k[-1, 0] = bad
             return k
 
-        monkeypatch.setattr(gp, "training_gram", gram_with_hole)
+        monkeypatch.setattr(laplace, "training_gram", gram_with_hole)
         with pytest.raises(NumericalError, match="training gram"):
             gpc_fit(RbfKernel(1.0), pts(0.0, 1.0, 2.0), [1, -1, 1])
 
     def test_search_scores_a_non_finite_gram_as_minus_inf(self, monkeypatch):
         # The search builds its grams through the stacked entry point.
         monkeypatch.setattr(
-            gp,
+            laplace,
             "training_gram_stack",
             lambda ks, Xs, n_old=0: np.full((len(ks), len(Xs[0]), len(Xs[0])), np.nan),
         )
@@ -241,7 +241,7 @@ class TestNonFiniteGuards:
         assert all("non-finite objective" in d for d in info.value.diagnostics)
 
     def test_non_finite_newton_step_raises(self, monkeypatch):
-        monkeypatch.setattr(gp, "_pos_solve", lambda a, b: np.full_like(b, np.nan))
+        monkeypatch.setattr(laplace, "_pos_solve", lambda a, b: np.full_like(b, np.nan))
         with pytest.raises(NumericalError, match="iteration 1"):
             gpc_fit(RbfKernel(1.0), pts(0.0, 1.0), [1, -1])
 
@@ -249,7 +249,7 @@ class TestNonFiniteGuards:
     def test_non_finite_cross_covariance_raises_on_predict(self, monkeypatch, bad):
         model = gpc_fit(RbfKernel(1.0), pts(0.0, 1.0), [1, -1])
         monkeypatch.setattr(
-            gp,
+            laplace,
             "prediction_cross_stack",
             lambda ks, Xs, Ys, n_old=0: np.full((len(ks), len(Xs[0]), len(Ys[0])), bad),
         )
@@ -261,7 +261,7 @@ class TestNonFiniteGuards:
             gpr_fit(RbfKernel(1.0), pts(0.0, 1.0), [0.5, np.nan], 0.1)
         model = gpr_fit(RbfKernel(1.0), pts(0.0, 1.0), [0.5, -0.5], 0.1)
         monkeypatch.setattr(
-            gp, "prediction_cross", lambda k, X, Y, n_old=0: np.full((len(X), len(Y)), np.inf)
+            laplace, "prediction_cross", lambda k, X, Y, n_old=0: np.full((len(X), len(Y)), np.inf)
         )
         with pytest.raises(NumericalError, match="cross-covariance"):
             gpr_predict(model, np.array([0.5]))
@@ -434,7 +434,7 @@ def ref_ova_fit(kernel, X, labels):
     models = {}
     for cls in classes:
         y = np.array([1.0 if lb == cls else -1.0 for lb in labels])
-        models[cls] = gp.gpc_fit(kernel, X, y)
+        models[cls] = laplace.gpc_fit(kernel, X, y)
     return OvaGpcModel(tuple(classes), models)
 
 
@@ -442,7 +442,7 @@ def ref_fit_for_spec(spec, kernel, rho, X, labels):
     if spec.fit_rho or spec.n_old > 0:
         kernel = DependentKernel(kernel, rho)
     if spec.kind == "gpc":
-        return gp.gpc_fit(kernel, X, labels, n_old=spec.n_old)
+        return laplace.gpc_fit(kernel, X, labels, n_old=spec.n_old)
     return ref_ova_fit(kernel, X, labels)
 
 
@@ -824,8 +824,8 @@ class TestSearchMatchesReference:
             return KernelStack.of([kernel]).table.tobytes()
 
         solved, scored = [], []
-        modes, summed = gp._laplace_modes, gp._summed_lmls
-        monkeypatch.setattr(gp, "_laplace_modes", lambda k, y: solved.append(len(k)) or modes(k, y))
+        modes, summed = laplace._laplace_modes, gp._summed_lmls
+        monkeypatch.setattr(laplace, "_laplace_modes", lambda k, y: solved.append(len(k)) or modes(k, y))
         monkeypatch.setattr(
             gp,
             "_summed_lmls",
@@ -840,9 +840,9 @@ class TestSearchMatchesReference:
         assert sum(solved) == (len(scored) + 1) * len(sets)
 
         ref_scored = []
-        fit = gp.gpc_fit
+        fit = laplace.gpc_fit
         monkeypatch.setattr(
-            gp, "gpc_fit", lambda kernel, *a, **kw: ref_scored.append(key(kernel)) or fit(kernel, *a, **kw)
+            laplace, "gpc_fit", lambda kernel, *a, **kw: ref_scored.append(key(kernel)) or fit(kernel, *a, **kw)
         )
         _, _, _, start_lmls = ref_optimize_hyperparams(
             ModelSpec(kind="ova", kernel=start), block, labels, restarts=3,
@@ -856,10 +856,10 @@ class TestSearchMatchesReference:
 
 def spy_search(monkeypatch):
     """Record the kernel-table rows the search scores (``gp._summed_lmls``),
-    the kernels the reference fits (``gp.gpc_fit``, by their base's row) and
-    the problems solved (``gp._laplace_modes``)."""
+    the kernels the reference fits (``laplace.gpc_fit``, by their base's row) and
+    the problems solved (``laplace._laplace_modes``)."""
     seen = {"scored": [], "fitted": [], "problems": []}
-    modes, summed, fit = gp._laplace_modes, gp._summed_lmls, gp.gpc_fit
+    modes, summed, fit = laplace._laplace_modes, gp._summed_lmls, laplace.gpc_fit
 
     def laplace_modes(k, y):
         seen["problems"].append(len(k))
@@ -874,9 +874,9 @@ def spy_search(monkeypatch):
         seen["fitted"].append(KernelStack.of([base]).table.tobytes())
         return fit(kernel, *args, **kwargs)
 
-    monkeypatch.setattr(gp, "_laplace_modes", laplace_modes)
+    monkeypatch.setattr(laplace, "_laplace_modes", laplace_modes)
     monkeypatch.setattr(gp, "_summed_lmls", summed_lmls)
-    monkeypatch.setattr(gp, "gpc_fit", gpc_fit)
+    monkeypatch.setattr(laplace, "gpc_fit", gpc_fit)
     return seen
 
 
@@ -923,7 +923,7 @@ class TestLockstepSearch:
         )
         assert_same_search(found, (ref_kernel, 0.6, ref_lml))
         assert rng.bit_generator.state == ref_rng.bit_generator.state
-        assert_same_models(model, gp.fit_sets(sets, found.kernel))
+        assert_same_models(model, fit_sets(sets, found.kernel))
         scan_kernel, scan_lml, scan_scored = ref_scan_search(
             list(sets.values()), start, restarts, np.random.default_rng(restarts), max_sweeps
         )
@@ -968,7 +968,7 @@ class TestLockstepSearch:
         assert_same_search(found, (ref_kernel, ref_rho, ref_lml))
         assert rng.bit_generator.state == ref_rng.bit_generator.state
         assert any(last) == (max_sweeps > 0)
-        (want,) = gp._solve_sets([pooled], [found.kernel], [found.rho])[0]
+        (want,) = laplace._solve_sets([pooled], [found.kernel], [found.rho])[0]
         for got, expected in zip(found.modes[0], want):
             assert np.array_equal(got, expected)
 
@@ -984,7 +984,7 @@ class TestLockstepSearch:
         def poisoned(row):  # the start's decoded length scale is exp(log(l))
             return every_start or abs(row[0, 2] - bad) <= 1e-9 * bad
 
-        real_stack, real_gram = gp.training_gram_stack, gp.training_gram
+        real_stack, real_gram = laplace.training_gram_stack, laplace.training_gram
 
         def stack(kernels, blocks, n_old=0):
             grams = real_stack(kernels, blocks, n_old)
@@ -996,8 +996,8 @@ class TestLockstepSearch:
             k = real_gram(kernel, X, n_old)
             return k * np.nan if poisoned(KernelStack.of([base]).table[0]) else k
 
-        monkeypatch.setattr(gp, "training_gram_stack", stack)
-        monkeypatch.setattr(gp, "training_gram", gram)
+        monkeypatch.setattr(laplace, "training_gram_stack", stack)
+        monkeypatch.setattr(laplace, "training_gram", gram)
 
         def search():
             return optimize_kernel_for_sets(
@@ -1021,7 +1021,7 @@ class TestLockstepSearch:
         ref_kernel, ref_lml = ref()
         assert_same_search(found, (ref_kernel, 0.6, ref_lml))
         assert_same_models(
-            gp.ova_from_modes(sets, found.kernel, found.modes), gp.fit_sets(sets, found.kernel)
+            gp.ova_from_modes(sets, found.kernel, found.modes), fit_sets(sets, found.kernel)
         )
 
     def test_best_point_scored_in_an_earlier_round(self, monkeypatch):
@@ -1038,7 +1038,7 @@ class TestLockstepSearch:
         )
         assert sum(seen["problems"]) == (len(seen["scored"]) + 1) * len(sets)
         assert_same_models(
-            gp.ova_from_modes(sets, found.kernel, found.modes), gp.fit_sets(sets, found.kernel)
+            gp.ova_from_modes(sets, found.kernel, found.modes), fit_sets(sets, found.kernel)
         )
 
 

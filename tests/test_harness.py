@@ -39,9 +39,10 @@ from tactilab.kernels import ObservationBlock
 from tactilab.results import RunResult, TrialResult, write_report
 from tactilab.seeding import OPT_NS, PRIOR_NS, TEST_NS, TRAIN_NS, derive_rng, derive_seed
 from tactilab.signals import STANDARD_ACTIONS, load_catalog, trace_nbytes
-from tactilab.transfer import INIT_RESTARTS, fit_prior_knowledge
+from tactilab.transfer import INIT_RESTARTS
 
 from conftest import as_blocks, record_searches
+from oracles import fit_prior_knowledge
 
 
 def config_dict(**overrides):
@@ -501,7 +502,7 @@ class TestSetup:
         assert_same(prior, expected, "prior")
 
     def test_pool_set_up_runs_no_solve_in_this_process(self, monkeypatch):
-        from tactilab import assets, gp, harness
+        from tactilab import assets, harness, laplace
 
         parent = os.getpid()
 
@@ -513,10 +514,14 @@ class TestSetup:
 
             return guarded
 
-        monkeypatch.setattr(gp, "_laplace_modes", elsewhere(gp._laplace_modes))
-        monkeypatch.setattr(assets, "fit_projector", elsewhere(assets.fit_projector))
+        # In-process, each guard trips on its own: the first action's
+        # projector fit runs before its prior's first solve.
         config = parse_config(config_dict(actions=["P2", "S4", "C1"]))
-        with pytest.raises(AssertionError, match="ran in the parent"):
+        monkeypatch.setattr(laplace, "_laplace_modes", elsewhere(laplace._laplace_modes))
+        with pytest.raises(AssertionError, match="_laplace_modes ran in the parent"):
+            harness.build_assets(config, 1)
+        monkeypatch.setattr(assets, "fit_projector", elsewhere(assets.fit_projector))
+        with pytest.raises(AssertionError, match="fit_projector ran in the parent"):
             harness.build_assets(config, 1)
         _, prior, projectors, _ = harness.build_assets(config, 2)
         assert list(prior.models) == list(projectors) == list(config.actions)
@@ -971,10 +976,10 @@ class TestEvaluator:
         from types import SimpleNamespace
 
         from tactilab import assets
-        from tactilab.gp import ova_fit
         from tactilab.kernels import CombinedKernel, RbfKernel
 
         from conftest import force_obs
+        from oracles import ova_fit
 
         values = {11: [-1.0, -0.8, 0.1], 12: [0.9, 1.2], 13: [5.0]}
         per_action = {"P2": values, "C1": {obj: vs[::-1] for obj, vs in values.items()}}
@@ -1116,6 +1121,19 @@ class TestCli:
             assert f"objects[0]: {field} must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @staticmethod
+    def write_skin_config(tmp_path, field, value, **overrides):
+        """``sample_run.json`` with ``overrides``, over ``sample_catalog.json``
+        with one skin field set."""
+        source = tactilab.data_path("configs", "sample_run.json")
+        raw = json.loads(source.read_text())
+        catalog = json.loads((source.parent / raw["catalog"]).read_text())
+        catalog["skin"][field] = value
+        (tmp_path / "catalog.json").write_text(json.dumps(catalog))
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({**raw, "catalog": "catalog.json", **overrides}))
+        return path
+
     @pytest.mark.parametrize(
         "field, value, expected",
         [
@@ -1130,18 +1148,43 @@ class TestCli:
     def test_mistyped_skin_field_exits_2(self, tmp_path, capsys, field, value, expected):
         # The strings failed validate with a TypeError (exit 1), the fraction
         # and the null passed validate and failed run, and true passed as 1.
-        source = tactilab.data_path("configs", "sample_run.json")
-        raw = json.loads(source.read_text())
-        catalog = json.loads((source.parent / raw["catalog"]).read_text())
-        catalog["skin"][field] = value
-        (tmp_path / "catalog.json").write_text(json.dumps(catalog))
-        path = tmp_path / "run.json"
-        path.write_text(json.dumps({**raw, "catalog": "catalog.json"}))
+        path = self.write_skin_config(tmp_path, field, value)
         out = tmp_path / "out"
         for argv in (["validate", str(path)], ["run", str(path), "--out", str(out)]):
             assert cli_main(argv) == 2
             assert f"skin: {field} must be {expected}" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "field, actions, action",
+        [
+            ("force_per_cell", None, "P2"),
+            ("temp_per_cell", None, "P2"),
+            ("accel_per_cell", ["S4"], "S4"),
+        ],
+        ids=["force-pressing", "temp-every-action", "accel-sliding"],
+    )
+    def test_zero_sensor_count_an_action_reads_exits_2(
+        self, tmp_path, capsys, field, actions, action
+    ):
+        # Each validated, then run failed: force with a non-finite segment
+        # (exit 1), temperature with an SVD that did not converge (exit 1),
+        # and the accelerometers with every axis constant (exit 3).
+        overrides = {} if actions is None else {"actions": actions}
+        path = self.write_skin_config(tmp_path, field, 0, **overrides)
+        out = tmp_path / "out"
+        for argv in (["validate", str(path)], ["run", str(path), "--out", str(out)]):
+            assert cli_main(argv) == 2
+            err = capsys.readouterr().err
+            assert f"skin: {field} must be >= 1 for action {action}, got 0" in err
+        assert not out.exists()
+
+    def test_zero_accelerometers_validate_when_no_action_slides(self, tmp_path, capsys):
+        # sample_run's P2 and C1 read force and temperature only.
+        path = self.write_skin_config(tmp_path, "accel_per_cell", 0)
+        assert json.loads(path.read_text())["actions"] == ["P2", "C1"]
+        assert cli_main(["validate", str(path)]) == 0
+        assert "config ok" in capsys.readouterr().out
 
     def test_object_missing_from_catalog_named_by_every_verb(self, tmp_path, capsys):
         path = self.write_config(tmp_path, new_objects=[11, 99], seeds=[1], budget=1)

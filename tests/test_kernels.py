@@ -10,16 +10,15 @@ from tactilab.kernels import (
     DependentKernel,
     ObservationBlock,
     RbfKernel,
-    combined_eval,
     dependent_gram,
     median_heuristic,
     project_simplex,
-    rbf_eval,
     training_gram,
     uniform_combined,
 )
 
 from conftest import force_obs, two_part_obs
+from oracles import combined_eval, rbf_eval
 
 
 def random_two_part_obs(rng, n, action_id="test"):

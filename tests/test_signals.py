@@ -16,12 +16,12 @@ from tactilab.signals import (
     SkinConfig,
     load_catalog,
     pressing,
-    simulate,
     sliding,
     static_contact,
 )
 
 from conftest import QUIET
+from oracles import simulate
 
 
 def make_object(**overrides):

