@@ -32,12 +32,13 @@ from .assets import (
     set_up_features,
 )
 from .blas import SingleThreadedBlas
-from .config import ExperimentConfig, Mode, _at_least, config_hash
-from .errors import TactilabError
+from .config import ExperimentConfig, Mode, config_hash
+from .errors import ConfigError, SchemaError, TactilabError
 from .features import ThermalProjector
 from .gp import optimize_kernel_for_sets, ova_from_modes, ova_sets
 from .kernels import ObservationBlock, median_heuristic
 from .results import RunResult, TrialResult
+from .schema import at_least
 from .seeding import ABLATION_NS, OPT_NS, derive_rng, derive_seed
 from .signals import Catalog, load_catalog
 from .transfer import INIT_RESTARTS, PriorKnowledge, build_new_observation_models
@@ -234,7 +235,10 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> RunResult:
     With ``jobs`` > 1 the set-up's tasks, then the seeds, run in a
     process pool of at most one worker per seed. BLAS runs single-threaded
     in every process that runs trials, this one until the call returns."""
-    jobs = _at_least(1)("jobs", jobs)
+    try:
+        jobs = at_least(1)("jobs", jobs)
+    except SchemaError as exc:
+        raise ConfigError(str(exc)) from exc
     start = time.perf_counter()
     with SingleThreadedBlas():
         # Build the shared assets (and fail fast) before any trial; the

@@ -56,7 +56,7 @@ def _log_sigmoid(z: np.ndarray) -> np.ndarray:
     return -np.logaddexp(0.0, -z)
 
 
-def _check_finite(a: np.ndarray, what: str) -> None:
+def _require_finite(a: np.ndarray, what: str) -> None:
     if not np.isfinite(a).all():
         raise NumericalError(f"{what} has non-finite entries")
 
@@ -95,7 +95,7 @@ def _tri_solve(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _chol_with_jitter(a: np.ndarray):
     """Lower Cholesky factor, escalating diagonal jitter only on failure."""
-    _check_finite(a, "matrix to factor")
+    _require_finite(a, "matrix to factor")
     jitter = 0.0
     for _ in range(6):
         try:
@@ -130,7 +130,7 @@ def gpr_fit(kernel, X_train, y, noise_variance: float = 0.0) -> GprModel:
     if noise_variance < 0:
         raise ParameterError("noise variance must be >= 0")
     y = np.asarray(y, dtype=float).ravel()
-    _check_finite(y, "regression target vector")
+    _require_finite(y, "regression target vector")
     X_train = ObservationBlock.of(X_train)
     k = training_gram(kernel, X_train)
     a = k + noise_variance * np.eye(k.shape[0])
@@ -150,7 +150,7 @@ def gpr_fit(kernel, X_train, y, noise_variance: float = 0.0) -> GprModel:
 def gpr_predict(model: GprModel, x_star) -> tuple[float, float]:
     """Posterior mean and variance (including observation noise) at a point."""
     k_star = prediction_cross(model.kernel, model.X_train, [x_star])
-    _check_finite(k_star, "prediction cross-covariance")
+    _require_finite(k_star, "prediction cross-covariance")
     k_ss = prediction_diag(model.kernel, [x_star])[0]
     mean = float(k_star[:, 0] @ model.alpha)
     v = _tri_solve(model.chol, k_star[:, 0])
@@ -358,7 +358,7 @@ def _predict_items(items: Sequence[tuple[BinaryGpcModel, ObservationBlock]]) -> 
             [model.kernel for model in models], [model.X_train for model in models], stars, n_old
         )
         k_ss = prediction_diag(models[0].kernel, stars[0])
-        _check_finite(k_star, "prediction cross-covariance")
+        _require_finite(k_star, "prediction cross-covariance")
         mu = _matvec(k_star.swapaxes(1, 2), np.array([model.grad_hat for model in models]))
         rhs = np.array([model.w_sqrt for model in models])[:, :, None] * k_star
         v_sq = np.empty(mu.shape)

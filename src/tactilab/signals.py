@@ -18,6 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DegenerateTraceError, ParameterError, SchemaError
+from .schema import at_least, integer, number, parse_fields, parsed, read_record, string
 
 CATALOG_SCHEMA_VERSION = 1
 
@@ -91,47 +92,36 @@ STANDARD_ACTIONS: dict[str, ExploratoryAction] = {
 }
 
 
-def _check_finite(where: str, fields: dict) -> None:
-    """SchemaError naming the first field that holds a non-finite float (JSON's NaN, Infinity)."""
-    for name, value in fields.items():
-        if isinstance(value, float) and not math.isfinite(value):
-            raise SchemaError(f"{where}: {name} must be finite, got {value}")
+_POSITIVE = number(0, strict=True)
 
 
 @dataclass(frozen=True)
 class ObjectSpec:
     """Latent physical parameters of one catalog object."""
 
-    id: int
-    stiffness_coeff: float  # N/mm
-    roughness_amp: float  # g of vibration per N of sliding contact force
-    roughness_freq: float  # Hz of vibration per cm/s of sliding speed
-    thermal_time_const: float  # s
-    thermal_equilib_delta: float  # degC relative to ambient, any sign
-    label: str = ""
+    id: int = parsed(integer)
+    stiffness_coeff: float = parsed(_POSITIVE)  # N/mm
+    roughness_amp: float = parsed(number(0))  # g of vibration per N of sliding contact force
+    roughness_freq: float = parsed(_POSITIVE)  # Hz of vibration per cm/s of sliding speed
+    thermal_time_const: float = parsed(_POSITIVE)  # s
+    thermal_equilib_delta: float = parsed(number())  # degC relative to ambient, any sign
+    label: str = parsed(string, "")
 
-    def __post_init__(self):
-        _check_finite(f"object {self.id}", vars(self))  # "inf" and "nan" strings parse too
-        for name in ("stiffness_coeff", "roughness_freq", "thermal_time_const"):
-            if not (getattr(self, name) > 0):
-                raise SchemaError(f"object {self.id}: {name} must be > 0")
-        if self.roughness_amp < 0:
-            raise SchemaError(f"object {self.id}: roughness_amp must be >= 0")
+    __post_init__ = parse_fields
 
 
 @dataclass(frozen=True)
 class SkinConfig:
     """Sensor geometry and acquisition settings of the simulated skin."""
 
-    cells: int = 7
-    force_per_cell: int = 3
-    temp_per_cell: int = 1
-    accel_per_cell: int = 1
-    sample_rate_hz: float = 100.0
-    ambient_temp_c: float = 25.0
+    cells: int = parsed(at_least(1), 7)
+    force_per_cell: int = parsed(at_least(0), 3)
+    temp_per_cell: int = parsed(at_least(0), 1)
+    accel_per_cell: int = parsed(at_least(0), 1)
+    sample_rate_hz: float = parsed(_POSITIVE, 100.0)
+    ambient_temp_c: float = parsed(number(), 25.0)
 
-    def __post_init__(self):
-        _check_finite("skin", vars(self))
+    __post_init__ = parse_fields
 
     @property
     def n_force(self) -> int:
@@ -150,41 +140,14 @@ class SkinConfig:
 class NoiseScales:
     """Per-modality noise: one trial-level gain draw plus per-sample jitter."""
 
-    force_trial: float = 0.08
-    force_sample: float = 0.02
-    temp_trial: float = 0.04
-    temp_sample: float = 0.02
-    accel_trial: float = 0.10
-    accel_sample: float = 0.002
+    force_trial: float = parsed(number(0), 0.08)
+    force_sample: float = parsed(number(0), 0.02)
+    temp_trial: float = parsed(number(0), 0.04)
+    temp_sample: float = parsed(number(0), 0.02)
+    accel_trial: float = parsed(number(0), 0.10)
+    accel_sample: float = parsed(number(0), 0.002)
 
-    def __post_init__(self):
-        _check_finite("noise", vars(self))
-        for name in (
-            "force_trial",
-            "force_sample",
-            "temp_trial",
-            "temp_sample",
-            "accel_trial",
-            "accel_sample",
-        ):
-            if getattr(self, name) < 0:
-                raise SchemaError(f"noise scale {name} must be >= 0")
-
-
-@dataclass
-class SensorTrace:
-    """Raw multi-channel recording of one action execution.
-
-    Channels present depend on the action kind: pressing and static contact
-    record forces and temperatures, sliding records accelerations and
-    temperatures.
-    """
-
-    forces: Optional[np.ndarray]  # (n_force, M) in N
-    temps: Optional[np.ndarray]  # (n_temp, M) in degC
-    accels: Optional[np.ndarray]  # (n_accel, 3, M) in g
-    sample_rate: float
-    kind: ActionKind
+    __post_init__ = parse_fields
 
 
 @dataclass
@@ -230,27 +193,15 @@ def trace_nbytes(action: ExploratoryAction, skin: SkinConfig) -> int:
 @dataclass
 class TraceStack:
     """Traces of one action stacked along a leading item axis: item ``i`` of
-    each channel array holds trace ``i``'s channels, laid out as in
-    :class:`SensorTrace`."""
+    each channel array holds trace ``i``'s channels. Pressing and static
+    contact record forces and temperatures, sliding records accelerations
+    and temperatures; the channels an action does not record are None."""
 
     forces: Optional[np.ndarray]  # (k, n_force, M) in N
     temps: Optional[np.ndarray]  # (k, n_temp, M) in degC
     accels: Optional[np.ndarray]  # (k, n_accel, 3, M) in g
     sample_rate: float
     kind: ActionKind
-
-    @classmethod
-    def of(cls, trace: SensorTrace) -> "TraceStack":
-        """The one-item stack of ``trace`` (views of its channels)."""
-        lift = lambda c: None if c is None else c[None]
-        channels = (lift(trace.forces), lift(trace.temps), lift(trace.accels))
-        return cls(*channels, trace.sample_rate, trace.kind)
-
-    def trace(self, i: int) -> SensorTrace:
-        """Trace ``i`` (views of its rows)."""
-        pick = lambda c: None if c is None else c[i]
-        channels = (pick(self.forces), pick(self.temps), pick(self.accels))
-        return SensorTrace(*channels, self.sample_rate, self.kind)
 
 
 #: (harmonic, weight) of the three sliding vibration components.
@@ -348,66 +299,6 @@ def simulate_stack(
     return TraceStack(forces, temps, accels, skin.sample_rate_hz, action.kind)
 
 
-_OBJECT_FIELDS = {
-    "id",
-    "label",
-    "stiffness_coeff",
-    "roughness_amp",
-    "roughness_freq",
-    "thermal_time_const",
-    "thermal_equilib_delta",
-}
-
-
-def _parse_object(entry: dict, index: int) -> ObjectSpec:
-    if not isinstance(entry, dict):
-        raise SchemaError(f"objects[{index}] must be a mapping")
-    _check_finite(f"objects[{index}]", entry)  # before int() overflows on an Infinity id
-    unknown = set(entry) - _OBJECT_FIELDS
-    if unknown:
-        raise SchemaError(f"objects[{index}]: unknown field(s) {sorted(unknown)}")
-    missing = _OBJECT_FIELDS - {"label"} - set(entry)
-    if missing:
-        raise SchemaError(f"objects[{index}]: missing field(s) {sorted(missing)}")
-    try:
-        return ObjectSpec(
-            id=int(entry["id"]),
-            stiffness_coeff=float(entry["stiffness_coeff"]),
-            roughness_amp=float(entry["roughness_amp"]),
-            roughness_freq=float(entry["roughness_freq"]),
-            thermal_time_const=float(entry["thermal_time_const"]),
-            thermal_equilib_delta=float(entry["thermal_equilib_delta"]),
-            label=str(entry.get("label", "")),
-        )
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"objects[{index}]: {exc}") from exc
-
-
-#: The skin's sensor counts, each with its least value.
-_SKIN_COUNTS = {"cells": 1, "force_per_cell": 0, "temp_per_cell": 0, "accel_per_cell": 0}
-
-
-def _parse_skin(fields) -> SkinConfig:
-    """The catalog's skin: each sensor count an integer (a bool is not one)
-    of at least its least value, the sample rate and the ambient
-    temperature finite real numbers, the rate > 0."""
-    try:
-        skin = SkinConfig(**fields)
-    except TypeError as exc:
-        raise SchemaError(f"skin: {exc}") from exc
-    for name, low in _SKIN_COUNTS.items():
-        value = getattr(skin, name)
-        if isinstance(value, bool) or not isinstance(value, int) or value < low:
-            raise SchemaError(f"skin: {name} must be an integer >= {low}, got {value!r}")
-    for name in ("sample_rate_hz", "ambient_temp_c"):
-        value = getattr(skin, name)
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise SchemaError(f"skin: {name} must be a number, got {value!r}")
-    if not (skin.sample_rate_hz > 0):
-        raise SchemaError("skin: sample_rate_hz must be > 0")
-    return skin
-
-
 def load_catalog(path: str | Path) -> Catalog:
     """Load and validate a catalog file.
 
@@ -429,16 +320,12 @@ def load_catalog(path: str | Path) -> Catalog:
     if unknown:
         raise SchemaError(f"unknown top-level field(s) {sorted(unknown)}")
 
-    skin = _parse_skin(raw.get("skin", {}))
-    try:
-        noise = NoiseScales(**raw.get("noise", {}))
-    except TypeError as exc:
-        raise SchemaError(f"noise: {exc}") from exc
-
+    skin = read_record(SkinConfig, raw.get("skin", {}), "skin: ")
+    noise = read_record(NoiseScales, raw.get("noise", {}), "noise: ")
     entries = raw.get("objects", [])
     if not isinstance(entries, list) or not entries:
         raise SchemaError("objects: catalog must list at least one object")
-    objects = [_parse_object(entry, i) for i, entry in enumerate(entries)]
+    objects = [read_record(ObjectSpec, e, f"objects[{i}]: ") for i, e in enumerate(entries)]
     seen: set[int] = set()
     for obj in objects:
         if obj.id in seen:

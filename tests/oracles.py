@@ -10,6 +10,8 @@ package runs, kept here because no run path calls it:
   against the gram builders in ``kernels``;
 - ``extract_stiffness`` and ``extract_texture``: one trace's features, the
   one-item cases of ``features._stiffnesses`` and ``features._textures``;
+- ``SensorTrace``, ``stack_of`` and ``trace_of``: one trace, and its
+  conversions to and from one item of a ``signals.TraceStack``;
 - ``simulate``: one trace, the one-item case of ``signals.simulate_stack``;
 - ``fit_prior_knowledge``: every action's ``transfer.fit_action_prior`` in
   turn on one rng, the prior that set-up fits one action per task;
@@ -20,6 +22,7 @@ package runs, kept here because no run path calls it:
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -30,10 +33,10 @@ from tactilab.gp import OvaGpcModel, ova_from_modes, ova_predict_proba, ova_sets
 from tactilab.kernels import CombinedKernel, RbfKernel
 from tactilab.laplace import PooledSet, _check_sets, _solve_sets
 from tactilab.signals import (
+    ActionKind,
     ExploratoryAction,
     NoiseScales,
     ObjectSpec,
-    SensorTrace,
     SkinConfig,
     TraceStack,
     simulate_stack,
@@ -118,29 +121,34 @@ def combined_eval(
 
 
 # ---------------------------------------------------------------------------
-# Features of one trace
-# ---------------------------------------------------------------------------
-
-
-def extract_stiffness(trace: SensorTrace) -> float:
-    """Mean normal force over all force sensors and time steps."""
-    return float(_stiffnesses(TraceStack.of(trace).forces)[0])
-
-
-def extract_texture(trace: SensorTrace) -> np.ndarray:
-    """4-vector [activity, mobility, complexity, axis correlation].
-
-    The first three statistics are averaged over every accelerometer and
-    axis with nonzero variance; the correlation is averaged over the axis
-    pairs (xy, xz, yz) of each accelerometer whose two axes both have
-    nonzero variance. Raises ZeroVarianceError when every axis is constant.
-    The one-item case of ``_textures``."""
-    return _textures(TraceStack.of(trace).accels)[0]
-
-
-# ---------------------------------------------------------------------------
 # One trace
 # ---------------------------------------------------------------------------
+
+
+@dataclass
+class SensorTrace:
+    """Raw multi-channel recording of one action execution: one item of a
+    ``TraceStack``, with the stack's channels."""
+
+    forces: Optional[np.ndarray]  # (n_force, M) in N
+    temps: Optional[np.ndarray]  # (n_temp, M) in degC
+    accels: Optional[np.ndarray]  # (n_accel, 3, M) in g
+    sample_rate: float
+    kind: ActionKind
+
+
+def stack_of(trace: SensorTrace) -> TraceStack:
+    """The one-item stack of ``trace`` (views of its channels)."""
+    lift = lambda c: None if c is None else c[None]
+    channels = (lift(trace.forces), lift(trace.temps), lift(trace.accels))
+    return TraceStack(*channels, trace.sample_rate, trace.kind)
+
+
+def trace_of(stack: TraceStack, i: int) -> SensorTrace:
+    """Trace ``i`` of ``stack`` (views of its rows)."""
+    pick = lambda c: None if c is None else c[i]
+    channels = (pick(stack.forces), pick(stack.temps), pick(stack.accels))
+    return SensorTrace(*channels, stack.sample_rate, stack.kind)
 
 
 def simulate(
@@ -154,7 +162,28 @@ def simulate(
 
     Pure function of (object, action, seed, skin, noise): the same inputs
     produce a bit-identical trace. The one-item case of ``simulate_stack``."""
-    return simulate_stack([obj], action, [seed], skin, noise).trace(0)
+    return trace_of(simulate_stack([obj], action, [seed], skin, noise), 0)
+
+
+# ---------------------------------------------------------------------------
+# Features of one trace
+# ---------------------------------------------------------------------------
+
+
+def extract_stiffness(trace: SensorTrace) -> float:
+    """Mean normal force over all force sensors and time steps."""
+    return float(_stiffnesses(stack_of(trace).forces)[0])
+
+
+def extract_texture(trace: SensorTrace) -> np.ndarray:
+    """4-vector [activity, mobility, complexity, axis correlation].
+
+    The first three statistics are averaged over every accelerometer and
+    axis with nonzero variance; the correlation is averaged over the axis
+    pairs (xy, xz, yz) of each accelerometer whose two axes both have
+    nonzero variance. Raises ZeroVarianceError when every axis is constant.
+    The one-item case of ``_textures``."""
+    return _textures(stack_of(trace).accels)[0]
 
 
 # ---------------------------------------------------------------------------

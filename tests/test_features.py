@@ -28,15 +28,13 @@ from tactilab.features import (
 from tactilab.signals import (
     STANDARD_ACTIONS,
     ActionKind,
-    SensorTrace,
     SkinConfig,
-    TraceStack,
     pressing,
     sliding,
 )
 
 from conftest import QUIET
-from oracles import extract_stiffness, extract_texture, simulate
+from oracles import SensorTrace, extract_stiffness, extract_texture, simulate, stack_of
 from test_signals import make_object
 
 
@@ -426,7 +424,7 @@ class TestExtractThermal:
 def one_trace_observation(trace, action_id, projector, object_id=None):
     """The observation of one trace: its feature rows as a one-item stack,
     the thermal row projected."""
-    lead, lead_rows, thermal_rows = raw_features_stack(TraceStack.of(trace))
+    lead, lead_rows, thermal_rows = raw_features_stack(stack_of(trace))
     thermal = (Modality.THERMAL, project_thermal(thermal_rows[0], projector))
     return FeatureObservation(action_id, ((lead, lead_rows[0]), thermal), object_id)
 

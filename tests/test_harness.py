@@ -161,6 +161,11 @@ class TestConfigParsing:
             ("new_objects", [11, 12.5]),
             ("prior_objects", [1, False]),
             ("ablation_sizes", [5, 10.5]),
+            # Integral, but past 2**53: each validated and then ran past any time cap.
+            ("budget", 1e300),
+            ("test_samples_press_slide", 1e300),
+            ("test_samples_static", 1e300),
+            ("prior_samples_per_object", 1e300),
         ],
     )
     def test_integer_fields_reject_bools_and_fractions_by_name(self, field, value):
@@ -1108,27 +1113,38 @@ class TestCli:
     )
     def test_non_finite_catalog_number_exits_2(self, tmp_path, capsys, field, value):
         # Infinity used to pass validate and fail run with an SVD traceback.
-        source = tactilab.data_path("configs", "sample_run.json")
-        raw = json.loads(source.read_text())
-        catalog = json.loads((source.parent / raw["catalog"]).read_text())
-        catalog["objects"][0][field] = value  # prior object 1
-        (tmp_path / "catalog.json").write_text(json.dumps(catalog))
-        path = tmp_path / "run.json"
-        path.write_text(json.dumps({**raw, "catalog": "catalog.json"}))
+        path = self.write_catalog_config(tmp_path, "objects", field, value)
         out = tmp_path / "out"
         for argv in (["validate", str(path)], ["run", str(path), "--out", str(out)]):
             assert cli_main(argv) == 2
             assert f"objects[0]: {field} must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "field, value, expected",
+        [("id", True, "an integer, got True"), ("stiffness_coeff", "7", "a number, got '7'")],
+        ids=["id-bool", "stiffness-string"],
+    )
+    def test_mistyped_object_field_exits_2(self, tmp_path, capsys, field, value, expected):
+        # Both validated and ran to exit 0: true became id 1, and "7" the number 7.
+        path = self.write_catalog_config(
+            tmp_path, "objects", field, value, seeds=[1], trials=1, budget=1
+        )
+        out = tmp_path / "out"
+        for argv in (["validate", str(path)], ["run", str(path), "--out", str(out)]):
+            assert cli_main(argv) == 2
+            assert f"objects[0]: {field} must be {expected}" in capsys.readouterr().err
+        assert not out.exists()
+
     @staticmethod
-    def write_skin_config(tmp_path, field, value, **overrides):
+    def write_catalog_config(tmp_path, section, field, value, **overrides):
         """``sample_run.json`` with ``overrides``, over ``sample_catalog.json``
-        with one skin field set."""
+        with one field of its skin, or of its first object (prior object 1),
+        set."""
         source = tactilab.data_path("configs", "sample_run.json")
         raw = json.loads(source.read_text())
         catalog = json.loads((source.parent / raw["catalog"]).read_text())
-        catalog["skin"][field] = value
+        (catalog["objects"][0] if section == "objects" else catalog[section])[field] = value
         (tmp_path / "catalog.json").write_text(json.dumps(catalog))
         path = tmp_path / "run.json"
         path.write_text(json.dumps({**raw, "catalog": "catalog.json", **overrides}))
@@ -1148,7 +1164,7 @@ class TestCli:
     def test_mistyped_skin_field_exits_2(self, tmp_path, capsys, field, value, expected):
         # The strings failed validate with a TypeError (exit 1), the fraction
         # and the null passed validate and failed run, and true passed as 1.
-        path = self.write_skin_config(tmp_path, field, value)
+        path = self.write_catalog_config(tmp_path, "skin", field, value)
         out = tmp_path / "out"
         for argv in (["validate", str(path)], ["run", str(path), "--out", str(out)]):
             assert cli_main(argv) == 2
@@ -1171,7 +1187,7 @@ class TestCli:
         # (exit 1), temperature with an SVD that did not converge (exit 1),
         # and the accelerometers with every axis constant (exit 3).
         overrides = {} if actions is None else {"actions": actions}
-        path = self.write_skin_config(tmp_path, field, 0, **overrides)
+        path = self.write_catalog_config(tmp_path, "skin", field, 0, **overrides)
         out = tmp_path / "out"
         for argv in (["validate", str(path)], ["run", str(path), "--out", str(out)]):
             assert cli_main(argv) == 2
@@ -1181,7 +1197,7 @@ class TestCli:
 
     def test_zero_accelerometers_validate_when_no_action_slides(self, tmp_path, capsys):
         # sample_run's P2 and C1 read force and temperature only.
-        path = self.write_skin_config(tmp_path, "accel_per_cell", 0)
+        path = self.write_catalog_config(tmp_path, "skin", "accel_per_cell", 0)
         assert json.loads(path.read_text())["actions"] == ["P2", "C1"]
         assert cli_main(["validate", str(path)]) == 0
         assert "config ok" in capsys.readouterr().out

@@ -4,6 +4,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tactilab
 from tactilab.errors import DegenerateTraceError, ParameterError, SchemaError
@@ -229,11 +231,94 @@ class TestLoadCatalog:
         raw["objects"][1]["roughness_amp"] = value
         path = tmp_path / "cat.json"
         path.write_text(json.dumps(raw))
-        with pytest.raises(SchemaError, match="object 2: roughness_amp must be finite"):
+        message = f"objects[1]: roughness_amp must be a number, got {value!r}"
+        with pytest.raises(SchemaError, match=re.escape(message)):
             load_catalog(path)
+
+    @staticmethod
+    def write_mutant(path, section, field, value, catalog="sample_catalog", index=0):
+        """The packaged ``catalog`` with one field of its skin, its noise or
+        object ``index`` set to ``value``, written to ``path``."""
+        raw = json.loads(tactilab.data_path("catalogs", f"{catalog}.json").read_text())
+        (raw["objects"][index] if section == "objects" else raw[section])[field] = value
+        path.write_text(json.dumps(raw))
+        return path
+
+    @pytest.mark.parametrize(
+        "section, field, value, expected",
+        [
+            ("objects", "id", True, "an integer, got True"),
+            ("objects", "id", 2.5, "an integer, got 2.5"),
+            ("objects", "id", "3", "an integer, got '3'"),
+            ("objects", "label", 5, "a string, got 5"),
+            ("objects", "stiffness_coeff", "7", "a number, got '7'"),
+            ("objects", "stiffness_coeff", True, "a number, got True"),
+            ("objects", "thermal_time_const", "7", "a number, got '7'"),
+            ("objects", "roughness_amp", [1], "a number, got [1]"),
+            ("noise", "force_trial", "0.1", "a number, got '0.1'"),
+            ("noise", "force_trial", None, "a number, got None"),
+            ("noise", "force_trial", True, "a number, got True"),
+        ],
+    )
+    def test_mistyped_fields_rejected_by_name(self, tmp_path, section, field, value, expected):
+        # Before, true and the number strings loaded (as 1 and as floats), 2.5
+        # and "3" became ids 2 and 3, a label of 5 became "5", and the list
+        # and the noise string and null failed without naming the field.
+        path = self.write_mutant(tmp_path / "cat.json", section, field, value)
+        where = "objects[0]" if section == "objects" else section
+        with pytest.raises(SchemaError, match=re.escape(f"{where}: {field} must be {expected}")):
+            load_catalog(path)
+
+    def test_integral_float_count_loads_as_integer(self, tmp_path):
+        skin = load_catalog(self.write_mutant(tmp_path / "cat.json", "skin", "cells", 7.0)).skin
+        assert skin.cells == 7 and isinstance(skin.cells, int)
 
     def test_missing_schema_version_rejected(self, tmp_path):
         path = tmp_path / "cat.json"
         path.write_text(json.dumps({"objects": []}))
         with pytest.raises(SchemaError, match="schema_version"):
             load_catalog(path)
+
+
+#: The catalog fields whose declared kind is integer, and string; every other
+#: skin, noise and object field is a number.
+INTEGER_FIELDS = {"id", "cells", "force_per_cell", "temp_per_cell", "accel_per_cell"}
+STRING_FIELDS = {"label"}
+MUTANTS = ("7", 2.5, -1, 0, None, [], True, 1e300, math.nan, math.inf, -math.inf)
+CATALOGS = ("sample_catalog", "related_priors", "unrelated_priors", "uniform_stiffness")
+
+
+def has_declared_kind(field, value) -> bool:
+    """An integer is an int or an integral float of magnitude <= 2**53, a
+    number a finite int or float, a string a str; a bool is of no kind."""
+    if isinstance(value, bool):
+        return False
+    if field in STRING_FIELDS:
+        return isinstance(value, str)
+    if not isinstance(value, (int, float)) or not math.isfinite(value):
+        return False
+    return field not in INTEGER_FIELDS or (float(value).is_integer() and abs(value) <= 2**53)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_single_field_mutation_rejected_by_name_or_loaded_as_declared(tmp_path_factory, data):
+    name = data.draw(st.sampled_from(CATALOGS), label="catalog")
+    raw = json.loads(tactilab.data_path("catalogs", f"{name}.json").read_text())
+    section = data.draw(st.sampled_from(["skin", "noise", "objects"]), label="section")
+    index = data.draw(st.integers(0, len(raw["objects"]) - 1), label="index")
+    record = raw["objects"][index] if section == "objects" else raw[section]
+    field = data.draw(st.sampled_from(sorted(record)), label="field")
+    value = data.draw(st.sampled_from(MUTANTS), label="value")
+    path = TestLoadCatalog.write_mutant(
+        tmp_path_factory.mktemp("mutant") / "cat.json", section, field, value, name, index
+    )
+    where = f"objects[{index}]" if section == "objects" else section
+    try:
+        catalog = load_catalog(path)
+    except SchemaError as exc:
+        assert str(exc).startswith(f"{where}: {field} must be "), str(exc)
+        return
+    assert has_declared_kind(field, value), f"{where}: {field} loaded {value!r}"
+    loaded = catalog.objects[index] if section == "objects" else getattr(catalog, section)
+    assert getattr(loaded, field) == value

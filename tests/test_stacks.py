@@ -46,7 +46,6 @@ from tactilab.signals import (
     STANDARD_ACTIONS,
     ActionKind,
     NoiseScales,
-    SensorTrace,
     SkinConfig,
     TraceStack,
     load_catalog,
@@ -54,7 +53,7 @@ from tactilab.signals import (
     trace_nbytes,
 )
 
-from oracles import extract_texture, simulate
+from oracles import SensorTrace, extract_texture, simulate, stack_of, trace_of
 from test_features import AXIS_KINDS, random_accels, reference_texture
 
 CATALOGS = ("sample_catalog", "related_priors", "unrelated_priors", "uniform_stiffness")
@@ -139,7 +138,7 @@ def one_trace_observation(catalog, projectors, job):
     action_id, obj, seed = job
     action = STANDARD_ACTIONS[action_id]
     trace = simulate(catalog.by_id(obj), action, seed, catalog.skin, catalog.noise)
-    lead, lead_rows, thermal_rows = raw_features_stack(TraceStack.of(trace))
+    lead, lead_rows, thermal_rows = raw_features_stack(stack_of(trace))
     projector = projectors[action_id]
     thermal = projector.basis @ (thermal_rows[0] - projector.mean_vector)
     return FeatureObservation(action_id, ((lead, lead_rows[0]), (Modality.THERMAL, thermal)), obj)
@@ -164,9 +163,9 @@ def test_stack_matches_one_trace_references(catalog_name, action_id):
         want = reference_simulate(obj, action, seed, catalog.skin, catalog.noise)
         want_lead, want_thermal = reference_raw(want)
         alone = simulate(obj, action, seed, catalog.skin, catalog.noise)
-        assert channel_bytes(stack.trace(i)) == channel_bytes(want) == channel_bytes(alone)
+        assert channel_bytes(trace_of(stack, i)) == channel_bytes(want) == channel_bytes(alone)
         expected = (lead, want_lead.tobytes(), want_thermal.tobytes())
-        alone_raws = raw_features_stack(TraceStack.of(alone))
+        alone_raws = raw_features_stack(stack_of(alone))
         assert row_bytes(raws, i) == row_bytes(alone_raws, 0) == expected
 
 
@@ -247,7 +246,7 @@ class TestJobBatches:
         ]
         projector = fit_projector(np.stack([reference_raw(t)[1] for t in traces]))
         block = batch_block(
-            {"S2": projector}, [("S2", 12, 5)], raw_features_stack(TraceStack.of(trace))
+            {"S2": projector}, [("S2", 12, 5)], raw_features_stack(stack_of(trace))
         )
         lead, thermal = reference_raw(trace)
         assert len(block) == 1 and block.modalities == (Modality.TEXTURE, Modality.THERMAL)
@@ -419,14 +418,14 @@ def assert_stack_matches_traces(accels):
     """The stack's textures equal each trace's own, bit for bit; or the
     stack raises what the first failing trace raises alone."""
     got = texture_stack_outcome(accels)
-    singles = [outcome(extract_texture, sliding_stack(a[None]).trace(0)) for a in accels]
+    singles = [outcome(extract_texture, trace_of(sliding_stack(a[None]), 0)) for a in accels]
     first_error = next((s for s in singles if isinstance(s, tuple)), None)
     if first_error is not None:
         assert got == first_error
     else:
         assert [v.tobytes() for v in got] == [s.tobytes() for s in singles]
         for a, v in zip(accels, got):  # and the scalar reference loop
-            assert v.tobytes() == reference_texture(sliding_stack(a[None]).trace(0)).tobytes()
+            assert v.tobytes() == reference_texture(trace_of(sliding_stack(a[None]), 0)).tobytes()
 
 
 @st.composite
