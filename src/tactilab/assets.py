@@ -7,6 +7,7 @@ set-up, the trials and the ablation all take."""
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass
 from functools import partial
 from itertools import groupby
@@ -54,8 +55,9 @@ _SENSOR_COUNTS = {
 
 def check_catalog_objects(config: ExperimentConfig, catalog: Catalog) -> None:
     """Raise ConfigError naming the configured object ids the catalog lacks,
-    or a skin sensor count of 0 that a configured action's features read
-    (``SEGMENTATION``), with that action."""
+    a skin sensor count of 0 that a configured action's features read
+    (``SEGMENTATION``), with that action, or a sample rate at which an
+    action's trace has more bytes than a numpy array can index."""
     missing = [
         i
         for i in config.prior_objects + config.new_objects
@@ -63,14 +65,22 @@ def check_catalog_objects(config: ExperimentConfig, catalog: Catalog) -> None:
     ]
     if missing:
         raise ConfigError(f"object id(s) {missing} not present in catalog")
+    skin, limit = catalog.skin, np.iinfo(np.intp).max
     for action_id in config.actions:
-        for modality, _ in SEGMENTATION[STANDARD_ACTIONS[action_id].kind]:
+        action = STANDARD_ACTIONS[action_id]
+        for modality, _ in SEGMENTATION[action.kind]:
             name = _SENSOR_COUNTS[modality]
-            count = getattr(catalog.skin, name)
+            count = getattr(skin, name)
             if count < 1:
                 raise ConfigError(
                     f"skin: {name} must be >= 1 for action {action_id}, got {count}"
                 )
+        samples = action.duration_s * skin.sample_rate_hz  # inf past the float range
+        if not (math.isfinite(samples) and trace_nbytes(action, skin) <= limit):
+            raise ConfigError(
+                f"skin: sample_rate_hz {skin.sample_rate_hz!r} makes each trace of action "
+                f"{action_id} larger than the {limit} bytes an array can hold"
+            )
 
 
 #: One simulated trace, of set-up or of a trial: (action id, object id, seed).

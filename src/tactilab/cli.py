@@ -188,6 +188,9 @@ def main(argv=None) -> int:
     except TactilabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_TRIAL_FAILURES
+    except MemoryError as exc:  # an array this machine cannot allocate
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return EXIT_TRIAL_FAILURES
 
 
 if __name__ == "__main__":

@@ -42,34 +42,6 @@ SEGMENTATION: dict[ActionKind, tuple[tuple[Modality, int], ...]] = {
 }
 
 
-@dataclass
-class FeatureObservation:
-    """One multi-sensor feature vector, segmented by modality."""
-
-    action_id: str
-    segments: tuple[tuple[Modality, np.ndarray], ...]
-    object_id: Optional[int] = None
-
-    def __post_init__(self):
-        segments = tuple(
-            (mod, np.asarray(vec, dtype=float).ravel()) for mod, vec in self.segments
-        )
-        object.__setattr__(self, "segments", segments)
-        for mod, vec in segments:
-            if not np.all(np.isfinite(vec)):
-                raise ValueError(f"non-finite entries in {mod.value} segment")
-
-    @property
-    def modalities(self) -> tuple[Modality, ...]:
-        return tuple(mod for mod, _ in self.segments)
-
-    def segment(self, modality: Modality) -> np.ndarray:
-        for mod, vec in self.segments:
-            if mod is modality:
-                return vec
-        raise KeyError(f"no {modality.value} segment in observation")
-
-
 def _stiffnesses(forces: Optional[np.ndarray]) -> np.ndarray:
     """The stiffness of each trace of a (k, n_force, M) stack: the mean
     normal force over all of the trace's force sensors and time steps, its

@@ -9,7 +9,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ParameterError, SegmentationError
-from .features import FeatureObservation, Modality
+from .features import Modality
 
 SIMPLEX_TOL = 1e-9
 
@@ -44,7 +44,8 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 class ObservationBlock:
     """An immutable stack of observations sharing one modality layout: one
-    C-contiguous float matrix per modality, one row per observation.
+    C-contiguous float matrix per modality, one row per observation. It is
+    the one observation type: a single observation is a one-row block.
 
     Raw points (for a bare ``RbfKernel``) form a block whose only modality is
     ``None``. The layout is checked once, when the block is built. Each block
@@ -63,57 +64,43 @@ class ObservationBlock:
 
     @classmethod
     def of(cls, X) -> "ObservationBlock":
-        """``X`` itself when it is a block, else a block built from a list of
-        FeatureObservations or from raw points (scalars, vectors, a matrix)."""
+        """``X`` itself when it is a block, the ``concat`` of a sequence of
+        blocks, else the block of raw points (scalars, vectors, a matrix)."""
         if isinstance(X, ObservationBlock):
             return X
         if not isinstance(X, np.ndarray):
             X = list(X)
-            if not X:
-                return cls((), (), 0)
-            if isinstance(X[0], FeatureObservation):
-                return cls._of_observations(X)
+            if not X or isinstance(X[0], ObservationBlock):
+                return cls.concat(X)
         points = np.array(X, dtype=float, order="C")  # a copy: the block freezes it
         if points.ndim == 1:  # a flat list of scalars is n one-dimensional points
             points = points[:, None]
         return cls((None,), (points,), points.shape[0])
 
     @classmethod
-    def _of_observations(cls, observations: list) -> "ObservationBlock":
-        rows = lambda obs, i: obs.segments[i][1]  # the observation's i-th segment
-        return cls._joined(observations, len(observations), rows, np.stack)
-
-    @classmethod
     def concat(cls, blocks: Sequence) -> "ObservationBlock":
         """The rows of ``blocks`` in order, as one block: bit for bit the
-        block of all their observations. Empty blocks are left out."""
+        block of all their rows. Empty blocks are left out."""
         blocks = [block for block in blocks if len(block)]
+        if not blocks:
+            return cls((), (), 0)
         if len(blocks) == 1:
             return blocks[0]
-        rows = lambda block, i: block._matrices[i]  # the block's i-th matrix
-        return cls._joined(blocks, sum(map(len, blocks)), rows, np.concatenate)
-
-    @classmethod
-    def _joined(cls, items: list, n: int, rows_of, join) -> "ObservationBlock":
-        """The block of the ``n`` rows of ``items`` (observations or blocks
-        of one modality layout): per modality i, ``join`` of every item's
-        ``rows_of(item, i)``."""
-        if not items:
-            return cls((), (), 0)
-        modalities = items[0].modalities
-        for item in items:
-            if item.modalities != modalities:
+        modalities = blocks[0].modalities
+        for block in blocks:
+            if block.modalities != modalities:
                 raise SegmentationError(
-                    f"observation modalities {item.modalities} differ from "
+                    f"observation modalities {block.modalities} differ from "
                     f"{modalities} within one block"
                 )
         matrices = []
         for i, mod in enumerate(modalities):
             try:
-                matrices.append(join([rows_of(item, i) for item in items]))
+                matrices.append(np.concatenate([block._matrices[i] for block in blocks]))
             except ValueError as exc:
-                raise SegmentationError(f"{mod.value} segments differ in size: {exc}") from exc
-        return cls(modalities, tuple(matrices), n)
+                name = "point" if mod is None else mod.value
+                raise SegmentationError(f"{name} segments differ in size: {exc}") from exc
+        return cls(modalities, tuple(matrices), sum(map(len, blocks)))
 
     def __len__(self) -> int:
         return self._n

@@ -63,10 +63,6 @@ class ExploratoryAction:
     def duration_s(self) -> float:
         return self.params[-1]
 
-    def label(self) -> str:
-        body = ",".join(f"{p:g}" for p in self.params)
-        return f"{self.kind.value}({body})"
-
 
 def pressing(depth_mm: float, duration_s: float) -> ExploratoryAction:
     return ExploratoryAction(ActionKind.PRESSING, (depth_mm, duration_s))

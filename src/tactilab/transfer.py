@@ -11,7 +11,6 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from .errors import MissingPriorError, ParameterError
-from .features import FeatureObservation
 from .gp import (
     OvaGpcModel,
     optimize_kernel_for_sets,
@@ -147,7 +146,7 @@ def _by_prediction(
 def select_prior_by_optimization(
     prior: PriorKnowledge,
     action_id: str,
-    X_new_j: Sequence[FeatureObservation] | ObservationBlock,
+    X_new_j: ObservationBlock,
     eps_neg2: float = 0.6,
     new_object_id: int = -1,
     rng: Optional[np.random.Generator] = None,
@@ -190,9 +189,9 @@ def select_prior_by_optimization(
 
 
 def fit_dependent_gpc(
-    X_old_i: Sequence[FeatureObservation],
-    X_new_j: Sequence[FeatureObservation],
-    X_new_rest: Sequence[FeatureObservation],
+    X_old_i: ObservationBlock,
+    X_new_j: ObservationBlock,
+    X_new_rest: ObservationBlock,
     kernel: CombinedKernel,
     rho: float,
 ) -> BinaryGpcModel:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import tactilab
-from tactilab.features import FeatureObservation, Modality
+from tactilab.features import Modality
 from tactilab.kernels import ObservationBlock
 from tactilab.signals import NoiseScales, SkinConfig, load_catalog
 
@@ -37,22 +37,20 @@ def small_skin():
     return SkinConfig(cells=2, force_per_cell=2, temp_per_cell=1, accel_per_cell=1)
 
 
-def force_obs(value, object_id=None, action_id="test"):
+def one_row(*segments) -> ObservationBlock:
+    """The one-row block of ``(modality, vector)`` segments, each row a
+    float64 copy, as ``ObservationBlock.of`` makes of raw points."""
+    rows = tuple(np.array(vec, dtype=float).reshape(1, -1) for _, vec in segments)
+    return ObservationBlock(tuple(mod for mod, _ in segments), rows, 1)
+
+
+def force_obs(value):
     """1-D force-only observation, handy for kernel and GP unit tests."""
-    return FeatureObservation(
-        action_id, ((Modality.FORCE, np.atleast_1d(np.asarray(value, dtype=float))),), object_id
-    )
+    return one_row((Modality.FORCE, value))
 
 
-def two_part_obs(force, thermal, object_id=None, action_id="test"):
-    return FeatureObservation(
-        action_id,
-        (
-            (Modality.FORCE, np.atleast_1d(np.asarray(force, dtype=float))),
-            (Modality.THERMAL, np.asarray(thermal, dtype=float)),
-        ),
-        object_id,
-    )
+def two_part_obs(force, thermal):
+    return one_row((Modality.FORCE, force), (Modality.THERMAL, thermal))
 
 
 def as_blocks(groups: Mapping) -> dict:

@@ -6,8 +6,9 @@ package runs, kept here because no run path calls it:
 - ``fit_sets``, ``ova_fit``, ``ova_predict`` and ``argmax_label``: one-vs-all
   models fitted at one kernel and one-query predictions, over the stacked
   solve (``laplace._solve_sets``) and prediction (``gp.ova_predict_proba``);
-- ``rbf_eval`` and ``combined_eval``: one kernel entry between two points,
-  against the gram builders in ``kernels``;
+- ``rbf_eval`` and ``combined_eval``: one kernel entry between two points
+  (two vectors, or the rows of two one-row blocks), against the gram
+  builders in ``kernels``;
 - ``extract_stiffness`` and ``extract_texture``: one trace's features, the
   one-item cases of ``features._stiffnesses`` and ``features._textures``;
 - ``SensorTrace``, ``stack_of`` and ``trace_of``: one trace, and its
@@ -28,9 +29,9 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from tactilab.errors import MissingPriorError, ParameterError, SegmentationError
-from tactilab.features import FeatureObservation, _stiffnesses, _textures
+from tactilab.features import _stiffnesses, _textures
 from tactilab.gp import OvaGpcModel, ova_from_modes, ova_predict_proba, ova_sets
-from tactilab.kernels import CombinedKernel, RbfKernel
+from tactilab.kernels import CombinedKernel, ObservationBlock, RbfKernel
 from tactilab.laplace import PooledSet, _check_sets, _solve_sets
 from tactilab.signals import (
     ActionKind,
@@ -101,7 +102,7 @@ def rbf_eval(kernel: RbfKernel, x: Sequence[float], y: Sequence[float]) -> float
     return kernel.signal_variance * np.exp(-sq / (2.0 * kernel.length_scale**2))
 
 
-def _check_segmentation(kernel: CombinedKernel, obs: FeatureObservation) -> None:
+def _check_segmentation(kernel: CombinedKernel, obs: ObservationBlock) -> None:
     if obs.modalities != kernel.modalities:
         raise SegmentationError(
             f"observation modalities {obs.modalities} do not match kernel parts "
@@ -109,14 +110,13 @@ def _check_segmentation(kernel: CombinedKernel, obs: FeatureObservation) -> None
         )
 
 
-def combined_eval(
-    kernel: CombinedKernel, x: FeatureObservation, y: FeatureObservation
-) -> float:
+def combined_eval(kernel: CombinedKernel, x: ObservationBlock, y: ObservationBlock) -> float:
+    """The kernel entry between two one-row blocks."""
     _check_segmentation(kernel, x)
     _check_segmentation(kernel, y)
     total = 0.0
     for gamma, (mod, part) in zip(kernel.weights, kernel.parts):
-        total += gamma * rbf_eval(part, x.segment(mod), y.segment(mod))
+        total += gamma * rbf_eval(part, x.matrix(mod)[0], y.matrix(mod)[0])
     return float(total)
 
 
@@ -206,7 +206,7 @@ def fit_prior_knowledge(
 def select_prior_by_prediction(
     prior: PriorKnowledge,
     action_id: str,
-    X_new_j: Sequence[FeatureObservation],
+    X_new_j: ObservationBlock,
     eps_neg1: float = 0.6,
     new_object_id: int = -1,
 ) -> TransferDecision:

@@ -20,7 +20,7 @@ from tactilab.active import (
     update_knowledge,
 )
 from tactilab.errors import ParameterError, StateError
-from tactilab.features import FeatureObservation, Modality
+from tactilab.features import Modality
 from tactilab.kernels import ObservationBlock
 
 from conftest import force_obs
@@ -34,7 +34,7 @@ def fake_observation(action_id, object_id, seed):
     # Deterministic 1-D observation: the object id sets the level, the seed jitters it.
     rng = np.random.default_rng(seed)
     level = {11: -4.0, 12: 0.0, 13: 4.0}[object_id] + 0.2 * rng.standard_normal()
-    return FeatureObservation(action_id, ((Modality.FORCE, np.array([level])),), object_id)
+    return force_obs(level)
 
 
 def fake_observe(jobs):

@@ -3,7 +3,7 @@ cross-covariances and Laplace fits bit-identical to the per-call list path.
 The Laplace fit and the batch prediction, which call LAPACK directly, are
 bit-identical to the same algorithm written over scipy's checked wrappers.
 
-The reference functions below restack the observation lists on every call,
+The reference functions below restack lists of one-row blocks on every call,
 exactly as the kernels did before blocks existed, or factor and solve through
 ``scipy.linalg``; results are compared with ``np.array_equal`` / ``==``, never
 with a tolerance."""
@@ -20,7 +20,7 @@ from scipy.special import expit
 
 from tactilab import gp, laplace
 from tactilab.errors import ConvergenceError, NumericalError, ParameterError, SegmentationError
-from tactilab.features import FeatureObservation, Modality
+from tactilab.features import Modality
 from tactilab.kernels import (
     CombinedKernel,
     DependentKernel,
@@ -33,7 +33,7 @@ from tactilab.kernels import (
     training_gram_stack,
 )
 
-from conftest import force_obs, two_part_obs
+from conftest import force_obs, one_row, two_part_obs
 from oracles import fit_sets, ova_fit
 
 MODS = (Modality.FORCE, Modality.THERMAL)
@@ -56,8 +56,8 @@ def _ref_cross(kernel, X, Y):
     for gamma, (mod, part) in zip(kernel.weights, kernel.parts):
         if gamma == 0.0:
             continue
-        xs = np.stack([o.segment(mod) for o in X])
-        ys = np.stack([o.segment(mod) for o in Y])
+        xs = np.stack([o.matrix(mod)[0] for o in X])
+        ys = np.stack([o.matrix(mod)[0] for o in Y])
         out += gamma * _ref_rbf(part, xs, ys)
     return out
 
@@ -252,6 +252,11 @@ class TestBlockLayout:
         with pytest.raises(SegmentationError):
             ObservationBlock.of([two_part_obs([0.1], np.zeros(10)), two_part_obs([0.1], np.zeros(9))])
 
+    def test_mismatched_point_widths_rejected(self):
+        # Raw points have no modality to name; this raised AttributeError.
+        with pytest.raises(SegmentationError, match="^point segments differ in size"):
+            ObservationBlock.concat([ObservationBlock.of([[0.1]]), ObservationBlock.of([[0.1, 0.2]])])
+
     def test_kernel_layout_mismatch_rejected(self):
         block = ObservationBlock.of([force_obs(0.1), force_obs(0.2)])
         with pytest.raises(SegmentationError):
@@ -270,6 +275,23 @@ class TestBlockLayout:
         tail = block[2:]
         assert len(tail) == 4 and tail.modalities == MODS
         assert np.array_equal(tail.matrix(Modality.FORCE), ObservationBlock.of(obs[2:]).matrix(Modality.FORCE))
+
+    @pytest.mark.parametrize("n_old", [0, 3])
+    def test_one_row_list_equals_rows_stacked_directly(self, n_old):
+        """A list of one-row blocks through ``of`` is bit for bit the block of
+        the same rows stacked directly: its matrices, grams and Laplace modes."""
+        rng = np.random.default_rng(11)
+        force, thermal = rng.standard_normal((8, 1)), rng.standard_normal((8, 10))
+        listed = ObservationBlock.of([two_part_obs(f, t) for f, t in zip(force, thermal)])
+        direct = ObservationBlock(MODS, (force, thermal), len(force))
+        for mod in MODS:
+            assert np.array_equal(listed.matrix(mod), direct.matrix(mod))
+        kernel = DependentKernel(combined(0.8, 2.5, (0.4, 0.6)), 0.37)
+        gram = training_gram(kernel, listed, n_old)
+        assert np.array_equal(gram, training_gram(kernel, direct, n_old))
+        labels = np.array([1.0] * 4 + [-1.0] * 4)
+        fit = laplace.gpc_fit(kernel, listed, labels, n_old)
+        assert_same_fit(fit, laplace.gpc_fit(kernel, direct, labels, n_old))
 
     def test_of_returns_the_same_block(self):
         block = ObservationBlock.of(random_observations(2, 3, 1.0))
@@ -451,10 +473,7 @@ class TestStackedLaplace:
         """With three parts the order of the sum shows in the last bits."""
         rng = np.random.default_rng(seed)
         mods = (Modality.FORCE, Modality.TEXTURE, Modality.THERMAL)
-        obs = [
-            FeatureObservation("test", tuple((mod, rng.standard_normal(3)) for mod in mods))
-            for _ in range(n)
-        ]
+        obs = [one_row(*((mod, rng.standard_normal(3)) for mod in mods)) for _ in range(n)]
         bases = [
             CombinedKernel(
                 tuple((mod, RbfKernel(ls, 1.0 + 0.1 * i)) for i, (mod, ls) in enumerate(zip(mods, lengths))),

@@ -14,7 +14,6 @@ from tactilab.errors import (
 )
 from tactilab.features import (
     THERMAL_RESAMPLE_LEN,
-    FeatureObservation,
     Modality,
     activity,
     complexity,
@@ -33,7 +32,7 @@ from tactilab.signals import (
     sliding,
 )
 
-from conftest import QUIET
+from conftest import QUIET, one_row
 from oracles import SensorTrace, extract_stiffness, extract_texture, simulate, stack_of
 from test_signals import make_object
 
@@ -421,12 +420,12 @@ class TestExtractThermal:
         assert np.allclose(project_thermal(raw, proj), oracle, atol=1e-12)
 
 
-def one_trace_observation(trace, action_id, projector, object_id=None):
-    """The observation of one trace: its feature rows as a one-item stack,
-    the thermal row projected."""
+def one_trace_observation(trace, projector):
+    """The observation of one trace as a one-row block: its feature rows as
+    a one-item stack, the thermal row projected."""
     lead, lead_rows, thermal_rows = raw_features_stack(stack_of(trace))
-    thermal = (Modality.THERMAL, project_thermal(thermal_rows[0], projector))
-    return FeatureObservation(action_id, ((lead, lead_rows[0]), thermal), object_id)
+    thermal = project_thermal(thermal_rows[0], projector)
+    return one_row((lead, lead_rows[0]), (Modality.THERMAL, thermal))
 
 
 class TestBuildObservation:
@@ -438,10 +437,10 @@ class TestBuildObservation:
             for s in range(1)
         ]
         proj = fit_projector(raw_thermal(press_traces))
-        obs = one_trace_observation(press_traces[0], "P2", proj, object_id=1)
+        obs = one_trace_observation(press_traces[0], proj)
         assert obs.modalities == (Modality.FORCE, Modality.THERMAL)
-        assert obs.segment(Modality.FORCE).shape == (1,)
-        assert obs.segment(Modality.THERMAL).shape == (10,)
+        assert obs.matrix(Modality.FORCE)[0].shape == (1,)
+        assert obs.matrix(Modality.THERMAL)[0].shape == (10,)
 
         slide_traces = [
             simulate(obj, sliding(0.2, 5.0, 1.0), s, sample_catalog.skin, sample_catalog.noise)
@@ -449,10 +448,6 @@ class TestBuildObservation:
             for s in range(1)
         ]
         proj_s = fit_projector(raw_thermal(slide_traces))
-        obs_s = one_trace_observation(slide_traces[0], "S4", proj_s, object_id=1)
+        obs_s = one_trace_observation(slide_traces[0], proj_s)
         assert obs_s.modalities == (Modality.TEXTURE, Modality.THERMAL)
-        assert obs_s.segment(Modality.TEXTURE).shape == (4,)
-
-    def test_non_finite_entries_rejected(self):
-        with pytest.raises(ValueError):
-            FeatureObservation("a", ((Modality.FORCE, np.array([np.inf])),))
+        assert obs_s.matrix(Modality.TEXTURE)[0].shape == (4,)

@@ -630,13 +630,8 @@ def labelled_two_part_obs(seed, classes=(1, 2, 3), per_class=5):
     X, labels = [], []
     for cls in classes:
         for _ in range(per_class):
-            X.append(
-                two_part_obs(
-                    float(cls) + 0.4 * rng.standard_normal(),
-                    0.3 * cls + rng.standard_normal(4),
-                    object_id=cls,
-                )
-            )
+            force = float(cls) + 0.4 * rng.standard_normal()
+            X.append(two_part_obs(force, 0.3 * cls + rng.standard_normal(4)))
             labels.append(cls)
     return X, labels
 
@@ -1063,7 +1058,6 @@ class TestOptimizeHyperparams:
                     two_part_obs(
                         center + 0.15 * rng.standard_normal(),
                         rng.standard_normal(10),  # pure-noise modality
-                        object_id=cls,
                     )
                 )
                 labels.append(cls)

@@ -33,7 +33,7 @@ from tactilab.errors import (
     OptimizationError,
     SchemaError,
 )
-from tactilab.features import FeatureObservation, Modality
+from tactilab.features import Modality
 from tactilab.harness import run_experiment
 from tactilab.kernels import ObservationBlock
 from tactilab.results import RunResult, TrialResult, write_report
@@ -41,7 +41,7 @@ from tactilab.seeding import OPT_NS, PRIOR_NS, TEST_NS, TRAIN_NS, derive_rng, de
 from tactilab.signals import STANDARD_ACTIONS, load_catalog, trace_nbytes
 from tactilab.transfer import INIT_RESTARTS
 
-from conftest import as_blocks, record_searches
+from conftest import as_blocks, one_row, record_searches
 from oracles import fit_prior_knowledge
 
 
@@ -391,17 +391,16 @@ class TestTestSet:
 
 
 def flat_test_set(config, projectors, batches):
-    """Reference: the held-out set as flat per-action lists of observations
-    in job order, each thermal row projected as one vector, with one label
-    array per action."""
+    """Reference: the held-out set as flat per-action lists of one-row
+    blocks in job order, each thermal row projected as one vector, with one
+    label array per action."""
     observations = {a: [] for a in config.actions}
     labels = {a: [] for a in config.actions}
     for jobs, (lead, lead_rows, thermal_rows) in batches:
         for (action_id, obj, _), lead_row, raw in zip(jobs, lead_rows, thermal_rows):
             projector = projectors[action_id]
             thermal = projector.basis @ (raw - projector.mean_vector)
-            segments = ((lead, lead_row), (Modality.THERMAL, thermal))
-            observations[action_id].append(FeatureObservation(action_id, segments, obj))
+            observations[action_id].append(one_row((lead, lead_row), (Modality.THERMAL, thermal)))
             labels[action_id].append(obj)
     return observations, {a: np.array(labs) for a, labs in labels.items()}
 
@@ -1194,6 +1193,37 @@ class TestCli:
             err = capsys.readouterr().err
             assert f"skin: {field} must be >= 1 for action {action}, got 0" in err
         assert not out.exists()
+
+    def test_trace_past_the_array_limit_exits_2(self, tmp_path, capsys):
+        # Validated, then each verb failed in simulate_stack with a traceback
+        # (exit 1): "ValueError: Maximum allowed size exceeded".
+        path = self.write_catalog_config(
+            tmp_path, "skin", "sample_rate_hz", 1e300, seeds=[1], trials=1, budget=1
+        )
+        out = tmp_path / "out"
+        for argv in (
+            ["validate", str(path)],
+            ["run", str(path), "--out", str(out), "--jobs", "1"],
+            ["run", str(path), "--out", str(out), "--jobs", "2"],
+            ["testset", str(path), "--out", str(out)],
+        ):
+            assert cli_main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error: skin: sample_rate_hz 1e+300 makes each trace")
+            assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_allocation_failure_exits_3_with_one_line(self, tmp_path, capsys, monkeypatch):
+        from tactilab import assets
+
+        def unallocatable(*args, **kwargs):
+            raise MemoryError("Unable to allocate 2.13 PiB")
+
+        monkeypatch.setattr(assets, "simulate_stack", unallocatable)
+        path = self.write_config(tmp_path, seeds=[1], budget=1)
+        for verb in ("run", "testset"):
+            assert cli_main([verb, str(path), "--out", str(tmp_path / verb)]) == 3
+            assert capsys.readouterr().err == "error: out of memory: Unable to allocate 2.13 PiB\n"
 
     def test_zero_accelerometers_validate_when_no_action_slides(self, tmp_path, capsys):
         # sample_run's P2 and C1 read force and temperature only.

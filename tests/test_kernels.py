@@ -21,11 +21,8 @@ from conftest import force_obs, two_part_obs
 from oracles import combined_eval, rbf_eval
 
 
-def random_two_part_obs(rng, n, action_id="test"):
-    return [
-        two_part_obs(rng.standard_normal(1), rng.standard_normal(10), action_id=action_id)
-        for _ in range(n)
-    ]
+def random_two_part_obs(rng, n):
+    return [two_part_obs(rng.standard_normal(1), rng.standard_normal(10)) for _ in range(n)]
 
 
 class TestRbf:
@@ -62,7 +59,7 @@ class TestCombined:
         k = CombinedKernel(((Modality.FORCE, part),), np.array([1.0]))
         x, y = force_obs(0.2), force_obs(1.1)
         assert combined_eval(k, x, y) == pytest.approx(
-            rbf_eval(part, x.segment(Modality.FORCE), y.segment(Modality.FORCE)), abs=1e-15
+            rbf_eval(part, x.matrix(Modality.FORCE)[0], y.matrix(Modality.FORCE)[0]), abs=1e-15
         )
 
     def test_equal_parts_collapse(self):
@@ -76,8 +73,8 @@ class TestCombined:
         # combination of identical parts equals either part on its segment.
         x1 = two_part_obs([0.3], [0.3] * 10)
         y1 = two_part_obs([0.9], [0.9] * 10)
-        force_val = rbf_eval(part, x1.segment(Modality.FORCE), y1.segment(Modality.FORCE))
-        thermal_val = rbf_eval(part, x1.segment(Modality.THERMAL), y1.segment(Modality.THERMAL))
+        force_val = rbf_eval(part, x1.matrix(Modality.FORCE)[0], y1.matrix(Modality.FORCE)[0])
+        thermal_val = rbf_eval(part, x1.matrix(Modality.THERMAL)[0], y1.matrix(Modality.THERMAL)[0])
         assert combined_eval(k, x1, y1) == pytest.approx(
             0.5 * force_val + 0.5 * thermal_val, abs=1e-15
         )
@@ -90,8 +87,8 @@ class TestCombined:
         k = CombinedKernel(((Modality.FORCE, ka), (Modality.THERMAL, kb)), np.array([0.3, 0.7]))
         x = two_part_obs([0.5], np.linspace(0, 1, 10))
         y = two_part_obs([-0.25], np.linspace(1, 0, 10))
-        oracle = 0.3 * rbf_eval(ka, x.segment(Modality.FORCE), y.segment(Modality.FORCE)) + (
-            0.7 * rbf_eval(kb, x.segment(Modality.THERMAL), y.segment(Modality.THERMAL))
+        oracle = 0.3 * rbf_eval(ka, x.matrix(Modality.FORCE)[0], y.matrix(Modality.FORCE)[0]) + (
+            0.7 * rbf_eval(kb, x.matrix(Modality.THERMAL)[0], y.matrix(Modality.THERMAL)[0])
         )
         assert combined_eval(k, x, y) == pytest.approx(oracle, abs=1e-12)
 

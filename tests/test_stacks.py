@@ -35,7 +35,6 @@ from tactilab.kernels import ObservationBlock
 from tactilab.features import (
     THERMAL_DIM,
     THERMAL_RESAMPLE_LEN,
-    FeatureObservation,
     Modality,
     fit_projector,
     project_thermal,
@@ -53,6 +52,7 @@ from tactilab.signals import (
     trace_nbytes,
 )
 
+from conftest import one_row
 from oracles import SensorTrace, extract_texture, simulate, stack_of, trace_of
 from test_features import AXIS_KINDS, random_accels, reference_texture
 
@@ -133,15 +133,16 @@ def row_bytes(rows, i):
 
 
 def one_trace_observation(catalog, projectors, job):
-    """The reference observation of one job: its trace simulated alone and
-    reduced as a one-item stack, its thermal row projected as one vector."""
+    """The reference observation of one job, as a one-row block: its trace
+    simulated alone and reduced as a one-item stack, its thermal row
+    projected as one vector."""
     action_id, obj, seed = job
     action = STANDARD_ACTIONS[action_id]
     trace = simulate(catalog.by_id(obj), action, seed, catalog.skin, catalog.noise)
     lead, lead_rows, thermal_rows = raw_features_stack(stack_of(trace))
     projector = projectors[action_id]
     thermal = projector.basis @ (thermal_rows[0] - projector.mean_vector)
-    return FeatureObservation(action_id, ((lead, lead_rows[0]), (Modality.THERMAL, thermal)), obj)
+    return one_row((lead, lead_rows[0]), (Modality.THERMAL, thermal))
 
 
 @pytest.mark.parametrize("action_id", list(STANDARD_ACTIONS))
@@ -325,13 +326,13 @@ class TestBatchBlock:
 
 
 def assert_rows(block, want):
-    """``block`` holds the rows of the observations ``want``, in order, bit
+    """``block`` holds the rows of the one-row blocks ``want``, in order, bit
     for bit."""
     assert len(block) == len(want)
     for i, obs in enumerate(want):
         assert block.modalities == obs.modalities
-        for mod, vec in obs.segments:
-            assert block.matrix(mod)[i].tobytes() == vec.tobytes()
+        for mod in obs.modalities:
+            assert block.matrix(mod)[i].tobytes() == obs.matrix(mod)[0].tobytes()
 
 
 class TestTrialObservations:

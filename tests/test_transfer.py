@@ -33,8 +33,8 @@ from oracles import fit_prior_knowledge, select_prior_by_prediction
 ACTION = "P"
 
 
-def cluster(rng, center, n, spread=0.15, object_id=None):
-    return [force_obs(center + spread * rng.standard_normal(), object_id) for _ in range(n)]
+def cluster(rng, center, n, spread=0.15):
+    return [force_obs(center + spread * rng.standard_normal()) for _ in range(n)]
 
 
 def force_kernel(ls=0.5, sv=2.0):
@@ -42,7 +42,7 @@ def force_kernel(ls=0.5, sv=2.0):
 
 
 def prior_instances(rng, centers={1: -4.0, 2: 0.0, 3: 4.0}, per_object=12, action=ACTION):
-    return {action: {obj: cluster(rng, c, per_object, object_id=obj) for obj, c in centers.items()}}
+    return {action: {obj: cluster(rng, c, per_object) for obj, c in centers.items()}}
 
 
 def make_prior(rng, centers={1: -4.0, 2: 0.0, 3: 4.0}, per_object=12, action=ACTION):
@@ -102,7 +102,7 @@ class TestSelectByOptimization:
         hits = 0
         for seed in range(20):
             rng = np.random.default_rng(300 + seed)
-            instances = {ACTION: {1: cluster(rng, 0.0, 30, object_id=1)}}
+            instances = {ACTION: {1: cluster(rng, 0.0, 30)}}
             prior = fit_prior_knowledge(as_blocks(instances), restarts=1, rng=rng)
             X_new = cluster(rng, 0.0, 30)
             decision = select_prior_by_optimization(
@@ -114,7 +114,7 @@ class TestSelectByOptimization:
 
     def test_below_threshold_gives_none(self):
         rng = np.random.default_rng(9)
-        instances = {ACTION: {1: cluster(rng, 0.0, 10, object_id=1)}}
+        instances = {ACTION: {1: cluster(rng, 0.0, 10)}}
         prior = fit_prior_knowledge(as_blocks(instances), restarts=1, rng=rng)
         decision = select_prior_by_optimization(
             prior, ACTION, cluster(rng, 80.0, 10), 0.99, new_object_id=11, rng=rng
@@ -126,7 +126,7 @@ class TestSelectByOptimization:
         # Known bias: rho tends toward 1 with scarce new data; only the
         # contract (completion, range) is asserted.
         rng = np.random.default_rng(10)
-        instances = {ACTION: {1: cluster(rng, 0.0, 15, object_id=1)}}
+        instances = {ACTION: {1: cluster(rng, 0.0, 15)}}
         prior = fit_prior_knowledge(as_blocks(instances), restarts=1, rng=rng)
         decision = select_prior_by_optimization(
             prior, ACTION, [force_obs(0.1)], 0.6, new_object_id=11, rng=rng
@@ -143,7 +143,7 @@ class TestSearchSettings:
         return {
             ACTION: {
                 obj: [
-                    two_part_obs(obj + 0.2 * rng.standard_normal(), rng.standard_normal(3), obj)
+                    two_part_obs(obj + 0.2 * rng.standard_normal(), rng.standard_normal(3))
                     for _ in range(6)
                 ]
                 for obj in objects
@@ -228,7 +228,7 @@ class TestFitDependentGpc:
 
 def new_groups(rng, centers={11: -4.0, 12: 0.1, 13: 7.0}, n=3):
     return as_blocks(
-        {ACTION: {obj: cluster(rng, c, n, object_id=obj) for obj, c in centers.items()}}
+        {ACTION: {obj: cluster(rng, c, n) for obj, c in centers.items()}}
     )
 
 
@@ -258,9 +258,9 @@ class TestBuildModels:
         instances = prior_instances(rng)[ACTION]
         prior = fit_prior_knowledge(as_blocks({ACTION: instances}), restarts=1, rng=rng)
         groups = {
-            11: cluster(rng, -4.0, 3, object_id=11),
-            12: cluster(rng, 0.0, 2, object_id=12),
-            13: cluster(rng, 9.0, 4, object_id=13),
+            11: cluster(rng, -4.0, 3),
+            12: cluster(rng, 0.0, 2),
+            13: cluster(rng, 9.0, 4),
         }
         searched = []
         real = transfer.optimize_kernel_for_sets
@@ -302,7 +302,7 @@ class TestBuildModels:
             want = ObservationBlock.of(instances[obj])
             assert np.array_equal(block.matrix(Modality.FORCE), want.matrix(Modality.FORCE))
         groups = as_blocks(
-            {11: cluster(rng, -4.0, 3, object_id=11), 12: cluster(rng, 0.0, 2, object_id=12)}
+            {11: cluster(rng, -4.0, 3), 12: cluster(rng, 0.0, 2)}
         )
         stacked, real_of = [], ObservationBlock.of.__func__
         joined, real_concat = [], ObservationBlock.concat.__func__
@@ -352,8 +352,8 @@ class TestBuildModels:
         groups = as_blocks(
             {
                 ACTION: {
-                    11: cluster(rng, 40.0, 3, object_id=11),
-                    12: cluster(rng, 50.0, 3, object_id=12),
+                    11: cluster(rng, 40.0, 3),
+                    12: cluster(rng, 50.0, 3),
                 }
             }
         )
