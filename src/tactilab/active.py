@@ -13,6 +13,7 @@ import numpy as np
 from .errors import ParameterError, StateError
 from .gp import OvaGpcModel, ova_predict_groups
 from .kernels import CombinedKernel, ObservationBlock
+from .results import TrialResult
 from .seeding import EXPLORE_NS, INIT_NS, TRAIN_NS, derive_rng, derive_seed
 from .transfer import (
     ObservationGroups,
@@ -186,11 +187,11 @@ def update_knowledge(
     thresholds: TransferThresholds = TransferThresholds(),
     method: SelectionMethod = SelectionMethod.MODEL_PREDICTION,
     rng: Optional[np.random.Generator] = None,
-) -> tuple[dict[str, OvaGpcModel], list[TransferDecision]]:
+) -> list[TransferDecision]:
     """Re-run weight estimation, prior selection and model fitting for one
     action on the (UPDATE_RESTARTS, UPDATE_SWEEPS) search schedule, starting
-    from its current kernel; models of every other action are left
-    untouched."""
+    from its current kernel, and return its decisions; models of every other
+    action are left untouched."""
     model, kernel, decisions = build_action_models(
         prior,
         action_id,
@@ -202,30 +203,9 @@ def update_knowledge(
         sweeps=UPDATE_SWEEPS,
         rng=rng,
     )
-    new_models = dict(state.models)
-    new_models[action_id] = model
-    state.models = new_models
-    state.kernels = {**state.kernels, action_id: kernel}
-    return new_models, decisions
-
-
-@dataclass
-class LoopRecord:
-    iteration: int
-    object_id: int
-    action_id: str
-    branch: str
-    accuracy: float
-    decisions: list[TransferDecision]
-    gamma: list[float]
-    uncertainty: dict[str, dict[int, float]]
-
-
-@dataclass
-class LoopResult:
-    curve: list[float]
-    records: list[LoopRecord]
-    stopped_early: bool = False
+    state.models[action_id] = model
+    state.kernels[action_id] = kernel
+    return decisions
 
 
 def run_loop(
@@ -238,11 +218,14 @@ def run_loop(
     method: SelectionMethod = SelectionMethod.MODEL_PREDICTION,
     stop_window: Optional[int] = None,
     opt_rng: Optional[np.random.Generator] = None,
-) -> LoopResult:
+    trial: Optional[TrialResult] = None,
+) -> TrialResult:
     """select -> acquire -> update -> evaluate until the budget is spent or
     accuracy stalls (no gain above STOP_DELTA across ``stop_window``
-    acquisitions). Returns one accuracy value per acquisition: the mean over
-    ``state.action_ids`` of ``evaluate(action_id, model)``.
+    acquisitions). Each acquisition appends to ``trial`` (by default an
+    empty one), which is returned: its accuracy to the curve (the mean over
+    ``state.action_ids`` of ``evaluate(action_id, model)``), its record, the
+    refit's decisions and the refit action's kernel weights.
 
     The loop holds each action's uncertainty row and accuracy. An
     acquisition grows one action's groups and refits that action's model
@@ -251,7 +234,9 @@ def run_loop(
     if budget < 0:
         raise ParameterError("budget must be >= 0")
     state.check_groups()
-    result = LoopResult(curve=[], records=[])
+    if trial is None:
+        trial = TrialResult(curve=[], decisions=[], gamma_trace=[], records=[])
+    curve = trial.curve
     rows: dict[str, np.ndarray] = {}
     accs: dict[str, float] = {}
     for _ in range(budget):
@@ -263,36 +248,32 @@ def run_loop(
         )
         obj, act, branch, _ = _draw(table, state.eps_explore, state.explore_rng)
         acquire(state, obj, act, observe)
-        _, decisions = update_knowledge(state, act, prior, thresholds, method, rng=opt_rng)
+        decisions = update_knowledge(state, act, prior, thresholds, method, rng=opt_rng)
         del rows[act]
         accs.pop(act, None)
         for a in state.action_ids:
             if a not in accs:
                 accs[a] = evaluate(a, state.models[a])
         accuracy = float(np.mean([accs[a] for a in state.action_ids]))
-        result.curve.append(accuracy)
-        result.records.append(
-            LoopRecord(
-                iteration=state.iteration,
-                object_id=obj,
-                action_id=act,
-                branch=branch,
-                accuracy=accuracy,
-                decisions=decisions,
-                gamma=[float(g) for g in state.kernels[act].weights],
-                uncertainty={
-                    a: {
-                        o: float(table.values[i, j])
-                        for j, o in enumerate(table.object_ids)
-                    }
-                    for i, a in enumerate(table.action_ids)
-                },
-            )
+        curve.append(accuracy)
+        trial.records.append(
+            {
+                "iteration": state.iteration,
+                "object": obj,
+                "action": act,
+                "branch": branch,
+                "accuracy": accuracy,
+            }
         )
-        if stop_window is not None and len(result.curve) > stop_window:
-            recent = max(result.curve[-stop_window:])
-            before = max(result.curve[:-stop_window])
-            if recent - before <= STOP_DELTA:
-                result.stopped_early = True
+        trial.decisions.extend(d.to_dict() for d in decisions)
+        trial.gamma_trace.append(
+            {
+                "iteration": state.iteration,
+                "action": act,
+                "gamma": [float(g) for g in state.kernels[act].weights],
+            }
+        )
+        if stop_window is not None and len(curve) > stop_window:
+            if max(curve[-stop_window:]) - max(curve[:-stop_window]) <= STOP_DELTA:
                 break
-    return result
+    return trial

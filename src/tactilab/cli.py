@@ -148,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed-offset", type=int, default=0, dest="seed_offset")
     run.add_argument(
         "--jobs", type=partial(_int_at_least, 1), default=1,
-        help="worker processes for the trial seeds (>= 1)",
+        help="worker processes for the set-up tasks and the trial seeds (>= 1)",
     )
     run.set_defaults(func=_cmd_run)
 

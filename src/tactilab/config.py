@@ -175,6 +175,6 @@ def load_config(path: str | Path) -> ExperimentConfig:
     path = Path(path)
     try:
         raw = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # bad JSON, or an integer past int()'s digit limit
         raise ConfigError(f"cannot parse config {path}: {exc}") from exc
     return parse_config(raw, base_dir=str(path.parent))

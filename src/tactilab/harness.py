@@ -136,13 +136,19 @@ def run_trial(
     )
     prior_arg = prior if use_prior else None
     opt_rng = derive_rng(seed, OPT_NS)
-    models, kernels, init_decisions = build_new_observation_models(
+    state.models, state.kernels, decisions = build_new_observation_models(
         prior_arg, state.observations, config.thresholds, config.selection_method, rng=opt_rng
     )
-    state.models = models
-    state.kernels = kernels
-
-    loop = run_loop(
+    trial = TrialResult(
+        curve=[],
+        decisions=[d.to_dict() for d in decisions],
+        gamma_trace=[
+            {"iteration": 0, "action": a, "gamma": [float(g) for g in k.weights]}
+            for a, k in state.kernels.items()
+        ],
+        records=[],
+    )
+    return run_loop(
         state,
         prior_arg,
         config.budget,
@@ -152,28 +158,8 @@ def run_trial(
         method=config.selection_method,
         stop_window=STOP_WINDOW if config.early_stop else None,
         opt_rng=opt_rng,
+        trial=trial,
     )
-    decisions = [d.to_dict() for d in init_decisions]
-    gamma_trace = [
-        {"iteration": 0, "action": a, "gamma": [float(g) for g in k.weights]}
-        for a, k in kernels.items()
-    ]
-    records = []
-    for rec in loop.records:
-        decisions.extend(d.to_dict() for d in rec.decisions)
-        gamma_trace.append(
-            {"iteration": rec.iteration, "action": rec.action_id, "gamma": rec.gamma}
-        )
-        records.append(
-            {
-                "iteration": rec.iteration,
-                "object": rec.object_id,
-                "action": rec.action_id,
-                "branch": rec.branch,
-                "accuracy": rec.accuracy,
-            }
-        )
-    return TrialResult(loop.curve, decisions, gamma_trace, records)
 
 
 def _modes_for(config: ExperimentConfig, test: TestSet) -> list[str]:

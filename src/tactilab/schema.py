@@ -7,7 +7,7 @@ with ``parse(name, raw value)``, which returns the field's value or raises
 :func:`parse_fields`, so a record built directly is checked the same way as
 one read from a file. One rule per kind:
 
-- integer: an ``int``, or a float holding a whole number of magnitude at
+- integer: an ``int``, or a float holding a whole number, of magnitude at
   most 2**53, below which a float holds every integer exactly;
 - number: an ``int`` or ``float`` within the field's bound;
 - string: a ``str``.
@@ -24,7 +24,7 @@ from enum import Enum
 
 from .errors import SchemaError
 
-#: The largest magnitude an integral float may have.
+#: The largest magnitude an integer may have.
 _MAX_WHOLE = 2**53
 
 
@@ -75,10 +75,10 @@ def _real(name: str, value, kind: str):
 
 
 def _integer(name: str, value, kind: str) -> int:
-    if isinstance(_real(name, value, kind), float) and not (
-        value.is_integer() and abs(value) <= _MAX_WHOLE
-    ):
+    if _real(name, value, kind) != int(value):
         raise SchemaError(f"{name} must be {kind}, got {value!r}")
+    if abs(value) > _MAX_WHOLE:
+        raise SchemaError(f"{name} must be {kind} of magnitude at most 2**53, got {value!r}")
     return int(value)
 
 

@@ -303,7 +303,7 @@ def load_catalog(path: str | Path) -> Catalog:
     path = Path(path)
     try:
         raw = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # bad JSON, or an integer past int()'s digit limit
         raise SchemaError(f"cannot parse catalog {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise SchemaError("catalog root must be a mapping")

@@ -22,6 +22,7 @@ from tactilab.active import (
 from tactilab.errors import ParameterError, StateError
 from tactilab.features import Modality
 from tactilab.kernels import ObservationBlock
+from tactilab.results import TrialResult
 
 from conftest import force_obs
 from test_transfer import cluster, make_prior
@@ -285,9 +286,7 @@ class TestUpdateKnowledge:
             selected = []
             for _ in range(6):
                 acquire(state, 12, "A1", fake_observe)
-                _, decisions = update_knowledge(
-                    state, "A1", prior, rng=np.random.default_rng(seed)
-                )
+                decisions = update_knowledge(state, "A1", prior, rng=np.random.default_rng(seed))
                 match = [d for d in decisions if d.new_object_id == 12]
                 selected.append(match[0].selected_old_id == 1 if match else False)
             if np.mean(selected) >= 0.8:
@@ -336,7 +335,6 @@ class TestRunLoop:
             fake_observe,
             stop_window=10,
         )
-        assert result.stopped_early
         assert len(result.curve) == 11  # window + the first comparison point
 
     def test_later_iterations_predict_only_the_refitted_action(self, monkeypatch):
@@ -378,36 +376,48 @@ class TestRunLoop:
         assert len(refits) == 6 and {a for a, _ in refits} == set(ACTIONS)
         assert [(kind, id(m)) for kind, m in events] == [(kind, id(m)) for kind, m in expected]
 
-    def test_records_equal_those_of_a_loop_that_recomputes_everything(self):
+    def test_records_equal_those_of_a_loop_that_recomputes_everything(self, monkeypatch):
+        real_draw = active._draw
+
         def reference_loop(state, budget, opt_rng):
             """Every uncertainty row and accuracy from scratch each iteration."""
-            curve, records = [], []
+            curve, tables, records = [], [], []
             for _ in range(budget):
                 table = uncertainty_table(state.models, state.observations)
-                obj, act, branch, _ = active._draw(table, state.eps_explore, state.explore_rng)
+                obj, act, branch, _ = real_draw(table, state.eps_explore, state.explore_rng)
                 acquire(state, obj, act, fake_observe)
                 update_knowledge(state, act, None, rng=opt_rng)
                 acc = float(np.mean([level_score(a, state.models[a]) for a in state.action_ids]))
                 curve.append(acc)
-                uncertainty = {
-                    a: {o: float(table.values[i, j]) for j, o in enumerate(table.object_ids)}
-                    for i, a in enumerate(table.action_ids)
-                }
-                records.append((uncertainty, obj, act, branch, acc))
-            return curve, records
+                tables.append(table)
+                records.append(
+                    {"iteration": state.iteration, "object": obj, "action": act,
+                     "branch": branch, "accuracy": acc}
+                )
+            return curve, tables, records
 
+        # The table each of the loop's selections draws from.
+        drawn = []
+
+        def draw(table, *args):
+            drawn.append(table)
+            return real_draw(table, *args)
+
+        monkeypatch.setattr(active, "_draw", draw)
         for seed in (9, 21):
+            drawn.clear()
             state = fit_state_models(fresh_state(seed=seed), seed=seed)
             loop = run_loop(state, None, 8, level_score, fake_observe,
                             opt_rng=np.random.default_rng(seed))
             state = fit_state_models(fresh_state(seed=seed), seed=seed)
-            curve, records = reference_loop(state, 8, np.random.default_rng(seed))
+            curve, tables, records = reference_loop(state, 8, np.random.default_rng(seed))
             assert loop.curve == curve
-            assert [
-                (r.uncertainty, r.object_id, r.action_id, r.branch, r.accuracy)
-                for r in loop.records
-            ] == records
-            assert {r.branch for r in loop.records} == {"explore", "exploit"}
+            assert loop.records == records
+            assert len(drawn) == len(tables)
+            for got, want in zip(drawn, tables):
+                assert (got.action_ids, got.object_ids) == (want.action_ids, want.object_ids)
+                assert np.array_equal(got.values, want.values)
+            assert {r["branch"] for r in loop.records} == {"explore", "exploit"}
 
     def test_full_loop_determinism(self):
         curves = []
@@ -432,9 +442,21 @@ class TestRunLoop:
         result = run_loop(
             state, None, 3, constant_evaluator, fake_observe
         )
-        for rec in result.records:
-            assert rec.branch in ("explore", "exploit")
-            assert rec.action_id in ACTIONS
-            assert rec.object_id in OBJECTS
-            assert abs(sum(rec.gamma) - 1.0) < 1e-9
-            assert set(rec.uncertainty) == set(ACTIONS)
+        assert len(result.records) == len(result.gamma_trace) == 3
+        for rec, entry in zip(result.records, result.gamma_trace):
+            assert rec["branch"] in ("explore", "exploit")
+            assert rec["action"] in ACTIONS
+            assert rec["object"] in OBJECTS
+            assert (entry["iteration"], entry["action"]) == (rec["iteration"], rec["action"])
+            assert abs(sum(entry["gamma"]) - 1.0) < 1e-9
+
+    def test_appends_to_the_trial_it_is_given(self):
+        state = fit_state_models(fresh_state(seed=8))
+        first = {"iteration": 0, "action": "A1", "gamma": [1.0]}
+        trial = TrialResult(
+            curve=[], decisions=[{"new_object": 11}], gamma_trace=[first], records=[]
+        )
+        assert run_loop(state, None, 2, constant_evaluator, fake_observe, trial=trial) is trial
+        assert trial.decisions == [{"new_object": 11}]  # no prior: the refits decide nothing
+        assert trial.gamma_trace[0] is first and len(trial.gamma_trace) == 3
+        assert len(trial.curve) == len(trial.records) == 2

@@ -2,7 +2,9 @@ import dataclasses
 import json
 import multiprocessing
 import os
+import platform
 import re
+import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
@@ -23,7 +25,7 @@ from tactilab.assets import (
     projector_pool_jobs,
     set_up_features,
 )
-from tactilab.blas import SingleThreadedBlas
+from tactilab.blas import SingleThreadedBlas, _loaded_openblas
 from tactilab.cli import main as cli_main
 from tactilab.config import config_hash, load_config, parse_config
 from tactilab.errors import (
@@ -166,11 +168,32 @@ class TestConfigParsing:
             ("test_samples_press_slide", 1e300),
             ("test_samples_static", 1e300),
             ("prior_samples_per_object", 1e300),
+            # The same written in digits: each validated, and run did not end.
+            *(
+                pytest.param(field, 10**300, id=f"{field}-10**300")
+                for field in (
+                    "budget",
+                    "test_samples_press_slide",
+                    "test_samples_static",
+                    "prior_samples_per_object",
+                )
+            ),
+            pytest.param("budget", 2**53 + 1, id="budget-2**53+1"),
         ],
     )
     def test_integer_fields_reject_bools_and_fractions_by_name(self, field, value):
+        raw = json.loads(json.dumps(config_dict(**{field: value})))  # as the file holds it
         with pytest.raises(ConfigError, match=field):
-            parse_config(config_dict(**{field: value}))
+            parse_config(raw)
+
+    def test_integer_past_the_digit_limit_exits_2(self, tmp_path, capsys):
+        # int() refuses a literal of more than 4300 digits: validate exited 1
+        # with a ValueError traceback.
+        path = tmp_path / "config.json"
+        text = json.dumps(config_dict()).replace('"budget": 3', '"budget": ' + "9" * 5000)
+        path.write_text(text)
+        assert cli_main(["validate", str(path)]) == 2
+        assert f"cannot parse config {path}" in capsys.readouterr().err
 
     def test_catalog_must_be_a_string(self, tmp_path, capsys):
         # A list used to become the path "[1]".
@@ -1085,6 +1108,65 @@ class TestReport:
         pinned = (golden / f"pinned_{name}_result.json").read_text()
         assert json.dumps(raw, sort_keys=True) + "\n" == pinned
 
+    @pytest.mark.skipif(
+        platform.machine().lower() not in ("x86_64", "amd64") or not _loaded_openblas(),
+        reason="OPENBLAS_CORETYPE names the x86-64 kernels of OpenBLAS",
+    )
+    def test_curves_reproduced_under_other_blas_kernels(self, tmp_path):
+        """Bytes reproduce per OpenBLAS kernel: the distance products and
+        the Cholesky factors and solves round differently on each, so the
+        mean predictions in a result.json move in their last digits. The
+        curves, and the golden summary, come out the same under every kernel
+        tried. A child process runs the golden and pinned configs under two
+        kernels picked by OPENBLAS_CORETYPE, which OpenBLAS reads as it
+        loads."""
+        golden = Path(__file__).parent / "golden"
+        names = ("golden", "pinned_optimization", "pinned_ablation")
+        paths = [str(Path(tactilab.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+        cores = set()
+        for coretype in ("Zen", "Prescott"):
+            outs = [tmp_path / coretype / name for name in names]
+            configs = [golden / f"{name}_config.json" for name in names]
+            args = [str(a) for pair in zip(configs, outs) for a in pair]
+            child = subprocess.run(
+                [sys.executable, "-c", RUN_AND_NAME_KERNELS, *args],
+                env={**env, "OPENBLAS_CORETYPE": coretype},
+                capture_output=True,
+                text=True,
+                timeout=600,
+            )
+            assert child.returncode == 0, child.stderr
+            kernels = [line for line in child.stdout.splitlines() if line.startswith("kernel ")]
+            assert kernels, child.stdout
+            cores.add(frozenset(kernels))
+            for name, out in zip(names, outs):
+                want = (golden / f"{name}_curves.csv").read_bytes()
+                assert (out / "curves.csv").read_bytes() == want, (coretype, name)
+            want = (golden / "golden_summary.json").read_bytes()
+            assert (outs[0] / "summary.json").read_bytes() == want, coretype
+        assert len(cores) == 2, cores  # each child ran the kernel it was given
+
+
+#: Runs ``tactilab run`` on each (config, out directory) argument pair, then
+#: prints the kernel of every loaded OpenBLAS.
+RUN_AND_NAME_KERNELS = """
+import ctypes, sys
+from tactilab.blas import _loaded_openblas
+from tactilab.cli import main
+
+for config, out in zip(sys.argv[1::2], sys.argv[2::2]):
+    if main(["run", config, "--out", out]) != 0:
+        sys.exit(f"run {config} failed")
+for _, lib in _loaded_openblas():
+    for prefix in ("scipy_openblas", "openblas"):
+        for suffix in ("64_", ""):
+            corename = getattr(lib, f"{prefix}_get_corename{suffix}", None)
+            if corename is not None:
+                corename.restype = ctypes.c_char_p
+                print("kernel", corename().decode())
+"""
+
 
 class TestCli:
     def write_config(self, tmp_path, **overrides):
@@ -1157,12 +1239,26 @@ class TestCli:
             ("cells", 2.5, "an integer >= 1, got 2.5"),
             ("ambient_temp_c", None, "a number, got None"),
             ("cells", True, "an integer >= 1, got True"),
+            (
+                "accel_per_cell",
+                10**300,
+                f"an integer >= 0 of magnitude at most 2**53, got {10**300}",
+            ),
         ],
-        ids=["cells-string", "sample-rate-string", "cells-fraction", "ambient-null", "cells-bool"],
+        ids=[
+            "cells-string",
+            "sample-rate-string",
+            "cells-fraction",
+            "ambient-null",
+            "cells-bool",
+            "accel-literal-past-2**53",
+        ],
     )
     def test_mistyped_skin_field_exits_2(self, tmp_path, capsys, field, value, expected):
         # The strings failed validate with a TypeError (exit 1), the fraction
         # and the null passed validate and failed run, and true passed as 1.
+        # The accelerometer count in digits validated and ran (no action of
+        # the config slides).
         path = self.write_catalog_config(tmp_path, "skin", field, value)
         out = tmp_path / "out"
         for argv in (["validate", str(path)], ["run", str(path), "--out", str(out)]):
