@@ -1,12 +1,18 @@
 """OpenBLAS thread control through ``ctypes``: every loaded OpenBLAS is found
-by walking the process's shared objects and capped at one thread."""
+by walking the process's shared objects and capped at one thread. Also the
+loader of the scipy routines the engine calls (``scipy_routines``), which
+loads scipy's OpenBLAS."""
 
 from __future__ import annotations
 
 import ctypes
+import importlib.machinery
+import importlib.util
 import os
+import sys
 import warnings
-from typing import Optional
+from types import ModuleType
+from typing import Optional, Sequence
 
 
 class _DlPhdrInfo(ctypes.Structure):
@@ -95,3 +101,60 @@ class SingleThreadedBlas:
     def __exit__(self, *exc_info) -> None:
         for set_, count in self._previous:
             set_(count)
+
+
+def _extension_path(package_dir: str, name: str) -> Optional[str]:
+    """Path of the extension module ``name`` (a dotted name inside scipy)
+    under scipy's directory ``package_dir``; None when no such file exists."""
+    *subpackages, stem = name.split(".")[1:]
+    directory = os.path.join(package_dir, *subpackages)
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = os.path.join(directory, stem + suffix)
+        if os.path.isfile(path):
+            return path
+    return None
+
+
+def _load_extension(name: str, package_dir: str) -> Optional[ModuleType]:
+    """The extension module ``name`` of scipy (installed in ``package_dir``),
+    from ``sys.modules`` or loaded from its file and registered there under
+    its name, without running its subpackage's ``__init__``; None when the
+    file is not found."""
+    if name in sys.modules:
+        return sys.modules[name]
+    path = _extension_path(package_dir, name)
+    if path is None:
+        return None
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)  # dlopens the library
+    spec.loader.exec_module(module)
+    sys.modules[name] = module
+    return module
+
+
+def scipy_routines(extension: str, public: str, names: Sequence[str]) -> tuple:
+    """The attributes ``names`` of scipy's extension module ``extension``
+    (such as ``scipy.linalg._flapack``), which are the very objects its
+    public module ``public`` (``scipy.linalg.lapack``) exports.
+
+    The extension is loaded from its file: the subpackage's ``__init__``
+    imports about a hundred modules (some 18 MB) that the engine never
+    calls. Where the file or an attribute is missing (another scipy layout),
+    they come from ``public``. Either way scipy's OpenBLAS, if this loads it,
+    starts at one thread unless ``OPENBLAS_NUM_THREADS`` is set, and the
+    variable is left as found: OpenBLAS reads it as the library loads, and
+    started with more threads its pool spins on the cores for about 0.1 s of
+    CPU, while every run caps it at one thread anyway (``SingleThreadedBlas``)."""
+    import scipy  # imports numpy first, so numpy's OpenBLAS keeps its count
+
+    unset = "OPENBLAS_NUM_THREADS" not in os.environ
+    if unset:
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        module = _load_extension(extension, os.path.dirname(scipy.__file__))
+        if module is None or not all(hasattr(module, name) for name in names):
+            module = importlib.import_module(public)
+    finally:
+        if unset:
+            os.environ.pop("OPENBLAS_NUM_THREADS", None)
+    return tuple(getattr(module, name) for name in names)

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+import numpy.ma  # noqa: F401  (np.median would load it lazily, inside a run's first call)
 
 from .errors import ParameterError, SegmentationError
 from .features import Modality

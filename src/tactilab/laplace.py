@@ -20,7 +20,12 @@ stacked steps (elementwise ops, ``matmul`` matrix-vector products, row
 reductions) give each problem the bits of a fit on its own. Finiteness is
 checked explicitly instead: once per fit on the gram, once per Newton step on
 the stationarity residual and once per prediction on the cross-covariance;
-each raises NumericalError (a stacked problem fails alone)."""
+each raises NumericalError (a stacked problem fails alone).
+
+The four LAPACK wrappers and ``expit`` are the objects ``scipy.linalg.lapack``
+and ``scipy.special`` export, taken by ``blas.scipy_routines`` from the
+extension modules ``scipy.linalg._flapack`` and
+``scipy.special._special_ufuncs`` without running those packages' inits."""
 
 from __future__ import annotations
 
@@ -29,9 +34,8 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.linalg.lapack import dposv, dpotrf, dpotrs, dtrtrs
-from scipy.special import expit
 
+from .blas import scipy_routines
 from .errors import ConvergenceError, NumericalError, ParameterError
 from .kernels import (
     DependentKernel,
@@ -43,6 +47,11 @@ from .kernels import (
     training_gram,
     training_gram_stack,
 )
+
+dposv, dpotrf, dpotrs, dtrtrs = scipy_routines(
+    "scipy.linalg._flapack", "scipy.linalg.lapack", ("dposv", "dpotrf", "dpotrs", "dtrtrs")
+)
+(expit,) = scipy_routines("scipy.special._special_ufuncs", "scipy.special", ("expit",))
 
 GRAM_JITTER = 1e-8
 LAPLACE_MAX_ITER = 100

@@ -4,6 +4,7 @@ exploration randomness come from provably disjoint streams."""
 from __future__ import annotations
 
 import numpy as np
+import numpy.random  # noqa: F401  (numpy would load it lazily, on a run's first draw)
 
 INIT_NS = 101  # initial data collection
 TRAIN_NS = 211  # acquisitions inside the active loop
