@@ -21,8 +21,6 @@ from .transfer import (
     SelectionMethod,
     TransferDecision,
     TransferThresholds,
-    UPDATE_RESTARTS,
-    UPDATE_SWEEPS,
     build_action_models,
 )
 
@@ -188,10 +186,11 @@ def update_knowledge(
     method: SelectionMethod = SelectionMethod.MODEL_PREDICTION,
     rng: Optional[np.random.Generator] = None,
 ) -> list[TransferDecision]:
-    """Re-run weight estimation, prior selection and model fitting for one
-    action on the (UPDATE_RESTARTS, UPDATE_SWEEPS) search schedule, starting
-    from its current kernel, and return its decisions; models of every other
-    action are left untouched."""
+    """Run prior selection, weight estimation and model fitting for one
+    action and return its decisions; models of every other action are left
+    untouched. The search starts from the action's current kernel, or, for
+    an action not yet fitted, from the median heuristic on the longer first
+    schedule (``build_action_models``)."""
     model, kernel, decisions = build_action_models(
         prior,
         action_id,
@@ -199,8 +198,6 @@ def update_knowledge(
         thresholds,
         method,
         kernel_start=state.kernels.get(action_id),
-        restarts=UPDATE_RESTARTS,
-        sweeps=UPDATE_SWEEPS,
         rng=rng,
     )
     state.models[action_id] = model
@@ -218,14 +215,16 @@ def run_loop(
     method: SelectionMethod = SelectionMethod.MODEL_PREDICTION,
     stop_window: Optional[int] = None,
     opt_rng: Optional[np.random.Generator] = None,
-    trial: Optional[TrialResult] = None,
 ) -> TrialResult:
-    """select -> acquire -> update -> evaluate until the budget is spent or
+    """Fit each action of ``state.action_ids`` that has no model yet, then
+    select -> acquire -> refit -> evaluate until the budget is spent or
     accuracy stalls (no gain above STOP_DELTA across ``stop_window``
-    acquisitions). Each acquisition appends to ``trial`` (by default an
-    empty one), which is returned: its accuracy to the curve (the mean over
-    ``state.action_ids`` of ``evaluate(action_id, model)``), its record, the
-    refit's decisions and the refit action's kernel weights.
+    acquisitions). Every fit, first or refit, is one ``update_knowledge``
+    call drawing from ``opt_rng``; it adds its decisions and an entry of the
+    action's kernel weights at ``state.iteration`` (0 for the first fits) to
+    the returned trial. Each acquisition also adds its accuracy to the curve
+    (the mean over ``state.action_ids`` of ``evaluate(action_id, model)``)
+    and its record.
 
     The loop holds each action's uncertainty row and accuracy. An
     acquisition grows one action's groups and refits that action's model
@@ -234,8 +233,22 @@ def run_loop(
     if budget < 0:
         raise ParameterError("budget must be >= 0")
     state.check_groups()
-    if trial is None:
-        trial = TrialResult(curve=[], decisions=[], gamma_trace=[], records=[])
+    trial = TrialResult(curve=[], decisions=[], gamma_trace=[], records=[])
+
+    def refit(action_id: str) -> None:
+        decisions = update_knowledge(state, action_id, prior, thresholds, method, rng=opt_rng)
+        trial.decisions.extend(d.to_dict() for d in decisions)
+        trial.gamma_trace.append(
+            {
+                "iteration": state.iteration,
+                "action": action_id,
+                "gamma": [float(g) for g in state.kernels[action_id].weights],
+            }
+        )
+
+    for action_id in state.action_ids:
+        if action_id not in state.models:
+            refit(action_id)
     curve = trial.curve
     rows: dict[str, np.ndarray] = {}
     accs: dict[str, float] = {}
@@ -248,7 +261,7 @@ def run_loop(
         )
         obj, act, branch, _ = _draw(table, state.eps_explore, state.explore_rng)
         acquire(state, obj, act, observe)
-        decisions = update_knowledge(state, act, prior, thresholds, method, rng=opt_rng)
+        refit(act)
         del rows[act]
         accs.pop(act, None)
         for a in state.action_ids:
@@ -263,14 +276,6 @@ def run_loop(
                 "action": act,
                 "branch": branch,
                 "accuracy": accuracy,
-            }
-        )
-        trial.decisions.extend(d.to_dict() for d in decisions)
-        trial.gamma_trace.append(
-            {
-                "iteration": state.iteration,
-                "action": act,
-                "gamma": [float(g) for g in state.kernels[act].weights],
             }
         )
         if stop_window is not None and len(curve) > stop_window:

@@ -59,11 +59,19 @@ def _nonempty_ids(name: str, values) -> tuple[int, ...]:
     return ids
 
 
+def _each_at_least(low: int, name: str, ids: tuple[int, ...]) -> tuple[int, ...]:
+    for i, value in enumerate(ids):
+        at_least(low)(f"{name}[{i}]", value)
+    return ids
+
+
 def _seeds(name: str, values) -> tuple[int, ...]:
-    seeds = _nonempty_ids(name, values)
-    for i, seed in enumerate(seeds):  # seed sequences take non-negative entropy only
-        at_least(0)(f"{name}[{i}]", seed)
-    return seeds
+    # Seed sequences take non-negative entropy only.
+    return _each_at_least(0, name, _nonempty_ids(name, values))
+
+
+def _sizes(name: str, values) -> tuple[int, ...]:
+    return _each_at_least(1, name, _ids(name, values))
 
 
 def _actions(name: str, values) -> tuple[str, ...]:
@@ -96,9 +104,9 @@ class ExperimentConfig:
     mode: Mode = parsed(choice(Mode), Mode.TRANSFER)
     test_samples_press_slide: int = parsed(at_least(1), 20)
     test_samples_static: int = parsed(at_least(1), 10)
-    prior_samples_per_object: int = parsed(integer, 15)
+    prior_samples_per_object: int = parsed(at_least(0), 15)
     early_stop: bool = parsed(flag, False)
-    ablation_sizes: tuple[int, ...] = parsed(_ids, (5, 10, 20, 40))
+    ablation_sizes: tuple[int, ...] = parsed(_sizes, (5, 10, 20, 40))
     base_dir: Optional[str] = None  # directory of the config file, for paths
 
     __post_init__ = parse_fields

@@ -41,7 +41,7 @@ from .results import RunResult, TrialResult
 from .schema import at_least
 from .seeding import ABLATION_NS, OPT_NS, derive_rng, derive_seed
 from .signals import Catalog, load_catalog
-from .transfer import INIT_RESTARTS, PriorKnowledge, build_new_observation_models
+from .transfer import INIT_RESTARTS, PriorKnowledge
 
 
 def _pool_context():
@@ -124,8 +124,12 @@ def run_trial(
     projectors: Mapping[str, ThermalProjector],
     evaluate,
     seed: int,
-    use_prior: bool,
 ) -> TrialResult:
+    """One trial of the active loop: its first observations, observed
+    through ``assets.observe`` bound to the run's catalog and projectors,
+    then ``run_loop``, which fits the first models and refits from the
+    seed's opt stream. ``prior`` is the knowledge the trial transfers from,
+    None for no transfer."""
     observe_trial = partial(observe, catalog, projectors)
     state = initialize_state(
         config.new_objects,
@@ -134,31 +138,16 @@ def run_trial(
         seed_root=seed,
         eps_explore=config.epsilon_explore,
     )
-    prior_arg = prior if use_prior else None
-    opt_rng = derive_rng(seed, OPT_NS)
-    state.models, state.kernels, decisions = build_new_observation_models(
-        prior_arg, state.observations, config.thresholds, config.selection_method, rng=opt_rng
-    )
-    trial = TrialResult(
-        curve=[],
-        decisions=[d.to_dict() for d in decisions],
-        gamma_trace=[
-            {"iteration": 0, "action": a, "gamma": [float(g) for g in k.weights]}
-            for a, k in state.kernels.items()
-        ],
-        records=[],
-    )
     return run_loop(
         state,
-        prior_arg,
+        prior,
         config.budget,
         evaluate,
         observe_trial,
         thresholds=config.thresholds,
         method=config.selection_method,
         stop_window=STOP_WINDOW if config.early_stop else None,
-        opt_rng=opt_rng,
-        trial=trial,
+        opt_rng=derive_rng(seed, OPT_NS),
     )
 
 
@@ -186,10 +175,8 @@ def _run_seed(
         evaluate = make_evaluator(config, test)
         trials = {}
         for mode in _modes_for(config, test):
-            use_prior = mode == Mode.TRANSFER.value and prior is not None
-            trials[mode] = run_trial(
-                config, catalog, prior, projectors, evaluate, seed, use_prior
-            )
+            trial_prior = prior if mode == Mode.TRANSFER.value else None
+            trials[mode] = run_trial(config, catalog, trial_prior, projectors, evaluate, seed)
         return trials, None
     except (ValueError, ArithmeticError, TactilabError) as exc:  # LinAlgError is a ValueError
         named = f"{mode}: " if mode else ""

@@ -25,9 +25,10 @@ from .laplace import BinaryGpcModel, PooledSet
 #: An action's observations: one block per object.
 ObservationGroups = Mapping[int, ObservationBlock]
 
-#: Search schedule (restarts, sweeps) of the first models of a trial, and
-#: of each refit in the active loop. The prior's fit and the ablation start
-#: with INIT_RESTARTS too.
+#: Search schedule (restarts, sweeps) of an action's models: from the
+#: median-heuristic start (an action's first fit in a trial), and from the
+#: action's current kernel (each later refit). The prior's fit and the
+#: ablation start with INIT_RESTARTS too.
 INIT_RESTARTS, INIT_SWEEPS = 2, 3
 UPDATE_RESTARTS, UPDATE_SWEEPS = 1, 2
 
@@ -217,17 +218,18 @@ def build_action_models(
     thresholds: TransferThresholds = TransferThresholds(),
     method: SelectionMethod = SelectionMethod.MODEL_PREDICTION,
     kernel_start: Optional[CombinedKernel] = None,
-    restarts: int = INIT_RESTARTS,
-    sweeps: int = INIT_SWEEPS,
     rng: Optional[np.random.Generator] = None,
 ) -> tuple[OvaGpcModel, CombinedKernel, list[TransferDecision]]:
     """Prior selection, weight estimation and model fitting for one action.
 
     The kernel (length scales and modality weights) is tuned by marginal
     likelihood over the per-object training sets the final models actually
-    use, transferred blocks included. Returns the one-vs-all model over the
-    new objects, the tuned kernel, and the decision audit (empty when no
-    prior knowledge covers the action)."""
+    use, transferred blocks included. Without ``kernel_start`` the search
+    starts from the median heuristic on the (INIT_RESTARTS, INIT_SWEEPS)
+    schedule; from ``kernel_start`` it runs on (UPDATE_RESTARTS,
+    UPDATE_SWEEPS). Returns the one-vs-all model over the new objects, the
+    tuned kernel, and the decision audit (empty when no prior knowledge
+    covers the action)."""
     object_ids = sorted(groups)
     for obj in object_ids:
         if len(groups[obj]) == 0:
@@ -259,32 +261,12 @@ def build_action_models(
         rest = [groups[other] for other in object_ids if other != obj]
         sets[obj] = _pooled_set(X_old, groups[obj], rest, rho)
 
+    restarts, sweeps = UPDATE_RESTARTS, UPDATE_SWEEPS
     if kernel_start is None:
         flat = ObservationBlock.concat([groups[obj] for obj in object_ids])
         kernel_start = median_heuristic(flat, flat.modalities)
+        restarts, sweeps = INIT_RESTARTS, INIT_SWEEPS
     found = optimize_kernel_for_sets(
         list(sets.values()), kernel_start, restarts=restarts, rng=rng, max_sweeps=sweeps
     )
     return ova_from_modes(sets, found.kernel, found.modes), found.kernel, decisions
-
-
-def build_new_observation_models(
-    prior: Optional[PriorKnowledge],
-    X_new: Mapping[str, ObservationGroups],
-    thresholds: TransferThresholds = TransferThresholds(),
-    method: SelectionMethod = SelectionMethod.MODEL_PREDICTION,
-    rng: Optional[np.random.Generator] = None,
-) -> tuple[dict[str, OvaGpcModel], dict[str, CombinedKernel], list[TransferDecision]]:
-    """Run the per-action pipeline for every action in ``X_new``: a trial's
-    first models, searched on the (INIT_RESTARTS, INIT_SWEEPS) schedule."""
-    models: dict[str, OvaGpcModel] = {}
-    kernels: dict[str, CombinedKernel] = {}
-    decisions: list[TransferDecision] = []
-    for action_id, groups in X_new.items():
-        model, kernel, action_decisions = build_action_models(
-            prior, action_id, groups, thresholds, method, rng=rng
-        )
-        models[action_id] = model
-        kernels[action_id] = kernel
-        decisions.extend(action_decisions)
-    return models, kernels, decisions

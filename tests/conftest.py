@@ -65,9 +65,9 @@ def as_blocks(groups: Mapping) -> dict:
 
 def record_searches(monkeypatch, module):
     """Replace ``module.optimize_kernel_for_sets`` with a pass-through that
-    records each call's effective settings (defaults applied): max_sweeps,
-    fit_weights, fit_rho, the start rho when rho is searched, and the start
-    kernel's weights."""
+    records each call's effective settings (defaults applied): restarts,
+    max_sweeps, fit_weights, fit_rho, the start rho when rho is searched, and
+    the start kernel's weights."""
     real = module.optimize_kernel_for_sets
     signature = inspect.signature(real)
     calls = []
@@ -78,6 +78,7 @@ def record_searches(monkeypatch, module):
         a = bound.arguments
         calls.append(
             (
+                a["restarts"],
                 a["max_sweeps"],
                 a["fit_weights"],
                 a["fit_rho"],

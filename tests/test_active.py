@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2
 
-from tactilab import active
+from tactilab import active, transfer
 from tactilab.active import (
     ExplorationState,
     UncertaintyTable,
@@ -22,10 +22,17 @@ from tactilab.active import (
 from tactilab.errors import ParameterError, StateError
 from tactilab.features import Modality
 from tactilab.kernels import ObservationBlock
-from tactilab.results import TrialResult
+from tactilab.transfer import (
+    INIT_RESTARTS,
+    INIT_SWEEPS,
+    UPDATE_RESTARTS,
+    UPDATE_SWEEPS,
+    build_action_models,
+)
 
-from conftest import force_obs
-from test_transfer import cluster, make_prior
+from conftest import as_blocks, force_obs, record_searches
+from oracles import fit_prior_knowledge
+from test_transfer import cluster, make_prior, prior_instances
 
 ACTIONS = ("A1", "A2")
 OBJECTS = (11, 12, 13)
@@ -52,13 +59,9 @@ def fresh_state(seed=3, eps=0.3):
 
 
 def fit_state_models(state, prior=None, seed=42):
-    from tactilab.transfer import build_new_observation_models
-
-    models, kernels, _ = build_new_observation_models(
-        prior, state.observations, rng=np.random.default_rng(seed)
-    )
-    state.models = models
-    state.kernels = kernels
+    rng = np.random.default_rng(seed)
+    for action_id in state.action_ids:
+        update_knowledge(state, action_id, prior, rng=rng)
     return state
 
 
@@ -450,13 +453,46 @@ class TestRunLoop:
             assert (entry["iteration"], entry["action"]) == (rec["iteration"], rec["action"])
             assert abs(sum(entry["gamma"]) - 1.0) < 1e-9
 
-    def test_appends_to_the_trial_it_is_given(self):
-        state = fit_state_models(fresh_state(seed=8))
-        first = {"iteration": 0, "action": "A1", "gamma": [1.0]}
-        trial = TrialResult(
-            curve=[], decisions=[{"new_object": 11}], gamma_trace=[first], records=[]
+    def test_budget_zero_fits_the_first_models_and_records_them_at_iteration_0(self):
+        # One fit per action in action order, each on the one opt stream: the
+        # same models, kernels and decisions as build_action_models in turn.
+        rng = np.random.default_rng(4)
+        prior = fit_prior_knowledge(
+            as_blocks({a: prior_instances(rng, action=a)[a] for a in ACTIONS}), restarts=1, rng=rng
         )
-        assert run_loop(state, None, 2, constant_evaluator, fake_observe, trial=trial) is trial
-        assert trial.decisions == [{"new_object": 11}]  # no prior: the refits decide nothing
-        assert trial.gamma_trace[0] is first and len(trial.gamma_trace) == 3
-        assert len(trial.curve) == len(trial.records) == 2
+        state = fresh_state(seed=5)
+        result = run_loop(
+            state, prior, 0, constant_evaluator, fake_observe, opt_rng=np.random.default_rng(6)
+        )
+        assert result.curve == result.records == []
+        assert [(e["iteration"], e["action"]) for e in result.gamma_trace] == [
+            (0, a) for a in ACTIONS
+        ]
+        from tactilab.gp import ova_predict_proba
+
+        queries = [force_obs(v) for v in (-4.0, 0.0, 4.0)]
+        ref_rng, decisions = np.random.default_rng(6), []
+        for action_id, entry in zip(ACTIONS, result.gamma_trace):
+            model, kernel, action_decisions = build_action_models(
+                prior, action_id, fresh_state(seed=5).observations[action_id], rng=ref_rng
+            )
+            decisions += [d.to_dict() for d in action_decisions]
+            assert entry["gamma"] == [float(g) for g in kernel.weights]
+            assert np.array_equal(
+                ova_predict_proba(state.models[action_id], queries),
+                ova_predict_proba(model, queries),
+            )
+        assert result.decisions == decisions
+        assert len(decisions) == len(ACTIONS) * len(OBJECTS)
+        assert any(d["selected_old"] is not None for d in decisions)
+
+    def test_first_fits_and_refits_search_on_their_schedules(self, monkeypatch):
+        calls = record_searches(monkeypatch, transfer)
+        result = run_loop(
+            fresh_state(seed=8), None, 3, constant_evaluator, fake_observe,
+            opt_rng=np.random.default_rng(2),
+        )
+        assert len(result.gamma_trace) == len(ACTIONS) + 3
+        assert [call[:2] for call in calls] == [
+            (INIT_RESTARTS, INIT_SWEEPS)
+        ] * len(ACTIONS) + [(UPDATE_RESTARTS, UPDATE_SWEEPS)] * 3

@@ -179,6 +179,8 @@ class TestConfigParsing:
                 )
             ),
             pytest.param("budget", 2**53 + 1, id="budget-2**53+1"),
+            # Read only by the ablation, but validated in every mode.
+            ("ablation_sizes", [-5]),
         ],
     )
     def test_integer_fields_reject_bools_and_fractions_by_name(self, field, value):
@@ -224,13 +226,16 @@ class TestConfigParsing:
             parse_config(raw)
 
     @pytest.mark.parametrize(
-        "prior, samples, low", [([1], 5, 11), ([1, 2, 3], 3, 4), ([1, 2], 0, 6)]
+        "prior, samples, low",
+        [([1], 5, 11), ([1, 2, 3], 3, 4), ([1, 2], 0, 6), ([], -3, 0)],
     )
     def test_prior_pool_too_small_for_the_projector_rejected(
         self, tmp_path, capsys, prior, samples, low
     ):
         # The thermal projector needs 11 traces per action; a smaller pool
         # used to pass validation and fail the run in set-up with exit 3.
+        # Without prior objects no pool is drawn, but a negative count still
+        # validated.
         raw = config_dict(prior_objects=prior, prior_samples_per_object=samples)
         message = f"prior_samples_per_object must be >= {low}"
         with pytest.raises(ConfigError, match=re.escape(message)):
@@ -655,7 +660,7 @@ class TestRunExperiment:
     def test_numpy_failure_lands_in_failures(self, monkeypatch, tmp_path, jobs, error):
         from tactilab import harness
 
-        def flaky(config, catalog, prior, projectors, evaluate, seed, use_prior):
+        def flaky(config, catalog, prior, projectors, evaluate, seed):
             if seed == 2:
                 raise error
             return TrialResult([0.5], [], [], [])
@@ -715,8 +720,8 @@ class TestRunExperiment:
     def test_failure_lines_name_seed_mode_and_type(self, monkeypatch, jobs):
         from tactilab import harness
 
-        def flaky(config, catalog, prior, projectors, evaluate, seed, use_prior):
-            if seed == 2 and not use_prior:
+        def flaky(config, catalog, prior, projectors, evaluate, seed):
+            if seed == 2 and prior is None:  # the no_transfer trial
                 raise tactilab.errors.NumericalError("synthetic numerical failure")
             if seed == 3:
                 raise np.linalg.LinAlgError("synthetic singular matrix")
@@ -752,8 +757,8 @@ class TestRunExperiment:
         assert not result.failures
         n = len(result.modes) - 1
         one_hots = [tuple(float(i == j) for j in range(n)) for i in range(n)]
-        assert calls == [(4, True, False, None, (1.0 / n,) * n)] + [
-            (4, False, False, None, w) for w in one_hots
+        assert calls == [(INIT_RESTARTS, 4, True, False, None, (1.0 / n,) * n)] + [
+            (INIT_RESTARTS, 4, False, False, None, w) for w in one_hots
         ]
 
     def test_parallel_jobs_match_serial(self, tmp_path):
@@ -781,7 +786,7 @@ def _report_blas_threads(monkeypatch, controls):
     ``controls`` reports in the process that runs the trial."""
     from tactilab import harness
 
-    def report(config, catalog, prior, projectors, evaluate, seed, use_prior):
+    def report(config, catalog, prior, projectors, evaluate, seed):
         threads = [float(get()) for get, _ in controls]
         return TrialResult(threads, [], [], [])
 
@@ -793,8 +798,8 @@ def _random_trials(monkeypatch):
     decision log, drawn from its seed and mode."""
     from tactilab import harness
 
-    def draw(config, catalog, prior, projectors, evaluate, seed, use_prior):
-        rng = np.random.default_rng([seed, int(use_prior)])
+    def draw(config, catalog, prior, projectors, evaluate, seed):
+        rng = np.random.default_rng([seed, int(prior is not None)])
         gamma_trace = [
             {"iteration": i, "action": "P2", "gamma": [float(g) for g in rng.dirichlet(np.ones(3))]}
             for i in range(3)
@@ -930,7 +935,7 @@ class TestJobs:
         # there would restart OpenBLAS's thread pool, whose threads spin.
         from tactilab import harness
 
-        def report(config, catalog, prior, projectors, evaluate, seed, use_prior):
+        def report(config, catalog, prior, projectors, evaluate, seed):
             return TrialResult([float(len(os.listdir("/proc/self/task")))], [], [], [])
 
         monkeypatch.setattr(harness, "run_trial", report)

@@ -21,7 +21,6 @@ from tactilab.transfer import (
     TransferDecision,
     TransferThresholds,
     build_action_models,
-    build_new_observation_models,
     fit_dependent_gpc,
     select_prior_by_optimization,
 )
@@ -156,7 +155,10 @@ class TestSearchSettings:
         for objects in ((1, 2, 3), (1,)):
             instances = as_blocks(self.two_part_instances(rng, objects))
             fit_prior_knowledge(instances, restarts=2, rng=rng)
-        assert calls == [(4, True, False, None, (0.5, 0.5)), (3, True, False, None, (0.5, 0.5))]
+        assert calls == [
+            (2, 4, True, False, None, (0.5, 0.5)),
+            (2, 3, True, False, None, (0.5, 0.5)),
+        ]
 
     def test_rho_selection(self, monkeypatch):
         rng = np.random.default_rng(21)
@@ -166,7 +168,7 @@ class TestSearchSettings:
         X_new = self.two_part_instances(rng, (2,))[ACTION][2]
         select_prior_by_optimization(prior, ACTION, X_new, 0.6, rng=rng)
         weights = tuple(prior.kernels[ACTION].weights)
-        assert calls == [(4, False, True, 0.5, weights)] * 2
+        assert calls == [(2, 4, False, True, 0.5, weights)] * 2
 
 
 class TestFitDependentGpc:
@@ -236,16 +238,16 @@ class TestBuildModels:
     def test_empty_prior_equals_no_transfer_fit(self):
         rng_a = np.random.default_rng(13)
         groups = new_groups(rng_a)
-        models_a, kernels_a, decisions_a = build_new_observation_models(
-            None, groups, rng=np.random.default_rng(77)
+        model_a, _, decisions_a = build_action_models(
+            None, ACTION, groups[ACTION], rng=np.random.default_rng(77)
         )
-        models_b, kernels_b, decisions_b = build_new_observation_models(
-            PriorKnowledge({}, {}, {}), groups, rng=np.random.default_rng(77)
+        model_b, _, decisions_b = build_action_models(
+            PriorKnowledge({}, {}, {}), ACTION, groups[ACTION], rng=np.random.default_rng(77)
         )
         assert decisions_a == [] and decisions_b == []
         queries = [force_obs(v) for v in (-4.0, 0.0, 7.0)]
-        pa = ova_predict_proba(models_a[ACTION], queries)
-        pb = ova_predict_proba(models_b[ACTION], queries)
+        pa = ova_predict_proba(model_a, queries)
+        pb = ova_predict_proba(model_b, queries)
         assert np.array_equal(pa, pb)
 
     @pytest.mark.parametrize("method", list(SelectionMethod))
@@ -326,10 +328,10 @@ class TestBuildModels:
     def test_audit_log_shape(self, prior):
         rng = np.random.default_rng(14)
         groups = new_groups(rng)
-        _, _, decisions = build_new_observation_models(
-            prior, groups, rng=np.random.default_rng(5)
+        _, _, decisions = build_action_models(
+            prior, ACTION, groups[ACTION], rng=np.random.default_rng(5)
         )
-        assert len(decisions) == 1 * 3  # actions x new objects
+        assert len(decisions) == 3  # one per new object
         assert {d.new_object_id for d in decisions} == {11, 12, 13}
 
     def test_related_pairs_found_across_seeds(self):
@@ -340,8 +342,8 @@ class TestBuildModels:
             rng = np.random.default_rng(500 + seed)
             prior = make_prior(rng)
             groups = new_groups(rng, centers={11: -4.0, 12: 0.0, 13: 9.0}, n=3)
-            _, _, decisions = build_new_observation_models(
-                prior, groups, rng=np.random.default_rng(seed)
+            _, _, decisions = build_action_models(
+                prior, ACTION, groups[ACTION], rng=np.random.default_rng(seed)
             )
             if any(d.selected_old_id is not None for d in decisions):
                 runs_with_transfer += 1
@@ -357,17 +359,17 @@ class TestBuildModels:
                 }
             }
         )
-        models_t, _, decisions = build_new_observation_models(
-            prior, groups, rng=np.random.default_rng(99)
+        model_t, _, decisions = build_action_models(
+            prior, ACTION, groups[ACTION], rng=np.random.default_rng(99)
         )
         assert all(d.selected_old_id is None for d in decisions)
-        models_b, _, _ = build_new_observation_models(
-            None, groups, rng=np.random.default_rng(99)
+        model_b, _, _ = build_action_models(
+            None, ACTION, groups[ACTION], rng=np.random.default_rng(99)
         )
         queries = [force_obs(v) for v in (40.0, 45.0, 50.0)]
         assert np.array_equal(
-            ova_predict_proba(models_t[ACTION], queries),
-            ova_predict_proba(models_b[ACTION], queries),
+            ova_predict_proba(model_t, queries),
+            ova_predict_proba(model_b, queries),
         )
 
     def test_unrelated_priors_rarely_selected(self):
@@ -376,9 +378,10 @@ class TestBuildModels:
             rng = np.random.default_rng(700 + seed)
             prior = make_prior(rng, centers={1: 60.0, 2: 80.0, 3: 100.0})
             groups = new_groups(rng)
-            _, _, decisions = build_new_observation_models(
+            _, _, decisions = build_action_models(
                 prior,
-                groups,
+                ACTION,
+                groups[ACTION],
                 TransferThresholds(eps_neg1=0.6),
                 rng=np.random.default_rng(seed),
             )
@@ -396,7 +399,7 @@ class TestBuildModels:
         }
         rng = np.random.default_rng(16)
         groups = new_groups(rng)
-        build_new_observation_models(prior, groups, rng=np.random.default_rng(1))
+        build_action_models(prior, ACTION, groups[ACTION], rng=np.random.default_rng(1))
         for action, obj_groups in prior.blocks.items():
             for obj, block in obj_groups.items():
                 for mod, saved in snapshot[action, obj].items():
