@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from functools import partial
 from pathlib import Path
@@ -51,6 +52,16 @@ def _int_at_least(low: int, text: str) -> int:
     if value < low:
         raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {text!r}")
     return value
+
+
+def _check_out(out: str) -> None:
+    """Fail before any work when ``--out`` cannot be a directory: it, or
+    the nearest of its parents that exists, is not one."""
+    for path in (Path(out), *Path(out).parents):
+        if os.path.lexists(path):
+            if not path.is_dir():
+                raise SchemaError(f"--out {out}: {path} is not a directory")
+            return
 
 
 def _cmd_run(args) -> int:
@@ -180,6 +191,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "out", None) is not None:
+            _check_out(args.out)
         return args.func(args)
     except (ConfigError, SchemaError) as exc:
         kind = "config" if isinstance(exc, ConfigError) else "input"

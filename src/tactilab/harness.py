@@ -5,10 +5,8 @@ result. The ablation's trials come last."""
 
 from __future__ import annotations
 
-import multiprocessing
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from functools import partial
 from typing import Mapping, Optional
@@ -49,6 +47,8 @@ def _pool_context():
     worker starts without re-importing tactilab, else the platform default.
     Workers are handed everything they need, so any context gives the same
     result."""
+    import multiprocessing  # with the first pool: a serial run never loads it
+
     if sys.platform.startswith("linux"):
         return multiprocessing.get_context("fork")
     return multiprocessing.get_context()
@@ -62,23 +62,37 @@ SETUP_CHUNKSIZE = 4
 
 
 @contextmanager
+def _pool(workers: int, initializer, initargs: tuple = ()):
+    """A process pool of ``workers`` workers, each started by
+    ``initializer(*initargs)``: the one place both pools are built, and where
+    a run loads the process-pool modules. The pool is gone on exit; when its
+    caller fails, its queued tasks are cancelled rather than run."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(
+        max_workers=workers,
+        mp_context=_pool_context(),
+        initializer=initializer,
+        initargs=initargs,
+    ) as pool:
+        try:
+            yield pool
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
+
+
+@contextmanager
 def _setup_map(workers: int):
     """``map(fn, *iterables, chunksize=1)`` for set-up's tasks: the builtin
     one (without chunks), or with ``workers`` > 1 that of a process pool,
     which is handed every task of a call at once, works ahead of its reader
-    and yields in task order. The pool is gone on exit; when set-up fails,
-    its queued tasks are cancelled rather than run."""
+    and yields in task order."""
     if workers == 1:
         yield lambda fn, *iterables, chunksize=1: map(fn, *iterables)
         return
-    with ProcessPoolExecutor(
-        max_workers=workers, mp_context=_pool_context(), initializer=SingleThreadedBlas
-    ) as pool:
-        try:
-            yield pool.map
-        except BaseException:
-            pool.shutdown(cancel_futures=True)
-            raise
+    with _pool(workers, SingleThreadedBlas) as pool:
+        yield pool.map
 
 
 def build_assets(config: ExperimentConfig, workers: int = 1) -> tuple:
@@ -220,12 +234,7 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> RunResult:
         assets = build_assets(config, workers)
         modes = _modes_for(config, assets[3])
         if workers > 1:
-            with ProcessPoolExecutor(
-                max_workers=workers,
-                mp_context=_pool_context(),
-                initializer=_start_trial_worker,
-                initargs=(config, assets),
-            ) as pool:
+            with _pool(workers, _start_trial_worker, (config, assets)) as pool:
                 outcomes = list(pool.map(_run_seed_worker, config.seeds))
         else:
             outcomes = [_run_seed(config, assets, seed) for seed in config.seeds]

@@ -7,7 +7,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import numpy.ma  # noqa: F401  (np.median would load it lazily, inside a run's first call)
 
 from .errors import ParameterError, SegmentationError
 from .features import Modality
@@ -461,6 +460,20 @@ def prediction_diag(kernel, X_star) -> np.ndarray:
     return np.full(len(X_star), float(variance))
 
 
+def _median(values: np.ndarray) -> float:
+    """``float(np.median(values))`` of a nonempty 1-D array, to the bit: the
+    middle value, or the mean of the middle two as ``np.mean`` sums and
+    divides them; NaN when any value is. ``np.median`` would import
+    numpy.ma."""
+    ordered = np.sort(values)
+    mid = len(ordered) // 2
+    if np.isnan(ordered[-1]):  # np.sort puts NaNs last
+        return float(ordered[-1])
+    if len(ordered) % 2:
+        return float(ordered[mid])
+    return float((ordered[mid - 1] + ordered[mid]) / 2)
+
+
 def median_heuristic(block: ObservationBlock, modalities: Sequence[Modality]) -> CombinedKernel:
     """Uniform-weight combined kernel with unit signal variances and
     per-modality length scales set to half the median nonzero pairwise
@@ -470,6 +483,6 @@ def median_heuristic(block: ObservationBlock, modalities: Sequence[Modality]) ->
     for mod in modalities:
         dists = np.sqrt(block.sqdist(mod)[np.triu_indices(len(block), 1)])
         dists = dists[dists > 0]
-        width = 0.5 * float(np.median(dists)) if dists.size else 1.0
+        width = 0.5 * _median(dists) if dists.size else 1.0
         parts.append((mod, RbfKernel(max(width, 1e-2))))
     return uniform_combined(parts)

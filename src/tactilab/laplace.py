@@ -58,7 +58,22 @@ LAPLACE_MAX_ITER = 100
 LAPLACE_TOL = 1e-9  # stationarity target; the contract requires < 1e-6
 PROB_CLIP = 1e-12
 
-_GH_NODES, _GH_WEIGHTS = np.polynomial.hermite.hermgauss(32)
+#: The positive half of the 32-point Gauss-Hermite rule, nodes then weights:
+#: ``np.polynomial.hermite.hermgauss(32)`` makes the rule exactly symmetric,
+#: so these literals mirror to its bits without importing numpy.polynomial.
+_GH_HALF = np.array([
+    [0.19484074156939934, 0.5849787654359324, 0.9765004635896828, 1.3703764109528718,
+     1.7676541094632015, 2.169499183606112, 2.5772495377323175, 2.992490825002374,
+     3.417167492818571, 3.853755485471445, 4.305547953351199, 4.777164503502596,
+     5.2755509865158805, 5.812225949515914, 6.409498149269661, 7.125813909830728],
+    [0.37523835259280247, 0.27745814230252996, 0.15126973407664232, 0.06045813095591269,
+     0.017553428831573438, 0.003654890326654426, 0.000536268365527972, 5.416584061819991e-05,
+     3.650585129562378e-06, 1.5741677925455882e-07, 4.098832164770879e-09,
+     5.933291463396676e-11, 4.2150102113264155e-13, 1.1973440170928503e-15,
+     9.231736536518258e-19, 7.310676427384096e-23],
+])
+_GH_NODES = np.concatenate((-_GH_HALF[0, ::-1], _GH_HALF[0]))
+_GH_WEIGHTS = np.concatenate((_GH_HALF[1, ::-1], _GH_HALF[1]))
 
 
 def _log_sigmoid(z: np.ndarray) -> np.ndarray:

@@ -145,6 +145,11 @@ class TestGpr:
 
 
 class TestBinaryGpc:
+    def test_gauss_hermite_table_is_hermgauss_32_to_the_bit(self):
+        nodes, weights = np.polynomial.hermite.hermgauss(32)
+        assert laplace._GH_NODES.tobytes() == nodes.tobytes()
+        assert laplace._GH_WEIGHTS.tobytes() == weights.tobytes()
+
     def test_symmetry_point_probability_half(self):
         model = gpc_fit(RbfKernel(1.0, 2.0), pts(-2, -1, 1, 2), [-1, -1, 1, 1])
         assert gpc_predict(model, np.array([0.0])) == pytest.approx(0.5, abs=1e-3)

@@ -870,7 +870,10 @@ class TestJobs:
     )
     def test_pool_never_has_more_workers_than_seeds(self, monkeypatch, seeds, jobs, workers):
         # The recording pool runs its initializer and tasks in this process:
-        # no worker starts. Set-up and trials each get a pool.
+        # no worker starts. Set-up and trials each get a pool, both built by
+        # harness._pool from concurrent.futures' ProcessPoolExecutor.
+        import concurrent.futures
+
         from tactilab import harness
 
         pools = []
@@ -891,7 +894,7 @@ class TestJobs:
             def map(self, fn, *iterables, chunksize=1):
                 return map(fn, *iterables)
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(harness, "_worker_run", None)  # set here by the trial initializer
         _report_blas_threads(monkeypatch, [])
         result = run_experiment(self.tiny_config(seeds=seeds), jobs=jobs)
@@ -1178,6 +1181,32 @@ class TestCli:
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config_dict(**overrides)))
         return path
+
+    @pytest.mark.parametrize("under_a_file", [False, True], ids=["file", "under-a-file"])
+    @pytest.mark.parametrize("verb", ["run", "testset", "report", "gen-groups"])
+    def test_out_that_cannot_be_a_directory_exits_2_before_any_work(
+        self, tmp_path, capsys, monkeypatch, verb, under_a_file
+    ):
+        # run, testset and gen-groups did all their work, then failed with a
+        # FileExistsError or NotADirectoryError traceback (exit 1), and the
+        # run's results were lost.
+        from tactilab import cli
+
+        def no_work(*args):
+            raise AssertionError("work started before --out was checked")
+
+        monkeypatch.setattr(cli, "load_config", no_work)
+        monkeypatch.setattr(cli.RunResult, "from_dict", no_work)
+        taken = tmp_path / "taken"
+        taken.write_text("kept")
+        out = taken / "out" if under_a_file else taken
+        source = str(self.write_config(tmp_path))
+        if verb == "report":
+            source = str(tmp_path / "result.json")
+            Path(source).write_text("{}")
+        assert cli_main([verb, source, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"input error: --out {out}: {taken} is not a directory\n"
+        assert taken.read_text() == "kept"
 
     def test_validate_ok(self, tmp_path, capsys):
         path = self.write_config(tmp_path)

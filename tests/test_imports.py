@@ -2,10 +2,15 @@
 scipy's LAPACK and ufunc extension modules, loaded from their files, and are
 the very objects scipy's public modules export; ``import tactilab.cli`` runs
 no scipy subpackage ``__init__``; scipy's OpenBLAS starts at one thread, and
-``OPENBLAS_NUM_THREADS`` is left as found.
+``OPENBLAS_NUM_THREADS`` is left as found. Neither the import nor a
+``--jobs 1`` run loads a module that only a process pool calls
+(``multiprocessing``, ``concurrent.futures.process``), nor ``numpy.ma`` or
+``numpy.polynomial``; a ``--jobs 2`` run loads the pool modules with its
+first pool.
 
 Each case runs in a fresh interpreter: the test modules import
-``scipy.linalg`` themselves, and the loader reuses a loaded module."""
+``scipy.linalg`` (and the pool modules) themselves, and the loader reuses a
+loaded module."""
 
 import json
 import os
@@ -64,6 +69,26 @@ print(json.dumps({
 """
 
 
+#: The modules a serial run does not call.
+UNCALLED = ("numpy.ma", "numpy.polynomial", "multiprocessing", "concurrent.futures.process")
+
+#: Imports tactilab.cli, then runs the config argv[1] with --jobs 1, then 2,
+#: into argv[2]/jobs1 and argv[2]/jobs2; prints which of UNCALLED (argv[3:])
+#: were loaded after the import and after each run.
+SERIAL_THEN_POOL_RUN = """
+import json, sys
+from tactilab.cli import main
+
+config, out, uncalled = sys.argv[1], sys.argv[2], sys.argv[3:]
+loaded = {"import": [name for name in uncalled if name in sys.modules]}
+for jobs in ("1", "2"):
+    if main(["run", config, "--out", f"{out}/jobs{jobs}", "--jobs", jobs]) != 0:
+        sys.exit(f"--jobs {jobs} failed")
+    loaded[f"jobs {jobs}"] = [name for name in uncalled if name in sys.modules]
+print(json.dumps(loaded))
+"""
+
+
 def _child(code: str, *args: str, threads=None) -> dict:
     paths = [str(Path(tactilab.__file__).parents[1]), os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
@@ -96,3 +121,28 @@ def test_cli_import_loads_no_scipy_subpackage_and_starts_openblas_as_told(thread
     assert got["env"] == threads
     # scipy's wheel bundles its own OpenBLAS, which the import loads.
     assert got["threads"] == [int(threads or 1)]
+
+
+def test_a_serial_run_loads_no_pool_masked_array_or_polynomial_module(tmp_path):
+    # A cheap run whose two seeds give --jobs 2 a pool: the first fits start
+    # from the median heuristic, and every evaluation marginalizes with the
+    # Gauss-Hermite rule.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "schema_version": 1,
+        "catalog": str(tactilab.data_path("catalogs", "sample_catalog.json")),
+        "prior_objects": [1],
+        "prior_samples_per_object": 11,
+        "new_objects": [11, 12],
+        "actions": ["P2"],
+        "test_samples_press_slide": 1,
+        "seeds": [1, 2],
+        "budget": 1,
+        "mode": "transfer",
+    }))
+    got = _child(SERIAL_THEN_POOL_RUN, str(config), str(tmp_path), *UNCALLED)
+    assert got["import"] == []
+    assert got["jobs 1"] == []
+    assert got["jobs 2"] == ["multiprocessing", "concurrent.futures.process"]
+    curves = [(tmp_path / f"jobs{jobs}" / "curves.csv").read_bytes() for jobs in (1, 2)]
+    assert curves[0] == curves[1]

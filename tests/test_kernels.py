@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tactilab.errors import ParameterError, SegmentationError
 from tactilab.features import Modality
@@ -10,6 +12,7 @@ from tactilab.kernels import (
     DependentKernel,
     ObservationBlock,
     RbfKernel,
+    _median,
     dependent_gram,
     median_heuristic,
     project_simplex,
@@ -116,6 +119,39 @@ class TestCombined:
         k = uniform_combined(((Modality.FORCE, RbfKernel(1.0)),))
         with pytest.raises(SegmentationError):
             combined_eval(k, force_obs(1.0), two_part_obs([1.0], np.zeros(10)))
+
+
+#: Every float but NaN and -0.0, whose place next to 0.0 np.sort and
+#: np.median's partition may choose differently (the heuristic's distances
+#: are all > 0): both signs, subnormals and infinities, 600 decades apart.
+_MEDIAN_VALUES = st.floats(allow_nan=False).filter(lambda v: math.copysign(1.0, v) > 0 or v != 0)
+
+
+class TestMedian:
+    @settings(max_examples=500, deadline=None)
+    @given(
+        st.one_of(
+            st.lists(_MEDIAN_VALUES, min_size=1, max_size=41),
+            st.lists(st.floats(min_value=1e-300, max_value=1e300), min_size=1, max_size=41),
+            # Ties, and the subnormal and huge pairs whose halves round or
+            # whose sum overflows.
+            st.lists(
+                st.sampled_from([5e-324, 0.25, 1.0, 3.0, 1e300, 1.7976931348623157e308]),
+                min_size=1,
+                max_size=41,
+            ),
+        )
+    )
+    def test_bitwise_equal_to_numpy_median(self, values):
+        x = np.array(values)
+        with np.errstate(over="ignore"):  # both sum the huge pairs to inf
+            got, want = _median(x), np.median(x)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+    @pytest.mark.parametrize("values", [[np.nan], [1.0, np.nan, 2.0], [np.nan, 3.0, 1.0, 2.0]])
+    def test_nan_gives_nan(self, values):
+        assert math.isnan(_median(np.array(values)))
+        assert math.isnan(np.median(values))
 
 
 class TestGram:
