@@ -1,7 +1,9 @@
 """OpenBLAS thread control through ``ctypes``: every loaded OpenBLAS is found
 by walking the process's shared objects and capped at one thread. Also the
 loader of the scipy routines the engine calls (``scipy_routines``), which
-loads scipy's OpenBLAS."""
+loads scipy's OpenBLAS. It finds scipy's directory without importing scipy,
+so scipy's package ``__init__`` runs only where it falls back to scipy's
+public modules."""
 
 from __future__ import annotations
 
@@ -115,19 +117,25 @@ def _extension_path(package_dir: str, name: str) -> Optional[str]:
     return None
 
 
-def _load_extension(name: str, package_dir: str) -> Optional[ModuleType]:
-    """The extension module ``name`` of scipy (installed in ``package_dir``),
-    from ``sys.modules`` or loaded from its file and registered there under
-    its name, without running its subpackage's ``__init__``; None when the
-    file is not found."""
+def _load_extension(name: str) -> Optional[ModuleType]:
+    """The extension module ``name`` of scipy, from ``sys.modules`` or loaded
+    from its file and registered there under its name. scipy's directory is
+    found with ``find_spec``, so neither scipy's ``__init__`` nor the
+    subpackage's runs. None when the directory or the file is not found, or
+    when the file fails to load, which registers nothing."""
     if name in sys.modules:
         return sys.modules[name]
-    path = _extension_path(package_dir, name)
+    package = importlib.util.find_spec("scipy")
+    locations = package.submodule_search_locations if package is not None else None
+    path = _extension_path(locations[0], name) if locations else None
     if path is None:
         return None
     spec = importlib.util.spec_from_file_location(name, path)
-    module = importlib.util.module_from_spec(spec)  # dlopens the library
-    spec.loader.exec_module(module)
+    try:
+        module = importlib.util.module_from_spec(spec)  # dlopens the library
+        spec.loader.exec_module(module)
+    except ImportError:  # say, a DLL directory that scipy's __init__ would have added
+        return None
     sys.modules[name] = module
     return module
 
@@ -137,21 +145,24 @@ def scipy_routines(extension: str, public: str, names: Sequence[str]) -> tuple:
     (such as ``scipy.linalg._flapack``), which are the very objects its
     public module ``public`` (``scipy.linalg.lapack``) exports.
 
-    The extension is loaded from its file: the subpackage's ``__init__``
-    imports about a hundred modules (some 18 MB) that the engine never
-    calls. Where the file or an attribute is missing (another scipy layout),
-    they come from ``public``. Either way scipy's OpenBLAS, if this loads it,
-    starts at one thread unless ``OPENBLAS_NUM_THREADS`` is set, and the
-    variable is left as found: OpenBLAS reads it as the library loads, and
-    started with more threads its pool spins on the cores for about 0.1 s of
-    CPU, while every run caps it at one thread anyway (``SingleThreadedBlas``)."""
-    import scipy  # imports numpy first, so numpy's OpenBLAS keeps its count
+    The extension is loaded from its file: scipy's ``__init__`` imports
+    modules the engine never calls (``subprocess`` among them), and the
+    subpackage's about a hundred more (some 18 MB). Where scipy's directory,
+    the file or an attribute is missing (another scipy layout), or the file
+    fails to load, they come from ``public``. Either way scipy's OpenBLAS, if
+    this loads it, starts at one thread unless ``OPENBLAS_NUM_THREADS`` is
+    set, and the variable is left as found: OpenBLAS reads it as the library
+    loads, and started with more threads its pool spins on the cores for
+    about 0.1 s of CPU, while every run caps it at one thread anyway
+    (``SingleThreadedBlas``). numpy, which the extension imports, is imported
+    first, so its OpenBLAS loads at its own count before the variable is set."""
+    import numpy  # noqa: F401  -- its OpenBLAS loads before the variable is set
 
     unset = "OPENBLAS_NUM_THREADS" not in os.environ
     if unset:
         os.environ["OPENBLAS_NUM_THREADS"] = "1"
     try:
-        module = _load_extension(extension, os.path.dirname(scipy.__file__))
+        module = _load_extension(extension)
         if module is None or not all(hasattr(module, name) for name in names):
             module = importlib.import_module(public)
     finally:

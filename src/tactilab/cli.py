@@ -133,11 +133,16 @@ def _cmd_gen_groups(args) -> int:
     rng = np.random.default_rng(args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    # A relative catalog resolves against the group config's directory.
+    catalog = config.catalog
+    if not Path(catalog).is_absolute():
+        catalog = os.path.relpath(config.catalog_path(), out)
     written = []
     for g in range(args.groups):
         group = sorted(int(i) for i in rng.choice(pool, size=args.size, replace=False))
         raw = config.to_dict()
         raw["prior_objects"] = group
+        raw["catalog"] = catalog
         path = out / f"group_{g:02d}.json"
         path.write_text(json.dumps(raw, indent=2, sort_keys=True) + "\n")
         written.append(str(path))

@@ -1503,6 +1503,30 @@ class TestCli:
             assert len(group) == 3 and len(set(group)) == 3
             assert set(group) <= {1, 2, 3, 4, 5, 6}
 
+    @pytest.mark.parametrize("relative", [True, False], ids=["relative", "absolute"])
+    def test_gen_groups_configs_find_the_source_catalog(self, tmp_path, monkeypatch, relative):
+        # A relative catalog was copied as written, and so resolved against
+        # --out: every group config failed to validate.
+        catalog = tmp_path / "source" / "catalogs" / "objects.json"
+        catalog.parent.mkdir(parents=True)
+        catalog.write_bytes(tactilab.data_path("catalogs", "sample_catalog.json").read_bytes())
+        path = tmp_path / "source" / "configs" / "config.json"
+        path.parent.mkdir()
+        written = "../catalogs/objects.json" if relative else str(catalog)
+        path.write_text(json.dumps(config_dict(catalog=written)))
+        monkeypatch.chdir(tmp_path)
+        out = Path("elsewhere", "groups")
+        source = str(path.relative_to(tmp_path))
+        assert cli_main(["gen-groups", source, "--groups", "2", "--size", "2",
+                         "--out", str(out)]) == 0
+        files = sorted(out.glob("group_*.json"))
+        assert len(files) == 2
+        for f in files:
+            assert cli_main(["validate", str(f)]) == 0
+            group = load_config(f)
+            assert group.catalog_path().resolve() == catalog.resolve()
+            assert Path(group.catalog).is_absolute() == (not relative)
+
     def test_run_trial_failures_exit_3(self, tmp_path, monkeypatch):
         from tactilab import harness
 

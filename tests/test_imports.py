@@ -1,9 +1,11 @@
 """What importing tactilab loads. The engine's five scipy routines come from
 scipy's LAPACK and ufunc extension modules, loaded from their files, and are
-the very objects scipy's public modules export; ``import tactilab.cli`` runs
-no scipy subpackage ``__init__``; scipy's OpenBLAS starts at one thread, and
-``OPENBLAS_NUM_THREADS`` is left as found. Neither the import nor a
-``--jobs 1`` run loads a module that only a process pool calls
+the very objects scipy's public modules export, also where a file fails to
+load; ``import tactilab.cli`` loads no other scipy module, so neither scipy's
+``__init__`` nor a subpackage's runs, nor the ``subprocess`` that scipy's
+``__init__`` imports; scipy's OpenBLAS starts at one thread, numpy's
+at its own count, and ``OPENBLAS_NUM_THREADS`` is left as found. Neither the
+import nor a ``--jobs 1`` run loads a module that only a process pool calls
 (``multiprocessing``, ``concurrent.futures.process``), nor ``numpy.ma`` or
 ``numpy.polynomial``; a ``--jobs 2`` run loads the pool modules with its
 first pool.
@@ -12,9 +14,9 @@ Each case runs in a fresh interpreter: the test modules import
 ``scipy.linalg`` (and the pool modules) themselves, and the loader reuses a
 loaded module."""
 
+import importlib.machinery
 import json
 import os
-import re
 import subprocess
 import sys
 from pathlib import Path
@@ -23,22 +25,26 @@ import pytest
 
 import tactilab
 
-#: scipy's top-level package, what its ``__init__`` imports, and the two
-#: extension modules the engine calls.
-ALLOWED_SCIPY = re.compile(
-    r"scipy(\._lib(\..+)?|\.__config__|\._distributor_init|\._cyutility|\.version"
-    r"|\.linalg\._flapack|\.special\._special_ufuncs)?"
-)
+#: The scipy modules that importing tactilab loads: the two extension
+#: modules the engine calls.
+ALLOWED_SCIPY = ["scipy.linalg._flapack", "scipy.special._special_ufuncs"]
 
-#: Imports tactilab.laplace, with the extension files not found when argv[1]
-#: is "fallback", then scipy's public modules; prints whether the loader ran
-#: scipy.linalg's __init__ and whether each routine is its public namesake.
+#: Modules that scipy's package ``__init__`` imports and no run calls.
+SCIPY_INIT_ONLY = ("subprocess", "selectors", "signal")
+
+#: Imports tactilab.laplace, then scipy's public modules; prints whether the
+#: loader ran scipy.linalg's __init__ and whether each routine is its public
+#: namesake. With argv[1] "fallback" the extension files are not found; with
+#: "load fails" each is a file (argv[2]) that is no shared object, as a
+#: library that does not load is.
 SAME_ROUTINES = """
 import json, sys
 from tactilab import blas
 
 if sys.argv[1] == "fallback":
     blas._extension_path = lambda package_dir, name: None
+elif sys.argv[1] == "load fails":
+    blas._extension_path = lambda package_dir, name: sys.argv[2]
 from tactilab import laplace
 
 linalg_init_ran = "scipy.linalg" in sys.modules
@@ -50,8 +56,9 @@ same = {name: getattr(laplace, name) is routine for name, routine in public.item
 print(json.dumps({"linalg_init_ran": linalg_init_ran, "same": same}))
 """
 
-#: Imports tactilab.cli; prints the scipy modules loaded, OPENBLAS_NUM_THREADS
-#: afterwards, and the thread count of each OpenBLAS that the import loaded.
+#: Imports tactilab.cli; prints the scipy modules loaded, which of
+#: SCIPY_INIT_ONLY (argv[1:]) were loaded, OPENBLAS_NUM_THREADS afterwards,
+#: and the thread count of each OpenBLAS that the import loaded.
 CLI_IMPORT = """
 import json, os, sys
 import numpy
@@ -63,9 +70,26 @@ import tactilab.cli
 loaded = [lib for path, lib in blas._loaded_openblas() if path not in before]
 print(json.dumps({
     "scipy": sorted(name for name in sys.modules if name.split(".")[0] == "scipy"),
+    "init only": [name for name in sys.argv[1:] if name in sys.modules],
     "env": os.environ.get("OPENBLAS_NUM_THREADS"),
     "threads": [blas._blas_thread_controls(lib)[0]() for lib in loaded],
 }))
+"""
+
+#: Imports numpy through argv[1] ("numpy" itself, "tactilab.cli", or a call
+#: of blas.scipy_routines before any numpy import); prints each loaded
+#: OpenBLAS's path and thread count.
+NUMPY_THREADS = """
+import json, sys
+if sys.argv[1] == "tactilab.cli":
+    import tactilab.cli
+elif sys.argv[1] == "scipy_routines":
+    from tactilab import blas
+    assert "numpy" not in sys.modules
+    blas.scipy_routines("scipy.linalg._flapack", "scipy.linalg.lapack", ("dposv",))
+import numpy
+from tactilab import blas
+print(json.dumps({path: blas._blas_thread_controls(lib)[0]() for path, lib in blas._loaded_openblas()}))
 """
 
 
@@ -102,11 +126,13 @@ def _child(code: str, *args: str, threads=None) -> dict:
     return json.loads(child.stdout.splitlines()[-1])
 
 
-@pytest.mark.parametrize("route", ["extension files", "fallback"])
-def test_engine_routines_are_scipys_public_objects(route):
-    got = _child(SAME_ROUTINES, route)
+@pytest.mark.parametrize("route", ["extension files", "fallback", "load fails"])
+def test_engine_routines_are_scipys_public_objects(route, tmp_path):
+    not_a_library = tmp_path / f"_flapack{importlib.machinery.EXTENSION_SUFFIXES[0]}"
+    not_a_library.write_text("not a shared object\n")
+    got = _child(SAME_ROUTINES, route, str(not_a_library))
     assert got["same"] == dict.fromkeys(["dposv", "dpotrf", "dpotrs", "dtrtrs", "expit"], True)
-    assert got["linalg_init_ran"] == (route == "fallback")
+    assert got["linalg_init_ran"] == (route != "extension files")
 
 
 @pytest.mark.skipif(
@@ -114,13 +140,26 @@ def test_engine_routines_are_scipys_public_objects(route):
     reason="the OpenBLAS lookup walks the loaded objects with dl_iterate_phdr",
 )
 @pytest.mark.parametrize("threads", [None, "2"])
-def test_cli_import_loads_no_scipy_subpackage_and_starts_openblas_as_told(threads):
-    got = _child(CLI_IMPORT, threads=threads)
-    assert [name for name in got["scipy"] if not ALLOWED_SCIPY.fullmatch(name)] == []
-    assert {"scipy.linalg._flapack", "scipy.special._special_ufuncs"} <= set(got["scipy"])
+def test_cli_import_loads_no_scipy_package_and_starts_openblas_as_told(threads):
+    got = _child(CLI_IMPORT, *SCIPY_INIT_ONLY, threads=threads)
+    assert got["scipy"] == ALLOWED_SCIPY
+    assert got["init only"] == []
     assert got["env"] == threads
     # scipy's wheel bundles its own OpenBLAS, which the import loads.
     assert got["threads"] == [int(threads or 1)]
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux"),
+    reason="the OpenBLAS lookup walks the loaded objects with dl_iterate_phdr",
+)
+@pytest.mark.parametrize("entry", ["tactilab.cli", "scipy_routines"])
+def test_numpy_openblas_starts_at_its_own_count_whatever_imports_numpy_first(entry):
+    # OPENBLAS_NUM_THREADS=1 is set while scipy's OpenBLAS loads; numpy's
+    # must have loaded before it, as a plain `import numpy` loads it.
+    plain = _child(NUMPY_THREADS, "numpy")
+    got = _child(NUMPY_THREADS, entry)
+    assert plain and {path: got.get(path) for path in plain} == plain
 
 
 def test_a_serial_run_loads_no_pool_masked_array_or_polynomial_module(tmp_path):

@@ -1,5 +1,6 @@
-"""Package layout: no module of ``src/tactilab`` grows past MAX_LINES, and
-every public top-level function and class there has a caller.
+"""Package layout: no module of ``src/tactilab`` grows past MAX_LINES, every
+public top-level function and class there has a caller, and only ``blas``
+may import scipy.
 
 A caller is a use of the name (a name, an attribute or an import) anywhere
 in ``src/`` outside the name's own definition, an import or a
@@ -77,3 +78,21 @@ def test_every_public_name_has_a_caller():
         and counts[node.name] == (node.name in names)  # read only in its own definition
     ]
     assert uncalled == []
+
+
+def _scipy_imports(tree: ast.Module) -> list[str]:
+    """The scipy modules that ``tree`` imports with an import statement."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found.extend(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            found.append(node.module)
+    return [name for name in found if name.split(".")[0] == "scipy"]
+
+
+def test_only_blas_imports_scipy():
+    # blas loads the two extension modules the engine calls; a scipy import
+    # elsewhere runs scipy's inits (``import scipy.linalg``: some 18 MB).
+    imports = {module: _scipy_imports(tree) for module, tree in _modules().items()}
+    assert {module: names for module, names in imports.items() if names and module != "blas"} == {}
