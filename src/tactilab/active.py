@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import ParameterError, StateError
 from .gp import OvaGpcModel, ova_predict_groups
-from .kernels import CombinedKernel, ObservationBlock
+from .kernels import ObservationBlock
 from .results import TrialResult
 from .seeding import EXPLORE_NS, INIT_NS, TRAIN_NS, derive_rng, derive_seed
 from .transfer import (
@@ -72,7 +72,6 @@ class ExplorationState:
     action_ids: tuple[str, ...]
     observations: dict[str, dict[int, ObservationBlock]]
     models: dict[str, OvaGpcModel] = field(default_factory=dict)
-    kernels: dict[str, CombinedKernel] = field(default_factory=dict)
     iteration: int = 0
     seed_root: int = 0
     eps_explore: float = 0.3
@@ -188,20 +187,14 @@ def update_knowledge(
 ) -> list[TransferDecision]:
     """Run prior selection, weight estimation and model fitting for one
     action and return its decisions; models of every other action are left
-    untouched. The search starts from the action's current kernel, or, for
-    an action not yet fitted, from the median heuristic on the longer first
-    schedule (``build_action_models``)."""
-    model, kernel, decisions = build_action_models(
-        prior,
-        action_id,
-        state.observations[action_id],
-        thresholds,
-        method,
-        kernel_start=state.kernels.get(action_id),
-        rng=rng,
+    untouched. The search starts from the kernel of the action's current
+    model, or, for an action not yet fitted, from the median heuristic on
+    the longer first schedule (``build_action_models``)."""
+    current = state.models.get(action_id)
+    state.models[action_id], decisions = build_action_models(
+        prior, action_id, state.observations[action_id], thresholds, method,
+        kernel_start=None if current is None else current.kernel, rng=rng,
     )
-    state.models[action_id] = model
-    state.kernels[action_id] = kernel
     return decisions
 
 
@@ -242,7 +235,7 @@ def run_loop(
             {
                 "iteration": state.iteration,
                 "action": action_id,
-                "gamma": [float(g) for g in state.kernels[action_id].weights],
+                "gamma": [float(g) for g in state.models[action_id].kernel.weights],
             }
         )
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import groupby
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -36,7 +36,7 @@ from .signals import (
     simulate_stack,
     trace_nbytes,
 )
-from .transfer import INIT_RESTARTS, ObservationGroups, fit_action_prior
+from .transfer import INIT_RESTARTS, ActionPrior, ObservationGroups, fit_action_prior
 
 
 def _action_index(action_id: str) -> int:
@@ -204,21 +204,21 @@ def prior_search_rngs(config: ExperimentConfig) -> list[np.random.Generator]:
 
 def set_up_action(
     config: ExperimentConfig, catalog: Catalog, action_id: str, rng: np.random.Generator
-) -> tuple:
+) -> tuple[ThermalProjector, Optional[ActionPrior]]:
     """One action's share of set-up: simulate the action's
     ``projector_pool_jobs`` batches and fit its thermal projector on them.
     With prior objects configured the pool is also the action's instance
     knowledge, and its model is searched from ``rng``
-    (``prior_search_rngs``): returns (projector, blocks, model, kernel).
-    Without priors the pool is a calibration stream over the new objects:
-    returns (projector,)."""
+    (``prior_search_rngs``): returns (projector, the action's
+    ``fit_action_prior``). Without priors the pool is a calibration stream
+    over the new objects: returns (projector, None)."""
     jobs = [job for job in projector_pool_jobs(config) if job[0] == action_id]
     batches = list(set_up_features(catalog, jobs))
     projector = fit_projectors_from_pool(batches)[action_id]
     if not config.prior_objects:
-        return (projector,)
+        return projector, None
     groups = observation_groups({action_id: projector}, batches)[action_id]
-    return (projector, *fit_action_prior(groups, INIT_RESTARTS, rng))
+    return projector, fit_action_prior(groups, rng)
 
 
 def batch_block(

@@ -50,6 +50,7 @@ from .laplace import BinaryGpcModel, PooledSet, _check_sets, _predict_items, _so
 class OvaGpcModel:
     classes: tuple[int, ...]
     models: dict[int, BinaryGpcModel]
+    kernel: CombinedKernel  # each class model's kernel, or its base for a transfer class
 
     def __post_init__(self):
         if set(self.classes) != set(self.models):
@@ -88,7 +89,7 @@ def ova_from_modes(sets: Mapping[int, PooledSet], kernel, modes: Sequence) -> Ov
         kern = DependentKernel(kernel, s.rho) if s.n_old else kernel
         y = np.asarray(s.y, dtype=float)
         models[cls] = BinaryGpcModel(kern, s.X, y, s.n_old, **mode._asdict())
-    return OvaGpcModel(tuple(classes), models)
+    return OvaGpcModel(tuple(classes), models, kernel)
 
 
 def ova_predict_proba(model: OvaGpcModel, X_star) -> np.ndarray:

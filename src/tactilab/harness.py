@@ -32,13 +32,13 @@ from .assets import (
 from .blas import SingleThreadedBlas
 from .config import ExperimentConfig, Mode, config_hash
 from .errors import ConfigError, SchemaError, TactilabError
-from .features import ThermalProjector
+from .features import SEGMENTATION, ThermalProjector
 from .gp import optimize_kernel_for_sets, ova_from_modes, ova_sets
 from .kernels import ObservationBlock, median_heuristic
 from .results import RunResult, TrialResult
 from .schema import at_least
 from .seeding import ABLATION_NS, OPT_NS, derive_rng, derive_seed
-from .signals import Catalog, load_catalog
+from .signals import STANDARD_ACTIONS, Catalog, load_catalog
 from .transfer import INIT_RESTARTS, PriorKnowledge
 
 
@@ -97,7 +97,8 @@ def _setup_map(workers: int):
 
 def build_assets(config: ExperimentConfig, workers: int = 1) -> tuple:
     """(catalog, prior, projectors, test set): what every trial of the
-    config shares.
+    config shares; ``prior`` maps each action to its ``ActionPrior``, or is
+    None without prior objects.
 
     Set-up runs one task per action (``set_up_action``: the action's
     projector pool simulated in batches, its thermal projector and, with
@@ -123,10 +124,10 @@ def build_assets(config: ExperimentConfig, workers: int = 1) -> tuple:
             catalog, held_out_jobs(config), partial(mapper, chunksize=SETUP_CHUNKSIZE)
         )
         fits = dict(zip(config.actions, fits))
-        projectors = {action_id: fit[0] for action_id, fit in fits.items()}
+        projectors = {action_id: projector for action_id, (projector, _) in fits.items()}
         prior = None
         if config.prior_objects:
-            prior = PriorKnowledge.of({action_id: fit[1:] for action_id, fit in fits.items()})
+            prior = {action_id: fit for action_id, (_, fit) in fits.items()}
         test = build_test_set(projectors, held_out)
     return catalog, prior, projectors, test
 
@@ -165,9 +166,9 @@ def run_trial(
     )
 
 
-def _modes_for(config: ExperimentConfig, test: TestSet) -> list[str]:
+def _modes_for(config: ExperimentConfig) -> list[str]:
     if config.mode is Mode.MULTI_KERNEL_ABLATION:
-        return list(_ablation_variants(test.groups[config.actions[0]][config.new_objects[0]]))
+        return list(_ablation_variants(config.actions[0]))
     if config.mode is Mode.NO_TRANSFER:
         return [Mode.NO_TRANSFER.value]
     return [Mode.TRANSFER.value, Mode.NO_TRANSFER.value]
@@ -188,7 +189,7 @@ def _run_seed(
             return run_ablation_seed(config, catalog, projectors, test, seed), None
         evaluate = make_evaluator(config, test)
         trials = {}
-        for mode in _modes_for(config, test):
+        for mode in _modes_for(config):
             trial_prior = prior if mode == Mode.TRANSFER.value else None
             trials[mode] = run_trial(config, catalog, trial_prior, projectors, evaluate, seed)
         return trials, None
@@ -232,7 +233,7 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> RunResult:
         # set-up pool is gone before the trial pool starts.
         workers = min(jobs, len(config.seeds))
         assets = build_assets(config, workers)
-        modes = _modes_for(config, assets[3])
+        modes = _modes_for(config)
         if workers > 1:
             with _pool(workers, _start_trial_worker, (config, assets)) as pool:
                 outcomes = list(pool.map(_run_seed_worker, config.seeds))
@@ -257,11 +258,11 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> RunResult:
         )
 
 
-def _ablation_variants(test_obs: ObservationBlock) -> dict[str, Optional[np.ndarray]]:
-    """The ablation's kernels over the modalities of the test block
-    ``test_obs``: ``combined`` searches its modality weights, each
-    ``<modality>_only`` keeps a one-hot weight vector."""
-    modalities = test_obs.modalities
+def _ablation_variants(action_id: str) -> dict[str, Optional[np.ndarray]]:
+    """The ablation's kernels over the action's modalities, in the order of
+    its observation blocks (``SEGMENTATION``): ``combined`` searches their
+    weights, each ``<modality>_only`` keeps a one-hot weight vector."""
+    modalities = [mod for mod, _ in SEGMENTATION[STANDARD_ACTIONS[action_id].kind]]
     variants: dict[str, Optional[np.ndarray]] = {"combined": None}
     for idx, mod in enumerate(modalities):
         one_hot = np.zeros(len(modalities))
@@ -286,7 +287,7 @@ def run_ablation_seed(
     sizes = list(config.ablation_sizes)
     max_per_class = -(-max(sizes) // len(new_ids))
     test_obs, test_labels = new_object_slice(config, test, action_id)
-    variants = _ablation_variants(test_obs)
+    variants = _ablation_variants(action_id)
 
     # The classes in turn: the first ``size`` samples are the training set of
     # that size.

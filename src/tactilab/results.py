@@ -69,7 +69,9 @@ class RunResult:
     def from_dict(cls, raw: dict) -> "RunResult":
         """The inverse of ``to_dict``; a file without ``records`` reads
         every trial's records as empty. A missing or mistyped field raises
-        SchemaError naming it."""
+        SchemaError naming it, as do a gamma vector of another length than
+        its action's first and an ablation's ``config.ablation_sizes`` shorter
+        than a curve, which ``write_report`` cannot read."""
         if not isinstance(raw, dict):
             raise SchemaError(f"result root must be a mapping, got {type(raw).__name__}")
         modes = _result_field(raw, list, "modes")
@@ -77,6 +79,7 @@ class RunResult:
             if not isinstance(m, str):
                 raise SchemaError(f"result field modes[{i}] must be a string, got {m!r}")
         trials = {}
+        widths: dict[str, int] = {}  # action -> length of its first gamma vector
         for m in modes:
             trials[m] = {}
             for s in _result_field(raw, dict, "curves", m):
@@ -89,12 +92,26 @@ class RunResult:
                 for i in range(len(decisions)):
                     _result_field(raw, (int, type(None)), "decisions", m, s, i, "selected_old")
                 for i in range(len(gamma_trace)):
-                    _result_field(raw, str, "gamma_traces", m, s, i, "action")
-                    _numbers(raw, "gamma_traces", m, s, i, "gamma")
+                    action = _result_field(raw, str, "gamma_traces", m, s, i, "action")
+                    n = len(_numbers(raw, "gamma_traces", m, s, i, "gamma"))
+                    if n != widths.setdefault(action, n):
+                        raise SchemaError(
+                            f"result field gamma_traces[{m}][{s}][{i}][gamma] has length {n};"
+                            f" action {action}'s first has length {widths[action]}"
+                        )
                 records = _result_field(raw, list, "records", m, s, default=[])
                 trials[m][int(s)] = TrialResult(curve, decisions, gamma_trace, records)
+        config = _result_field(raw, dict, "config")
+        if config.get("mode") == Mode.MULTI_KERNEL_ABLATION.value:  # curves.csv's iterations
+            sizes = _numbers(raw, "config", "ablation_sizes", kind=int)
+            longest = max((len(t.curve) for m in modes for t in trials[m].values()), default=0)
+            if len(sizes) < longest:
+                raise SchemaError(
+                    f"result field config[ablation_sizes] has length {len(sizes)},"
+                    f" shorter than the longest curve ({longest})"
+                )
         return cls(
-            config=_result_field(raw, dict, "config"),
+            config=config,
             config_hash=_result_field(raw, str, "config_hash"),
             modes=modes,
             trials=trials,
@@ -127,11 +144,12 @@ def _result_field(raw: dict, kind, *path, default=None):
     return value
 
 
-def _numbers(raw: dict, *path) -> list:
-    """The list field at ``path``; every item must be a number."""
+def _numbers(raw: dict, *path, kind=(int, float)) -> list:
+    """The list field at ``path``; every item must be of ``kind``, a number
+    by default."""
     values = _result_field(raw, list, *path)
     for i in range(len(values)):
-        _result_field(raw, (int, float), *path, i)
+        _result_field(raw, kind, *path, i)
     return values
 
 

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -70,44 +70,27 @@ class TransferDecision:
         }
 
 
-@dataclass(frozen=True)
-class PriorKnowledge:
-    """Per-action store of old-object observations, one block per old
-    object (instance knowledge), and the one-vs-all models fitted on exactly
-    those observations (model knowledge). Immutable: nothing downstream may
-    mutate it, and block matrices are read-only."""
+class ActionPrior(NamedTuple):
+    """One action's prior knowledge: its old-object observations, one block
+    per old object in object order (instance knowledge), and the one-vs-all
+    model fitted on exactly those (model knowledge), which holds the tuned
+    kernel. Block matrices are read-only."""
 
-    blocks: Mapping[str, ObservationGroups]
-    models: Mapping[str, OvaGpcModel]
-    kernels: Mapping[str, CombinedKernel]
-
-    @classmethod
-    def of(cls, fits: Mapping[str, ActionPrior]) -> PriorKnowledge:
-        """The knowledge of each action's ``fit_action_prior``, in the
-        mapping's order."""
-        return cls(
-            blocks={a: blocks for a, (blocks, _, _) in fits.items()},
-            models={a: model for a, (_, model, _) in fits.items()},
-            kernels={a: kernel for a, (_, _, kernel) in fits.items()},
-        )
-
-    def old_object_ids(self, action_id: str) -> tuple[int, ...]:
-        return tuple(sorted(self.blocks[action_id]))
+    blocks: dict[int, ObservationBlock]
+    model: OvaGpcModel
 
 
-#: One action's prior knowledge: its old-object blocks in object order, and
-#: the one-vs-all model and kernel fitted on them (``fit_action_prior``).
-ActionPrior = tuple[dict[int, ObservationBlock], OvaGpcModel, CombinedKernel]
+#: A run's prior knowledge: each action's ``fit_action_prior``.
+PriorKnowledge = Mapping[str, ActionPrior]
 
 
 def fit_action_prior(
-    groups: ObservationGroups,
-    restarts: int = INIT_RESTARTS,
-    rng: Optional[np.random.Generator] = None,
+    groups: ObservationGroups, rng: Optional[np.random.Generator] = None
 ) -> ActionPrior:
     """Store one action's old-object blocks in object order and fit its
-    observation model. The search draws from ``rng`` only its
-    ``restarts - 1`` starts (``gp.draw_starts``)."""
+    observation model from the median-heuristic start on INIT_RESTARTS
+    starts. The search draws from ``rng`` only its ``INIT_RESTARTS - 1``
+    random starts (``gp.draw_starts``)."""
     blocks = dict(sorted(groups.items()))
     flat = ObservationBlock.concat(list(blocks.values()))
     labels = [obj for obj, block in blocks.items() for _ in range(len(block))]
@@ -116,10 +99,10 @@ def fit_action_prior(
     # A single old object gives a degenerate one-class model, its kernel
     # tuned on the all-positive problem in three sweeps.
     found = optimize_kernel_for_sets(
-        list(sets.values()), start, restarts=restarts, rng=rng,
+        list(sets.values()), start, restarts=INIT_RESTARTS, rng=rng,
         max_sweeps=3 if len(sets) == 1 else 4,
     )
-    return blocks, ova_from_modes(sets, found.kernel, found.modes), found.kernel
+    return ActionPrior(blocks, ova_from_modes(sets, found.kernel, found.modes))
 
 
 def _by_prediction(
@@ -157,24 +140,21 @@ def select_prior_by_optimization(
     fitted value. Known to over-estimate when new observations are scarce."""
     if len(X_new_j) == 0:
         raise ParameterError("X_new_j must be nonempty")
-    if action_id not in prior.blocks:
+    if action_id not in prior:
         raise MissingPriorError(f"no prior instances for action {action_id!r}")
+    blocks, model = prior[action_id]
     X_new_j = ObservationBlock.of(X_new_j)
-    base = prior.kernels[action_id]
     best_old, best_rho = None, -1.0
-    for old_id in prior.old_object_ids(action_id):
+    for old_id in sorted(blocks):
         # Old and new observations all labelled +1, rho searched from 0.5.
-        pooled = _pooled_set(prior.blocks[action_id][old_id], X_new_j, [], 0.5)
+        pooled = _pooled_set(blocks[old_id], X_new_j, [], 0.5)
         rho = optimize_kernel_for_sets(
-            [pooled], base, rng=rng, fit_weights=False, fit_rho=True
+            [pooled], model.kernel, rng=rng, fit_weights=False, fit_rho=True
         ).rho
         if rho > best_rho:
             best_old, best_rho = old_id, rho
-    mean_pred = 0.0
-    if action_id in prior.models:
-        probs = ova_predict_proba(prior.models[action_id], X_new_j).mean(axis=0)
-        idx = prior.models[action_id].classes.index(best_old)
-        mean_pred = float(probs[idx])
+    probs = ova_predict_proba(model, X_new_j).mean(axis=0)
+    mean_pred = float(probs[model.classes.index(best_old)])
     if best_rho >= eps_neg2:
         return TransferDecision(
             action_id,
@@ -219,7 +199,7 @@ def build_action_models(
     method: SelectionMethod = SelectionMethod.MODEL_PREDICTION,
     kernel_start: Optional[CombinedKernel] = None,
     rng: Optional[np.random.Generator] = None,
-) -> tuple[OvaGpcModel, CombinedKernel, list[TransferDecision]]:
+) -> tuple[OvaGpcModel, list[TransferDecision]]:
     """Prior selection, weight estimation and model fitting for one action.
 
     The kernel (length scales and modality weights) is tuned by marginal
@@ -227,17 +207,18 @@ def build_action_models(
     use, transferred blocks included. Without ``kernel_start`` the search
     starts from the median heuristic on the (INIT_RESTARTS, INIT_SWEEPS)
     schedule; from ``kernel_start`` it runs on (UPDATE_RESTARTS,
-    UPDATE_SWEEPS). Returns the one-vs-all model over the new objects, the
-    tuned kernel, and the decision audit (empty when no prior knowledge
-    covers the action)."""
+    UPDATE_SWEEPS). Returns the one-vs-all model over the new objects, which
+    holds the tuned kernel, and the decision audit (empty when ``prior``
+    has no entry for the action)."""
     object_ids = sorted(groups)
     for obj in object_ids:
         if len(groups[obj]) == 0:
             raise ParameterError(f"object {obj} has no observations for {action_id}")
 
-    has_prior = prior is not None and action_id in prior.models
+    action_prior = (prior or {}).get(action_id)
+    has_prior = action_prior is not None
     if has_prior and method is SelectionMethod.MODEL_PREDICTION:  # all objects in one call
-        probs = ova_predict_groups(prior.models[action_id], [groups[obj] for obj in object_ids])
+        probs = ova_predict_groups(action_prior.model, [groups[obj] for obj in object_ids])
     decisions: list[TransferDecision] = []
     sets: dict[int, PooledSet] = {}
     for k, obj in enumerate(object_ids):
@@ -246,7 +227,7 @@ def build_action_models(
             if method is SelectionMethod.MODEL_PREDICTION:
                 p_bar = probs[k].mean(axis=0)
                 decision = _by_prediction(
-                    prior.models[action_id], action_id, p_bar, thresholds.eps_neg1, obj
+                    action_prior.model, action_id, p_bar, thresholds.eps_neg1, obj
                 )
             else:
                 decision = select_prior_by_optimization(
@@ -254,7 +235,7 @@ def build_action_models(
                 )
             decisions.append(decision)
             if decision.selected_old_id is not None:
-                X_old = prior.blocks[action_id][decision.selected_old_id]
+                X_old = action_prior.blocks[decision.selected_old_id]
                 rho = decision.rho
         # One block per class: the rows of each set are ordered differently,
         # so no two classes can share distance matrices bit for bit.
@@ -269,4 +250,4 @@ def build_action_models(
     found = optimize_kernel_for_sets(
         list(sets.values()), kernel_start, restarts=restarts, rng=rng, max_sweeps=sweeps
     )
-    return ova_from_modes(sets, found.kernel, found.modes), found.kernel, decisions
+    return ova_from_modes(sets, found.kernel, found.modes), decisions

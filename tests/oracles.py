@@ -43,7 +43,6 @@ from tactilab.signals import (
     simulate_stack,
 )
 from tactilab.transfer import (
-    INIT_RESTARTS,
     ObservationGroups,
     PriorKnowledge,
     TransferDecision,
@@ -192,15 +191,11 @@ def extract_texture(trace: SensorTrace) -> np.ndarray:
 
 
 def fit_prior_knowledge(
-    instances: Mapping[str, ObservationGroups],
-    restarts: int = INIT_RESTARTS,
-    rng: Optional[np.random.Generator] = None,
+    instances: Mapping[str, ObservationGroups], rng: Optional[np.random.Generator] = None
 ) -> PriorKnowledge:
     """Fit each action's prior (``fit_action_prior``) in turn, every search
     drawing from the one ``rng``."""
-    return PriorKnowledge.of(
-        {action: fit_action_prior(groups, restarts, rng) for action, groups in instances.items()}
-    )
+    return {action: fit_action_prior(groups, rng) for action, groups in instances.items()}
 
 
 def select_prior_by_prediction(
@@ -215,8 +210,8 @@ def select_prior_by_prediction(
     threshold, with the score itself as the relatedness."""
     if len(X_new_j) == 0:
         raise ParameterError("X_new_j must be nonempty")
-    if action_id not in prior.models:
+    if action_id not in prior:
         raise MissingPriorError(f"no prior model for action {action_id!r}")
-    model = prior.models[action_id]
+    model = prior[action_id].model
     p_bar = ova_predict_proba(model, X_new_j).mean(axis=0)
     return _by_prediction(model, action_id, p_bar, eps_neg1, new_object_id)

@@ -458,7 +458,7 @@ class TestRunLoop:
         # same models, kernels and decisions as build_action_models in turn.
         rng = np.random.default_rng(4)
         prior = fit_prior_knowledge(
-            as_blocks({a: prior_instances(rng, action=a)[a] for a in ACTIONS}), restarts=1, rng=rng
+            as_blocks({a: prior_instances(rng, action=a)[a] for a in ACTIONS}), rng=rng
         )
         state = fresh_state(seed=5)
         result = run_loop(
@@ -473,11 +473,11 @@ class TestRunLoop:
         queries = [force_obs(v) for v in (-4.0, 0.0, 4.0)]
         ref_rng, decisions = np.random.default_rng(6), []
         for action_id, entry in zip(ACTIONS, result.gamma_trace):
-            model, kernel, action_decisions = build_action_models(
+            model, action_decisions = build_action_models(
                 prior, action_id, fresh_state(seed=5).observations[action_id], rng=ref_rng
             )
             decisions += [d.to_dict() for d in action_decisions]
-            assert entry["gamma"] == [float(g) for g in kernel.weights]
+            assert entry["gamma"] == [float(g) for g in model.kernel.weights]
             assert np.array_equal(
                 ova_predict_proba(state.models[action_id], queries),
                 ova_predict_proba(model, queries),
@@ -485,6 +485,43 @@ class TestRunLoop:
         assert result.decisions == decisions
         assert len(decisions) == len(ACTIONS) * len(OBJECTS)
         assert any(d["selected_old"] is not None for d in decisions)
+
+    def test_models_hold_the_kernel_their_classes_were_tuned_at(self, monkeypatch):
+        """Every fit's model holds its tuned kernel: the very kernel of each
+        class model without a transfer block, and the base of each transfer
+        class's kernel. Each gamma entry of the loop reads that model's
+        kernel, and the state keeps the last fit's model."""
+        rng = np.random.default_rng(4)
+        prior = fit_prior_knowledge(
+            as_blocks({a: prior_instances(rng, action=a)[a] for a in ACTIONS}), rng=rng
+        )
+        fitted = []
+        real = active.build_action_models
+
+        def recording(*args, **kwargs):
+            fitted.append(real(*args, **kwargs))
+            return fitted[-1]
+
+        monkeypatch.setattr(active, "build_action_models", recording)
+        state = fresh_state(seed=5)
+        result = run_loop(
+            state, prior, 3, constant_evaluator, fake_observe, opt_rng=np.random.default_rng(6)
+        )
+        models = [model for model, _ in fitted]
+        assert len(models) == len(result.gamma_trace) == len(ACTIONS) + 3
+        transfer_classes = 0
+        for model in models:
+            for binary in model.models.values():
+                if binary.n_old:
+                    transfer_classes += 1
+                    assert binary.kernel.base is model.kernel
+                else:
+                    assert binary.kernel is model.kernel
+        assert transfer_classes > 0
+        for model, entry in zip(models, result.gamma_trace):
+            assert entry["gamma"] == [float(g) for g in model.kernel.weights]
+        last = {entry["action"]: entry["gamma"] for entry in result.gamma_trace}
+        assert last == {a: [float(g) for g in state.models[a].kernel.weights] for a in ACTIONS}
 
     def test_first_fits_and_refits_search_on_their_schedules(self, monkeypatch):
         calls = record_searches(monkeypatch, transfer)

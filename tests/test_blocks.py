@@ -744,7 +744,8 @@ class TestStackedItems:
     @staticmethod
     def mixed_model(seed, specs, kernels):
         """A one-vs-all model whose classes have their own sizes, splits and
-        rhos, each fitted under one of ``kernels``."""
+        rhos, each fitted under one of ``kernels``; the model's kernel is the
+        first."""
         rng = np.random.default_rng(seed)
         bases = [combined(*kernel) for kernel in kernels]
         models = {}
@@ -755,7 +756,7 @@ class TestStackedItems:
             base = bases[which % len(bases)]
             kernel = DependentKernel(base, rho) if n_old else base
             models[cls] = laplace.gpc_fit(kernel, X, y, n_old)
-        return gp.OvaGpcModel(tuple(models), models)
+        return gp.OvaGpcModel(tuple(models), models, bases[0])
 
     MODEL_SPECS = st.lists(
         st.tuples(st.integers(1, 10), RHOS, st.floats(0.0, 1.0), st.integers(0, 2)),
@@ -812,7 +813,8 @@ class TestStackedItems:
             with pytest.raises(NumericalError) as stacked:
                 gp.ova_predict_groups(model, groups)
             assert gp.ova_predict_groups(
-                gp.OvaGpcModel((0, 2), {0: model.models[0], 2: model.models[2]}), groups
+                gp.OvaGpcModel((0, 2), {0: model.models[0], 2: model.models[2]}, model.kernel),
+                groups,
             )
         assert str(stacked.value) == str(alone.value)
         assert str(alone.value) == "prediction cross-covariance has non-finite entries"

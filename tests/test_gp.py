@@ -440,7 +440,7 @@ def ref_ova_fit(kernel, X, labels):
     for cls in classes:
         y = np.array([1.0 if lb == cls else -1.0 for lb in labels])
         models[cls] = laplace.gpc_fit(kernel, X, y)
-    return OvaGpcModel(tuple(classes), models)
+    return OvaGpcModel(tuple(classes), models, getattr(kernel, "base", kernel))
 
 
 def ref_fit_for_spec(spec, kernel, rho, X, labels):

@@ -352,7 +352,7 @@ class TestAssetCache:
         paths["b"].with_name("cat.json").write_text(json.dumps(raw))
         run_experiment(config_b)
         force_a, force_b, force_b2 = (
-            prior.blocks["P2"][1].matrix(Modality.FORCE)[0] for prior in priors
+            prior["P2"].blocks[1].matrix(Modality.FORCE)[0] for prior in priors
         )
         assert not np.array_equal(force_a, force_b)
         assert np.array_equal(force_b2, force_a)
@@ -483,8 +483,8 @@ class TestSetup:
         assert not multiprocessing.active_children()
         assert (prior is None) == (not prior_objects)
         if prior is not None:
-            assert [len(g) for g in prior.blocks["S1"].values()] == [15] * 3
-            assert list(prior.models) == list(config.actions)
+            assert [len(g) for g in prior["S1"].blocks.values()] == [15] * 3
+            assert list(prior) == list(config.actions)
         objects = len(prior_objects) + len(config.new_objects)
         per_object = {"P2": 20, "S1": 20, "C1": 10}
         assert test.size() == objects * sum(per_object[a] for a in actions)
@@ -556,7 +556,7 @@ class TestSetup:
         with pytest.raises(AssertionError, match="fit_projector ran in the parent"):
             harness.build_assets(config, 1)
         _, prior, projectors, _ = harness.build_assets(config, 2)
-        assert list(prior.models) == list(projectors) == list(config.actions)
+        assert list(prior) == list(projectors) == list(config.actions)
 
     @pytest.mark.parametrize("jobs", [1, 2])
     @pytest.mark.parametrize("where", ["test-set-trace", "projector-fit", "prior-search"])
@@ -1441,9 +1441,12 @@ class TestCli:
              "gamma_traces[no_transfer][2][0][action] is missing"),
             (("gamma_traces", "transfer", "1", 1, "gamma"), None,
              "gamma_traces[transfer][1][1][gamma] is missing"),
+            (("gamma_traces", "no_transfer", "2", 1, "gamma"), [0.5],
+             "gamma_traces[no_transfer][2][1][gamma] has length 1; action C1's first has"
+             " length 2"),
         ],
         ids=["no-selected-old", "str-selected-old", "str-curve", "bool-curve", "no-action",
-             "no-gamma"],
+             "no-gamma", "short-gamma"],
     )
     def test_report_names_the_entries_it_reads(
         self, small_result, tmp_path, capsys, path, value, message
@@ -1459,6 +1462,35 @@ class TestCli:
             del entry[path[-1]]
         else:
             entry[path[-1]] = value
+        source = tmp_path / "result.json"
+        source.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        assert cli_main(["report", str(source), "--out", str(out)]) == 2
+        assert f"result field {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "sizes, message",
+        [
+            (None, "config[ablation_sizes] is missing"),
+            (5, "config[ablation_sizes] must be list, got int"),
+            ([5, 10], "config[ablation_sizes] has length 2, shorter than the longest curve (3)"),
+        ],
+        ids=["no-sizes", "int-sizes", "short-sizes"],
+    )
+    def test_report_names_ablation_sizes_it_cannot_read(
+        self, small_result, tmp_path, capsys, sizes, message
+    ):
+        """An ablation's curves.csv writes ``config.ablation_sizes[i]`` for
+        the i-th point of each curve: sizes that are missing, not a list or
+        shorter than a curve exit 2 naming the field."""
+        _, result = small_result
+        raw = json.loads(json.dumps(result.to_dict()))
+        raw["config"]["mode"] = "multi_kernel_ablation"
+        if sizes is None:
+            del raw["config"]["ablation_sizes"]
+        else:
+            raw["config"]["ablation_sizes"] = sizes
         source = tmp_path / "result.json"
         source.write_text(json.dumps(raw))
         out = tmp_path / "out"

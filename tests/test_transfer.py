@@ -16,7 +16,6 @@ from tactilab.kernels import (
 )
 from tactilab.laplace import gpc_fit, gpc_predict_batch
 from tactilab.transfer import (
-    PriorKnowledge,
     SelectionMethod,
     TransferDecision,
     TransferThresholds,
@@ -46,7 +45,7 @@ def prior_instances(rng, centers={1: -4.0, 2: 0.0, 3: 4.0}, per_object=12, actio
 
 def make_prior(rng, centers={1: -4.0, 2: 0.0, 3: 4.0}, per_object=12, action=ACTION):
     instances = prior_instances(rng, centers, per_object, action)
-    return fit_prior_knowledge(as_blocks(instances), restarts=1, rng=rng)
+    return fit_prior_knowledge(as_blocks(instances), rng=rng)
 
 
 @pytest.fixture(scope="module")
@@ -68,7 +67,7 @@ class TestSelectByPrediction:
 
     def test_low_posteriors_mean_no_selection(self, prior):
         far = [force_obs(60.0), force_obs(61.0)]
-        p_bar = ova_predict_proba(prior.models[ACTION], far).mean(axis=0)
+        p_bar = ova_predict_proba(prior[ACTION].model, far).mean(axis=0)
         assert np.all(p_bar <= 0.6)
         decision = select_prior_by_prediction(prior, ACTION, far, 0.6, new_object_id=11)
         assert decision.selected_old_id is None
@@ -80,7 +79,7 @@ class TestSelectByPrediction:
             oracles, "ova_predict_proba", lambda model, X: np.array([[0.5, 0.2, 0.1]])
         )
         decision = select_prior_by_prediction(prior, ACTION, [force_obs(0.0)], 0.5)
-        assert decision.selected_old_id == prior.models[ACTION].classes[0]
+        assert decision.selected_old_id == prior[ACTION].model.classes[0]
         assert decision.rho == 0.5
 
     def test_threshold_below_half_rejected(self, prior):
@@ -102,7 +101,7 @@ class TestSelectByOptimization:
         for seed in range(20):
             rng = np.random.default_rng(300 + seed)
             instances = {ACTION: {1: cluster(rng, 0.0, 30)}}
-            prior = fit_prior_knowledge(as_blocks(instances), restarts=1, rng=rng)
+            prior = fit_prior_knowledge(as_blocks(instances), rng=rng)
             X_new = cluster(rng, 0.0, 30)
             decision = select_prior_by_optimization(
                 prior, ACTION, X_new, 0.6, new_object_id=11, rng=rng
@@ -114,7 +113,7 @@ class TestSelectByOptimization:
     def test_below_threshold_gives_none(self):
         rng = np.random.default_rng(9)
         instances = {ACTION: {1: cluster(rng, 0.0, 10)}}
-        prior = fit_prior_knowledge(as_blocks(instances), restarts=1, rng=rng)
+        prior = fit_prior_knowledge(as_blocks(instances), rng=rng)
         decision = select_prior_by_optimization(
             prior, ACTION, cluster(rng, 80.0, 10), 0.99, new_object_id=11, rng=rng
         )
@@ -126,7 +125,7 @@ class TestSelectByOptimization:
         # contract (completion, range) is asserted.
         rng = np.random.default_rng(10)
         instances = {ACTION: {1: cluster(rng, 0.0, 15)}}
-        prior = fit_prior_knowledge(as_blocks(instances), restarts=1, rng=rng)
+        prior = fit_prior_knowledge(as_blocks(instances), rng=rng)
         decision = select_prior_by_optimization(
             prior, ACTION, [force_obs(0.1)], 0.6, new_object_id=11, rng=rng
         )
@@ -154,7 +153,7 @@ class TestSearchSettings:
         rng = np.random.default_rng(20)
         for objects in ((1, 2, 3), (1,)):
             instances = as_blocks(self.two_part_instances(rng, objects))
-            fit_prior_knowledge(instances, restarts=2, rng=rng)
+            fit_prior_knowledge(instances, rng=rng)
         assert calls == [
             (2, 4, True, False, None, (0.5, 0.5)),
             (2, 3, True, False, None, (0.5, 0.5)),
@@ -163,11 +162,11 @@ class TestSearchSettings:
     def test_rho_selection(self, monkeypatch):
         rng = np.random.default_rng(21)
         instances = as_blocks(self.two_part_instances(rng, (1, 2)))
-        prior = fit_prior_knowledge(instances, restarts=1, rng=rng)
+        prior = fit_prior_knowledge(instances, rng=rng)
         calls = record_searches(monkeypatch, transfer)
         X_new = self.two_part_instances(rng, (2,))[ACTION][2]
         select_prior_by_optimization(prior, ACTION, X_new, 0.6, rng=rng)
-        weights = tuple(prior.kernels[ACTION].weights)
+        weights = tuple(prior[ACTION].model.kernel.weights)
         assert calls == [(2, 4, False, True, 0.5, weights)] * 2
 
 
@@ -238,11 +237,11 @@ class TestBuildModels:
     def test_empty_prior_equals_no_transfer_fit(self):
         rng_a = np.random.default_rng(13)
         groups = new_groups(rng_a)
-        model_a, _, decisions_a = build_action_models(
+        model_a, decisions_a = build_action_models(
             None, ACTION, groups[ACTION], rng=np.random.default_rng(77)
         )
-        model_b, _, decisions_b = build_action_models(
-            PriorKnowledge({}, {}, {}), ACTION, groups[ACTION], rng=np.random.default_rng(77)
+        model_b, decisions_b = build_action_models(
+            {}, ACTION, groups[ACTION], rng=np.random.default_rng(77)
         )
         assert decisions_a == [] and decisions_b == []
         queries = [force_obs(v) for v in (-4.0, 0.0, 7.0)]
@@ -258,7 +257,7 @@ class TestBuildModels:
         with their labels, split and rho."""
         rng = np.random.default_rng(16)
         instances = prior_instances(rng)[ACTION]
-        prior = fit_prior_knowledge(as_blocks({ACTION: instances}), restarts=1, rng=rng)
+        prior = fit_prior_knowledge(as_blocks({ACTION: instances}), rng=rng)
         groups = {
             11: cluster(rng, -4.0, 3),
             12: cluster(rng, 0.0, 2),
@@ -271,7 +270,7 @@ class TestBuildModels:
             "optimize_kernel_for_sets",
             lambda sets, *args, **kwargs: searched.append(sets) or real(sets, *args, **kwargs),
         )
-        _, _, decisions = build_action_models(
+        _, decisions = build_action_models(
             prior, ACTION, as_blocks(groups), method=method, rng=np.random.default_rng(3)
         )
         if method is SelectionMethod.MODEL_PREDICTION:
@@ -296,8 +295,8 @@ class TestBuildModels:
         rng = np.random.default_rng(16)
         instances = prior_instances(rng)[ACTION]
         given = as_blocks(instances)
-        prior = fit_prior_knowledge({ACTION: given}, restarts=1, rng=rng)
-        stored = prior.blocks[ACTION]
+        prior = fit_prior_knowledge({ACTION: given}, rng=rng)
+        stored = prior[ACTION].blocks
         assert list(stored) == sorted(instances)
         for obj, block in stored.items():
             assert block is given[obj]
@@ -317,7 +316,7 @@ class TestBuildModels:
             return real_concat(cls, blocks)
 
         monkeypatch.setattr(ObservationBlock, "concat", classmethod(concat))
-        _, _, decisions = build_action_models(
+        _, decisions = build_action_models(
             prior, ACTION, groups, method=method, rng=np.random.default_rng(3)
         )
         selected = {d.selected_old_id for d in decisions} - {None}
@@ -328,7 +327,7 @@ class TestBuildModels:
     def test_audit_log_shape(self, prior):
         rng = np.random.default_rng(14)
         groups = new_groups(rng)
-        _, _, decisions = build_action_models(
+        _, decisions = build_action_models(
             prior, ACTION, groups[ACTION], rng=np.random.default_rng(5)
         )
         assert len(decisions) == 3  # one per new object
@@ -342,7 +341,7 @@ class TestBuildModels:
             rng = np.random.default_rng(500 + seed)
             prior = make_prior(rng)
             groups = new_groups(rng, centers={11: -4.0, 12: 0.0, 13: 9.0}, n=3)
-            _, _, decisions = build_action_models(
+            _, decisions = build_action_models(
                 prior, ACTION, groups[ACTION], rng=np.random.default_rng(seed)
             )
             if any(d.selected_old_id is not None for d in decisions):
@@ -359,11 +358,11 @@ class TestBuildModels:
                 }
             }
         )
-        model_t, _, decisions = build_action_models(
+        model_t, decisions = build_action_models(
             prior, ACTION, groups[ACTION], rng=np.random.default_rng(99)
         )
         assert all(d.selected_old_id is None for d in decisions)
-        model_b, _, _ = build_action_models(
+        model_b, _ = build_action_models(
             None, ACTION, groups[ACTION], rng=np.random.default_rng(99)
         )
         queries = [force_obs(v) for v in (40.0, 45.0, 50.0)]
@@ -378,7 +377,7 @@ class TestBuildModels:
             rng = np.random.default_rng(700 + seed)
             prior = make_prior(rng, centers={1: 60.0, 2: 80.0, 3: 100.0})
             groups = new_groups(rng)
-            _, _, decisions = build_action_models(
+            _, decisions = build_action_models(
                 prior,
                 ACTION,
                 groups[ACTION],
@@ -394,14 +393,14 @@ class TestBuildModels:
         leaves them as they were."""
         snapshot = {
             (action, obj): {mod: block.matrix(mod).copy() for mod in block.modalities}
-            for action, groups in prior.blocks.items()
-            for obj, block in groups.items()
+            for action, (blocks, _) in prior.items()
+            for obj, block in blocks.items()
         }
         rng = np.random.default_rng(16)
         groups = new_groups(rng)
         build_action_models(prior, ACTION, groups[ACTION], rng=np.random.default_rng(1))
-        for action, obj_groups in prior.blocks.items():
-            for obj, block in obj_groups.items():
+        for action, (blocks, _) in prior.items():
+            for obj, block in blocks.items():
                 for mod, saved in snapshot[action, obj].items():
                     assert not block.matrix(mod).flags.writeable
                     assert np.array_equal(block.matrix(mod), saved)
