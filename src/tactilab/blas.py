@@ -1,9 +1,9 @@
 """OpenBLAS thread control through ``ctypes``: every loaded OpenBLAS is found
 by walking the process's shared objects and capped at one thread. Also the
 loader of the scipy routines the engine calls (``scipy_routines``), which
-loads scipy's OpenBLAS. It finds scipy's directory without importing scipy,
-so scipy's package ``__init__`` runs only where it falls back to scipy's
-public modules."""
+loads them, and scipy's OpenBLAS, at the first call of one. It finds scipy's
+directory without importing scipy, so scipy's package ``__init__`` runs only
+where it falls back to scipy's public modules."""
 
 from __future__ import annotations
 
@@ -64,9 +64,17 @@ def _blas_thread_controls(lib) -> Optional[tuple]:
     return None
 
 
+#: The caps in force in this process, outermost first: thread counts are
+#: per process, and so are the caps. A pool initializer's cap, and in a
+#: forked worker the caps it inherits, never exit: they last the worker's life.
+_caps: list["SingleThreadedBlas"] = []
+
+
 class SingleThreadedBlas:
-    """Every loaded OpenBLAS runs one thread from construction on; as a
-    context manager it restores the previous counts on exit.
+    """Every loaded OpenBLAS runs one thread from construction on, and so
+    does one that ``scipy_routines`` loads while the cap is in force; as a
+    context manager it restores the previous counts on exit, the loaded
+    one's included.
 
     A trial's matrices have a few dozen rows, too small for BLAS threads to
     pay, and OpenBLAS sizes its pool to the cores: two ``--jobs`` workers
@@ -77,8 +85,15 @@ class SingleThreadedBlas:
 
     def __init__(self) -> None:
         self._previous = []
+        self._exits_in: Optional[int] = None  # the pid of the process whose ``with`` exits it
+        self._cap(_loaded_openblas())
+        _caps.append(self)
+
+    def _cap(self, libraries) -> None:
+        """Lower each of ``libraries`` ((path, handle) pairs) to one thread,
+        keeping its count for ``__exit__``."""
         uncapped = []
-        for path, lib in _loaded_openblas():
+        for path, lib in libraries:
             controls = _blas_thread_controls(lib)
             if controls is None:
                 uncapped.append(path)
@@ -94,13 +109,15 @@ class SingleThreadedBlas:
             warnings.warn(
                 f"BLAS threads not capped: no set_num_threads symbol in {uncapped}",
                 RuntimeWarning,
-                stacklevel=2,
+                stacklevel=3,
             )
 
     def __enter__(self) -> "SingleThreadedBlas":
+        self._exits_in = os.getpid()
         return self
 
     def __exit__(self, *exc_info) -> None:
+        _caps.remove(self)
         for set_, count in self._previous:
             set_(count)
 
@@ -140,10 +157,11 @@ def _load_extension(name: str) -> Optional[ModuleType]:
     return module
 
 
-def scipy_routines(extension: str, public: str, names: Sequence[str]) -> tuple:
-    """The attributes ``names`` of scipy's extension module ``extension``
-    (such as ``scipy.linalg._flapack``), which are the very objects its
-    public module ``public`` (``scipy.linalg.lapack``) exports.
+def _load_routines(groups: Sequence[tuple[str, str, Sequence[str]]]) -> dict:
+    """name -> routine for every (extension, public, names) group: the
+    attributes ``names`` of scipy's extension module ``extension`` (such as
+    ``scipy.linalg._flapack``), which are the very objects its public module
+    ``public`` (``scipy.linalg.lapack``) exports.
 
     The extension is loaded from its file: scipy's ``__init__`` imports
     modules the engine never calls (``subprocess`` among them), and the
@@ -153,19 +171,53 @@ def scipy_routines(extension: str, public: str, names: Sequence[str]) -> tuple:
     this loads it, starts at one thread unless ``OPENBLAS_NUM_THREADS`` is
     set, and the variable is left as found: OpenBLAS reads it as the library
     loads, and started with more threads its pool spins on the cores for
-    about 0.1 s of CPU, while every run caps it at one thread anyway
-    (``SingleThreadedBlas``). numpy, which the extension imports, is imported
-    first, so its OpenBLAS loads at its own count before the variable is set."""
+    about 0.1 s of CPU. numpy, which the extension imports, is imported
+    first, so its OpenBLAS loads at its own count before the variable is set.
+    Loaded under a ``SingleThreadedBlas`` cap, a new OpenBLAS is capped too,
+    by the outermost cap, so that it keeps one thread until the last cap
+    exits and then gets its count back. Where that cap never exits in this
+    process (a pool worker's), the library starts at one thread whatever
+    the variable says, and so starts no threads it would never run."""
     import numpy  # noqa: F401  -- its OpenBLAS loads before the variable is set
 
-    unset = "OPENBLAS_NUM_THREADS" not in os.environ
-    if unset:
+    before = {path for path, _ in _loaded_openblas()} if _caps else set()
+    told = os.environ.get("OPENBLAS_NUM_THREADS")
+    if told is None or (_caps and _caps[0]._exits_in != os.getpid()):
         os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    routines = {}
     try:
-        module = _load_extension(extension)
-        if module is None or not all(hasattr(module, name) for name in names):
-            module = importlib.import_module(public)
+        for extension, public, names in groups:
+            module = _load_extension(extension)
+            if module is None or not all(hasattr(module, name) for name in names):
+                module = importlib.import_module(public)
+            routines.update((name, getattr(module, name)) for name in names)
     finally:
-        if unset:
+        if told is None:
             os.environ.pop("OPENBLAS_NUM_THREADS", None)
-    return tuple(getattr(module, name) for name in names)
+        else:
+            os.environ["OPENBLAS_NUM_THREADS"] = told
+    if _caps:
+        _caps[0]._cap([(path, lib) for path, lib in _loaded_openblas() if path not in before])
+    return routines
+
+
+def scipy_routines(namespace: dict, *groups: tuple[str, str, Sequence[str]]) -> tuple:
+    """Stand-ins for the routines that ``_load_routines`` gives for
+    ``groups``, in the groups' order. A process that never calls one never
+    loads scipy. The first call of any stand-in loads every group's
+    routines, rebinds their names in ``namespace`` (the calling module's
+    globals) to them and calls through; from then on the module's names are
+    the routines themselves, so a call by name pays no indirection."""
+    loaded: dict = {}
+
+    def stand_in(name: str):
+        def call(*args, **kwargs):
+            if not loaded:
+                loaded.update(_load_routines(groups))
+                namespace.update(loaded)
+            return loaded[name](*args, **kwargs)
+
+        call.__name__ = call.__qualname__ = name
+        return call
+
+    return tuple(stand_in(name) for _, _, names in groups for name in names)

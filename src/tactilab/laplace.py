@@ -25,7 +25,9 @@ each raises NumericalError (a stacked problem fails alone).
 The four LAPACK wrappers and ``expit`` are the objects ``scipy.linalg.lapack``
 and ``scipy.special`` export, taken by ``blas.scipy_routines`` from the
 extension modules ``scipy.linalg._flapack`` and
-``scipy.special._special_ufuncs`` without running those packages' inits."""
+``scipy.special._special_ufuncs`` without running those packages' inits. They
+load at the first call of any of them, so a process that never solves (a
+``--jobs`` parent, ``validate``, ``report``) loads no scipy."""
 
 from __future__ import annotations
 
@@ -48,10 +50,11 @@ from .kernels import (
     training_gram_stack,
 )
 
-dposv, dpotrf, dpotrs, dtrtrs = scipy_routines(
-    "scipy.linalg._flapack", "scipy.linalg.lapack", ("dposv", "dpotrf", "dpotrs", "dtrtrs")
+dposv, dpotrf, dpotrs, dtrtrs, expit = scipy_routines(
+    globals(),
+    ("scipy.linalg._flapack", "scipy.linalg.lapack", ("dposv", "dpotrf", "dpotrs", "dtrtrs")),
+    ("scipy.special._special_ufuncs", "scipy.special", ("expit",)),
 )
-(expit,) = scipy_routines("scipy.special._special_ufuncs", "scipy.special", ("expit",))
 
 GRAM_JITTER = 1e-8
 LAPLACE_MAX_ITER = 100

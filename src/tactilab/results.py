@@ -71,7 +71,10 @@ class RunResult:
         every trial's records as empty. A missing or mistyped field raises
         SchemaError naming it, as do a gamma vector of another length than
         its action's first and an ablation's ``config.ablation_sizes`` shorter
-        than a curve, which ``write_report`` cannot read."""
+        than a curve, which ``write_report`` cannot read. Each mode has one
+        seed key set, ``curves``' keys, each the seed written as ``str(seed)``
+        writes it; a key that is not (``"01"``) or that another per-seed field
+        holds alone raises SchemaError too."""
         if not isinstance(raw, dict):
             raise SchemaError(f"result root must be a mapping, got {type(raw).__name__}")
         modes = _result_field(raw, list, "modes")
@@ -80,10 +83,21 @@ class RunResult:
                 raise SchemaError(f"result field modes[{i}] must be a string, got {m!r}")
         trials = {}
         widths: dict[str, int] = {}  # action -> length of its first gamma vector
+        per_seed = ["decisions", "gamma_traces"] + (["records"] if "records" in raw else [])
         for m in modes:
             trials[m] = {}
-            for s in _result_field(raw, dict, "curves", m):
-                if not s.isdigit():
+            seeds = _result_field(raw, dict, "curves", m)
+            for part in per_seed:
+                extra = [s for s in _result_field(raw, dict, part, m) if s not in seeds]
+                if extra:
+                    raise SchemaError(
+                        f"result field {part}[{m}] has seed key {extra[0]!r},"
+                        f" which curves[{m}] lacks"
+                    )
+            for s in seeds:
+                # One key per seed, as str(seed) writes it ("01" would be read
+                # as seed 1 again); a config's seeds are at most 2**53, 16 digits.
+                if not (s.isascii() and s.isdigit() and len(s) <= 16 and str(int(s)) == s):
                     raise SchemaError(f"result field curves[{m}] has a non-seed key {s!r}")
                 curve = _numbers(raw, "curves", m, s)
                 decisions = _result_field(raw, list, "decisions", m, s)
@@ -99,7 +113,7 @@ class RunResult:
                             f"result field gamma_traces[{m}][{s}][{i}][gamma] has length {n};"
                             f" action {action}'s first has length {widths[action]}"
                         )
-                records = _result_field(raw, list, "records", m, s, default=[])
+                records = _result_field(raw, list, "records", m, s) if "records" in raw else []
                 trials[m][int(s)] = TrialResult(curve, decisions, gamma_trace, records)
         config = _result_field(raw, dict, "config")
         if config.get("mode") == Mode.MULTI_KERNEL_ABLATION.value:  # curves.csv's iterations

@@ -874,7 +874,7 @@ class TestJobs:
         # harness._pool from concurrent.futures' ProcessPoolExecutor.
         import concurrent.futures
 
-        from tactilab import harness
+        from tactilab import blas, harness
 
         pools = []
 
@@ -896,6 +896,7 @@ class TestJobs:
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(harness, "_worker_run", None)  # set here by the trial initializer
+        monkeypatch.setattr(blas, "_caps", [])  # the initializers' caps, which no worker exits
         _report_blas_threads(monkeypatch, [])
         result = run_experiment(self.tiny_config(seeds=seeds), jobs=jobs)
         assert pools == workers
@@ -935,10 +936,14 @@ class TestJobs:
     )
     def test_pool_workers_run_one_os_thread(self, monkeypatch):
         # A forked worker inherits the cap of one BLAS thread; setting it again
-        # there would restart OpenBLAS's thread pool, whose threads spin.
+        # there would restart OpenBLAS's thread pool, whose threads spin. The
+        # threads are counted once the worker's trial has solved.
         from tactilab import harness
 
-        def report(config, catalog, prior, projectors, evaluate, seed):
+        run_trial = harness.run_trial
+
+        def report(*args):
+            assert run_trial(*args).curve
             return TrialResult([float(len(os.listdir("/proc/self/task")))], [], [], [])
 
         monkeypatch.setattr(harness, "run_trial", report)
@@ -1491,6 +1496,38 @@ class TestCli:
             del raw["config"]["ablation_sizes"]
         else:
             raw["config"]["ablation_sizes"] = sizes
+        source = tmp_path / "result.json"
+        source.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        assert cli_main(["report", str(source), "--out", str(out)]) == 2
+        assert f"result field {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "parts, key, message",
+        [
+            (("curves", "decisions", "gamma_traces", "records"), "01",
+             "curves[transfer] has a non-seed key '01'"),
+            (("decisions",), "3", "decisions[transfer] has seed key '3', which curves[transfer]"
+             " lacks"),
+            (("curves", "decisions", "gamma_traces", "records"), "1" * 5000,
+             "curves[transfer] has a non-seed key '1111111111"),
+        ],
+        ids=["copy-under-01", "seed-only-in-decisions", "5000-digit-key"],
+    )
+    def test_report_reads_one_key_set_per_mode(
+        self, small_result, tmp_path, capsys, parts, key, message
+    ):
+        """Trial 1 of ``transfer`` copied under another key, its curve cut to
+        one point, in ``parts``: under ``"01"`` it would be read as seed 1
+        again, under a key only ``decisions`` holds it names no trial, and
+        a 5000-digit key is past what ``int`` reads from a string; each
+        exits 2 naming the field."""
+        _, result = small_result
+        raw = json.loads(json.dumps(result.to_dict()))
+        for part in parts:
+            trial = raw[part]["transfer"]["1"]
+            raw[part]["transfer"][key] = trial[:1] if part == "curves" else trial
         source = tmp_path / "result.json"
         source.write_text(json.dumps(raw))
         out = tmp_path / "out"

@@ -1,14 +1,19 @@
-"""What importing tactilab loads. The engine's five scipy routines come from
+"""What importing and running tactilab loads. Importing loads no scipy
+module: the engine's five scipy routines load at the first solve, from
 scipy's LAPACK and ufunc extension modules, loaded from their files, and are
 the very objects scipy's public modules export, also where a file fails to
-load; ``import tactilab.cli`` loads no other scipy module, so neither scipy's
+load; the first solve loads no other scipy module, so neither scipy's
 ``__init__`` nor a subpackage's runs, nor the ``subprocess`` that scipy's
-``__init__`` imports; scipy's OpenBLAS starts at one thread, numpy's
-at its own count, and ``OPENBLAS_NUM_THREADS`` is left as found. Neither the
-import nor a ``--jobs 1`` run loads a module that only a process pool calls
-(``multiprocessing``, ``concurrent.futures.process``), nor ``numpy.ma`` or
-``numpy.polynomial``; a ``--jobs 2`` run loads the pool modules with its
-first pool.
+``__init__`` imports; scipy's OpenBLAS starts at one thread, or as
+``OPENBLAS_NUM_THREADS`` tells, numpy's at its own count, and the variable
+is left as found. A command that never solves (``validate``, ``testset``,
+``report``, ``gen-groups``), and the parent of a ``--jobs 2`` run, load no
+scipy at all. Loaded inside a run, in this process or in a pool worker,
+scipy's OpenBLAS runs one thread, and after the run this process's reads
+the count it started at. Neither the import nor a ``--jobs 1`` run loads a
+module that only a process pool calls (``multiprocessing``,
+``concurrent.futures.process``), nor ``numpy.ma`` or ``numpy.polynomial``;
+a ``--jobs 2`` run loads the pool modules with its first pool.
 
 Each case runs in a fresh interpreter: the test modules import
 ``scipy.linalg`` (and the pool modules) themselves, and the loader reuses a
@@ -25,20 +30,26 @@ import pytest
 
 import tactilab
 
-#: The scipy modules that importing tactilab loads: the two extension
-#: modules the engine calls.
+#: The scipy modules that the first solve loads: the two extension modules
+#: the engine calls.
 ALLOWED_SCIPY = ["scipy.linalg._flapack", "scipy.special._special_ufuncs"]
 
 #: Modules that scipy's package ``__init__`` imports and no run calls.
 SCIPY_INIT_ONLY = ("subprocess", "selectors", "signal")
 
-#: Imports tactilab.laplace, then scipy's public modules; prints whether the
-#: loader ran scipy.linalg's __init__ and whether each routine is its public
-#: namesake. With argv[1] "fallback" the extension files are not found; with
-#: "load fails" each is a file (argv[2]) that is no shared object, as a
-#: library that does not load is.
-SAME_ROUTINES = """
+#: Solves a 2 x 2 system through the engine: the first solve of a process
+#: loads the engine's scipy routines.
+FIRST_SOLVE = "laplace._pos_solve(numpy.eye(2), numpy.ones((2, 1)))"
+
+#: Imports tactilab.laplace, solves, then imports scipy's public modules;
+#: prints the scipy modules loaded by the import, whether the solve ran
+#: scipy.linalg's __init__ and whether each routine is its public namesake.
+#: With argv[1] "fallback" the extension files are not found; with "load
+#: fails" each is a file (argv[2]) that is no shared object, as a library
+#: that does not load is.
+SAME_ROUTINES = f"""
 import json, sys
+import numpy
 from tactilab import blas
 
 if sys.argv[1] == "fallback":
@@ -47,51 +58,122 @@ elif sys.argv[1] == "load fails":
     blas._extension_path = lambda package_dir, name: sys.argv[2]
 from tactilab import laplace
 
+at_import = [name for name in sys.modules if name.split(".")[0] == "scipy"]
+{FIRST_SOLVE}
 linalg_init_ran = "scipy.linalg" in sys.modules
 import scipy.linalg.lapack, scipy.special
 
-public = {name: getattr(scipy.linalg.lapack, name) for name in ("dposv", "dpotrf", "dpotrs", "dtrtrs")}
+public = {{name: getattr(scipy.linalg.lapack, name) for name in ("dposv", "dpotrf", "dpotrs", "dtrtrs")}}
 public["expit"] = scipy.special.expit
-same = {name: getattr(laplace, name) is routine for name, routine in public.items()}
-print(json.dumps({"linalg_init_ran": linalg_init_ran, "same": same}))
+same = {{name: getattr(laplace, name) is routine for name, routine in public.items()}}
+print(json.dumps({{"at import": at_import, "linalg_init_ran": linalg_init_ran, "same": same}}))
 """
 
-#: Imports tactilab.cli; prints the scipy modules loaded, which of
-#: SCIPY_INIT_ONLY (argv[1:]) were loaded, OPENBLAS_NUM_THREADS afterwards,
-#: and the thread count of each OpenBLAS that the import loaded.
-CLI_IMPORT = """
+#: Imports tactilab.cli and solves; prints the scipy modules loaded by the
+#: import and after the solve, which of SCIPY_INIT_ONLY (argv[1:]) were
+#: loaded, OPENBLAS_NUM_THREADS afterwards, and the thread count of each
+#: OpenBLAS that the import and the solve loaded.
+CLI_IMPORT = f"""
 import json, os, sys
 import numpy
 from tactilab import blas
 
-before = {path for path, _ in blas._loaded_openblas()}
+before = {{path for path, _ in blas._loaded_openblas()}}
 import tactilab.cli
+from tactilab import laplace
 
+at_import = [name for name in sys.modules if name.split(".")[0] == "scipy"]
+{FIRST_SOLVE}
 loaded = [lib for path, lib in blas._loaded_openblas() if path not in before]
-print(json.dumps({
+print(json.dumps({{
+    "at import": at_import,
     "scipy": sorted(name for name in sys.modules if name.split(".")[0] == "scipy"),
     "init only": [name for name in sys.argv[1:] if name in sys.modules],
     "env": os.environ.get("OPENBLAS_NUM_THREADS"),
     "threads": [blas._blas_thread_controls(lib)[0]() for lib in loaded],
-}))
+}}))
 """
 
-#: Imports numpy through argv[1] ("numpy" itself, "tactilab.cli", or a call
-#: of blas.scipy_routines before any numpy import); prints each loaded
-#: OpenBLAS's path and thread count.
-NUMPY_THREADS = """
+#: Imports numpy through argv[1] ("numpy" itself, "tactilab.cli" and a
+#: solve, or a call of a blas.scipy_routines stand-in before any numpy
+#: import); prints each loaded OpenBLAS's path and thread count.
+NUMPY_THREADS = f"""
 import json, sys
 if sys.argv[1] == "tactilab.cli":
     import tactilab.cli
+    import numpy
+    from tactilab import laplace
+    {FIRST_SOLVE}
 elif sys.argv[1] == "scipy_routines":
     from tactilab import blas
+    (dposv,) = blas.scipy_routines(globals(), ("scipy.linalg._flapack", "scipy.linalg.lapack", ("dposv",)))
     assert "numpy" not in sys.modules
-    blas.scipy_routines("scipy.linalg._flapack", "scipy.linalg.lapack", ("dposv",))
+    dposv([[2.0]], [1.0])
 import numpy
 from tactilab import blas
-print(json.dumps({path: blas._blas_thread_controls(lib)[0]() for path, lib in blas._loaded_openblas()}))
+print(json.dumps({{path: blas._blas_thread_controls(lib)[0]() for path, lib in blas._loaded_openblas()}}))
 """
 
+#: Runs ``tactilab.cli.main(argv[1:])``; prints the scipy modules loaded.
+COMMAND = """
+import json, sys
+from tactilab.cli import main
+
+if main(sys.argv[1:]) != 0:
+    sys.exit(f"{sys.argv[1]} failed")
+print(json.dumps(sorted(name for name in sys.modules if name.split(".")[0] == "scipy")))
+"""
+
+#: Runs the config argv[1] with --jobs 2, then 1, into argv[2]/jobs2 and
+#: argv[2]/jobs1. Each process that solves appends to argv[2]/threads-<pid>
+#: the thread counts of the OpenBLAS libraries loaded after numpy's (scipy's)
+#: and its OS thread count (None without /proc) whenever they differ from
+#: its last line. Prints, after each run, the scipy modules loaded here and
+#: the lines written here and by the workers, then the counts here after
+#: both runs.
+POOL_THEN_SERIAL_RUN = """
+import json, os, sys
+from pathlib import Path
+from tactilab import blas, laplace
+from tactilab.cli import main
+
+config, out = sys.argv[1], Path(sys.argv[2])
+numpy_blas = {path for path, _ in blas._loaded_openblas()}
+
+
+def scipy_threads():
+    loaded = blas._loaded_openblas()
+    return [blas._blas_thread_controls(lib)[0]() for path, lib in loaded if path not in numpy_blas]
+
+
+pos_solve, last = laplace._pos_solve, {}
+
+
+def counting(a, b):
+    x = pos_solve(a, b)
+    tasks = "/proc/self/task"
+    threads = [scipy_threads(), len(os.listdir(tasks)) if os.path.isdir(tasks) else None]
+    if last.get(os.getpid()) != threads:
+        last[os.getpid()] = threads
+        with open(out / f"threads-{os.getpid()}", "a") as lines:
+            print(json.dumps(threads), file=lines)
+    return x
+
+
+laplace._pos_solve = counting
+got = {}
+for jobs in ("2", "1"):
+    if main(["run", config, "--out", str(out / f"jobs{jobs}"), "--jobs", jobs]) != 0:
+        sys.exit(f"--jobs {jobs} failed")
+    got[f"jobs {jobs}"] = {"here": [], "workers": []}
+    for path in out.glob("threads-*"):
+        side = "here" if path.name == f"threads-{os.getpid()}" else "workers"
+        got[f"jobs {jobs}"][side] += [json.loads(line) for line in path.read_text().splitlines()]
+        path.unlink()
+    got[f"jobs {jobs}"]["scipy"] = [name for name in sys.modules if name.split(".")[0] == "scipy"]
+got["after"] = scipy_threads()
+print(json.dumps(got))
+"""
 
 #: The modules a serial run does not call.
 UNCALLED = ("numpy.ma", "numpy.polynomial", "multiprocessing", "concurrent.futures.process")
@@ -112,6 +194,11 @@ for jobs in ("1", "2"):
 print(json.dumps(loaded))
 """
 
+linux_only = pytest.mark.skipif(
+    not sys.platform.startswith("linux"),
+    reason="the OpenBLAS lookup walks the loaded objects with dl_iterate_phdr",
+)
+
 
 def _child(code: str, *args: str, threads=None) -> dict:
     paths = [str(Path(tactilab.__file__).parents[1]), os.environ.get("PYTHONPATH")]
@@ -126,46 +213,10 @@ def _child(code: str, *args: str, threads=None) -> dict:
     return json.loads(child.stdout.splitlines()[-1])
 
 
-@pytest.mark.parametrize("route", ["extension files", "fallback", "load fails"])
-def test_engine_routines_are_scipys_public_objects(route, tmp_path):
-    not_a_library = tmp_path / f"_flapack{importlib.machinery.EXTENSION_SUFFIXES[0]}"
-    not_a_library.write_text("not a shared object\n")
-    got = _child(SAME_ROUTINES, route, str(not_a_library))
-    assert got["same"] == dict.fromkeys(["dposv", "dpotrf", "dpotrs", "dtrtrs", "expit"], True)
-    assert got["linalg_init_ran"] == (route != "extension files")
-
-
-@pytest.mark.skipif(
-    not sys.platform.startswith("linux"),
-    reason="the OpenBLAS lookup walks the loaded objects with dl_iterate_phdr",
-)
-@pytest.mark.parametrize("threads", [None, "2"])
-def test_cli_import_loads_no_scipy_package_and_starts_openblas_as_told(threads):
-    got = _child(CLI_IMPORT, *SCIPY_INIT_ONLY, threads=threads)
-    assert got["scipy"] == ALLOWED_SCIPY
-    assert got["init only"] == []
-    assert got["env"] == threads
-    # scipy's wheel bundles its own OpenBLAS, which the import loads.
-    assert got["threads"] == [int(threads or 1)]
-
-
-@pytest.mark.skipif(
-    not sys.platform.startswith("linux"),
-    reason="the OpenBLAS lookup walks the loaded objects with dl_iterate_phdr",
-)
-@pytest.mark.parametrize("entry", ["tactilab.cli", "scipy_routines"])
-def test_numpy_openblas_starts_at_its_own_count_whatever_imports_numpy_first(entry):
-    # OPENBLAS_NUM_THREADS=1 is set while scipy's OpenBLAS loads; numpy's
-    # must have loaded before it, as a plain `import numpy` loads it.
-    plain = _child(NUMPY_THREADS, "numpy")
-    got = _child(NUMPY_THREADS, entry)
-    assert plain and {path: got.get(path) for path in plain} == plain
-
-
-def test_a_serial_run_loads_no_pool_masked_array_or_polynomial_module(tmp_path):
-    # A cheap run whose two seeds give --jobs 2 a pool: the first fits start
-    # from the median heuristic, and every evaluation marginalizes with the
-    # Gauss-Hermite rule.
+def _tiny_config(tmp_path) -> str:
+    """A cheap run whose two seeds give --jobs 2 a pool and whose set-up
+    fits a prior: the first fits start from the median heuristic, and every
+    evaluation marginalizes with the Gauss-Hermite rule."""
     config = tmp_path / "config.json"
     config.write_text(json.dumps({
         "schema_version": 1,
@@ -179,7 +230,86 @@ def test_a_serial_run_loads_no_pool_masked_array_or_polynomial_module(tmp_path):
         "budget": 1,
         "mode": "transfer",
     }))
-    got = _child(SERIAL_THEN_POOL_RUN, str(config), str(tmp_path), *UNCALLED)
+    return str(config)
+
+
+@pytest.mark.parametrize("route", ["extension files", "fallback", "load fails"])
+def test_engine_routines_are_scipys_public_objects(route, tmp_path):
+    not_a_library = tmp_path / f"_flapack{importlib.machinery.EXTENSION_SUFFIXES[0]}"
+    not_a_library.write_text("not a shared object\n")
+    got = _child(SAME_ROUTINES, route, str(not_a_library))
+    assert got["at import"] == []
+    assert got["same"] == dict.fromkeys(["dposv", "dpotrf", "dpotrs", "dtrtrs", "expit"], True)
+    assert got["linalg_init_ran"] == (route != "extension files")
+
+
+@linux_only
+@pytest.mark.parametrize("threads", [None, "2"])
+def test_cli_import_loads_no_scipy_package_and_starts_openblas_as_told(threads):
+    got = _child(CLI_IMPORT, *SCIPY_INIT_ONLY, threads=threads)
+    assert got["at import"] == []
+    assert got["scipy"] == ALLOWED_SCIPY
+    assert got["init only"] == []
+    assert got["env"] == threads
+    # scipy's wheel bundles its own OpenBLAS, which the first solve loads.
+    assert got["threads"] == [int(threads or 1)]
+
+
+@linux_only
+@pytest.mark.parametrize("entry", ["tactilab.cli", "scipy_routines"])
+def test_numpy_openblas_starts_at_its_own_count_whatever_imports_numpy_first(entry):
+    # OPENBLAS_NUM_THREADS=1 is set while scipy's OpenBLAS loads; numpy's
+    # must have loaded before it, as a plain `import numpy` loads it.
+    plain = _child(NUMPY_THREADS, "numpy")
+    got = _child(NUMPY_THREADS, entry)
+    assert plain and {path: got.get(path) for path in plain} == plain
+    assert len(got) > len(plain)  # scipy's OpenBLAS loaded too
+
+
+@pytest.mark.parametrize("command", ["validate", "testset", "report", "gen-groups"])
+def test_commands_that_never_solve_load_no_scipy(command, tmp_path):
+    configs = tactilab.data_path("configs")
+    argv = {
+        "validate": ["validate", str(configs / "sample_run.json")],
+        "testset": ["testset", str(configs / "sample_run.json"), "--out", str(tmp_path)],
+        "report": [
+            "report",
+            str(Path(__file__).parent / "golden" / "pinned_optimization_result.json"),
+            "--out",
+            str(tmp_path),
+        ],
+        "gen-groups": [
+            "gen-groups", str(configs / "a1_transfer_gain.json"), "--groups", "2", "--size", "2",
+            "--out", str(tmp_path),
+        ],
+    }[command]
+    assert _child(COMMAND, *argv) == []
+
+
+def test_a_jobs_2_parent_loads_no_scipy_and_writes_the_curves_of_jobs_1(tmp_path):
+    got = _child(POOL_THEN_SERIAL_RUN, _tiny_config(tmp_path), str(tmp_path))
+    assert got["jobs 2"]["scipy"] == []
+    assert got["jobs 2"]["here"] == []
+    assert got["jobs 2"]["workers"]  # the workers solved
+    assert got["jobs 1"]["scipy"] == ALLOWED_SCIPY
+    curves = [(tmp_path / f"jobs{jobs}" / "curves.csv").read_bytes() for jobs in (1, 2)]
+    assert curves[0] == curves[1]
+
+
+@linux_only
+def test_scipy_openblas_loaded_inside_a_run_runs_one_thread_until_the_run_returns(tmp_path):
+    # Told two threads, scipy's OpenBLAS loads in the --jobs 2 workers,
+    # whose caps last their lives, at one thread, starting no OpenBLAS
+    # thread; then here, at two, for this process after the run.
+    got = _child(POOL_THEN_SERIAL_RUN, _tiny_config(tmp_path), str(tmp_path), threads="2")
+    assert got["jobs 2"]["here"] == []
+    assert got["jobs 2"]["workers"] and all(t == [[1], 1] for t in got["jobs 2"]["workers"])
+    assert [blas for blas, _ in got["jobs 1"]["here"]] == [[1]]
+    assert got["after"] == [2]
+
+
+def test_a_serial_run_loads_no_pool_masked_array_or_polynomial_module(tmp_path):
+    got = _child(SERIAL_THEN_POOL_RUN, _tiny_config(tmp_path), str(tmp_path), *UNCALLED)
     assert got["import"] == []
     assert got["jobs 1"] == []
     assert got["jobs 2"] == ["multiprocessing", "concurrent.futures.process"]
