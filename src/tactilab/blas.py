@@ -1,13 +1,16 @@
 """OpenBLAS thread control through ``ctypes``: every loaded OpenBLAS is found
 by walking the process's shared objects and capped at one thread. Also the
 loader of the scipy routines the engine calls (``scipy_routines``), which
-loads them, and scipy's OpenBLAS, at the first call of one. It finds scipy's
-directory without importing scipy, so scipy's package ``__init__`` runs only
-where it falls back to scipy's public modules."""
+loads them, and scipy's OpenBLAS, at the first call of one: the LAPACK
+routines from scipy's OpenBLAS through ``ctypes``, and ufuncs from scipy's
+extension modules. It finds scipy's directory without importing scipy, so
+scipy's package ``__init__`` runs only where it falls back to scipy's
+public modules."""
 
 from __future__ import annotations
 
 import ctypes
+import glob
 import importlib.machinery
 import importlib.util
 import os
@@ -157,11 +160,83 @@ def _load_extension(name: str) -> Optional[ModuleType]:
     return module
 
 
-def _load_routines(groups: Sequence[tuple[str, str, Sequence[str]]]) -> dict:
-    """name -> routine for every (extension, public, names) group: the
-    attributes ``names`` of scipy's extension module ``extension`` (such as
-    ``scipy.linalg._flapack``), which are the very objects its public module
-    ``public`` (``scipy.linalg.lapack``) exports.
+_CHAR, _INT, _DOUBLES, _LEN = (
+    ctypes.c_char_p, ctypes.POINTER(ctypes.c_int), ctypes.c_void_p, ctypes.c_size_t
+)
+#: The ``ctypes`` argument types of the LAPACK routines ``scipy_routines``
+#: binds: every argument by reference (32-bit integers, scipy's LAPACK
+#: interface), then the hidden length of each character argument, passed as
+#: 1. The routines return nothing; ``info`` reports.
+_LAPACK_ARGTYPES = {
+    # uplo, n, nrhs, a, lda, b, ldb, info
+    "dposv": (_CHAR, _INT, _INT, _DOUBLES, _INT, _DOUBLES, _INT, _INT, _LEN),
+    # uplo, n, a, lda, info
+    "dpotrf": (_CHAR, _INT, _DOUBLES, _INT, _INT, _LEN),
+    # uplo, trans, diag, n, nrhs, a, lda, b, ldb, info
+    "dtrtrs": (_CHAR,) * 3 + (_INT, _INT, _DOUBLES, _INT, _DOUBLES, _INT, _INT) + (_LEN,) * 3,
+}
+
+
+def _bundled_openblas(package_dir: str) -> list:
+    """Paths of the OpenBLAS that scipy's wheels bundle beside scipy's
+    directory ``package_dir`` (``scipy.libs/libscipy_openblas*``)."""
+    libs = os.path.join(os.path.dirname(package_dir), "scipy.libs")
+    return sorted(glob.glob(os.path.join(libs, "libscipy_openblas*")))
+
+
+def _lapack_symbols(lib: ctypes.CDLL, names: Sequence[str]) -> Optional[dict]:
+    """name -> ``ctypes`` function of each LAPACK routine ``names`` that
+    ``lib`` finds, under the scipy-openblas name (``scipy_dposv_``) or the
+    plain Fortran one (``dposv_``), typed by ``_LAPACK_ARGTYPES``; None
+    unless it finds them all."""
+    routines = {}
+    for name in names:
+        routine = getattr(lib, f"scipy_{name}_", None) or getattr(lib, f"{name}_", None)
+        if routine is None:
+            return None
+        routine.argtypes, routine.restype = _LAPACK_ARGTYPES[name], None
+        routines[name] = routine
+    return routines
+
+
+def _load_lapack(names: Sequence[str]) -> dict:
+    """name -> ``ctypes`` function of each LAPACK routine ``names`` of the
+    library scipy's own LAPACK wrappers call: first scipy's bundled OpenBLAS
+    (``_bundled_openblas``); else the file of the extension module
+    ``scipy.linalg._flapack``, opened as a plain shared object, which runs no
+    module init and whose handle finds the symbols of its dependencies,
+    scipy's LAPACK among them; else that module's file once scipy's packages
+    have imported it (their inits may make its libraries loadable). No
+    module is registered in ``sys.modules`` but in the last case."""
+    package = importlib.util.find_spec("scipy")
+    locations = package.submodule_search_locations if package is not None else None
+    paths = []
+    if locations:
+        paths = _bundled_openblas(locations[0])
+        paths.append(_extension_path(locations[0], "scipy.linalg._flapack"))
+    for path in filter(None, paths):
+        try:
+            routines = _lapack_symbols(ctypes.CDLL(path), names)
+        except OSError:  # not a loadable shared object
+            continue
+        if routines is not None:
+            return routines
+    flapack = importlib.import_module("scipy.linalg._flapack")
+    routines = _lapack_symbols(ctypes.CDLL(flapack.__file__), names)
+    if routines is None:
+        raise ImportError(f"scipy's LAPACK does not export {list(names)}")
+    return routines
+
+
+def _load_routines(
+    lapack: Sequence[str], groups: Sequence[tuple[str, str, Sequence[str]]]
+) -> dict:
+    """name -> routine for the LAPACK routines ``lapack`` (``ctypes``
+    functions of scipy's OpenBLAS, see ``_load_lapack``) and for every
+    (extension, public, names) group: the attributes ``names`` of scipy's
+    extension module ``extension`` (such as ``scipy.special._special_ufuncs``),
+    which are the very objects its public module ``public``
+    (``scipy.special``) exports.
 
     The extension is loaded from its file: scipy's ``__init__`` imports
     modules the engine never calls (``subprocess`` among them), and the
@@ -184,8 +259,8 @@ def _load_routines(groups: Sequence[tuple[str, str, Sequence[str]]]) -> dict:
     told = os.environ.get("OPENBLAS_NUM_THREADS")
     if told is None or (_caps and _caps[0]._exits_in != os.getpid()):
         os.environ["OPENBLAS_NUM_THREADS"] = "1"
-    routines = {}
     try:
+        routines = _load_lapack(lapack) if lapack else {}
         for extension, public, names in groups:
             module = _load_extension(extension)
             if module is None or not all(hasattr(module, name) for name in names):
@@ -201,23 +276,26 @@ def _load_routines(groups: Sequence[tuple[str, str, Sequence[str]]]) -> dict:
     return routines
 
 
-def scipy_routines(namespace: dict, *groups: tuple[str, str, Sequence[str]]) -> tuple:
+def scipy_routines(
+    namespace: dict, lapack: Sequence[str], *groups: tuple[str, str, Sequence[str]]
+) -> tuple:
     """Stand-ins for the routines that ``_load_routines`` gives for
-    ``groups``, in the groups' order. A process that never calls one never
-    loads scipy. The first call of any stand-in loads every group's
-    routines, rebinds their names in ``namespace`` (the calling module's
-    globals) to them and calls through; from then on the module's names are
-    the routines themselves, so a call by name pays no indirection."""
+    ``lapack`` and ``groups``, in that order. A process that never calls one
+    never loads scipy. The first call of any stand-in loads every routine,
+    rebinds their names in ``namespace`` (the calling module's globals) to
+    them and calls through; from then on the module's names are the
+    routines themselves, so a call by name pays no indirection."""
     loaded: dict = {}
 
     def stand_in(name: str):
         def call(*args, **kwargs):
             if not loaded:
-                loaded.update(_load_routines(groups))
+                loaded.update(_load_routines(lapack, groups))
                 namespace.update(loaded)
             return loaded[name](*args, **kwargs)
 
         call.__name__ = call.__qualname__ = name
         return call
 
-    return tuple(stand_in(name) for _, _, names in groups for name in names)
+    names = [*lapack, *(name for _, _, names in groups for name in names)]
+    return tuple(stand_in(name) for name in names)

@@ -14,7 +14,8 @@ order of trying one step at a time. A round's points are decoded into one
 kernel table (``KernelStack``) and scored in chunks of at most
 ``STACK_BYTES`` of grams: one ``training_gram_stack`` call per set size and
 split, and all (point, set) problems of one size in one stacked Newton
-iteration (``laplace._solve_sets``). A decoded kernel is solved at most once
+iteration (``laplace._solve_sets``). A round stops scoring once every live
+ascent's next move is decided, and a decoded kernel is solved at most once
 per search. The search hands back the Laplace modes of its best point, and
 ``ova_from_modes`` makes the one-vs-all model from them: bit for bit the
 models of fitting each set on its own at that kernel (``PooledSet.fit``).
@@ -189,15 +190,17 @@ class _Ascent:
         known, then the scan."""
         return ([self.x] if self.fx is None else []) + [trial for _, trial in self.scan]
 
-    def accepted(self, values: list) -> list:
+    def accepted(self, values: list) -> tuple:
         """Indices into ``pending()`` of the points that become the current
         point in turn, read from ``values`` (None while unknown) up to the
         first unknown one: the start when its value is finite, then the
-        first step that improves on the current value."""
+        first step that improves on the current value. Also whether they
+        are this round's move: True unless the reading stopped at an
+        unknown value."""
         taken, fx = [], self.fx
         for j, ft in enumerate(values):
             if ft is None:
-                break
+                return taken, False
             if fx is None:  # the start
                 if not np.isfinite(ft):
                     break
@@ -206,13 +209,13 @@ class _Ascent:
             elif ft > fx + IMPROVE_TOL:
                 taken.append(j)
                 break
-        return taken
+        return taken, True
 
     def advance(self, values: list, modes: list) -> bool:
-        """Take this round's values and the modes held for its points (None
-        where not held). Returns False when the start's value is not finite:
-        the start is dropped."""
-        taken = self.accepted(values)
+        """Take this round's values (None where unknown, past the move) and
+        the modes held for its points (None where not held). Returns False
+        when the start's value is not finite: the start is dropped."""
+        taken, _ = self.accepted(values)
         if self.fx is None:
             if not taken:
                 return False
@@ -240,7 +243,8 @@ def _summed_lmls(sets: Sequence[PooledSet], stack: KernelStack, rhos: Optional[n
     LMLs summed in set order, or -inf when a fit fails. Yields, per chunk
     of kernels in stack order, the chunk's objectives and each kernel's
     modes (one per set); with ``rhos`` (one per kernel) every set is fit at
-    its kernel's rho."""
+    its kernel's rho. A chunk is solved only when asked for, so a caller
+    that stops iterating solves no more."""
     size = max(1, STACK_BYTES // (8 * sum(len(s.X) ** 2 for s in sets)))
     for lo in range(0, len(stack), size):
         chunk = KernelStack(stack.modalities, stack.table[lo : lo + size])
@@ -324,8 +328,12 @@ def optimize_kernel_for_sets(
     depend on the start's value), each later round the pending scan of
     every live ascent, in one ``_summed_lmls`` call. Each ascent reads its
     values in the order of an ascent run alone, so its path is that of one
-    step at a time. A point whose decoded kernel and rho were scored before
-    in the same search is not solved again.
+    step at a time. A round's fresh points are scored in chunks of at most
+    ``STACK_BYTES`` of grams, in order, until every live ascent's next move
+    is decided; the rest of the round is left unscored (a later round
+    scores a point of it that an ascent reaches). A point whose decoded
+    kernel and rho were scored before in the same search is not solved
+    again.
 
     Returns a ``SearchResult``; its LML is never below that of any finite
     start, and its modes are those of the best point, kept from the round
@@ -384,15 +392,17 @@ def optimize_kernel_for_sets(
             for lmls, modes in _summed_lmls(sets, stack, rho[rows] if fit_rho else None):
                 chunk = [next(done) for _ in lmls]
                 scored.update(zip(chunk, lmls))
-                wanted = {
-                    ascent_keys[j]
+                moves = [
+                    a.accepted([scored.get(key) for key in ascent_keys])
                     for a, ascent_keys in zip(live, per_ascent)
-                    for j in a.accepted([scored.get(key) for key in ascent_keys])
-                }
+                ]
+                wanted = {own[j] for (taken, _), own in zip(moves, per_ascent) for j in taken}
                 held.update((key, m) for key, m in zip(chunk, modes) if key in wanted)
+                if all(final for _, final in moves):  # the rest of the round is not read
+                    break
         still = []
         for a, ascent_keys in zip(live, per_ascent):
-            values = [scored[key] for key in ascent_keys]
+            values = [scored.get(key) for key in ascent_keys]
             if not a.advance(values, [held.get(key) for key in ascent_keys]):
                 diagnostics.append(f"start {a.x} -> non-finite objective")
             elif a.scan:

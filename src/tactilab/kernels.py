@@ -402,18 +402,13 @@ def training_gram_stack(kernels, blocks: Sequence, n_old: int = 0) -> np.ndarray
     return _dependent_from(stack, n_old, n - n_old, *split)
 
 
-def prediction_cross(kernel, X_train, X_star, n_old: int = 0) -> np.ndarray:
-    """Covariance between training points and query points (queries live on
-    the new-object side of a dependent kernel)."""
-    n_old = n_old if isinstance(kernel, DependentKernel) else 0
-    return prediction_cross_stack([kernel], [X_train], [X_star], n_old)[0]
-
-
 def prediction_cross_stack(
     kernels: Sequence, trains: Sequence, stars: Sequence, n_old: int = 0
 ) -> np.ndarray:
-    """``prediction_cross(kernels[i], trains[i], stars[i], n_old)`` of every
-    item, stacked (m, n, q): bit for bit the matrices of the single calls.
+    """The covariance between the training points ``trains[i]`` and the
+    query points ``stars[i]`` under ``kernels[i]`` of every item, stacked
+    (m, n, q); queries live on the new-object side of a dependent kernel,
+    split at ``n_old``. Bit for bit the matrices of one-item calls.
     The items share the training size, the query count and the split, which
     needs dependent kernels when above 0; the kernels share their parts.
     Each block's layout is checked once; the distances of all items come

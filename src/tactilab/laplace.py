@@ -1,36 +1,40 @@
 """Binary Gaussian-process engine.
 
-Exact GP regression at given hyperparameters, and binary GP classification
-via the Laplace approximation with a logistic noise model (Rasmussen &
-Williams, GPML Alg. 3.1/3.2). ``_laplace_modes`` runs the Newton iteration
-over a stack of binary problems of one size, and ``gpc_fit`` is its
-one-problem case. A ``PooledSet`` is one binary training problem;
-``_solve_sets`` solves a list of sets under a list of kernels, with one
-``training_gram_stack`` call per set size and split, and all (kernel, set)
-problems of one size in one stacked Newton iteration. Predictions are
+Binary GP classification via the Laplace approximation with a logistic noise
+model (Rasmussen & Williams, GPML Alg. 3.1/3.2). ``_laplace_modes`` runs the
+Newton iteration over a stack of binary problems of one size, and
+``gpc_fit`` is its one-problem case. A ``PooledSet`` is one binary training
+problem; ``_solve_sets`` solves a list of sets under a list of kernels, with
+one ``training_gram_stack`` call per set size and split, and all (kernel,
+set) problems of one size in one stacked Newton iteration. Predictions are
 stacked the same way: ``_predict_items`` predicts every (model, query block)
 item at once, and ``gpc_predict_batch`` is its one-item case.
 
-Each Newton matrix is solved by one ``dposv`` call; every other factorization
-and solve calls LAPACK directly (``dpotrf``, ``dpotrs``, ``dtrtrs``) with the
-arguments scipy's ``cholesky`` / ``cho_solve`` / ``solve_triangular`` pass,
-one matrix per call, so results are bit-identical to those wrappers without
-their per-call validation (``dposv`` is ``dpotrf`` then ``dpotrs``); the
-stacked steps (elementwise ops, ``matmul`` matrix-vector products, row
+Each Newton matrix is solved by one ``dposv`` call, each final factor made
+by one ``dpotrf`` call and each prediction's triangular solve by one
+``dtrtrs`` call, with the arguments scipy's ``dposv`` / ``dpotrf(clean=1)`` /
+``dtrtrs`` wrappers pass, on the very numbers those wrappers' Fortran-order
+copies hold: the stacks are built in LAPACK's column-major layout (item j of
+a C-ordered (m, n, n) stack holds its matrix's transpose) and solved in
+place, one matrix per call at ``base + j * n * n * 8``, so results are
+bit-identical to the wrappers' without their copies or per-call validation;
+the stacked steps (elementwise ops, ``matmul`` matrix-vector products, row
 reductions) give each problem the bits of a fit on its own. Finiteness is
 checked explicitly instead: once per fit on the gram, once per Newton step on
 the stationarity residual and once per prediction on the cross-covariance;
 each raises NumericalError (a stacked problem fails alone).
 
-The four LAPACK wrappers and ``expit`` are the objects ``scipy.linalg.lapack``
-and ``scipy.special`` export, taken by ``blas.scipy_routines`` from the
-extension modules ``scipy.linalg._flapack`` and
-``scipy.special._special_ufuncs`` without running those packages' inits. They
-load at the first call of any of them, so a process that never solves (a
-``--jobs`` parent, ``validate``, ``report``) loads no scipy."""
+``blas.scipy_routines`` binds the three LAPACK routines from scipy's
+OpenBLAS through ``ctypes`` and takes ``expit`` from the extension module
+``scipy.special._special_ufuncs``, without running scipy's package inits.
+They load at the first call of any of them, so a process that never solves
+(a ``--jobs`` parent, ``validate``, ``report``) loads no scipy, and a
+process that solves loads no ``scipy.linalg`` module."""
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
@@ -43,16 +47,15 @@ from .kernels import (
     DependentKernel,
     KernelStack,
     ObservationBlock,
-    prediction_cross,
     prediction_cross_stack,
     prediction_diag,
     training_gram,
     training_gram_stack,
 )
 
-dposv, dpotrf, dpotrs, dtrtrs, expit = scipy_routines(
+dposv, dpotrf, dtrtrs, expit = scipy_routines(
     globals(),
-    ("scipy.linalg._flapack", "scipy.linalg.lapack", ("dposv", "dpotrf", "dpotrs", "dtrtrs")),
+    ("dposv", "dpotrf", "dtrtrs"),
     ("scipy.special._special_ufuncs", "scipy.special", ("expit",)),
 )
 
@@ -88,101 +91,89 @@ def _require_finite(a: np.ndarray, what: str) -> None:
         raise NumericalError(f"{what} has non-finite entries")
 
 
-def _factor(a: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor (Fortran order) of a finite symmetric matrix."""
-    chol, info = dpotrf(a, lower=1, clean=1)
-    if info != 0:
-        raise np.linalg.LinAlgError(
-            f"{info}-th leading minor of the array is not positive definite"
-        )
-    return chol
+def _check_stack(a: np.ndarray, shape: tuple) -> None:
+    """Guard a pointer handed to LAPACK: a C-ordered float64 stack of
+    ``shape``."""
+    if a.dtype != np.float64 or not a.flags.c_contiguous or a.shape != shape:
+        raise ValueError(f"C-ordered float64 stack of shape {shape} expected, got {a.shape}")
 
 
-def _pos_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve a x = b for a finite symmetric positive definite ``a`` (read
-    from its lower triangle) in one ``dposv`` call: ``dpotrf`` then
-    ``dpotrs``, the bits of the two calls."""
-    _, x, info = dposv(a, b, lower=1)
-    if info > 0:
-        raise np.linalg.LinAlgError(
-            f"{info}-th leading minor of the array is not positive definite"
-        )
+def _lapack_error(info: int, routine: str) -> np.linalg.LinAlgError:
+    """The error for a positive ``info`` of a Cholesky routine; raises
+    ValueError for a negative one (an illegal argument)."""
     if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of dposv")
-    return x
+        raise ValueError(f"illegal value in argument {-info} of {routine}")
+    return np.linalg.LinAlgError(f"{info}-th leading minor of the array is not positive definite")
 
 
-def _tri_solve(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve L x = b for a lower factor L returned by ``_factor``."""
-    x, info = dtrtrs(chol, b, lower=1)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"singular factor at diagonal {info - 1}")
-    return x
+def _pos_solve(mats: np.ndarray, rhs: np.ndarray) -> dict:
+    """Solve ``mats[j] x = rhs[j]`` for every j of a stack in place, one
+    ``dposv`` call per matrix (``dpotrf`` then ``dpotrs``): ``mats`` holds
+    (m, n, n) finite symmetric positive definite matrices column-major, read
+    from their lower triangles and overwritten by their factors, and the
+    rows of ``rhs`` (m, n) become the solutions. Returns j -> LinAlgError
+    for each matrix that is not positive definite; its row is left as
+    found."""
+    m, n = rhs.shape
+    _check_stack(mats, (m, n, n))
+    _check_stack(rhs, (m, n))
+    size, one, info = ctypes.c_int(n), ctypes.c_int(1), ctypes.c_int()
+    a, b = mats.ctypes.data, rhs.ctypes.data
+    failed = {}
+    for j in range(m):
+        dposv(b"L", size, one, a + j * n * n * 8, size, b + j * n * 8, size, info, 1)
+        if info.value:
+            failed[j] = _lapack_error(info.value, "dposv")
+    return failed
 
 
-def _chol_with_jitter(a: np.ndarray):
-    """Lower Cholesky factor, escalating diagonal jitter only on failure."""
-    _require_finite(a, "matrix to factor")
-    jitter = 0.0
-    for _ in range(6):
-        try:
-            mat = a if jitter == 0.0 else a + jitter * np.eye(a.shape[0])
-            return _factor(mat), jitter
-        except np.linalg.LinAlgError:
-            jitter = GRAM_JITTER if jitter == 0.0 else jitter * 10.0
-    raise NumericalError(
-        f"matrix not factorizable after jitter escalation to {jitter:g}"
-    )
+@functools.lru_cache(maxsize=64)  # one per training size
+def _upper_mask(n: int) -> np.ndarray:
+    """Where a column-major (n, n) matrix holds its upper triangle, the
+    diagonal left out: below the diagonal of its C view."""
+    mask = np.tri(n, k=-1, dtype=bool)
+    mask.flags.writeable = False
+    return mask
 
 
-# ---------------------------------------------------------------------------
-# Regression
-# ---------------------------------------------------------------------------
+def _factor(mats: np.ndarray) -> dict:
+    """Lower Cholesky factors of a stack of finite symmetric matrices in
+    place, one ``dpotrf`` call per matrix: ``mats`` holds (m, n, n) matrices
+    column-major, read from their lower triangles, and ``mats[j].T`` becomes
+    factor j, its upper triangle cleared (scipy's ``dpotrf(clean=1)``).
+    Returns j -> LinAlgError for each matrix that is not positive
+    definite."""
+    m, n = mats.shape[:2]
+    _check_stack(mats, (m, n, n))
+    size, info = ctypes.c_int(n), ctypes.c_int()
+    a = mats.ctypes.data
+    failed = {}
+    for j in range(m):
+        dpotrf(b"L", size, a + j * n * n * 8, size, info, 1)
+        if info.value:
+            failed[j] = _lapack_error(info.value, "dpotrf")
+    mats[:, _upper_mask(n)] = 0.0
+    return failed
 
 
-@dataclass
-class GprModel:
-    kernel: object
-    X_train: ObservationBlock
-    y: np.ndarray
-    noise_variance: float
-    chol: np.ndarray = field(repr=False, default=None)
-    alpha: np.ndarray = field(repr=False, default=None)
-    lml: float = float("nan")
-
-
-def gpr_fit(kernel, X_train, y, noise_variance: float = 0.0) -> GprModel:
-    if len(X_train) < 1:
-        raise ParameterError("gpr_fit needs at least one training point")
-    if noise_variance < 0:
-        raise ParameterError("noise variance must be >= 0")
-    y = np.asarray(y, dtype=float).ravel()
-    _require_finite(y, "regression target vector")
-    X_train = ObservationBlock.of(X_train)
-    k = training_gram(kernel, X_train)
-    a = k + noise_variance * np.eye(k.shape[0])
-    chol, _ = _chol_with_jitter(a)
-    alpha, info = dpotrs(chol, y, lower=1)
-    if info != 0:
-        raise ValueError(f"illegal value in argument {-info} of dpotrs")
-    n = y.size
-    lml = (
-        -0.5 * float(y @ alpha)
-        - float(np.sum(np.log(np.diag(chol))))
-        - 0.5 * n * math.log(2.0 * math.pi)
-    )
-    return GprModel(kernel, X_train, y, noise_variance, chol, alpha, lml)
-
-
-def gpr_predict(model: GprModel, x_star) -> tuple[float, float]:
-    """Posterior mean and variance (including observation noise) at a point."""
-    k_star = prediction_cross(model.kernel, model.X_train, [x_star])
-    _require_finite(k_star, "prediction cross-covariance")
-    k_ss = prediction_diag(model.kernel, [x_star])[0]
-    mean = float(k_star[:, 0] @ model.alpha)
-    v = _tri_solve(model.chol, k_star[:, 0])
-    var = float(k_ss - v @ v + model.noise_variance)
-    return mean, var
+def _tri_solve(chols: np.ndarray, rhs: np.ndarray) -> None:
+    """Solve ``L_j X = B_j`` for every j of a stack in place, one ``dtrtrs``
+    call per item: ``chols`` holds (m, n, n) lower factors column-major, as
+    ``_factor`` leaves them, and ``rhs`` (m, q, n) the (n, q) right-hand
+    sides column-major, overwritten by the solutions. Raises LinAlgError
+    for a singular factor."""
+    m, q, n = rhs.shape
+    _check_stack(chols, (m, n, n))
+    _check_stack(rhs, (m, q, n))
+    size, nrhs, info = ctypes.c_int(n), ctypes.c_int(q), ctypes.c_int()
+    a, b = chols.ctypes.data, rhs.ctypes.data
+    for j in range(m):
+        a_j, b_j = a + j * n * n * 8, b + j * q * n * 8
+        dtrtrs(b"L", b"N", b"N", size, nrhs, a_j, size, b_j, size, info, 1, 1, 1)
+        if info.value < 0:
+            raise ValueError(f"illegal value in argument {-info.value} of dtrtrs")
+        if info.value:
+            raise np.linalg.LinAlgError(f"singular factor at diagonal {info.value - 1}")
 
 
 # ---------------------------------------------------------------------------
@@ -232,10 +223,12 @@ def _matvec(k: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def _b_matrices(k: np.ndarray, w_sqrt: np.ndarray, eye: np.ndarray) -> np.ndarray:
-    """B = I + W^1/2 K W^1/2 of every problem of a stack, built in one
-    buffer: the bits of ``eye + (w_sqrt k) w_sqrt``."""
-    b = w_sqrt[:, :, None] * k
-    b *= w_sqrt[:, None, :]
+    """B = I + W^1/2 K W^1/2 of every problem of a stack, built column-major
+    in one buffer: entry (i, j) is ``(w_i k_ij) w_j + eye_ij``, the bits of
+    ``eye + (w_sqrt k) w_sqrt``, also where ``k`` is not bitwise
+    symmetric."""
+    b = np.multiply(w_sqrt[:, None, :], k.swapaxes(1, 2), order="C")
+    b *= w_sqrt[:, :, None]
     b += eye
     return b
 
@@ -274,15 +267,11 @@ def _laplace_modes(k: np.ndarray, y: np.ndarray) -> list:
         w = pi * (1.0 - pi)
         w_sqrt = np.sqrt(w)
         b = w * f + (t - pi)
-        rhs = w_sqrt * _matvec(k, b)
-        solved = np.zeros_like(rhs)
-        failed = []
-        for j, mat in enumerate(_b_matrices(k, w_sqrt, eye)):
-            try:
-                solved[j] = _pos_solve(mat, rhs[j])
-            except np.linalg.LinAlgError as exc:
-                out[ids[j]] = exc
-                failed.append(j)
+        solved = w_sqrt * _matvec(k, b)
+        failed = _pos_solve(_b_matrices(k, w_sqrt, eye), solved)
+        for j, exc in failed.items():
+            out[ids[j]] = exc
+            solved[j] = 0.0
         a = b - w_sqrt * solved
         f = _matvec(k, a)
         pi = expit(f)
@@ -293,7 +282,7 @@ def _laplace_modes(k: np.ndarray, y: np.ndarray) -> list:
         if not (failed or last or residual.min() < LAPLACE_TOL or not residual.sum() < np.inf):
             continue
         keep = np.ones(ids.size, dtype=bool)
-        keep[failed] = False
+        keep[list(failed)] = False
         converged = []
         running = (residual >= LAPLACE_TOL) & (residual < np.inf)
         for j in np.flatnonzero(keep if last else keep & ~running):
@@ -324,15 +313,12 @@ def _finish(eye, k, y, f, a, pi, residual, iterations, ids, out) -> None:
     """Laplace LML (GPML Alg. 3.2 without the gradient) at the converged
     modes of a stack, each entered in ``out`` as its ``_LaplaceMode``."""
     w_sqrt = np.sqrt(pi * (1.0 - pi))
-    chols = []
-    diag = np.ones_like(f)
-    for j, mat in enumerate(_b_matrices(k, w_sqrt, eye)):
-        try:
-            chols.append(_factor(mat))
-            diag[j] = chols[j].diagonal()
-        except np.linalg.LinAlgError as exc:
-            out[ids[j]] = exc
-            chols.append(None)
+    chols = _b_matrices(k, w_sqrt, eye)
+    failed = _factor(chols)
+    diag = chols.diagonal(axis1=1, axis2=2).copy()
+    for j, exc in failed.items():
+        out[ids[j]] = exc
+        diag[j] = 1.0
     lml = (
         -0.5 * np.matmul(a[:, None, :], f[:, :, None])[:, 0, 0]
         + _log_sigmoid(y * f).sum(axis=1)
@@ -340,9 +326,10 @@ def _finish(eye, k, y, f, a, pi, residual, iterations, ids, out) -> None:
     )
     grad = 0.5 * (y + 1.0) - pi
     for j, chol in enumerate(chols):
-        if chol is not None:
+        if j not in failed:  # copied: a view would keep the whole stack alive
             out[ids[j]] = _LaplaceMode(
-                f[j], grad[j], w_sqrt[j], chol, float(lml[j]), float(residual[j]), iterations
+                f[j], grad[j], w_sqrt[j], chol.T.copy(order="F"), float(lml[j]),
+                float(residual[j]), iterations,
             )
 
 
@@ -370,8 +357,10 @@ def _predict_items(items: Sequence[tuple[BinaryGpcModel, ObservationBlock]]) -> 
     """``gpc_predict_batch(model, X_star)`` of every (model, query block)
     item, bit for bit. Items of one training size, split, query count and
     base kernel form a group, which gets one stacked cross-covariance, one
-    stacked ``matmul`` per matrix-vector step and one stacked Gauss-Hermite
-    step; ``dtrtrs`` and its column sums run per matrix."""
+    stacked ``matmul`` per matrix-vector step, one ``dtrtrs`` per item on
+    the group's column-major stacks, one stacked sum over each solution
+    column (contiguous, as in the wrapper's Fortran-order solution) and one
+    stacked Gauss-Hermite step."""
     groups: dict = {}
     for i, (model, X_star) in enumerate(items):
         dependent = isinstance(model.kernel, DependentKernel)
@@ -387,11 +376,10 @@ def _predict_items(items: Sequence[tuple[BinaryGpcModel, ObservationBlock]]) -> 
         k_ss = prediction_diag(models[0].kernel, stars[0])
         _require_finite(k_star, "prediction cross-covariance")
         mu = _matvec(k_star.swapaxes(1, 2), np.array([model.grad_hat for model in models]))
-        rhs = np.array([model.w_sqrt for model in models])[:, :, None] * k_star
-        v_sq = np.empty(mu.shape)
-        for j, model in enumerate(models):
-            v_sq[j] = np.sum(_tri_solve(model.chol_b, rhs[j]) ** 2, axis=0)
-        var = np.maximum(k_ss - v_sq, 0.0)
+        w_sqrt = np.array([model.w_sqrt for model in models])
+        v = np.multiply(w_sqrt[:, None, :], k_star.swapaxes(1, 2), order="C")
+        _tri_solve(np.array([model.chol_b.T for model in models]), v)
+        var = np.maximum(k_ss - np.sum(v**2, axis=2), 0.0)
         # Marginalize the logistic over the Gaussian latent with Gauss-Hermite.
         z = mu[..., None] + np.sqrt(2.0 * var)[..., None] * _GH_NODES
         probs = (expit(z) @ _GH_WEIGHTS) / math.sqrt(math.pi)

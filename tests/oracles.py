@@ -9,6 +9,8 @@ package runs, kept here because no run path calls it:
 - ``rbf_eval`` and ``combined_eval``: one kernel entry between two points
   (two vectors, or the rows of two one-row blocks), against the gram
   builders in ``kernels``;
+- ``prediction_cross``: one item's training-query covariance, the one-item
+  case of ``kernels.prediction_cross_stack``;
 - ``extract_stiffness`` and ``extract_texture``: one trace's features, the
   one-item cases of ``features._stiffnesses`` and ``features._textures``;
 - ``SensorTrace``, ``stack_of`` and ``trace_of``: one trace, and its
@@ -19,20 +21,34 @@ package runs, kept here because no run path calls it:
 - ``select_prior_by_prediction``: one new object's prediction-based
   decision, which ``transfer.build_action_models`` makes for all new
   objects from one stacked prediction.
+
+``gpr_fit`` and ``gpr_predict`` are exact GP regression at given
+hyperparameters (GPML Alg. 2.1) over scipy's LAPACK wrappers, the reference
+that acceptance A5 checks against a dense inverse; no run path regresses.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
+from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 
-from tactilab.errors import MissingPriorError, ParameterError, SegmentationError
+from tactilab.errors import MissingPriorError, NumericalError, ParameterError, SegmentationError
 from tactilab.features import _stiffnesses, _textures
 from tactilab.gp import OvaGpcModel, ova_from_modes, ova_predict_proba, ova_sets
-from tactilab.kernels import CombinedKernel, ObservationBlock, RbfKernel
-from tactilab.laplace import PooledSet, _check_sets, _solve_sets
+from tactilab.kernels import (
+    CombinedKernel,
+    DependentKernel,
+    ObservationBlock,
+    RbfKernel,
+    prediction_cross_stack,
+    prediction_diag,
+    training_gram,
+)
+from tactilab.laplace import GRAM_JITTER, PooledSet, _check_sets, _require_finite, _solve_sets
 from tactilab.signals import (
     ActionKind,
     ExploratoryAction,
@@ -99,6 +115,13 @@ def rbf_eval(kernel: RbfKernel, x: Sequence[float], y: Sequence[float]) -> float
         raise SegmentationError(f"dimension mismatch: {x.shape} vs {y.shape}")
     sq = float(np.sum((x - y) ** 2))
     return kernel.signal_variance * np.exp(-sq / (2.0 * kernel.length_scale**2))
+
+
+def prediction_cross(kernel, X_train, X_star, n_old: int = 0) -> np.ndarray:
+    """Covariance between training points and query points (queries live on
+    the new-object side of a dependent kernel)."""
+    n_old = n_old if isinstance(kernel, DependentKernel) else 0
+    return prediction_cross_stack([kernel], [X_train], [X_star], n_old)[0]
 
 
 def _check_segmentation(kernel: CombinedKernel, obs: ObservationBlock) -> None:
@@ -215,3 +238,71 @@ def select_prior_by_prediction(
     model = prior[action_id].model
     p_bar = ova_predict_proba(model, X_new_j).mean(axis=0)
     return _by_prediction(model, action_id, p_bar, eps_neg1, new_object_id)
+
+
+# ---------------------------------------------------------------------------
+# Regression
+# ---------------------------------------------------------------------------
+
+
+def _chol_with_jitter(a: np.ndarray):
+    """Lower Cholesky factor (Fortran order), escalating diagonal jitter
+    only on failure."""
+    _require_finite(a, "matrix to factor")
+    jitter = 0.0
+    for _ in range(6):
+        mat = a if jitter == 0.0 else a + jitter * np.eye(a.shape[0])
+        chol, info = dpotrf(mat, lower=1, clean=1)
+        if info == 0:
+            return chol, jitter
+        jitter = GRAM_JITTER if jitter == 0.0 else jitter * 10.0
+    raise NumericalError(
+        f"matrix not factorizable after jitter escalation to {jitter:g}"
+    )
+
+
+@dataclass
+class GprModel:
+    kernel: object
+    X_train: ObservationBlock
+    y: np.ndarray
+    noise_variance: float
+    chol: np.ndarray = field(repr=False, default=None)
+    alpha: np.ndarray = field(repr=False, default=None)
+    lml: float = float("nan")
+
+
+def gpr_fit(kernel, X_train, y, noise_variance: float = 0.0) -> GprModel:
+    if len(X_train) < 1:
+        raise ParameterError("gpr_fit needs at least one training point")
+    if noise_variance < 0:
+        raise ParameterError("noise variance must be >= 0")
+    y = np.asarray(y, dtype=float).ravel()
+    _require_finite(y, "regression target vector")
+    X_train = ObservationBlock.of(X_train)
+    k = training_gram(kernel, X_train)
+    a = k + noise_variance * np.eye(k.shape[0])
+    chol, _ = _chol_with_jitter(a)
+    alpha, info = dpotrs(chol, y, lower=1)
+    if info != 0:
+        raise ValueError(f"illegal value in argument {-info} of dpotrs")
+    n = y.size
+    lml = (
+        -0.5 * float(y @ alpha)
+        - float(np.sum(np.log(np.diag(chol))))
+        - 0.5 * n * math.log(2.0 * math.pi)
+    )
+    return GprModel(kernel, X_train, y, noise_variance, chol, alpha, lml)
+
+
+def gpr_predict(model: GprModel, x_star) -> tuple[float, float]:
+    """Posterior mean and variance (including observation noise) at a point."""
+    k_star = prediction_cross(model.kernel, model.X_train, [x_star])
+    _require_finite(k_star, "prediction cross-covariance")
+    k_ss = prediction_diag(model.kernel, [x_star])[0]
+    mean = float(k_star[:, 0] @ model.alpha)
+    v, info = dtrtrs(model.chol, k_star[:, 0], lower=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"singular factor at diagonal {info - 1}")
+    var = float(k_ss - v @ v + model.noise_variance)
+    return mean, var

@@ -16,11 +16,12 @@ from tactilab.config import load_config
 from tactilab.features import Modality, activity, complexity, linear_correlation, mobility
 from tactilab.harness import run_experiment
 from tactilab.kernels import CombinedKernel, DependentKernel, RbfKernel, dependent_gram
-from tactilab.laplace import gpc_fit, gpc_predict, gpc_predict_batch, gpr_fit, gpr_predict
+from tactilab.laplace import gpc_fit, gpc_predict, gpc_predict_batch
 from tactilab.signals import STANDARD_ACTIONS
 from tactilab.transfer import fit_dependent_gpc
 
 from conftest import force_obs, two_part_obs
+from oracles import gpr_fit, gpr_predict
 from test_gp import gpc_quadrature_oracle, gpr_dense_inverse_oracle, pts
 from test_transfer import cluster
 

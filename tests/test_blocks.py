@@ -27,14 +27,13 @@ from tactilab.kernels import (
     KernelStack,
     ObservationBlock,
     RbfKernel,
-    prediction_cross,
     project_simplex,
     training_gram,
     training_gram_stack,
 )
 
 from conftest import force_obs, one_row, two_part_obs
-from oracles import fit_sets, ova_fit
+from oracles import fit_sets, ova_fit, prediction_cross
 
 MODS = (Modality.FORCE, Modality.THERMAL)
 SETTINGS = settings(
@@ -491,12 +490,14 @@ class TestStackedLaplace:
         items=st.lists(
             st.tuples(LENGTHS, LENGTHS, WEIGHTS, RHOS, st.floats(0.0, 1.0)), min_size=1, max_size=6
         ),
-        bad=st.sampled_from([None, np.nan, np.inf, "indefinite"]),
+        bad=st.sampled_from([None, np.nan, np.inf, "indefinite", "asymmetric"]),
     )
     def test_stack_matches_per_problem_fits(self, seed, n, items, bad):
         """One stack of problems of one size, each with its own kernel,
         rho, split and labels; one problem may carry a non-finite or
-        indefinite gram, which fails alone."""
+        indefinite gram, which fails alone, or a gram that is not bitwise
+        symmetric, whose fit reads its lower triangle as the reference's
+        ``dpotrf`` does."""
         rng = np.random.default_rng(seed)
         block = ObservationBlock.of(random_observations(seed, n, 1.0))
         grams, labels = [], []
@@ -506,7 +507,11 @@ class TestStackedLaplace:
             grams.append(training_gram(kernel, block, n_old) + laplace.GRAM_JITTER * np.eye(n))
             labels.append(np.where(rng.random(n) < 0.5, 1.0, -1.0))
         failing = None
-        if bad is not None:
+        if bad == "asymmetric":
+            i, r = int(rng.integers(len(items))), int(rng.integers(n))
+            c = int(rng.integers(r)) if r else 0
+            grams[i][r, c] = np.nextafter(grams[i][r, c], np.inf)
+        elif bad is not None:
             failing = int(rng.integers(len(items)))
             if bad == "indefinite":
                 grams[failing] = indefinite_gram(rng, n)

@@ -29,21 +29,22 @@ from tactilab.kernels import (
     ObservationBlock,
     RbfKernel,
     median_heuristic,
-    prediction_cross,
     project_simplex,
     training_gram,
 )
-from tactilab.laplace import (
-    PooledSet,
-    gpc_fit,
-    gpc_predict,
-    gpc_predict_batch,
+from tactilab.laplace import PooledSet, gpc_fit, gpc_predict, gpc_predict_batch
+
+import oracles
+from conftest import force_obs, two_part_obs
+from oracles import (
+    argmax_label,
+    fit_sets,
     gpr_fit,
     gpr_predict,
+    ova_fit,
+    ova_predict,
+    prediction_cross,
 )
-
-from conftest import force_obs, two_part_obs
-from oracles import argmax_label, fit_sets, ova_fit, ova_predict
 
 
 def pts(*values):
@@ -246,7 +247,11 @@ class TestNonFiniteGuards:
         assert all("non-finite objective" in d for d in info.value.diagnostics)
 
     def test_non_finite_newton_step_raises(self, monkeypatch):
-        monkeypatch.setattr(laplace, "_pos_solve", lambda a, b: np.full_like(b, np.nan))
+        def nan_solve(mats, rhs):
+            rhs.fill(np.nan)
+            return {}
+
+        monkeypatch.setattr(laplace, "_pos_solve", nan_solve)
         with pytest.raises(NumericalError, match="iteration 1"):
             gpc_fit(RbfKernel(1.0), pts(0.0, 1.0), [1, -1])
 
@@ -266,7 +271,7 @@ class TestNonFiniteGuards:
             gpr_fit(RbfKernel(1.0), pts(0.0, 1.0), [0.5, np.nan], 0.1)
         model = gpr_fit(RbfKernel(1.0), pts(0.0, 1.0), [0.5, -0.5], 0.1)
         monkeypatch.setattr(
-            laplace, "prediction_cross", lambda k, X, Y, n_old=0: np.full((len(X), len(Y)), np.inf)
+            oracles, "prediction_cross", lambda k, X, Y, n_old=0: np.full((len(X), len(Y)), np.inf)
         )
         with pytest.raises(NumericalError, match="cross-covariance"):
             gpr_predict(model, np.array([0.5]))
@@ -1023,6 +1028,30 @@ class TestLockstepSearch:
         assert_same_models(
             gp.ova_from_modes(sets, found.kernel, found.modes), fit_sets(sets, found.kernel)
         )
+
+    @pytest.mark.parametrize("restarts", [2, 3])
+    def test_a_round_stops_once_every_move_is_decided(self, monkeypatch, restarts):
+        """One kernel per chunk: a round stops scoring once every live
+        ascent's next move is decided. The result and the models are those
+        of the scan-at-a-time search, which scores every point of each
+        scan, with fewer problems solved."""
+        monkeypatch.setattr(gp, "STACK_BYTES", 1)
+        X, sets = self.transfer_sets(restarts)
+        start = median_start(X, 20.0)
+        seen = spy_search(monkeypatch)
+        found = optimize_kernel_for_sets(
+            list(sets.values()), start, restarts=restarts, rng=np.random.default_rng(restarts)
+        )
+        problems = sum(seen["problems"])
+        scan_kernel, scan_lml, scan_scored = ref_scan_search(
+            list(sets.values()), start, restarts, np.random.default_rng(restarts), 4
+        )
+        assert_same_search(found, (scan_kernel, 0.6, scan_lml))
+        assert_same_models(
+            gp.ova_from_modes(sets, found.kernel, found.modes), fit_sets(sets, found.kernel)
+        )
+        # A kernel solved is one problem per set.
+        assert problems < len(set(scan_scored)) * len(sets)
 
     def test_best_point_scored_in_an_earlier_round(self, monkeypatch):
         """The best ascent takes a point that an earlier round scored (a

@@ -605,6 +605,51 @@ class TestSetup:
         assert not multiprocessing.active_children()
 
 
+def test_search_rounds_stop_once_every_move_is_decided(monkeypatch):
+    """Laplace problems solved on the benchmark's A1 inputs for its seed 1
+    (perfbench/run.py: budget 10, trial seeds 172456 and 171615, --jobs 1),
+    counted at ``laplace._laplace_modes``: each search round stops scoring
+    once every live ascent's next move is decided. Scoring every chunk of
+    every round solved 597 set-up and 6495 trial problems."""
+    from tactilab import harness, laplace
+
+    counts = {"set-up": 0, "trials": 0}
+    phase = ["set-up"]
+    modes, build = laplace._laplace_modes, harness.build_assets
+
+    def counting(k, y):
+        counts[phase[0]] += len(k)
+        return modes(k, y)
+
+    def built(*args):
+        assets = build(*args)
+        phase[0] = "trials"
+        return assets
+
+    monkeypatch.setattr(laplace, "_laplace_modes", counting)
+    monkeypatch.setattr(harness, "build_assets", built)
+    config = parse_config({
+        "schema_version": 1,
+        "catalog": str(tactilab.data_path("catalogs", "related_priors.json")),
+        "prior_objects": [1, 2, 3],
+        "new_objects": [11, 12, 13, 14, 15],
+        "actions": ["P2", "S4", "C1"],
+        "budget": 10,
+        "epsilon_explore": 0.3,
+        "epsilon_neg1": 0.6,
+        "epsilon_neg2": 0.6,
+        "selection_method": "model_prediction",
+        "mode": "transfer",
+        "test_samples_press_slide": 20,
+        "test_samples_static": 10,
+        "prior_samples_per_object": 15,
+        "early_stop": False,
+        "seeds": [172456, 171615],
+    })
+    run_experiment(config, jobs=1)
+    assert counts == {"set-up": 498, "trials": 6445}
+
+
 class TestRunExperiment:
     def test_transfer_mode_runs_both_curves(self, small_result):
         config, result = small_result

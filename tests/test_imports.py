@@ -1,19 +1,22 @@
-"""What importing and running tactilab loads. Importing loads no scipy
-module: the engine's five scipy routines load at the first solve, from
-scipy's LAPACK and ufunc extension modules, loaded from their files, and are
-the very objects scipy's public modules export, also where a file fails to
-load; the first solve loads no other scipy module, so neither scipy's
-``__init__`` nor a subpackage's runs, nor the ``subprocess`` that scipy's
-``__init__`` imports; scipy's OpenBLAS starts at one thread, or as
-``OPENBLAS_NUM_THREADS`` tells, numpy's at its own count, and the variable
-is left as found. A command that never solves (``validate``, ``testset``,
-``report``, ``gen-groups``), and the parent of a ``--jobs 2`` run, load no
-scipy at all. Loaded inside a run, in this process or in a pool worker,
-scipy's OpenBLAS runs one thread, and after the run this process's reads
-the count it started at. Neither the import nor a ``--jobs 1`` run loads a
-module that only a process pool calls (``multiprocessing``,
-``concurrent.futures.process``), nor ``numpy.ma`` or ``numpy.polynomial``;
-a ``--jobs 2`` run loads the pool modules with its first pool.
+"""What importing and running tactilab loads. Importing loads no scipy module:
+the engine's scipy routines load at the first solve, its three LAPACK
+routines from scipy's OpenBLAS through ``ctypes`` and ``expit`` from scipy's
+ufunc extension module, loaded from its file, the very object
+``scipy.special`` exports, also where a file fails to load; the LAPACK
+routines give the bits of ``scipy.linalg.lapack``'s on every route that
+finds them. The first solve loads no other scipy module, ``_flapack``
+included, so neither scipy's ``__init__`` nor a subpackage's runs, nor the
+``subprocess`` that scipy's ``__init__`` imports; scipy's OpenBLAS starts at
+one thread, or as ``OPENBLAS_NUM_THREADS`` tells, numpy's at its own count,
+and the variable is left as found. A command that never solves
+(``validate``, ``testset``, ``report``, ``gen-groups``), and the parent of a
+``--jobs 2`` run, load no scipy at all. Loaded inside a run, in this process
+or in a pool worker, scipy's OpenBLAS runs one thread, and after the run
+this process's reads the count it started at. Neither the import nor a
+``--jobs 1`` run loads a module that only a process pool calls
+(``multiprocessing``, ``concurrent.futures.process``), nor ``numpy.ma`` or
+``numpy.polynomial``; a ``--jobs 2`` run loads the pool modules with its
+first pool.
 
 Each case runs in a fresh interpreter: the test modules import
 ``scipy.linalg`` (and the pool modules) themselves, and the loader reuses a
@@ -30,49 +33,61 @@ import pytest
 
 import tactilab
 
-#: The scipy modules that the first solve loads: the two extension modules
-#: the engine calls.
-ALLOWED_SCIPY = ["scipy.linalg._flapack", "scipy.special._special_ufuncs"]
+#: The scipy modules that the first solve loads: the extension module of
+#: ``expit``. The LAPACK routines come from scipy's OpenBLAS, with no module.
+ALLOWED_SCIPY = ["scipy.special._special_ufuncs"]
 
 #: Modules that scipy's package ``__init__`` imports and no run calls.
 SCIPY_INIT_ONLY = ("subprocess", "selectors", "signal")
 
 #: Solves a 2 x 2 system through the engine: the first solve of a process
 #: loads the engine's scipy routines.
-FIRST_SOLVE = "laplace._pos_solve(numpy.eye(2), numpy.ones((2, 1)))"
+FIRST_SOLVE = "laplace._pos_solve(numpy.eye(2)[None], numpy.ones((1, 2)))"
 
 #: Imports tactilab.laplace, solves, then imports scipy's public modules;
-#: prints the scipy modules loaded by the import, whether the solve ran
-#: scipy.linalg's __init__ and whether each routine is its public namesake.
-#: With argv[1] "fallback" the extension files are not found; with "load
-#: fails" each is a file (argv[2]) that is no shared object, as a library
-#: that does not load is.
+#: prints the scipy modules loaded by the import and after the solves,
+#: whether ``expit`` is its public namesake and whether the engine's LAPACK
+#: stacks gave the bits of scipy's wrappers (test_lapack.py, imported from
+#: argv[3]). Routes: with "library hidden" in argv[1] scipy's bundled
+#: OpenBLAS is not found; with "fallback" the extension files are not found;
+#: with "load fails" each is a file (argv[2]) that is no shared object, as a
+#: library that does not load is.
 SAME_ROUTINES = f"""
 import json, sys
 import numpy
 from tactilab import blas
 
-if sys.argv[1] == "fallback":
+route = sys.argv[1]
+if "library hidden" in route:
+    blas._bundled_openblas = lambda package_dir: []
+if "fallback" in route:
     blas._extension_path = lambda package_dir, name: None
-elif sys.argv[1] == "load fails":
+elif "load fails" in route:
     blas._extension_path = lambda package_dir, name: sys.argv[2]
 from tactilab import laplace
 
 at_import = [name for name in sys.modules if name.split(".")[0] == "scipy"]
 {FIRST_SOLVE}
-linalg_init_ran = "scipy.linalg" in sys.modules
-import scipy.linalg.lapack, scipy.special
+sys.path.insert(0, sys.argv[3])
+import test_lapack
 
-public = {{name: getattr(scipy.linalg.lapack, name) for name in ("dposv", "dpotrf", "dpotrs", "dtrtrs")}}
-public["expit"] = scipy.special.expit
-same = {{name: getattr(laplace, name) is routine for name, routine in public.items()}}
-print(json.dumps({{"at import": at_import, "linalg_init_ran": linalg_init_ran, "same": same}}))
+got = test_lapack.engine_results(0)
+after = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+import scipy.special
+
+print(json.dumps({{
+    "at import": at_import,
+    "after": after,
+    "same": laplace.expit is scipy.special.expit,
+    "bits": got == test_lapack.wrapper_results(0),
+}}))
 """
 
 #: Imports tactilab.cli and solves; prints the scipy modules loaded by the
 #: import and after the solve, which of SCIPY_INIT_ONLY (argv[1:]) were
-#: loaded, OPENBLAS_NUM_THREADS afterwards, and the thread count of each
-#: OpenBLAS that the import and the solve loaded.
+#: loaded, OPENBLAS_NUM_THREADS afterwards, the thread count of each
+#: OpenBLAS that the import and the solve loaded, and whether the file of
+#: ``scipy.linalg._flapack`` is mapped.
 CLI_IMPORT = f"""
 import json, os, sys
 import numpy
@@ -91,6 +106,7 @@ print(json.dumps({{
     "init only": [name for name in sys.argv[1:] if name in sys.modules],
     "env": os.environ.get("OPENBLAS_NUM_THREADS"),
     "threads": [blas._blas_thread_controls(lib)[0]() for lib in loaded],
+    "flapack mapped": "_flapack" in open("/proc/self/maps").read(),
 }}))
 """
 
@@ -106,9 +122,11 @@ if sys.argv[1] == "tactilab.cli":
     {FIRST_SOLVE}
 elif sys.argv[1] == "scipy_routines":
     from tactilab import blas
-    (dposv,) = blas.scipy_routines(globals(), ("scipy.linalg._flapack", "scipy.linalg.lapack", ("dposv",)))
+    (dposv, expit) = blas.scipy_routines(
+        globals(), ("dposv",), ("scipy.special._special_ufuncs", "scipy.special", ("expit",))
+    )
     assert "numpy" not in sys.modules
-    dposv([[2.0]], [1.0])
+    expit(0.0)
 import numpy
 from tactilab import blas
 print(json.dumps({{path: blas._blas_thread_controls(lib)[0]() for path, lib in blas._loaded_openblas()}}))
@@ -233,14 +251,25 @@ def _tiny_config(tmp_path) -> str:
     return str(config)
 
 
-@pytest.mark.parametrize("route", ["extension files", "fallback", "load fails"])
-def test_engine_routines_are_scipys_public_objects(route, tmp_path):
+@pytest.mark.parametrize(
+    "route",
+    ["extension files", "fallback", "load fails", "library hidden", "library hidden, load fails"],
+)
+def test_engine_routines_give_scipys_bits_on_every_route(route, tmp_path):
     not_a_library = tmp_path / f"_flapack{importlib.machinery.EXTENSION_SUFFIXES[0]}"
     not_a_library.write_text("not a shared object\n")
-    got = _child(SAME_ROUTINES, route, str(not_a_library))
+    got = _child(SAME_ROUTINES, route, str(not_a_library), str(Path(__file__).parent))
     assert got["at import"] == []
-    assert got["same"] == dict.fromkeys(["dposv", "dpotrf", "dpotrs", "dtrtrs", "expit"], True)
-    assert got["linalg_init_ran"] == (route != "extension files")
+    assert got["same"] and got["bits"]
+    # With expit loaded from its file, and the LAPACK routines from the
+    # bundled OpenBLAS or through a handle to _flapack's file, no scipy
+    # package init runs.
+    if route in ("extension files", "library hidden"):
+        assert got["after"] == ALLOWED_SCIPY
+    else:
+        assert "scipy" in got["after"]
+    # Only where _flapack's file does not load is it imported as a module.
+    assert ("scipy.linalg._flapack" in got["after"]) == (route == "library hidden, load fails")
 
 
 @linux_only
@@ -251,6 +280,7 @@ def test_cli_import_loads_no_scipy_package_and_starts_openblas_as_told(threads):
     assert got["scipy"] == ALLOWED_SCIPY
     assert got["init only"] == []
     assert got["env"] == threads
+    assert not got["flapack mapped"]
     # scipy's wheel bundles its own OpenBLAS, which the first solve loads.
     assert got["threads"] == [int(threads or 1)]
 
