@@ -4,8 +4,8 @@ loader of the scipy routines the engine calls (``scipy_routines``), which
 loads them, and scipy's OpenBLAS, at the first call of one: the LAPACK
 routines from scipy's OpenBLAS through ``ctypes``, and ufuncs from scipy's
 extension modules. It finds scipy's directory without importing scipy, so
-scipy's package ``__init__`` runs only where it falls back to scipy's
-public modules."""
+scipy's package ``__init__`` runs only where it falls back to importing
+scipy's modules."""
 
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ import os
 import sys
 import warnings
 from types import ModuleType
-from typing import Optional, Sequence
+from typing import Optional
 
 
 class _DlPhdrInfo(ctypes.Structure):
@@ -125,6 +125,14 @@ class SingleThreadedBlas:
             set_(count)
 
 
+def _scipy_dir() -> Optional[str]:
+    """scipy's directory, found with ``find_spec``, which imports nothing;
+    None where scipy is not found."""
+    package = importlib.util.find_spec("scipy")
+    locations = package.submodule_search_locations if package is not None else None
+    return locations[0] if locations else None
+
+
 def _extension_path(package_dir: str, name: str) -> Optional[str]:
     """Path of the extension module ``name`` (a dotted name inside scipy)
     under scipy's directory ``package_dir``; None when no such file exists."""
@@ -139,15 +147,14 @@ def _extension_path(package_dir: str, name: str) -> Optional[str]:
 
 def _load_extension(name: str) -> Optional[ModuleType]:
     """The extension module ``name`` of scipy, from ``sys.modules`` or loaded
-    from its file and registered there under its name. scipy's directory is
-    found with ``find_spec``, so neither scipy's ``__init__`` nor the
-    subpackage's runs. None when the directory or the file is not found, or
-    when the file fails to load, which registers nothing."""
+    from its file and registered there under its name, so that neither
+    scipy's ``__init__`` nor the subpackage's runs. None when scipy's
+    directory or the file is not found, or when the file fails to load,
+    which registers nothing."""
     if name in sys.modules:
         return sys.modules[name]
-    package = importlib.util.find_spec("scipy")
-    locations = package.submodule_search_locations if package is not None else None
-    path = _extension_path(locations[0], name) if locations else None
+    package_dir = _scipy_dir()
+    path = _extension_path(package_dir, name) if package_dir else None
     if path is None:
         return None
     spec = importlib.util.spec_from_file_location(name, path)
@@ -163,10 +170,10 @@ def _load_extension(name: str) -> Optional[ModuleType]:
 _CHAR, _INT, _DOUBLES, _LEN = (
     ctypes.c_char_p, ctypes.POINTER(ctypes.c_int), ctypes.c_void_p, ctypes.c_size_t
 )
-#: The ``ctypes`` argument types of the LAPACK routines ``scipy_routines``
-#: binds: every argument by reference (32-bit integers, scipy's LAPACK
-#: interface), then the hidden length of each character argument, passed as
-#: 1. The routines return nothing; ``info`` reports.
+#: The LAPACK routines the engine calls and their ``ctypes`` argument types:
+#: every argument by reference (32-bit integers, scipy's LAPACK interface),
+#: then the hidden length of each character argument, passed as 1. The
+#: routines return nothing; ``info`` reports.
 _LAPACK_ARGTYPES = {
     # uplo, n, nrhs, a, lda, b, ldb, info
     "dposv": (_CHAR, _INT, _INT, _DOUBLES, _INT, _DOUBLES, _INT, _INT, _LEN),
@@ -184,75 +191,67 @@ def _bundled_openblas(package_dir: str) -> list:
     return sorted(glob.glob(os.path.join(libs, "libscipy_openblas*")))
 
 
-def _lapack_symbols(lib: ctypes.CDLL, names: Sequence[str]) -> Optional[dict]:
-    """name -> ``ctypes`` function of each LAPACK routine ``names`` that
-    ``lib`` finds, under the scipy-openblas name (``scipy_dposv_``) or the
-    plain Fortran one (``dposv_``), typed by ``_LAPACK_ARGTYPES``; None
-    unless it finds them all."""
+def _lapack_symbols(lib: ctypes.CDLL) -> Optional[dict]:
+    """name -> ``ctypes`` function of each routine of ``_LAPACK_ARGTYPES``
+    that ``lib`` finds, under the scipy-openblas name (``scipy_dposv_``) or
+    the plain Fortran one (``dposv_``), typed; None unless it finds them
+    all."""
     routines = {}
-    for name in names:
+    for name, argtypes in _LAPACK_ARGTYPES.items():
         routine = getattr(lib, f"scipy_{name}_", None) or getattr(lib, f"{name}_", None)
         if routine is None:
             return None
-        routine.argtypes, routine.restype = _LAPACK_ARGTYPES[name], None
+        routine.argtypes, routine.restype = argtypes, None
         routines[name] = routine
     return routines
 
 
-def _load_lapack(names: Sequence[str]) -> dict:
-    """name -> ``ctypes`` function of each LAPACK routine ``names`` of the
-    library scipy's own LAPACK wrappers call: first scipy's bundled OpenBLAS
-    (``_bundled_openblas``); else the file of the extension module
-    ``scipy.linalg._flapack``, opened as a plain shared object, which runs no
-    module init and whose handle finds the symbols of its dependencies,
-    scipy's LAPACK among them; else that module's file once scipy's packages
-    have imported it (their inits may make its libraries loadable). No
-    module is registered in ``sys.modules`` but in the last case."""
-    package = importlib.util.find_spec("scipy")
-    locations = package.submodule_search_locations if package is not None else None
-    paths = []
-    if locations:
-        paths = _bundled_openblas(locations[0])
-        paths.append(_extension_path(locations[0], "scipy.linalg._flapack"))
-    for path in filter(None, paths):
+def _load_lapack() -> dict:
+    """name -> ``ctypes`` function of each routine of ``_LAPACK_ARGTYPES``,
+    from the library scipy's own LAPACK wrappers call: scipy's bundled
+    OpenBLAS (``_bundled_openblas``), which loads no module. Where it is
+    not found or does not load (another scipy layout), the routines come
+    through a handle to the file of ``scipy.linalg._flapack``, which finds
+    the symbols of its dependencies, once scipy's packages have imported it
+    (their inits may make its libraries loadable)."""
+    package_dir = _scipy_dir()
+    for path in _bundled_openblas(package_dir) if package_dir else []:
         try:
-            routines = _lapack_symbols(ctypes.CDLL(path), names)
+            routines = _lapack_symbols(ctypes.CDLL(path))
         except OSError:  # not a loadable shared object
             continue
         if routines is not None:
             return routines
     flapack = importlib.import_module("scipy.linalg._flapack")
-    routines = _lapack_symbols(ctypes.CDLL(flapack.__file__), names)
+    routines = _lapack_symbols(ctypes.CDLL(flapack.__file__))
     if routines is None:
-        raise ImportError(f"scipy's LAPACK does not export {list(names)}")
+        raise ImportError(f"scipy's LAPACK does not export {list(_LAPACK_ARGTYPES)}")
     return routines
 
 
-def _load_routines(
-    lapack: Sequence[str], groups: Sequence[tuple[str, str, Sequence[str]]]
-) -> dict:
-    """name -> routine for the LAPACK routines ``lapack`` (``ctypes``
-    functions of scipy's OpenBLAS, see ``_load_lapack``) and for every
-    (extension, public, names) group: the attributes ``names`` of scipy's
-    extension module ``extension`` (such as ``scipy.special._special_ufuncs``),
-    which are the very objects its public module ``public``
-    (``scipy.special``) exports.
+def _load_routines() -> dict:
+    """name -> routine for the engine's scipy routines: the LAPACK routines
+    of ``_LAPACK_ARGTYPES`` (``ctypes`` functions of scipy's OpenBLAS, see
+    ``_load_lapack``) and ``expit`` from scipy's extension module
+    ``scipy.special._special_ufuncs``, the very object ``scipy.special``
+    exports.
 
     The extension is loaded from its file: scipy's ``__init__`` imports
-    modules the engine never calls (``subprocess`` among them), and the
-    subpackage's about a hundred more (some 18 MB). Where scipy's directory,
-    the file or an attribute is missing (another scipy layout), or the file
-    fails to load, they come from ``public``. Either way scipy's OpenBLAS, if
-    this loads it, starts at one thread unless ``OPENBLAS_NUM_THREADS`` is
-    set, and the variable is left as found: OpenBLAS reads it as the library
-    loads, and started with more threads its pool spins on the cores for
-    about 0.1 s of CPU. numpy, which the extension imports, is imported
-    first, so its OpenBLAS loads at its own count before the variable is set.
-    Loaded under a ``SingleThreadedBlas`` cap, a new OpenBLAS is capped too,
-    by the outermost cap, so that it keeps one thread until the last cap
-    exits and then gets its count back. Where that cap never exits in this
-    process (a pool worker's), the library starts at one thread whatever
-    the variable says, and so starts no threads it would never run."""
+    modules the engine never calls (``subprocess`` among them), and
+    ``scipy.special``'s about a hundred more (some 18 MB). Where scipy's
+    directory, the file or ``expit`` is missing (another scipy layout), or
+    the file fails to load, ``expit`` comes from ``scipy.special``. Either
+    way scipy's OpenBLAS, if this loads it, starts at one thread unless
+    ``OPENBLAS_NUM_THREADS`` is set, and the variable is left as found:
+    OpenBLAS reads it as the library loads, and started with more threads
+    its pool spins on the cores for about 0.1 s of CPU. numpy, which the
+    extension imports, is imported first, so its OpenBLAS loads at its own
+    count before the variable is set. Loaded under a ``SingleThreadedBlas``
+    cap, a new OpenBLAS is capped too, by the outermost cap, so that it
+    keeps one thread until the last cap exits and then gets its count back.
+    Where that cap never exits in this process (a pool worker's), the
+    library starts at one thread whatever the variable says, and so starts
+    no threads it would never run."""
     import numpy  # noqa: F401  -- its OpenBLAS loads before the variable is set
 
     before = {path for path, _ in _loaded_openblas()} if _caps else set()
@@ -260,12 +259,11 @@ def _load_routines(
     if told is None or (_caps and _caps[0]._exits_in != os.getpid()):
         os.environ["OPENBLAS_NUM_THREADS"] = "1"
     try:
-        routines = _load_lapack(lapack) if lapack else {}
-        for extension, public, names in groups:
-            module = _load_extension(extension)
-            if module is None or not all(hasattr(module, name) for name in names):
-                module = importlib.import_module(public)
-            routines.update((name, getattr(module, name)) for name in names)
+        routines = _load_lapack()
+        module = _load_extension("scipy.special._special_ufuncs")
+        if module is None or not hasattr(module, "expit"):
+            module = importlib.import_module("scipy.special")
+        routines["expit"] = module.expit
     finally:
         if told is None:
             os.environ.pop("OPENBLAS_NUM_THREADS", None)
@@ -276,12 +274,10 @@ def _load_routines(
     return routines
 
 
-def scipy_routines(
-    namespace: dict, lapack: Sequence[str], *groups: tuple[str, str, Sequence[str]]
-) -> tuple:
-    """Stand-ins for the routines that ``_load_routines`` gives for
-    ``lapack`` and ``groups``, in that order. A process that never calls one
-    never loads scipy. The first call of any stand-in loads every routine,
+def scipy_routines(namespace: dict) -> tuple:
+    """Stand-ins for ``dposv``, ``dpotrf``, ``dtrtrs`` and ``expit``, the
+    routines of ``_load_routines``. A process that never calls one never
+    loads scipy. The first call of any stand-in loads every routine,
     rebinds their names in ``namespace`` (the calling module's globals) to
     them and calls through; from then on the module's names are the
     routines themselves, so a call by name pays no indirection."""
@@ -290,12 +286,11 @@ def scipy_routines(
     def stand_in(name: str):
         def call(*args, **kwargs):
             if not loaded:
-                loaded.update(_load_routines(lapack, groups))
+                loaded.update(_load_routines())
                 namespace.update(loaded)
             return loaded[name](*args, **kwargs)
 
         call.__name__ = call.__qualname__ = name
         return call
 
-    names = [*lapack, *(name for _, _, names in groups for name in names)]
-    return tuple(stand_in(name) for name in names)
+    return tuple(stand_in(name) for name in (*_LAPACK_ARGTYPES, "expit"))

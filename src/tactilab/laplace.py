@@ -53,11 +53,7 @@ from .kernels import (
     training_gram_stack,
 )
 
-dposv, dpotrf, dtrtrs, expit = scipy_routines(
-    globals(),
-    ("dposv", "dpotrf", "dtrtrs"),
-    ("scipy.special._special_ufuncs", "scipy.special", ("expit",)),
-)
+dposv, dpotrf, dtrtrs, expit = scipy_routines(globals())
 
 GRAM_JITTER = 1e-8
 LAPLACE_MAX_ITER = 100
@@ -92,10 +88,16 @@ def _require_finite(a: np.ndarray, what: str) -> None:
 
 
 def _check_stack(a: np.ndarray, shape: tuple) -> None:
-    """Guard a pointer handed to LAPACK: a C-ordered float64 stack of
-    ``shape``."""
-    if a.dtype != np.float64 or not a.flags.c_contiguous or a.shape != shape:
-        raise ValueError(f"C-ordered float64 stack of shape {shape} expected, got {a.shape}")
+    """Guard a pointer that LAPACK reads and writes through: an aligned,
+    writeable, C-ordered float64 stack of ``shape``."""
+    flags = a.flags
+    if a.dtype != np.float64 or a.shape != shape or not (
+        flags.c_contiguous and flags.aligned and flags.writeable
+    ):
+        raise ValueError(
+            f"aligned, writeable, C-ordered float64 stack of shape {shape} expected, "
+            f"got {a.dtype} {a.shape}"
+        )
 
 
 def _lapack_error(info: int, routine: str) -> np.linalg.LinAlgError:

@@ -48,21 +48,22 @@ FIRST_SOLVE = "laplace._pos_solve(numpy.eye(2)[None], numpy.ones((1, 2)))"
 #: prints the scipy modules loaded by the import and after the solves,
 #: whether ``expit`` is its public namesake and whether the engine's LAPACK
 #: stacks gave the bits of scipy's wrappers (test_lapack.py, imported from
-#: argv[3]). Routes: with "library hidden" in argv[1] scipy's bundled
+#: argv[3]). Routes (argv[1]): with "library hidden" scipy's bundled
 #: OpenBLAS is not found; with "fallback" the extension files are not found;
-#: with "load fails" each is a file (argv[2]) that is no shared object, as a
-#: library that does not load is.
+#: with "load fails" the bundled OpenBLAS and each extension file are a file
+#: (argv[2]) that is no shared object, as a library that does not load is.
 SAME_ROUTINES = f"""
 import json, sys
 import numpy
 from tactilab import blas
 
 route = sys.argv[1]
-if "library hidden" in route:
+if route == "library hidden":
     blas._bundled_openblas = lambda package_dir: []
-if "fallback" in route:
+elif route == "fallback":
     blas._extension_path = lambda package_dir, name: None
-elif "load fails" in route:
+elif route == "load fails":
+    blas._bundled_openblas = lambda package_dir: [sys.argv[2]]
     blas._extension_path = lambda package_dir, name: sys.argv[2]
 from tactilab import laplace
 
@@ -122,9 +123,7 @@ if sys.argv[1] == "tactilab.cli":
     {FIRST_SOLVE}
 elif sys.argv[1] == "scipy_routines":
     from tactilab import blas
-    (dposv, expit) = blas.scipy_routines(
-        globals(), ("dposv",), ("scipy.special._special_ufuncs", "scipy.special", ("expit",))
-    )
+    (dposv, dpotrf, dtrtrs, expit) = blas.scipy_routines(globals())
     assert "numpy" not in sys.modules
     expit(0.0)
 import numpy
@@ -251,25 +250,22 @@ def _tiny_config(tmp_path) -> str:
     return str(config)
 
 
-@pytest.mark.parametrize(
-    "route",
-    ["extension files", "fallback", "load fails", "library hidden", "library hidden, load fails"],
-)
+@pytest.mark.parametrize("route", ["extension files", "fallback", "load fails", "library hidden"])
 def test_engine_routines_give_scipys_bits_on_every_route(route, tmp_path):
     not_a_library = tmp_path / f"_flapack{importlib.machinery.EXTENSION_SUFFIXES[0]}"
     not_a_library.write_text("not a shared object\n")
     got = _child(SAME_ROUTINES, route, str(not_a_library), str(Path(__file__).parent))
     assert got["at import"] == []
     assert got["same"] and got["bits"]
-    # With expit loaded from its file, and the LAPACK routines from the
-    # bundled OpenBLAS or through a handle to _flapack's file, no scipy
-    # package init runs.
-    if route in ("extension files", "library hidden"):
+    # With expit loaded from its file and the LAPACK routines from the
+    # bundled OpenBLAS, no scipy package init runs.
+    if route == "extension files":
         assert got["after"] == ALLOWED_SCIPY
     else:
         assert "scipy" in got["after"]
-    # Only where _flapack's file does not load is it imported as a module.
-    assert ("scipy.linalg._flapack" in got["after"]) == (route == "library hidden, load fails")
+    # Only where the bundled OpenBLAS is not found or does not load is
+    # _flapack imported, to reach scipy's LAPACK through its file.
+    assert ("scipy.linalg._flapack" in got["after"]) == (route in ("load fails", "library hidden"))
 
 
 @linux_only

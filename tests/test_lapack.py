@@ -120,11 +120,17 @@ def test_stacks_match_scipys_wrappers_bit_for_bit(seed):
 
 def test_stacks_are_checked_before_lapack_reads_them():
     eye = np.eye(3)[None]
+    read_only = np.frombuffer((2 * eye).tobytes()).reshape(1, 3, 3)
+    misaligned = np.frombuffer(bytearray(8 * 9 + 1), offset=1).reshape(1, 3, 3)
+    misaligned[:] = eye
     calls = [
         lambda: laplace._pos_solve(eye.swapaxes(1, 2), np.ones((1, 3))),  # not C-ordered
         lambda: laplace._factor(eye.astype(np.float32)),
         lambda: laplace._tri_solve(eye, np.ones((1, 3, 2))),  # n = 2 right-hand sides for n = 3
+        lambda: laplace._factor(read_only),  # LAPACK would write through a read-only buffer
+        lambda: laplace._pos_solve(misaligned, np.ones((1, 3))),
     ]
     for call in calls:
         with pytest.raises(ValueError, match="C-ordered float64 stack"):
             call()
+    assert read_only.tobytes() == (2 * eye).tobytes()
